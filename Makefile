@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-overhead bench-parallel bench-serve bench-hotpath bench-alloc bench-batch repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
+.PHONY: check build vet test race bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
 # check is the CI gate: build, vet, race-enabled tests.
 check: build vet race
@@ -17,15 +17,12 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Telemetry overhead guard: disabled vs attached tap on the PDP-8 hot path.
+# Microbenchmarks to measure with while working: the telemetry overhead
+# guard (disabled vs attached tap on the PDP-8 hot path) and the batched
+# cache path. The repo's benchmark proper is bench/ (see bench/README.md).
 bench:
 	$(GO) test -bench 'AccessPDP8' -benchtime 2s -count 5 -run @ .
-
-# Parallel engine benchmark: the repro suite's wall-clock at -jobs 1/2/8,
-# recorded into BENCH_parallel.json (the -jobs 1 output is the baseline the
-# others are diffed against, so this doubles as a determinism check).
-bench-parallel:
-	./scripts/bench_parallel.sh
+	$(GO) test -bench 'ExecBatch' -benchtime 1s -count 3 -run @ ./internal/kvcache/
 
 repro:
 	$(GO) run ./cmd/repro all
@@ -61,26 +58,9 @@ serve-smoke:
 bench-overhead:
 	$(GO) test -count=1 -run TestMiddlewareOverheadBudget -v ./internal/kvserver/
 
-# Serving throughput + hit rate at 1/4/8 workers, into BENCH_serve.json.
-bench-serve:
-	./scripts/bench_serve.sh
-
-# Serving hot path: shard microbenchmarks (vs the pre-overhaul
-# baseline), the shards x GOMAXPROCS sweep, and p99/throughput under
-# pdpload at 1/4/16 workers, into BENCH_hotpath.json.
-bench-hotpath:
-	./scripts/bench_hotpath.sh
-
-# Batch-size sweep (-batch 1/8/32/128 at fixed workers) plus the
-# ExecBatch microbenchmark and its <= 1 alloc/op guard, into
-# BENCH_batch.json.
-bench-batch:
-	$(GO) test -count=1 -run TestExecBatchAllocBudget -v ./internal/kvcache/
-	$(GO) test -bench 'ExecBatch' -benchtime 1s -count 3 -run @ ./internal/kvcache/
-	./scripts/bench_batch.sh
-
 # Allocation budget guard: GET <= 1 alloc/op (0 for GetAppend/miss),
-# PUT <= 2 (0 expected), best-of-three against background noise.
+# PUT <= 2 (0 expected), ExecBatch <= 1/op, best-of-three against
+# background noise.
 bench-alloc:
 	$(GO) test -count=1 -run 'AllocBudget' -v ./internal/kvcache/
 

@@ -129,11 +129,13 @@ func (p *Peer) ID() string { return p.id }
 // BreakerOpen reports the breaker state (tests and /stats).
 func (p *Peer) BreakerOpen() bool { return p.br.isOpen() }
 
-// do issues one exchange against the peer's /kv/ route, buffering the
-// response. Transport failures and 5xx answers count against the
-// breaker; orderly answers (2xx/404, and 503 sheds — the peer is alive,
-// just busy) reset it.
-func (p *Peer) do(ctx context.Context, method, key string, body []byte) (*PeerResponse, error) {
+// exchange issues one request against the peer and buffers the answer:
+// the breaker gate, the hop header (the peer serves what it receives
+// locally, so forwarding is capped at one hop on /kv/ and /batch alike),
+// the timed Do, and a read bounded by maxResp. Transport failures,
+// oversized answers and 5xx count against the breaker; orderly answers
+// (2xx/404, and 503 sheds — the peer is alive, just busy) reset it.
+func (p *Peer) exchange(ctx context.Context, method, path, contentType string, body []byte, maxResp int64) (*PeerResponse, error) {
 	if !p.br.allow() {
 		p.gOpen.Set(1)
 		return nil, ErrPeerDown
@@ -142,69 +144,15 @@ func (p *Peer) do(ctx context.Context, method, key string, body []byte) (*PeerRe
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, p.id+"/kv/"+key, rd)
+	req, err := http.NewRequestWithContext(ctx, method, p.id+path, rd)
 	if err != nil {
 		p.br.failure()
 		return nil, err
 	}
 	req.Header.Set(HopHeader, "1")
-	p.mReqs.Inc()
-	t0 := time.Now()
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		p.mErrs.Inc()
-		p.br.failure()
-		p.gOpen.Set(boolGauge(p.br.isOpen()))
-		return nil, err
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, p.maxB+1))
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	p.hLat.Observe(uint64(time.Since(t0).Nanoseconds()))
-	if err != nil {
-		p.mErrs.Inc()
-		p.br.failure()
-		p.gOpen.Set(boolGauge(p.br.isOpen()))
-		return nil, err
-	}
-	if int64(len(buf)) > p.maxB {
-		p.mErrs.Inc()
-		p.br.failure()
-		return nil, fmt.Errorf("cluster: peer %s response exceeds %d bytes", p.id, p.maxB)
-	}
-	if resp.StatusCode >= 500 && resp.StatusCode != http.StatusServiceUnavailable {
-		// A 5xx (other than an orderly shed) is the peer misbehaving.
-		p.mErrs.Inc()
-		p.br.failure()
-	} else {
-		p.br.success()
-	}
-	p.gOpen.Set(boolGauge(p.br.isOpen()))
-	return &PeerResponse{
-		Status: resp.StatusCode,
-		XCache: resp.Header.Get("X-Cache"),
-		Body:   buf,
-	}, nil
-}
-
-// doBatch posts one JSON-encoded sub-batch to the peer's /batch route —
-// the owner-split fan-out path. It shares do's breaker and telemetry
-// bookkeeping; maxResp bounds the response body (a batch answer carries
-// up to one value per op, so the caller scales the cap by the sub-batch
-// size). The hop header caps forwarding exactly as on /kv/: the peer
-// serves the whole sub-batch locally.
-func (p *Peer) doBatch(ctx context.Context, body []byte, maxResp int64) (*PeerResponse, error) {
-	if !p.br.allow() {
-		p.gOpen.Set(1)
-		return nil, ErrPeerDown
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.id+"/batch", bytes.NewReader(body))
-	if err != nil {
-		p.br.failure()
-		return nil, err
-	}
-	req.Header.Set(HopHeader, "1")
-	req.Header.Set("Content-Type", "application/json")
 	p.mReqs.Inc()
 	t0 := time.Now()
 	resp, err := p.hc.Do(req)
@@ -227,9 +175,10 @@ func (p *Peer) doBatch(ctx context.Context, body []byte, maxResp int64) (*PeerRe
 	if int64(len(buf)) > maxResp {
 		p.mErrs.Inc()
 		p.br.failure()
-		return nil, fmt.Errorf("cluster: peer %s batch response exceeds %d bytes", p.id, maxResp)
+		return nil, fmt.Errorf("cluster: peer %s %s response exceeds %d bytes", p.id, path, maxResp)
 	}
 	if resp.StatusCode >= 500 && resp.StatusCode != http.StatusServiceUnavailable {
+		// A 5xx (other than an orderly shed) is the peer misbehaving.
 		p.mErrs.Inc()
 		p.br.failure()
 	} else {
@@ -241,6 +190,11 @@ func (p *Peer) doBatch(ctx context.Context, body []byte, maxResp int64) (*PeerRe
 		XCache: resp.Header.Get("X-Cache"),
 		Body:   buf,
 	}, nil
+}
+
+// do is exchange against the peer's /kv/ route under the value-size cap.
+func (p *Peer) do(ctx context.Context, method, key string, body []byte) (*PeerResponse, error) {
+	return p.exchange(ctx, method, "/kv/"+key, "", body, p.maxB)
 }
 
 func boolGauge(b bool) float64 {

@@ -242,7 +242,7 @@ func (c *Cluster) ForwardBatch(ctx context.Context, owner string, body []byte, m
 		return nil, fmt.Errorf("cluster: no client for %q", owner)
 	}
 	c.mFanout.Inc()
-	return p.doBatch(ctx, body, maxResp)
+	return p.exchange(ctx, http.MethodPost, "/batch", "application/json", body, maxResp)
 }
 
 // FallbackLocal books one proxy failure answered from the local cache.

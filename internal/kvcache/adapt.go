@@ -9,7 +9,7 @@ import (
 // Adapter drives the wall-clock side of online PD adaptation: a goroutine
 // that recomputes the protecting distance every Interval regardless of
 // traffic volume, so a mostly idle service still converges (the inline
-// count trigger in Cache.tick covers heavy traffic without timer skew).
+// count trigger in shard.exitLocked covers heavy traffic without timer skew).
 type Adapter struct {
 	cache    *Cache
 	interval time.Duration

@@ -4,8 +4,8 @@ package kvcache
 // with one shard-lock acquisition per shard *group* instead of one per
 // operation. The wire layer (kvserver's POST /batch) and the cluster
 // fan-out both funnel into it, so the per-operation cost of the serving
-// path — lock/unlock, watchdog sampling, telemetry increments, the
-// global access tick — is amortized over the group.
+// path — lock/unlock, watchdog sampling, the epoch check — is amortized
+// over the group.
 //
 // The grouping is a counting sort over the ops' shard indices using
 // pooled scratch (no per-batch allocation in steady state), and every
@@ -112,14 +112,6 @@ func growInt(s []int, n int) []int {
 	return make([]int, n)
 }
 
-// batchCounters accumulates the cache-level telemetry of one batch so the
-// shared counters are hit once per batch instead of once per op.
-type batchCounters struct {
-	gets, hits, misses    uint64
-	puts, inserts, denies uint64
-	evictions, deletes    uint64
-}
-
 // ExecBatch executes ops in one pass, writing each operation's outcome to
 // results[i] (len(results) must be >= len(ops); it panics otherwise — a
 // caller bug, not an input error). GET hit values are appended to dst and
@@ -189,15 +181,15 @@ func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []by
 		}
 	}
 
-	// One critical section per non-empty shard group.
-	var acc batchCounters
+	// One critical section per non-empty shard group. A group that ends its
+	// shard's epoch recomputes on its way out (exitLocked), with no lock held.
 	pd := c.PD()
 	for sid := 0; sid < nsh; sid++ {
 		lo, hi := s.start[sid], s.start[sid+1]
 		if lo == hi {
 			continue
 		}
-		dst = c.execGroup(c.shards[sid], ops, results, s, lo, hi, pd, dst, &acc)
+		dst = c.shards[sid].execGroup(ops, results, s, lo, hi, pd, dst)
 	}
 
 	// Materialize GET values only now: every append is done, dst will not
@@ -208,19 +200,7 @@ func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []by
 		}
 	}
 
-	c.mGets.Add(acc.gets)
-	c.mHits.Add(acc.hits)
-	c.mMisses.Add(acc.misses)
-	c.mPuts.Add(acc.puts)
-	c.mInserts.Add(acc.inserts)
-	c.mDenies.Add(acc.denies)
-	c.mEvictions.Add(acc.evictions)
-	c.mDeletes.Add(acc.deletes)
 	batchPool.Put(s)
-
-	// The recompute trigger runs strictly after every group released its
-	// shard lock: Recompute takes all of them.
-	c.tickN(n)
 	return dst
 }
 
@@ -234,7 +214,7 @@ func growI64(s []uint64, n int) []uint64 {
 // execGroup runs one shard's ops under a single lock acquisition. The
 // deferred exitLocked keeps the watchdog/unlock pairing panic-safe (the
 // chaos hook may unwind through here), matching the single-op paths.
-func (c *Cache) execGroup(sh *shard, ops []BatchOp, results []BatchResult, s *batchScratch, lo, hi int32, pd int, dst []byte, acc *batchCounters) []byte {
+func (sh *shard) execGroup(ops []BatchOp, results []BatchResult, s *batchScratch, lo, hi int32, pd int, dst []byte) []byte {
 	sh.mu.Lock()
 	t0 := sh.enterLocked(int(hi - lo))
 	defer sh.exitLocked(t0)
@@ -244,37 +224,26 @@ func (c *Cache) execGroup(sh *shard, ops []BatchOp, results []BatchResult, s *ba
 		h := s.hashes[i]
 		switch op.Kind {
 		case BatchGet:
-			acc.gets++
 			off := len(dst)
 			var ok bool
 			dst, ok = sh.getLocked(h, op.Key, pd, dst)
 			if ok {
-				acc.hits++
 				results[i].Status = BatchHit
 				s.voff[i] = off
 				s.vlen[i] = len(dst) - off
 			} else {
-				acc.misses++
 				results[i].Status = BatchMiss
 				results[i].Value = nil
 			}
 		case BatchPut:
-			acc.puts++
-			res := sh.putLocked(h, op.Key, s.bufs[i], pd)
-			s.bufs[i] = nil
-			acc.evictions += uint64(res.evicted)
-			if res.denied {
-				acc.denies++
-				results[i].Status = BatchDenied
-			} else {
-				if res.inserted {
-					acc.inserts++
-				}
+			if sh.putLocked(h, op.Key, s.bufs[i], pd) {
 				results[i].Status = BatchStored
+			} else {
+				results[i].Status = BatchDenied
 			}
+			s.bufs[i] = nil
 			results[i].Value = nil
 		case BatchDelete:
-			acc.deletes++
 			if sh.deleteLocked(h, op.Key) {
 				results[i].Status = BatchDeleted
 			} else {

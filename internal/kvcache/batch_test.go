@@ -3,8 +3,11 @@ package kvcache
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+
+	"pdp/internal/telemetry"
 )
 
 // TestExecBatchSemantics drives one mixed batch through a small cache and
@@ -66,17 +69,23 @@ func TestExecBatchSemantics(t *testing.T) {
 
 // TestExecBatchMatchesSingleOps replays the same deterministic mixed
 // stream through a batched cache and a single-op cache and requires
-// identical outcome sequences and aggregate stats — ExecBatch is an
-// execution strategy, not a different policy.
+// identical outcome sequences, aggregate stats, per-shard stats and
+// registry snapshots — ExecBatch is an execution strategy, not a
+// different policy, and no counter is kept anywhere a batch could miss.
+// The geometry is small enough that the stream evicts, denies and saves.
 func TestExecBatchMatchesSingleOps(t *testing.T) {
-	mk := func() *Cache {
-		c, err := New(benchConfig(PolicyPDP, 4))
+	mk := func() (*Cache, *telemetry.Registry) {
+		cfg := benchConfig(PolicyPDP, 4)
+		cfg.Sets, cfg.Ways, cfg.DefaultPD = 2, 2, 12
+		cfg.Registry = telemetry.NewRegistry()
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c
+		return c, cfg.Registry
 	}
-	single, batched := mk(), mk()
+	single, singleReg := mk()
+	batched, batchedReg := mk()
 
 	const rounds, per = 40, 32
 	val := []byte("batch-equivalence-value")
@@ -131,6 +140,16 @@ func TestExecBatchMatchesSingleOps(t *testing.T) {
 	if ss != bs {
 		t.Errorf("aggregate stats diverged:\n single: %+v\nbatched: %+v", ss, bs)
 	}
+	if ss.Evictions == 0 || ss.Denies == 0 || ss.Saves == 0 || ss.Deletes == 0 {
+		t.Errorf("stream too tame to guard the decision counters: %+v", ss)
+	}
+	if sp, bp := single.ShardStats(), batched.ShardStats(); !reflect.DeepEqual(sp, bp) {
+		t.Errorf("per-shard stats diverged:\n single: %+v\nbatched: %+v", sp, bp)
+	}
+	if sn, bn := singleReg.Snapshot(), batchedReg.Snapshot(); !reflect.DeepEqual(sn, bn) {
+		t.Errorf("registry snapshots diverged:\n single: %v\nbatched: %v", sn, bn)
+	}
+	checkViews(t, batched, batchedReg)
 	if err := batched.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,28 +195,107 @@ func TestExecBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestExecBatchRecompute verifies the batch tick fires the count-driven
-// PD recomputation when a batch crosses the epoch boundary — and that it
-// fires outside the shard locks (a deadlock here would hang the test).
+// shardKeys returns n distinct keys that all route to the given shard.
+func shardKeys(c *Cache, shard, n int) []string {
+	keys := make([]string, 0, n)
+	for i := 0; len(keys) < n; i++ {
+		k := fmt.Sprintf("s%d-%06d", shard, i)
+		if int(hash(k)%uint64(len(c.shards))) == shard {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestExecBatchRecompute verifies the epoch rule at its boundaries through
+// the batch path: shard i's first epoch ends when its own op count reaches
+// (i+1)*RecomputeEvery/Shards, later ones every RecomputeEvery, and the
+// recompute fires outside the shard locks (a deadlock here would hang the
+// test). With one shard that is the plain "every RecomputeEvery ops".
 func TestExecBatchRecompute(t *testing.T) {
-	cfg := benchConfig(PolicyPDP, 4)
-	cfg.RecomputeEvery = 64
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ shards, hot int }{{1, 0}, {4, 0}, {4, 2}, {4, 3}} {
+		cfg := benchConfig(PolicyPDP, tc.shards)
+		cfg.RecomputeEvery = 64
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := (tc.hot + 1) * 64 / tc.shards
+		keys := shardKeys(c, tc.hot, first+64)
+		results := make([]BatchResult, len(keys))
+		done := 0
+		for _, step := range []struct {
+			ops  int
+			want uint64
+		}{
+			{first - 1, 0}, // one short of the first boundary
+			{1, 1},         // reaches it
+			{63, 1},        // one short of a full epoch later
+			{1, 2},         // crosses it
+		} {
+			ops := make([]BatchOp, step.ops)
+			for i := range ops {
+				ops[i] = BatchOp{Kind: BatchGet, Key: keys[done+i]}
+			}
+			c.ExecBatch(ops, results, nil)
+			done += step.ops
+			if got := c.Recomputes(); got != step.want {
+				t.Fatalf("shards=%d hot=%d: %d recomputes after %d ops, want %d", tc.shards, tc.hot, got, done, step.want)
+			}
+		}
 	}
-	ops := make([]BatchOp, 48)
-	for i := range ops {
-		ops[i] = BatchOp{Kind: BatchGet, Key: fmt.Sprintf("k%02d", i)}
-	}
-	results := make([]BatchResult, len(ops))
-	c.ExecBatch(ops, results, nil) // accs 48: no boundary
-	if got := c.Recomputes(); got != 0 {
-		t.Fatalf("recomputes after 48 accesses: %d, want 0", got)
-	}
-	c.ExecBatch(ops, results, nil) // accs 96: crossed 64
-	if got := c.Recomputes(); got != 1 {
-		t.Fatalf("recomputes after 96 accesses: %d, want 1", got)
+}
+
+// TestRecomputeCadence checks the epoch rule's rate: one recompute per
+// RecomputeEvery cache-wide ops whether the keys spread over every shard
+// or hammer a single one, through the single-op and the batch path.
+func TestRecomputeCadence(t *testing.T) {
+	const every, m = 512, 40 * 512
+	for _, shards := range []int{1, 4, 16} {
+		for _, hot := range []bool{false, true} {
+			for _, batch := range []bool{false, true} {
+				cfg := benchConfig(PolicyPDP, shards)
+				cfg.RecomputeEvery = every
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys := benchKeys(t, c, 256, 8)
+				if hot {
+					keys = shardKeys(c, shards-1, 256)
+				}
+				ops := make([]BatchOp, 32)
+				results := make([]BatchResult, len(ops))
+				for done := 0; done < m; done += len(ops) {
+					for i := range ops {
+						ops[i] = BatchOp{Kind: BatchGet, Key: keys[(done+i*7)%len(keys)]}
+						if i%4 == 0 {
+							ops[i] = BatchOp{Kind: BatchPut, Key: ops[i].Key, Value: []byte("v")}
+						}
+					}
+					if batch {
+						c.ExecBatch(ops, results, nil)
+						continue
+					}
+					for _, op := range ops {
+						if op.Kind == BatchPut {
+							c.Put(op.Key, op.Value)
+						} else {
+							c.Get(op.Key)
+						}
+					}
+				}
+				want := float64(c.Accesses()) / every
+				tol := 1.0
+				if shards > 1 {
+					tol = max(2, want/10)
+				}
+				if got := float64(c.Recomputes()); got < want-tol || got > want+tol {
+					t.Errorf("shards=%d hot=%v batch=%v: %v recomputes over %d ops, want %.1f +-%.0f",
+						shards, hot, batch, got, c.Accesses(), want, tol)
+				}
+			}
+		}
 	}
 }
 

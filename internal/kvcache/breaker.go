@@ -49,11 +49,6 @@ func (c *Cache) DegradedShards() int { return int(c.degCount.Load()) }
 // Degraded reports whether any shard is serving degraded.
 func (c *Cache) Degraded() bool { return c.degCount.Load() > 0 }
 
-// BreakerTrips and BreakerRearms return the cumulative per-shard
-// transition counts.
-func (c *Cache) BreakerTrips() uint64  { return c.trips.Load() }
-func (c *Cache) BreakerRearms() uint64 { return c.rearms.Load() }
-
 // Trip forces every shard into degraded LRU mode (the operator's manual
 // breaker, also the path every global recompute failure takes).
 func (c *Cache) Trip(reason string) {
@@ -77,6 +72,7 @@ func (c *Cache) tripShardLocked(i int, reason string) {
 	already := sh.deg
 	if !already {
 		sh.deg = true
+		sh.st.BreakerTrips++
 		// The shadow-LRU divergence history predates the trip; while
 		// degraded the served policy IS the shadow, so stale doomed marks
 		// would book phantom protection saves after re-arm.
@@ -89,9 +85,6 @@ func (c *Cache) tripShardLocked(i int, reason string) {
 		return
 	}
 	c.degCount.Add(1)
-	c.trips.Add(1)
-	c.mTrips.Inc()
-	c.gDegraded.Set(float64(c.degCount.Load()))
 	if c.cfg.Journal != nil {
 		c.cfg.Journal.Append(telemetry.BreakerRecord{
 			Kind: telemetry.KindBreaker, Shard: i, State: "tripped", Reason: reason,
@@ -105,14 +98,14 @@ func (c *Cache) rearmShardLocked(i int, streak int) {
 	sh.mu.Lock()
 	was := sh.deg
 	sh.deg = false
+	if was {
+		sh.st.BreakerRearms++
+	}
 	sh.mu.Unlock()
 	if !was {
 		return
 	}
 	c.degCount.Add(-1)
-	c.rearms.Add(1)
-	c.mRearms.Inc()
-	c.gDegraded.Set(float64(c.degCount.Load()))
 	if c.cfg.Journal != nil {
 		c.cfg.Journal.Append(telemetry.BreakerRecord{
 			Kind: telemetry.KindBreaker, Shard: i, State: "rearmed",

@@ -90,7 +90,7 @@ func TestBreakerTripsOnRecomputePanic(t *testing.T) {
 	if !c.Degraded() || c.DegradedShards() != c.Config().Shards {
 		t.Fatalf("breaker did not trip all shards: degraded=%d", c.DegradedShards())
 	}
-	if got := c.BreakerTrips(); got != uint64(c.Config().Shards) {
+	if got := c.Stats().BreakerTrips; got != uint64(c.Config().Shards) {
 		t.Fatalf("trips = %d, want %d", got, c.Config().Shards)
 	}
 
@@ -108,7 +108,7 @@ func TestBreakerTripsOnRecomputePanic(t *testing.T) {
 
 	// Two clean recomputes re-arm every shard.
 	rearm(t, c)
-	if got := c.BreakerRearms(); got != uint64(c.Config().Shards) {
+	if got := c.Stats().BreakerRearms; got != uint64(c.Config().Shards) {
 		t.Fatalf("rearms = %d, want %d", got, c.Config().Shards)
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -187,7 +187,7 @@ func TestManualTrip(t *testing.T) {
 		t.Fatal("manual trip ignored")
 	}
 	c.Trip("manual") // idempotent
-	if got := c.BreakerTrips(); got != uint64(c.Config().Shards) {
+	if got := c.Stats().BreakerTrips; got != uint64(c.Config().Shards) {
 		t.Fatalf("double trip double-counted: %d", got)
 	}
 	rearm(t, c)

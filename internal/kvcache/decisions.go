@@ -58,7 +58,6 @@ type DecisionLog struct {
 	next   int
 	filled bool
 	seq    uint64
-	counts map[string]uint64
 }
 
 // NewDecisionLog builds a log retaining the last n decisions
@@ -67,7 +66,7 @@ func NewDecisionLog(n int) *DecisionLog {
 	if n <= 0 {
 		n = DefaultDecisionLog
 	}
-	return &DecisionLog{ring: make([]Decision, n), counts: map[string]uint64{}}
+	return &DecisionLog{ring: make([]Decision, n)}
 }
 
 // add records d, stamping its sequence number.
@@ -84,7 +83,6 @@ func (l *DecisionLog) add(d Decision) {
 		l.next = 0
 		l.filled = true
 	}
-	l.counts[d.Kind]++
 	l.mu.Unlock()
 }
 
@@ -109,16 +107,6 @@ func (l *DecisionLog) Total() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
-}
-
-// CountKind returns how many decisions of the given kind were recorded.
-func (l *DecisionLog) CountKind(kind string) uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counts[kind]
 }
 
 // Tail returns the most recent n decisions, oldest first.

@@ -61,11 +61,12 @@ func TestDenyDoomsAndSaves(t *testing.T) {
 	}
 
 	// Registry attribution mirrors the stats.
-	if v := reg.Counter(`kv.shard.denies{shard="0"}`).Value(); v != 1 {
-		t.Fatalf("shard deny counter = %d", v)
+	snap := reg.Snapshot()
+	if v := snap[`kv.shard.denies{shard="0"}`]; v != uint64(1) {
+		t.Fatalf("shard deny counter = %v", v)
 	}
-	if v := reg.Counter(`kv.shard.saves{shard="0"}`).Value(); v != 1 {
-		t.Fatalf("shard save counter = %d", v)
+	if v := snap[`kv.shard.saves{shard="0"}`]; v != uint64(1) {
+		t.Fatalf("shard save counter = %v", v)
 	}
 
 	// Decision log: deny then save, in order, with the PD in force.
@@ -103,8 +104,8 @@ func TestForcedEvictionAttribution(t *testing.T) {
 	if st.Evictions != 1 || st.EvictionsForced != 1 || st.EvictionsUnprotected != 0 {
 		t.Fatalf("evictions=%d forced=%d unprot=%d", st.Evictions, st.EvictionsForced, st.EvictionsUnprotected)
 	}
-	if v := reg.Counter(`kv.shard.evictions{shard="0",class="forced"}`).Value(); v != 1 {
-		t.Fatalf("forced counter = %d", v)
+	if v := reg.Snapshot()[`kv.shard.evictions{shard="0",class="forced"}`]; v != uint64(1) {
+		t.Fatalf("forced counter = %v", v)
 	}
 	tail := c.Decisions().Tail(1)
 	if len(tail) != 1 || tail[0].Kind != DecisionEvictForced || tail[0].RPD <= 0 {
@@ -136,8 +137,8 @@ func TestDecisionLogRingAndDisable(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.add(Decision{Kind: DecisionDeny, Set: i})
 	}
-	if l.Len() != 3 || l.Total() != 5 || l.CountKind(DecisionDeny) != 5 {
-		t.Fatalf("len=%d total=%d denies=%d", l.Len(), l.Total(), l.CountKind(DecisionDeny))
+	if l.Len() != 3 || l.Total() != 5 {
+		t.Fatalf("len=%d total=%d", l.Len(), l.Total())
 	}
 	tail := l.Tail(10)
 	if len(tail) != 3 || tail[0].Set != 2 || tail[2].Set != 4 {
@@ -164,6 +165,11 @@ func TestDecisionLogRingAndDisable(t *testing.T) {
 	c.Put("a", nil)
 	c.Put("b", nil)
 	c.Put("c", nil) // deny path with nil log must not panic
+	// Per-kind counts live in the shard ledger, not the log: they survive
+	// disabling it.
+	if st := c.Stats(); st.Denies != 1 {
+		t.Fatalf("denies with the log disabled = %d, want 1", st.Denies)
+	}
 }
 
 // TestPDMoveJournal asserts the pd_move contract: one record per

@@ -61,9 +61,9 @@ type Config struct {
 	// DefaultPD seeds the policy before the first recomputation (default
 	// Ways, LRU-like warm-up).
 	DefaultPD int
-	// RecomputeEvery recomputes the PD inline after that many cache
-	// accesses (default 64K; 0 disables the count trigger — use the
-	// Adapter's wall-clock trigger instead).
+	// RecomputeEvery recomputes the PD inline once per that many cache
+	// accesses (default 64K), counted per shard on staggered epochs: see
+	// shard.exitLocked.
 	RecomputeEvery uint64
 	// EpochDecayShift right-shifts the merged RDD counters at each
 	// recompute (default 1, exponential forgetting; see
@@ -112,8 +112,8 @@ type Config struct {
 	Chaos Chaos
 
 	// Registry and Journal attach telemetry (both optional): operation
-	// counters and PD/occupancy gauges in the registry, one
-	// telemetry.RecomputeRecord per PD recomputation in the journal.
+	// counters and PD/occupancy gauges as read-time views in the registry,
+	// one telemetry.RecomputeRecord per PD recomputation in the journal.
 	Registry *telemetry.Registry
 	Journal  *telemetry.Journal
 }
@@ -191,8 +191,9 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// Stats is a point-in-time aggregate over all shards. Counter fields are
-// cumulative since construction.
+// Stats is a point-in-time aggregate over all shards: the sum of
+// ShardStats plus the cache-wide PD state. Counter fields are cumulative
+// since construction.
 type Stats struct {
 	Gets    uint64 `json:"gets"`
 	Hits    uint64 `json:"hits"`
@@ -247,8 +248,10 @@ type Cache struct {
 	shards []*shard
 	dlog   *DecisionLog
 
-	pd   atomic.Int64 // current protecting distance (accesses)
-	accs atomic.Uint64
+	pd atomic.Int64 // current protecting distance (accesses)
+	// accBase is the access count a restored snapshot carried, so the
+	// journal's access clock continues across a warm restart.
+	accBase atomic.Uint64
 
 	// recompute serialization + cross-epoch sampler stats accumulation.
 	rmu        sync.Mutex
@@ -263,15 +266,6 @@ type Cache struct {
 	bmu      sync.Mutex
 	streaks  []int
 	degCount atomic.Int64
-	trips    atomic.Uint64
-	rearms   atomic.Uint64
-
-	// telemetry handles (nil-tolerant).
-	mGets, mHits, mMisses, mPuts, mDeletes *telemetry.Counter
-	mInserts, mEvictions, mDenies          *telemetry.Counter
-	mTrips, mRearms, mLockWarns            *telemetry.Counter
-	gPD, gEntries, gBytes, gHitRate        *telemetry.Gauge
-	gDegraded                              *telemetry.Gauge
 }
 
 // New builds a Cache; it returns an error on invalid configuration (the
@@ -286,29 +280,48 @@ func New(cfg Config) (*Cache, error) {
 		c.dlog = NewDecisionLog(cfg.DecisionLog)
 	}
 	c.streaks = make([]int, cfg.Shards)
-	reg := cfg.Registry
-	c.mLockWarns = reg.Counter("kv.lock_hold_warns")
+	var recompute func()
+	if cfg.Policy == PolicyPDP {
+		recompute = func() { c.Recompute() }
+	}
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
-		c.shards[i] = newShard(&cfg, i, c.dlog, c.mLockWarns)
+		c.shards[i] = newShard(&cfg, i, c.dlog, recompute)
 	}
-	c.mGets = reg.Counter("kv.gets")
-	c.mHits = reg.Counter("kv.hits")
-	c.mMisses = reg.Counter("kv.misses")
-	c.mPuts = reg.Counter("kv.puts")
-	c.mDeletes = reg.Counter("kv.deletes")
-	c.mInserts = reg.Counter("kv.inserts")
-	c.mEvictions = reg.Counter("kv.evictions")
-	c.mDenies = reg.Counter("kv.denies")
-	c.mTrips = reg.Counter("kv.breaker_trips")
-	c.mRearms = reg.Counter("kv.breaker_rearms")
-	c.gDegraded = reg.Gauge("kv.degraded_shards")
-	c.gPD = reg.Gauge("kv.pd")
-	c.gEntries = reg.Gauge("kv.entries")
-	c.gBytes = reg.Gauge("kv.bytes")
-	c.gHitRate = reg.Gauge("kv.hit_rate")
-	c.gPD.Set(float64(cfg.DefaultPD))
+	c.registerViews(cfg.Registry)
 	return c, nil
+}
+
+// registerViews publishes the kv.* metric families as read-time views of
+// the shard ledgers: one ShardStats pass per scrape feeds every series,
+// so the registry holds no second copy of any count.
+func (c *Cache) registerViews(reg *telemetry.Registry) {
+	reg.View(func(m telemetry.Samples) {
+		per := c.ShardStats()
+		st := c.sumStats(per)
+		m.Counter("kv.gets", st.Gets)
+		m.Counter("kv.hits", st.Hits)
+		m.Counter("kv.misses", st.Misses)
+		m.Counter("kv.puts", st.Puts)
+		m.Counter("kv.deletes", st.Deletes)
+		m.Counter("kv.inserts", st.Inserts)
+		m.Counter("kv.evictions", st.Evictions)
+		m.Counter("kv.denies", st.Denies)
+		m.Counter("kv.breaker_trips", st.BreakerTrips)
+		m.Counter("kv.breaker_rearms", st.BreakerRearms)
+		m.Counter("kv.lock_hold_warns", st.LockHoldWarns)
+		m.Gauge("kv.degraded_shards", float64(st.DegradedShards))
+		m.Gauge("kv.pd", float64(st.PD))
+		m.Gauge("kv.entries", float64(st.Entries))
+		m.Gauge("kv.bytes", float64(st.Bytes))
+		m.Gauge("kv.hit_rate", st.HitRate())
+		for i, sh := range per {
+			m.Counter(fmt.Sprintf(`kv.shard.evictions{shard="%d",class="unprotected"}`, i), sh.EvictionsUnprotected)
+			m.Counter(fmt.Sprintf(`kv.shard.evictions{shard="%d",class="forced"}`, i), sh.EvictionsForced)
+			m.Counter(fmt.Sprintf(`kv.shard.denies{shard="%d"}`, i), sh.Denies)
+			m.Counter(fmt.Sprintf(`kv.shard.saves{shard="%d"}`, i), sh.Saves)
+		}
+	})
 }
 
 // Config returns the configuration with defaults applied.
@@ -318,8 +331,12 @@ func (c *Cache) Config() Config { return c.cfg }
 // first recomputation; constant in LRU mode).
 func (c *Cache) PD() int { return int(c.pd.Load()) }
 
-// Accesses returns the cache-lifetime operation count.
-func (c *Cache) Accesses() uint64 { return c.accs.Load() }
+// Accesses returns the cache-lifetime operation count: every shard's
+// gets, puts and deletes, plus what a restored snapshot carried.
+func (c *Cache) Accesses() uint64 {
+	st := c.Stats()
+	return c.accBase.Load() + st.Gets + st.Puts + st.Deletes
+}
 
 // Recomputes returns the number of PD recomputations performed.
 func (c *Cache) Recomputes() uint64 { return c.recomputes.Load() }
@@ -375,15 +392,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // store memory.
 func (c *Cache) GetAppend(key string, dst []byte) ([]byte, bool) {
 	sh, h := c.route(key)
-	val, ok := sh.get(h, key, c.PD(), dst)
-	c.mGets.Inc()
-	if ok {
-		c.mHits.Inc()
-	} else {
-		c.mMisses.Inc()
-	}
-	c.tick()
-	return val, ok
+	return sh.get(h, key, c.PD(), dst)
 }
 
 // Put stores value under key, copying it. The copy happens before the
@@ -395,72 +404,49 @@ func (c *Cache) Put(key string, value []byte) bool {
 	sh, h := c.route(key)
 	buf := sh.allocBuf(len(value))
 	copy(buf, value)
-	res := sh.put(h, key, buf, c.PD())
-	c.mPuts.Inc()
-	c.mEvictions.Add(uint64(res.evicted))
-	switch {
-	case res.denied:
-		c.mDenies.Inc()
-	case res.inserted:
-		c.mInserts.Inc()
-	}
-	c.tick()
-	return !res.denied
+	return sh.put(h, key, buf, c.PD())
 }
 
 // Delete removes key, reporting whether it was resident.
 func (c *Cache) Delete(key string) bool {
 	sh, h := c.route(key)
-	ok := sh.delete(h, key)
-	c.mDeletes.Inc()
-	c.tick()
-	return ok
+	return sh.delete(h, key)
 }
 
-// tick advances global access time and fires the count-driven PD
-// recomputation on epoch boundaries.
-func (c *Cache) tick() {
-	n := c.accs.Add(1)
-	if c.cfg.Policy == PolicyPDP && c.cfg.RecomputeEvery > 0 && n%c.cfg.RecomputeEvery == 0 {
-		c.Recompute()
-	}
-}
+// Stats aggregates the shard ledgers; it takes each shard lock briefly.
+func (c *Cache) Stats() Stats { return c.sumStats(c.ShardStats()) }
 
-// tickN books n accesses at once — the batch path's amortized tick. It
-// fires the count-driven recomputation when the batch crossed an epoch
-// boundary (at most one recompute per batch: a batch larger than an epoch
-// still folds into the current merge, which sees all its sampler
-// evidence anyway). Must not be called with any shard lock held —
-// Recompute takes every shard lock.
-func (c *Cache) tickN(n int) {
-	if n <= 0 {
-		return
-	}
-	now := c.accs.Add(uint64(n))
-	if c.cfg.Policy == PolicyPDP && c.cfg.RecomputeEvery > 0 &&
-		now/c.cfg.RecomputeEvery != (now-uint64(n))/c.cfg.RecomputeEvery {
-		c.Recompute()
-	}
-}
-
-// Stats aggregates shard counters; it takes each shard lock briefly.
-func (c *Cache) Stats() Stats {
+// sumStats folds one ShardStats pass into the cache-wide aggregate.
+func (c *Cache) sumStats(per []ShardStats) Stats {
 	var st Stats
-	for _, sh := range c.shards {
-		sh.addStats(&st)
+	for _, s := range per {
+		st.Gets += s.Gets
+		st.Hits += s.Hits
+		st.Puts += s.Puts
+		st.Deletes += s.Deletes
+		st.Inserts += s.Inserts
+		st.Evictions += s.Evictions
+		st.EvictionsUnprotected += s.EvictionsUnprotected
+		st.EvictionsForced += s.EvictionsForced
+		st.Denies += s.Denies
+		st.Saves += s.Saves
+		st.Entries += s.Entries
+		st.Bytes += s.Bytes
+		st.SamplerAccesses += s.SamplerAccesses
+		st.SamplerHits += s.SamplerHits
+		st.DegradedOps += s.DegradedOps
+		st.BreakerTrips += s.BreakerTrips
+		st.BreakerRearms += s.BreakerRearms
+		st.LockHoldWarns += s.LockHoldWarns
 	}
+	st.Misses = st.Gets - st.Hits
 	st.PD = c.PD()
 	st.Recomputes = c.recomputes.Load()
 	st.DegradedShards = c.DegradedShards()
-	st.BreakerTrips = c.trips.Load()
-	st.BreakerRearms = c.rearms.Load()
 	c.rmu.Lock()
 	st.SamplerAccesses += c.smpAccs
 	st.SamplerHits += c.smpHits
 	c.rmu.Unlock()
-	c.gEntries.Set(float64(st.Entries))
-	c.gBytes.Set(float64(st.Bytes))
-	c.gHitRate.Set(st.HitRate())
 	return st
 }
 
@@ -500,8 +486,10 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 	var out recomputeOutcome
 	merged := sampler.NewCounterArray(c.cfg.DMax, c.cfg.SC)
 	shardSamples := make([]uint64, len(c.shards))
+	accesses := c.accBase.Load()
 	for i, sh := range c.shards {
 		sh.mu.Lock()
+		accesses += sh.st.Gets + sh.st.Puts + sh.st.Deletes
 		arr := sh.smp.Array()
 		if arr.Reuses() > arr.Total() {
 			// More measured reuses than accesses: the counter array was
@@ -552,7 +540,6 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 	}
 	out.pd = pd
 	c.pd.Store(int64(pd))
-	c.gPD.Set(float64(pd))
 	c.recomputes.Add(1)
 	c.seq++
 	if c.cfg.Journal != nil {
@@ -564,7 +551,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 		bestD, bestE := core.FindPD(merged, c.cfg.DE)
 		c.cfg.Journal.Append(telemetry.PDMoveRecord{
 			Kind:         telemetry.KindPDMove,
-			Access:       c.accs.Load(),
+			Access:       accesses,
 			Seq:          c.seq,
 			OldPD:        old,
 			NewPD:        pd,
@@ -579,7 +566,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 		if enough {
 			c.cfg.Journal.Append(telemetry.RecomputeRecord{
 				Kind:     telemetry.KindPDRecompute,
-				Access:   c.accs.Load(),
+				Access:   accesses,
 				Policy:   "kvcache-pdp",
 				Seq:      c.seq,
 				OldPD:    old,
@@ -594,8 +581,10 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 	return out
 }
 
-// ShardStats is one shard's attribution view: traffic, occupancy and the
-// decision counters, for the per-shard skew section of /stats.
+// ShardStats is one shard's ledger (see shard.st) and what ShardStats()
+// copies out of it. The JSON fields are the attribution view — traffic,
+// occupancy and the decision counters — of the per-shard skew section of
+// /stats; the rest only feed the Stats sum.
 type ShardStats struct {
 	Shard                int    `json:"shard"`
 	Gets                 uint64 `json:"gets"`
@@ -607,6 +596,16 @@ type ShardStats struct {
 	EvictionsForced      uint64 `json:"evictions_forced"`
 	Denies               uint64 `json:"denies"`
 	Saves                uint64 `json:"protection_saves"`
+
+	Puts            uint64 `json:"-"`
+	Deletes         uint64 `json:"-"`
+	Inserts         uint64 `json:"-"`
+	SamplerAccesses uint64 `json:"-"` // since the last recompute
+	SamplerHits     uint64 `json:"-"`
+	DegradedOps     uint64 `json:"-"`
+	BreakerTrips    uint64 `json:"-"`
+	BreakerRearms   uint64 `json:"-"`
+	LockHoldWarns   uint64 `json:"-"`
 }
 
 // HitRate returns Hits/Gets (0 when idle).

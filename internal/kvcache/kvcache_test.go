@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pdp/internal/telemetry"
@@ -269,13 +270,42 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
+// checkViews requires every kv.* series in the registry to equal the
+// Stats/ShardStats field it is a view of, and two idle scrapes to agree.
+func checkViews(t *testing.T, c *Cache, reg *telemetry.Registry) {
+	t.Helper()
+	snap := reg.Snapshot()
+	st := c.Stats()
+	want := map[string]any{
+		"kv.gets": st.Gets, "kv.hits": st.Hits, "kv.misses": st.Misses,
+		"kv.puts": st.Puts, "kv.deletes": st.Deletes, "kv.inserts": st.Inserts,
+		"kv.evictions": st.Evictions, "kv.denies": st.Denies,
+		"kv.breaker_trips": st.BreakerTrips, "kv.breaker_rearms": st.BreakerRearms,
+		"kv.lock_hold_warns": st.LockHoldWarns,
+		"kv.degraded_shards": float64(st.DegradedShards), "kv.pd": float64(st.PD),
+		"kv.entries": float64(st.Entries), "kv.bytes": float64(st.Bytes),
+		"kv.hit_rate": st.HitRate(),
+	}
+	for _, sh := range c.ShardStats() {
+		want[fmt.Sprintf(`kv.shard.evictions{shard="%d",class="unprotected"}`, sh.Shard)] = sh.EvictionsUnprotected
+		want[fmt.Sprintf(`kv.shard.evictions{shard="%d",class="forced"}`, sh.Shard)] = sh.EvictionsForced
+		want[fmt.Sprintf(`kv.shard.denies{shard="%d"}`, sh.Shard)] = sh.Denies
+		want[fmt.Sprintf(`kv.shard.saves{shard="%d"}`, sh.Shard)] = sh.Saves
+	}
+	if !reflect.DeepEqual(snap, want) {
+		t.Errorf("registry views diverge from the ledger:\n snapshot: %v\n   ledger: %v", snap, want)
+	}
+	if again := reg.Snapshot(); !reflect.DeepEqual(snap, again) {
+		t.Errorf("two idle scrapes differ:\n%v\n%v", snap, again)
+	}
+}
+
 func TestTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c, _ := New(Config{Shards: 1, Sets: 4, Ways: 2, Registry: reg})
 	c.Put("x", []byte("1"))
 	c.Get("x")
 	c.Get("y")
-	c.Stats()
 	snap := reg.Snapshot()
 	if snap["kv.gets"].(uint64) != 2 || snap["kv.hits"].(uint64) != 1 {
 		t.Fatalf("registry snapshot %+v", snap)
@@ -283,4 +313,5 @@ func TestTelemetryCounters(t *testing.T) {
 	if snap["kv.entries"].(float64) != 1 {
 		t.Fatalf("kv.entries = %v", snap["kv.entries"])
 	}
+	checkViews(t, c, reg)
 }

@@ -73,13 +73,14 @@ type shard struct {
 	stamp uint64
 	last  []uint64
 
-	// Hot mutable counters, padded on both sides: every operation writes
-	// stamp/bytes/st under mu, and these lines must not be shared with a
-	// neighbouring shard's lock or freelist.
-	_     [64]byte
-	bytes int64
-	st    shardStats
-	_     [64]byte
+	// st is the shard's ledger: the only place a cache event or an
+	// occupancy change is counted, written under mu by the operation that
+	// caused it; everything else is a read-time view of it. Padded on both
+	// sides: every operation writes stamp/st, and these lines must not be
+	// shared with a neighbouring shard's lock or freelist.
+	_  [64]byte
+	st ShardStats
+	_  [64]byte
 
 	// Value-buffer freelist: displaced buffers (updates, evictions,
 	// deletes) parked for reuse by the next copy-in, so steady-state PUTs
@@ -89,60 +90,57 @@ type shard struct {
 	_    [56]byte // keep freelist contention off the stat counters' line
 	free [][]byte
 
-	// Decision attribution sinks (nil-tolerant).
-	dlog                 *DecisionLog
-	mEvUnprot, mEvForced *telemetry.Counter
-	mDenies, mSaves      *telemetry.Counter
+	// Decision attribution sink (nil-tolerant).
+	dlog *DecisionLog
+
+	// Epoch trigger: recompute (nil in LRU mode) runs after unlocking
+	// whenever the shard's own op count reaches nextEpoch, which then
+	// advances by every. See exitLocked.
+	recompute func()
+	every     uint64
+	nextEpoch uint64
 
 	// Robustness hooks: the chaos injector (nil when none), the journal
 	// for lock-hold warnings, and the hold-time watchdog threshold
 	// (0 disables it). holdEvery is the watchdog sampling period;
 	// holdCount counts down to the next sampled operation (it starts at 0
 	// so the very first operation is always sampled).
-	chaos      Chaos
-	journal    *telemetry.Journal
-	holdWarn   time.Duration
-	holdEvery  int
-	holdCount  int
-	mLockWarns *telemetry.Counter
+	chaos     Chaos
+	journal   *telemetry.Journal
+	holdWarn  time.Duration
+	holdEvery int
+	holdCount int
 }
 
-// shardStats are the per-shard counters folded into Stats.
-type shardStats struct {
-	gets, hits, puts, deletes  uint64
-	inserts, evictions, denies uint64
-	evictUnprot, evictForced   uint64
-	saves                      uint64
-	degradedOps, lockWarns     uint64
-	entries                    int
-}
-
-// putResult reports what one put did.
-type putResult struct {
-	inserted bool
-	denied   bool
-	evicted  int
-}
-
-func newShard(cfg *Config, id int, dlog *DecisionLog, mLockWarns *telemetry.Counter) *shard {
+func newShard(cfg *Config, id int, dlog *DecisionLog, recompute func()) *shard {
+	// Shard i's first epoch ends at (i+1)/Shards of RecomputeEvery, later
+	// ones every RecomputeEvery (split so the product cannot overflow).
+	n, e := uint64(cfg.Shards), cfg.RecomputeEvery
+	first := e/n*uint64(id+1) + e%n*uint64(id+1)/n
+	if first == 0 {
+		first = e
+	}
 	sh := &shard{
-		id:         id,
-		nshards:    cfg.Shards,
-		sets:       cfg.Sets,
-		ways:       cfg.Ways,
-		maxBytes:   cfg.MaxBytes,
-		admitAll:   cfg.AdmitAll,
-		keys:       make([]string, cfg.Sets*cfg.Ways),
-		hashes:     make([]uint64, cfg.Sets*cfg.Ways),
-		vals:       make([][]byte, cfg.Sets*cfg.Ways),
-		valid:      make([]bool, cfg.Sets*cfg.Ways),
-		last:       make([]uint64, cfg.Sets*cfg.Ways),
-		dlog:       dlog,
-		chaos:      cfg.Chaos,
-		journal:    cfg.Journal,
-		holdWarn:   cfg.LockHoldWarn,
-		holdEvery:  cfg.HoldSampleEvery,
-		mLockWarns: mLockWarns,
+		st:        ShardStats{Shard: id},
+		id:        id,
+		nshards:   cfg.Shards,
+		sets:      cfg.Sets,
+		ways:      cfg.Ways,
+		maxBytes:  cfg.MaxBytes,
+		admitAll:  cfg.AdmitAll,
+		keys:      make([]string, cfg.Sets*cfg.Ways),
+		hashes:    make([]uint64, cfg.Sets*cfg.Ways),
+		vals:      make([][]byte, cfg.Sets*cfg.Ways),
+		valid:     make([]bool, cfg.Sets*cfg.Ways),
+		last:      make([]uint64, cfg.Sets*cfg.Ways),
+		dlog:      dlog,
+		recompute: recompute,
+		every:     e,
+		nextEpoch: first,
+		chaos:     cfg.Chaos,
+		journal:   cfg.Journal,
+		holdWarn:  cfg.LockHoldWarn,
+		holdEvery: cfg.HoldSampleEvery,
 	}
 	if cfg.Policy == PolicyPDP {
 		sh.prot = core.NewProtection(cfg.Sets, cfg.Ways, cfg.DMax, cfg.NC)
@@ -151,11 +149,6 @@ func newShard(cfg *Config, id int, dlog *DecisionLog, mLockWarns *telemetry.Coun
 		sh.smp = sampler.New(scfg)
 		sh.doomed = make([]bool, cfg.Sets*cfg.Ways)
 	}
-	reg := cfg.Registry
-	sh.mEvUnprot = reg.Counter(fmt.Sprintf(`kv.shard.evictions{shard="%d",class="unprotected"}`, id))
-	sh.mEvForced = reg.Counter(fmt.Sprintf(`kv.shard.evictions{shard="%d",class="forced"}`, id))
-	sh.mDenies = reg.Counter(fmt.Sprintf(`kv.shard.denies{shard="%d"}`, id))
-	sh.mSaves = reg.Counter(fmt.Sprintf(`kv.shard.saves{shard="%d"}`, id))
 	return sh
 }
 
@@ -221,7 +214,7 @@ func (sh *shard) enterLocked(n int) (t0 time.Time) {
 		sh.chaos.Access(sh.id, arr)
 	}
 	if sh.deg {
-		sh.st.degradedOps += uint64(n)
+		sh.st.DegradedOps += uint64(n)
 	}
 	if sh.holdWarn > 0 {
 		sh.holdCount--
@@ -234,12 +227,24 @@ func (sh *shard) enterLocked(n int) (t0 time.Time) {
 }
 
 // exitLocked closes one critical section: it books a lock-hold warning if
-// this operation was sampled and overran the threshold, then unlocks.
+// this operation was sampled and overran the threshold, unlocks, and then
+// fires the PD recomputation (which takes every shard lock) if the section
+// carried this shard's op count across its epoch boundary. Every shard
+// fires once per RecomputeEvery of its own ops, so the cache-wide rate is
+// one recompute per RecomputeEvery ops however the keys are skewed
+// (DESIGN.md "Counting").
 func (sh *shard) exitLocked(t0 time.Time) {
 	if !t0.IsZero() {
 		sh.watchHold(t0)
 	}
+	due := sh.recompute != nil && sh.st.Gets+sh.st.Puts+sh.st.Deletes >= sh.nextEpoch
+	if due {
+		sh.nextEpoch += sh.every
+	}
 	sh.mu.Unlock()
+	if due {
+		sh.recompute()
+	}
 }
 
 // watchHold is the shard-lock hold-time watchdog body: called just before
@@ -251,8 +256,7 @@ func (sh *shard) watchHold(start time.Time) {
 	if held <= sh.holdWarn {
 		return
 	}
-	sh.st.lockWarns++
-	sh.mLockWarns.Inc()
+	sh.st.LockHoldWarns++
 	sh.journal.Append(telemetry.LockHoldRecord{
 		Kind: telemetry.KindLockHold, Shard: sh.id,
 		HeldMS: float64(held) / float64(time.Millisecond),
@@ -302,18 +306,17 @@ func (sh *shard) get(h uint64, key string, pd int, dst []byte) ([]byte, bool) {
 // section — the single-op wrapper above and execBatch's per-shard groups.
 func (sh *shard) getLocked(h uint64, key string, pd int, dst []byte) ([]byte, bool) {
 	set := sh.setOf(h)
-	sh.st.gets++
+	sh.st.Gets++
 	w := sh.find(set, h, key)
 	if w < 0 {
 		sh.observe(set, h)
 		return dst, false
 	}
-	sh.st.hits++
+	sh.st.Hits++
 	if sh.doomed != nil && !sh.deg && sh.doomed[set*sh.ways+w] {
 		// The shadow LRU had already evicted this line; protection kept
 		// it, and that protection just converted into a hit.
-		sh.st.saves++
-		sh.mSaves.Inc()
+		sh.st.Saves++
 		sh.dlog.add(Decision{
 			Shard: sh.id, Set: set, Way: w,
 			Kind: DecisionSave, Key: key,
@@ -342,9 +345,10 @@ func (sh *shard) touch(set, w, pd int) {
 
 // put installs val — an owned buffer the caller already copied the value
 // into (Cache.Put routes it through allocBuf, so the copy happened outside
-// the lock). Displaced buffers (update-in-place, evictions, a denied
-// fill's own buffer) are parked on the freelist.
-func (sh *shard) put(h uint64, key string, val []byte, pd int) putResult {
+// the lock) — and reports whether it was admitted. Displaced buffers
+// (update-in-place, evictions, a denied fill's own buffer) are parked on
+// the freelist.
+func (sh *shard) put(h uint64, key string, val []byte, pd int) bool {
 	sh.mu.Lock()
 	t0 := sh.enterLocked(1)
 	defer sh.exitLocked(t0)
@@ -353,20 +357,19 @@ func (sh *shard) put(h uint64, key string, val []byte, pd int) putResult {
 
 // putLocked is the body of put, for callers already inside the critical
 // section (see getLocked). val must be an owned buffer.
-func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) putResult {
+func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) bool {
 	set := sh.setOf(h)
-	sh.st.puts++
-	var res putResult
+	sh.st.Puts++
 
 	if w := sh.find(set, h, key); w >= 0 {
 		// Update in place: resident keys are always writable.
 		i := set*sh.ways + w
-		sh.bytes += int64(len(val)) - int64(len(sh.vals[i]))
+		sh.st.Bytes += int64(len(val)) - int64(len(sh.vals[i]))
 		sh.freeBuf(sh.vals[i])
 		sh.vals[i] = val
 		sh.touch(set, w, pd)
 		sh.observe(set, h)
-		return res
+		return true
 	}
 
 	// From here on this is a fill (or a deny): the completion of a miss the
@@ -375,25 +378,25 @@ func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) putResult {
 	// every measured reuse distance and, worse, the fill's address would
 	// match the miss's own FIFO entry at distance ~0, swamping the RDD with
 	// a spurious near-zero spike that drags the computed PD down.
-	w := sh.victimWay(set, pd, &res)
+	w := sh.victimWay(set, pd)
 	if w < 0 {
-		sh.deny(set, key, pd, &res)
+		sh.deny(set, key, pd)
 		sh.freeBuf(val)
-		return res
+		return false
 	}
 
 	// Byte budget: evict further unprotected lines of this set while the
 	// fill would overflow; deny when the budget still cannot be met (the
 	// admission-control analogue of bypass for oversized working sets).
 	if sh.maxBytes > 0 {
-		for sh.bytes+int64(len(val)) > sh.maxBytes {
+		for sh.st.Bytes+int64(len(val)) > sh.maxBytes {
 			v := sh.budgetVictim(set, w)
 			if v < 0 {
-				sh.deny(set, key, pd, &res)
+				sh.deny(set, key, pd)
 				sh.freeBuf(val)
-				return res
+				return false
 			}
-			sh.evict(set, v, pd, &res)
+			sh.evict(set, v, pd)
 		}
 	}
 
@@ -402,26 +405,23 @@ func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) putResult {
 	sh.hashes[i] = h
 	sh.vals[i] = val
 	sh.valid[i] = true
-	sh.bytes += int64(len(val))
-	sh.st.entries++
-	sh.st.inserts++
-	res.inserted = true
+	sh.st.Bytes += int64(len(val))
+	sh.st.Entries++
+	sh.st.Inserts++
 	if sh.prot != nil && !sh.deg {
 		sh.prot.Insert(set, w, pd)
 	}
 	sh.stamp++
 	sh.last[i] = sh.stamp
-	return res
+	return true
 }
 
-// deny books one admission refusal: counters, the decision log, and the
+// deny books one admission refusal: the ledger, the decision log, and the
 // shadow-LRU mark (an LRU baseline would have evicted the set's least
 // recently used line and admitted the key, so that line is now living on
 // protection alone).
-func (sh *shard) deny(set int, key string, pd int, res *putResult) {
-	sh.st.denies++
-	sh.mDenies.Inc()
-	res.denied = true
+func (sh *shard) deny(set int, key string, pd int) {
+	sh.st.Denies++
 	sh.doomLRU(set, -1)
 	sh.dlog.add(Decision{
 		Shard: sh.id, Set: set, Way: -1,
@@ -445,7 +445,7 @@ func (sh *shard) doomLRU(set, actual int) {
 // victimWay returns the way to fill, evicting its current resident if
 // needed, or -1 when admission is denied (PDP with every line protected
 // and AdmitAll off).
-func (sh *shard) victimWay(set, pd int, res *putResult) int {
+func (sh *shard) victimWay(set, pd int) int {
 	base := set * sh.ways
 	for w := 0; w < sh.ways; w++ {
 		if !sh.valid[base+w] {
@@ -456,18 +456,18 @@ func (sh *shard) victimWay(set, pd int, res *putResult) int {
 		// LRU mode, or a tripped breaker: plain recency eviction,
 		// unconditional admission.
 		w := sh.lruVictim(set)
-		sh.evict(set, w, pd, res)
+		sh.evict(set, w, pd)
 		return w
 	}
 	if w, ok := sh.prot.Unprotected(set); ok {
 		sh.doomLRU(set, w)
-		sh.evict(set, w, pd, res)
+		sh.evict(set, w, pd)
 		return w
 	}
 	if sh.admitAll {
 		w := sh.prot.InclusiveVictim(set)
 		sh.doomLRU(set, w)
-		sh.evict(set, w, pd, res)
+		sh.evict(set, w, pd)
 		return w
 	}
 	return -1
@@ -515,7 +515,7 @@ func (sh *shard) lruVictim(set int) int {
 // forced (a still-protected line went because the whole set was
 // protected under AdmitAll). The victim's value buffer goes back on the
 // freelist.
-func (sh *shard) evict(set, w, pd int, res *putResult) {
+func (sh *shard) evict(set, w, pd int) {
 	i := set*sh.ways + w
 	kind := DecisionEvictUnprotected
 	rpd := 0
@@ -529,13 +529,11 @@ func (sh *shard) evict(set, w, pd int, res *putResult) {
 		Kind: kind, Key: sh.keys[i], RPD: rpd, PD: pd,
 	})
 	if kind == DecisionEvictForced {
-		sh.st.evictForced++
-		sh.mEvForced.Inc()
+		sh.st.EvictionsForced++
 	} else {
-		sh.st.evictUnprot++
-		sh.mEvUnprot.Inc()
+		sh.st.EvictionsUnprotected++
 	}
-	sh.bytes -= int64(len(sh.vals[i]))
+	sh.st.Bytes -= int64(len(sh.vals[i]))
 	sh.keys[i] = ""
 	sh.hashes[i] = 0
 	sh.freeBuf(sh.vals[i])
@@ -546,9 +544,7 @@ func (sh *shard) evict(set, w, pd int, res *putResult) {
 		sh.prot.Clear(set, w)
 		sh.doomed[i] = false
 	}
-	sh.st.entries--
-	sh.st.evictions++
-	res.evicted++
+	sh.st.Entries--
 }
 
 func (sh *shard) delete(h uint64, key string) bool {
@@ -562,11 +558,11 @@ func (sh *shard) delete(h uint64, key string) bool {
 // critical section (see getLocked).
 func (sh *shard) deleteLocked(h uint64, key string) bool {
 	set := sh.setOf(h)
-	sh.st.deletes++
+	sh.st.Deletes++
 	w := sh.find(set, h, key)
 	if w >= 0 {
 		i := set*sh.ways + w
-		sh.bytes -= int64(len(sh.vals[i]))
+		sh.st.Bytes -= int64(len(sh.vals[i]))
 		sh.keys[i] = ""
 		sh.hashes[i] = 0
 		sh.freeBuf(sh.vals[i])
@@ -577,52 +573,24 @@ func (sh *shard) deleteLocked(h uint64, key string) bool {
 			sh.prot.Clear(set, w)
 			sh.doomed[i] = false
 		}
-		sh.st.entries--
+		sh.st.Entries--
 	}
 	sh.observe(set, h)
 	return w >= 0
 }
 
-func (sh *shard) addStats(st *Stats) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st.Gets += sh.st.gets
-	st.Hits += sh.st.hits
-	st.Misses += sh.st.gets - sh.st.hits
-	st.Puts += sh.st.puts
-	st.Deletes += sh.st.deletes
-	st.Inserts += sh.st.inserts
-	st.Evictions += sh.st.evictions
-	st.EvictionsUnprotected += sh.st.evictUnprot
-	st.EvictionsForced += sh.st.evictForced
-	st.Denies += sh.st.denies
-	st.Saves += sh.st.saves
-	st.DegradedOps += sh.st.degradedOps
-	st.LockHoldWarns += sh.st.lockWarns
-	st.Entries += sh.st.entries
-	st.Bytes += sh.bytes
-	if sh.smp != nil {
-		st.SamplerAccesses += sh.smp.Stats.Accesses
-		st.SamplerHits += sh.smp.Stats.Hits
-	}
-}
-
-// stats returns this shard's attribution view (under the shard lock).
+// stats copies this shard's ledger out (under the shard lock), filling
+// in what is derived at copy time.
 func (sh *shard) stats() ShardStats {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return ShardStats{
-		Shard:                sh.id,
-		Gets:                 sh.st.gets,
-		Hits:                 sh.st.hits,
-		Entries:              sh.st.entries,
-		Bytes:                sh.bytes,
-		Evictions:            sh.st.evictions,
-		EvictionsUnprotected: sh.st.evictUnprot,
-		EvictionsForced:      sh.st.evictForced,
-		Denies:               sh.st.denies,
-		Saves:                sh.st.saves,
+	s := sh.st
+	s.Evictions = s.EvictionsUnprotected + s.EvictionsForced
+	if sh.smp != nil {
+		s.SamplerAccesses = sh.smp.Stats.Accesses
+		s.SamplerHits = sh.smp.Stats.Hits
 	}
+	return s
 }
 
 func (sh *shard) checkInvariants() error {
@@ -661,18 +629,14 @@ func (sh *shard) checkInvariants() error {
 			}
 		}
 	}
-	if entries != sh.st.entries {
-		return fmt.Errorf("entry count drifted: counted %d, tracked %d", entries, sh.st.entries)
+	if entries != sh.st.Entries {
+		return fmt.Errorf("entry count drifted: counted %d, tracked %d", entries, sh.st.Entries)
 	}
-	if bytes != sh.bytes {
-		return fmt.Errorf("byte accounting drifted: counted %d, tracked %d", bytes, sh.bytes)
+	if bytes != sh.st.Bytes {
+		return fmt.Errorf("byte accounting drifted: counted %d, tracked %d", bytes, sh.st.Bytes)
 	}
 	if sh.maxBytes > 0 && bytes > sh.maxBytes {
 		return fmt.Errorf("bytes %d exceed budget %d", bytes, sh.maxBytes)
-	}
-	if sh.st.evictUnprot+sh.st.evictForced != sh.st.evictions {
-		return fmt.Errorf("eviction attribution drifted: %d + %d != %d",
-			sh.st.evictUnprot, sh.st.evictForced, sh.st.evictions)
 	}
 	return nil
 }

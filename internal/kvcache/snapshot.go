@@ -82,7 +82,7 @@ func (c *Cache) Snapshot() *Snapshot {
 		Version:  SnapshotVersion,
 		Geometry: c.geometry(),
 		PD:       c.PD(),
-		Accesses: c.accs.Load(),
+		Accesses: c.Accesses(),
 		Shards:   make([]SnapshotShard, len(c.shards)),
 	}
 	for i, sh := range c.shards {
@@ -119,9 +119,8 @@ func (c *Cache) Restore(s *Snapshot) (int, error) {
 	}
 	if s.PD >= 1 && s.PD <= c.cfg.DMax {
 		c.pd.Store(int64(s.PD))
-		c.gPD.Set(float64(s.PD))
 	}
-	c.accs.Store(s.Accesses)
+	c.accBase.Store(s.Accesses)
 	return restored, nil
 }
 
@@ -134,7 +133,7 @@ func (sh *shard) snapshot() SnapshotShard {
 		stamp uint64
 		e     SnapshotEntry
 	}
-	lines := make([]line, 0, sh.st.entries)
+	lines := make([]line, 0, sh.st.Entries)
 	for set := 0; set < sh.sets; set++ {
 		for w := 0; w < sh.ways; w++ {
 			i := set*sh.ways + w
@@ -183,7 +182,7 @@ func (sh *shard) restore(ss SnapshotShard, nshards int) int {
 		if sh.find(set, hh, e.Key) >= 0 {
 			continue
 		}
-		if sh.maxBytes > 0 && sh.bytes+int64(len(e.Value)) > sh.maxBytes {
+		if sh.maxBytes > 0 && sh.st.Bytes+int64(len(e.Value)) > sh.maxBytes {
 			continue
 		}
 		base := set * sh.ways
@@ -202,8 +201,8 @@ func (sh *shard) restore(ss SnapshotShard, nshards int) int {
 		sh.hashes[i] = hh
 		sh.vals[i] = append([]byte(nil), e.Value...)
 		sh.valid[i] = true
-		sh.bytes += int64(len(e.Value))
-		sh.st.entries++
+		sh.st.Bytes += int64(len(e.Value))
+		sh.st.Entries++
 		sh.stamp++
 		sh.last[i] = sh.stamp
 		if sh.prot != nil && e.RPD > 0 {

@@ -249,6 +249,53 @@ func TestStatsRicherFields(t *testing.T) {
 	if st.Decisions == nil {
 		t.Fatal("decisions map absent")
 	}
+
+	// shard_skew's hit-rate spread is the min and max over the shards in
+	// whatever order they come: one shard alone, the better shard first,
+	// the better shard last.
+	for _, tc := range []struct{ shards, hot int }{{1, 0}, {2, 0}, {2, 1}} {
+		srv, base := startServer(t, kvcache.Config{Shards: tc.shards, Sets: 16, Ways: 4}, Config{})
+		// Miss on fresh keys until every shard has seen one, then hit the
+		// hot shard's key: its hit rate is the only non-zero one.
+		keys := make([]string, tc.shards)
+		for i, found := 0, 0; found < tc.shards; i++ {
+			k := "probe-" + strconv.Itoa(i)
+			srv.cache.Get(k)
+			for _, sh := range srv.cache.ShardStats() {
+				if sh.Gets == 1 && keys[sh.Shard] == "" {
+					keys[sh.Shard] = k
+					found++
+				}
+			}
+		}
+		srv.cache.Put(keys[tc.hot], []byte("v"))
+		srv.cache.Get(keys[tc.hot])
+		resp, err := http.Get(base + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Shards []struct {
+				HitRate float64 `json:"hit_rate"`
+			} `json:"shards"`
+			ShardSkew struct {
+				Min float64 `json:"hit_rate_min"`
+				Max float64 `json:"hit_rate_max"`
+			} `json:"shard_skew"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		lo, hi := got.Shards[0].HitRate, got.Shards[0].HitRate
+		for _, sh := range got.Shards {
+			lo, hi = min(lo, sh.HitRate), max(hi, sh.HitRate)
+		}
+		if hi == 0 || got.ShardSkew.Min != lo || got.ShardSkew.Max != hi {
+			t.Errorf("shards=%d hot=%d: hit_rate_min/max = %v/%v, shards say %v/%v",
+				tc.shards, tc.hot, got.ShardSkew.Min, got.ShardSkew.Max, lo, hi)
+		}
+	}
 }
 
 // TestDecisionsEndpoint drives enough conflicting traffic through a tiny

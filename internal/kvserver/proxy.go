@@ -8,101 +8,92 @@ import (
 	"pdp/internal/cluster"
 )
 
-// routeKV is the ownership-aware front of the /kv/ data path. Without a
-// cluster it is handleKV. With one, a key's owner is resolved on the
-// ring: owned keys are served locally; non-owned keys are proxied to
-// their owner (GETs through the singleflight fill table, mutations
-// directly). A request already forwarded once (it carries the
-// cluster.HopHeader) is served locally no matter what the local ring
-// says, so two nodes with momentarily divergent views bounce a request
-// at most once instead of cycling it.
+// routeKV is the front of the /kv/ data path: it parses the key, reads
+// and validates a PUT body once, then serves the request from the local
+// cache or — with a cluster, for a key a live peer owns — by proxy. A
+// peer failure (breaker open, transport error, timeout) falls back to
+// the local cache with the same key and body: during the window between
+// a peer dying and the probe loop ejecting it, requests for its keys
+// still answer — possibly a miss, never an error.
 func (s *Server) routeKV(w http.ResponseWriter, r *http.Request) {
-	cl := s.cfg.Cluster
-	if cl == nil {
-		s.handleKV(w, r)
-		return
-	}
 	key := strings.TrimPrefix(r.URL.Path, "/kv/")
 	if key == "" {
 		http.Error(w, "missing key", http.StatusBadRequest)
 		return
 	}
+	var body []byte
+	if r.Method == http.MethodPut || r.Method == http.MethodPost {
+		bp := kvBufs.Get().(*[]byte)
+		defer kvBufs.Put(bp)
+		var err error
+		body, err = appendLimited((*bp)[:0], r.Body, s.cfg.MaxValueBytes+1)
+		*bp = body[:0]
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if int64(len(body)) > s.cfg.MaxValueBytes {
+			http.Error(w, "value too large", http.StatusRequestEntityTooLarge)
+			return
+		}
+	}
+	if owner := s.peerOwner(w, r, key); owner == "" || !s.proxyKV(w, r, owner, key, body) {
+		s.handleKV(w, r, key, body)
+	}
+}
+
+// peerOwner resolves the key on the ring and returns the live peer that
+// owns it, or "" when the request is to be served locally: no cluster,
+// an owned key, an empty ring, or a request already forwarded once (it
+// carries the cluster.HopHeader) — that one is served locally no matter
+// what the local ring says, so two nodes with momentarily divergent
+// views bounce a request at most once instead of cycling it.
+func (s *Server) peerOwner(w http.ResponseWriter, r *http.Request, key string) string {
+	cl := s.cfg.Cluster
+	if cl == nil {
+		return ""
+	}
 	w.Header().Set("X-Cluster-Node", cl.Self())
+	owner, local, ok := cl.Owner(key)
 	if r.Header.Get(cluster.HopHeader) != "" {
-		if _, local, _ := cl.Owner(key); !local {
+		if !local {
 			// The sender thought we own this key; we disagree. Terminate
 			// here anyway — the disagreement is a transient view split and
 			// local service keeps the request loop-free.
 			cl.HopTerminated()
 		}
-		s.handleKV(w, r)
-		return
+		return ""
 	}
-	owner, local, ok := cl.Owner(key)
 	if !ok || local {
-		s.handleKV(w, r)
-		return
+		return ""
 	}
 	w.Header().Set("X-Cluster-Owner", owner)
-	s.proxyKV(w, r, owner, key)
+	return owner
 }
 
-// proxyKV relays one exchange to the key's owner. A peer failure
-// (breaker open, transport error, timeout) falls back to the local
-// cache: during the window between a peer dying and the probe loop
-// ejecting it, requests for its keys still answer — possibly a miss,
-// never an error.
-func (s *Server) proxyKV(w http.ResponseWriter, r *http.Request, owner, key string) {
+// proxyKV relays one exchange to the key's owner (GETs through the
+// singleflight fill table, mutations directly) and reports whether it
+// answered; false hands the request to the local path.
+func (s *Server) proxyKV(w http.ResponseWriter, r *http.Request, owner, key string, body []byte) bool {
 	cl := s.cfg.Cluster
-	ctx := r.Context()
+	var resp *cluster.PeerResponse
+	var err error
 	switch r.Method {
 	case http.MethodGet:
-		resp, err := cl.FetchGet(ctx, owner, key)
-		if err != nil {
-			cl.FallbackLocal()
-			s.handleKV(w, r)
-			return
-		}
-		writePeerResponse(w, resp)
+		resp, err = cl.FetchGet(r.Context(), owner, key)
 	case http.MethodPut, http.MethodPost:
-		// Read the body once into a pooled buffer, so the bytes survive
-		// for the local fallback if the forward fails.
-		bp := kvBufs.Get().(*[]byte)
-		body, err := appendLimited((*bp)[:0], r.Body, s.cfg.MaxValueBytes+1)
-		*bp = body[:0]
-		if err != nil {
-			kvBufs.Put(bp)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if int64(len(body)) > s.cfg.MaxValueBytes {
-			kvBufs.Put(bp)
-			http.Error(w, "value too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		resp, ferr := cl.Forward(ctx, owner, http.MethodPut, key, body)
-		if ferr != nil {
-			cl.FallbackLocal()
-			if !s.cache.Put(key, body) {
-				w.Header().Set("X-Cache", "deny")
-			}
-			kvBufs.Put(bp)
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		kvBufs.Put(bp)
-		writePeerResponse(w, resp)
+		resp, err = cl.Forward(r.Context(), owner, http.MethodPut, key, body)
 	case http.MethodDelete:
-		resp, err := cl.Forward(ctx, owner, http.MethodDelete, key, nil)
-		if err != nil {
-			cl.FallbackLocal()
-			s.handleKV(w, r)
-			return
-		}
-		writePeerResponse(w, resp)
+		resp, err = cl.Forward(r.Context(), owner, http.MethodDelete, key, nil)
 	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return false
 	}
+	if err != nil {
+		cl.FallbackLocal()
+		return false
+	}
+	writePeerResponse(w, resp)
+	return true
 }
 
 // writePeerResponse relays a buffered peer answer, preserving the

@@ -20,7 +20,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -474,13 +473,9 @@ func appendLimited(buf []byte, r io.Reader, limit int64) ([]byte, error) {
 	return buf, nil
 }
 
-// handleKV dispatches GET/PUT/DELETE on /kv/{key}.
-func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
-	key := strings.TrimPrefix(r.URL.Path, "/kv/")
-	if key == "" {
-		http.Error(w, "missing key", http.StatusBadRequest)
-		return
-	}
+// handleKV serves GET/PUT/DELETE on /kv/{key} from the local cache; body
+// is the PUT value routeKV already read and validated.
+func (s *Server) handleKV(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	switch r.Method {
 	case http.MethodGet:
 		bp := kvBufs.Get().(*[]byte)
@@ -498,28 +493,11 @@ func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
 		*bp = val[:0]
 		kvBufs.Put(bp)
 	case http.MethodPut, http.MethodPost:
-		bp := kvBufs.Get().(*[]byte)
-		body, err := appendLimited((*bp)[:0], r.Body, s.cfg.MaxValueBytes+1)
-		*bp = body[:0]
-		if err != nil {
-			kvBufs.Put(bp)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if int64(len(body)) > s.cfg.MaxValueBytes {
-			kvBufs.Put(bp)
-			http.Error(w, "value too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		admitted := s.cache.Put(key, body)
-		kvBufs.Put(bp)
-		if !admitted {
+		if !s.cache.Put(key, body) {
 			// Admission denied: the policy judged the key not worth caching
 			// right now. 204 tells the client the write was handled but not
 			// stored — cache-aside clients treat it like a successful set.
 			w.Header().Set("X-Cache", "deny")
-			w.WriteHeader(http.StatusNoContent)
-			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodDelete:
@@ -542,6 +520,30 @@ type latencyView struct {
 	P90   float64 `json:"p90"`
 	P99   float64 `json:"p99"`
 	P999  float64 `json:"p999"`
+}
+
+// latencyOf digests a nanosecond latency histogram.
+func latencyOf(h *telemetry.Histogram) latencyView {
+	q := h.Summary()
+	return latencyView{
+		Count: h.Count(),
+		Mean:  h.Mean() / 1e3,
+		P50:   q.P50 / 1e3,
+		P90:   q.P90 / 1e3,
+		P99:   q.P99 / 1e3,
+		P999:  q.P999 / 1e3,
+	}
+}
+
+// decisionCounts is the per-kind decision tally of /stats and
+// /debug/decisions, read from the cache's ledger.
+func decisionCounts(st kvcache.Stats) map[string]uint64 {
+	return map[string]uint64{
+		kvcache.DecisionEvictUnprotected: st.EvictionsUnprotected,
+		kvcache.DecisionEvictForced:      st.EvictionsForced,
+		kvcache.DecisionDeny:             st.Denies,
+		kvcache.DecisionSave:             st.Saves,
+	}
 }
 
 // gateView is the admission gate's state in /stats.
@@ -611,18 +613,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LatencyUS: map[string]latencyView{},
 	}
 	for _, m := range s.routes {
-		h := m.latency
-		if h.Count() == 0 {
-			continue
-		}
-		q := h.Summary()
-		resp.LatencyUS[m.name] = latencyView{
-			Count: h.Count(),
-			Mean:  h.Mean() / 1e3,
-			P50:   q.P50 / 1e3,
-			P90:   q.P90 / 1e3,
-			P99:   q.P99 / 1e3,
-			P999:  q.P999 / 1e3,
+		if m.latency.Count() > 0 {
+			resp.LatencyUS[m.name] = latencyOf(m.latency)
 		}
 	}
 	per := s.cache.ShardStats()
@@ -640,9 +632,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if g > maxGets {
 			maxGets = g
 		}
-		if hr := sh.HitRate(); hr < skew.HitRateMin {
+		hr := sh.HitRate()
+		if hr < skew.HitRateMin {
 			skew.HitRateMin = hr
-		} else if hr > skew.HitRateMax {
+		}
+		if hr > skew.HitRateMax {
 			skew.HitRateMax = hr
 		}
 	}
@@ -659,19 +653,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Gate = &gateView{MaxInflight: s.cfg.MaxInflight, InFlight: s.gate.InFlight()}
 	}
 	if nb := s.mBatches.Value(); nb > 0 {
-		q := s.hBatchOpLat.Summary()
 		resp.Batch = &batchStatsView{
-			Batches:  nb,
-			Ops:      s.mBatchOps.Value(),
-			MeanSize: s.hBatchSize.Mean(),
-			OpLatencyUS: latencyView{
-				Count: s.hBatchOpLat.Count(),
-				Mean:  s.hBatchOpLat.Mean() / 1e3,
-				P50:   q.P50 / 1e3,
-				P90:   q.P90 / 1e3,
-				P99:   q.P99 / 1e3,
-				P999:  q.P999 / 1e3,
-			},
+			Batches:      nb,
+			Ops:          s.mBatchOps.Value(),
+			MeanSize:     s.hBatchSize.Mean(),
+			OpLatencyUS:  latencyOf(s.hBatchOpLat),
 			SizeBucketsL: s.hBatchSize.Buckets(),
 		}
 	}
@@ -682,13 +668,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		v := s.cfg.Cluster.StatsView("")
 		resp.Cluster = &v
 	}
-	if dl := s.cache.Decisions(); dl != nil {
-		resp.Decisions = map[string]uint64{
-			kvcache.DecisionEvictUnprotected: dl.CountKind(kvcache.DecisionEvictUnprotected),
-			kvcache.DecisionEvictForced:      dl.CountKind(kvcache.DecisionEvictForced),
-			kvcache.DecisionDeny:             dl.CountKind(kvcache.DecisionDeny),
-			kvcache.DecisionSave:             dl.CountKind(kvcache.DecisionSave),
-		}
+	if s.cache.Decisions() != nil {
+		resp.Decisions = decisionCounts(st)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
@@ -696,11 +677,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics serves the registry in Prometheus text format. The
-// occupancy gauges are refreshed from a stats pass first, so a scrape
-// always sees current entries/bytes/hit-rate alongside the counters.
+// handleMetrics serves the registry in Prometheus text format; the
+// cache's series are read-time views, so a scrape is always current.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.cache.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.cfg.Registry.WriteProm(w); err != nil {
 		s.serveError("/metrics", requestID(r), err)
@@ -733,14 +712,9 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		n = parsed
 	}
 	resp := decisionsResponse{
-		Total: dl.Total(),
-		Counts: map[string]uint64{
-			kvcache.DecisionEvictUnprotected: dl.CountKind(kvcache.DecisionEvictUnprotected),
-			kvcache.DecisionEvictForced:      dl.CountKind(kvcache.DecisionEvictForced),
-			kvcache.DecisionDeny:             dl.CountKind(kvcache.DecisionDeny),
-			kvcache.DecisionSave:             dl.CountKind(kvcache.DecisionSave),
-		},
-		Tail: dl.Tail(n),
+		Total:  dl.Total(),
+		Counts: decisionCounts(s.cache.Stats()),
+		Tail:   dl.Tail(n),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
@@ -773,10 +747,11 @@ type readyzResponse struct {
 // policy, 503 while any shard is tripped into degraded shadow-LRU
 // fallback — load balancers drain a degraded replica without killing it.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	st := s.cache.Stats()
 	resp := readyzResponse{
-		DegradedShards: s.cache.DegradedShards(),
-		BreakerTrips:   s.cache.BreakerTrips(),
-		BreakerRearms:  s.cache.BreakerRearms(),
+		DegradedShards: st.DegradedShards,
+		BreakerTrips:   st.BreakerTrips,
+		BreakerRearms:  st.BreakerRearms,
 	}
 	resp.Ready = resp.DegradedShards == 0
 	w.Header().Set("Content-Type", "application/json")

@@ -130,7 +130,7 @@ func TestChaosCampaign(t *testing.T) {
 	if rep.Total() == 0 {
 		t.Fatal("the injector never fired; the campaign tested nothing")
 	}
-	if cache.BreakerTrips() == 0 {
+	if cache.Stats().BreakerTrips == 0 {
 		t.Fatalf("no breaker trips despite %d injected faults (%v)", rep.Total(), rep.Counts())
 	}
 	if st := cache.Stats(); st.DegradedOps == 0 {
@@ -146,7 +146,7 @@ func TestChaosCampaign(t *testing.T) {
 		t.Fatalf("breaker never re-armed after the chaos window: %d shards degraded",
 			cache.DegradedShards())
 	}
-	if cache.BreakerRearms() == 0 {
+	if cache.Stats().BreakerRearms == 0 {
 		t.Fatal("re-arm transitions not counted")
 	}
 	if err := cache.CheckInvariants(); err != nil {

@@ -212,11 +212,12 @@ func bucketLE(k int) string {
 	return strconv.FormatUint(uint64(1)<<uint(k)-1, 10)
 }
 
-// promSeries is one flattened sample series during encoding.
+// promSeries is one flattened sample series during encoding: a counter
+// value, a gauge value or a histogram handle, by its family's kind.
 type promSeries struct {
 	labels string
-	c      *Counter
-	g      *Gauge
+	u      uint64
+	f      float64
 	h      *Histogram
 }
 
@@ -230,8 +231,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	// Collect handles under the lock, render outside it: the handles are
-	// atomic, so a scrape never blocks writers for longer than a map copy.
+	// Collect under the lock, render outside it: a scrape never blocks
+	// registrations for longer than a map copy.
 	type family struct {
 		kind   string // "counter" | "gauge" | "histogram"
 		series []promSeries
@@ -253,17 +254,30 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		}
 		f.series = append(f.series, s)
 	}
+	views := r.readViews()
 	r.mu.Lock()
 	for name, c := range r.counters {
-		add(name, "counter", promSeries{c: c})
+		if _, shadowed := views[name]; !shadowed {
+			add(name, "counter", promSeries{u: c.Value()})
+		}
 	}
 	for name, g := range r.gauges {
-		add(name, "gauge", promSeries{g: g})
+		if _, shadowed := views[name]; !shadowed {
+			add(name, "gauge", promSeries{f: g.Value()})
+		}
 	}
 	for name, h := range r.hists {
 		add(name, "histogram", promSeries{h: h})
 	}
 	r.mu.Unlock()
+	for name, v := range views {
+		switch v := v.(type) {
+		case uint64:
+			add(name, "counter", promSeries{u: v})
+		case float64:
+			add(name, "gauge", promSeries{f: v})
+		}
+	}
 
 	names := make([]string, 0, len(fams))
 	for n := range fams {
@@ -283,9 +297,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			}
 			switch f.kind {
 			case "counter":
-				fmt.Fprintf(bw, "%s%s %d\n", base, lb, s.c.Value())
+				fmt.Fprintf(bw, "%s%s %d\n", base, lb, s.u)
 			case "gauge":
-				fmt.Fprintf(bw, "%s%s %s\n", base, lb, promFloat(s.g.Value()))
+				fmt.Fprintf(bw, "%s%s %s\n", base, lb, promFloat(s.f))
 			case "histogram":
 				buckets := s.h.Buckets()
 				var cum uint64

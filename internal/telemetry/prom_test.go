@@ -169,6 +169,71 @@ func TestWriteProm(t *testing.T) {
 	}
 }
 
+// TestRegistryViews covers read-time metrics: a view's series appear in
+// Snapshot, Names and WriteProm exactly like stored ones (one TYPE line
+// per family, labelled series grouped under it, lint-clean), are
+// evaluated afresh on every read, and shadow a stored metric of the same
+// name whichever was registered first.
+func TestRegistryViews(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("dup.before").Add(5) // stored first, shadowed by the view
+	n := uint64(0)
+	r.View(func(m Samples) {
+		n++
+		m.Counter("view.reads", n)
+		m.Counter(`view.shard{shard="1"}`, 11)
+		m.Counter(`view.shard{shard="0"}`, 10)
+		m.Gauge("view.level", 0.5)
+		m.Counter("dup.before", 9)
+		m.Counter("dup.after", 8)
+	})
+	r.Counter("dup.after").Add(5) // stored second, shadowed all the same
+	r.Counter("stored").Add(1)
+
+	snap := r.Snapshot()
+	for name, want := range map[string]any{
+		"view.reads": uint64(1), `view.shard{shard="0"}`: uint64(10), `view.shard{shard="1"}`: uint64(11),
+		"view.level": 0.5, "dup.before": uint64(9), "dup.after": uint64(8), "stored": uint64(1),
+	} {
+		if snap[name] != want {
+			t.Errorf("snapshot[%q] = %v, want %v", name, snap[name], want)
+		}
+	}
+	if got := r.Snapshot()["view.reads"]; got != uint64(2) {
+		t.Errorf("second snapshot read view.reads = %v, want 2 (views evaluate per read)", got)
+	}
+	names := strings.Join(r.Names(), " ")
+	if want := `dup.after dup.before stored view.level view.reads view.shard{shard="0"} view.shard{shard="1"}`; names != want {
+		t.Errorf("names = %s\n want = %s", names, want)
+	}
+
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"# TYPE view_shard counter\nview_shard{shard=\"0\"} 10\nview_shard{shard=\"1\"} 11\n",
+		"# TYPE view_level gauge\nview_level 0.5\n",
+		"# TYPE dup_before counter\ndup_before 9\n",
+		"# TYPE dup_after counter\ndup_after 8\n",
+		"# TYPE stored counter\nstored 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	if err := LintProm(strings.NewReader(out)); err != nil {
+		t.Fatalf("exposition with views fails lint: %v\n%s", err, out)
+	}
+
+	var nilReg *Registry
+	nilReg.View(func(Samples) { t.Error("nil registry evaluated a view") })
+	if nilReg.Snapshot() != nil {
+		t.Error("nil registry snapshot not nil")
+	}
+}
+
 func TestSanitizeProm(t *testing.T) {
 	cases := map[string]string{
 		"kv.gets":        "kv_gets",

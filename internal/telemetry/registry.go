@@ -155,6 +155,45 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	views    []func(Samples)
+}
+
+// Samples receives the series of one read-time view evaluation, keyed by
+// name: a uint64 for a counter, a float64 for a gauge.
+type Samples map[string]any
+
+// Counter reports a counter series' current value.
+func (s Samples) Counter(name string, v uint64) { s[name] = v }
+
+// Gauge reports a gauge series' current value.
+func (s Samples) Gauge(name string, v float64) { s[name] = v }
+
+// View registers a read-time metric source: collect runs once per
+// Snapshot, WriteProm, Names or expvar read and reports every series it
+// owns, so a subsystem that already keeps its counts under its own locks
+// publishes them without a second, push-side copy. collect runs outside
+// the registry lock and may take the subsystem's locks. A view's series
+// shadows a stored metric of the same name on every read, whichever was
+// registered first.
+func (r *Registry) View(collect func(Samples)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.views = append(r.views, collect)
+	r.mu.Unlock()
+}
+
+// readViews evaluates every registered view.
+func (r *Registry) readViews() Samples {
+	r.mu.Lock()
+	views := r.views[:len(r.views):len(r.views)]
+	r.mu.Unlock()
+	s := Samples{}
+	for _, collect := range views {
+		collect(s)
+	}
+	return s
 }
 
 // NewRegistry builds an empty registry.
@@ -220,15 +259,15 @@ type histSnapshot struct {
 }
 
 // Snapshot returns a point-in-time copy of every metric, keyed by name:
-// counters and gauges map to their value, histograms to
-// {count, sum, mean, log2_buckets}.
+// counters and gauges (stored or view-reported) map to their value,
+// histograms to {count, sum, mean, log2_buckets}.
 func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil
 	}
+	views := r.readViews()
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.hists))
+	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.hists)+len(views))
 	for name, c := range r.counters {
 		out[name] = c.Value()
 	}
@@ -237,6 +276,10 @@ func (r *Registry) Snapshot() map[string]any {
 	}
 	for name, h := range r.hists {
 		out[name] = histSnapshot{Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(), Log2: h.Buckets()}
+	}
+	r.mu.Unlock()
+	for name, v := range views {
+		out[name] = v
 	}
 	return out
 }
@@ -252,21 +295,14 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(snap)
 }
 
-// Names returns every registered metric name, sorted.
+// Names returns every metric name a Snapshot would report, sorted.
 func (r *Registry) Names() []string {
-	if r == nil {
+	snap := r.Snapshot()
+	if snap == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
+	names := make([]string, 0, len(snap))
+	for n := range snap {
 		names = append(names, n)
 	}
 	sort.Strings(names)
