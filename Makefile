@@ -49,9 +49,9 @@ scrape:
 # then the middleware overhead guard without it.
 serve-smoke:
 	$(GO) build ./cmd/pdpcached ./cmd/pdpload ./cmd/promlint
-	$(GO) test -race -count=1 ./internal/kvcache/ ./internal/kvserver/ ./internal/loadgen/ ./internal/cluster/
+	$(GO) test -race -count=1 ./internal/kvcache/ ./internal/kvserver/ ./internal/loadgen/ ./internal/cluster/ ./internal/batchwire/
 	$(GO) test -count=1 -run TestMiddlewareOverheadBudget -v ./internal/kvserver/
-	$(GO) test -count=1 -run 'AllocBudget' -v ./internal/kvcache/
+	$(GO) test -count=1 -run 'AllocBudget' -v ./internal/kvcache/ ./internal/kvserver/
 
 # Middleware overhead: the instrumented request path must stay under
 # 1us/request (asserted by TestMiddlewareOverheadBudget).
@@ -59,15 +59,18 @@ bench-overhead:
 	$(GO) test -count=1 -run TestMiddlewareOverheadBudget -v ./internal/kvserver/
 
 # Allocation budget guard: GET <= 1 alloc/op (0 for GetAppend/miss),
-# PUT <= 2 (0 expected), ExecBatch <= 1/op, best-of-three against
-# background noise.
+# PUT <= 2 (0 expected), ExecBatch <= 1/op, the /batch handler <= 1.5/op
+# (the keys), best-of-three against background noise.
 bench-alloc:
-	$(GO) test -count=1 -run 'AllocBudget' -v ./internal/kvcache/
+	$(GO) test -count=1 -run 'AllocBudget' -v ./internal/kvcache/ ./internal/kvserver/
 
-# Fuzz smoke: the two untrusted decoders (trace files, checkpoints).
+# Fuzz smoke: the untrusted decoders (trace files, checkpoints, /batch
+# requests and answers, the last two against encoding/json as oracle).
 fuzz:
 	$(GO) test ./internal/tracefile/ -run FuzzReader -fuzz FuzzReader -fuzztime 20s
 	$(GO) test ./internal/resilience/ -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 20s
+	$(GO) test ./internal/batchwire/ -run FuzzParseOps -fuzz FuzzParseOps -fuzztime 20s
+	$(GO) test ./internal/batchwire/ -run FuzzParseRows -fuzz FuzzParseRows -fuzztime 20s
 
 # Serving-path chaos smoke: the race-enabled chaos campaign tests, then a
 # live pdpcached under seeded fault injection (recompute panics, counter

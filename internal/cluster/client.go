@@ -162,7 +162,12 @@ func (p *Peer) exchange(ctx context.Context, method, path, contentType string, b
 		p.gOpen.Set(boolGauge(p.br.isOpen()))
 		return nil, err
 	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxResp+1))
+	var b bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxResp {
+		b.Grow(int(n) + bytes.MinRead) // a declared length sizes the buffer once
+	}
+	_, err = b.ReadFrom(io.LimitReader(resp.Body, maxResp+1))
+	buf := b.Bytes()
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	p.hLat.Observe(uint64(time.Since(t0).Nanoseconds()))

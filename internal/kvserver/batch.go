@@ -1,55 +1,78 @@
 package kvserver
 
-// POST /batch: the wire face of the batched serving pipeline. The body is
-// a JSON array of GET/PUT/DELETE ops; the answer is a JSON array of
-// per-op results in input order. One batch takes one admission-gate slot
-// (a shed answers 503 + Retry-After for the whole batch), locally owned
-// ops run through kvcache.ExecBatch (one shard-lock acquisition per shard
-// group), and — with a cluster attached — peer-owned ops are split by
-// ring ownership and fanned out as concurrent per-peer sub-batches
-// through the pooled breaker clients, hop-capped exactly like /kv/
-// proxying. Partial failure is per op: an oversized value books
-// "too_large", a shedding peer books "shed" on its ops, and a dead peer's
-// ops fall back to local execution — the rest of the batch is unaffected.
+// POST /batch: the wire face of the batched serving pipeline (grammar and
+// failure semantics: DESIGN.md §8). One batch takes one admission-gate slot
+// (a shed answers 503 + Retry-After for the whole batch), locally owned ops
+// run through kvcache.ExecBatch, and — with a cluster attached — peer-owned
+// ops are split by ring ownership and fanned out as concurrent per-peer
+// sub-batches through the pooled breaker clients, hop-capped exactly like
+// /kv/ proxying. Partial failure is per op, the rest of the batch proceeds.
 
 import (
-	"encoding/json"
+	"errors"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
+	"pdp/internal/batchwire"
 	"pdp/internal/cluster"
 	"pdp/internal/kvcache"
 )
 
-// wireOp is one operation of a /batch request: op is "get", "put" or
-// "delete"; value (base64 in JSON, present for put) is the bytes to
-// store.
-type wireOp struct {
-	Op    string `json:"op"`
-	Key   string `json:"key"`
-	Value []byte `json:"value,omitempty"`
+// maxPooledBuf is the most scratch a pool takes back, a little above what
+// a normal batch needs: past it a buffer is left to the collector, or one
+// huge request would leave every pooled buffer at its worst case for good.
+const maxPooledBuf = 256 << 10
+
+// opGroup is the ops of one batch that one node executes.
+type opGroup struct {
+	owner string // "" is this node
+	ops   []kvcache.BatchOp
+	at    []int32 // ops[j] answers row at[j]
+	res   []kvcache.BatchResult
+	dst   []byte          // hit values of a local execution
+	rows  []batchwire.Row // a peer's answer, its values in arena
+	arena []byte
 }
 
-// wireResult is one operation's row in a /batch response. Status is the
-// kvcache outcome vocabulary (hit, miss, stored, denied, deleted,
-// not_found) plus the serving-layer partial-failure statuses: too_large
-// (value over MaxValueBytes), shed (the owning peer's gate refused the
-// sub-batch — retryable), and error (malformed op, carrying Error).
-// Node attributes the node that executed the op.
-type wireResult struct {
-	Status string `json:"status"`
-	Value  []byte `json:"value,omitempty"`
-	Node   string `json:"node,omitempty"`
-	Error  string `json:"error,omitempty"`
+// batchScratch is everything one /batch request builds, pooled whole.
+// groups[0] is the local group; the others persist per owner across
+// requests (owners are ring members, a handful).
+type batchScratch struct {
+	body, arena, out []byte
+	ops              []kvcache.BatchOp
+	rows             []batchwire.Row
+	groups           []opGroup
 }
 
-// Wire statuses added by the serving layer on top of BatchStatus.String.
-const (
-	statusTooLarge = "too_large"
-	statusShed     = "shed"
-	statusError    = "error"
-)
+var batchScratches = sync.Pool{New: func() any { return &batchScratch{groups: make([]opGroup, 1)} }}
+
+// release empties the groups for the next request and pools the scratch,
+// unless this request grew it past maxPooledBuf.
+func (sc *batchScratch) release() {
+	n := cap(sc.body) + cap(sc.arena) + cap(sc.out)
+	for i := range sc.groups {
+		g := &sc.groups[i]
+		g.ops, g.at = g.ops[:0], g.at[:0]
+		n += cap(g.dst) + cap(g.arena)
+	}
+	if n <= maxPooledBuf {
+		batchScratches.Put(sc)
+	}
+}
+
+// group returns owner's group. The pointer holds until the next call.
+func (sc *batchScratch) group(owner string) *opGroup {
+	for i := range sc.groups {
+		if sc.groups[i].owner == owner {
+			return &sc.groups[i]
+		}
+	}
+	sc.groups = append(sc.groups, opGroup{owner: owner})
+	return &sc.groups[len(sc.groups)-1]
+}
 
 // handleBatch decodes, partitions, executes and reassembles one batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -58,35 +81,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	bp := kvBufs.Get().(*[]byte)
-	body, err := appendLimited((*bp)[:0], r.Body, s.cfg.MaxBatchBytes+1)
-	if err != nil {
-		*bp = body[:0]
-		kvBufs.Put(bp)
+	sc := batchScratches.Get().(*batchScratch)
+	defer sc.release()
+	var err error
+	if sc.body, err = appendLimited(sc.body[:0], r.Body, s.cfg.MaxBatchBytes+1); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxBatchBytes {
-		*bp = body[:0]
-		kvBufs.Put(bp)
+	if int64(len(sc.body)) > s.cfg.MaxBatchBytes {
 		http.Error(w, "batch body too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	var ops []wireOp
-	derr := json.Unmarshal(body, &ops)
-	*bp = body[:0]
-	kvBufs.Put(bp)
-	if derr != nil {
-		http.Error(w, "bad batch body: "+derr.Error(), http.StatusBadRequest)
-		return
-	}
-	n := len(ops)
-	if n == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-	if n > s.cfg.MaxBatchOps {
+	sc.ops, sc.arena, err = batchwire.ParseOps(sc.body, sc.ops, sc.arena, s.cfg.MaxBatchOps, s.cfg.MaxValueBytes)
+	n := len(sc.ops)
+	switch {
+	case errors.Is(err, batchwire.ErrTooManyOps):
 		http.Error(w, "batch exceeds max ops", http.StatusRequestEntityTooLarge)
+		return
+	case err != nil:
+		http.Error(w, "bad batch body: "+err.Error(), http.StatusBadRequest)
+		return
+	case n == 0:
+		http.Error(w, "empty batch", http.StatusBadRequest)
 		return
 	}
 	s.mBatches.Inc()
@@ -106,127 +122,99 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Cluster-Node", node)
 		clustered = r.Header.Get(cluster.HopHeader) == ""
 	}
-	out := make([]wireResult, n)
-	localIdx := make([]int, 0, n)
-	var peerIdx map[string][]int
-	for i := range ops {
-		op := &ops[i]
-		if op.Key == "" {
-			out[i] = wireResult{Status: statusError, Node: node, Error: "missing key"}
-			continue
-		}
-		switch op.Op {
-		case "get", "delete":
-		case "put":
-			if int64(len(op.Value)) > s.cfg.MaxValueBytes {
-				out[i] = wireResult{Status: statusTooLarge, Node: node}
-				continue
-			}
+	sc.rows = slices.Grow(sc.rows[:0], n)[:n] // every row is written below, by exactly one leg
+	rows := sc.rows
+	for i := range sc.ops {
+		op := &sc.ops[i]
+		switch {
+		case op.Key == "":
+			rows[i] = batchwire.Row{Status: batchwire.StatusError, Node: node, Error: "missing key"}
+		case op.Kind == batchwire.TooLarge:
+			rows[i] = batchwire.Row{Status: batchwire.StatusTooLarge, Node: node}
+		case op.Kind == batchwire.Unknown:
+			rows[i] = batchwire.Row{Status: batchwire.StatusError, Node: node, Error: "unknown op " + string(op.Value)}
 		default:
-			out[i] = wireResult{Status: statusError, Node: node, Error: "unknown op " + op.Op}
-			continue
-		}
-		if clustered {
-			if owner, local, ok := cl.Owner(op.Key); ok && !local {
-				if peerIdx == nil {
-					peerIdx = make(map[string][]int)
+			owner := ""
+			if clustered {
+				if o, local, ok := cl.Owner(op.Key); ok && !local {
+					owner = o
 				}
-				peerIdx[owner] = append(peerIdx[owner], i)
-				continue
 			}
+			g := sc.group(owner)
+			g.ops, g.at = append(g.ops, *op), append(g.at, int32(i))
 		}
-		localIdx = append(localIdx, i)
 	}
 
 	// Scatter: one goroutine per owning peer, the local group on this
 	// goroutine in parallel. Gather: each leg writes only its own ops'
-	// slots, so reassembly is just the shared out slice in input order.
-	if len(peerIdx) > 0 {
-		var wg sync.WaitGroup
-		for owner, idx := range peerIdx {
+	// rows, so reassembly is just the shared rows slice in input order.
+	var wg sync.WaitGroup
+	for i := 1; i < len(sc.groups); i++ {
+		if g := &sc.groups[i]; len(g.ops) > 0 {
 			wg.Add(1)
-			go func(owner string, idx []int) {
+			go func() {
 				defer wg.Done()
-				s.execBatchRemote(r, ops, idx, out, owner)
-			}(owner, idx)
+				s.execBatchRemote(r, g, rows)
+			}()
 		}
-		s.execBatchLocal(ops, localIdx, out, node)
-		wg.Wait()
-	} else {
-		s.execBatchLocal(ops, localIdx, out, node)
 	}
+	s.execBatchLocal(&sc.groups[0], rows, node)
+	wg.Wait()
 
 	// Amortized per-op latency: the batch's wall time booked once per op.
-	if el := uint64(time.Since(t0).Nanoseconds()); n > 0 {
-		s.hBatchOpLat.ObserveN(el/uint64(n), uint64(n))
-	}
+	s.hBatchOpLat.ObserveN(uint64(time.Since(t0).Nanoseconds())/uint64(n), uint64(n))
+	sc.out = batchwire.AppendRows(sc.out[:0], rows)
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.out)))
+	if _, err := w.Write(sc.out); err != nil {
 		s.serveError("/batch", requestID(r), err)
 	}
 }
 
-// execBatchLocal runs one index-set of ops through the cache's grouped
-// batch executor and books the outcomes, attributed to node.
-func (s *Server) execBatchLocal(ops []wireOp, idx []int, out []wireResult, node string) {
-	if len(idx) == 0 {
+// execBatchLocal runs one group through the cache's grouped batch
+// executor and books the outcomes, attributed to node.
+func (s *Server) execBatchLocal(g *opGroup, rows []batchwire.Row, node string) {
+	if len(g.ops) == 0 {
 		return
 	}
-	bops := make([]kvcache.BatchOp, len(idx))
-	for j, i := range idx {
-		switch ops[i].Op {
-		case "get":
-			bops[j] = kvcache.BatchOp{Kind: kvcache.BatchGet, Key: ops[i].Key}
-		case "put":
-			bops[j] = kvcache.BatchOp{Kind: kvcache.BatchPut, Key: ops[i].Key, Value: ops[i].Value}
-		case "delete":
-			bops[j] = kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: ops[i].Key}
-		}
-	}
-	res := make([]kvcache.BatchResult, len(idx))
-	// The dst buffer is not pooled: hit values alias it and must survive
-	// until the response is encoded.
-	s.cache.ExecBatch(bops, res, nil)
-	for j, i := range idx {
-		out[i] = wireResult{Status: res[j].Status.String(), Value: res[j].Value, Node: node}
+	g.res = slices.Grow(g.res[:0], len(g.ops))[:len(g.ops)]
+	// Hit values alias dst, which the scratch keeps until the response is out.
+	g.dst = s.cache.ExecBatch(g.ops, g.res, g.dst[:0])
+	for j, res := range g.res {
+		rows[g.at[j]] = batchwire.Row{Status: res.Status.String(), Value: res.Value, Node: node}
 	}
 }
 
 // execBatchRemote forwards one owner's sub-batch and maps the peer's
-// answers back to the original slots. A shedding peer (503) books "shed"
+// answers back to the original rows. A shedding peer (503) books "shed"
 // per op — the client's retry budget decides what to do. Any other
 // failure (breaker open, transport error, bad answer) falls back to local
 // execution, the same availability bridge /kv/ proxying uses while the
-// probe loop catches up with a dead peer.
-func (s *Server) execBatchRemote(r *http.Request, ops []wireOp, idx []int, out []wireResult, owner string) {
+// probe loop catches up with a dead peer. The sub-batch body is not
+// pooled: the transport may still read it after ForwardBatch returns.
+func (s *Server) execBatchRemote(r *http.Request, g *opGroup, rows []batchwire.Row) {
 	cl := s.cfg.Cluster
-	sub := make([]wireOp, len(idx))
-	for j, i := range idx {
-		sub[j] = ops[i]
-	}
-	if body, err := json.Marshal(sub); err == nil {
-		// Base64 inflates each value by 4/3; the rest of a result row is
-		// small and bounded.
-		maxResp := int64(len(idx))*(s.cfg.MaxValueBytes*4/3+512) + 64
-		resp, ferr := cl.ForwardBatch(r.Context(), owner, body, maxResp)
-		if ferr == nil {
-			switch resp.Status {
-			case http.StatusOK:
-				var subRes []wireResult
-				if json.Unmarshal(resp.Body, &subRes) == nil && len(subRes) == len(idx) {
-					for j, i := range idx {
-						out[i] = subRes[j]
-					}
-					return
-				}
-			case http.StatusServiceUnavailable:
-				for _, i := range idx {
-					out[i] = wireResult{Status: statusShed, Node: owner}
+	sub := batchwire.AppendOps(nil, g.ops)
+	// Base64 inflates each value by 4/3; the rest of a result row is
+	// small and bounded.
+	maxResp := int64(len(g.ops))*(s.cfg.MaxValueBytes*4/3+512) + 64
+	if resp, err := cl.ForwardBatch(r.Context(), g.owner, sub, maxResp); err == nil {
+		switch resp.Status {
+		case http.StatusOK:
+			g.rows, g.arena, err = batchwire.ParseRows(resp.Body, g.rows, g.arena)
+			if err == nil && len(g.rows) == len(g.ops) {
+				for j, row := range g.rows {
+					rows[g.at[j]] = row
 				}
 				return
 			}
+		case http.StatusServiceUnavailable:
+			for _, i := range g.at {
+				rows[i] = batchwire.Row{Status: batchwire.StatusShed, Node: g.owner}
+			}
+			return
 		}
 	}
 	cl.FallbackLocal()
-	s.execBatchLocal(ops, idx, out, cl.Self())
+	s.execBatchLocal(g, rows, cl.Self())
 }

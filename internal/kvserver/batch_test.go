@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +17,21 @@ import (
 	"pdp/internal/kvcache"
 	"pdp/internal/telemetry"
 )
+
+// wireOp and wireResult are the /batch rows as encoding/json sees them:
+// the tests write and read bodies with it, independently of batchwire.
+type wireOp struct {
+	Op    string `json:"op"`
+	Key   string `json:"key"`
+	Value []byte `json:"value,omitempty"`
+}
+
+type wireResult struct {
+	Status string `json:"status"`
+	Value  []byte `json:"value,omitempty"`
+	Node   string `json:"node,omitempty"`
+	Error  string `json:"error,omitempty"`
+}
 
 // postBatch posts ops to base's /batch and decodes the per-op results.
 func postBatch(t *testing.T, base string, ops []wireOp) (int, []wireResult) {
@@ -102,7 +119,8 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 // TestBatchRejections covers the whole-batch failure modes: an empty
-// batch, a malformed body, and one exceeding MaxBatchOps.
+// batch, a malformed body, one exceeding MaxBatchOps, and one that would
+// cost far more to decode than to refuse.
 func TestBatchRejections(t *testing.T) {
 	_, base := startServer(t, kvcache.Config{Shards: 2, Sets: 16, Ways: 4},
 		Config{MaxBatchOps: 4, Registry: telemetry.NewRegistry()})
@@ -134,6 +152,180 @@ func TestBatchRejections(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /batch: %d, want 405", resp.StatusCode)
+	}
+	for _, body := range []string{`[{"op":"get","key":"k"}] x`, `{"op":"get","key":"k"}`, `[{"op":"put","key":"k","value":"not base64"}]`} {
+		if status, _ := postRaw(t, base, []byte(body)); status != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", body, status)
+		}
+	}
+
+	// Decode bomb: a body just under MaxBatchBytes of minimal ops is refused
+	// at op MaxBatchOps+1, without building the ~380k that follow.
+	bomb := []byte("[" + strings.Repeat(`{"op":"get","key":"a"},`, (8<<20)/23-1) + `{"op":"get","key":"a"}]`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status, _ := postRaw(t, base, bomb)
+	runtime.ReadMemStats(&after)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Errorf("decode bomb: %d, want 413", status)
+	}
+	if n := after.Mallocs - before.Mallocs; n > 2000 {
+		t.Errorf("decode bomb: %d allocations for a %d-byte body, want O(MaxBatchOps)", n, len(bomb))
+	}
+
+	// A value over MaxValueBytes is one row's too_large, judged from its
+	// base64 text (batchwire's TestParseOpsLimits: it is never decoded).
+	status, out := postBatch(t, base, []wireOp{{Op: "put", Key: "big", Value: make([]byte, 1<<20+1)}, {Op: "put", Key: "k", Value: []byte("v")}, {Op: "get", Key: "k"}})
+	if status != http.StatusOK || out[0].Status != "too_large" || out[1].Status != "stored" || string(out[2].Value) != "v" {
+		t.Errorf("oversized value: status %d rows %+v", status, out)
+	}
+}
+
+// TestBatchWireCompat: bodies as other JSON encoders write them (any field
+// order, whitespace, escaped and non-ASCII keys and names, null values,
+// unknown fields, duplicates) mean what encoding/json made of them, and
+// the answer reads back through encoding/json.
+func TestBatchWireCompat(t *testing.T) {
+	_, base := startServer(t, kvcache.Config{Shards: 2, Sets: 16, Ways: 4},
+		Config{MaxValueBytes: 64, Registry: telemetry.NewRegistry()})
+	body := ` [ {"value" : "w6k=" , "key":"caf\u00e9 \"1\"" ,"op":"put", "ttl": {"s":[1,2e3,null]} } ,
+		{ "op":"get","key":"café \"1\"","value":null},
+		{"k\u0065y":"\ud83d\ude00","op":"put","value":"YQ==","value":"Yg=="},{"op":"get","key":"😀"},
+		{"op":"get","op":"delete","key":"😀"}, {"op":"get","key":"😀","key":null}, null, {"Op":"get","key":"x"},
+		{"op":"put","key":"empty"}, {"op":"get","key":"empty"}
+	]`
+	var want []wireOp
+	if err := json.Unmarshal([]byte(body), &want); err != nil || len(want) != 10 {
+		t.Fatalf("oracle: %d ops, %v", len(want), err)
+	}
+	status, out := postRaw(t, base, []byte(body))
+	if status != http.StatusOK || len(out) != len(want) {
+		t.Fatalf("status %d, %d rows", status, len(out))
+	}
+	wantRows := []wireResult{{Status: "stored"}, {Status: "hit", Value: []byte("é")}, {Status: "stored"}, {Status: "hit", Value: []byte("b")},
+		{Status: "deleted"}, {Status: "miss"}, {Status: "error", Error: "missing key"}, {Status: "error", Error: "unknown op "},
+		{Status: "stored"}, {Status: "hit"}}
+	for i, w := range wantRows {
+		if g := out[i]; g.Status != w.Status || g.Error != w.Error || !bytes.Equal(g.Value, w.Value) {
+			t.Errorf("row %d (%+v): %+v, want %+v", i, want[i], g, w)
+		}
+	}
+}
+
+// postRaw posts body as is and decodes a 200 answer with encoding/json.
+func postRaw(t *testing.T, base string, body []byte) (int, []wireResult) {
+	t.Helper()
+	resp, err := http.Post(base+"/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out []wireResult
+	if resp.StatusCode == http.StatusOK {
+		if got := resp.Header.Get("Content-Length"); got == "" {
+			t.Error("batch answer without Content-Length")
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("decode batch response: %v", err)
+		}
+	}
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, out
+}
+
+// TestBatchScratchNotPinned: one MaxBatchBytes-sized batch, and one GET of
+// a value near MaxValueBytes, must not leave their buffers in the pools.
+func TestBatchScratchNotPinned(t *testing.T) {
+	srv, base := startServer(t, kvcache.Config{Shards: 1, Sets: 16, Ways: 4}, Config{Registry: telemetry.NewRegistry()})
+	val := bytes.Repeat([]byte{7}, 1<<20)
+	big := func() {
+		// 1 MiB in, 5 MiB out, padded to just under the 8 MiB body cap.
+		ops := []wireOp{{Op: "put", Key: "big", Value: val}}
+		for i := 0; i < 5; i++ {
+			ops = append(ops, wireOp{Op: "get", Key: "big"})
+		}
+		body, _ := json.Marshal(ops)
+		body = append(body, bytes.Repeat([]byte{' '}, 8<<20-len(body))...)
+		if status, out := postRaw(t, base, body); status != http.StatusOK || len(out[5].Value) != len(val) {
+			t.Fatalf("big batch: status %d", status)
+		}
+		resp, err := http.Get(base + "/kv/big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	small := func() {
+		if status, _ := postBatch(t, base, []wireOp{{Op: "get", Key: "big2"}}); status != http.StatusOK {
+			t.Fatalf("small batch: status %d", status)
+		}
+	}
+	heap := func() uint64 {
+		http.DefaultClient.CloseIdleConnections()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	srv.cache.Put("big", val)
+	srv.cache.Put("big", val) // the update leaves one spare buffer on the shard's freelist, as big's will
+	small()
+	before := heap()
+	big()
+	small()
+	if after := heap(); after > before+1<<20 {
+		t.Errorf("HeapAlloc %d KiB after one big batch and a GC, %d KiB before: scratch is pinned", after>>10, before>>10)
+	}
+}
+
+// reader is a request body that can be rewound without allocating.
+type reader struct{ bytes.Reader }
+
+func (*reader) Close() error { return nil }
+
+// TestBatchHandlerAllocBudget pins what /batch itself allocates for a
+// 32-op mixed batch on one node: the keys, which the cache may retain, and
+// a few per request. The reflection codec spent 2.9 per op here.
+func TestBatchHandlerAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	cache, err := kvcache.New(kvcache.Config{Shards: 4, Sets: 64, Ways: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(cache, Config{Registry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]wireOp, 32)
+	for i := range ops {
+		ops[i] = wireOp{Op: "get", Key: fmt.Sprintf("k%016x", i%24)} // hits once stored, misses past 16
+		switch {
+		case i < 16 && i%2 == 0:
+			ops[i].Op, ops[i].Value = "put", bytes.Repeat([]byte{byte(i)}, 64<<(i%5))
+		case i%11 == 10:
+			ops[i].Op = "delete"
+		}
+	}
+	body, _ := json.Marshal(ops)
+	w := nopResponseWriter{h: make(http.Header)}
+	rd := &reader{}
+	req, _ := http.NewRequest(http.MethodPost, "/batch", rd)
+	best := 1e9
+	for try := 0; try < 3; try++ {
+		best = min(best, testing.AllocsPerRun(200, func() {
+			rd.Reset(body)
+			srv.handleBatch(w, req)
+		}))
+	}
+	t.Logf("/batch: %.1f allocs per 32-op batch, %.2f per op", best, best/32)
+	if best/32 > 1.5 {
+		t.Errorf("/batch allocates %.2f per op, budget 1.5", best/32)
+	}
+	if got := w.h.Get("Content-Length"); got == "" || got == "0" {
+		t.Errorf("Content-Length %q", got)
 	}
 }
 

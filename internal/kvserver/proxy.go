@@ -24,7 +24,7 @@ func (s *Server) routeKV(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPut || r.Method == http.MethodPost {
 		bp := kvBufs.Get().(*[]byte)
-		defer kvBufs.Put(bp)
+		defer putKVBuf(bp)
 		var err error
 		body, err = appendLimited((*bp)[:0], r.Body, s.cfg.MaxValueBytes+1)
 		*bp = body[:0]

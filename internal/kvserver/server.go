@@ -442,11 +442,17 @@ func (s *Server) protect(route string, h http.HandlerFunc) http.HandlerFunc {
 // copies the value out of the cache into it (via GetAppend) and PUT reads
 // the request body into it, so the steady-state data path allocates no
 // value-sized buffers at all — each pooled buffer grows to the route's
-// value high-water mark and is reused.
+// value high-water mark, up to maxPooledBuf, and is reused.
 var kvBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
 }}
+
+func putKVBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		kvBufs.Put(bp)
+	}
+}
 
 // appendLimited is io.ReadAll with a caller-owned buffer: it reads r to
 // EOF into buf (reusing its capacity, growing as needed) but never past
@@ -481,7 +487,7 @@ func (s *Server) handleKV(w http.ResponseWriter, r *http.Request, key string, bo
 		bp := kvBufs.Get().(*[]byte)
 		val, ok := s.cache.GetAppend(key, (*bp)[:0])
 		if !ok {
-			kvBufs.Put(bp)
+			putKVBuf(bp)
 			w.Header().Set("X-Cache", "miss")
 			http.Error(w, "not found", http.StatusNotFound)
 			return
@@ -491,7 +497,7 @@ func (s *Server) handleKV(w http.ResponseWriter, r *http.Request, key string, bo
 		w.Write(val)
 		// net/http has copied val into its own write buffer by now.
 		*bp = val[:0]
-		kvBufs.Put(bp)
+		putKVBuf(bp)
 	case http.MethodPut, http.MethodPost:
 		if !s.cache.Put(key, body) {
 			// Admission denied: the policy judged the key not worth caching

@@ -13,34 +13,22 @@ package loadgen
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"syscall"
 	"time"
 
+	"pdp/internal/batchwire"
+	"pdp/internal/kvcache"
 	"pdp/internal/workload"
 )
 
-// batchWireOp mirrors the server's /batch request row.
-type batchWireOp struct {
-	Op    string `json:"op"`
-	Key   string `json:"key"`
-	Value []byte `json:"value,omitempty"`
-}
-
-// batchWireResult mirrors the server's /batch response row.
-type batchWireResult struct {
-	Status string `json:"status"`
-	Value  []byte `json:"value,omitempty"`
-	Node   string `json:"node,omitempty"`
-	Error  string `json:"error,omitempty"`
-}
+var batchKinds = [...]kvcache.BatchOpKind{workload.OpGet: kvcache.BatchGet,
+	workload.OpPut: kvcache.BatchPut, workload.OpDelete: kvcache.BatchDelete}
 
 // val returns the worker's deterministic value buffer sliced to size.
-// json.Marshal copies the bytes, so every PUT row of a batch can alias
+// The request body copies the bytes, so every PUT row of a batch can alias
 // the same buffer.
 func (w *worker) val(size int) []byte {
 	if size <= 0 {
@@ -55,16 +43,11 @@ func (w *worker) val(size int) []byte {
 // doBatch issues one batch of ops and books per-op outcomes from the
 // response rows, then fills the batch's GET misses cache-aside.
 func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
-	wops := make([]batchWireOp, len(ops))
+	wops := make([]kvcache.BatchOp, len(ops))
 	for i, op := range ops {
-		key := fmt.Sprintf("k%016x", op.Key)
-		switch op.Kind {
-		case workload.OpGet:
-			wops[i] = batchWireOp{Op: "get", Key: key}
-		case workload.OpPut:
-			wops[i] = batchWireOp{Op: "put", Key: key, Value: w.val(op.Size)}
-		case workload.OpDelete:
-			wops[i] = batchWireOp{Op: "delete", Key: key}
+		wops[i] = kvcache.BatchOp{Kind: batchKinds[op.Kind], Key: fmt.Sprintf("k%016x", op.Key)}
+		if op.Kind == workload.OpPut {
+			wops[i].Value = w.val(op.Size)
 		}
 	}
 	rows, out := w.exchangeBatch(ctx, wops)
@@ -74,7 +57,7 @@ func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 		}
 		return
 	}
-	var fills []batchWireOp
+	var fills []kvcache.BatchOp
 	for i, row := range rows {
 		switch row.Status {
 		case "hit":
@@ -83,8 +66,8 @@ func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 		case "miss":
 			w.ops++
 			w.misses++
-			if wops[i].Op == "get" {
-				fills = append(fills, batchWireOp{Op: "put", Key: wops[i].Key, Value: w.val(ops[i].Size)})
+			if wops[i].Kind == kvcache.BatchGet {
+				fills = append(fills, kvcache.BatchOp{Kind: kvcache.BatchPut, Key: wops[i].Key, Value: w.val(ops[i].Size)})
 			}
 		case "stored", "deleted", "not_found":
 			w.ops++
@@ -125,12 +108,11 @@ func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 // exchangeBatch is the batch analogue of exchange: whole-batch sheds and
 // transport failures back off and retry under the regular budget,
 // refused connections under the ramp budget, and each retryable failure
-// rotates targets. On outOK the returned rows are exactly one per op.
-func (w *worker) exchangeBatch(ctx context.Context, wops []batchWireOp) ([]batchWireResult, outcome) {
-	body, err := json.Marshal(wops)
-	if err != nil {
-		return nil, outTransport
-	}
+// rotates targets. On outOK the returned rows are exactly one per op, and
+// hold until the worker's next exchange. The body is built anew for every
+// batch: the transport may still read the last one after Do returned.
+func (w *worker) exchangeBatch(ctx context.Context, wops []kvcache.BatchOp) ([]batchwire.Row, outcome) {
+	body := batchwire.AppendOps(nil, wops)
 	for attempt, ramp := 0, 0; ; {
 		rows, out := w.onceBatch(ctx, body, len(wops))
 		if out == outOK {
@@ -159,7 +141,7 @@ func (w *worker) exchangeBatch(ctx context.Context, wops []batchWireOp) ([]batch
 
 // onceBatch issues a single batch attempt against the current target and
 // books attempt-level per-target attribution, row by row on success.
-func (w *worker) onceBatch(ctx context.Context, body []byte, n int) ([]batchWireResult, outcome) {
+func (w *worker) onceBatch(ctx context.Context, body []byte, n int) ([]batchwire.Row, outcome) {
 	tgt := w.target()
 	rows, out := w.attemptBatch(ctx, tgt, body, n)
 	if ts := w.tstats[tgt]; ts != nil {
@@ -194,7 +176,7 @@ func (w *worker) onceBatch(ctx context.Context, body []byte, n int) ([]batchWire
 // observed amortized: wall time divided by the batch size, once per op,
 // so the histogram stays per-operation comparable with the unbatched
 // path.
-func (w *worker) attemptBatch(ctx context.Context, tgt string, body []byte, n int) ([]batchWireResult, outcome) {
+func (w *worker) attemptBatch(ctx context.Context, tgt string, body []byte, n int) ([]batchwire.Row, outcome) {
 	if w.deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, w.deadline)
@@ -220,7 +202,8 @@ func (w *worker) attemptBatch(ctx context.Context, tgt string, body []byte, n in
 			return nil, outTransport
 		}
 	}
-	data, rerr := io.ReadAll(resp.Body)
+	w.resp.Reset()
+	_, rerr := w.resp.ReadFrom(resp.Body)
 	resp.Body.Close()
 	per := uint64(time.Since(t0).Nanoseconds()) / uint64(n)
 	w.hist.ObserveN(per, uint64(n))
@@ -239,9 +222,8 @@ func (w *worker) attemptBatch(ctx context.Context, tgt string, body []byte, n in
 	case rerr != nil:
 		return nil, outTransport
 	}
-	var rows []batchWireResult
-	if json.Unmarshal(data, &rows) != nil || len(rows) != n {
+	if w.rows, w.arena, err = batchwire.ParseRows(w.resp.Bytes(), w.rows, w.arena); err != nil || len(w.rows) != n {
 		return nil, outServer
 	}
-	return rows, outOK
+	return w.rows, outOK
 }

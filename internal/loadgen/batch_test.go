@@ -14,6 +14,21 @@ import (
 	"pdp/internal/workload"
 )
 
+// batchWireOp and batchWireResult are the /batch rows as encoding/json
+// sees them: the stub reads and answers with it, independently of batchwire.
+type batchWireOp struct {
+	Op    string `json:"op"`
+	Key   string `json:"key"`
+	Value []byte `json:"value,omitempty"`
+}
+
+type batchWireResult struct {
+	Status string `json:"status"`
+	Value  []byte `json:"value,omitempty"`
+	Node   string `json:"node,omitempty"`
+	Error  string `json:"error,omitempty"`
+}
+
 // batchStub is an in-memory /batch endpoint with the server's wire
 // vocabulary, so accounting tests control every row exactly.
 type batchStub struct {

@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"pdp/internal/batchwire"
 	"pdp/internal/telemetry"
 	"pdp/internal/trace"
 	"pdp/internal/workload"
@@ -409,6 +410,11 @@ type worker struct {
 	tstats  map[string]*tstat               // private, merged at exit
 	buf     []byte
 	rng     *trace.RNG
+
+	// Batch path scratch: the last answer, its decoded rows and their values.
+	resp  bytes.Buffer
+	rows  []batchwire.Row
+	arena []byte
 
 	maxRetries          int
 	rampRetries         int
