@@ -157,9 +157,7 @@ func (p *Peer) exchange(ctx context.Context, method, path, contentType string, b
 	t0 := time.Now()
 	resp, err := p.hc.Do(req)
 	if err != nil {
-		p.mErrs.Inc()
-		p.br.failure()
-		p.gOpen.Set(boolGauge(p.br.isOpen()))
+		p.fail()
 		return nil, err
 	}
 	var b bytes.Buffer
@@ -172,29 +170,32 @@ func (p *Peer) exchange(ctx context.Context, method, path, contentType string, b
 	resp.Body.Close()
 	p.hLat.Observe(uint64(time.Since(t0).Nanoseconds()))
 	if err != nil {
-		p.mErrs.Inc()
-		p.br.failure()
-		p.gOpen.Set(boolGauge(p.br.isOpen()))
+		p.fail()
 		return nil, err
 	}
 	if int64(len(buf)) > maxResp {
-		p.mErrs.Inc()
-		p.br.failure()
+		p.fail()
 		return nil, fmt.Errorf("cluster: peer %s %s response exceeds %d bytes", p.id, path, maxResp)
 	}
 	if resp.StatusCode >= 500 && resp.StatusCode != http.StatusServiceUnavailable {
 		// A 5xx (other than an orderly shed) is the peer misbehaving.
-		p.mErrs.Inc()
-		p.br.failure()
+		p.fail()
 	} else {
 		p.br.success()
+		p.gOpen.Set(0)
 	}
-	p.gOpen.Set(boolGauge(p.br.isOpen()))
 	return &PeerResponse{
 		Status: resp.StatusCode,
 		XCache: resp.Header.Get("X-Cache"),
 		Body:   buf,
 	}, nil
+}
+
+// fail books one failed exchange; it may just have opened the breaker.
+func (p *Peer) fail() {
+	p.mErrs.Inc()
+	p.br.failure()
+	p.gOpen.Set(boolGauge(p.br.isOpen()))
 }
 
 // do is exchange against the peer's /kv/ route under the value-size cap.

@@ -98,18 +98,13 @@ type batchScratch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-func growI32(s []int32, n int) []int32 {
+// grow returns s resized to n elements, reallocating only when the pooled
+// capacity is too small; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int32, n)
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int, n)
+	return make([]T, n)
 }
 
 // ExecBatch executes ops in one pass, writing each operation's outcome to
@@ -135,18 +130,14 @@ func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []by
 	}
 	nsh := len(c.shards)
 	s := batchPool.Get().(*batchScratch)
-	s.hashes = growI64(s.hashes, n)
-	s.shid = growI32(s.shid, n)
-	s.order = growI32(s.order, n)
-	s.voff = growInt(s.voff, n)
-	s.vlen = growInt(s.vlen, n)
-	s.start = growI32(s.start, nsh+1)
-	s.pos = growI32(s.pos, nsh)
-	if cap(s.bufs) >= n {
-		s.bufs = s.bufs[:n]
-	} else {
-		s.bufs = make([][]byte, n)
-	}
+	s.hashes = grow(s.hashes, n)
+	s.shid = grow(s.shid, n)
+	s.order = grow(s.order, n)
+	s.voff = grow(s.voff, n)
+	s.vlen = grow(s.vlen, n)
+	s.start = grow(s.start, nsh+1)
+	s.pos = grow(s.pos, nsh)
+	s.bufs = grow(s.bufs, n)
 
 	// Route every op and count the shard groups.
 	for i := range s.start {
@@ -204,20 +195,11 @@ func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []by
 	return dst
 }
 
-func growI64(s []uint64, n int) []uint64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]uint64, n)
-}
-
 // execGroup runs one shard's ops under a single lock acquisition. The
 // deferred exitLocked keeps the watchdog/unlock pairing panic-safe (the
 // chaos hook may unwind through here), matching the single-op paths.
 func (sh *shard) execGroup(ops []BatchOp, results []BatchResult, s *batchScratch, lo, hi int32, pd int, dst []byte) []byte {
-	sh.mu.Lock()
-	t0 := sh.enterLocked(int(hi - lo))
-	defer sh.exitLocked(t0)
+	defer sh.exitLocked(sh.enter(int(hi - lo)))
 	for k := lo; k < hi; k++ {
 		i := s.order[k]
 		op := &ops[i]

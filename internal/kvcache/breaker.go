@@ -69,19 +69,12 @@ func (c *Cache) tripShardLocked(i int, reason string) {
 	c.streaks[i] = 0
 	sh := c.shards[i]
 	sh.mu.Lock()
-	already := sh.deg
-	if !already {
-		sh.deg = true
+	tripped := sh.pdp.trip()
+	if tripped {
 		sh.st.BreakerTrips++
-		// The shadow-LRU divergence history predates the trip; while
-		// degraded the served policy IS the shadow, so stale doomed marks
-		// would book phantom protection saves after re-arm.
-		for j := range sh.doomed {
-			sh.doomed[j] = false
-		}
 	}
 	sh.mu.Unlock()
-	if already {
+	if !tripped {
 		return
 	}
 	c.degCount.Add(1)
@@ -96,8 +89,7 @@ func (c *Cache) tripShardLocked(i int, reason string) {
 func (c *Cache) rearmShardLocked(i int, streak int) {
 	sh := c.shards[i]
 	sh.mu.Lock()
-	was := sh.deg
-	sh.deg = false
+	was := sh.pdp.rearm()
 	if was {
 		sh.st.BreakerRearms++
 	}
@@ -169,35 +161,27 @@ func (c *Cache) superviseRecompute() recomputeOutcome {
 	c.bmu.Lock()
 	defer c.bmu.Unlock()
 	switch {
-	case timedOut:
+	case timedOut || res.err != nil:
+		cause, detail := "stall", fmt.Sprintf("recompute exceeded %v", c.cfg.RecomputeTimeout)
+		if !timedOut {
+			cause, detail = "panic", res.err.Error()
+		}
 		if c.cfg.Journal != nil {
 			c.cfg.Journal.Append(telemetry.RecoveryRecord{
-				Kind: telemetry.KindRecovery, Name: "kvcache.recompute", Cause: "stall",
-				Detail: fmt.Sprintf("recompute exceeded %v", c.cfg.RecomputeTimeout),
+				Kind: telemetry.KindRecovery, Name: "kvcache.recompute", Cause: cause, Detail: detail,
 			})
 		}
-		c.tripAllLocked("recompute_stall")
-		return recomputeOutcome{old: old, pd: old}
-	case res.err != nil:
-		if c.cfg.Journal != nil {
-			c.cfg.Journal.Append(telemetry.RecoveryRecord{
-				Kind: telemetry.KindRecovery, Name: "kvcache.recompute", Cause: "panic",
-				Detail: res.err.Error(),
-			})
-		}
-		c.tripAllLocked("recompute_panic")
+		c.tripAllLocked("recompute_" + cause)
 		return recomputeOutcome{old: old, pd: old}
 	case res.out.violation != "":
 		c.tripAllLocked(res.out.violation)
 		return res.out
 	}
-	for _, i := range res.out.corrupt {
-		c.tripShardLocked(i, "sampler_corrupt")
-	}
 	// A clean round: degraded shards whose evidence was clean advance
 	// their streak and re-arm at the threshold.
 	corrupt := map[int]bool{}
 	for _, i := range res.out.corrupt {
+		c.tripShardLocked(i, "sampler_corrupt")
 		corrupt[i] = true
 	}
 	for i, sh := range c.shards {
@@ -205,7 +189,7 @@ func (c *Cache) superviseRecompute() recomputeOutcome {
 			continue
 		}
 		sh.mu.Lock()
-		deg := sh.deg
+		deg := sh.pdp.degraded()
 		sh.mu.Unlock()
 		if !deg {
 			continue

@@ -34,7 +34,7 @@ func (s fixedSolver) FindPD(arr *sampler.CounterArray, de int) int { return s.pd
 // seedEvidence plants consistent reuse evidence in shard 0 so a
 // recompute reaches the solver (Reuses >= MinSamples, Reuses <= Total).
 func seedEvidence(c *Cache) {
-	arr := c.shards[0].smp.Array()
+	arr := c.shards[0].pdp.smp.Array()
 	counts := make([]uint32, arr.K())
 	counts[0] = 50
 	arr.SetCounts(counts, 200)
@@ -161,7 +161,7 @@ func TestBreakerTripsCorruptShardOnly(t *testing.T) {
 	c := breakerCache(t, Config{Shards: 4, RearmAfter: 1})
 	// Shard 0's evidence claims more measured reuses than accesses —
 	// impossible, therefore corrupt.
-	arr := c.shards[0].smp.Array()
+	arr := c.shards[0].pdp.smp.Array()
 	counts := make([]uint32, arr.K())
 	counts[0] = 100
 	arr.SetCounts(counts, 0)
@@ -174,7 +174,7 @@ func TestBreakerTripsCorruptShardOnly(t *testing.T) {
 	if !c.shards[0].degraded() {
 		t.Fatal("the corrupt shard is not the degraded one")
 	}
-	if a := c.shards[0].smp.Array(); a.Reuses() > a.Total() {
+	if a := c.shards[0].pdp.smp.Array(); a.Reuses() > a.Total() {
 		t.Fatal("corrupt evidence was not reset")
 	}
 	rearm(t, c)
@@ -211,5 +211,5 @@ func TestLockHoldWatchdog(t *testing.T) {
 func (sh *shard) degraded() bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.deg
+	return sh.pdp.degraded()
 }

@@ -377,13 +377,7 @@ func (c *Cache) route(key string) (*shard, uint64) {
 // owned by the caller (the store's internal buffers are recycled, so
 // aliasing them out would race with later writes); callers on the hot
 // path that want to amortize the copy's allocation use GetAppend.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	val, ok := c.GetAppend(key, nil)
-	if !ok {
-		return nil, false
-	}
-	return val, true
-}
+func (c *Cache) Get(key string) ([]byte, bool) { return c.GetAppend(key, nil) }
 
 // GetAppend appends the value stored for key to dst and returns the
 // extended slice — the allocation-free variant of Get for callers that
@@ -490,7 +484,8 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 	for i, sh := range c.shards {
 		sh.mu.Lock()
 		accesses += sh.st.Gets + sh.st.Puts + sh.st.Deletes
-		arr := sh.smp.Array()
+		smp := sh.pdp.smp
+		arr := smp.Array()
 		if arr.Reuses() > arr.Total() {
 			// More measured reuses than accesses: the counter array was
 			// corrupted (an N_i flipped high). Its evidence is poison —
@@ -506,9 +501,9 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 		// Stats always reports lifetime activity while the sampler's own
 		// window stays recent (long-running services must not accumulate
 		// unbounded cumulative-only counters).
-		c.smpAccs += sh.smp.Stats.Accesses
-		c.smpHits += sh.smp.Stats.Hits
-		sh.smp.ResetStats()
+		c.smpAccs += smp.Stats.Accesses
+		c.smpHits += smp.Stats.Hits
+		smp.ResetStats()
 		sh.mu.Unlock()
 	}
 
@@ -653,7 +648,7 @@ func (c *Cache) RDDSnapshot() RDDView {
 	merged := sampler.NewCounterArray(c.cfg.DMax, c.cfg.SC)
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		merged.Merge(sh.smp.Array())
+		merged.Merge(sh.pdp.smp.Array())
 		sh.mu.Unlock()
 	}
 	return RDDView{

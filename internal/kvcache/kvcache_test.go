@@ -80,6 +80,11 @@ func TestByteBudgetDeniesAndEvicts(t *testing.T) {
 	if st.Denies != 1 || st.Bytes != 60 {
 		t.Fatalf("stats %+v", st)
 	}
+	// A budget deny dooms nothing: the set still has three empty ways, so
+	// no shadow LRU would have evicted anything to admit "b".
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("after the budget deny: %v", err)
+	}
 	// Age "a" out of protection (DefaultPD=4 accesses), then the budget is
 	// reclaimable.
 	for i := 0; i < 8; i++ {
@@ -94,6 +99,19 @@ func TestByteBudgetDeniesAndEvicts(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	// "b" landed in a way that was empty when the deny happened: its first
+	// hit is an ordinary hit, not a protection save.
+	if _, ok := c.Get("b"); !ok {
+		t.Fatal("admitted fill not resident")
+	}
+	if st = c.Stats(); st.Saves != 0 {
+		t.Fatalf("phantom protection save after a budget deny: %+v", st)
+	}
+	for _, d := range c.Decisions().Tail(16) {
+		if d.Kind == DecisionSave {
+			t.Fatalf("phantom save decision: %+v", d)
+		}
 	}
 }
 

@@ -1,0 +1,250 @@
+package kvcache
+
+import (
+	"fmt"
+
+	"pdp/internal/core"
+	"pdp/internal/sampler"
+)
+
+// policy is the replacement and admission side of a shard, in the shape of
+// the simulator's cache.Policy: it sees sets, ways and the in-shard hash,
+// never keys, values or the lock. The shard's op bodies fire the hooks
+// below exactly once where stated (DESIGN.md §9 has the table against
+// cache.Policy). There are two implementations, lru and pdp; the breaker's
+// degraded mode is a state of pdp, not a third policy.
+type policy interface {
+	// observe (PostAccess) is the access clock of the set: it runs once per
+	// Get miss and per Delete, after the miss or the drop was handled. A fill
+	// is the second half of a miss the Get already observed: it does not tick.
+	observe(set int, h uint64)
+	// hit (Hit, then PostAccess) promotes the resident line (set, w) on a
+	// Get hit or an update and observes the access itself, so the commonest
+	// operation is one dynamic call. saved reports a protection save — the
+	// line had outlived its shadow-LRU eviction — and rpd the remaining
+	// distance it was hit at.
+	hit(set, w int, h uint64, pd int) (rpd int, saved bool)
+	// victim (Victim) picks the way a fill into the full set evicts, or -1
+	// to deny admission (the simulator's bypass).
+	victim(set int) int
+	// spare picks one more resident line the policy would give up so the
+	// byte budget can be met, or -1 when it would rather deny the fill.
+	spare(set int) int
+	// fill (Insert) starts the line just installed in (set, w).
+	fill(set, w, pd int)
+	// drop (Evict) forgets the line leaving (set, w) — evicted or deleted —
+	// and returns the remaining distance it still had (0 = unprotected).
+	drop(set, w int) (rpd int)
+}
+
+// lru is least-recently-used replacement over per-line recency stamps: the
+// whole policy of an LRU cache, and the shadow baseline inside pdp.
+type lru struct {
+	// stamp is written on every access and each shard's policy is its own
+	// small allocation: keep two shards' clocks off one cache line.
+	_     [64]byte
+	ways  int
+	stamp uint64
+	last  []uint64 // 0 = empty way; stamps start at 1
+}
+
+func newLRU(sets, ways int) *lru {
+	return &lru{ways: ways, last: make([]uint64, sets*ways)}
+}
+
+func (l *lru) touch(set, w int) {
+	l.stamp++
+	l.last[set*l.ways+w] = l.stamp
+}
+
+func (l *lru) observe(int, uint64) {}
+
+func (l *lru) hit(set, w int, _ uint64, _ int) (int, bool) {
+	l.touch(set, w)
+	return 0, false
+}
+
+func (l *lru) victim(set int) int { return l.spare(set) }
+
+// spare returns the least recently used resident way, -1 in an empty set.
+func (l *lru) spare(set int) int {
+	// Compared as stamp-1, an empty way's 0 wraps to the maximum and never
+	// wins: one test per way.
+	best, oldest := -1, ^uint64(0)
+	for w, s := range l.last[set*l.ways : (set+1)*l.ways] {
+		if s-1 < oldest {
+			best, oldest = w, s-1
+		}
+	}
+	return best
+}
+
+func (l *lru) fill(set, w, _ int) { l.touch(set, w) }
+
+func (l *lru) drop(set, w int) int {
+	l.last[set*l.ways+w] = 0
+	return 0
+}
+
+// check verifies that exactly the resident ways carry a stamp (spare and
+// the snapshot order rely on it).
+func (l *lru) check(ln *lines) error {
+	for i, ok := range ln.valid {
+		if ok != (l.last[i] != 0) {
+			return fmt.Errorf("line (%d,%d) valid=%v but recency stamp %d", i/l.ways, i%l.ways, ok, l.last[i])
+		}
+	}
+	return nil
+}
+
+// pdp is the paper's policy over the shared core.Protection bookkeeping,
+// fed by an RD sampler: promote on hit, evict an unprotected line or deny,
+// insert with RPD = PD, tick once per set access.
+//
+// The embedded lru is its shadow: recency is stamped exactly as an LRU
+// cache would, and whenever victim decides differently from the shadow —
+// it evicts another line, or denies — the line LRU would have evicted is
+// marked doomed. A later hit on a doomed line is a protection save: a hit
+// the recency baseline would have lost. Only victim plants marks, so only
+// on a full, non-degraded set; a fill the byte budget denies dooms nothing.
+//
+// deg is the breaker's degraded mode: victim, spare, fill and hit delegate
+// to the shadow and the protecting distance is ignored, while observe
+// keeps the clock and the sampler running so clean recomputes can re-arm.
+// Written only by trip and rearm, under the shard lock.
+type pdp struct {
+	lru
+	prot     *core.Protection
+	smp      *sampler.RDSampler
+	doomed   []bool
+	admitAll bool
+	deg      bool
+}
+
+func newPDP(cfg *Config) *pdp {
+	scfg := sampler.RealConfig(cfg.Sets, cfg.SC)
+	scfg.DMax = cfg.DMax
+	return &pdp{
+		lru:      *newLRU(cfg.Sets, cfg.Ways),
+		prot:     core.NewProtection(cfg.Sets, cfg.Ways, cfg.DMax, cfg.NC),
+		smp:      sampler.New(scfg),
+		doomed:   make([]bool, cfg.Sets*cfg.Ways),
+		admitAll: cfg.AdmitAll,
+	}
+}
+
+// samplerAddr renders the in-shard hash as the line-address the RD sampler
+// hashes its 16-bit partial tags from (it discards the low 6 offset bits).
+func samplerAddr(h uint64) uint64 { return h << 6 }
+
+func (p *pdp) observe(set int, h uint64) {
+	p.prot.Tick(set)
+	p.smp.Access(set, samplerAddr(h))
+}
+
+func (p *pdp) hit(set, w int, h uint64, pd int) (rpd int, saved bool) {
+	if !p.deg {
+		i := set*p.ways + w
+		rpd, saved = p.prot.RPD(set, w), p.doomed[i]
+		p.prot.Promote(set, w, pd)
+		// Re-touched, the baseline would have re-admitted the key: the
+		// divergence window closes.
+		p.doomed[i] = false
+	}
+	p.touch(set, w)
+	p.observe(set, h)
+	return rpd, saved
+}
+
+func (p *pdp) victim(set int) int {
+	if p.deg {
+		return p.lru.victim(set)
+	}
+	w, ok := p.prot.Unprotected(set)
+	if !ok {
+		w = -1
+		if p.admitAll {
+			w = p.prot.InclusiveVictim(set)
+		}
+	}
+	if v := p.lru.victim(set); v != w {
+		p.doomed[set*p.ways+v] = true
+	}
+	return w
+}
+
+func (p *pdp) spare(set int) int {
+	if p.deg {
+		return p.lru.spare(set)
+	}
+	base := set * p.ways
+	for w := 0; w < p.ways; w++ {
+		if p.last[base+w] != 0 && !p.prot.Protected(set, w) {
+			return w
+		}
+	}
+	return -1
+}
+
+func (p *pdp) fill(set, w, pd int) {
+	if !p.deg {
+		p.prot.Insert(set, w, pd)
+	}
+	p.lru.fill(set, w, pd)
+}
+
+func (p *pdp) drop(set, w int) int {
+	rpd := p.prot.RPD(set, w)
+	p.prot.Clear(set, w)
+	p.doomed[set*p.ways+w] = false
+	p.lru.drop(set, w)
+	return rpd
+}
+
+// degraded, trip and rearm are the breaker's whole view of the policy; all
+// three tolerate the nil *pdp of an LRU cache, which has no mode to leave.
+func (p *pdp) degraded() bool { return p != nil && p.deg }
+
+// trip enters degraded mode, reporting whether that changed anything. The
+// policy served from here on is the shadow itself, so every doomed mark is
+// stale: left in place they would book phantom saves after re-arm.
+func (p *pdp) trip() bool {
+	if p == nil || p.deg {
+		return false
+	}
+	p.deg = true
+	for i := range p.doomed {
+		p.doomed[i] = false
+	}
+	return true
+}
+
+// rearm leaves degraded mode, reporting whether that changed anything.
+func (p *pdp) rearm() bool {
+	was := p.degraded()
+	if was {
+		p.deg = false
+	}
+	return was
+}
+
+// check verifies the policy state against the line store: the shadow's
+// stamps, no empty way protected or doomed, every RPD within the n_c-bit
+// range.
+func (p *pdp) check(ln *lines) error {
+	if err := p.lru.check(ln); err != nil {
+		return err
+	}
+	for i, ok := range ln.valid {
+		set, w := i/p.ways, i%p.ways
+		switch rpd := p.prot.RPD(set, w); {
+		case !ok && rpd > 0:
+			return fmt.Errorf("invalid line (%d,%d) still protected", set, w)
+		case !ok && p.doomed[i]:
+			return fmt.Errorf("invalid line (%d,%d) still doomed", set, w)
+		case rpd < 0 || rpd > p.prot.MaxRPD():
+			return fmt.Errorf("line (%d,%d) RPD %d outside [0, %d]", set, w, rpd, p.prot.MaxRPD())
+		}
+	}
+	return nil
+}

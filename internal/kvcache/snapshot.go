@@ -133,7 +133,7 @@ func (sh *shard) snapshot() SnapshotShard {
 		stamp uint64
 		e     SnapshotEntry
 	}
-	lines := make([]line, 0, sh.st.Entries)
+	resident := make([]line, 0, sh.entries)
 	for set := 0; set < sh.sets; set++ {
 		for w := 0; w < sh.ways; w++ {
 			i := set*sh.ways + w
@@ -144,20 +144,20 @@ func (sh *shard) snapshot() SnapshotShard {
 				Key:   sh.keys[i],
 				Value: append([]byte(nil), sh.vals[i]...),
 			}
-			if sh.prot != nil {
-				e.RPD = sh.prot.RPD(set, w)
-				e.Reused = sh.prot.Reused(set, w)
+			if sh.pdp != nil {
+				e.RPD = sh.pdp.prot.RPD(set, w)
+				e.Reused = sh.pdp.prot.Reused(set, w)
 			}
-			lines = append(lines, line{sh.last[i], e})
+			resident = append(resident, line{sh.lru.last[i], e})
 		}
 	}
-	sort.Slice(lines, func(a, b int) bool { return lines[a].stamp < lines[b].stamp })
-	ss := SnapshotShard{Entries: make([]SnapshotEntry, len(lines))}
-	for i, l := range lines {
+	sort.Slice(resident, func(a, b int) bool { return resident[a].stamp < resident[b].stamp })
+	ss := SnapshotShard{Entries: make([]SnapshotEntry, len(resident))}
+	for i, l := range resident {
 		ss.Entries[i] = l.e
 	}
-	if sh.smp != nil {
-		arr := sh.smp.Array()
+	if sh.pdp != nil {
+		arr := sh.pdp.smp.Array()
 		ss.Counts = arr.Counts()
 		ss.Total = arr.Total()
 	}
@@ -182,42 +182,28 @@ func (sh *shard) restore(ss SnapshotShard, nshards int) int {
 		if sh.find(set, hh, e.Key) >= 0 {
 			continue
 		}
-		if sh.maxBytes > 0 && sh.st.Bytes+int64(len(e.Value)) > sh.maxBytes {
+		if sh.maxBytes > 0 && sh.bytes+int64(len(e.Value)) > sh.maxBytes {
 			continue
 		}
-		base := set * sh.ways
-		w := -1
-		for cand := 0; cand < sh.ways; cand++ {
-			if !sh.valid[base+cand] {
-				w = cand
-				break
-			}
-		}
+		w := sh.freeWay(set)
 		if w < 0 {
 			continue
 		}
-		i := base + w
-		sh.keys[i] = e.Key
-		sh.hashes[i] = hh
-		sh.vals[i] = append([]byte(nil), e.Value...)
-		sh.valid[i] = true
-		sh.st.Bytes += int64(len(e.Value))
-		sh.st.Entries++
-		sh.stamp++
-		sh.last[i] = sh.stamp
-		if sh.prot != nil && e.RPD > 0 {
+		sh.install(set, w, hh, e.Key, append([]byte(nil), e.Value...))
+		sh.lru.fill(set, w, 0)
+		if sh.pdp != nil && e.RPD > 0 {
 			// Promote vs Insert re-derive the same RPD steps; the choice
 			// only restores the reuse bit.
 			if e.Reused {
-				sh.prot.Promote(set, w, e.RPD)
+				sh.pdp.prot.Promote(set, w, e.RPD)
 			} else {
-				sh.prot.Insert(set, w, e.RPD)
+				sh.pdp.prot.Insert(set, w, e.RPD)
 			}
 		}
 		restored++
 	}
-	if sh.smp != nil && ss.Counts != nil {
-		sh.smp.Array().SetCounts(ss.Counts, ss.Total)
+	if sh.pdp != nil && ss.Counts != nil {
+		sh.pdp.smp.Array().SetCounts(ss.Counts, ss.Total)
 	}
 	return restored
 }

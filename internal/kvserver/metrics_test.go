@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -372,9 +373,15 @@ func (w nopResponseWriter) Header() http.Header         { return w.h }
 func (w nopResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w nopResponseWriter) WriteHeader(int)             {}
 
-// TestMiddlewareOverheadBudget is the CI perf guard: the full
+// TestMiddlewareOverheadBudget is the CI perf guard for the full
 // instrumentation path (request id, status capture, latency observe,
-// counter bump) must cost under 1µs per request. Skipped under the race
+// counter bump). The allocation half is deterministic and always asserted.
+// The time half is relative: the instrumented handler is timed against a
+// calibration handler doing only what any timing, id-minting middleware
+// must (mint and set the id, copy the request around a context value,
+// read the clock twice, one atomic add), the two interleaved in the same
+// run so a loaded host slows both sides, and the instrumentation may cost
+// at most overheadFactor times that floor. Skipped under the race
 // detector, whose instrumentation dwarfs the budget.
 func TestMiddlewareOverheadBudget(t *testing.T) {
 	if raceEnabled {
@@ -383,6 +390,7 @@ func TestMiddlewareOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf guard")
 	}
+	const maxAllocs, overheadFactor = 7, 2.5
 	cache, err := kvcache.New(kvcache.Config{Shards: 1, Sets: 4, Ways: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -391,28 +399,41 @@ func TestMiddlewareOverheadBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := srv.instrument("/bench", func(http.ResponseWriter, *http.Request) {})
+	inner := func(http.ResponseWriter, *http.Request) {}
+	var seq, spent atomic.Uint64
+	floor := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := "r-" + strconv.FormatUint(seq.Add(1), 10)
+		w.Header().Set("X-Request-Id", id)
+		t0 := time.Now()
+		inner(w, r.WithContext(context.WithValue(r.Context(), reqIDKey{}, id)))
+		spent.Add(uint64(time.Since(t0)))
+	})
 	req, _ := http.NewRequest(http.MethodGet, "http://x/bench", nil)
 	w := nopResponseWriter{h: make(http.Header)}
-
-	// Best of three: the guard polices the middleware, not scheduler noise
-	// from whatever else the test host is compiling at the time.
-	perOp := math.Inf(1)
-	allocs := int64(0)
-	for run := 0; run < 3 && perOp > 1000; run++ {
+	bench := func(h http.Handler) (float64, int64) {
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				h.ServeHTTP(w, req)
 			}
 		})
-		if got := float64(res.T.Nanoseconds()) / float64(res.N); got < perOp {
-			perOp = got
-			allocs = res.AllocsPerOp()
-		}
+		return float64(res.T.Nanoseconds()) / float64(res.N), res.AllocsPerOp()
 	}
-	t.Logf("middleware overhead: %.0f ns/op, %d allocs/op", perOp, allocs)
-	if perOp > 1000 {
-		t.Fatalf("middleware overhead %.0f ns/op exceeds the 1µs budget", perOp)
+
+	// Best of three interleaved pairs: the guard polices the middleware,
+	// not scheduler noise from whatever else the host is compiling.
+	h := srv.instrument("/bench", inner)
+	ratio, allocs := math.Inf(1), int64(0)
+	for run := 0; run < 3 && ratio > overheadFactor; run++ {
+		base, _ := bench(floor)
+		perOp, a := bench(h)
+		t.Logf("middleware %.0f ns/op, %d allocs/op; floor %.0f ns/op", perOp, a, base)
+		ratio, allocs = math.Min(ratio, perOp/base), a
+	}
+	if allocs > maxAllocs {
+		t.Fatalf("middleware allocates %d/op, budget %d", allocs, maxAllocs)
+	}
+	if ratio > overheadFactor {
+		t.Fatalf("middleware costs %.1fx the floor, budget %.1fx", ratio, overheadFactor)
 	}
 }

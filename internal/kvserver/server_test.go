@@ -170,11 +170,10 @@ func TestSnapshotLoopJournals(t *testing.T) {
 
 // TestE2EPDPBeatsLRU is the serving smoke test: two real servers on
 // random ports — one PDP, one LRU — each replaying the identical seeded
-// Zipf-with-cyclic-scans burst through the HTTP load generator. The PDP
-// policy must match or beat the recency baseline on client-observed hit
-// rate (the margin is asserted loosely here; the deterministic
-// single-goroutine comparison with a hard margin lives in
-// internal/kvcache).
+// Zipf-with-cyclic-scans burst through the HTTP load generator. One
+// worker and no wall-clock adapter make the run a pure function of the
+// seed (the PD moves only on the op-count epochs), so the client-observed
+// hit rates are the same on every run and the margin can be asserted.
 func TestE2EPDPBeatsLRU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e smoke test")
@@ -187,12 +186,12 @@ func TestE2EPDPBeatsLRU(t *testing.T) {
 		_, base := startServer(t, kvcache.Config{
 			Policy: policy, Shards: 4, Sets: 16, Ways: 8,
 			RecomputeEvery: 4096,
-		}, Config{AdaptEvery: 50 * time.Millisecond})
+		}, Config{})
 		res, err := loadgen.Run(context.Background(), loadgen.Config{
 			BaseURL: base,
 			Mix:     mix,
-			Workers: 2,
-			Ops:     30000,
+			Workers: 1,
+			Ops:     60000,
 			Seed:    42,
 		})
 		if err != nil {
@@ -207,7 +206,7 @@ func TestE2EPDPBeatsLRU(t *testing.T) {
 	pdp := run(kvcache.PolicyPDP)
 	t.Logf("e2e: PDP hit rate %.3f (%.0f ops/s, %d denies) vs LRU %.3f (%.0f ops/s)",
 		pdp.HitRate(), pdp.Throughput(), pdp.Denies, lru.HitRate(), lru.Throughput())
-	if pdp.HitRate() < lru.HitRate() {
-		t.Fatalf("PDP %.3f under LRU %.3f on the same seeded stream", pdp.HitRate(), lru.HitRate())
+	if pdp.HitRate() < lru.HitRate()+0.05 {
+		t.Fatalf("PDP %.3f not 0.05 over LRU %.3f on the same seeded stream", pdp.HitRate(), lru.HitRate())
 	}
 }

@@ -11,13 +11,9 @@ package loadgen
 // batch's misses go out together as one follow-up fill batch.
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"syscall"
-	"time"
 
 	"pdp/internal/batchwire"
 	"pdp/internal/kvcache"
@@ -50,7 +46,7 @@ func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 			wops[i].Value = w.val(op.Size)
 		}
 	}
-	rows, out := w.exchangeBatch(ctx, wops)
+	rep, out := w.exchange(ctx, http.MethodPost, batchPath, batchwire.AppendOps(nil, wops), len(wops))
 	if out != outOK {
 		for range ops {
 			w.book(out)
@@ -58,7 +54,7 @@ func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 		return
 	}
 	var fills []kvcache.BatchOp
-	for i, row := range rows {
+	for i, row := range rep.rows {
 		switch row.Status {
 		case "hit":
 			w.ops++
@@ -85,14 +81,14 @@ func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 	}
 	// The fill batch mirrors the per-op client's miss-fill PUT: the misses
 	// already counted as ops, so fill rows book only denies and failures.
-	frows, fout := w.exchangeBatch(ctx, fills)
+	rep, fout := w.exchange(ctx, http.MethodPost, batchPath, batchwire.AppendOps(nil, fills), len(fills))
 	if fout != outOK {
 		for range fills {
 			w.book(fout)
 		}
 		return
 	}
-	for _, row := range frows {
+	for _, row := range rep.rows {
 		switch row.Status {
 		case "denied":
 			w.denies++
@@ -103,127 +99,4 @@ func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 			w.server5xx++
 		}
 	}
-}
-
-// exchangeBatch is the batch analogue of exchange: whole-batch sheds and
-// transport failures back off and retry under the regular budget,
-// refused connections under the ramp budget, and each retryable failure
-// rotates targets. On outOK the returned rows are exactly one per op, and
-// hold until the worker's next exchange. The body is built anew for every
-// batch: the transport may still read the last one after Do returned.
-func (w *worker) exchangeBatch(ctx context.Context, wops []kvcache.BatchOp) ([]batchwire.Row, outcome) {
-	body := batchwire.AppendOps(nil, wops)
-	for attempt, ramp := 0, 0; ; {
-		rows, out := w.onceBatch(ctx, body, len(wops))
-		if out == outOK {
-			return rows, outOK
-		}
-		if out == outRefused {
-			w.refused++
-			if ramp >= w.rampRetries || ctx.Err() != nil {
-				return nil, outTransport
-			}
-			ramp++
-			w.rotate()
-			w.sleepBackoff(ramp)
-			continue
-		}
-		retryable := out == outShed || out == outTransport
-		if !retryable || attempt >= w.maxRetries || ctx.Err() != nil {
-			return nil, out
-		}
-		attempt++
-		w.retries++
-		w.rotate()
-		w.sleepBackoff(attempt)
-	}
-}
-
-// onceBatch issues a single batch attempt against the current target and
-// books attempt-level per-target attribution, row by row on success.
-func (w *worker) onceBatch(ctx context.Context, body []byte, n int) ([]batchwire.Row, outcome) {
-	tgt := w.target()
-	rows, out := w.attemptBatch(ctx, tgt, body, n)
-	if ts := w.tstats[tgt]; ts != nil {
-		switch out {
-		case outOK:
-			for _, row := range rows {
-				switch row.Status {
-				case "hit":
-					ts.answers++
-					ts.hits++
-				case "miss":
-					ts.answers++
-					ts.misses++
-				case "shed":
-					ts.sheds++
-				case "too_large", "error":
-					ts.errors++
-				default:
-					ts.answers++
-				}
-			}
-		case outShed:
-			ts.sheds += uint64(n)
-		default:
-			ts.errors += uint64(n)
-		}
-	}
-	return rows, out
-}
-
-// attemptBatch posts one batch and classifies the answer. Latency is
-// observed amortized: wall time divided by the batch size, once per op,
-// so the histogram stays per-operation comparable with the unbatched
-// path.
-func (w *worker) attemptBatch(ctx context.Context, tgt string, body []byte, n int) ([]batchwire.Row, outcome) {
-	if w.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, w.deadline)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, tgt+"/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, outTransport
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if w.deadline > 0 {
-		req.Header.Set("X-Deadline", w.deadline.String())
-	}
-	t0 := time.Now()
-	resp, err := w.client.Do(req)
-	if err != nil {
-		switch {
-		case isTimeout(err):
-			return nil, outTimeout
-		case errors.Is(err, syscall.ECONNREFUSED):
-			return nil, outRefused
-		default:
-			return nil, outTransport
-		}
-	}
-	w.resp.Reset()
-	_, rerr := w.resp.ReadFrom(resp.Body)
-	resp.Body.Close()
-	per := uint64(time.Since(t0).Nanoseconds()) / uint64(n)
-	w.hist.ObserveN(per, uint64(n))
-	if th := w.thists[tgt]; th != nil {
-		th.ObserveN(per, uint64(n))
-	}
-	switch {
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		return nil, outShed
-	case resp.StatusCode == http.StatusGatewayTimeout:
-		return nil, outTimeout
-	case resp.StatusCode != http.StatusOK:
-		// Any other non-200 — 5xx, or a 4xx the client should never have
-		// provoked — is the exchange misbehaving.
-		return nil, outServer
-	case rerr != nil:
-		return nil, outTransport
-	}
-	if w.rows, w.arena, err = batchwire.ParseRows(w.resp.Bytes(), w.rows, w.arena); err != nil || len(w.rows) != n {
-		return nil, outServer
-	}
-	return w.rows, outOK
 }

@@ -411,7 +411,7 @@ type worker struct {
 	buf     []byte
 	rng     *trace.RNG
 
-	// Batch path scratch: the last answer, its decoded rows and their values.
+	// The last answer's body, and (/batch) its decoded rows and their values.
 	resp  bytes.Buffer
 	rows  []batchwire.Row
 	arena []byte
@@ -477,27 +477,27 @@ func (w *worker) book(out outcome) {
 // do issues one operation cache-aside: a GET that misses is followed by a
 // PUT of the key's deterministic value.
 func (w *worker) do(ctx context.Context, op workload.Op) {
-	key := fmt.Sprintf("k%016x", op.Key)
+	path := fmt.Sprintf("/kv/k%016x", op.Key)
 	switch op.Kind {
 	case workload.OpGet:
-		status, _, out := w.exchange(ctx, http.MethodGet, key, nil)
+		rep, out := w.exchange(ctx, http.MethodGet, path, nil, 1)
 		if out != outOK {
 			w.book(out)
 			return
 		}
 		w.ops++
-		if status == http.StatusOK {
+		if rep.status == http.StatusOK {
 			w.hits++
 			return
 		}
 		w.misses++
-		if fillOut, denied := w.put(ctx, key, op.Size); fillOut != outOK {
+		if fillOut, denied := w.put(ctx, path, op.Size); fillOut != outOK {
 			w.book(fillOut)
 		} else if denied {
 			w.denies++
 		}
 	case workload.OpPut:
-		out, denied := w.put(ctx, key, op.Size)
+		out, denied := w.put(ctx, path, op.Size)
 		if out != outOK {
 			w.book(out)
 			return
@@ -507,8 +507,7 @@ func (w *worker) do(ctx context.Context, op workload.Op) {
 			w.denies++
 		}
 	case workload.OpDelete:
-		_, _, out := w.exchange(ctx, http.MethodDelete, key, nil)
-		if out != outOK {
+		if _, out := w.exchange(ctx, http.MethodDelete, path, nil, 1); out != outOK {
 			w.book(out)
 			return
 		}
@@ -518,32 +517,50 @@ func (w *worker) do(ctx context.Context, op workload.Op) {
 
 // put PUTs a deterministic value of the given size, reporting the
 // outcome and whether admission was denied (204 + X-Cache: deny).
-func (w *worker) put(ctx context.Context, key string, size int) (outcome, bool) {
-	status, xcache, out := w.exchange(ctx, http.MethodPut, key, w.val(size))
-	return out, out == outOK && status == http.StatusNoContent && xcache == "deny"
+func (w *worker) put(ctx context.Context, path string, size int) (outcome, bool) {
+	rep, out := w.exchange(ctx, http.MethodPut, path, w.val(size), 1)
+	return out, out == outOK && rep.status == http.StatusNoContent && rep.xcache == "deny"
 }
 
-// exchange issues one request with the retry loop: sheds and transport
-// failures back off (capped exponential, seeded jitter) and retry up to
-// maxRetries times; timeouts and server errors return immediately.
+// batchPath is the one route whose answer carries rows.
+const batchPath = "/batch"
+
+// reply is one definitive answer: the status and X-Cache header of a
+// per-op exchange, plus the decoded rows of a /batch one (exactly one per
+// op carried; they hold until the worker's next exchange).
+type reply struct {
+	status int
+	xcache string
+	rows   []batchwire.Row
+}
+
+// exchange issues one request carrying n operations (1 on /kv/, the batch
+// size on /batch) with the retry loop: sheds and transport failures back
+// off (capped exponential, seeded jitter) and retry up to maxRetries
+// times; timeouts and server errors return immediately.
 // Connection-refused failures — a node that has not bound its port yet,
 // or just died — retry under the separate, larger rampRetries budget
 // without consuming the regular one, and each retryable failure rotates
 // to the next target so a multi-target run fails over instead of
-// hammering the dead member. On outOK it returns the status and the
-// X-Cache header.
-func (w *worker) exchange(ctx context.Context, method, key string, body []byte) (int, string, outcome) {
+// hammering the dead member. Every attempt is attributed to the target it
+// went to. The transport may still read body after Do returned, so callers
+// build it anew for every exchange.
+func (w *worker) exchange(ctx context.Context, method, path string, body []byte, n int) (reply, outcome) {
 	for attempt, ramp := 0, 0; ; {
-		status, xcache, out := w.once(ctx, method, key, body)
+		tgt := w.target()
+		rep, out := w.attempt(ctx, tgt, method, path, body, n)
+		if ts := w.tstats[tgt]; ts != nil {
+			ts.attribute(method, rep, out, uint64(n))
+		}
 		if out == outOK {
-			return status, xcache, outOK
+			return rep, outOK
 		}
 		if out == outRefused {
 			w.refused++
 			if ramp >= w.rampRetries || ctx.Err() != nil {
 				// Ramp budget exhausted: the target really is gone, and
 				// from here the refusal is plain unavailability.
-				return 0, "", outTransport
+				return reply{}, outTransport
 			}
 			ramp++
 			w.rotate()
@@ -552,7 +569,7 @@ func (w *worker) exchange(ctx context.Context, method, key string, body []byte) 
 		}
 		retryable := out == outShed || out == outTransport
 		if !retryable || attempt >= w.maxRetries || ctx.Err() != nil {
-			return 0, "", out
+			return reply{}, out
 		}
 		attempt++
 		w.retries++
@@ -572,32 +589,47 @@ func (w *worker) sleepBackoff(attempt int) {
 	time.Sleep(d)
 }
 
-// once issues a single attempt against the current target and
-// classifies it, booking attempt-level per-target attribution.
-func (w *worker) once(ctx context.Context, method, key string, body []byte) (int, string, outcome) {
-	tgt := w.target()
-	status, xcache, out := w.attempt(ctx, tgt, method, key, body)
-	if ts := w.tstats[tgt]; ts != nil {
-		switch out {
-		case outOK:
-			ts.answers++
-			if method == http.MethodGet {
-				if status == http.StatusOK {
-					ts.hits++
-				} else if status == http.StatusNotFound {
-					ts.misses++
-				}
+// attribute books one attempt of n operations against the target it went
+// to: row by row for a /batch answer, by status for a per-op one, and n
+// sheds or errors for an attempt that got no definitive answer.
+func (ts *tstat) attribute(method string, rep reply, out outcome, n uint64) {
+	switch {
+	case out == outShed:
+		ts.sheds += n
+	case out != outOK:
+		ts.errors += n
+	case rep.rows == nil:
+		ts.answers++
+		if method == http.MethodGet && rep.status == http.StatusOK {
+			ts.hits++
+		} else if method == http.MethodGet && rep.status == http.StatusNotFound {
+			ts.misses++
+		}
+	default:
+		for _, row := range rep.rows {
+			switch row.Status {
+			case "hit":
+				ts.answers++
+				ts.hits++
+			case "miss":
+				ts.answers++
+				ts.misses++
+			case "shed":
+				ts.sheds++
+			case "too_large", "error":
+				ts.errors++
+			default:
+				ts.answers++
 			}
-		case outShed:
-			ts.sheds++
-		default:
-			ts.errors++
 		}
 	}
-	return status, xcache, out
 }
 
-func (w *worker) attempt(ctx context.Context, tgt, method, key string, body []byte) (int, string, outcome) {
+// attempt issues a single request against tgt and classifies the answer;
+// a /batch answer must be a 200 whose body decodes to exactly n rows.
+// Latency is observed amortized — wall time divided by n, once per op — so
+// the histogram stays per-operation comparable across both protocols.
+func (w *worker) attempt(ctx context.Context, tgt, method, path string, body []byte, n int) (reply, outcome) {
 	if w.deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, w.deadline)
@@ -607,9 +639,13 @@ func (w *worker) attempt(ctx context.Context, tgt, method, key string, body []by
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, tgt+"/kv/"+key, rd)
+	req, err := http.NewRequestWithContext(ctx, method, tgt+path, rd)
 	if err != nil {
-		return 0, "", outTransport
+		return reply{}, outTransport
+	}
+	batch := path == batchPath
+	if batch {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	if w.deadline > 0 {
 		req.Header.Set("X-Deadline", w.deadline.String())
@@ -619,30 +655,43 @@ func (w *worker) attempt(ctx context.Context, tgt, method, key string, body []by
 	if err != nil {
 		switch {
 		case isTimeout(err):
-			return 0, "", outTimeout
+			return reply{}, outTimeout
 		case errors.Is(err, syscall.ECONNREFUSED):
-			return 0, "", outRefused
+			return reply{}, outRefused
 		default:
-			return 0, "", outTransport
+			return reply{}, outTransport
 		}
 	}
-	io.Copy(io.Discard, resp.Body)
+	w.resp.Reset()
+	_, rerr := w.resp.ReadFrom(resp.Body)
 	resp.Body.Close()
-	lat := uint64(time.Since(t0).Nanoseconds())
-	w.hist.Observe(lat)
+	per := uint64(time.Since(t0).Nanoseconds()) / uint64(n)
+	w.hist.ObserveN(per, uint64(n))
 	if th := w.thists[tgt]; th != nil {
-		th.Observe(lat)
+		th.ObserveN(per, uint64(n))
 	}
+	rep := reply{status: resp.StatusCode, xcache: resp.Header.Get("X-Cache")}
 	switch {
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		return 0, "", outShed
-	case resp.StatusCode == http.StatusGatewayTimeout:
-		return 0, "", outTimeout
-	case resp.StatusCode >= 500:
-		return 0, "", outServer
-	default:
-		return resp.StatusCode, resp.Header.Get("X-Cache"), outOK
+	case rep.status == http.StatusServiceUnavailable:
+		return reply{}, outShed
+	case rep.status == http.StatusGatewayTimeout:
+		return reply{}, outTimeout
+	case rep.status >= 500:
+		return reply{}, outServer
+	case !batch:
+		return rep, outOK
+	case rep.status != http.StatusOK:
+		// A 4xx the client should never have provoked is the exchange
+		// misbehaving.
+		return reply{}, outServer
+	case rerr != nil:
+		return reply{}, outTransport
 	}
+	if w.rows, w.arena, err = batchwire.ParseRows(w.resp.Bytes(), w.rows, w.arena); err != nil || len(w.rows) != n {
+		return reply{}, outServer
+	}
+	rep.rows = w.rows
+	return rep, outOK
 }
 
 // isTimeout reports whether a client-side error is a deadline expiry
