@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache seam, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache and Protection seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -19,8 +19,11 @@ race:
 
 # The kvcache seam (DESIGN.md §9): the line store and the shard's op bodies
 # must not reach the PDP machinery except through the policy interface.
+# The Protection rule (DESIGN.md §6): core/protection.go is the only
+# non-test Go that declares an RPD array or an S_d counter.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
+	@! grep -rnE 'rpd +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
 
 # Non-test line count of the six serving packages (ROADMAP's size table).
 loc:
@@ -36,12 +39,15 @@ bench:
 	$(GO) test -bench 'AccessPDP8' -benchtime 2s -count 5 -run @ .
 	$(GO) test -bench 'ExecBatch' -benchtime 1s -count 3 -run @ ./internal/kvcache/
 
+# The full suite (seed 42) into repro_output.txt, the untracked archive
+# EXPERIMENTS.md quotes from.
 repro:
-	$(GO) run ./cmd/repro all
+	$(GO) run ./cmd/repro all > repro_output.txt
 
-# The suite on all cores; byte-identical to `make repro`, just faster.
+# The suite on all cores; byte-identical to `make repro` apart from the
+# ` done in ` lines, just faster.
 repro-parallel:
-	$(GO) run ./cmd/repro -jobs 0 all
+	$(GO) run ./cmd/repro -jobs 0 all > repro_output.txt
 
 # Serving layer: start the PDP-backed KV cache server on :7070.
 serve:

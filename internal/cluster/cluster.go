@@ -99,9 +99,8 @@ type Cluster struct {
 	peers  map[string]*Peer // remote members only
 	flight Flight
 
-	probeCancel context.CancelFunc
-	probeDone   chan struct{}
-	probeHC     *http.Client
+	probeStop func()
+	probeHC   *http.Client
 
 	// per-peer consecutive probe outcomes (guarded by pmu).
 	pmu      sync.Mutex
@@ -248,8 +247,8 @@ func (c *Cluster) ForwardBatch(ctx context.Context, owner string, body []byte, m
 // FallbackLocal books one proxy failure answered from the local cache.
 func (c *Cluster) FallbackLocal() { c.mFallbk.Inc() }
 
-// HopTerminated books one forwarded request served locally despite a
-// divergent ring view — the loop-prevention path.
+// HopTerminated books one forwarded /kv/ request or /batch op served locally
+// despite a divergent ring view — the loop-prevention path.
 func (c *Cluster) HopTerminated() { c.mLoops.Inc() }
 
 // --- membership --------------------------------------------------------
@@ -259,32 +258,13 @@ func (c *Cluster) HopTerminated() { c.mLoops.Inc() }
 // ring: EjectAfter consecutive failed rounds eject a peer, RejoinAfter
 // consecutive successes rejoin it.
 func (c *Cluster) Start(ctx context.Context) {
-	pctx, cancel := context.WithCancel(ctx)
-	c.probeCancel = cancel
-	c.probeDone = make(chan struct{})
-	go c.probeLoop(pctx)
+	c.probeStop = resilience.Every(ctx, c.cfg.ProbeEvery, c.probeRound)
 }
 
 // Stop ends the probe loop (idempotent; safe before Start).
 func (c *Cluster) Stop() {
-	if c.probeCancel != nil {
-		c.probeCancel()
-		<-c.probeDone
-		c.probeCancel = nil
-	}
-}
-
-func (c *Cluster) probeLoop(ctx context.Context) {
-	defer close(c.probeDone)
-	t := time.NewTicker(c.cfg.ProbeEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			c.probeRound(ctx)
-		}
+	if c.probeStop != nil {
+		c.probeStop()
 	}
 }
 

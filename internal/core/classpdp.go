@@ -58,15 +58,11 @@ func (c *ClassConfig) setDefaults() {
 // ClassPDP is the classified protecting-distance policy (bypass variant).
 // It implements cache.Policy.
 type ClassPDP struct {
-	cfg    ClassConfig
-	sd     int
-	rpdMax uint16
-
-	pds   []int
-	rpd   []uint16
-	sdCnt []uint32
-	smp   *sampler.MultiRDSampler
-	accs  uint64
+	cfg  ClassConfig
+	prot *Protection
+	pds  []int
+	smp  *sampler.MultiRDSampler
+	accs uint64
 
 	// Recomputes counts PD-vector recomputations.
 	Recomputes uint64
@@ -77,20 +73,10 @@ var _ cache.Policy = (*ClassPDP)(nil)
 // NewClassPDP builds a classified PDP.
 func NewClassPDP(cfg ClassConfig) *ClassPDP {
 	cfg.setDefaults()
-	if cfg.Sets <= 0 || cfg.Ways <= 0 {
-		panic(fmt.Sprintf("core: invalid ClassPDP geometry %dx%d", cfg.Sets, cfg.Ways))
-	}
-	sd := cfg.DMax >> uint(cfg.NC)
-	if sd < 1 {
-		sd = 1
-	}
 	p := &ClassPDP{
-		cfg:    cfg,
-		sd:     sd,
-		rpdMax: uint16(1<<uint(cfg.NC)) - 1,
-		pds:    make([]int, cfg.Classes),
-		rpd:    make([]uint16, cfg.Sets*cfg.Ways),
-		sdCnt:  make([]uint32, cfg.Sets),
+		cfg:  cfg,
+		prot: NewProtection(cfg.Sets, cfg.Ways, cfg.DMax, cfg.NC),
+		pds:  make([]int, cfg.Classes),
 	}
 	for cl := range p.pds {
 		p.pds[cl] = cfg.Ways
@@ -114,57 +100,32 @@ func (p *ClassPDP) ClassOf(pc uint64) int {
 	return int(x>>48) % p.cfg.Classes
 }
 
-func (p *ClassPDP) steps(pd int) uint16 {
-	s := (pd + p.sd - 1) / p.sd
-	if s < 1 {
-		s = 1
-	}
-	if s > int(p.rpdMax) {
-		s = int(p.rpdMax)
-	}
-	return uint16(s)
-}
-
 // Protected reports whether (set, way) is protected (testing).
-func (p *ClassPDP) Protected(set, way int) bool { return p.rpd[set*p.cfg.Ways+way] > 0 }
+func (p *ClassPDP) Protected(set, way int) bool { return p.prot.Protected(set, way) }
 
 // Hit implements cache.Policy: promote with the PD of the hitting access's
 // class.
 func (p *ClassPDP) Hit(set, way int, acc trace.Access) {
-	p.rpd[set*p.cfg.Ways+way] = p.steps(p.pds[p.ClassOf(acc.PC)])
+	p.prot.Promote(set, way, p.pds[p.ClassOf(acc.PC)])
 }
 
 // Victim implements cache.Policy: any unprotected line, else bypass.
 func (p *ClassPDP) Victim(set int, _ trace.Access) (int, bool) {
-	base := set * p.cfg.Ways
-	for w := 0; w < p.cfg.Ways; w++ {
-		if p.rpd[base+w] == 0 {
-			return w, false
-		}
-	}
-	return 0, true
+	way, ok := p.prot.Unprotected(set)
+	return way, !ok
 }
 
 // Insert implements cache.Policy.
 func (p *ClassPDP) Insert(set, way int, acc trace.Access) {
-	p.rpd[set*p.cfg.Ways+way] = p.steps(p.pds[p.ClassOf(acc.PC)])
+	p.prot.Insert(set, way, p.pds[p.ClassOf(acc.PC)])
 }
 
 // Evict implements cache.Policy.
-func (p *ClassPDP) Evict(set, way int) { p.rpd[set*p.cfg.Ways+way] = 0 }
+func (p *ClassPDP) Evict(set, way int) { p.prot.Clear(set, way) }
 
 // PostAccess implements cache.Policy.
 func (p *ClassPDP) PostAccess(set int, acc trace.Access) {
-	p.sdCnt[set]++
-	if p.sdCnt[set] >= uint32(p.sd) {
-		p.sdCnt[set] = 0
-		base := set * p.cfg.Ways
-		for w := 0; w < p.cfg.Ways; w++ {
-			if p.rpd[base+w] > 0 {
-				p.rpd[base+w]--
-			}
-		}
-	}
+	p.prot.Tick(set)
 	p.smp.Access(set, p.ClassOf(acc.PC), acc.Addr)
 	p.accs++
 	if p.accs%p.cfg.RecomputeEvery == 0 {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"pdp/internal/resilience"
 )
 
 // Adapter drives the wall-clock side of online PD adaptation: a goroutine
@@ -13,8 +15,7 @@ import (
 type Adapter struct {
 	cache    *Cache
 	interval time.Duration
-	cancel   context.CancelFunc
-	done     chan struct{}
+	stop     func() // no-op until Start
 }
 
 // NewAdapter validates the interval and binds an adapter to c. Zero and
@@ -24,36 +25,15 @@ func NewAdapter(c *Cache, interval time.Duration) (*Adapter, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("kvcache: adapt interval must be positive, got %v", interval)
 	}
-	return &Adapter{cache: c, interval: interval}, nil
+	return &Adapter{cache: c, interval: interval, stop: func() {}}, nil
 }
 
 // Start launches the recompute loop; it returns immediately. The loop
 // stops when ctx is cancelled or Stop is called.
 func (a *Adapter) Start(ctx context.Context) {
-	ctx, a.cancel = context.WithCancel(ctx)
-	a.done = make(chan struct{})
-	go func() {
-		defer close(a.done)
-		t := time.NewTicker(a.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				a.cache.Recompute()
-			}
-		}
-	}()
+	a.stop = resilience.Every(ctx, a.interval, func(context.Context) { a.cache.Recompute() })
 }
 
 // Stop terminates the loop and waits for it to exit. Safe to call more
 // than once; a no-op if Start never ran.
-func (a *Adapter) Stop() {
-	if a.cancel == nil {
-		return
-	}
-	a.cancel()
-	<-a.done
-	a.cancel = nil
-}
+func (a *Adapter) Stop() { a.stop() }

@@ -17,6 +17,7 @@ package kvcache
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -542,8 +543,13 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 		// operator greps first: did the PD move, on how much evidence,
 		// and from which shards. Its E-curve summary comes from the
 		// software model, which matches the decision exactly under the
-		// default solver.
-		bestD, bestE := core.FindPD(merged, c.cfg.DE)
+		// default solver. The curve is evaluated once here: best_e/best_d
+		// and pd_recompute's e_curve both read it.
+		curve := core.EValues(merged, c.cfg.DE)
+		bestD, bestE := 0, slices.Max(curve)
+		if bestE > 0 {
+			bestD = merged.Dist(slices.Index(curve, bestE))
+		}
 		c.cfg.Journal.Append(telemetry.PDMoveRecord{
 			Kind:         telemetry.KindPDMove,
 			Access:       accesses,
@@ -569,7 +575,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 				RDD:      merged.Counts(),
 				RDDTotal: merged.Total(),
 				Frozen:   merged.Frozen(),
-				E:        core.EValues(merged, c.cfg.DE),
+				E:        curve,
 			})
 		}
 	}

@@ -115,12 +115,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// hopped once executes entirely locally — the same single-forward cap
 	// as /kv/.
 	cl := s.cfg.Cluster
-	node := ""
-	clustered := false
+	node, hopped := "", false
 	if cl != nil {
 		node = cl.Self()
 		w.Header().Set("X-Cluster-Node", node)
-		clustered = r.Header.Get(cluster.HopHeader) == ""
+		hopped = r.Header.Get(cluster.HopHeader) != ""
 	}
 	sc.rows = slices.Grow(sc.rows[:0], n)[:n] // every row is written below, by exactly one leg
 	rows := sc.rows
@@ -134,13 +133,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		case op.Kind == batchwire.Unknown:
 			rows[i] = batchwire.Row{Status: batchwire.StatusError, Node: node, Error: "unknown op " + string(op.Value)}
 		default:
-			owner := ""
-			if clustered {
-				if o, local, ok := cl.Owner(op.Key); ok && !local {
-					owner = o
-				}
-			}
-			g := sc.group(owner)
+			g := sc.group(routeKey(cl, op.Key, hopped))
 			g.ops, g.at = append(g.ops, *op), append(g.at, int32(i))
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -295,6 +296,25 @@ func TestClusterHopTermination(t *testing.T) {
 	v := nodes[0].srv.cfg.Cluster.StatsView("")
 	if v.HopTerminated == 0 {
 		t.Fatal("hop_terminated counter did not move")
+	}
+
+	// /batch follows the same rule: a hop-marked batch carrying the key
+	// executes here and books the disagreement once per misrouted op.
+	req, _ = http.NewRequest(http.MethodPost, nodes[0].base+"/batch",
+		strings.NewReader(`[{"op":"get","key":"`+key+`"}]`))
+	req.Header.Set(cluster.HopHeader, "1")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []wireResult
+	err = json.NewDecoder(resp.Body).Decode(&rows)
+	resp.Body.Close()
+	if err != nil || len(rows) != 1 || rows[0].Status != "hit" || rows[0].Node != nodes[0].base {
+		t.Fatalf("hop batch: %v %+v, want one local hit", err, rows)
+	}
+	if got := nodes[0].srv.cfg.Cluster.StatsView("").HopTerminated; got != v.HopTerminated+1 {
+		t.Fatalf("hop_terminated = %d after a misrouted hop-marked /batch op, want %d", got, v.HopTerminated+1)
 	}
 }
 

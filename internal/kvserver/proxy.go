@@ -42,20 +42,32 @@ func (s *Server) routeKV(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// peerOwner resolves the key on the ring and returns the live peer that
-// owns it, or "" when the request is to be served locally: no cluster,
-// an owned key, an empty ring, or a request already forwarded once (it
-// carries the cluster.HopHeader) — that one is served locally no matter
-// what the local ring says, so two nodes with momentarily divergent
-// views bounce a request at most once instead of cycling it.
+// peerOwner is routeKey for one /kv/ request, plus the routing headers.
 func (s *Server) peerOwner(w http.ResponseWriter, r *http.Request, key string) string {
 	cl := s.cfg.Cluster
 	if cl == nil {
 		return ""
 	}
 	w.Header().Set("X-Cluster-Node", cl.Self())
+	owner := routeKey(cl, key, r.Header.Get(cluster.HopHeader) != "")
+	if owner != "" {
+		w.Header().Set("X-Cluster-Owner", owner)
+	}
+	return owner
+}
+
+// routeKey resolves key on the ring and returns the live peer that owns
+// it, or "" when the op is to be served locally: no cluster, an owned key,
+// an empty ring, or a request already forwarded once (hopped: it carried
+// the cluster.HopHeader) — that one is served locally no matter what the
+// local ring says, so two nodes with momentarily divergent views bounce a
+// request at most once instead of cycling it. /kv/ and /batch share it.
+func routeKey(cl *cluster.Cluster, key string, hopped bool) string {
+	if cl == nil {
+		return ""
+	}
 	owner, local, ok := cl.Owner(key)
-	if r.Header.Get(cluster.HopHeader) != "" {
+	if hopped {
 		if !local {
 			// The sender thought we own this key; we disagree. Terminate
 			// here anyway — the disagreement is a transient view split and
@@ -67,7 +79,6 @@ func (s *Server) peerOwner(w http.ResponseWriter, r *http.Request, key string) s
 	if !ok || local {
 		return ""
 	}
-	w.Header().Set("X-Cluster-Owner", owner)
 	return owner
 }
 

@@ -98,19 +98,14 @@ type Server struct {
 	cache   *kvcache.Cache
 	ln      net.Listener
 	httpSrv *http.Server
-	adapter *kvcache.Adapter
 	gate    *servefault.Gate
 
-	snapCancel context.CancelFunc
-	snapDone   chan struct{}
-	lastStats  kvcache.Stats
+	stops     []func() // the periodic jobs' stop functions, in Shutdown order
+	lastStats kvcache.Stats
 
-	// Crash-safe state snapshots: the coalescing saver plus its ticker.
-	stateSaver  *resilience.Saver
-	stateCancel context.CancelFunc
-	stateDone   chan struct{}
-	mSnaps      *telemetry.Counter
-	mSnapErrs   *telemetry.Counter
+	// Crash-safe state snapshots (Start owns the coalescing saver and its ticker).
+	mSnaps    *telemetry.Counter
+	mSnapErrs *telemetry.Counter
 
 	// Middleware state: the instrumented routes (for /stats latency
 	// summaries) and the request-id generator.
@@ -246,30 +241,32 @@ func (s *Server) Start(ctx context.Context) error {
 			}
 		}
 	}()
+	adStop := func() {}
 	if s.cfg.AdaptEvery > 0 {
+		// Validated before any job starts: the error return leaves none running.
 		ad, err := kvcache.NewAdapter(s.cache, s.cfg.AdaptEvery)
 		if err != nil {
 			ln.Close()
 			return err
 		}
-		s.adapter = ad
 		ad.Start(ctx)
+		adStop = ad.Stop
 	}
 	if s.cfg.SnapshotEvery > 0 {
-		snapCtx, cancel := context.WithCancel(ctx)
-		s.snapCancel = cancel
-		s.snapDone = make(chan struct{})
-		go s.snapshotLoop(snapCtx)
+		// One SnapshotRecord per period: the serving-layer time series (hit
+		// rate, PD, occupancy) that mirrors the simulator's interval snapshots.
+		s.stops = append(s.stops, resilience.Every(ctx, s.cfg.SnapshotEvery, func(context.Context) { s.emitSnapshot() }))
 	}
 	if s.cfg.StatePath != "" {
-		s.stateSaver = resilience.NewSaver(s.saveState, func(err error) {
+		saver := resilience.NewSaver(s.saveState, func(err error) {
 			s.serveError("", "", err)
 		})
-		stateCtx, cancel := context.WithCancel(ctx)
-		s.stateCancel = cancel
-		s.stateDone = make(chan struct{})
-		go s.stateLoop(stateCtx)
+		// One request per period; the coalescing Saver serializes the writes
+		// and its Close persists the final snapshot.
+		s.stops = append(s.stops,
+			resilience.Every(ctx, s.cfg.StateEvery, func(context.Context) { saver.Request() }), saver.Close)
 	}
+	s.stops = append(s.stops, adStop) // started first, stopped last
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Start(ctx)
 	}
@@ -286,22 +283,6 @@ func (s *Server) saveState() error {
 	}
 	s.mSnaps.Inc()
 	return nil
-}
-
-// stateLoop requests one state snapshot per period; the coalescing Saver
-// serializes the writes.
-func (s *Server) stateLoop(ctx context.Context) {
-	defer close(s.stateDone)
-	t := time.NewTicker(s.cfg.StateEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.stateSaver.Request()
-		}
-	}
 }
 
 // Addr returns the bound listen address (valid after Start).
@@ -323,42 +304,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Stop()
 	}
-	if s.snapCancel != nil {
-		s.snapCancel()
-		<-s.snapDone
-		s.snapCancel = nil
+	for _, stop := range s.stops {
+		stop()
 	}
-	if s.stateCancel != nil {
-		s.stateCancel()
-		<-s.stateDone
-		s.stateCancel = nil
-		s.stateSaver.Close()
-	}
-	if s.adapter != nil {
-		s.adapter.Stop()
-	}
+	s.stops = nil // Saver.Close is not idempotent
 	err := s.httpSrv.Shutdown(ctx)
 	if ferr := s.cfg.Journal.Flush(); err == nil {
 		err = ferr
 	}
 	return err
-}
-
-// snapshotLoop journals one SnapshotRecord per period: the serving-layer
-// time series (hit rate, PD, occupancy) that mirrors the simulator's
-// interval snapshots.
-func (s *Server) snapshotLoop(ctx context.Context) {
-	defer close(s.snapDone)
-	t := time.NewTicker(s.cfg.SnapshotEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.emitSnapshot()
-		}
-	}
 }
 
 func (s *Server) emitSnapshot() {

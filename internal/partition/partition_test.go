@@ -1,9 +1,11 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"pdp/internal/cache"
+	"pdp/internal/core"
 	"pdp/internal/trace"
 )
 
@@ -282,7 +284,7 @@ type evictGuard struct {
 }
 
 func (g *evictGuard) Event(ev cache.Event) {
-	if ev.Kind == cache.EvEvict && g.p.rpd[ev.Set*g.p.cfg.Ways+ev.Way] > 0 {
+	if ev.Kind == cache.EvEvict && g.p.prot.Protected(ev.Set, ev.Way) {
 		g.t.Fatalf("protected line evicted (set %d way %d)", ev.Set, ev.Way)
 	}
 }
@@ -314,5 +316,80 @@ func TestPDPPartShrinksStreamingThread(t *testing.T) {
 	}
 	if c.Stats.HitRate() < 0.3 {
 		t.Fatalf("hit rate %.3f: reuser's working set should be retained", c.Stats.HitRate())
+	}
+}
+
+// goldenStream is the seeded 200k-access stream of the decision-stream
+// test: two loops of different lengths, a never-reused stream and uniform
+// noise, each with its own PC, split over two threads.
+func goldenStream() []trace.Access {
+	const sets = 16
+	loopA := trace.NewLoopGen("a", 3*sets, 1, 1)
+	loopB := trace.NewLoopGen("b", 10*sets, 2, 2)
+	stream := trace.NewStreamGen("s", 3)
+	rng := trace.NewRNG(20)
+	out := make([]trace.Access, 200000)
+	for i := range out {
+		var a trace.Access
+		switch u := rng.Float64(); {
+		case u < 0.35:
+			a = loopA.Next()
+			a.PC, a.Thread = 0x3333, 0
+		case u < 0.70:
+			a = loopB.Next()
+			a.PC, a.Thread = 0x1234, 1
+		case u < 0.85:
+			a = stream.Next()
+			a.PC, a.Thread = 0x4000, 1
+		default:
+			a = trace.Access{Addr: 4<<40 | uint64(rng.Intn(4096))*64, PC: 0x5000, Thread: 0}
+		}
+		out[i] = a
+	}
+	return out
+}
+
+// TestPDPVariantsGoldenDecisions pins the exact decision streams of the two
+// PDP variants that live outside core.PDP. The numbers were recorded at the
+// commit before both moved onto core.Protection; a wrong S_d step, RPD
+// clamp or victim scan order changes them.
+func TestPDPVariantsGoldenDecisions(t *testing.T) {
+	const sets, ways = 16, 4
+	type pdser interface {
+		cache.Policy
+		PDs() []int
+	}
+	cases := []struct {
+		name                              string
+		policy                            pdser
+		hits, misses, bypasses, evictions uint64
+		pds                               []int
+	}{
+		{name: "classpdp/sd=1",
+			policy: core.NewClassPDP(core.ClassConfig{Sets: sets, Ways: ways, Classes: 4, RecomputeEvery: 5000}),
+			hits:   43227, misses: 156773, bypasses: 150124, evictions: 6585, pds: []int{44, 12, 4, 36}},
+		{name: "classpdp/sd=8",
+			policy: core.NewClassPDP(core.ClassConfig{Sets: sets, Ways: ways, Classes: 4, NC: 5, RecomputeEvery: 5000}),
+			hits:   37197, misses: 162803, bypasses: 155957, evictions: 6782, pds: []int{44, 12, 4, 36}},
+		{name: "pdppart/sd=1",
+			policy: NewPDPPart(PDPPartConfig{Sets: sets, Ways: ways, Threads: 2, SC: 4, RecomputeEvery: 5000}),
+			hits:   66531, misses: 133469, bypasses: 80004, evictions: 53401, pds: []int{12, 1}},
+		{name: "pdppart/sd=8",
+			policy: NewPDPPart(PDPPartConfig{Sets: sets, Ways: ways, Threads: 2, SC: 4, NC: 5, RecomputeEvery: 5000}),
+			hits:   58913, misses: 141087, bypasses: 109979, evictions: 31044, pds: []int{12, 1}},
+	}
+	stream := goldenStream()
+	for _, tc := range cases {
+		c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64, AllowBypass: true}, tc.policy)
+		for _, a := range stream {
+			c.Access(a)
+		}
+		s, pds := c.Stats, tc.policy.PDs()
+		if s.Hits != tc.hits || s.Misses != tc.misses || s.Bypasses != tc.bypasses ||
+			s.Evictions != tc.evictions || !slices.Equal(pds, tc.pds) {
+			t.Errorf("%s: hits %d misses %d bypasses %d evictions %d pds %v, want %d %d %d %d %v", tc.name,
+				s.Hits, s.Misses, s.Bypasses, s.Evictions, pds,
+				tc.hits, tc.misses, tc.bypasses, tc.evictions, tc.pds)
+		}
 	}
 }

@@ -51,14 +51,10 @@ func (c *PDPPartConfig) setDefaults() {
 // grows it. Replacement is the bypass PDP rule: victimize any unprotected
 // line, else bypass.
 type PDPPart struct {
-	cfg    PDPPartConfig
-	sd     int
-	rpdMax uint16
-
+	cfg   PDPPartConfig
+	prot  *core.Protection
 	pds   []int
-	rpd   []uint16
 	owner []int16
-	sdCnt []uint32
 	smp   *sampler.MultiRDSampler
 	accs  uint64
 
@@ -74,18 +70,11 @@ func NewPDPPart(cfg PDPPartConfig) *PDPPart {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.Threads <= 0 {
 		panic("partition: invalid PDPPart geometry")
 	}
-	sd := cfg.DMax >> uint(cfg.NC)
-	if sd < 1 {
-		sd = 1
-	}
 	p := &PDPPart{
-		cfg:    cfg,
-		sd:     sd,
-		rpdMax: uint16(1<<uint(cfg.NC)) - 1,
-		pds:    make([]int, cfg.Threads),
-		rpd:    make([]uint16, cfg.Sets*cfg.Ways),
-		owner:  make([]int16, cfg.Sets*cfg.Ways),
-		sdCnt:  make([]uint32, cfg.Sets),
+		cfg:   cfg,
+		prot:  core.NewProtection(cfg.Sets, cfg.Ways, cfg.DMax, cfg.NC),
+		pds:   make([]int, cfg.Threads),
+		owner: make([]int16, cfg.Sets*cfg.Ways),
 	}
 	scfg := sampler.RealConfig(cfg.Sets, cfg.SC)
 	scfg.DMax = cfg.DMax
@@ -117,65 +106,37 @@ func (p *PDPPart) thread(acc trace.Access) int {
 	return acc.Thread
 }
 
-func (p *PDPPart) steps(pd int) uint16 {
-	s := (pd + p.sd - 1) / p.sd
-	if s < 1 {
-		s = 1
-	}
-	if s > int(p.rpdMax) {
-		s = int(p.rpdMax)
-	}
-	return uint16(s)
-}
-
 // Hit implements cache.Policy: promote with the owning thread's PD.
 func (p *PDPPart) Hit(set, way int, acc trace.Access) {
-	i := set*p.cfg.Ways + way
-	t := p.owner[i]
+	t := p.owner[set*p.cfg.Ways+way]
 	if t < 0 {
 		t = int16(p.thread(acc))
 	}
-	p.rpd[i] = p.steps(p.pds[t])
+	p.prot.Promote(set, way, p.pds[t])
 }
 
 // Victim implements cache.Policy: any unprotected line, else bypass.
 func (p *PDPPart) Victim(set int, _ trace.Access) (int, bool) {
-	base := set * p.cfg.Ways
-	for w := 0; w < p.cfg.Ways; w++ {
-		if p.rpd[base+w] == 0 {
-			return w, false
-		}
-	}
-	return 0, true
+	way, ok := p.prot.Unprotected(set)
+	return way, !ok
 }
 
 // Insert implements cache.Policy.
 func (p *PDPPart) Insert(set, way int, acc trace.Access) {
-	i := set*p.cfg.Ways + way
 	t := p.thread(acc)
-	p.owner[i] = int16(t)
-	p.rpd[i] = p.steps(p.pds[t])
+	p.owner[set*p.cfg.Ways+way] = int16(t)
+	p.prot.Insert(set, way, p.pds[t])
 }
 
 // Evict implements cache.Policy.
 func (p *PDPPart) Evict(set, way int) {
-	i := set*p.cfg.Ways + way
-	p.rpd[i] = 0
-	p.owner[i] = -1
+	p.prot.Clear(set, way)
+	p.owner[set*p.cfg.Ways+way] = -1
 }
 
 // PostAccess implements cache.Policy.
 func (p *PDPPart) PostAccess(set int, acc trace.Access) {
-	p.sdCnt[set]++
-	if p.sdCnt[set] >= uint32(p.sd) {
-		p.sdCnt[set] = 0
-		base := set * p.cfg.Ways
-		for w := 0; w < p.cfg.Ways; w++ {
-			if p.rpd[base+w] > 0 {
-				p.rpd[base+w]--
-			}
-		}
-	}
+	p.prot.Tick(set)
 	p.smp.Access(set, p.thread(acc), acc.Addr)
 	p.accs++
 	if p.accs%p.cfg.RecomputeEvery == 0 {
