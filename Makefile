@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache and Protection seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, Protection and one-path seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -21,9 +21,16 @@ race:
 # must not reach the PDP machinery except through the policy interface.
 # The Protection rule (DESIGN.md §6): core/protection.go is the only
 # non-test Go that declares an RPD array or an S_d counter.
+# The one-path rule (DESIGN.md §8): a per-op request is a batch of one, so
+# kvserver reaches the cache's data ops through one ExecBatch call, cluster
+# never names the /kv/ route, and loadgen books a hit in one place.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -rnE 'rpd +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
+	@! grep -nE 's\.cache\.(Get|GetAppend|Put|Delete)\(' $$(ls internal/kvserver/*.go | grep -v _test.go)
+	@test "$$(cat $$(ls internal/kvserver/*.go | grep -v _test.go) | grep -c 's\.cache\.ExecBatch(')" = 1
+	@! grep -n '"/kv/' $$(ls internal/cluster/*.go | grep -v _test.go)
+	@test "$$(cat $$(ls internal/loadgen/*.go | grep -v _test.go) | grep -c 'w\.hits++')" = 1
 
 # Non-test line count of the six serving packages (ROADMAP's size table).
 loc:
@@ -99,8 +106,8 @@ chaos:
 	./scripts/chaos_smoke.sh
 
 # Clustered serving: boot a local 3-node consistent-hash tier on
-# :7231-:7233 (kill with ctrl-C; each node proxies non-owned keys to
-# their owner and probes its peers for ring ejection/rejoin).
+# :7231-:7233 (kill with ctrl-C; each node forwards ops on non-owned keys
+# to their owner and probes its peers for ring ejection/rejoin).
 cluster:
 	$(GO) build -o /tmp/pdp-cluster-cached ./cmd/pdpcached
 	/tmp/pdp-cluster-cached -addr 127.0.0.1:7231 -node-id http://127.0.0.1:7231 \

@@ -39,11 +39,11 @@
 //
 // Clustering: -cluster with -peers (every member's base URL) and
 // -node-id (this node's URL as listed) turns N processes into one
-// consistent-hash tier. Keys are owned by exactly one node; GETs for
-// non-owned keys are proxied to the owner through a singleflight fill
-// table (N concurrent misses cost one fetch), mutations are forwarded
-// directly, and a health-probe loop ejects dead peers from the ring
-// (-eject-after failed rounds) and rejoins them on recovery
+// consistent-hash tier. Keys are owned by exactly one node; an op on a
+// non-owned key is forwarded to its owner's POST /batch (a /kv/ request as
+// a batch of one, GETs through a singleflight fill table: N concurrent
+// misses cost one fetch), and a health-probe loop ejects dead peers from
+// the ring (-eject-after failed rounds) and rejoins them on recovery
 // (-rejoin-after successes). GET /cluster/ring shows membership,
 // aliveness and — with ?key=K — the owner K resolves to.
 //

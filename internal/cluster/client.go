@@ -20,6 +20,13 @@ import (
 // of proxying it in a cycle.
 const HopHeader = "X-Cluster-Hop"
 
+type ctxKey int
+
+// RequestIDKey is the context key under which the serving middleware keeps
+// a request's X-Request-Id. It lives here so the peer hop can carry the id
+// to the owner: one client request reads as one id on every node it touches.
+const RequestIDKey ctxKey = 0
+
 // ErrPeerDown reports a peer whose breaker is open: recent requests to
 // it failed, so callers should fall back (serve locally) instead of
 // paying another connect timeout.
@@ -85,19 +92,16 @@ func (b *breaker) isOpen() bool {
 type PeerResponse struct {
 	// Status is the peer's HTTP status code.
 	Status int
-	// XCache is the peer's X-Cache header (hit | miss | deny).
-	XCache string
-	// Body is the full response body (the value on 200).
+	// Body is the full response body (batchwire rows on 200).
 	Body []byte
 }
 
 // Peer is the client side of one cluster member: a pooled HTTP client,
 // the per-peer breaker, and per-peer labeled telemetry.
 type Peer struct {
-	id   string // node id == base URL, e.g. "http://127.0.0.1:8081"
-	hc   *http.Client
-	br   *breaker
-	maxB int64
+	id string // node id == base URL, e.g. "http://127.0.0.1:8081"
+	hc *http.Client
+	br *breaker
 
 	mReqs *telemetry.Counter
 	mErrs *telemetry.Counter
@@ -108,13 +112,12 @@ type Peer struct {
 // newPeer builds the client for one member. The http.Client shares the
 // cluster's pooled transport; timeout is the per-exchange cap (the
 // request ctx may shorten it further).
-func newPeer(id string, tr *http.Transport, timeout time.Duration, maxBody int64, reg *telemetry.Registry) *Peer {
+func newPeer(id string, tr *http.Transport, timeout time.Duration, reg *telemetry.Registry) *Peer {
 	lbl := telemetry.Label("peer", id)
 	return &Peer{
-		id:   id,
-		hc:   &http.Client{Transport: tr, Timeout: timeout},
-		br:   &breaker{limit: 3, cooldown: 500 * time.Millisecond},
-		maxB: maxBody,
+		id: id,
+		hc: &http.Client{Transport: tr, Timeout: timeout},
+		br: &breaker{limit: 3, cooldown: 500 * time.Millisecond},
 
 		mReqs: reg.Counter("cluster.peer_requests{" + lbl + "}"),
 		mErrs: reg.Counter("cluster.peer_errors{" + lbl + "}"),
@@ -123,35 +126,30 @@ func newPeer(id string, tr *http.Transport, timeout time.Duration, maxBody int64
 	}
 }
 
-// ID returns the peer's node id.
-func (p *Peer) ID() string { return p.id }
-
 // BreakerOpen reports the breaker state (tests and /stats).
 func (p *Peer) BreakerOpen() bool { return p.br.isOpen() }
 
-// exchange issues one request against the peer and buffers the answer:
-// the breaker gate, the hop header (the peer serves what it receives
-// locally, so forwarding is capped at one hop on /kv/ and /batch alike),
-// the timed Do, and a read bounded by maxResp. Transport failures,
-// oversized answers and 5xx count against the breaker; orderly answers
-// (2xx/404, and 503 sheds — the peer is alive, just busy) reset it.
-func (p *Peer) exchange(ctx context.Context, method, path, contentType string, body []byte, maxResp int64) (*PeerResponse, error) {
+// exchange posts one batchwire sub-batch to the peer's /batch route — the
+// only thing one node ever sends another — and buffers the answer: the
+// breaker gate, the hop header (the peer serves what it receives locally,
+// so forwarding is capped at one hop), the caller's request id, the timed
+// Do, and a read bounded by maxResp. Transport failures, oversized answers
+// and 5xx count against the breaker; orderly answers (2xx/4xx, and 503
+// sheds — the peer is alive, just busy) reset it.
+func (p *Peer) exchange(ctx context.Context, body []byte, maxResp int64) (*PeerResponse, error) {
 	if !p.br.allow() {
 		p.gOpen.Set(1)
 		return nil, ErrPeerDown
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, p.id+path, rd)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.id+"/batch", bytes.NewReader(body))
 	if err != nil {
 		p.br.failure()
 		return nil, err
 	}
 	req.Header.Set(HopHeader, "1")
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
+	if id, _ := ctx.Value(RequestIDKey).(string); id != "" {
+		req.Header.Set("X-Request-Id", id)
 	}
 	p.mReqs.Inc()
 	t0 := time.Now()
@@ -175,7 +173,7 @@ func (p *Peer) exchange(ctx context.Context, method, path, contentType string, b
 	}
 	if int64(len(buf)) > maxResp {
 		p.fail()
-		return nil, fmt.Errorf("cluster: peer %s %s response exceeds %d bytes", p.id, path, maxResp)
+		return nil, fmt.Errorf("cluster: peer %s response exceeds %d bytes", p.id, maxResp)
 	}
 	if resp.StatusCode >= 500 && resp.StatusCode != http.StatusServiceUnavailable {
 		// A 5xx (other than an orderly shed) is the peer misbehaving.
@@ -184,11 +182,7 @@ func (p *Peer) exchange(ctx context.Context, method, path, contentType string, b
 		p.br.success()
 		p.gOpen.Set(0)
 	}
-	return &PeerResponse{
-		Status: resp.StatusCode,
-		XCache: resp.Header.Get("X-Cache"),
-		Body:   buf,
-	}, nil
+	return &PeerResponse{Status: resp.StatusCode, Body: buf}, nil
 }
 
 // fail books one failed exchange; it may just have opened the breaker.
@@ -196,11 +190,6 @@ func (p *Peer) fail() {
 	p.mErrs.Inc()
 	p.br.failure()
 	p.gOpen.Set(boolGauge(p.br.isOpen()))
-}
-
-// do is exchange against the peer's /kv/ route under the value-size cap.
-func (p *Peer) do(ctx context.Context, method, key string, body []byte) (*PeerResponse, error) {
-	return p.exchange(ctx, method, "/kv/"+key, "", body, p.maxB)
 }
 
 func boolGauge(b bool) float64 {

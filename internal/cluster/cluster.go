@@ -8,6 +8,8 @@ import (
 	"sync"
 	"time"
 
+	"pdp/internal/batchwire"
+	"pdp/internal/kvcache"
 	"pdp/internal/resilience"
 	"pdp/internal/telemetry"
 )
@@ -35,9 +37,10 @@ type Config struct {
 	// many consecutive successes (default 2).
 	EjectAfter, RejoinAfter int
 
-	// FetchTimeout bounds one proxied exchange to a peer (default 2s).
+	// FetchTimeout bounds one forwarded exchange to a peer (default 2s).
 	FetchTimeout time.Duration
-	// MaxValueBytes caps a peer response body (default 1 MiB + headroom).
+	// MaxValueBytes caps the value a FetchGet answer may carry (default
+	// 1 MiB + headroom).
 	MaxValueBytes int64
 
 	// Registry and Journal receive cluster telemetry (both optional):
@@ -168,7 +171,7 @@ func New(cfg Config) (*Cluster, error) {
 		if m == cfg.Self {
 			continue
 		}
-		c.peers[m] = newPeer(m, tr, cfg.FetchTimeout, cfg.MaxValueBytes, reg)
+		c.peers[m] = newPeer(m, tr, cfg.FetchTimeout, reg)
 		up := reg.Gauge("cluster.peer_up{" + telemetry.Label("peer", m) + "}")
 		up.Set(1)
 		c.peerUp[m] = up
@@ -183,9 +186,6 @@ func (c *Cluster) Self() string { return c.cfg.Self }
 // Ring returns the node's ring (shared, concurrency-safe).
 func (c *Cluster) Ring() *Ring { return c.ring }
 
-// Peer returns the client for a remote member (nil for Self/unknowns).
-func (c *Cluster) Peer(id string) *Peer { return c.peers[id] }
-
 // Owner resolves key's owner. local reports owner == Self; ok is false
 // only when every member (including Self) is marked dead, which the
 // probe loop never does to Self.
@@ -194,11 +194,12 @@ func (c *Cluster) Owner(key string) (owner string, local, ok bool) {
 	return owner, ok && owner == c.cfg.Self, ok
 }
 
-// --- proxying ----------------------------------------------------------
+// --- forwarding --------------------------------------------------------
 
-// FetchGet performs the singleflighted proxy GET for key against its
-// owner: N concurrent callers for one (owner, key) pair cost exactly one
-// peer exchange. The returned response is shared — read-only.
+// FetchGet forwards a /kv/ GET for key to its owner as a one-op sub-batch,
+// through the singleflight fill table: N concurrent callers for one
+// (owner, key) pair cost exactly one peer exchange. The returned response
+// is the owner's /batch answer (one row on 200) and is shared — read-only.
 func (c *Cluster) FetchGet(ctx context.Context, owner, key string) (*PeerResponse, error) {
 	p := c.peers[owner]
 	if p == nil {
@@ -212,7 +213,9 @@ func (c *Cluster) FetchGet(ctx context.Context, owner, key string) (*PeerRespons
 		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.FetchTimeout)
 		defer cancel()
 		c.mFills.Inc()
-		return p.do(fctx, http.MethodGet, key, nil)
+		body := batchwire.AppendOps(nil, []kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: key}})
+		// Base64 inflates the value by 4/3; the rest of the row is small.
+		return p.exchange(fctx, body, c.cfg.MaxValueBytes*4/3+512)
 	})
 	if shared {
 		c.mCoal.Inc()
@@ -220,28 +223,18 @@ func (c *Cluster) FetchGet(ctx context.Context, owner, key string) (*PeerRespons
 	return resp, err
 }
 
-// Forward proxies one mutating exchange (PUT/DELETE) to the owner.
-// Mutations are never coalesced.
-func (c *Cluster) Forward(ctx context.Context, owner, method, key string, body []byte) (*PeerResponse, error) {
-	p := c.peers[owner]
-	if p == nil {
-		return nil, fmt.Errorf("cluster: no client for %q", owner)
-	}
-	c.mProxied.Inc()
-	return p.do(ctx, method, key, body)
-}
-
 // ForwardBatch posts a JSON-encoded sub-batch to owner's /batch route —
-// one leg of the owner-split scatter-gather. maxResp bounds the response
-// body; the caller scales it by the sub-batch size. Batches are never
-// coalesced (they carry mutations).
+// one leg of the owner-split scatter-gather, or a forwarded /kv/ mutation
+// as a sub-batch of one. maxResp bounds the response body; the caller
+// scales it by the sub-batch size. Batches are never coalesced (they
+// carry mutations).
 func (c *Cluster) ForwardBatch(ctx context.Context, owner string, body []byte, maxResp int64) (*PeerResponse, error) {
 	p := c.peers[owner]
 	if p == nil {
 		return nil, fmt.Errorf("cluster: no client for %q", owner)
 	}
 	c.mFanout.Inc()
-	return p.exchange(ctx, http.MethodPost, "/batch", "application/json", body, maxResp)
+	return p.exchange(ctx, body, maxResp)
 }
 
 // FallbackLocal books one proxy failure answered from the local cache.
@@ -368,8 +361,10 @@ type View struct {
 	// one).
 	Owner string `json:"owner,omitempty"`
 	// Proxied/Coalesced/FallbackLocal/HopTerminated are this node's
-	// routing counters; BatchFanout counts per-peer sub-batches issued by
-	// the owner-split scatter-gather.
+	// routing counters: Proxied counts /kv/ GETs forwarded through
+	// FetchGet, Coalesced those that rode another's fetch. BatchFanout
+	// counts the sub-batches ForwardBatch sent: the legs of the owner-split
+	// scatter-gather, and each forwarded /kv/ mutation (a sub-batch of one).
 	Proxied       uint64 `json:"proxied"`
 	BatchFanout   uint64 `json:"batch_fanout"`
 	Coalesced     uint64 `json:"singleflight_coalesced"`

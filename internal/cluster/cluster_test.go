@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pdp/internal/batchwire"
 	"pdp/internal/telemetry"
 )
 
@@ -108,19 +109,20 @@ func TestPeerBreaker(t *testing.T) {
 
 	tr := &http.Transport{}
 	defer tr.CloseIdleConnections()
-	p := newPeer(srv.URL, tr, time.Second, 1<<20, telemetry.NewRegistry())
+	p := newPeer(srv.URL, tr, time.Second, telemetry.NewRegistry())
 	p.br.cooldown = 50 * time.Millisecond
 
 	ctx := context.Background()
+	body := []byte(`[{"op":"get","key":"k"}]`)
 	for i := 0; i < 3; i++ {
-		if _, err := p.do(ctx, http.MethodGet, "k", nil); err == nil {
+		if _, err := p.exchange(ctx, body, 1<<20); err == nil {
 			t.Fatal("dropped connection reported success")
 		}
 	}
 	if !p.BreakerOpen() {
 		t.Fatal("breaker still closed after 3 consecutive failures")
 	}
-	if _, err := p.do(ctx, http.MethodGet, "k", nil); err != ErrPeerDown {
+	if _, err := p.exchange(ctx, body, 1<<20); err != ErrPeerDown {
 		t.Fatalf("open breaker let a request through: %v", err)
 	}
 
@@ -128,7 +130,7 @@ func TestPeerBreaker(t *testing.T) {
 	// again it closes the breaker.
 	failing.Store(false)
 	time.Sleep(60 * time.Millisecond)
-	if _, err := p.do(ctx, http.MethodGet, "k", nil); err != nil {
+	if _, err := p.exchange(ctx, body, 1<<20); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	if p.BreakerOpen() {
@@ -137,7 +139,8 @@ func TestPeerBreaker(t *testing.T) {
 }
 
 // fakePeer is a controllable cluster member: a real HTTP server whose
-// /healthz can be flipped and whose /kv/ GETs are counted.
+// /healthz can be flipped and whose /batch exchanges are counted; each
+// answers one hit row carrying value.
 type fakePeer struct {
 	srv     *httptest.Server
 	healthy atomic.Bool
@@ -158,13 +161,12 @@ func newFakePeer(t *testing.T, delay time.Duration) *fakePeer {
 				return
 			}
 			w.Write([]byte("ok\n"))
-		case r.Method == http.MethodGet:
+		case r.URL.Path == "/batch" && r.Method == http.MethodPost:
 			f.gets.Add(1)
 			time.Sleep(f.delay)
-			w.Header().Set("X-Cache", "hit")
-			w.Write(f.value)
+			w.Write(batchwire.AppendRows(nil, []batchwire.Row{{Status: "hit", Value: f.value}}))
 		default:
-			w.WriteHeader(http.StatusNoContent)
+			http.NotFound(w, r)
 		}
 	}))
 	t.Cleanup(f.srv.Close)
@@ -211,8 +213,10 @@ func TestFetchGetSingleflight(t *testing.T) {
 				errs <- err
 				return
 			}
-			if resp.Status != http.StatusOK || string(resp.Body) != "peer-value" {
-				errs <- fmt.Errorf("bad response %d %q", resp.Status, resp.Body)
+			rows, _, perr := batchwire.ParseRows(resp.Body, nil, nil)
+			if resp.Status != http.StatusOK || perr != nil || len(rows) != 1 ||
+				rows[0].Status != "hit" || string(rows[0].Value) != "peer-value" {
+				errs <- fmt.Errorf("bad response %d %q (%v)", resp.Status, resp.Body, perr)
 			}
 		}()
 	}

@@ -2,8 +2,9 @@
 // tier: a deterministic consistent-hash ring (virtual nodes, seeded
 // placement) maps every key to exactly one owner node, a
 // connection-pooled peer client with per-peer breakers forwards
-// non-owned requests, a singleflight table coalesces concurrent fills
-// for one key into a single peer fetch, and a health-probe loop ejects
+// non-owned ops — always as a POST /batch sub-batch, of one op for a
+// per-op request — a singleflight table coalesces concurrent per-op GETs
+// of one key into a single peer fetch, and a health-probe loop ejects
 // dead members from the ring (and rejoins recovered ones) so keys
 // rebalance onto survivors automatically.
 //

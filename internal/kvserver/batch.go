@@ -5,8 +5,9 @@ package kvserver
 // (a shed answers 503 + Retry-After for the whole batch), locally owned ops
 // run through kvcache.ExecBatch, and — with a cluster attached — peer-owned
 // ops are split by ring ownership and fanned out as concurrent per-peer
-// sub-batches through the pooled breaker clients, hop-capped exactly like
-// /kv/ proxying. Partial failure is per op, the rest of the batch proceeds.
+// sub-batches through the pooled breaker clients, capped at one hop.
+// Partial failure is per op, the rest of the batch proceeds. /kv/ (kv.go)
+// runs its one op through the same execBatchLocal/execBatchRemote.
 
 import (
 	"errors"
@@ -114,13 +115,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// into the local group and per-owner groups. A batch that already
 	// hopped once executes entirely locally — the same single-forward cap
 	// as /kv/.
-	cl := s.cfg.Cluster
-	node, hopped := "", false
-	if cl != nil {
-		node = cl.Self()
-		w.Header().Set("X-Cluster-Node", node)
-		hopped = r.Header.Get(cluster.HopHeader) != ""
-	}
+	node, hopped := s.clusterNode(w, r)
 	sc.rows = slices.Grow(sc.rows[:0], n)[:n] // every row is written below, by exactly one leg
 	rows := sc.rows
 	for i := range sc.ops {
@@ -133,7 +128,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		case op.Kind == batchwire.Unknown:
 			rows[i] = batchwire.Row{Status: batchwire.StatusError, Node: node, Error: "unknown op " + string(op.Value)}
 		default:
-			g := sc.group(routeKey(cl, op.Key, hopped))
+			g := sc.group(routeKey(s.cfg.Cluster, op.Key, hopped))
 			g.ops, g.at = append(g.ops, *op), append(g.at, int32(i))
 		}
 	}
@@ -165,7 +160,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // execBatchLocal runs one group through the cache's grouped batch
-// executor and books the outcomes, attributed to node.
+// executor and books the outcomes, attributed to node. It is the only
+// place this package touches the cache's data ops (`make seam`).
 func (s *Server) execBatchLocal(g *opGroup, rows []batchwire.Row, node string) {
 	if len(g.ops) == 0 {
 		return
@@ -178,20 +174,26 @@ func (s *Server) execBatchLocal(g *opGroup, rows []batchwire.Row, node string) {
 	}
 }
 
-// execBatchRemote forwards one owner's sub-batch and maps the peer's
-// answers back to the original rows. A shedding peer (503) books "shed"
-// per op — the client's retry budget decides what to do. Any other
-// failure (breaker open, transport error, bad answer) falls back to local
-// execution, the same availability bridge /kv/ proxying uses while the
-// probe loop catches up with a dead peer. The sub-batch body is not
-// pooled: the transport may still read it after ForwardBatch returns.
+// execBatchRemote forwards one owner's sub-batch. The body is not pooled:
+// the transport may still read it after ForwardBatch returns.
 func (s *Server) execBatchRemote(r *http.Request, g *opGroup, rows []batchwire.Row) {
-	cl := s.cfg.Cluster
 	sub := batchwire.AppendOps(nil, g.ops)
 	// Base64 inflates each value by 4/3; the rest of a result row is
 	// small and bounded.
 	maxResp := int64(len(g.ops))*(s.cfg.MaxValueBytes*4/3+512) + 64
-	if resp, err := cl.ForwardBatch(r.Context(), g.owner, sub, maxResp); err == nil {
+	resp, err := s.cfg.Cluster.ForwardBatch(r.Context(), g.owner, sub, maxResp)
+	s.peerAnswer(g, rows, resp, err)
+}
+
+// peerAnswer maps the owner's answer to a forwarded group back to the
+// original rows — the one rule for a peer hop, whichever route it serves.
+// 200 with one well-formed row per op is those rows. A shedding peer (503)
+// books "shed" per op — the client's retry budget decides what to do.
+// Anything else (breaker open, transport error, timeout, another status, an
+// unparsable or short answer) falls back to local execution, the
+// availability bridge while the probe loop catches up with a dead peer.
+func (s *Server) peerAnswer(g *opGroup, rows []batchwire.Row, resp *cluster.PeerResponse, err error) {
+	if err == nil {
 		switch resp.Status {
 		case http.StatusOK:
 			g.rows, g.arena, err = batchwire.ParseRows(resp.Body, g.rows, g.arena)
@@ -208,6 +210,7 @@ func (s *Server) execBatchRemote(r *http.Request, g *opGroup, rows []batchwire.R
 			return
 		}
 	}
+	cl := s.cfg.Cluster
 	cl.FallbackLocal()
 	s.execBatchLocal(g, rows, cl.Self())
 }

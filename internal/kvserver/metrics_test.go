@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pdp/internal/cluster"
 	"pdp/internal/kvcache"
 	"pdp/internal/loadgen"
 	"pdp/internal/telemetry"
@@ -405,7 +406,7 @@ func TestMiddlewareOverheadBudget(t *testing.T) {
 		id := "r-" + strconv.FormatUint(seq.Add(1), 10)
 		w.Header().Set("X-Request-Id", id)
 		t0 := time.Now()
-		inner(w, r.WithContext(context.WithValue(r.Context(), reqIDKey{}, id)))
+		inner(w, r.WithContext(context.WithValue(r.Context(), cluster.RequestIDKey, id)))
 		spent.Add(uint64(time.Since(t0)))
 	})
 	req, _ := http.NewRequest(http.MethodGet, "http://x/bench", nil)

@@ -8,17 +8,16 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pdp/internal/cluster"
 	"pdp/internal/telemetry"
 )
 
-// reqIDKey carries the request ID through the handler's context so error
-// paths can attribute journal records to the request that hit them.
-type reqIDKey struct{}
-
 // requestID returns the X-Request-Id assigned to r by the middleware (""
-// outside an instrumented handler).
+// outside an instrumented handler). The id rides the handler's context —
+// under cluster's key, so a peer hop forwards it — and error paths
+// attribute journal records to the request that hit them.
 func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(reqIDKey{}).(string)
+	id, _ := r.Context().Value(cluster.RequestIDKey).(string)
 	return id
 }
 
@@ -160,7 +159,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		t := telemetry.StartTimer()
-		h(sw, r.WithContext(context.WithValue(r.Context(), reqIDKey{}, id)))
+		h(sw, r.WithContext(context.WithValue(r.Context(), cluster.RequestIDKey, id)))
 		t.ObserveInto(m.latency)
 		m.counter(r.Method, sw.status).Inc()
 	})

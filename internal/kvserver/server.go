@@ -1,11 +1,12 @@
 // Package kvserver exposes a kvcache.Cache over HTTP/JSON: GET/PUT/DELETE
-// on /kv/{key}, a /stats JSON endpoint (latency quantiles, per-shard
-// attribution, the live RDD), Prometheus text exposition on /metrics, the
+// on /kv/{key} and their batched form POST /batch (one data path: a /kv/
+// request is a batch of one), a /stats JSON endpoint (latency quantiles,
+// per-shard attribution, the live RDD), Prometheus text on /metrics, the
 // policy decision ring on /debug/decisions, /healthz (liveness) and
 // /readyz (readiness: 503 while any shard serves degraded). Every route
 // runs under the instrumentation middleware (per-route/method/status
 // counters, nanosecond latency histograms, X-Request-Id threading); the
-// /kv/ data path additionally runs under overload protection — per-request
+// data path additionally runs under overload protection — per-request
 // deadlines (the client's X-Deadline or a configured default) and a
 // concurrency-limited admission gate that sheds with 503 + Retry-After
 // instead of queueing unboundedly. It is the serving shell of
@@ -20,7 +21,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,9 +76,9 @@ type Config struct {
 	StateEvery time.Duration
 
 	// Cluster enables ownership-aware routing: keys this node owns are
-	// served locally; keys owned by a live peer are proxied (GETs through
-	// the singleflight fill table, mutations directly), with a local
-	// fallback when the peer is unreachable. Nil keeps the server
+	// served locally; ops on keys a live peer owns are forwarded to its
+	// /batch route (/kv/ GETs through the singleflight fill table), with a
+	// local fallback when the peer is unreachable. Nil keeps the server
 	// single-node. The server drives the cluster's probe loop from
 	// Start/Shutdown.
 	Cluster *cluster.Cluster
@@ -371,12 +371,7 @@ func (s *Server) protect(route string, h http.HandlerFunc) http.HandlerFunc {
 		case nil:
 			defer s.gate.Exit()
 		case servefault.ErrShed:
-			secs := int(s.gate.RetryAfter() / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			http.Error(w, "overloaded, retry later", http.StatusServiceUnavailable)
+			s.writeShed(w)
 			return
 		default: // servefault.ErrDeadline
 			http.Error(w, "deadline expired while queued", http.StatusGatewayTimeout)
@@ -392,26 +387,18 @@ func (s *Server) protect(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// kvBufs pools the /kv/ data path's per-request scratch buffer: GET
-// copies the value out of the cache into it (via GetAppend) and PUT reads
-// the request body into it, so the steady-state data path allocates no
-// value-sized buffers at all — each pooled buffer grows to the route's
-// value high-water mark, up to maxPooledBuf, and is reused.
-var kvBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-func putKVBuf(bp *[]byte) {
-	if cap(*bp) <= maxPooledBuf {
-		kvBufs.Put(bp)
-	}
+// writeShed is the one answer to a request a gate refused — this node's,
+// or on /kv/ the gate of the key's owner: 503 with the Retry-After hint.
+func (s *Server) writeShed(w http.ResponseWriter) {
+	secs := max(1, int(s.gate.RetryAfter()/time.Second))
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	http.Error(w, "overloaded, retry later", http.StatusServiceUnavailable)
 }
 
 // appendLimited is io.ReadAll with a caller-owned buffer: it reads r to
 // EOF into buf (reusing its capacity, growing as needed) but never past
-// limit bytes, so an oversized body costs bounded memory and the PUT path
-// can reuse a pooled buffer instead of allocating per request.
+// limit bytes, so an oversized body costs bounded memory and the data
+// routes can reuse a pooled buffer instead of allocating per request.
 func appendLimited(buf []byte, r io.Reader, limit int64) ([]byte, error) {
 	for int64(len(buf)) < limit {
 		if len(buf) == cap(buf) {
@@ -431,44 +418,6 @@ func appendLimited(buf []byte, r io.Reader, limit int64) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// handleKV serves GET/PUT/DELETE on /kv/{key} from the local cache; body
-// is the PUT value routeKV already read and validated.
-func (s *Server) handleKV(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	switch r.Method {
-	case http.MethodGet:
-		bp := kvBufs.Get().(*[]byte)
-		val, ok := s.cache.GetAppend(key, (*bp)[:0])
-		if !ok {
-			putKVBuf(bp)
-			w.Header().Set("X-Cache", "miss")
-			http.Error(w, "not found", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("X-Cache", "hit")
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(val)
-		// net/http has copied val into its own write buffer by now.
-		*bp = val[:0]
-		putKVBuf(bp)
-	case http.MethodPut, http.MethodPost:
-		if !s.cache.Put(key, body) {
-			// Admission denied: the policy judged the key not worth caching
-			// right now. 204 tells the client the write was handled but not
-			// stored — cache-aside clients treat it like a successful set.
-			w.Header().Set("X-Cache", "deny")
-		}
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		if s.cache.Delete(key) {
-			w.WriteHeader(http.StatusNoContent)
-		} else {
-			http.Error(w, "not found", http.StatusNotFound)
-		}
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
 }
 
 // latencyView is one route's latency digest in microseconds (the

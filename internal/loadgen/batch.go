@@ -1,21 +1,19 @@
 package loadgen
 
-// The batched client path: one POST /batch carries Batch consecutive ops
-// from the worker's stream, and each row of the JSON answer books one
-// per-op outcome, so every Result counter keeps its per-operation
-// meaning. A row-level "shed" (the key's owner refused its sub-batch)
-// books a shed for that op alone; a whole-batch 503 or transport failure
-// retries under the same budgets as the unbatched path and, once
-// exhausted, books its outcome once per op carried. GET misses fill
-// cache-aside exactly like the per-op client, just grouped: all of a
-// batch's misses go out together as one follow-up fill batch.
+// The one booking path: a group of consecutive ops from the worker's
+// stream goes out as one request (POST /batch, or the /kv/ request of a
+// group of one), and each row of the answer books one per-op outcome, so
+// every Result counter keeps its per-operation meaning on both protocols.
+// A row-level "shed" (the key's owner refused its sub-batch) books a shed
+// for that op alone; a whole-request 503 or transport failure retries under
+// the exchange budgets and, once exhausted, books its outcome once per op
+// carried. GET misses fill cache-aside, grouped: all of a group's misses go
+// out together as one follow-up fill group.
 
 import (
 	"context"
 	"fmt"
-	"net/http"
 
-	"pdp/internal/batchwire"
 	"pdp/internal/kvcache"
 	"pdp/internal/workload"
 )
@@ -36,8 +34,8 @@ func (w *worker) val(size int) []byte {
 	return w.buf[:size]
 }
 
-// doBatch issues one batch of ops and books per-op outcomes from the
-// response rows, then fills the batch's GET misses cache-aside.
+// doBatch issues one group of ops and books per-op outcomes from the
+// response rows, then fills the group's GET misses cache-aside.
 func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 	wops := make([]kvcache.BatchOp, len(ops))
 	for i, op := range ops {
@@ -46,15 +44,13 @@ func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 			wops[i].Value = w.val(op.Size)
 		}
 	}
-	rep, out := w.exchange(ctx, http.MethodPost, batchPath, batchwire.AppendOps(nil, wops), len(wops))
+	rows, out := w.exchange(ctx, wops)
 	if out != outOK {
-		for range ops {
-			w.book(out)
-		}
+		w.book(out, len(ops))
 		return
 	}
 	var fills []kvcache.BatchOp
-	for i, row := range rep.rows {
+	for i, row := range rows {
 		switch row.Status {
 		case "hit":
 			w.ops++
@@ -79,16 +75,13 @@ func (w *worker) doBatch(ctx context.Context, ops []workload.Op) {
 	if len(fills) == 0 || ctx.Err() != nil {
 		return
 	}
-	// The fill batch mirrors the per-op client's miss-fill PUT: the misses
-	// already counted as ops, so fill rows book only denies and failures.
-	rep, fout := w.exchange(ctx, http.MethodPost, batchPath, batchwire.AppendOps(nil, fills), len(fills))
-	if fout != outOK {
-		for range fills {
-			w.book(fout)
-		}
+	// The misses already counted as ops, so fill rows book only denies and
+	// failures.
+	if rows, out = w.exchange(ctx, fills); out != outOK {
+		w.book(out, len(fills))
 		return
 	}
-	for _, row := range rep.rows {
+	for _, row := range rows {
 		switch row.Status {
 		case "denied":
 			w.denies++

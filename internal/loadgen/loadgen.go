@@ -16,10 +16,12 @@
 //
 // With Batch > 1 the client switches to the batched wire protocol: each
 // worker buffers Batch consecutive ops from its stream and ships them as
-// one POST /batch, then books a per-op outcome from each response row.
-// Latency is recorded amortized — the batch's wall time divided by its
-// size, observed once per op — so quantiles and Throughput() stay
-// per-operation comparable with the unbatched path.
+// one POST /batch. The unbatched protocol is the same loop at group size
+// one, its /kv/ answer normalised to the row a one-op batch would carry,
+// so both protocols book per-op outcomes from rows in one place (batch.go).
+// Latency is recorded amortized — the request's wall time divided by the
+// ops it carried, observed once per op — so quantiles and Throughput()
+// stay per-operation comparable across the two.
 package loadgen
 
 import (
@@ -38,6 +40,7 @@ import (
 	"time"
 
 	"pdp/internal/batchwire"
+	"pdp/internal/kvcache"
 	"pdp/internal/telemetry"
 	"pdp/internal/trace"
 	"pdp/internal/workload"
@@ -315,28 +318,17 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			defer wg.Done()
 			stream := workload.NewServiceStream(cfg.Mix, cfg.Seed+uint64(w))
 			worker := newWorker(client, hist, thists, &cfg, cfg.Seed+uint64(w), w)
-			if cfg.Batch > 1 {
-				batch := make([]workload.Op, 0, cfg.Batch)
-				for i := 0; i < cfg.Ops; i++ {
-					if ctx.Err() != nil {
-						break
-					}
-					batch = append(batch, stream.Next())
-					if len(batch) == cfg.Batch {
-						worker.doBatch(ctx, batch)
-						batch = batch[:0]
-					}
-				}
-				if len(batch) > 0 && ctx.Err() == nil {
+			size := max(cfg.Batch, 1) // the per-op protocol is a group of one
+			batch := make([]workload.Op, 0, size)
+			for i := 0; i < cfg.Ops && ctx.Err() == nil; i++ {
+				batch = append(batch, stream.Next())
+				if len(batch) == size {
 					worker.doBatch(ctx, batch)
+					batch = batch[:0]
 				}
-			} else {
-				for i := 0; i < cfg.Ops; i++ {
-					if ctx.Err() != nil {
-						break
-					}
-					worker.do(ctx, stream.Next())
-				}
+			}
+			if len(batch) > 0 && ctx.Err() == nil {
+				worker.doBatch(ctx, batch)
 			}
 			mu.Lock()
 			res.Ops += worker.ops
@@ -411,7 +403,10 @@ type worker struct {
 	buf     []byte
 	rng     *trace.RNG
 
-	// The last answer's body, and (/batch) its decoded rows and their values.
+	// perOp selects the /kv/ wire protocol (Batch <= 1) over POST /batch.
+	perOp bool
+	// The last answer's body, its rows (decoded from /batch, normalised
+	// from /kv/) and their values.
 	resp  bytes.Buffer
 	rows  []batchwire.Row
 	arena []byte
@@ -435,6 +430,7 @@ func newWorker(client *http.Client, hist *telemetry.Histogram, thists map[string
 		thists:      thists,
 		buf:         make([]byte, 1<<16),
 		rng:         trace.NewRNG(seed ^ 0xA11A11A1),
+		perOp:       cfg.Batch <= 1,
 		maxRetries:  cfg.Retries,
 		rampRetries: cfg.RampRetries,
 		retryBase:   cfg.RetryBase,
@@ -460,107 +456,79 @@ func (w *worker) rotate() {
 	}
 }
 
-// book counts one failed operation's final outcome.
-func (w *worker) book(out outcome) {
+// book counts the final outcome of n operations whose request failed.
+func (w *worker) book(out outcome, n int) {
 	switch out {
 	case outShed:
-		w.sheds++
+		w.sheds += uint64(n)
 	case outTimeout:
-		w.timeouts++
+		w.timeouts += uint64(n)
 	case outTransport:
-		w.transport++
+		w.transport += uint64(n)
 	case outServer:
-		w.server5xx++
+		w.server5xx += uint64(n)
 	}
 }
 
-// do issues one operation cache-aside: a GET that misses is followed by a
-// PUT of the key's deterministic value.
-func (w *worker) do(ctx context.Context, op workload.Op) {
-	path := fmt.Sprintf("/kv/k%016x", op.Key)
-	switch op.Kind {
-	case workload.OpGet:
-		rep, out := w.exchange(ctx, http.MethodGet, path, nil, 1)
-		if out != outOK {
-			w.book(out)
-			return
-		}
-		w.ops++
-		if rep.status == http.StatusOK {
-			w.hits++
-			return
-		}
-		w.misses++
-		if fillOut, denied := w.put(ctx, path, op.Size); fillOut != outOK {
-			w.book(fillOut)
-		} else if denied {
-			w.denies++
-		}
-	case workload.OpPut:
-		out, denied := w.put(ctx, path, op.Size)
-		if out != outOK {
-			w.book(out)
-			return
-		}
-		w.ops++
-		if denied {
-			w.denies++
-		}
-	case workload.OpDelete:
-		if _, out := w.exchange(ctx, http.MethodDelete, path, nil, 1); out != outOK {
-			w.book(out)
-			return
-		}
-		w.ops++
+var kvMethods = [...]string{kvcache.BatchGet: http.MethodGet,
+	kvcache.BatchPut: http.MethodPut, kvcache.BatchDelete: http.MethodDelete}
+
+// kvStatus is the row status a definitive /kv/ answer stands for, "" for
+// one outside the route's vocabulary.
+func kvStatus(method string, code int, xcache string) string {
+	ok := code >= 200 && code < 300
+	switch {
+	case method == http.MethodGet && code == http.StatusOK:
+		return "hit"
+	case method == http.MethodGet && code == http.StatusNotFound:
+		return "miss"
+	case method == http.MethodPut && ok && xcache == "deny":
+		return "denied"
+	case method == http.MethodPut && ok:
+		return "stored"
+	case method == http.MethodDelete && ok:
+		return "deleted"
+	case method == http.MethodDelete && code == http.StatusNotFound:
+		return "not_found"
 	}
+	return ""
 }
 
-// put PUTs a deterministic value of the given size, reporting the
-// outcome and whether admission was denied (204 + X-Cache: deny).
-func (w *worker) put(ctx context.Context, path string, size int) (outcome, bool) {
-	rep, out := w.exchange(ctx, http.MethodPut, path, w.val(size), 1)
-	return out, out == outOK && rep.status == http.StatusNoContent && rep.xcache == "deny"
-}
-
-// batchPath is the one route whose answer carries rows.
-const batchPath = "/batch"
-
-// reply is one definitive answer: the status and X-Cache header of a
-// per-op exchange, plus the decoded rows of a /batch one (exactly one per
-// op carried; they hold until the worker's next exchange).
-type reply struct {
-	status int
-	xcache string
-	rows   []batchwire.Row
-}
-
-// exchange issues one request carrying n operations (1 on /kv/, the batch
-// size on /batch) with the retry loop: sheds and transport failures back
-// off (capped exponential, seeded jitter) and retry up to maxRetries
-// times; timeouts and server errors return immediately.
+// exchange ships ops the way the worker's wire protocol carries them — one
+// POST /batch, or the /kv/ request of the single op a per-op group holds —
+// and returns one row per op either way (they hold until the next
+// exchange). Around the request runs the retry loop: sheds and transport
+// failures back off (capped exponential, seeded jitter) and retry up to
+// maxRetries times; timeouts and server errors return immediately.
 // Connection-refused failures — a node that has not bound its port yet,
 // or just died — retry under the separate, larger rampRetries budget
 // without consuming the regular one, and each retryable failure rotates
 // to the next target so a multi-target run fails over instead of
 // hammering the dead member. Every attempt is attributed to the target it
-// went to. The transport may still read body after Do returned, so callers
-// build it anew for every exchange.
-func (w *worker) exchange(ctx context.Context, method, path string, body []byte, n int) (reply, outcome) {
+// went to. The transport may still read a body after Do returned, so it is
+// built anew for every exchange.
+func (w *worker) exchange(ctx context.Context, ops []kvcache.BatchOp) ([]batchwire.Row, outcome) {
+	method, path, body, n := http.MethodPost, "/batch", []byte(nil), len(ops)
+	if w.perOp {
+		method, path, body = kvMethods[ops[0].Kind], "/kv/"+ops[0].Key, ops[0].Value
+	} else {
+		body = batchwire.AppendOps(nil, ops)
+	}
 	for attempt, ramp := 0, 0; ; {
 		tgt := w.target()
-		rep, out := w.attempt(ctx, tgt, method, path, body, n)
+		rows, out := w.attempt(ctx, tgt, method, path, body, n)
 		if ts := w.tstats[tgt]; ts != nil {
-			ts.attribute(method, rep, out, uint64(n))
+			ts.attribute(rows, out, uint64(n))
 		}
 		if out == outOK {
-			return rep, outOK
+			return rows, outOK
 		}
 		if out == outRefused {
 			w.refused++
 			if ramp >= w.rampRetries || ctx.Err() != nil {
 				// Ramp budget exhausted: the target really is gone, and
 				// from here the refusal is plain unavailability.
-				return reply{}, outTransport
+				return nil, outTransport
 			}
 			ramp++
 			w.rotate()
@@ -569,7 +537,7 @@ func (w *worker) exchange(ctx context.Context, method, path string, body []byte,
 		}
 		retryable := out == outShed || out == outTransport
 		if !retryable || attempt >= w.maxRetries || ctx.Err() != nil {
-			return reply{}, out
+			return nil, out
 		}
 		attempt++
 		w.retries++
@@ -590,46 +558,38 @@ func (w *worker) sleepBackoff(attempt int) {
 }
 
 // attribute books one attempt of n operations against the target it went
-// to: row by row for a /batch answer, by status for a per-op one, and n
-// sheds or errors for an attempt that got no definitive answer.
-func (ts *tstat) attribute(method string, rep reply, out outcome, n uint64) {
+// to: row by row for a definitive answer, n sheds or errors otherwise.
+func (ts *tstat) attribute(rows []batchwire.Row, out outcome, n uint64) {
 	switch {
 	case out == outShed:
 		ts.sheds += n
 	case out != outOK:
 		ts.errors += n
-	case rep.rows == nil:
-		ts.answers++
-		if method == http.MethodGet && rep.status == http.StatusOK {
+	}
+	for _, row := range rows {
+		switch row.Status {
+		case "hit":
+			ts.answers++
 			ts.hits++
-		} else if method == http.MethodGet && rep.status == http.StatusNotFound {
+		case "miss":
+			ts.answers++
 			ts.misses++
-		}
-	default:
-		for _, row := range rep.rows {
-			switch row.Status {
-			case "hit":
-				ts.answers++
-				ts.hits++
-			case "miss":
-				ts.answers++
-				ts.misses++
-			case "shed":
-				ts.sheds++
-			case "too_large", "error":
-				ts.errors++
-			default:
-				ts.answers++
-			}
+		case "shed":
+			ts.sheds++
+		case "too_large", "error":
+			ts.errors++
+		default:
+			ts.answers++
 		}
 	}
 }
 
-// attempt issues a single request against tgt and classifies the answer;
-// a /batch answer must be a 200 whose body decodes to exactly n rows.
+// attempt issues a single request against tgt and classifies the answer.
+// A definitive one yields exactly n rows: a /batch answer must be a 200
+// whose body decodes to them, a /kv/ answer is normalised to one.
 // Latency is observed amortized — wall time divided by n, once per op — so
 // the histogram stays per-operation comparable across both protocols.
-func (w *worker) attempt(ctx context.Context, tgt, method, path string, body []byte, n int) (reply, outcome) {
+func (w *worker) attempt(ctx context.Context, tgt, method, path string, body []byte, n int) ([]batchwire.Row, outcome) {
 	if w.deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, w.deadline)
@@ -641,10 +601,9 @@ func (w *worker) attempt(ctx context.Context, tgt, method, path string, body []b
 	}
 	req, err := http.NewRequestWithContext(ctx, method, tgt+path, rd)
 	if err != nil {
-		return reply{}, outTransport
+		return nil, outTransport
 	}
-	batch := path == batchPath
-	if batch {
+	if !w.perOp {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if w.deadline > 0 {
@@ -655,11 +614,11 @@ func (w *worker) attempt(ctx context.Context, tgt, method, path string, body []b
 	if err != nil {
 		switch {
 		case isTimeout(err):
-			return reply{}, outTimeout
+			return nil, outTimeout
 		case errors.Is(err, syscall.ECONNREFUSED):
-			return reply{}, outRefused
+			return nil, outRefused
 		default:
-			return reply{}, outTransport
+			return nil, outTransport
 		}
 	}
 	w.resp.Reset()
@@ -670,28 +629,32 @@ func (w *worker) attempt(ctx context.Context, tgt, method, path string, body []b
 	if th := w.thists[tgt]; th != nil {
 		th.ObserveN(per, uint64(n))
 	}
-	rep := reply{status: resp.StatusCode, xcache: resp.Header.Get("X-Cache")}
-	switch {
-	case rep.status == http.StatusServiceUnavailable:
-		return reply{}, outShed
-	case rep.status == http.StatusGatewayTimeout:
-		return reply{}, outTimeout
-	case rep.status >= 500:
-		return reply{}, outServer
-	case !batch:
-		return rep, outOK
-	case rep.status != http.StatusOK:
-		// A 4xx the client should never have provoked is the exchange
-		// misbehaving.
-		return reply{}, outServer
+	switch code := resp.StatusCode; {
+	case code == http.StatusServiceUnavailable:
+		return nil, outShed
+	case code == http.StatusGatewayTimeout:
+		return nil, outTimeout
+	case code >= 500:
+		return nil, outServer
+	case w.perOp:
+		// A status outside the op's vocabulary, like the non-200 of a batch
+		// below, is a 4xx the client should never have provoked: the
+		// exchange misbehaving.
+		status := kvStatus(method, code, resp.Header.Get("X-Cache"))
+		if status == "" {
+			return nil, outServer
+		}
+		w.rows = append(w.rows[:0], batchwire.Row{Status: status})
+		return w.rows, outOK
+	case code != http.StatusOK:
+		return nil, outServer
 	case rerr != nil:
-		return reply{}, outTransport
+		return nil, outTransport
 	}
 	if w.rows, w.arena, err = batchwire.ParseRows(w.resp.Bytes(), w.rows, w.arena); err != nil || len(w.rows) != n {
-		return reply{}, outServer
+		return nil, outServer
 	}
-	rep.rows = w.rows
-	return rep, outOK
+	return w.rows, outOK
 }
 
 // isTimeout reports whether a client-side error is a deadline expiry
