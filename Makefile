@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, Protection and one-path seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, Protection, Model and one-path seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -21,23 +21,32 @@ race:
 # must not reach the PDP machinery except through the policy interface.
 # The Protection rule (DESIGN.md §6): core/protection.go is the only
 # non-test Go that declares an RPD array or an S_d counter.
+# The Model rule (DESIGN.md §6): core/model.go is the only non-test Go that
+# declares Eq. 1's running sums; internal/pdproc, the modelled hardware
+# that computes the same search in its own ISA, is the one exemption.
 # The one-path rule (DESIGN.md §8): a per-op request is a batch of one, so
 # kvserver reaches the cache's data ops through one ExecBatch call, cluster
 # never names the /kv/ route, and loadgen books a hit in one place.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -rnE 'rpd +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
+	@! grep -rn 'sumNd' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -vE '^./internal/(core/model.go|pdproc/)'
 	@! grep -nE 's\.cache\.(Get|GetAppend|Put|Delete)\(' $$(ls internal/kvserver/*.go | grep -v _test.go)
 	@test "$$(cat $$(ls internal/kvserver/*.go | grep -v _test.go) | grep -c 's\.cache\.ExecBatch(')" = 1
 	@! grep -n '"/kv/' $$(ls internal/cluster/*.go | grep -v _test.go)
 	@test "$$(cat $$(ls internal/loadgen/*.go | grep -v _test.go) | grep -c 'w\.hits++')" = 1
 
-# Non-test line count of the six serving packages (ROADMAP's size table).
+# Non-test line counts: the six serving packages (ROADMAP's size table),
+# then the paper's packages, the scaffolding and the commands (ROADMAP
+# item 7).
 loc:
-	@total=0; for p in kvcache kvserver cluster loadgen batchwire servefault; do \
-		n=$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
-		printf '%-11s %5d\n' $$p $$n; total=$$((total + n)); \
-	done; printf '%-11s %5d\n' total $$total
+	@for t in 'internal/kvcache internal/kvserver internal/cluster internal/loadgen internal/batchwire internal/servefault' \
+		"internal/core internal/sampler internal/partition internal/pdproc internal/experiments internal/telemetry internal/resilience internal/faultinject $$(ls -d cmd/*)"; do \
+		total=0; for p in $$t; do \
+			n=$$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l); \
+			printf '%-13s %5d\n' $${p#internal/} $$n; total=$$((total + n)); \
+		done; printf '%-13s %5d\n\n' total $$total; \
+	done
 
 # Microbenchmarks to measure with while working: the telemetry overhead
 # guard (disabled vs attached tap on the PDP-8 hot path) and the batched

@@ -29,8 +29,9 @@
 // Every response carries an X-Request-Id (echoed from the request when the
 // caller set one) that journal records reference on error paths.
 //
-// Robustness: -max-inflight bounds concurrent /kv/ requests (excess load
-// is shed with 503 + Retry-After or waits under the request's X-Deadline),
+// Robustness: -max-inflight bounds concurrent /kv/ and /batch requests
+// (excess load is shed with 503 + Retry-After or waits under the request's
+// X-Deadline),
 // a per-shard breaker degrades PDP to shadow-LRU on recompute panics,
 // stalls or corrupted evidence (re-arming after -rearm-after clean
 // recomputes), -snapshot persists the warm cache state periodically and
@@ -100,9 +101,9 @@ func main() {
 	maxBatchOps := flag.Int("max-batch-ops", 1024, "largest accepted POST /batch operation count")
 	telemetryOut := flag.String("telemetry", "", "write a JSONL telemetry journal to this file")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address")
-	maxInflight := flag.Int("max-inflight", 0, "bound concurrent /kv/ requests; excess is shed with 503 (0 = ungated)")
+	maxInflight := flag.Int("max-inflight", 0, "bound concurrent /kv/ and /batch requests; excess is shed with 503 (0 = ungated)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
-	defaultDeadline := flag.Duration("default-deadline", 0, "deadline applied to /kv/ requests without an X-Deadline header (0 = none)")
+	defaultDeadline := flag.Duration("default-deadline", 0, "deadline applied to /kv/ and /batch requests without an X-Deadline header (0 = none)")
 	rearmAfter := flag.Int("rearm-after", 3, "clean recomputes before a degraded shard re-arms to PDP")
 	recomputeTimeout := flag.Duration("recompute-timeout", 2*time.Second, "PD-recompute stall watchdog; a slower recompute trips every shard to LRU (0 = off)")
 	lockHoldWarn := flag.Duration("lock-hold-warn", 250*time.Millisecond, "journal shard locks held longer than this (0 = off)")

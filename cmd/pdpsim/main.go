@@ -135,7 +135,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	spec := specs[0]
 	faults, err := faultinject.Parse(*inject)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -185,23 +184,16 @@ func main() {
 	// seeded fault injection, and periodic offset checkpointing so -resume
 	// can restart a long window where it stopped (generators are
 	// deterministic, so the skipped prefix is replayed, not re-measured).
+	// One policy or several, this is the only run path: every policy runs
+	// over the same benchmark window, seeded identically, across -jobs
+	// workers, so the output does not depend on the jobs count.
 	ctx, cancel := resilience.WithShutdown(context.Background())
 	defer cancel()
 
-	if len(specs) > 1 {
-		runBatch(ctx, b, specs, batchOptions{
-			n: *n, seed: *seed, jobs: *jobs, statsFmt: *statsFmt,
-			checkpoint: *checkpoint, resume: *resume, checkpointEvery: *checkpointEvery,
-			timeout: *timeout, memProfile: *memProfile,
-			faults: faults, reg: reg, journal: journal,
-			snapshotEvery: *snapshotEvery, journalSample: *journalSample,
-		})
-		return
-	}
-
-	key := resilience.RunKey(b.Name+"/"+spec.Name, *n, *seed)
 	var ck *resilience.Checkpoint
-	var start uint64
+	// Saves from concurrent runs are serialized through a resilience.Saver;
+	// without -checkpoint both are no-ops.
+	saveCk, closeCk := func() {}, func() {}
 	if *checkpoint != "" {
 		if *resume {
 			ck, err = resilience.LoadCheckpoint(*checkpoint)
@@ -209,84 +201,92 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			if start = ck.Offset(key); start > 0 {
-				fmt.Fprintf(os.Stderr, "[resuming %s at measured access %d]\n", key, start)
-			}
 		} else {
 			ck = resilience.NewCheckpoint()
 		}
-	}
-	saveCk := func() {
-		err := resilience.Retry(ctx, resilience.RetryConfig{
-			Name: "checkpoint.save", Journal: journal,
-			Transient: func(error) bool { return true },
-		}, func() error { return ck.Save(*checkpoint, journal) })
-		if err != nil {
+		saver := resilience.NewSaver(func() error {
+			return resilience.Retry(ctx, resilience.RetryConfig{Name: "checkpoint.save", Journal: journal},
+				func() error { return ck.Save(*checkpoint, journal) })
+		}, func(err error) {
 			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-		}
+		})
+		saveCk, closeCk = saver.Request, saver.Close
+	}
+	runKey := func(s experiments.PolicySpec) string {
+		return resilience.RunKey(b.Name+"/"+s.Name, *n, *seed)
 	}
 
 	rep := faultinject.NewReporter(journal)
 	sup := &resilience.Supervisor{Timeout: *timeout, Journal: journal}
-	var r experiments.RunResult
+	results := make([]experiments.RunResult, len(specs))
 	out := sup.Run(ctx, b.Name, func(runCtx context.Context, hb *resilience.Heartbeat) error {
-		rcfg := experiments.Config{Ctx: runCtx, Heartbeat: hb}
-		if faults.TraceEnabled() {
-			rcfg.WrapBench = func(wb workload.Benchmark) workload.Benchmark {
-				return faultinject.WrapBenchmark(wb, faults, rep)
-			}
-		}
-		opt := experiments.RunOptions{
-			Telemetry: experiments.TelemetryOptions{
-				Registry:      reg,
-				Journal:       journal,
-				SnapshotEvery: *snapshotEvery,
-				EventSample:   *journalSample,
-				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
-					p, _ := pol.(*core.PDP)
-					return faultinject.NewPDPInjector(p, faults, rep)
-				},
-			},
-			StartAccess: start,
-		}
-		if ck != nil && *checkpointEvery > 0 {
-			opt.ProgressEvery = *checkpointEvery
-			opt.OnProgress = func(done uint64) {
-				ck.SetOffset(key, done)
-				saveCk()
-			}
-		}
-		r = experiments.RunSingleResilient(rcfg.Bench(b), spec, *n, *seed, opt)
-		return nil
-	})
-	if out.Err != nil {
-		if ck != nil {
-			// A watchdog expiry carries the guarded generator's last beat
-			// (total generator accesses); anything past warm-up is measured
-			// progress the next run can skip. Periodic OnProgress saves
-			// cover the SIGINT path.
-			var wd *resilience.WatchdogError
-			warm := int64(experiments.Warmup(*n))
-			if errors.As(out.Err, &wd) && wd.LastBeat > warm {
-				off := uint64(wd.LastBeat - warm)
-				if off > uint64(*n) {
-					off = uint64(*n)
+		return parallel.ForEach(*jobs, len(specs), func(i int) error {
+			began := time.Now()
+			key := runKey(specs[i])
+			var start uint64
+			if ck != nil {
+				if start = ck.Offset(key); start > 0 {
+					fmt.Fprintf(os.Stderr, "[resuming %s at measured access %d]\n", key, start)
 				}
-				ck.SetOffset(key, off)
 			}
-			if off := ck.Offset(key); off > 0 {
+			rcfg := experiments.Config{Ctx: runCtx, Heartbeat: hb}
+			if faults.TraceEnabled() {
+				rcfg.WrapBench = func(wb workload.Benchmark) workload.Benchmark {
+					return faultinject.WrapBenchmark(wb, faults, rep)
+				}
+			}
+			opt := experiments.RunOptions{
+				Telemetry: experiments.TelemetryOptions{
+					Registry:      reg,
+					Journal:       journal,
+					SnapshotEvery: *snapshotEvery,
+					EventSample:   *journalSample,
+					Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
+						p, _ := pol.(*core.PDP)
+						return faultinject.NewPDPInjector(p, faults, rep)
+					},
+				},
+				StartAccess: start,
+			}
+			if ck != nil && *checkpointEvery > 0 {
+				opt.ProgressEvery = *checkpointEvery
+				opt.OnProgress = func(done uint64) {
+					ck.SetOffset(key, done)
+					saveCk()
+				}
+			}
+			results[i] = experiments.RunSingleResilient(rcfg.Bench(b), specs[i], *n, *seed, opt)
+			if ck != nil {
+				ck.ClearOffset(key)
+				ck.MarkDone(key, time.Since(began))
 				saveCk()
-				fmt.Fprintf(os.Stderr, "[offset %d saved; rerun with -checkpoint %s -resume]\n", off, *checkpoint)
 			}
+			return nil
+		})
+	})
+	var hint string
+	if out.Err != nil && ck != nil && len(specs) == 1 {
+		// A watchdog expiry carries the guarded generator's last beat
+		// (total generator accesses); anything past warm-up is measured
+		// progress the next run can skip. Periodic OnProgress saves cover
+		// the SIGINT path. The heartbeat is per Supervisor.Run, so with
+		// several concurrent runs the last beat names no one of them.
+		key := runKey(specs[0])
+		var wd *resilience.WatchdogError
+		warm := int64(experiments.Warmup(*n))
+		if errors.As(out.Err, &wd) && wd.LastBeat > warm {
+			ck.SetOffset(key, min(uint64(wd.LastBeat-warm), uint64(*n)))
 		}
+		if off := ck.Offset(key); off > 0 {
+			hint = fmt.Sprintf("[offset %d saved; rerun with -checkpoint %s -resume]\n", off, *checkpoint)
+		}
+	}
+	closeCk() // the final save: completion marks, a salvaged offset
+	if out.Err != nil {
 		journal.Flush()
+		fmt.Fprint(os.Stderr, hint)
 		fmt.Fprintln(os.Stderr, out.Err)
 		os.Exit(1)
-	}
-	if ck != nil {
-		ck.ClearOffset(key)
-		ck.MarkDone(key, out.Duration)
-		saveCk()
 	}
 	if rep.Total() > 0 {
 		fmt.Fprintf(os.Stderr, "[injected %d faults: %v]\n", rep.Total(), rep.Counts())
@@ -303,6 +303,11 @@ func main() {
 		}
 	}
 
+	if len(specs) > 1 {
+		printBatch(b.Name, *n, *statsFmt, results)
+		return
+	}
+	r := results[0]
 	if *statsFmt == "json" {
 		out := struct {
 			experiments.RunResult
@@ -342,123 +347,10 @@ func main() {
 	}
 }
 
-// batchOptions carries the flag values the batch path consumes.
-type batchOptions struct {
-	n               int
-	seed            uint64
-	jobs            int
-	statsFmt        string
-	checkpoint      string
-	resume          bool
-	checkpointEvery uint64
-	timeout         time.Duration
-	memProfile      string
-	faults          faultinject.Spec
-	reg             *telemetry.Registry
-	journal         *telemetry.Journal
-	snapshotEvery   uint64
-	journalSample   uint64
-}
-
-// runBatch drives every policy over the same benchmark window across
-// opt.jobs workers and prints one summary per policy, in list order.
-// Each run is an independent simulation seeded identically, so the batch
-// output does not depend on the jobs count. Checkpoint offset saves from
-// concurrent runs are serialized through a resilience.Saver.
-func runBatch(ctx context.Context, b workload.Benchmark, specs []experiments.PolicySpec, opt batchOptions) {
-	var ck *resilience.Checkpoint
-	if opt.checkpoint != "" {
-		if opt.resume {
-			var err error
-			ck, err = resilience.LoadCheckpoint(opt.checkpoint)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			ck = resilience.NewCheckpoint()
-		}
-	}
-	var saver *resilience.Saver
-	if ck != nil {
-		saver = resilience.NewSaver(func() error {
-			return resilience.Retry(ctx, resilience.RetryConfig{
-				Name: "checkpoint.save", Journal: opt.journal,
-				Transient: func(error) bool { return true },
-			}, func() error { return ck.Save(opt.checkpoint, opt.journal) })
-		}, func(err error) {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-		})
-		defer saver.Close()
-	}
-
-	rep := faultinject.NewReporter(opt.journal)
-	sup := &resilience.Supervisor{Timeout: opt.timeout, Journal: opt.journal}
-	results := make([]experiments.RunResult, len(specs))
-	out := sup.Run(ctx, b.Name, func(runCtx context.Context, hb *resilience.Heartbeat) error {
-		return parallel.ForEach(opt.jobs, len(specs), func(i int) error {
-			s := specs[i]
-			key := resilience.RunKey(b.Name+"/"+s.Name, opt.n, opt.seed)
-			var start uint64
-			if ck != nil {
-				if start = ck.Offset(key); start > 0 {
-					fmt.Fprintf(os.Stderr, "[resuming %s at measured access %d]\n", key, start)
-				}
-			}
-			rcfg := experiments.Config{Ctx: runCtx, Heartbeat: hb}
-			if opt.faults.TraceEnabled() {
-				rcfg.WrapBench = func(wb workload.Benchmark) workload.Benchmark {
-					return faultinject.WrapBenchmark(wb, opt.faults, rep)
-				}
-			}
-			ropt := experiments.RunOptions{
-				Telemetry: experiments.TelemetryOptions{
-					Registry:      opt.reg,
-					Journal:       opt.journal,
-					SnapshotEvery: opt.snapshotEvery,
-					EventSample:   opt.journalSample,
-					Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
-						p, _ := pol.(*core.PDP)
-						return faultinject.NewPDPInjector(p, opt.faults, rep)
-					},
-				},
-				StartAccess: start,
-			}
-			if ck != nil && opt.checkpointEvery > 0 {
-				ropt.ProgressEvery = opt.checkpointEvery
-				ropt.OnProgress = func(done uint64) {
-					ck.SetOffset(key, done)
-					saver.Request()
-				}
-			}
-			results[i] = experiments.RunSingleResilient(rcfg.Bench(b), s, opt.n, opt.seed, ropt)
-			if ck != nil {
-				ck.ClearOffset(key)
-				saver.Request()
-			}
-			return nil
-		})
-	})
-	if out.Err != nil {
-		opt.journal.Flush()
-		fmt.Fprintln(os.Stderr, out.Err)
-		os.Exit(1)
-	}
-	if rep.Total() > 0 {
-		fmt.Fprintf(os.Stderr, "[injected %d faults: %v]\n", rep.Total(), rep.Counts())
-	}
-	if err := opt.journal.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "telemetry journal: %v\n", err)
-		os.Exit(1)
-	}
-	if opt.memProfile != "" {
-		if err := telemetry.WriteHeapProfile(opt.memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	if opt.statsFmt == "json" {
+// printBatch prints one summary per policy of a several-policy run, in
+// list order.
+func printBatch(bench string, n int, statsFmt string, results []experiments.RunResult) {
+	if statsFmt == "json" {
 		type row struct {
 			experiments.RunResult
 			HitRate    float64 `json:"hit_rate"`
@@ -475,7 +367,7 @@ func runBatch(ctx context.Context, b workload.Benchmark, specs []experiments.Pol
 		return
 	}
 	fmt.Printf("benchmark %s, %d measured accesses (after %d warm-up)\n",
-		b.Name, opt.n, experiments.Warmup(opt.n))
+		bench, n, experiments.Warmup(n))
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "policy\thit%\tMPKI\tIPC\tbypass%")
 	for _, r := range results {

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"pdp/internal/core"
@@ -68,27 +69,20 @@ func main() {
 		s.Access(int(a.Addr/trace.LineSize%uint64(*sets)), a.Addr)
 	}
 	arr := s.Array()
-	ev := core.EValues(arr, *ways)
-	pd, e := core.FindPD(arr, *ways)
+	m := core.NewModel(arr, *ways)
+	pd, e := m.Best()
 
 	if *csv {
 		fmt.Println("distance,count,E")
 		for k := 0; k < arr.K(); k++ {
-			fmt.Printf("%d,%d,%.9f\n", arr.Dist(k), arr.Count(k), ev[k])
+			fmt.Printf("%d,%d,%.9f\n", arr.Dist(k), arr.Count(k), m.E[k])
 		}
 		return
 	}
 
-	var hits uint64
-	maxC := uint32(0)
-	for k := 0; k < arr.K(); k++ {
-		hits += uint64(arr.Count(k))
-		if arr.Count(k) > maxC {
-			maxC = arr.Count(k)
-		}
-	}
+	maxC := slices.Max(arr.Counts())
 	fmt.Printf("accesses %d, reuse below d_max: %.1f%%\n\n", arr.Total(),
-		100*float64(hits)/float64(arr.Total()+1))
+		100*float64(arr.Reuses())/float64(arr.Total()+1))
 	for k := 0; k < arr.K(); k++ {
 		c := arr.Count(k)
 		bar := ""

@@ -195,7 +195,6 @@ func main() {
 		saver = resilience.NewSaver(func() error {
 			return resilience.Retry(ctx, resilience.RetryConfig{
 				Name: "checkpoint.save", Journal: journal,
-				Transient: func(error) bool { return true },
 			}, func() error { return ck.Save(ckPath, journal) })
 		}, func(err error) {
 			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)

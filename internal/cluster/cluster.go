@@ -283,11 +283,10 @@ func (c *Cluster) probeRound(ctx context.Context) {
 // ejection streak.
 func (c *Cluster) probeOne(ctx context.Context, id string) {
 	err := resilience.Retry(ctx, resilience.RetryConfig{
-		Name:      "cluster.probe",
-		Attempts:  2,
-		Base:      c.cfg.ProbeTimeout / 4,
-		Max:       c.cfg.ProbeTimeout,
-		Transient: func(error) bool { return true },
+		Name:     "cluster.probe",
+		Attempts: 2,
+		Base:     c.cfg.ProbeTimeout / 4,
+		Max:      c.cfg.ProbeTimeout,
 	}, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, id+"/healthz", nil)
 		if err != nil {

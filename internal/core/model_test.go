@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +175,135 @@ func TestPeaksTopNLimit(t *testing.T) {
 	}
 	if got := len(Peaks(arr, 16, 3)); got > 3 {
 		t.Fatalf("Peaks returned %d entries, want <= 3", got)
+	}
+}
+
+// modelArrays is a spread of counter arrays the model must read right:
+// empty, accesses without reuse, ordinary, saturated (frozen), and
+// corrupted so that the measured reuses exceed N_t.
+func modelArrays(rng *rand.Rand) []*sampler.CounterArray {
+	var out []*sampler.CounterArray
+	for _, g := range [][2]int{{8, 1}, {64, 4}, {256, 4}, {256, 16}} {
+		fresh := func() *sampler.CounterArray { return sampler.NewCounterArray(g[0], g[1]) }
+		random := func(limit uint32, extra uint64) *sampler.CounterArray {
+			arr := fresh()
+			counts := make([]uint32, arr.K())
+			var sum uint64
+			for i := range counts {
+				if rng.Intn(3) > 0 {
+					counts[i] = uint32(rng.Intn(int(limit)))
+				}
+				sum += uint64(counts[i])
+			}
+			arr.SetCounts(counts, sum+extra)
+			return arr
+		}
+		noReuse := fresh()
+		noReuse.RecordAccess()
+		saturated := random(1<<17, 1<<20) // some N_i clamp at NiMax and freeze the array
+		corrupt := random(50, 5)
+		for i := 0; i < 3; i++ {
+			corrupt.Corrupt(rng.Intn(corrupt.K()), 1<<uint(10+rng.Intn(5)))
+		}
+		out = append(out, fresh(), noReuse, random(1000, uint64(rng.Intn(5000))), random(4, 0), saturated, corrupt)
+	}
+	return out
+}
+
+// naiveHA is Eq. 1's numerator and denominator at boundary k written out
+// from the paper, every sum from scratch (no running state): hits
+// H = sum_{i<=k} N_i and occupancy A = sum_{i<=k} N_i*d_i + L*(d_k+d_e),
+// L = N_t - H long lines (none when a corrupted array claims H > N_t).
+func naiveHA(arr *sampler.CounterArray, de, k int) (h, a uint64) {
+	for i := 0; i <= k; i++ {
+		h += uint64(arr.Count(i))
+		a += uint64(arr.Count(i)) * uint64(arr.Dist(i))
+	}
+	if arr.Total() > h {
+		a += (arr.Total() - h) * uint64(arr.Dist(k)+de)
+	}
+	return h, a
+}
+
+func TestModelMatchesNaiveEq1(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var frozen, overfull int
+	for round := 0; round < 20; round++ {
+		for n, arr := range modelArrays(rng) {
+			if arr.Frozen() {
+				frozen++
+			}
+			if arr.Reuses() > arr.Total() {
+				overfull++
+			}
+			de := rng.Intn(33)
+			m := NewModel(arr, de)
+			if len(m.E) != arr.K() {
+				t.Fatalf("array %d: %d curve points for %d counters", n, len(m.E), arr.K())
+			}
+
+			// The curve is Eq. 1 at every boundary, bit for bit.
+			first := -1
+			for k := range m.E {
+				h, a := naiveHA(arr, de, k)
+				want := 0.0
+				if a > 0 {
+					want = float64(h) / float64(a)
+				}
+				if m.E[k] != want {
+					t.Fatalf("array %d de=%d: E[%d] = %v, Eq. 1 gives %v", n, de, k, m.E[k], want)
+				}
+				if want > 0 && (first < 0 || want > m.E[first]) {
+					first = k
+				}
+			}
+
+			// Best is the first argmax; Peaks leads with it.
+			pd, e := m.Best()
+			peaks := m.Peaks(3)
+			if first < 0 {
+				if pd != 0 || e != 0 || len(peaks) != 0 {
+					t.Fatalf("array %d: no reuse, yet Best = (%d, %v), Peaks = %v", n, pd, e, peaks)
+				}
+			} else if pd != arr.Dist(first) || e != m.E[first] || peaks[0] != (Peak{PD: pd, E: e}) {
+				t.Fatalf("array %d: Best = (%d, %v), Peaks[0] = %+v, first argmax is (%d, %v)",
+					n, pd, e, peaks, arr.Dist(first), m.E[first])
+			}
+
+			// HA reads the boundary covering dp: the first Dist(k) >= dp,
+			// the last one past d_max.
+			dist := make([]int, arr.K())
+			for k := range dist {
+				dist[k] = arr.Dist(k)
+			}
+			for _, dp := range []int{-1, 0, 1, 2, arr.Sc(), arr.Sc() + 1, arr.DMax() - 1, arr.DMax(), arr.DMax() + 1,
+				10 * arr.DMax(), 1 + rng.Intn(arr.DMax())} {
+				k := min(sort.SearchInts(dist, dp), arr.K()-1)
+				wh, wa := naiveHA(arr, de, k)
+				if h, a := m.HA(dp); h != float64(wh) || a != float64(wa) {
+					t.Fatalf("array %d: HA(%d) = (%v, %v), boundary %d holds (%d, %d)", n, dp, h, a, k, wh, wa)
+				}
+			}
+		}
+	}
+	if frozen == 0 || overfull == 0 {
+		t.Fatalf("generator produced %d frozen and %d over-full arrays; the test needs both", frozen, overfull)
+	}
+}
+
+func TestBestBreaksTiesLow(t *testing.T) {
+	// N_1 = 2, N_2 = 1, N_t = 4, d_e = 0: E(1) = 2/4 and E(2) = 3/6, a
+	// plateau. The smaller distance protects as well for less occupancy.
+	arr := sampler.NewCounterArray(4, 1)
+	arr.SetCounts([]uint32{2, 1}, 4)
+	m := NewModel(arr, 0)
+	if m.E[0] != 0.5 || m.E[1] != 0.5 {
+		t.Fatalf("E = %v, want a 0.5 plateau at d_p = 1, 2", m.E)
+	}
+	if pd, e := m.Best(); pd != 1 || e != 0.5 {
+		t.Fatalf("Best = (%d, %v), want the first maximum (1, 0.5)", pd, e)
+	}
+	if peaks := m.Peaks(3); len(peaks) == 0 || peaks[0] != (Peak{PD: 1, E: 0.5}) {
+		t.Fatalf("Peaks = %+v, want (1, 0.5) first", peaks)
 	}
 }

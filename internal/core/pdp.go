@@ -55,8 +55,8 @@ type Config struct {
 	DefaultPD int
 	// Prefetch selects the Sec. 6.5 prefetch-aware variant.
 	Prefetch PrefetchMode
-	// Solver computes the PD from the counter array; nil means
-	// SoftwareSolver. internal/pdproc supplies the hardware model.
+	// Solver computes the PD from the counter array; nil means Model.Best.
+	// internal/pdproc supplies the hardware model.
 	Solver PDSolver
 	// RecordHistory retains (access count, PD) samples for phase studies
 	// (paper Fig. 11c).
@@ -97,9 +97,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.DefaultPD == 0 {
 		c.DefaultPD = c.Ways
-	}
-	if c.Solver == nil {
-		c.Solver = SoftwareSolver{}
 	}
 }
 
@@ -320,7 +317,14 @@ func (p *PDP) PostAccess(set int, acc trace.Access) {
 func (p *PDP) recompute() {
 	arr := p.smp.Array()
 	old := p.pd
-	if pd := p.cfg.Solver.FindPD(arr, p.cfg.DE); pd > 0 {
+	// One evaluation of Eq. 1 per recompute: the decision and the
+	// observer's curve both read it. A configured Solver decides instead.
+	m := NewModel(arr, p.cfg.DE)
+	pd, _ := m.Best()
+	if p.cfg.Solver != nil {
+		pd = p.cfg.Solver.FindPD(arr, p.cfg.DE)
+	}
+	if pd > 0 {
 		p.pd = pd
 	}
 	if p.cfg.PDPerturb != nil {
@@ -344,7 +348,7 @@ func (p *PDP) recompute() {
 			Counts: arr.Counts(),
 			Total:  arr.Total(),
 			Frozen: arr.Frozen(),
-			E:      EValues(arr, p.cfg.DE),
+			E:      m.E,
 		})
 	}
 	if p.cfg.EpochDecayShift > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -427,6 +428,11 @@ func TestPDPRecomputeObserver(t *testing.T) {
 		}
 		if len(ev.E) == 0 {
 			t.Fatalf("event %d carries no E(d_p) curve", i)
+		}
+		// The curve is the one the decision was read from: unperturbed,
+		// the installed PD sits at its first maximum.
+		if best := slices.Index(ev.E, slices.Max(ev.E)); ev.NewPD != 4*(best+1) {
+			t.Fatalf("event %d NewPD = %d, argmax of its E curve is d_p = %d", i, ev.NewPD, 4*(best+1))
 		}
 		if i > 0 && ev.OldPD != evs[i-1].NewPD {
 			t.Fatalf("event %d OldPD = %d, previous NewPD = %d", i, ev.OldPD, evs[i-1].NewPD)

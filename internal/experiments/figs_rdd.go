@@ -38,10 +38,7 @@ func measureRDD(b workload.Benchmark, sc, n int, seed uint64) *sampler.CounterAr
 // printRDD renders one RDD as a textual histogram (bins with >= 0.5% of
 // reuse mass) plus the below-d_max fraction bar of paper Fig. 1.
 func printRDD(cfg Config, name string, arr *sampler.CounterArray) {
-	var hits uint64
-	for k := 0; k < arr.K(); k++ {
-		hits += uint64(arr.Count(k))
-	}
+	hits := arr.Reuses()
 	fmt.Fprintf(cfg.Out, "%s  (reuse mass below d_max: %.0f%% of accesses)\n",
 		name, 100*float64(hits)/float64(arr.Total()+1))
 	if hits == 0 {
@@ -129,22 +126,14 @@ func Fig6(cfg Config) error {
 	}
 	for i, name := range benches {
 		arr := rows[i].arr
-		ev := core.EValues(arr, LLCWays)
+		model := core.NewModel(arr, LLCWays)
 		// Normalize E to its max for readability (it is proportional to the
 		// hit rate, not equal).
-		maxE := 0.0
-		for _, v := range ev {
-			if v > maxE {
-				maxE = v
-			}
-		}
+		_, maxE := model.Best()
 		fmt.Fprintf(cfg.Out, "%s\n", name)
 		tw := table(cfg.Out)
 		fmt.Fprintln(tw, "d_p\tE(d_p) (norm)\tmeasured hit rate\tRDD mass")
-		var hits uint64
-		for k := 0; k < arr.K(); k++ {
-			hits += uint64(arr.Count(k))
-		}
+		hits := arr.Reuses()
 		bestModel, bestMeasured := 0, 0
 		bestE, bestHR := -1.0, -1.0
 		for step, r := range rows[i].runs {
@@ -152,7 +141,7 @@ func Fig6(cfg Config) error {
 			k := dp/4 - 1
 			e := 0.0
 			if maxE > 0 {
-				e = ev[k] / maxE
+				e = model.E[k] / maxE
 			}
 			mass := 0.0
 			if hits > 0 {

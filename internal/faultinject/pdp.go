@@ -61,15 +61,5 @@ func (i *PDPInjector) Event(cache.Event) {
 	if !i.spec.active(i.accs) {
 		return
 	}
-	arr := i.pdp.Sampler().Array()
-	if i.spec.CounterFlip > 0 && i.rng.Bernoulli(i.spec.CounterFlip) {
-		k := i.rng.Intn(arr.K())
-		bit := uint(i.rng.Intn(16))
-		arr.Corrupt(k, 1<<bit)
-		i.rep.Record("counter.flip", i.accs, fmt.Sprintf("N_%d ^= 1<<%d", k, bit))
-	}
-	if i.spec.RDDZero > 0 && i.rng.Bernoulli(i.spec.RDDZero) {
-		arr.Reset()
-		i.rep.Record("rdd.zero", i.accs, "RDD zeroed mid-window")
-	}
+	i.spec.CorruptRDD(i.pdp.Sampler().Array(), i.rng, i.rep, i.accs, "")
 }

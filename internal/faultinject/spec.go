@@ -17,6 +17,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"pdp/internal/trace"
 )
 
 // Spec is a parsed fault-injection specification. The zero Spec injects
@@ -86,6 +88,29 @@ type Spec struct {
 // active reports whether the injectors still fire at clock tick t.
 func (s Spec) active(t uint64) bool {
 	return s.Until == 0 || t <= s.Until
+}
+
+// CorruptRDD runs the spec's two RDD faults for one access at an injector's
+// clock tick t, drawing from rng in this order: with probability CounterFlip
+// flip one of the low 16 bits of a random N_i of arr (an SRAM soft error),
+// then with probability RDDZero zero the array mid-window. PDPInjector and
+// servefault.Injector both call it, so a seed replays on either path; where
+// prefixes the journaled detail (the serving injector names the shard).
+func (s Spec) CorruptRDD(arr interface {
+	K() int
+	Corrupt(k int, mask uint32)
+	Reset()
+}, rng *trace.RNG, rep *Reporter, t uint64, where string) {
+	if s.CounterFlip > 0 && rng.Bernoulli(s.CounterFlip) {
+		k := rng.Intn(arr.K())
+		bit := uint(rng.Intn(16))
+		arr.Corrupt(k, 1<<bit)
+		rep.Record("counter.flip", t, fmt.Sprintf("%sN_%d ^= 1<<%d", where, k, bit))
+	}
+	if s.RDDZero > 0 && rng.Bernoulli(s.RDDZero) {
+		arr.Reset()
+		rep.Record("rdd.zero", t, where+"RDD zeroed mid-window")
+	}
 }
 
 // Enabled reports whether the spec injects anything.

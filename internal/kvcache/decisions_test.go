@@ -231,6 +231,35 @@ func TestPDMoveJournal(t *testing.T) {
 	if mv.CurvePoints == 0 || mv.BestE <= 0 {
 		t.Fatalf("curve summary empty: %+v", mv)
 	}
+
+	// A configured solver decides, and the record still carries the
+	// model's argmax beside its answer: seedEvidence puts all reuse in the
+	// first bucket, so the model says d_p = 4 whatever the solver says.
+	j = telemetry.NewJournal(16)
+	c, err = New(Config{
+		Policy: PolicyPDP, Shards: 1, Sets: 16, Ways: 8,
+		RecomputeEvery: 1 << 30, MinSamples: 1, Journal: j, Solver: fixedSolver{pd: 40},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedEvidence(c)
+	c.Recompute()
+	var curve []float64
+	for _, r := range j.Tail(4) {
+		switch r := r.(type) {
+		case telemetry.PDMoveRecord:
+			mv = r
+		case telemetry.RecomputeRecord:
+			curve = r.E
+		}
+	}
+	if !mv.Moved || mv.NewPD != 40 || mv.BestD != 4 || mv.BestE <= 0 {
+		t.Fatalf("pd_move under a fixed solver = %+v, want new_pd 40 beside the model's best_d 4", mv)
+	}
+	if len(curve) != mv.CurvePoints || curve[0] != mv.BestE {
+		t.Fatalf("pd_recompute e_curve %v does not peak at pd_move's best_e %v", curve, mv.BestE)
+	}
 }
 
 func TestShardStatsAndRDDSnapshot(t *testing.T) {

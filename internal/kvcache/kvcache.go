@@ -5,7 +5,7 @@
 // bookkeeping (core.Protection), feeds an RD sampler with its set-access
 // stream, and the cache periodically recomputes the protecting distance
 // from the merged reuse-distance distribution with the paper's E(d_p)
-// model (core.FindPD) — so the admission/eviction policy adapts to the
+// model (core.Model) — so the admission/eviction policy adapts to the
 // live workload exactly as the simulated policy adapts to a trace. An LRU
 // mode with the identical bucket layout serves as the serving baseline.
 //
@@ -17,7 +17,6 @@ package kvcache
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,7 +83,7 @@ type Config struct {
 	// negative disables the log entirely).
 	DecisionLog int
 	// Solver computes the PD from the merged counter array; nil means
-	// core.SoftwareSolver.
+	// core.Model.Best.
 	Solver core.PDSolver
 
 	// RearmAfter is the number of consecutive clean recomputations a
@@ -161,9 +160,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.MinSamples == 0 {
 		c.MinSamples = 64
-	}
-	if c.Solver == nil {
-		c.Solver = core.SoftwareSolver{}
 	}
 	if c.RearmAfter == 0 {
 		c.RearmAfter = 3
@@ -516,8 +512,18 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 		return out
 	}
 	enough := merged.Reuses() >= c.cfg.MinSamples
+	// Eq. 1 is evaluated at most once, and only if someone reads it: the
+	// decision, pd_move's best_e/best_d and pd_recompute's e_curve.
+	var m core.Model
+	if enough || c.cfg.Journal != nil {
+		m = core.NewModel(merged, c.cfg.DE)
+	}
 	if enough {
-		if found := c.cfg.Solver.FindPD(merged, c.cfg.DE); found != 0 {
+		found, _ := m.Best()
+		if c.cfg.Solver != nil {
+			found = c.cfg.Solver.FindPD(merged, c.cfg.DE)
+		}
+		if found != 0 {
 			if found < 1 || found > c.cfg.DMax {
 				// The solver's answer violates the paper's own invariant
 				// (PD in [1, d_max]); installing it would corrupt every
@@ -541,15 +547,9 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 	if c.cfg.Journal != nil {
 		// pd_move fires on every recompute — the attribution record an
 		// operator greps first: did the PD move, on how much evidence,
-		// and from which shards. Its E-curve summary comes from the
-		// software model, which matches the decision exactly under the
-		// default solver. The curve is evaluated once here: best_e/best_d
-		// and pd_recompute's e_curve both read it.
-		curve := core.EValues(merged, c.cfg.DE)
-		bestD, bestE := 0, slices.Max(curve)
-		if bestE > 0 {
-			bestD = merged.Dist(slices.Index(curve, bestE))
-		}
+		// and from which shards. best_e/best_d are the model's argmax,
+		// journaled beside new_pd whichever solver decided.
+		bestD, bestE := m.Best()
 		c.cfg.Journal.Append(telemetry.PDMoveRecord{
 			Kind:         telemetry.KindPDMove,
 			Access:       accesses,
@@ -575,7 +575,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 				RDD:      merged.Counts(),
 				RDDTotal: merged.Total(),
 				Frozen:   merged.Frozen(),
-				E:        curve,
+				E:        m.E,
 			})
 		}
 	}

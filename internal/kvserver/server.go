@@ -61,9 +61,9 @@ type Config struct {
 	// RetryAfter is the backoff hint carried on shed responses (default
 	// 1s).
 	RetryAfter time.Duration
-	// DefaultDeadline bounds every /kv/ request that arrives without an
-	// X-Deadline header; 0 applies no default. Clients override it per
-	// request with X-Deadline (a Go duration, e.g. "250ms").
+	// DefaultDeadline bounds every /kv/ and /batch request that arrives
+	// without an X-Deadline header; 0 applies no default. Clients override
+	// it per request with X-Deadline (a Go duration, e.g. "250ms").
 	DefaultDeadline time.Duration
 
 	// StatePath enables crash-safe warm restarts: the cache's warm state

@@ -6,6 +6,7 @@ import (
 
 	"pdp/internal/cache"
 	"pdp/internal/core"
+	"pdp/internal/sampler"
 	"pdp/internal/trace"
 )
 
@@ -390,6 +391,26 @@ func TestPDPVariantsGoldenDecisions(t *testing.T) {
 			t.Errorf("%s: hits %d misses %d bypasses %d evictions %d pds %v, want %d %d %d %d %v", tc.name,
 				s.Hits, s.Misses, s.Bypasses, s.Evictions, pds,
 				tc.hits, tc.misses, tc.bypasses, tc.evictions, tc.pds)
+		}
+	}
+}
+
+// Eq. 2 sums H and A over threads before dividing, so over one thread it
+// is Eq. 1: E_m at a PD equals that thread's E at the same PD.
+func TestEmOfOneThreadIsE(t *testing.T) {
+	rng := trace.NewRNG(5)
+	arr := sampler.NewCounterArray(256, 16)
+	counts := make([]uint32, arr.K())
+	var sum uint64
+	for i := range counts {
+		counts[i] = uint32(rng.Intn(500))
+		sum += uint64(counts[i])
+	}
+	arr.SetCounts(counts, sum+uint64(rng.Intn(3000)))
+	m := &threadModel{Model: core.NewModel(arr, 16)}
+	for k := 0; k < arr.K(); k++ {
+		if got := em([]*threadModel{m}, []int{arr.Dist(k)}); got != m.E[k] {
+			t.Fatalf("E_m over one thread at PD %d = %v, its E = %v", arr.Dist(k), got, m.E[k])
 		}
 	}
 }

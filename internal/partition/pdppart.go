@@ -144,65 +144,27 @@ func (p *PDPPart) PostAccess(set int, acc trace.Access) {
 	}
 }
 
-// threadModel captures one thread's hit/occupancy curves for E_m.
+// threadModel is one thread's view of the hit-rate model: its core.Model
+// (the H and A curves E_m sums) and the peak candidates read from it.
 type threadModel struct {
-	t     int
+	core.Model
 	peaks []core.Peak
-	// prefix sums over the counter array at each boundary k: hits H and
-	// weighted occupancy sum(N_i * d_i).
-	sumN  []float64
-	sumNd []float64
-	dist  []int
 	nt    float64
-	de    float64
 	bestE float64
-}
-
-// ha returns (H_t(dp), A_t(dp)) for a protecting distance dp.
-func (m *threadModel) ha(dp int) (float64, float64) {
-	// Find the boundary covering dp.
-	k := sort.SearchInts(m.dist, dp)
-	if k >= len(m.dist) {
-		k = len(m.dist) - 1
-	}
-	h := m.sumN[k]
-	a := m.sumNd[k] + (m.nt-h)*(float64(m.dist[k])+m.de)
-	return h, a
 }
 
 func (p *PDPPart) buildModel(t int) *threadModel {
 	arr := p.smp.Array(t)
-	k := arr.K()
-	peaks := core.Peaks(arr, p.cfg.DE, p.cfg.PeaksPerThread)
+	m := &threadModel{Model: core.NewModel(arr, p.cfg.DE), nt: float64(arr.Total())}
+	m.peaks = m.Peaks(p.cfg.PeaksPerThread)
 	// Confidence filter: the shared FIFO's 16-bit partial tags produce a
 	// trickle of false matches across threads (~0.05% of accesses). A
 	// thread whose measured reuse is in that noise floor has no real peaks
 	// — protecting it would be pure pollution. Note the sampler detects
 	// only ~1-in-M reuses (entries are inserted every M-th access), so a
 	// thread with 2% true reuse measures ~0.25%.
-	var hits uint64
-	for i := 0; i < k; i++ {
-		hits += uint64(arr.Count(i))
-	}
-	if nt := arr.Total(); nt > 0 && float64(hits) < 0.0025*float64(nt) {
-		peaks = nil
-	}
-	m := &threadModel{
-		t:     t,
-		peaks: peaks,
-		sumN:  make([]float64, k),
-		sumNd: make([]float64, k),
-		dist:  make([]int, k),
-		nt:    float64(arr.Total()),
-		de:    float64(p.cfg.DE),
-	}
-	var sn, snd float64
-	for i := 0; i < k; i++ {
-		sn += float64(arr.Count(i))
-		snd += float64(arr.Count(i)) * float64(arr.Dist(i))
-		m.sumN[i] = sn
-		m.sumNd[i] = snd
-		m.dist[i] = arr.Dist(i)
+	if m.nt > 0 && float64(arr.Reuses()) < 0.0025*m.nt {
+		m.peaks = nil
 	}
 	if len(m.peaks) > 0 {
 		m.bestE = m.peaks[0].E
@@ -215,7 +177,7 @@ func (p *PDPPart) buildModel(t int) *threadModel {
 func em(models []*threadModel, pds []int) float64 {
 	var hits, accs float64
 	for i, m := range models {
-		h, a := m.ha(pds[i])
+		h, a := m.HA(pds[i])
 		hits += h
 		accs += a
 	}
@@ -281,7 +243,7 @@ func (p *PDPPart) recompute() {
 	demand := func() float64 {
 		var a float64
 		for i, m := range chosen {
-			_, at := m.ha(pds[i])
+			_, at := m.HA(pds[i])
 			a += at
 		}
 		return a

@@ -2,38 +2,11 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"pdp/internal/telemetry"
 )
-
-// transientError marks an error as worth retrying.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// MarkTransient wraps err so IsTransient reports it retryable (output and
-// trace I/O paths mark their failures this way). A nil err stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err was marked with MarkTransient or
-// declares itself temporary (net.Error-style `Temporary() bool`).
-func IsTransient(err error) bool {
-	var te *transientError
-	if errors.As(err, &te) {
-		return true
-	}
-	var tmp interface{ Temporary() bool }
-	return errors.As(err, &tmp) && tmp.Temporary()
-}
 
 // RetryConfig parameterizes Retry.
 type RetryConfig struct {
@@ -44,9 +17,6 @@ type RetryConfig struct {
 	// Base is the first backoff delay (default 100ms); each subsequent
 	// delay doubles, capped at Max (default 5s).
 	Base, Max time.Duration
-	// Transient reports whether an error is worth retrying; nil selects
-	// IsTransient.
-	Transient func(error) bool
 	// Journal receives a recovery record when a retry eventually succeeds.
 	Journal *telemetry.Journal
 	// Sleep overrides the backoff sleep (tests); nil sleeps honoring ctx.
@@ -54,8 +24,8 @@ type RetryConfig struct {
 }
 
 // Retry runs fn up to cfg.Attempts times with exponential backoff,
-// stopping early on success, on a non-transient error, or when ctx is
-// cancelled. A success after failures is journaled as a recovery.
+// stopping early on success or when ctx is cancelled; any error is worth
+// another try. A success after failures is journaled as a recovery.
 func Retry(ctx context.Context, cfg RetryConfig, fn func() error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -71,10 +41,6 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func() error) error {
 	max := cfg.Max
 	if max <= 0 {
 		max = 5 * time.Second
-	}
-	transient := cfg.Transient
-	if transient == nil {
-		transient = IsTransient
 	}
 	sleep := cfg.Sleep
 	if sleep == nil {
@@ -103,7 +69,7 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func() error) error {
 			}
 			return nil
 		}
-		if attempt == attempts || !transient(err) || ctx.Err() != nil {
+		if attempt == attempts || ctx.Err() != nil {
 			break
 		}
 		if serr := sleep(ctx, delay); serr != nil {

@@ -20,7 +20,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	}, func() error {
 		calls++
 		if calls < 3 {
-			return MarkTransient(errors.New("disk hiccup"))
+			return errors.New("disk hiccup")
 		}
 		return nil
 	})
@@ -35,32 +35,14 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	}
 }
 
-func TestRetryStopsOnPermanentError(t *testing.T) {
-	calls := 0
-	perm := errors.New("bad spec")
-	err := Retry(context.Background(), RetryConfig{Attempts: 5, Sleep: noSleep}, func() error {
-		calls++
-		return perm
-	})
-	if !errors.Is(err, perm) {
-		t.Fatalf("err = %v, want permanent error", err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (no retry of permanent errors)", calls)
-	}
-}
-
 func TestRetryExhaustsAttempts(t *testing.T) {
 	calls := 0
 	err := Retry(context.Background(), RetryConfig{Attempts: 3, Sleep: noSleep}, func() error {
 		calls++
-		return MarkTransient(errors.New("still flaky"))
+		return errors.New("still flaky")
 	})
 	if err == nil || calls != 3 {
 		t.Fatalf("err=%v calls=%d, want failure after 3 attempts", err, calls)
-	}
-	if !IsTransient(err) {
-		t.Fatal("returned error lost its transient mark")
 	}
 }
 
@@ -70,28 +52,12 @@ func TestRetryHonorsContext(t *testing.T) {
 	calls := 0
 	err := Retry(ctx, RetryConfig{Attempts: 5}, func() error {
 		calls++
-		return MarkTransient(errors.New("x"))
+		return errors.New("x")
 	})
 	if err == nil {
 		t.Fatal("want error when ctx cancelled")
 	}
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)
-	}
-}
-
-func TestIsTransient(t *testing.T) {
-	if IsTransient(errors.New("plain")) {
-		t.Fatal("plain error reported transient")
-	}
-	if !IsTransient(MarkTransient(errors.New("x"))) {
-		t.Fatal("marked error not transient")
-	}
-	wrapped := errors.Join(errors.New("ctx"), MarkTransient(errors.New("x")))
-	if !IsTransient(wrapped) {
-		t.Fatal("wrapped transient not detected")
-	}
-	if MarkTransient(nil) != nil {
-		t.Fatal("MarkTransient(nil) != nil")
 	}
 }

@@ -34,6 +34,7 @@ type Injector struct {
 	spec    faultinject.Spec
 	rep     *faultinject.Reporter
 	rngs    []*trace.RNG // one per shard, serialized by the shard lock
+	where   []string     // "shard i ", the prefix of that shard's fault details
 	rrng    *trace.RNG   // recompute stream, serialized by the recompute lock
 	clock   atomic.Uint64
 	stallMS int
@@ -52,12 +53,14 @@ func NewInjector(spec faultinject.Spec, shards int, rep *faultinject.Reporter) *
 		spec:    spec,
 		rep:     rep,
 		rngs:    make([]*trace.RNG, shards),
+		where:   make([]string, shards),
 		rrng:    trace.NewRNG(spec.Seed ^ 0x5EF5EF5E),
 		stallMS: spec.StallMS,
 		spikeMS: spec.SpikeMS,
 	}
 	for i := range in.rngs {
 		in.rngs[i] = trace.NewRNG(spec.Seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15))
+		in.where[i] = fmt.Sprintf("shard %d ", i)
 	}
 	if in.stallMS <= 0 {
 		in.stallMS = defaultStallMS
@@ -93,16 +96,7 @@ func (in *Injector) Access(shard int, arr kvcache.ChaosArray) {
 	if arr == nil {
 		return
 	}
-	if in.spec.CounterFlip > 0 && rng.Bernoulli(in.spec.CounterFlip) {
-		k := rng.Intn(arr.K())
-		bit := uint(rng.Intn(16))
-		arr.Corrupt(k, 1<<bit)
-		in.rep.Record("counter.flip", t, fmt.Sprintf("shard %d N_%d ^= 1<<%d", shard, k, bit))
-	}
-	if in.spec.RDDZero > 0 && rng.Bernoulli(in.spec.RDDZero) {
-		arr.Reset()
-		in.rep.Record("rdd.zero", t, fmt.Sprintf("shard %d RDD zeroed mid-window", shard))
-	}
+	in.spec.CorruptRDD(arr, rng, in.rep, t, in.where[shard])
 }
 
 // Recompute implements kvcache.Chaos: called inside the PD-recompute
