@@ -49,10 +49,13 @@ loc:
 	done
 
 # Microbenchmarks to measure with while working: the telemetry overhead
-# guard (disabled vs attached tap on the PDP-8 hot path) and the batched
-# cache path. The repo's benchmark proper is bench/ (see bench/README.md).
+# guard (disabled vs attached tap on the PDP-8 hot path), the simulator
+# substrate (RDDGen's steady state, one LRU access, and one whole sim_suite
+# task, set-up included) and the batched cache path. The repo's benchmark
+# proper is bench/ (see bench/README.md).
 bench:
 	$(GO) test -bench 'AccessPDP8' -benchtime 2s -count 5 -run @ .
+	$(GO) test -bench 'TraceRDDGen|AccessLRU|RunSingleTask' -benchtime 1s -count 5 -run @ .
 	$(GO) test -bench 'ExecBatch' -benchtime 1s -count 3 -run @ ./internal/kvcache/
 
 # The full suite (seed 42) into repro_output.txt, the untracked archive
@@ -100,12 +103,14 @@ bench-alloc:
 	$(GO) test -count=1 -run 'AllocBudget' -v ./internal/kvcache/ ./internal/kvserver/
 
 # Fuzz smoke: the untrusted decoders (trace files, checkpoints, /batch
-# requests and answers, the last two against encoding/json as oracle).
+# requests and answers, the last two against encoding/json as oracle) and
+# RDDGen's address index against a Go map.
 fuzz:
 	$(GO) test ./internal/tracefile/ -run FuzzReader -fuzz FuzzReader -fuzztime 20s
 	$(GO) test ./internal/resilience/ -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseOps -fuzz FuzzParseOps -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseRows -fuzz FuzzParseRows -fuzztime 20s
+	$(GO) test ./internal/trace/ -run FuzzPosIndex -fuzz FuzzPosIndex -fuzztime 20s
 
 # Serving-path chaos smoke: the race-enabled chaos campaign tests, then a
 # live pdpcached under seeded fault injection (recompute panics, counter

@@ -204,3 +204,27 @@ func BenchmarkTraceRDDGen(b *testing.B) {
 		g.Next()
 	}
 }
+
+// BenchmarkRunSingleTask times what a sim_suite task pays: generator and
+// cache are built inside the loop. BenchmarkTraceRDDGen above times only the
+// steady state of one long-lived generator and cannot see what a task's
+// set-up allocates.
+func BenchmarkRunSingleTask(b *testing.B) {
+	const n = 100_000
+	for _, t := range []struct{ bench, policy string }{
+		{"403.gcc", "lru"},
+		{"436.cactusADM", "pdp-8"},
+	} {
+		bm, _ := workload.ByName(t.bench)
+		spec, err := experiments.SpecByName(t.policy, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(t.bench+"/"+t.policy, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				experiments.RunSingle(bm, spec, n, 1)
+			}
+		})
+	}
+}

@@ -135,13 +135,16 @@ type Result struct {
 type Cache struct {
 	cfg       Config
 	lineShift uint
+	setShift  uint // log2(Sets)
 	setMask   uint64
-	tags      []uint64
-	valid     []bool
-	dirty     []bool
-	setAccs   []uint64
-	pol       Policy
-	mon       Monitor
+	// tags holds tag+1 per (set, way); 0 marks an empty way. A tag has
+	// 64-lineShift-setShift bits, so the +1 cannot wrap unless
+	// LineSize = Sets = 1.
+	tags    []uint64
+	dirty   []bool
+	setAccs []uint64
+	pol     Policy
+	mon     Monitor
 
 	// Stats accumulates counters; callers may read it directly.
 	Stats Stats
@@ -166,9 +169,9 @@ func New(cfg Config, pol Policy) *Cache {
 	return &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:   uint64(cfg.Sets - 1),
 		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
 		dirty:     make([]bool, n),
 		setAccs:   make([]uint64, cfg.Sets),
 		pol:       pol,
@@ -197,68 +200,89 @@ func (c *Cache) SetOf(addr uint64) int {
 
 // TagOf returns the tag of addr.
 func (c *Cache) TagOf(addr uint64) uint64 {
-	return (addr >> c.lineShift) / uint64(c.cfg.Sets)
+	return addr >> c.lineShift >> c.setShift
 }
 
 // SetAccesses returns the number of accesses seen by set so far.
 func (c *Cache) SetAccesses(set int) uint64 { return c.setAccs[set] }
 
 // Valid reports whether (set, way) holds a line.
-func (c *Cache) Valid(set, way int) bool { return c.valid[set*c.cfg.Ways+way] }
+func (c *Cache) Valid(set, way int) bool { return c.tags[set*c.cfg.Ways+way] != 0 }
 
-// LineAddr reconstructs the line-aligned address stored in (set, way).
+// LineAddr reconstructs the line-aligned address stored in the valid way
+// (set, way).
 func (c *Cache) LineAddr(set, way int) uint64 {
-	tag := c.tags[set*c.cfg.Ways+way]
-	return (tag*uint64(c.cfg.Sets) + uint64(set)) << c.lineShift
+	tag := c.tags[set*c.cfg.Ways+way] - 1
+	return (tag<<c.setShift | uint64(set)) << c.lineShift
+}
+
+// find is the one tag lookup: the way of addr's set holding addr's line
+// (-1 when not resident) and the set's lowest empty way (-1 when full, and
+// not looked for past a hit). It takes the set index so that it stays
+// within the inlining budget.
+func (c *Cache) find(set int, addr uint64) (way, free int) {
+	key := c.TagOf(addr) + 1
+	base := set * c.cfg.Ways
+	free = -1
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == key {
+			return w, free
+		}
+		if t == 0 && free < 0 {
+			free = w
+		}
+	}
+	return -1, free
 }
 
 // Contains reports whether addr's line is resident (no state change).
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.SetOf(addr), c.TagOf(addr)
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
-		}
+	way, _ := c.find(c.SetOf(addr), addr)
+	return way >= 0
+}
+
+// invalidate empties addr's way, if resident, and reports whether it was.
+func (c *Cache) invalidate(addr uint64) bool {
+	set := c.SetOf(addr)
+	way, _ := c.find(set, addr)
+	if way < 0 {
+		return false
 	}
-	return false
+	c.pol.Evict(set, way)
+	c.tags[set*c.cfg.Ways+way] = 0
+	c.dirty[set*c.cfg.Ways+way] = false
+	return true
 }
 
 // Access runs one reference through the cache.
 func (c *Cache) Access(acc trace.Access) Result {
-	set, tag := c.SetOf(acc.Addr), c.TagOf(acc.Addr)
+	set := c.SetOf(acc.Addr)
+	way, free := c.find(set, acc.Addr)
 	base := set * c.cfg.Ways
+	line := acc.Addr &^ uint64(c.cfg.LineSize-1)
 	c.Stats.Accesses++
 	if acc.Write {
 		c.Stats.WriteAccs++
 	}
 	c.setAccs[set]++
 
-	// Hit path.
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.Stats.Hits++
-			if acc.Write {
-				c.dirty[base+w] = true
-			}
-			c.pol.Hit(set, w, acc)
-			c.emit(Event{Kind: EvHit, Set: set, Way: w, Addr: c.LineAddr(set, w), SetAccesses: c.setAccs[set], Acc: acc})
-			c.pol.PostAccess(set, acc)
-			return Result{Hit: true, Set: set, Way: w}
+	if way >= 0 {
+		c.Stats.Hits++
+		if acc.Write {
+			c.dirty[base+way] = true
 		}
+		c.pol.Hit(set, way, acc)
+		if c.mon != nil {
+			c.emit(EvHit, set, way, line, acc)
+		}
+		c.pol.PostAccess(set, acc)
+		return Result{Hit: true, Set: set, Way: way}
 	}
 
-	// Miss path.
 	c.Stats.Misses++
 	res := Result{Set: set}
 
-	way := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[base+w] {
-			way = w
-			break
-		}
-	}
+	way = free
 	if way < 0 {
 		v, bypass := c.pol.Victim(set, acc)
 		if bypass {
@@ -267,7 +291,9 @@ func (c *Cache) Access(acc trace.Access) Result {
 			}
 			c.Stats.Bypasses++
 			res.Bypass = true
-			c.emit(Event{Kind: EvBypass, Set: set, Addr: acc.Addr &^ uint64(c.cfg.LineSize-1), SetAccesses: c.setAccs[set], Acc: acc})
+			if c.mon != nil {
+				c.emit(EvBypass, set, 0, line, acc)
+			}
 			c.pol.PostAccess(set, acc)
 			return res
 		}
@@ -284,23 +310,27 @@ func (c *Cache) Access(acc trace.Access) Result {
 		c.Stats.Evictions++
 		// Emit before notifying the policy so monitors can observe the
 		// victim's pre-eviction policy state (e.g. PDP's RPD).
-		c.emit(Event{Kind: EvEvict, Set: set, Way: way, Addr: res.VictimAddr, SetAccesses: c.setAccs[set], Acc: acc})
+		if c.mon != nil {
+			c.emit(EvEvict, set, way, res.VictimAddr, acc)
+		}
 		c.pol.Evict(set, way)
 	}
 
-	c.tags[base+way] = tag
-	c.valid[base+way] = true
+	c.tags[base+way] = c.TagOf(acc.Addr) + 1
 	c.dirty[base+way] = acc.Write
 	c.Stats.Inserts++
 	res.Way = way
 	c.pol.Insert(set, way, acc)
-	c.emit(Event{Kind: EvInsert, Set: set, Way: way, Addr: acc.Addr &^ uint64(c.cfg.LineSize-1), SetAccesses: c.setAccs[set], Acc: acc})
+	if c.mon != nil {
+		c.emit(EvInsert, set, way, line, acc)
+	}
 	c.pol.PostAccess(set, acc)
 	return res
 }
 
-func (c *Cache) emit(ev Event) {
-	if c.mon != nil {
-		c.mon.Event(ev)
-	}
+// emit delivers one event about line address addr to the attached monitor.
+// Callers test c.mon first: with the test inside, emit is over the inlining
+// budget and every unmonitored access would pay a call that copies acc.
+func (c *Cache) emit(kind EventKind, set, way int, addr uint64, acc trace.Access) {
+	c.mon.Event(Event{Kind: kind, Set: set, Way: way, Addr: addr, SetAccesses: c.setAccs[set], Acc: acc})
 }

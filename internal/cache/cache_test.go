@@ -205,13 +205,8 @@ func TestAddressMappingRoundTrip(t *testing.T) {
 }
 
 func wayOf(c *Cache, a uint64) int {
-	set, tag := c.SetOf(a), c.TagOf(a)
-	for w := 0; w < c.Ways(); w++ {
-		if c.Valid(set, w) && c.tags[set*c.Ways()+w] == tag {
-			return w
-		}
-	}
-	return -1
+	way, _ := c.find(c.SetOf(a), a)
+	return way
 }
 
 // recorder captures monitor events.

@@ -77,17 +77,8 @@ func (h *Hierarchy) access(acc trace.Access, lvl int) int {
 // their data considered merged (the LLC victim was already written back).
 func (h *Hierarchy) backInvalidate(addr uint64, lvl int) {
 	for l := lvl; l >= 0; l-- {
-		c := h.levels[l]
-		set, tag := c.SetOf(addr), c.TagOf(addr)
-		base := set * c.Ways()
-		for w := 0; w < c.Ways(); w++ {
-			if c.valid[base+w] && c.tags[base+w] == tag {
-				c.pol.Evict(set, w)
-				c.valid[base+w] = false
-				c.dirty[base+w] = false
-				h.BackInvalidations++
-				break
-			}
+		if h.levels[l].invalidate(addr) {
+			h.BackInvalidations++
 		}
 	}
 }
@@ -100,15 +91,7 @@ func (h *Hierarchy) writeback(addr uint64, lvl int) {
 	}
 	c := h.levels[lvl]
 	wb := trace.Access{Addr: addr, Write: true, WB: true}
-	set, tag := c.SetOf(addr), c.TagOf(addr)
-	found := false
-	for w := 0; w < c.Ways(); w++ {
-		if c.Valid(set, w) && c.tags[set*c.Ways()+w] == tag {
-			found = true
-			break
-		}
-	}
-	if found {
+	if c.Contains(addr) {
 		c.Access(wb) // hit: marks line dirty, updates policy state
 		return
 	}

@@ -78,10 +78,9 @@ func (s RDDSpec) Validate() error {
 
 // rddSet holds per-set generation state for RDDGen.
 type rddSet struct {
-	hist    []uint64         // ring buffer of the last len(hist) line addresses
-	lastPos map[uint64]int64 // most recent access index per live address
-	count   int64            // accesses to this set so far
-	retired []uint64         // ring of old addresses usable for "far" reuse
+	hist    []uint64 // ring buffer of the last len(hist) line addresses
+	count   int64    // accesses to this set so far
+	retired []uint64 // ring of old addresses usable for "far" reuse
 	retPos  int
 }
 
@@ -97,6 +96,8 @@ type RDDGen struct {
 	seed    uint64
 	rng     *RNG
 	state   []rddSet
+	hist    []uint64 // the slab every set's hist ring is cut from
+	lastPos posIndex // most recent access index (within its set) per live address
 	nextTag uint64
 	histLen int
 	retCap  int
@@ -145,18 +146,25 @@ func NewRDDGen(name string, spec RDDSpec, sets int, base, seed uint64) *RDDGen {
 // Name implements Generator.
 func (g *RDDGen) Name() string { return g.name }
 
-// Reset implements Generator.
+// Reset implements Generator. Buffers are allocated on first use and
+// emptied in place after that, at whatever size they have grown to.
 func (g *RDDGen) Reset() {
 	g.rng = NewRNG(g.seed)
-	g.state = make([]rddSet, g.sets)
-	for i := range g.state {
-		g.state[i] = rddSet{
-			hist:    make([]uint64, g.histLen),
-			lastPos: make(map[uint64]int64, g.histLen+g.retCap),
-			retired: make([]uint64, 0, g.retCap),
-		}
-	}
 	g.nextTag = 1
+	g.lastPos.reset()
+	if g.state == nil {
+		g.state = make([]rddSet, g.sets)
+		g.hist = make([]uint64, g.sets*g.histLen)
+		for i := range g.state {
+			g.state[i].hist = g.hist[i*g.histLen : (i+1)*g.histLen]
+		}
+		return
+	}
+	clear(g.hist)
+	for i := range g.state {
+		st := &g.state[i]
+		st.count, st.retired, st.retPos = 0, st.retired[:0], 0
+	}
 }
 
 // freshAddr returns a line address never used before that maps to set s.
@@ -196,7 +204,7 @@ func (g *RDDGen) Next() Access {
 	case chosen == nPeaks: // far reuse
 		for try := 0; try < 4 && len(st.retired) > 0; try++ {
 			cand := st.retired[g.rng.Intn(len(st.retired))]
-			if p, ok := st.lastPos[cand]; ok && st.count-p >= int64(g.farMinD) {
+			if p, ok := g.lastPos.get(cand); ok && st.count-p >= int64(g.farMinD) {
 				addr = cand
 				pc = g.pcFar
 				break
@@ -232,7 +240,7 @@ func (g *RDDGen) reuseAt(st *rddSet, d int64) uint64 {
 		if cand == 0 {
 			continue
 		}
-		if p, ok := st.lastPos[cand]; ok && p == idx {
+		if p, ok := g.lastPos.get(cand); ok && p == idx {
 			return cand
 		}
 	}
@@ -245,14 +253,14 @@ func (g *RDDGen) record(st *rddSet, addr uint64) {
 	slot := st.count % int64(g.histLen)
 	out := st.hist[slot]
 	if out != 0 {
-		if p, ok := st.lastPos[out]; ok && p == st.count-int64(g.histLen) {
+		if p, ok := g.lastPos.get(out); ok && p == st.count-int64(g.histLen) {
 			// Most recent use of `out` is leaving the window.
 			if len(st.retired) < g.retCap {
 				st.retired = append(st.retired, out)
 			} else {
 				old := st.retired[st.retPos]
-				if q, ok2 := st.lastPos[old]; ok2 && q <= st.count-int64(g.histLen) {
-					delete(st.lastPos, old)
+				if q, ok2 := g.lastPos.get(old); ok2 && q <= st.count-int64(g.histLen) {
+					g.lastPos.delete(old)
 				}
 				st.retired[st.retPos] = out
 				st.retPos = (st.retPos + 1) % g.retCap
@@ -260,7 +268,7 @@ func (g *RDDGen) record(st *rddSet, addr uint64) {
 		}
 	}
 	st.hist[slot] = addr
-	st.lastPos[addr] = st.count
+	g.lastPos.set(addr, st.count)
 	st.count++
 }
 
@@ -337,14 +345,11 @@ func (g *StreamGen) Next() Access {
 // lines, approximating dependent pointer chasing (429.mcf-like): reuse
 // distances are spread widely, mostly far beyond any protecting distance.
 type PointerChaseGen struct {
-	name  string
-	lines int
-	base  uint64
-	seed  uint64
-	rng   *RNG
-	perm  []uint32
-	pos   uint32
-	pc    uint64
+	name string
+	base uint64
+	perm []uint32
+	pos  uint32
+	pc   uint64
 }
 
 // NewPointerChaseGen builds a random-permutation walk over `lines` lines.
@@ -352,28 +357,25 @@ func NewPointerChaseGen(name string, lines int, base, seed uint64) *PointerChase
 	if lines <= 1 {
 		panic("trace: PointerChaseGen needs at least 2 lines")
 	}
-	g := &PointerChaseGen{name: name, lines: lines, base: base << 40, seed: seed, pc: 0x4000}
-	g.Reset()
+	g := &PointerChaseGen{name: name, base: base << 40, perm: make([]uint32, lines), pc: 0x4000}
+	for i := range g.perm {
+		g.perm[i] = uint32(i)
+	}
+	// Sattolo's algorithm: a single cycle through all lines.
+	rng := NewRNG(seed)
+	for i := lines - 1; i > 0; i-- {
+		j := rng.Intn(i)
+		g.perm[i], g.perm[j] = g.perm[j], g.perm[i]
+	}
 	return g
 }
 
 // Name implements Generator.
 func (g *PointerChaseGen) Name() string { return g.name }
 
-// Reset implements Generator.
-func (g *PointerChaseGen) Reset() {
-	g.rng = NewRNG(g.seed)
-	g.perm = make([]uint32, g.lines)
-	for i := range g.perm {
-		g.perm[i] = uint32(i)
-	}
-	// Sattolo's algorithm: a single cycle through all lines.
-	for i := g.lines - 1; i > 0; i-- {
-		j := g.rng.Intn(i)
-		g.perm[i], g.perm[j] = g.perm[j], g.perm[i]
-	}
-	g.pos = 0
-}
+// Reset implements Generator. The walk is a function of the seed alone and
+// Next never changes it, so only the position rewinds.
+func (g *PointerChaseGen) Reset() { g.pos = 0 }
 
 // Next implements Generator.
 func (g *PointerChaseGen) Next() Access {
@@ -394,6 +396,8 @@ type MixGen struct {
 }
 
 // NewMixGen interleaves gens with the given weights (need not be normalized).
+// Like NewPhasedGen it takes its children as built: freshly constructed or
+// Reset.
 func NewMixGen(name string, seed uint64, gens []Generator, weights []float64) *MixGen {
 	if len(gens) == 0 || len(gens) != len(weights) {
 		panic("trace: MixGen needs matching gens and weights")
@@ -414,7 +418,7 @@ func NewMixGen(name string, seed uint64, gens []Generator, weights []float64) *M
 		cum += w / total
 		g.cum = append(g.cum, cum)
 	}
-	g.Reset()
+	g.rng = NewRNG(seed)
 	return g
 }
 
@@ -579,7 +583,11 @@ func (g *DriftLoopGen) Name() string { return g.name }
 // Reset implements Generator.
 func (g *DriftLoopGen) Reset() {
 	g.rng = NewRNG(g.seed)
-	g.gen = make([]uint32, g.lines)
+	if g.gen == nil {
+		g.gen = make([]uint32, g.lines)
+	} else {
+		clear(g.gen)
+	}
 	g.pos = 0
 }
 

@@ -1,0 +1,84 @@
+package workload
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"testing"
+
+	"pdp/internal/trace"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/stream_goldens.json from the generators")
+
+const (
+	goldenSeed = 7
+	goldenN    = 300_000
+)
+
+// streamHash is an FNV-1a over (Addr, PC, Write) of the next n accesses of g.
+func streamHash(g trace.Generator, n int) string {
+	h := fnv.New64a()
+	var rec [17]byte
+	for i := 0; i < n; i++ {
+		a := g.Next()
+		binary.LittleEndian.PutUint64(rec[0:], a.Addr)
+		binary.LittleEndian.PutUint64(rec[8:], a.PC)
+		rec[16] = 0
+		if a.Write {
+			rec[16] = 1
+		}
+		h.Write(rec[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestStreamGoldens pins every model's access stream. The simulator's
+// pinned statistics (bench/testdata/sim_digests.json, repro -scale 0.2)
+// run 2048 sets, where a task gives each set ~80 accesses: no RDDGen set
+// fills its 512-entry retired ring, so the ring's wrap, the index delete
+// it triggers and a duplicate address in the ring are never executed
+// there. At 4 sets the ring wraps ~100 times.
+func TestStreamGoldens(t *testing.T) {
+	const path = "testdata/stream_goldens.json"
+	got := map[string]string{}
+	for _, b := range append(All(), Phased()...) {
+		for _, sets := range []int{4, 2048} {
+			k := fmt.Sprintf("%s sets=%d", b.Name, sets)
+			g := b.Generator(sets, 0, goldenSeed)
+			got[k] = streamHash(g, goldenN)
+			g.Reset()
+			if again := streamHash(g, goldenN); again != got[k] {
+				t.Errorf("%s: stream hash %s after Reset, %s before", k, again, got[k])
+			}
+		}
+	}
+	if *update {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s pins %d streams, the models give %d", path, len(want), len(got))
+	}
+	for k, g := range got {
+		if want[k] != g {
+			t.Errorf("%s: stream hash %s, pinned %s", k, g, want[k])
+		}
+	}
+}
