@@ -27,6 +27,9 @@ race:
 # The one-path rule (DESIGN.md §8): a per-op request is a batch of one, so
 # kvserver reaches the cache's data ops through one ExecBatch call, cluster
 # never names the /kv/ route, and loadgen books a hit in one place.
+# The one-stream rule (DESIGN.md §3): the figures drive every policy column
+# of a row through one RunMany call, never RunSingle, and the PD recompute
+# period has one definition, recomputeEvery.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -rnE 'rpd +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
@@ -35,6 +38,8 @@ seam:
 	@test "$$(cat $$(ls internal/kvserver/*.go | grep -v _test.go) | grep -c 's\.cache\.ExecBatch(')" = 1
 	@! grep -n '"/kv/' $$(ls internal/cluster/*.go | grep -v _test.go)
 	@test "$$(cat $$(ls internal/loadgen/*.go | grep -v _test.go) | grep -c 'w\.hits++')" = 1
+	@! grep -n 'RunSingle(' internal/experiments/figs_*.go
+	@! grep -inE 'accesses */ *8' $$(ls internal/experiments/*.go | grep -v _test.go)
 
 # Non-test line counts: the six serving packages (ROADMAP's size table),
 # then the paper's packages, the scaffolding and the commands (ROADMAP
@@ -50,12 +55,13 @@ loc:
 
 # Microbenchmarks to measure with while working: the telemetry overhead
 # guard (disabled vs attached tap on the PDP-8 hot path), the simulator
-# substrate (RDDGen's steady state, one LRU access, and one whole sim_suite
-# task, set-up included) and the batched cache path. The repo's benchmark
+# substrate (RDDGen's steady state, one LRU access, one whole sim_suite
+# task, set-up included, and one model through all five sim_suite policies
+# on one stream) and the batched cache path. The repo's benchmark
 # proper is bench/ (see bench/README.md).
 bench:
 	$(GO) test -bench 'AccessPDP8' -benchtime 2s -count 5 -run @ .
-	$(GO) test -bench 'TraceRDDGen|AccessLRU|RunSingleTask' -benchtime 1s -count 5 -run @ .
+	$(GO) test -bench 'TraceRDDGen|AccessLRU|RunSingleTask|RunManyTask' -benchtime 1s -count 5 -run @ .
 	$(GO) test -bench 'ExecBatch' -benchtime 1s -count 3 -run @ ./internal/kvcache/
 
 # The full suite (seed 42) into repro_output.txt, the untracked archive

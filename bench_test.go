@@ -228,3 +228,27 @@ func BenchmarkRunSingleTask(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunManyTask times one model through sim_suite's five policies
+// on one stream: the generator is paid for once, not once per policy as
+// five BenchmarkRunSingleTask-shaped tasks pay for it.
+func BenchmarkRunManyTask(b *testing.B) {
+	const n = 100_000
+	var specs []experiments.PolicySpec
+	for _, p := range []string{"lru", "dip", "drrip", "sdp", "pdp-8"} {
+		spec, err := experiments.SpecByName(p, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	for _, name := range []string{"403.gcc", "436.cactusADM"} {
+		bm, _ := workload.ByName(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				experiments.RunMany(bm, specs, n, 1, experiments.RunOptions{})
+			}
+		})
+	}
+}

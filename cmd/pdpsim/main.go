@@ -255,7 +255,7 @@ func main() {
 					saveCk()
 				}
 			}
-			results[i] = experiments.RunSingleResilient(rcfg.Bench(b), specs[i], *n, *seed, opt)
+			results[i] = experiments.RunMany(rcfg.Bench(b), specs[i:i+1], *n, *seed, opt)[0]
 			if ck != nil {
 				ck.ClearOffset(key)
 				ck.MarkDone(key, time.Since(began))

@@ -18,7 +18,6 @@ import (
 	"pdp/internal/opt"
 	"pdp/internal/parallel"
 	"pdp/internal/rrip"
-	"pdp/internal/trace"
 	"pdp/internal/workload"
 )
 
@@ -26,16 +25,12 @@ import (
 // hit headroom: (hits(policy) - hits(DIP)) / (hits(OPT) - hits(DIP)).
 func OptGap(cfg Config) error {
 	header(cfg.Out, "optgap", "Fraction of Belady-OPT headroom over DIP recovered (extension)")
-	recompute := uint64(cfg.Accesses / 8)
-	if recompute < 4096 {
-		recompute = 4096
-	}
-	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, recompute)}
+	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, recomputeEvery(cfg.Accesses))}
+	cols := append([]PolicySpec{specDIP()}, specs...)
 	suite := workload.Suite()
 	type optRow struct {
 		ost  opt.Stats
-		base RunResult
-		runs []RunResult
+		runs []RunResult // the DIP base, then specs
 	}
 	rowsP, err := parallel.Map(cfg.jobs(), len(suite), func(i int) (optRow, error) {
 		b := suite[i]
@@ -49,11 +44,7 @@ func OptGap(cfg Config) error {
 		if err != nil {
 			return optRow{}, err
 		}
-		row := optRow{ost: ost, base: RunSingle(cfg.Bench(b), specDIP(), cfg.Accesses, cfg.Seed)}
-		for _, s := range specs {
-			row.runs = append(row.runs, RunSingle(cfg.Bench(b), s, cfg.Accesses, cfg.Seed))
-		}
-		return row, nil
+		return optRow{ost: ost, runs: RunMany(cfg.Bench(b), cols, cfg.Accesses, cfg.Seed, RunOptions{})}, nil
 	})
 	if err != nil {
 		return err
@@ -62,7 +53,7 @@ func OptGap(cfg Config) error {
 	fmt.Fprintln(tw, "benchmark\tDIP hit%\tOPT-B hit%\tDRRIP\tSDP\tPDP-8")
 	rows := map[string][]float64{}
 	for i, b := range suite {
-		ost, base := rowsP[i].ost, rowsP[i].base
+		ost, base := rowsP[i].ost, rowsP[i].runs[0]
 		head := float64(ost.Hits) - float64(base.Stats.Hits)
 		// Benchmarks where DIP already sits at OPT (streaming,
 		// LRU-friendly) have no headroom to recover; exclude them from the
@@ -71,7 +62,7 @@ func OptGap(cfg Config) error {
 		fmt.Fprintf(tw, "%s\t%.1f\t%.1f", b.Name,
 			100*base.Stats.HitRate(), 100*ost.HitRate())
 		for j, s := range specs {
-			r := rowsP[i].runs[j]
+			r := rowsP[i].runs[1+j]
 			if !meaningful {
 				fmt.Fprintf(tw, "\t(n/a)")
 				continue
@@ -109,10 +100,7 @@ func specClassPDP(classes int, recompute uint64) PolicySpec {
 // signature-based insertion).
 func ClassPDPExp(cfg Config) error {
 	header(cfg.Out, "classpdp", "Per-PC-class PDP (paper Sec. 6.3 future work; IPC improvement over DIP)")
-	recompute := uint64(cfg.Accesses / 8)
-	if recompute < 4096 {
-		recompute = 4096
-	}
+	recompute := recomputeEvery(cfg.Accesses)
 	ship := PolicySpec{Name: "SHiP", New: func(s, w int, _ uint64) cache.Policy {
 		return rrip.NewSHiP(s, w)
 	}}
@@ -122,11 +110,9 @@ func ClassPDPExp(cfg Config) error {
 	specs := []PolicySpec{specSDP(), ship, aip, specPDP(8, recompute), specClassPDP(8, recompute)}
 	suite := workload.Suite()
 	// Column 0 is the DIP base, columns 1.. follow specs.
-	grid, err := parallel.Grid(cfg.jobs(), len(suite), 1+len(specs), func(r, c int) (RunResult, error) {
-		if c == 0 {
-			return RunSingle(cfg.Bench(suite[r]), specDIP(), cfg.Accesses, cfg.Seed), nil
-		}
-		return RunSingle(cfg.Bench(suite[r]), specs[c-1], cfg.Accesses, cfg.Seed), nil
+	cols := append([]PolicySpec{specDIP()}, specs...)
+	grid, err := parallel.Map(cfg.jobs(), len(suite), func(r int) ([]RunResult, error) {
+		return RunMany(cfg.Bench(suite[r]), cols, cfg.Accesses, cfg.Seed, RunOptions{}), nil
 	})
 	if err != nil {
 		return err
@@ -159,18 +145,13 @@ func ClassPDPExp(cfg Config) error {
 // hit rate win here too — bypass adds a further LLC-write saving.
 func Energy(cfg Config) error {
 	header(cfg.Out, "energy", "LLC+memory dynamic energy vs DIP (extension)")
-	recompute := uint64(cfg.Accesses / 8)
-	if recompute < 4096 {
-		recompute = 4096
-	}
 	model := cpu.DefaultEnergy()
-	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, recompute)}
+	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, recomputeEvery(cfg.Accesses))}
 	suite := workload.Suite()
-	grid, err := parallel.Grid(cfg.jobs(), len(suite), 1+len(specs), func(r, c int) (RunResult, error) {
-		if c == 0 {
-			return RunSingle(cfg.Bench(suite[r]), specDIP(), cfg.Accesses, cfg.Seed), nil
-		}
-		return RunSingle(cfg.Bench(suite[r]), specs[c-1], cfg.Accesses, cfg.Seed), nil
+	// Column 0 is the DIP base, columns 1.. follow specs.
+	cols := append([]PolicySpec{specDIP()}, specs...)
+	grid, err := parallel.Map(cfg.jobs(), len(suite), func(r int) ([]RunResult, error) {
+		return RunMany(cfg.Bench(suite[r]), cols, cfg.Accesses, cfg.Seed, RunOptions{}), nil
 	})
 	if err != nil {
 		return err
@@ -205,44 +186,29 @@ func Energy(cfg Config) error {
 	return tw.Flush()
 }
 
-// runTimed drives a benchmark through the LLC while feeding the interval
-// core simulator (MLP-aware) alongside the blocking analytic model.
-func runTimed(b workload.Benchmark, spec PolicySpec, n int, seed uint64) (analytic, simulated float64, err error) {
-	pol := spec.New(LLCSets, LLCWays, seed)
-	c := cache.New(cache.Config{Name: "LLC", Sets: LLCSets, Ways: LLCWays,
-		LineSize: trace.LineSize, AllowBypass: spec.Bypass}, pol)
-	g := b.Generator(LLCSets, 1, seed)
-	for i := Warmup(n); i > 0; i-- {
-		c.Access(g.Next())
-	}
-	c.Stats = cache.Stats{}
+// coreTimer feeds the MLP-aware interval core simulator from one LLC's
+// measured window. Every access emits exactly one EvHit, EvInsert or
+// EvBypass; each is preceded by the benchmark's non-memory instructions.
+type coreTimer struct {
+	core       *cpusim.Core
+	cfg        cpusim.Config
+	gap, carry float64
+}
 
-	cfg := cpusim.Default()
-	core2, err := cpusim.New(cfg)
-	if err != nil {
-		return 0, 0, err
+// Event implements cache.Monitor.
+func (t *coreTimer) Event(ev cache.Event) {
+	lat := t.cfg.MemCycles
+	switch ev.Kind {
+	case cache.EvEvict:
+		return
+	case cache.EvHit:
+		lat = t.cfg.LLCHitCycles
 	}
-	gap := 1000.0/b.APKI - 1
-	if gap < 0 {
-		gap = 0
-	}
-	carry := 0.0
-	for i := 0; i < n; i++ {
-		carry += gap
-		whole := uint64(carry)
-		carry -= float64(whole)
-		core2.Advance(whole)
-		r := c.Access(g.Next())
-		if r.Hit {
-			core2.Memory(cfg.LLCHitCycles)
-		} else {
-			core2.Memory(cfg.MemCycles)
-		}
-	}
-	instr := cpu.Instructions(c.Stats.Accesses, b.APKI)
-	analytic = cpu.Default().IPC(instr, c.Stats.Hits, c.Stats.Misses)
-	simulated = core2.IPC()
-	return analytic, simulated, nil
+	t.carry += t.gap
+	whole := uint64(t.carry)
+	t.carry -= float64(whole)
+	t.core.Advance(whole)
+	t.core.Memory(lat)
 }
 
 // Timing compares the blocking analytic core model against the MLP-aware
@@ -251,22 +217,29 @@ func runTimed(b workload.Benchmark, spec PolicySpec, n int, seed uint64) (analyt
 // its sign and rough magnitude under memory-level parallelism.
 func Timing(cfg Config) error {
 	header(cfg.Out, "timing", "Core-model robustness: PDP-8 IPC improvement over DIP under blocking vs MLP-aware timing (extension)")
-	recompute := uint64(cfg.Accesses / 8)
-	if recompute < 4096 {
-		recompute = 4096
+	simCfg := cpusim.Default()
+	if _, err := cpusim.New(simCfg); err != nil {
+		return err
 	}
+	cols := []PolicySpec{specDIP(), specPDP(8, recomputeEvery(cfg.Accesses))}
 	suite := workload.Suite()
-	type timedRow struct {
-		aDIP, sDIP, aPDP, sPDP float64
-	}
-	rows, err := parallel.Map(cfg.jobs(), len(suite), func(i int) (timedRow, error) {
-		var row timedRow
-		var err error
-		if row.aDIP, row.sDIP, err = runTimed(suite[i], specDIP(), cfg.Accesses, cfg.Seed); err != nil {
-			return row, err
-		}
-		row.aPDP, row.sPDP, err = runTimed(suite[i], specPDP(8, recompute), cfg.Accesses, cfg.Seed)
-		return row, err
+	// Each row is PDP-8's improvement over DIP under the blocking model
+	// (RunResult.IPC) and under the interval simulator.
+	rows, err := parallel.Map(cfg.jobs(), len(suite), func(i int) ([2]float64, error) {
+		b := suite[i]
+		var timers []*coreTimer
+		rs := RunMany(b, cols, cfg.Accesses, cfg.Seed, RunOptions{Telemetry: TelemetryOptions{
+			Attach: func(*cache.Cache, cache.Policy) cache.Monitor {
+				core, _ := cpusim.New(simCfg) // validated above
+				t := &coreTimer{core: core, cfg: simCfg, gap: max(1000/b.APKI-1, 0)}
+				timers = append(timers, t)
+				return t
+			},
+		}})
+		return [2]float64{
+			metrics.Improvement(rs[1].IPC, rs[0].IPC),
+			metrics.Improvement(timers[1].core.IPC(), timers[0].core.IPC()),
+		}, nil
 	})
 	if err != nil {
 		return err
@@ -275,8 +248,7 @@ func Timing(cfg Config) error {
 	fmt.Fprintln(tw, "benchmark\tblocking model\tinterval (MLP) model")
 	var aAvg, sAvg []float64
 	for i, b := range suite {
-		ia := metrics.Improvement(rows[i].aPDP, rows[i].aDIP)
-		is := metrics.Improvement(rows[i].sPDP, rows[i].sDIP)
+		ia, is := rows[i][0], rows[i][1]
 		fmt.Fprintf(tw, "%s\t%s\t%s\n", b.Name, fmtPct(ia), fmtPct(is))
 		aAvg = append(aAvg, ia)
 		sAvg = append(sAvg, is)

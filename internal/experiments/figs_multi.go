@@ -9,7 +9,6 @@ import (
 	"pdp/internal/parallel"
 	"pdp/internal/partition"
 	"pdp/internal/rrip"
-	"pdp/internal/telemetry"
 	"pdp/internal/trace"
 	"pdp/internal/workload"
 )
@@ -58,7 +57,7 @@ type MixResult struct {
 // core. Threads interleave with probabilities proportional to their APKI
 // (memory-intensity-proportional arrival, standing in for co-run timing).
 func RunMix(mix workload.Mix, spec MCPolicySpec, perThread int, seed uint64) MixResult {
-	return runMix(mix, spec, perThread, seed, nil)
+	return runMixMany(mix, []MCPolicySpec{spec}, perThread, seed, TelemetryOptions{})[0]
 }
 
 // RunMixTelemetry is RunMix with the telemetry pipeline attached after
@@ -66,27 +65,23 @@ func RunMix(mix workload.Mix, spec MCPolicySpec, perThread int, seed uint64) Mix
 // partitioning policies exposing PDs() get their per-thread protecting
 // distances stamped into every snapshot.
 func RunMixTelemetry(mix workload.Mix, spec MCPolicySpec, perThread int, seed uint64, opt TelemetryOptions) MixResult {
-	return runMix(mix, spec, perThread, seed, func(c *cache.Cache, pol cache.Policy) {
-		tap := telemetry.NewTap(c, telemetry.TapConfig{
-			Registry:      opt.Registry,
-			Journal:       opt.Journal,
-			SnapshotEvery: opt.SnapshotEvery,
-			EventSample:   opt.EventSample,
-			Cores:         len(mix.Benchs),
-		})
-		tap.ObservePolicy(pol)
-		c.SetMonitor(telemetry.Multi(tap, opt.Extra))
-	})
+	return runMixMany(mix, []MCPolicySpec{spec}, perThread, seed, opt)[0]
 }
 
-// runMix drives one multi-programmed run; attach, called on the warmed-up
-// cache just before the measured window, installs any observers.
-func runMix(mix workload.Mix, spec MCPolicySpec, perThread int, seed uint64, attach func(*cache.Cache, cache.Policy)) MixResult {
+// runMixMany drives one multi-programmed stream through one shared LLC per
+// spec, each interleaved access handed to every cache in spec order, as
+// RunMany does for one core; opt is attached to each warmed-up cache just
+// before the measured window.
+func runMixMany(mix workload.Mix, specs []MCPolicySpec, perThread int, seed uint64, opt TelemetryOptions) []MixResult {
 	cores := len(mix.Benchs)
 	sets := LLCSets * cores
-	pol := spec.New(sets, LLCWays, cores, seed)
-	c := cache.New(cache.Config{Name: "LLC", Sets: sets, Ways: LLCWays,
-		LineSize: trace.LineSize, AllowBypass: spec.Bypass}, pol)
+	pols := make([]cache.Policy, len(specs))
+	caches := make([]*cache.Cache, len(specs))
+	for i, spec := range specs {
+		pols[i] = spec.New(sets, LLCWays, cores, seed)
+		caches[i] = cache.New(cache.Config{Name: "LLC", Sets: sets, Ways: LLCWays,
+			LineSize: trace.LineSize, AllowBypass: spec.Bypass}, pols[i])
+	}
 
 	gens := make([]trace.Generator, cores)
 	cum := make([]float64, cores)
@@ -102,53 +97,54 @@ func runMix(mix workload.Mix, spec MCPolicySpec, perThread int, seed uint64, att
 		cum[t] = total
 	}
 	rng := trace.NewRNG(seed ^ 0xC0FFEE)
-	accs := make([]uint64, cores)
-	hits := make([]uint64, cores)
-	mem := make([]uint64, cores)
-	pick := func() int {
+	next := func() trace.Access {
 		u := rng.Float64() * total
 		t := 0
 		for t < cores-1 && u >= cum[t] {
 			t++
 		}
-		return t
+		a := gens[t].Next()
+		a.Thread = t
+		return a
 	}
 	n := perThread * cores
 	// Multi-core warm-up: every thread needs its own single-core-scale
 	// warm-up, and threads only advance at ~1/cores of the global rate.
-	warm := n / 3
-	if warm > 2_000_000 {
-		warm = 2_000_000
+	for i := min(n/3, 2_000_000); i > 0; i-- {
+		a := next()
+		for _, c := range caches {
+			c.Access(a)
+		}
 	}
-	for i := warm; i > 0; i-- {
-		t := pick()
-		a := gens[t].Next()
-		a.Thread = t
-		c.Access(a)
+	for i, c := range caches {
+		c.Stats = cache.Stats{}
+		opt.attach(c, pols[i], cores)
 	}
-	c.Stats = cache.Stats{}
-	if attach != nil {
-		attach(c, pol)
+	accs := make([]uint64, cores)
+	hits := make([][]uint64, len(specs)) // per cache, per thread
+	for i := range hits {
+		hits[i] = make([]uint64, cores)
 	}
 	for i := 0; i < n; i++ {
-		t := pick()
-		a := gens[t].Next()
-		a.Thread = t
-		r := c.Access(a)
-		accs[t]++
-		if r.Hit {
-			hits[t]++
-		} else {
-			mem[t]++
+		a := next()
+		accs[a.Thread]++
+		for j, c := range caches {
+			if c.Access(a).Hit {
+				hits[j][a.Thread]++
+			}
 		}
 	}
 	model := cpu.Default()
-	ipc := make([]float64, cores)
-	for t := range ipc {
-		instr := cpu.Instructions(accs[t], mix.Benchs[t].APKI)
-		ipc[t] = model.IPC(instr, hits[t], mem[t])
+	out := make([]MixResult, len(specs))
+	for i, spec := range specs {
+		ipc := make([]float64, cores)
+		for t := range ipc {
+			instr := cpu.Instructions(accs[t], mix.Benchs[t].APKI)
+			ipc[t] = model.IPC(instr, hits[i][t], accs[t]-hits[i][t])
+		}
+		out[i] = MixResult{Policy: spec.Name, IPC: ipc}
 	}
-	return MixResult{Policy: spec.Name, IPC: ipc}
+	return out
 }
 
 // singleIPC computes a benchmark's stand-alone IPC on the multi-core LLC
@@ -157,7 +153,7 @@ func singleIPC(b workload.Benchmark, cores, accesses int, seed uint64) float64 {
 	sets := LLCSets * cores
 	c := cache.New(cache.Config{Name: "LLC", Sets: sets, Ways: LLCWays,
 		LineSize: trace.LineSize}, cache.NewLRU(sets, LLCWays))
-	// Same single-core-granularity generator as RunMix: alone on the large
+	// Same single-core-granularity generator as runMixMany: alone on the large
 	// LLC, the thread's lines spread thinner and distances shrink.
 	g := b.Generator(LLCSets, 1, seed)
 	for i := Warmup(accesses); i > 0; i-- {
@@ -227,12 +223,12 @@ func Fig12(cfg Config) error {
 			singles[b.Name] = ipcs[i]
 		}
 
-		// All mix x policy runs, column 0 = the TA-DRRIP base. Each cell is
-		// an independent run seeded only by the mix id, so the grid is
+		// One stream per mix through every policy, column 0 = the TA-DRRIP
+		// base. Each row is seeded only by the mix id, so the table is
 		// identical at every jobs count.
-		runs, err := parallel.Grid(cfg.jobs(), len(mixes), len(policies), func(r, c int) (MixResult, error) {
+		runs, err := parallel.Map(cfg.jobs(), len(mixes), func(r int) ([]MixResult, error) {
 			m := mixes[r]
-			return RunMix(cfg.Mix(m), policies[c], cfg.MCAccessesPerThread, cfg.Seed+uint64(m.ID)), nil
+			return runMixMany(cfg.Mix(m), policies, cfg.MCAccessesPerThread, cfg.Seed+uint64(m.ID), TelemetryOptions{}), nil
 		})
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"pdp/internal/cache"
 	"pdp/internal/core"
@@ -25,9 +26,9 @@ func staticPDs() []int {
 }
 
 // Fig2 reproduces paper Fig. 2: DRRIP misses as a function of epsilon,
-// normalized to epsilon = 1/32. Cells of the benchmark x epsilon grid are
-// independent runs, fanned across cfg.Jobs workers; the table renders
-// after the grid completes, in fixed order.
+// normalized to epsilon = 1/32. Each benchmark row is one stream through
+// one DRRIP per epsilon; rows are fanned across cfg.Jobs workers and the
+// table renders after they complete, in fixed order.
 func Fig2(cfg Config) error {
 	header(cfg.Out, "fig2", "DRRIP MPKI vs epsilon (normalized to 1/32)")
 	benches := []string{"403.gcc", "436.cactusADM", "464.h264ref", "483.xalancbmk.3"}
@@ -39,17 +40,14 @@ func Fig2(cfg Config) error {
 		}
 		bs[i] = b
 	}
-	// Column 0 is the epsilon = 1/32 normalization base.
-	grid, err := parallel.Grid(cfg.jobs(), len(bs), 1+len(epsilons), func(r, c int) (RunResult, error) {
-		eps := 1.0 / 32
-		if c > 0 {
-			eps = epsilons[c-1]
-		}
-		return RunSingle(cfg.Bench(bs[r]), specDRRIP(eps), cfg.Accesses, cfg.Seed), nil
+	specs := sweep(epsilons, specDRRIP)
+	rows, err := parallel.Map(cfg.jobs(), len(bs), func(r int) ([]RunResult, error) {
+		return RunMany(cfg.Bench(bs[r]), specs, cfg.Accesses, cfg.Seed, RunOptions{}), nil
 	})
 	if err != nil {
 		return err
 	}
+	baseCol := slices.Index(epsilons, 1.0/32)
 	tw := table(cfg.Out)
 	fmt.Fprint(tw, "benchmark")
 	for _, e := range epsilons {
@@ -57,48 +55,64 @@ func Fig2(cfg Config) error {
 	}
 	fmt.Fprintln(tw)
 	for r, name := range benches {
-		base := grid[r][0].MPKI
+		base := rows[r][baseCol].MPKI
 		fmt.Fprint(tw, name)
-		for c := range epsilons {
-			fmt.Fprintf(tw, "\t%.3f", grid[r][c+1].MPKI/base)
+		for _, res := range rows[r] {
+			fmt.Fprintf(tw, "\t%.3f", res.MPKI/base)
 		}
 		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
 }
 
-// bestOver runs spec builders over a grid and returns the result with the
-// fewest misses, together with its grid value.
-func bestOver[T any](b workload.Benchmark, grid []T, mk func(T) PolicySpec, n int, seed uint64) (RunResult, T) {
-	var best RunResult
-	var bestV T
-	first := true
-	for _, v := range grid {
-		r := RunSingle(b, mk(v), n, seed)
-		if first || r.Stats.Misses < best.Stats.Misses {
-			best, bestV, first = r, v, false
+// sweep builds one spec per grid value.
+func sweep[T any](grid []T, mk func(T) PolicySpec) []PolicySpec {
+	specs := make([]PolicySpec, len(grid))
+	for i, v := range grid {
+		specs[i] = mk(v)
+	}
+	return specs
+}
+
+// best reads a sweep's columns off the front of rs, which ran one spec per
+// grid value in grid order. It returns the result with the fewest misses
+// (the first on a tie), its grid value, and the results after the sweep.
+func best[T any](rs []RunResult, grid []T) (RunResult, T, []RunResult) {
+	b := 0
+	for i := range grid {
+		if rs[i].Stats.Misses < rs[b].Stats.Misses {
+			b = i
 		}
 	}
-	return best, bestV
+	return rs[b], grid[b], rs[len(grid):]
 }
+
+// spdpNB and spdpB build static PDP without and with bypass.
+func spdpNB(pd int) PolicySpec { return specSPDP(pd, false) }
+func spdpB(pd int) PolicySpec  { return specSPDP(pd, true) }
 
 // Fig4 reproduces paper Fig. 4: miss reduction over DRRIP(1/32) of DRRIP
 // with the best epsilon, best static SPDP-NB, and best static SPDP-B.
-// Each benchmark row (baseline plus three grid sweeps, ~40 runs) is one
-// pool task; rows render in suite order once all complete.
+// Each benchmark row (three grid sweeps, 39 caches on one stream; the
+// base is the epsilon sweep's 1/32 column) is one pool task; rows render
+// in suite order once all complete.
 func Fig4(cfg Config) error {
 	header(cfg.Out, "fig4", "Static PDP vs DRRIP: miss reduction over DRRIP(eps=1/32)")
 	type row struct {
 		rd, rnb, rb float64
 		pdNB, pdB   int
 	}
+	pds := staticPDs()
+	specs := append(sweep(epsilons, specDRRIP), sweep(pds, spdpNB)...)
+	specs = append(specs, sweep(pds, spdpB)...)
+	baseCol := slices.Index(epsilons, 1.0/32)
 	all := workload.All()
 	rows, err := parallel.Map(cfg.jobs(), len(all), func(i int) (row, error) {
-		b := all[i]
-		base := RunSingle(cfg.Bench(b), specDRRIP(1.0/32), cfg.Accesses, cfg.Seed)
-		bd, _ := bestOver(cfg.Bench(b), epsilons, specDRRIP, cfg.Accesses, cfg.Seed)
-		bnb, pdNB := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, false) }, cfg.Accesses, cfg.Seed)
-		bb, pdB := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses, cfg.Seed)
+		rs := RunMany(cfg.Bench(all[i]), specs, cfg.Accesses, cfg.Seed, RunOptions{})
+		base := rs[baseCol]
+		bd, _, rs := best(rs, epsilons)
+		bnb, pdNB, rs := best(rs, pds)
+		bb, pdB, _ := best(rs, pds)
 		return row{
 			rd:   metrics.Reduction(float64(bd.Stats.Misses), float64(base.Stats.Misses)),
 			rnb:  metrics.Reduction(float64(bnb.Stats.Misses), float64(base.Stats.Misses)),
@@ -199,14 +213,18 @@ func Fig5a(cfg Config) error {
 			return section{}, fmt.Errorf("unknown benchmark %s", names[i])
 		}
 		// Use each policy's best static PD from a quick sweep.
-		_, pdNB := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, false) }, cfg.Accesses/2, cfg.Seed)
-		_, pdB := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses/2, cfg.Seed)
-		s := section{specs: []PolicySpec{specDRRIP(1.0 / 32), specSPDP(pdNB, false), specSPDP(pdB, true)}}
-		for _, spec := range s.specs {
-			mon := newOccMonitor(LLCSets, LLCWays)
-			s.runs = append(s.runs, RunSingleMonitored(cfg.Bench(b), spec, cfg.Accesses, cfg.Seed, mon))
-			s.mons = append(s.mons, mon)
-		}
+		pds := staticPDs()
+		rs := RunMany(cfg.Bench(b), append(sweep(pds, spdpNB), sweep(pds, spdpB)...), cfg.Accesses/2, cfg.Seed, RunOptions{})
+		_, pdNB, rs := best(rs, pds)
+		_, pdB, _ := best(rs, pds)
+		s := section{specs: []PolicySpec{specDRRIP(1.0 / 32), spdpNB(pdNB), spdpB(pdB)}}
+		s.runs = RunMany(cfg.Bench(b), s.specs, cfg.Accesses, cfg.Seed, RunOptions{Telemetry: TelemetryOptions{
+			Attach: func(*cache.Cache, cache.Policy) cache.Monitor {
+				mon := newOccMonitor(LLCSets, LLCWays)
+				s.mons = append(s.mons, mon)
+				return mon
+			},
+		}})
 		return s, nil
 	})
 	if err != nil {
@@ -244,10 +262,7 @@ func Fig5a(cfg Config) error {
 // configuration.
 func Fig9(cfg Config) error {
 	header(cfg.Out, "fig9", "PDP parameters: sampler configuration and counter step S_c (MPKI / Full)")
-	recompute := uint64(cfg.Accesses / 8)
-	if recompute < 4096 {
-		recompute = 4096
-	}
+	recompute := recomputeEvery(cfg.Accesses)
 	mk := func(full bool, sc int) PolicySpec {
 		name := fmt.Sprintf("Real,Sc=%d", sc)
 		if full {
@@ -261,8 +276,8 @@ func Fig9(cfg Config) error {
 	configs := []PolicySpec{mk(true, 1), mk(false, 1), mk(false, 2), mk(false, 4), mk(false, 8)}
 	suite := workload.Suite()
 	// Column 0 (the Full configuration) doubles as the normalization base.
-	grid, err := parallel.Grid(cfg.jobs(), len(suite), len(configs), func(r, c int) (RunResult, error) {
-		return RunSingle(cfg.Bench(suite[r]), configs[c], cfg.Accesses, cfg.Seed), nil
+	grid, err := parallel.Map(cfg.jobs(), len(suite), func(r int) ([]RunResult, error) {
+		return RunMany(cfg.Bench(suite[r]), configs, cfg.Accesses, cfg.Seed, RunOptions{}), nil
 	})
 	if err != nil {
 		return err
@@ -292,10 +307,7 @@ func Fig9(cfg Config) error {
 // policies vs DIP — miss reduction, IPC improvement, bypass fraction.
 func Fig10(cfg Config) error {
 	header(cfg.Out, "fig10", "Single-core policies vs DIP")
-	recompute := uint64(cfg.Accesses / 8)
-	if recompute < 4096 {
-		recompute = 4096
-	}
+	recompute := recomputeEvery(cfg.Accesses)
 	specs := []PolicySpec{
 		specDRRIP(1.0 / 32),
 		specEELRU(),
@@ -305,6 +317,10 @@ func Fig10(cfg Config) error {
 		specPDP(8, recompute),
 	}
 	coarse := []int{16, 32, 48, 64, 80, 96, 128, 192, 256}
+	// One stream per benchmark: the DIP base, the policy columns, then the
+	// SPDP-B sweep.
+	cols := append([]PolicySpec{specDIP()}, specs...)
+	cols = append(cols, sweep(coarse, spdpB)...)
 
 	type row struct {
 		base    RunResult
@@ -312,13 +328,9 @@ func Fig10(cfg Config) error {
 	}
 	all := workload.All()
 	rows, err := parallel.Map(cfg.jobs(), len(all), func(i int) (row, error) {
-		b := all[i]
-		out := row{base: RunSingle(cfg.Bench(b), specDIP(), cfg.Accesses, cfg.Seed)}
-		out.results = make([]RunResult, 0, len(specs)+1)
-		for _, s := range specs {
-			out.results = append(out.results, RunSingle(cfg.Bench(b), s, cfg.Accesses, cfg.Seed))
-		}
-		spdpb, _ := bestOver(cfg.Bench(b), coarse, func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses, cfg.Seed)
+		rs := RunMany(cfg.Bench(all[i]), cols, cfg.Accesses, cfg.Seed, RunOptions{})
+		out := row{base: rs[0], results: rs[1 : 1+len(specs)]}
+		spdpb, _, _ := best(rs[1+len(specs):], coarse)
 		spdpb.Policy = "SPDP-B"
 		out.results = append(out.results, spdpb)
 		return out, nil
@@ -397,9 +409,13 @@ func Fig11(cfg Config) error {
 			return core.New(core.Config{Sets: s, Ways: w, Bypass: true, RecomputeEvery: iv})
 		}}
 	}
+	// Fig. 11a's interval columns and Fig. 11b's DIP and DRRIP run on one
+	// stream per benchmark; 11b's PDP-8 is 11a's 64K column.
+	cols := append(sweep(intervals, mkPDP), specDIP(), specDRRIP(1.0/32))
+	dip, drrip, pdp := len(intervals), len(intervals)+1, slices.Index(intervals, 65536)
 	phased := workload.Phased()
-	gridA, err := parallel.Grid(cfg.jobs(), len(phased), len(intervals), func(r, c int) (RunResult, error) {
-		return RunSingle(cfg.Bench(phased[r]), mkPDP(intervals[c]), cfg.Accesses*2, cfg.Seed), nil
+	grid, err := parallel.Map(cfg.jobs(), len(phased), func(r int) ([]RunResult, error) {
+		return RunMany(cfg.Bench(phased[r]), cols, cfg.Accesses*2, cfg.Seed, RunOptions{}), nil
 	})
 	if err != nil {
 		return err
@@ -411,27 +427,20 @@ func Fig11(cfg Config) error {
 	}
 	fmt.Fprintln(tw)
 	for r, b := range phased {
-		base := gridA[r][0].IPC
+		base := grid[r][0].IPC
 		fmt.Fprint(tw, b.Name)
 		for c := range intervals {
-			fmt.Fprintf(tw, "\t%.3f", gridA[r][c].IPC/base)
+			fmt.Fprintf(tw, "\t%.3f", grid[r][c].IPC/base)
 		}
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 
 	header(cfg.Out, "fig11b", "Policies on phase-changing benchmarks (IPC improvement over DIP)")
-	specsB := []PolicySpec{specDIP(), specDRRIP(1.0 / 32), mkPDP(65536)}
-	gridB, err := parallel.Grid(cfg.jobs(), len(phased), len(specsB), func(r, c int) (RunResult, error) {
-		return RunSingle(cfg.Bench(phased[r]), specsB[c], cfg.Accesses*2, cfg.Seed), nil
-	})
-	if err != nil {
-		return err
-	}
 	tw = table(cfg.Out)
 	fmt.Fprintln(tw, "benchmark\tDRRIP\tPDP-8")
 	for r, b := range phased {
-		base, d, p := gridB[r][0], gridB[r][1], gridB[r][2]
+		base, d, p := grid[r][dip], grid[r][drrip], grid[r][pdp]
 		fmt.Fprintf(tw, "%s\t%s\t%s\n", b.Name,
 			fmtPct(metrics.Improvement(d.IPC, base.IPC)),
 			fmtPct(metrics.Improvement(p.IPC, base.IPC)))
@@ -473,8 +482,7 @@ func Fig11(cfg Config) error {
 func Sec63(cfg Config) error {
 	header(cfg.Out, "sec63", "429.mcf: insertion with PD=1 (miss reduction vs DIP)")
 	b, _ := workload.ByName("429.mcf")
-	base := RunSingle(cfg.Bench(b), specDIP(), cfg.Accesses, cfg.Seed)
-	recompute := uint64(cfg.Accesses / 8)
+	recompute := recomputeEvery(cfg.Accesses)
 	specs := []PolicySpec{
 		specDRRIP(1.0 / 32),
 		specPDP(8, recompute),
@@ -483,28 +491,20 @@ func Sec63(cfg Config) error {
 				RecomputeEvery: recompute, InsertPD: 1})
 		}},
 	}
-	type cell struct {
-		r  RunResult
-		pd int
-	}
-	// Tasks 0..len(specs)-1 are the policy runs, the last is the SPDP-B sweep.
-	cells, err := parallel.Map(cfg.jobs(), len(specs)+1, func(i int) (cell, error) {
-		if i == len(specs) {
-			r, pd := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses, cfg.Seed)
-			return cell{r: r, pd: pd}, nil
-		}
-		return cell{r: RunSingle(cfg.Bench(b), specs[i], cfg.Accesses, cfg.Seed)}, nil
-	})
-	if err != nil {
-		return err
+	// One stream: the DIP base, the policy columns, then the SPDP-B sweep.
+	pds := staticPDs()
+	cols := append(append([]PolicySpec{specDIP()}, specs...), sweep(pds, spdpB)...)
+	rs := RunMany(cfg.Bench(b), cols, cfg.Accesses, cfg.Seed, RunOptions{})
+	red := func(r RunResult) string {
+		return fmtPct(metrics.Reduction(float64(r.Stats.Misses), float64(rs[0].Stats.Misses)))
 	}
 	tw := table(cfg.Out)
 	fmt.Fprintln(tw, "policy\tmiss reduction vs DIP")
 	for i, s := range specs {
-		fmt.Fprintf(tw, "%s\t%s\n", s.Name, fmtPct(metrics.Reduction(float64(cells[i].r.Stats.Misses), float64(base.Stats.Misses))))
+		fmt.Fprintf(tw, "%s\t%s\n", s.Name, red(rs[1+i]))
 	}
-	sweep := cells[len(specs)]
-	fmt.Fprintf(tw, "SPDP-B(best=%d)\t%s\n", sweep.pd, fmtPct(metrics.Reduction(float64(sweep.r.Stats.Misses), float64(base.Stats.Misses))))
+	r, pd, _ := best(rs[1+len(specs):], pds)
+	fmt.Fprintf(tw, "SPDP-B(best=%d)\t%s\n", pd, red(r))
 	return tw.Flush()
 }
 
@@ -595,7 +595,7 @@ func runPrefetch(b workload.Benchmark, spec PolicySpec, n int, seed uint64, useP
 // Sec65 reproduces the paper's Sec. 6.5 prefetch-aware PDP study.
 func Sec65(cfg Config) error {
 	header(cfg.Out, "sec65", "Prefetch-aware PDP (IPC improvement over prefetch-unaware DRRIP, all with stream prefetcher)")
-	recompute := uint64(cfg.Accesses / 8)
+	recompute := recomputeEvery(cfg.Accesses)
 	mk := func(name string, mode core.PrefetchMode) PolicySpec {
 		return PolicySpec{Name: name, Bypass: true, New: func(s, w int, _ uint64) cache.Policy {
 			return core.New(core.Config{Sets: s, Ways: w, Bypass: true,

@@ -115,11 +115,10 @@ func Fig6(cfg Config) error {
 		if !ok {
 			return fig6Row{}, fmt.Errorf("unknown benchmark %s", benches[i])
 		}
-		row := fig6Row{arr: measureRDD(b, 4, cfg.Accesses, cfg.Seed)}
-		for dp := 16; dp <= 256; dp += 16 {
-			row.runs = append(row.runs, RunSingle(cfg.Bench(b), specSPDP(dp, true), cfg.Accesses, cfg.Seed))
-		}
-		return row, nil
+		return fig6Row{
+			arr:  measureRDD(b, 4, cfg.Accesses, cfg.Seed),
+			runs: RunMany(cfg.Bench(b), sweep(staticPDs(), spdpB), cfg.Accesses, cfg.Seed, RunOptions{}),
+		}, nil
 	})
 	if err != nil {
 		return err

@@ -78,13 +78,13 @@ func TestConcurrentRunsSharedMonitor(t *testing.T) {
 	const runs = 8
 	results := make([]RunResult, runs)
 	err := parallel.ForEach(runs, runs, func(i int) error {
-		results[i] = RunSingleTelemetry(b, specPDP(8, 10_000), 40_000, 42, TelemetryOptions{
+		results[i] = RunMany(b, []PolicySpec{specPDP(8, 10_000)}, 40_000, 42, RunOptions{Telemetry: TelemetryOptions{
 			Registry:      reg,
 			Journal:       journal,
 			SnapshotEvery: 10_000,
 			EventSample:   64,
 			Extra:         extra,
-		})
+		}})[0]
 		return nil
 	})
 	if err != nil {

@@ -61,8 +61,10 @@ func TestHeadlineClaims(t *testing.T) {
 	// Paper Sec. 2.3: the bypass variant beats non-bypass on h264ref.
 	{
 		b, _ := workload.ByName("464.h264ref")
-		nb, _ := bestOver(b, []int{32, 48, 64, 80}, func(pd int) PolicySpec { return specSPDP(pd, false) }, n, 1)
-		bp, _ := bestOver(b, []int{32, 48, 64, 80}, func(pd int) PolicySpec { return specSPDP(pd, true) }, n, 1)
+		pds := []int{32, 48, 64, 80}
+		rs := RunMany(b, append(sweep(pds, spdpNB), sweep(pds, spdpB)...), n, 1, RunOptions{})
+		nb, _, rs := best(rs, pds)
+		bp, _, _ := best(rs, pds)
 		if bp.Stats.Misses > nb.Stats.Misses {
 			t.Errorf("h264ref: SPDP-B (%d misses) must not lose to SPDP-NB (%d)",
 				bp.Stats.Misses, nb.Stats.Misses)

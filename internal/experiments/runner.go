@@ -190,9 +190,16 @@ func (r RunResult) BypassFrac() float64 {
 }
 
 // RunSingle drives n accesses of benchmark b through a fresh LLC managed by
-// spec's policy.
+// spec's policy: RunMany of one spec, unobserved.
 func RunSingle(b workload.Benchmark, spec PolicySpec, n int, seed uint64) RunResult {
-	return RunSingleMonitored(b, spec, n, seed, nil)
+	return RunMany(b, []PolicySpec{spec}, n, seed, RunOptions{})[0]
+}
+
+// recomputeEvery is the dynamic PDP's PD recompute period for a window of
+// n measured accesses: eight recomputes a window, at least 4096 accesses
+// apart.
+func recomputeEvery(n int) uint64 {
+	return uint64(max(n/8, 4096))
 }
 
 // Warmup returns the number of unmeasured warm-up accesses for a window of
@@ -211,71 +218,68 @@ func Warmup(n int) int {
 	return w
 }
 
-// RunSingleMonitored is RunSingle with an attached cache monitor. Warm-up
-// accesses run before counters (and the monitor) start.
-func RunSingleMonitored(b workload.Benchmark, spec PolicySpec, n int, seed uint64, mon cache.Monitor) RunResult {
-	return runSingle(b, spec, n, seed, runOpts{attach: func(c *cache.Cache, _ cache.Policy) {
-		if mon != nil {
-			c.SetMonitor(mon)
-		}
-	}})
-}
-
-// runOpts are the internal knobs of runSingle.
-type runOpts struct {
-	attach        func(*cache.Cache, cache.Policy)
-	start         uint64 // resume the measured window at this offset
-	onProgress    func(done uint64)
-	progressEvery uint64
-}
-
-// runSingle drives one single-core run; attach, called on the warmed-up
-// cache just before the measured window (stats freshly reset), installs
-// any observers. A positive start offset replays that many measured-window
-// accesses unmeasured first — generators are deterministic, so the replay
-// rebuilds the exact cache state of the interrupted run — and measures
-// only the remainder.
-func runSingle(b workload.Benchmark, spec PolicySpec, n int, seed uint64, opt runOpts) RunResult {
-	pol := spec.New(LLCSets, LLCWays, seed)
-	c := cache.New(cache.Config{
-		Name: "LLC", Sets: LLCSets, Ways: LLCWays, LineSize: trace.LineSize,
-		AllowBypass: spec.Bypass,
-	}, pol)
+// RunMany drives n measured accesses of benchmark b through one fresh LLC
+// per spec, all fed the same stream: one generator, each access handed to
+// every cache in spec order. The caches share no state and every policy is
+// built with seed, so result i is what a run of specs[i] alone would give;
+// the stream is generated once instead of once per policy column.
+//
+// Warm-up accesses run before counters start. opt's telemetry is attached
+// to each warmed-up cache, in spec order, just before the measured window.
+// A positive opt.StartAccess replays that many measured-window accesses
+// unmeasured first — generators are deterministic, so the replay rebuilds
+// the exact cache state of the interrupted run — and measures only the
+// remainder.
+func RunMany(b workload.Benchmark, specs []PolicySpec, n int, seed uint64, opt RunOptions) []RunResult {
+	pols := make([]cache.Policy, len(specs))
+	caches := make([]*cache.Cache, len(specs))
+	for i, spec := range specs {
+		pols[i] = spec.New(LLCSets, LLCWays, seed)
+		caches[i] = cache.New(cache.Config{
+			Name: "LLC", Sets: LLCSets, Ways: LLCWays, LineSize: trace.LineSize,
+			AllowBypass: spec.Bypass,
+		}, pols[i])
+	}
 	g := b.Generator(LLCSets, 1, seed)
-	skip := int(opt.start)
-	if skip > n {
-		skip = n
-	}
+	skip := min(int(opt.StartAccess), n)
 	for i := Warmup(n) + skip; i > 0; i-- {
-		c.Access(g.Next())
-	}
-	c.Stats = cache.Stats{}
-	if opt.attach != nil {
-		opt.attach(c, pol)
-	}
-	if opt.progressEvery > 0 && opt.onProgress != nil {
-		for i := skip; i < n; i++ {
-			c.Access(g.Next())
-			if done := uint64(i + 1); done%opt.progressEvery == 0 {
-				opt.onProgress(done)
-			}
-		}
-	} else {
-		for i := skip; i < n; i++ {
-			c.Access(g.Next())
+		a := g.Next()
+		for _, c := range caches {
+			c.Access(a)
 		}
 	}
-	instr := cpu.Instructions(c.Stats.Accesses, b.APKI)
+	for i, c := range caches {
+		c.Stats = cache.Stats{}
+		opt.Telemetry.attach(c, pols[i], 1)
+	}
+	every := opt.ProgressEvery
+	if opt.OnProgress == nil {
+		every = 0
+	}
+	for i := skip; i < n; i++ {
+		a := g.Next()
+		for _, c := range caches {
+			c.Access(a)
+		}
+		if done := uint64(i + 1); every > 0 && done%every == 0 {
+			opt.OnProgress(done)
+		}
+	}
+	out := make([]RunResult, len(specs))
 	model := cpu.Default()
-	mem := c.Stats.Misses // misses include bypasses
-	return RunResult{
-		Bench:  b.Name,
-		Policy: spec.Name,
-		Stats:  c.Stats,
-		Instr:  instr,
-		IPC:    model.IPC(instr, c.Stats.Hits, mem),
-		MPKI:   cpu.MPKI(mem, instr),
+	for i, c := range caches {
+		instr := cpu.Instructions(c.Stats.Accesses, b.APKI)
+		mem := c.Stats.Misses // misses include bypasses
+		out[i] = RunResult{
+			Bench:  b.Name,
+			Policy: specs[i].Name,
+			Stats:  c.Stats,
+			Instr:  instr,
+			IPC:    model.IPC(instr, c.Stats.Hits, mem),
+			MPKI:   cpu.MPKI(mem, instr),
+		}
 	}
+	return out
 }
 
 // TelemetryOptions configures the observability pipeline of an
@@ -294,48 +298,50 @@ type TelemetryOptions struct {
 	// (bypasses, protected evictions, sampler FIFO evictions); <= 1
 	// journals all.
 	EventSample uint64
-	// Extra is an additional cache monitor observing the same run. A
-	// monitor shared by several concurrent runs (e.g. one aggregate
-	// observer across a Jobs > 1 fan-out) must be wrapped in
-	// telemetry.Synchronized; per-run monitors need no locking.
+	// Extra is an additional cache monitor observing the same run (every
+	// cache of a RunMany, interleaved access by access). A monitor shared
+	// by several concurrent runs (e.g. one aggregate observer across a
+	// Jobs > 1 fan-out) must be wrapped in telemetry.Synchronized; per-run
+	// monitors need no locking.
 	Extra cache.Monitor
-	// Attach, when non-nil, runs on the warmed-up cache and policy just
-	// before the measured window and may return one more monitor to fan
-	// in (nil is fine). Fault injectors and invariant checkers that need
-	// the policy instance hook in here.
+	// Attach, when non-nil, runs on each warmed-up cache and its policy
+	// just before the measured window, in spec order, and may return one
+	// more monitor to fan in (nil is fine). Fault injectors, invariant
+	// checkers and per-column analyses that need the cache or the policy
+	// instance hook in here.
 	Attach func(*cache.Cache, cache.Policy) cache.Monitor
 }
 
-// RunSingleTelemetry is RunSingle with the full telemetry pipeline
-// attached after warm-up: a cache Tap (metrics, snapshots, bypass and
-// protected-eviction events), the PDP recompute observer and the sampler
-// FIFO hook when the policy is a dynamic PDP, plus opt.Extra.
-func RunSingleTelemetry(b workload.Benchmark, spec PolicySpec, n int, seed uint64, opt TelemetryOptions) RunResult {
-	return runSingle(b, spec, n, seed, runOpts{attach: telemetryAttach(opt)})
-}
-
-// telemetryAttach builds the runSingle attach hook for opt.
-func telemetryAttach(opt TelemetryOptions) func(*cache.Cache, cache.Policy) {
-	return func(c *cache.Cache, pol cache.Policy) {
-		tap := telemetry.NewTap(c, telemetry.TapConfig{
+// attach installs opt's pipeline on one warmed-up cache shared by cores
+// threads: with a registry or a journal, a cache Tap (metrics, snapshots,
+// per-core occupancy, bypass and protected-eviction events) and, for a
+// dynamic PDP, the recompute observer and sampler FIFO hook; then
+// opt.Extra and Attach's monitor. The zero TelemetryOptions attaches
+// nothing.
+func (opt TelemetryOptions) attach(c *cache.Cache, pol cache.Policy, cores int) {
+	var tap cache.Monitor
+	if opt.Registry != nil || opt.Journal != nil {
+		t := telemetry.NewTap(c, telemetry.TapConfig{
 			Registry:      opt.Registry,
 			Journal:       opt.Journal,
 			SnapshotEvery: opt.SnapshotEvery,
 			EventSample:   opt.EventSample,
+			Cores:         cores,
 		})
-		tap.ObservePolicy(pol)
+		t.ObservePolicy(pol)
 		if pdp, ok := pol.(*core.PDP); ok {
 			telemetry.ObservePDP(pdp, opt.Journal, opt.EventSample)
 		}
-		var extra cache.Monitor
-		if opt.Attach != nil {
-			extra = opt.Attach(c, pol)
-		}
-		c.SetMonitor(telemetry.Multi(tap, opt.Extra, extra))
+		tap = t
 	}
+	var extra cache.Monitor
+	if opt.Attach != nil {
+		extra = opt.Attach(c, pol)
+	}
+	c.SetMonitor(telemetry.Multi(tap, opt.Extra, extra))
 }
 
-// RunOptions configures a resumable, supervised single-core run.
+// RunOptions configures an observed, resumable run.
 type RunOptions struct {
 	// Telemetry configures the run's observability pipeline.
 	Telemetry TelemetryOptions
@@ -348,18 +354,6 @@ type RunOptions struct {
 	// hook. ProgressEvery == 0 disables it.
 	OnProgress    func(done uint64)
 	ProgressEvery uint64
-}
-
-// RunSingleResilient is RunSingleTelemetry plus checkpoint/resume
-// support: it can start mid-window and report progress for periodic
-// checkpointing.
-func RunSingleResilient(b workload.Benchmark, spec PolicySpec, n int, seed uint64, opt RunOptions) RunResult {
-	return runSingle(b, spec, n, seed, runOpts{
-		attach:        telemetryAttach(opt.Telemetry),
-		start:         opt.StartAccess,
-		onProgress:    opt.OnProgress,
-		progressEvery: opt.ProgressEvery,
-	})
 }
 
 // table starts an aligned text table on w.
@@ -378,10 +372,7 @@ func fmtPct(f float64) string { return fmt.Sprintf("%+.1f%%", 100*f) }
 // lru, dip, drrip, drrip:1/64, eelru, sdp, pdp-2, pdp-3, pdp-8,
 // spdp-b:76, spdp-nb:76.
 func SpecByName(name string, accesses int) (PolicySpec, error) {
-	recompute := uint64(accesses / 8)
-	if recompute < 4096 {
-		recompute = 4096
-	}
+	recompute := recomputeEvery(accesses)
 	var pd int
 	switch {
 	case name == "lru":

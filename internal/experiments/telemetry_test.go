@@ -29,12 +29,12 @@ func TestRunSingleTelemetry(t *testing.T) {
 	var sink bytes.Buffer
 	j.SetSink(&sink)
 
-	r := RunSingleTelemetry(b, spec, n, 42, TelemetryOptions{
+	r := RunMany(b, []PolicySpec{spec}, n, 42, RunOptions{Telemetry: TelemetryOptions{
 		Registry:      reg,
 		Journal:       j,
 		SnapshotEvery: 10_000,
 		EventSample:   64,
-	})
+	}})[0]
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}

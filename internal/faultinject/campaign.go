@@ -168,25 +168,29 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	// synchronized) journal, so with Jobs >= 2 they execute concurrently.
 	var clean, faulty experiments.RunResult
 	var cleanChk, faultyChk *Checker
+	specs := []experiments.PolicySpec{spec}
 	runs := []func(){
 		func() {
-			clean = experiments.RunSingleTelemetry(cfg.Bench, spec, cfg.Accesses, cfg.Seed, experiments.TelemetryOptions{
-				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
-					cleanChk = NewChecker(pdpOf(pol))
-					return nil
+			clean = experiments.RunMany(cfg.Bench, specs, cfg.Accesses, cfg.Seed, experiments.RunOptions{
+				Telemetry: experiments.TelemetryOptions{
+					Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
+						cleanChk = NewChecker(pdpOf(pol))
+						return nil
+					},
 				},
-			})
+			})[0]
 		},
 		func() {
-			faulty = experiments.RunSingleTelemetry(WrapBenchmark(cfg.Bench, traceSpec, rep), spec, cfg.Accesses, cfg.Seed,
-				experiments.TelemetryOptions{
+			faulty = experiments.RunMany(WrapBenchmark(cfg.Bench, traceSpec, rep), specs, cfg.Accesses, cfg.Seed, experiments.RunOptions{
+				Telemetry: experiments.TelemetryOptions{
 					Journal: cfg.Journal,
 					Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
 						p := pdpOf(pol)
 						faultyChk = NewChecker(p)
 						return NewPDPInjector(p, polSpec, rep)
 					},
-				})
+				},
+			})[0]
 		},
 	}
 	jobs := cfg.Jobs
