@@ -29,7 +29,10 @@ race:
 # never names the /kv/ route, and loadgen books a hit in one place.
 # The one-stream rule (DESIGN.md §3): the figures drive every policy column
 # of a row through one RunMany call, never RunSingle, and the PD recompute
-# period has one definition, recomputeEvery.
+# period has one definition, experiments.RecomputeEvery.
+# The one-walk rule (DESIGN.md §7): Registry.Snapshot is the only reader of
+# the registry's metric maps, and /stats is that snapshot, not a schema
+# kvserver maintains by hand.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -rnE 'rpd +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
@@ -40,6 +43,8 @@ seam:
 	@test "$$(cat $$(ls internal/loadgen/*.go | grep -v _test.go) | grep -c 'w\.hits++')" = 1
 	@! grep -n 'RunSingle(' internal/experiments/figs_*.go
 	@! grep -inE 'accesses */ *8' $$(ls internal/experiments/*.go | grep -v _test.go)
+	@! grep -rnE 'range r\.(counters|gauges|hists)\b' --include='*.go' internal | grep -v '^internal/telemetry/registry.go:'
+	@! grep -nE 'View struct|statsResponse' $$(ls internal/kvserver/*.go | grep -v _test.go)
 
 # Non-test line counts: the six serving packages (ROADMAP's size table),
 # then the paper's packages, the scaffolding and the commands (ROADMAP
@@ -109,14 +114,16 @@ bench-alloc:
 	$(GO) test -count=1 -run 'AllocBudget' -v ./internal/kvcache/ ./internal/kvserver/
 
 # Fuzz smoke: the untrusted decoders (trace files, checkpoints, /batch
-# requests and answers, the last two against encoding/json as oracle) and
-# RDDGen's address index against a Go map.
+# requests and answers, the last two against encoding/json as oracle),
+# RDDGen's address index against a Go map, and the -inject grammar's
+# Parse/String round trip.
 fuzz:
 	$(GO) test ./internal/tracefile/ -run FuzzReader -fuzz FuzzReader -fuzztime 20s
 	$(GO) test ./internal/resilience/ -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseOps -fuzz FuzzParseOps -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseRows -fuzz FuzzParseRows -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzPosIndex -fuzz FuzzPosIndex -fuzztime 20s
+	$(GO) test ./internal/faultinject/ -run FuzzParse -fuzz FuzzParse -fuzztime 20s
 
 # Serving-path chaos smoke: the race-enabled chaos campaign tests, then a
 # live pdpcached under seeded fault injection (recompute panics, counter

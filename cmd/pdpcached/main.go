@@ -17,11 +17,10 @@
 //	                         results in input order, executed per-shard
 //	                         grouped locally and owner-split across the
 //	                         cluster (see -max-batch-ops)
-//	GET    /stats            JSON counters plus per-route latency quantiles,
-//	                         per-shard stats with skew, decision counts and
-//	                         the live RDD
-//	GET    /metrics          Prometheus text exposition (latency histograms,
-//	                         per-shard decision counters, the current PD)
+//	GET    /stats            JSON registry snapshot (every /metrics series
+//	                         by registry name, histograms with quantiles)
+//	                         plus the live RDD
+//	GET    /metrics          Prometheus text exposition of the same snapshot
 //	GET    /debug/decisions  recent policy decisions (evict/deny/save ring)
 //	GET    /healthz          liveness (200 even while degraded)
 //	GET    /readyz           readiness (503 while any shard serves degraded)

@@ -25,7 +25,7 @@ import (
 // hit headroom: (hits(policy) - hits(DIP)) / (hits(OPT) - hits(DIP)).
 func OptGap(cfg Config) error {
 	header(cfg.Out, "optgap", "Fraction of Belady-OPT headroom over DIP recovered (extension)")
-	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, recomputeEvery(cfg.Accesses))}
+	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, RecomputeEvery(cfg.Accesses))}
 	cols := append([]PolicySpec{specDIP()}, specs...)
 	suite := workload.Suite()
 	type optRow struct {
@@ -100,7 +100,7 @@ func specClassPDP(classes int, recompute uint64) PolicySpec {
 // signature-based insertion).
 func ClassPDPExp(cfg Config) error {
 	header(cfg.Out, "classpdp", "Per-PC-class PDP (paper Sec. 6.3 future work; IPC improvement over DIP)")
-	recompute := recomputeEvery(cfg.Accesses)
+	recompute := RecomputeEvery(cfg.Accesses)
 	ship := PolicySpec{Name: "SHiP", New: func(s, w int, _ uint64) cache.Policy {
 		return rrip.NewSHiP(s, w)
 	}}
@@ -146,7 +146,7 @@ func ClassPDPExp(cfg Config) error {
 func Energy(cfg Config) error {
 	header(cfg.Out, "energy", "LLC+memory dynamic energy vs DIP (extension)")
 	model := cpu.DefaultEnergy()
-	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, recomputeEvery(cfg.Accesses))}
+	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, RecomputeEvery(cfg.Accesses))}
 	suite := workload.Suite()
 	// Column 0 is the DIP base, columns 1.. follow specs.
 	cols := append([]PolicySpec{specDIP()}, specs...)
@@ -221,7 +221,7 @@ func Timing(cfg Config) error {
 	if _, err := cpusim.New(simCfg); err != nil {
 		return err
 	}
-	cols := []PolicySpec{specDIP(), specPDP(8, recomputeEvery(cfg.Accesses))}
+	cols := []PolicySpec{specDIP(), specPDP(8, RecomputeEvery(cfg.Accesses))}
 	suite := workload.Suite()
 	// Each row is PDP-8's improvement over DIP under the blocking model
 	// (RunResult.IPC) and under the interval simulator.

@@ -61,9 +61,9 @@ func RunMix(mix workload.Mix, spec MCPolicySpec, perThread int, seed uint64) Mix
 }
 
 // RunMixTelemetry is RunMix with the telemetry pipeline attached after
-// warm-up: a per-core-occupancy-aware cache Tap plus opt.Extra. Shared-LLC
-// partitioning policies exposing PDs() get their per-thread protecting
-// distances stamped into every snapshot.
+// warm-up: a per-core-occupancy-aware cache Tap plus opt.Attach's
+// monitor. Shared-LLC partitioning policies exposing PDs() get their
+// per-thread protecting distances stamped into every snapshot.
 func RunMixTelemetry(mix workload.Mix, spec MCPolicySpec, perThread int, seed uint64, opt TelemetryOptions) MixResult {
 	return runMixMany(mix, []MCPolicySpec{spec}, perThread, seed, opt)[0]
 }

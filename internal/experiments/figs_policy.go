@@ -262,7 +262,7 @@ func Fig5a(cfg Config) error {
 // configuration.
 func Fig9(cfg Config) error {
 	header(cfg.Out, "fig9", "PDP parameters: sampler configuration and counter step S_c (MPKI / Full)")
-	recompute := recomputeEvery(cfg.Accesses)
+	recompute := RecomputeEvery(cfg.Accesses)
 	mk := func(full bool, sc int) PolicySpec {
 		name := fmt.Sprintf("Real,Sc=%d", sc)
 		if full {
@@ -307,7 +307,7 @@ func Fig9(cfg Config) error {
 // policies vs DIP — miss reduction, IPC improvement, bypass fraction.
 func Fig10(cfg Config) error {
 	header(cfg.Out, "fig10", "Single-core policies vs DIP")
-	recompute := recomputeEvery(cfg.Accesses)
+	recompute := RecomputeEvery(cfg.Accesses)
 	specs := []PolicySpec{
 		specDRRIP(1.0 / 32),
 		specEELRU(),
@@ -482,7 +482,7 @@ func Fig11(cfg Config) error {
 func Sec63(cfg Config) error {
 	header(cfg.Out, "sec63", "429.mcf: insertion with PD=1 (miss reduction vs DIP)")
 	b, _ := workload.ByName("429.mcf")
-	recompute := recomputeEvery(cfg.Accesses)
+	recompute := RecomputeEvery(cfg.Accesses)
 	specs := []PolicySpec{
 		specDRRIP(1.0 / 32),
 		specPDP(8, recompute),
@@ -595,7 +595,7 @@ func runPrefetch(b workload.Benchmark, spec PolicySpec, n int, seed uint64, useP
 // Sec65 reproduces the paper's Sec. 6.5 prefetch-aware PDP study.
 func Sec65(cfg Config) error {
 	header(cfg.Out, "sec65", "Prefetch-aware PDP (IPC improvement over prefetch-unaware DRRIP, all with stream prefetcher)")
-	recompute := recomputeEvery(cfg.Accesses)
+	recompute := RecomputeEvery(cfg.Accesses)
 	mk := func(name string, mode core.PrefetchMode) PolicySpec {
 		return PolicySpec{Name: name, Bypass: true, New: func(s, w int, _ uint64) cache.Policy {
 			return core.New(core.Config{Sets: s, Ways: w, Bypass: true,

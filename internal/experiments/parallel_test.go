@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
-	"pdp/internal/cache"
 	"pdp/internal/parallel"
 	"pdp/internal/telemetry"
 	"pdp/internal/workload"
@@ -55,16 +53,10 @@ func TestTablesByteIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// countingMonitor tallies events; unsafe on its own, it stands in for any
-// aggregate observer a caller might share across runs.
-type countingMonitor struct{ events int }
-
-func (m *countingMonitor) Event(cache.Event) { m.events++ }
-
 // TestConcurrentRunsSharedMonitor drives 8 concurrent telemetry runs that
-// share one journal, one registry and one Synchronized extra monitor —
-// the exact sharing pattern of a Jobs > 1 fan-out. Run under -race this
-// is the audit for the telemetry layer's cross-run state.
+// share one journal and one registry — the exact sharing pattern of a
+// Jobs > 1 fan-out. Run under -race this is the audit for the telemetry
+// layer's cross-run state.
 func TestConcurrentRunsSharedMonitor(t *testing.T) {
 	b, ok := workload.ByName("436.cactusADM")
 	if !ok {
@@ -72,8 +64,6 @@ func TestConcurrentRunsSharedMonitor(t *testing.T) {
 	}
 	journal := telemetry.NewJournal(256)
 	reg := telemetry.NewRegistry()
-	shared := &countingMonitor{}
-	extra := telemetry.Synchronized(shared)
 
 	const runs = 8
 	results := make([]RunResult, runs)
@@ -83,7 +73,6 @@ func TestConcurrentRunsSharedMonitor(t *testing.T) {
 			Journal:       journal,
 			SnapshotEvery: 10_000,
 			EventSample:   64,
-			Extra:         extra,
 		}})[0]
 		return nil
 	})
@@ -96,36 +85,10 @@ func TestConcurrentRunsSharedMonitor(t *testing.T) {
 				i, results[i].Stats, results[0].Stats)
 		}
 	}
-	if shared.events == 0 {
-		t.Fatal("shared monitor saw no events")
-	}
 	if journal.Total() == 0 {
 		t.Fatal("shared journal recorded nothing")
 	}
-}
-
-// TestSynchronizedMonitorSerializes hammers one Synchronized monitor from
-// many goroutines; under -race this fails without the wrapper's mutex,
-// and the count checks that no event is lost.
-func TestSynchronizedMonitorSerializes(t *testing.T) {
-	shared := &countingMonitor{}
-	mon := telemetry.Synchronized(shared)
-	var wg sync.WaitGroup
-	const workers, per = 8, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				mon.Event(cache.Event{})
-			}
-		}()
-	}
-	wg.Wait()
-	if shared.events != workers*per {
-		t.Fatalf("events = %d, want %d", shared.events, workers*per)
-	}
-	if telemetry.Synchronized(nil) != nil {
-		t.Fatal("Synchronized(nil) must be nil")
+	if len(reg.Snapshot()) == 0 {
+		t.Fatal("shared registry recorded nothing")
 	}
 }

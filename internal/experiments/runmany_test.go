@@ -62,7 +62,7 @@ func hashEach(mons *[]*eventHash) TelemetryOptions {
 // dynamic (PDP-8) policies.
 func TestRunManyMatchesReference(t *testing.T) {
 	const n, seed = 20_000, 7
-	specs := []PolicySpec{specLRU(), specDIP(), specDRRIP(1.0 / 32), specSDP(), specPDP(8, recomputeEvery(n)), spdpB(64)}
+	specs := []PolicySpec{specLRU(), specDIP(), specDRRIP(1.0 / 32), specSDP(), specPDP(8, RecomputeEvery(n)), spdpB(64)}
 	reversed := make([]PolicySpec, len(specs))
 	for i, s := range specs {
 		reversed[len(specs)-1-i] = s

@@ -195,10 +195,10 @@ func RunSingle(b workload.Benchmark, spec PolicySpec, n int, seed uint64) RunRes
 	return RunMany(b, []PolicySpec{spec}, n, seed, RunOptions{})[0]
 }
 
-// recomputeEvery is the dynamic PDP's PD recompute period for a window of
+// RecomputeEvery is the dynamic PDP's PD recompute period for a window of
 // n measured accesses: eight recomputes a window, at least 4096 accesses
 // apart.
-func recomputeEvery(n int) uint64 {
+func RecomputeEvery(n int) uint64 {
 	return uint64(max(n/8, 4096))
 }
 
@@ -298,12 +298,6 @@ type TelemetryOptions struct {
 	// (bypasses, protected evictions, sampler FIFO evictions); <= 1
 	// journals all.
 	EventSample uint64
-	// Extra is an additional cache monitor observing the same run (every
-	// cache of a RunMany, interleaved access by access). A monitor shared
-	// by several concurrent runs (e.g. one aggregate observer across a
-	// Jobs > 1 fan-out) must be wrapped in telemetry.Synchronized; per-run
-	// monitors need no locking.
-	Extra cache.Monitor
 	// Attach, when non-nil, runs on each warmed-up cache and its policy
 	// just before the measured window, in spec order, and may return one
 	// more monitor to fan in (nil is fine). Fault injectors, invariant
@@ -315,9 +309,8 @@ type TelemetryOptions struct {
 // attach installs opt's pipeline on one warmed-up cache shared by cores
 // threads: with a registry or a journal, a cache Tap (metrics, snapshots,
 // per-core occupancy, bypass and protected-eviction events) and, for a
-// dynamic PDP, the recompute observer and sampler FIFO hook; then
-// opt.Extra and Attach's monitor. The zero TelemetryOptions attaches
-// nothing.
+// dynamic PDP, the recompute observer and sampler FIFO hook; then Attach's
+// monitor. The zero TelemetryOptions attaches nothing.
 func (opt TelemetryOptions) attach(c *cache.Cache, pol cache.Policy, cores int) {
 	var tap cache.Monitor
 	if opt.Registry != nil || opt.Journal != nil {
@@ -338,7 +331,7 @@ func (opt TelemetryOptions) attach(c *cache.Cache, pol cache.Policy, cores int) 
 	if opt.Attach != nil {
 		extra = opt.Attach(c, pol)
 	}
-	c.SetMonitor(telemetry.Multi(tap, opt.Extra, extra))
+	c.SetMonitor(telemetry.Multi(tap, extra))
 }
 
 // RunOptions configures an observed, resumable run.
@@ -372,7 +365,7 @@ func fmtPct(f float64) string { return fmt.Sprintf("%+.1f%%", 100*f) }
 // lru, dip, drrip, drrip:1/64, eelru, sdp, pdp-2, pdp-3, pdp-8,
 // spdp-b:76, spdp-nb:76.
 func SpecByName(name string, accesses int) (PolicySpec, error) {
-	recompute := recomputeEvery(accesses)
+	recompute := RecomputeEvery(accesses)
 	var pd int
 	switch {
 	case name == "lru":

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"pdp/internal/cache"
 	"pdp/internal/core"
@@ -12,6 +13,24 @@ import (
 	"pdp/internal/workload"
 )
 
+// The campaign's fixed parameters: the policy under test is PDP-8 with
+// the figures' recompute period (experiments.RecomputeEvery), and faults
+// stop halfway through the measured window so re-convergence is
+// observable.
+const (
+	// campaignNC is the PDP RPD width in bits.
+	campaignNC = 8
+	// hitRateEnvelope is the maximum allowed |clean - faulty| hit-rate
+	// difference (absolute).
+	hitRateEnvelope = 0.15
+	// reconvergeWindows is how many recompute windows after the fault
+	// window the faulty PD trajectory may take to rejoin the clean one.
+	reconvergeWindows = 3
+	// pdTolerance is the |clean - faulty| PD slack that still counts as
+	// converged.
+	pdTolerance = 4
+)
+
 // CampaignConfig configures one fault campaign: a clean run and a faulty
 // run of the same benchmark under a dynamic PDP policy, followed by the
 // graceful-degradation checks (PD bounds, hit-rate envelope, PD
@@ -19,32 +38,13 @@ import (
 type CampaignConfig struct {
 	// Bench is the workload under test.
 	Bench workload.Benchmark
-	// Spec is the fault specification. Its Until field is overridden from
-	// FaultAccesses so both runs agree on when faults stop.
+	// Spec is the fault specification. Its Until field is overridden so
+	// both runs stop injecting after the first half of the measured window.
 	Spec Spec
 	// Accesses is the measured window length.
 	Accesses int
 	// Seed fixes the workload streams (the injector seeds come from Spec).
 	Seed uint64
-	// NC is the PDP RPD width in bits (default 8).
-	NC int
-	// RecomputeEvery is the PD recompute period in accesses (default
-	// Accesses/8, floor 4096).
-	RecomputeEvery uint64
-	// FaultAccesses bounds the fault window: faults stop after this many
-	// measured accesses so re-convergence is observable (default
-	// Accesses/2; the whole window when >= Accesses).
-	FaultAccesses uint64
-	// HitRateEnvelope is the maximum allowed |clean - faulty| hit-rate
-	// difference (absolute, default 0.15).
-	HitRateEnvelope float64
-	// ReconvergeWindows is how many recompute windows after the fault
-	// window the faulty PD trajectory may take to rejoin the clean one
-	// (default 3).
-	ReconvergeWindows int
-	// PDTolerance is the |clean - faulty| PD slack that still counts as
-	// converged (default 4).
-	PDTolerance int
 	// Journal receives fault, recovery and telemetry events (nil disables).
 	// It is safe to share across the campaign's concurrent runs (the journal
 	// serializes appends internally).
@@ -74,9 +74,8 @@ type CampaignReport struct {
 	// window had closed; ReconvergedAt the ordinal where the faulty PD
 	// trajectory rejoined the clean one (-1: never).
 	FaultEndSeq, ReconvergedAt int
-	// ReconvergeOK reports re-convergence within ReconvergeWindows (always
-	// true when the fault window spans the whole run, where the check is
-	// vacuous).
+	// ReconvergeOK reports re-convergence within reconvergeWindows
+	// recompute windows.
 	ReconvergeOK bool
 }
 
@@ -88,20 +87,12 @@ func (r CampaignReport) Passed() bool {
 // Render writes a human-readable campaign summary.
 func (r CampaignReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "fault campaign: %s under %s\n", r.Clean.Bench, r.Clean.Policy)
-	hr := func(res experiments.RunResult) float64 {
-		if res.Stats.Accesses == 0 {
-			return 0
-		}
-		return float64(res.Stats.Hits) / float64(res.Stats.Accesses)
-	}
-	fmt.Fprintf(w, "  clean : hit rate %.4f  MPKI %.3f  PDs %v\n", hr(r.Clean), r.Clean.MPKI, r.CleanPDs)
-	fmt.Fprintf(w, "  faulty: hit rate %.4f  MPKI %.3f  PDs %v\n", hr(r.Faulty), r.Faulty.MPKI, r.FaultyPDs)
+	fmt.Fprintf(w, "  clean : hit rate %.4f  MPKI %.3f  PDs %v\n", r.Clean.Stats.HitRate(), r.Clean.MPKI, r.CleanPDs)
+	fmt.Fprintf(w, "  faulty: hit rate %.4f  MPKI %.3f  PDs %v\n", r.Faulty.Stats.HitRate(), r.Faulty.MPKI, r.FaultyPDs)
 	fmt.Fprintf(w, "  faults injected: %d %v\n", r.TotalFaults, r.FaultCounts)
 	fmt.Fprintf(w, "  hit-rate delta %.4f (envelope %.4f): ok=%v\n", r.HitRateDelta, r.Envelope, r.EnvelopeOK)
-	if r.FaultEndSeq > 0 {
-		fmt.Fprintf(w, "  PD re-convergence: fault window closed at recompute %d, reconverged at %d: ok=%v\n",
-			r.FaultEndSeq, r.ReconvergedAt, r.ReconvergeOK)
-	}
+	fmt.Fprintf(w, "  PD re-convergence: fault window closed at recompute %d, reconverged at %d: ok=%v\n",
+		r.FaultEndSeq, r.ReconvergedAt, r.ReconvergeOK)
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "  VIOLATION: %s\n", v)
 	}
@@ -120,33 +111,13 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	if !cfg.Spec.Enabled() {
 		return CampaignReport{}, fmt.Errorf("faultinject: campaign spec injects nothing")
 	}
-	if cfg.NC == 0 {
-		cfg.NC = 8
-	}
-	if cfg.RecomputeEvery == 0 {
-		cfg.RecomputeEvery = uint64(cfg.Accesses / 8)
-		if cfg.RecomputeEvery < 4096 {
-			cfg.RecomputeEvery = 4096
-		}
-	}
-	if cfg.FaultAccesses == 0 {
-		cfg.FaultAccesses = uint64(cfg.Accesses) / 2
-	}
-	wholeRun := cfg.FaultAccesses >= uint64(cfg.Accesses)
-	if cfg.HitRateEnvelope == 0 {
-		cfg.HitRateEnvelope = 0.15
-	}
-	if cfg.ReconvergeWindows == 0 {
-		cfg.ReconvergeWindows = 3
-	}
-	if cfg.PDTolerance == 0 {
-		cfg.PDTolerance = 4
-	}
+	recompute := experiments.RecomputeEvery(cfg.Accesses)
+	faultAccesses := uint64(cfg.Accesses) / 2
 
 	spec := experiments.PolicySpec{
-		Name: fmt.Sprintf("PDP-%d", cfg.NC), Bypass: true,
+		Name: fmt.Sprintf("PDP-%d", campaignNC), Bypass: true,
 		New: func(s, w int, _ uint64) cache.Policy {
-			return core.New(core.Config{Sets: s, Ways: w, NC: cfg.NC, Bypass: true, RecomputeEvery: cfg.RecomputeEvery})
+			return core.New(core.Config{Sets: s, Ways: w, NC: campaignNC, Bypass: true, RecomputeEvery: recompute})
 		},
 	}
 
@@ -156,12 +127,8 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	// point only when the trace Until is offset by the warm-up length.
 	warm := uint64(experiments.Warmup(cfg.Accesses))
 	traceSpec, polSpec := cfg.Spec, cfg.Spec
-	if wholeRun {
-		traceSpec.Until, polSpec.Until = 0, 0
-	} else {
-		traceSpec.Until = warm + cfg.FaultAccesses
-		polSpec.Until = cfg.FaultAccesses
-	}
+	traceSpec.Until = warm + faultAccesses
+	polSpec.Until = faultAccesses
 	rep := NewReporter(cfg.Journal)
 
 	// The clean reference and the faulty run share only the (internally
@@ -209,39 +176,25 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 		CleanPDs: cleanChk.PDs(), FaultyPDs: faultyChk.PDs(),
 		FaultCounts: rep.Counts(), TotalFaults: rep.Total(),
 		Violations: append(cleanChk.Violations(), faultyChk.Violations()...),
-		Envelope:   cfg.HitRateEnvelope,
+		Envelope:   hitRateEnvelope,
 	}
-	hr := func(res experiments.RunResult) float64 {
-		if res.Stats.Accesses == 0 {
-			return 0
-		}
-		return float64(res.Stats.Hits) / float64(res.Stats.Accesses)
-	}
-	r.HitRateDelta = hr(clean) - hr(faulty)
-	if r.HitRateDelta < 0 {
-		r.HitRateDelta = -r.HitRateDelta
-	}
-	r.EnvelopeOK = r.HitRateDelta <= cfg.HitRateEnvelope
+	r.HitRateDelta = math.Abs(clean.Stats.HitRate() - faulty.Stats.HitRate())
+	r.EnvelopeOK = r.HitRateDelta <= hitRateEnvelope
 
-	if wholeRun {
-		// Faults never stop: the re-convergence check is vacuous.
-		r.FaultEndSeq, r.ReconvergedAt, r.ReconvergeOK = 0, -1, true
-	} else {
-		// Recompute seq s fires at policy access s*RecomputeEvery; the
-		// checker only sees the measured window, whose first recompute is
-		// policy-global ordinal floor(warm/RE)+1. Faults stop at policy
-		// access warm+FaultAccesses.
-		globalEnd := int((warm+cfg.FaultAccesses)/cfg.RecomputeEvery) + 1
-		r.FaultEndSeq = globalEnd - int(warm/cfg.RecomputeEvery)
-		r.ReconvergedAt = Reconvergence(r.CleanPDs, r.FaultyPDs, r.FaultEndSeq, cfg.PDTolerance)
-		r.ReconvergeOK = r.ReconvergedAt >= 0 && r.ReconvergedAt <= r.FaultEndSeq+cfg.ReconvergeWindows
-		if r.ReconvergeOK && cfg.Journal != nil {
-			cfg.Journal.Append(telemetry.RecoveryRecord{
-				Kind: telemetry.KindRecovery, Name: cfg.Bench.Name, Cause: "pd_reconverge",
-				Detail: fmt.Sprintf("PD rejoined clean trajectory at recompute %d (fault window closed at %d)",
-					r.ReconvergedAt, r.FaultEndSeq),
-			})
-		}
+	// Recompute seq s fires at policy access s*recompute; the checker only
+	// sees the measured window, whose first recompute is policy-global
+	// ordinal floor(warm/recompute)+1. Faults stop at policy access
+	// warm+faultAccesses.
+	globalEnd := int((warm+faultAccesses)/recompute) + 1
+	r.FaultEndSeq = globalEnd - int(warm/recompute)
+	r.ReconvergedAt = Reconvergence(r.CleanPDs, r.FaultyPDs, r.FaultEndSeq, pdTolerance)
+	r.ReconvergeOK = r.ReconvergedAt >= 0 && r.ReconvergedAt <= r.FaultEndSeq+reconvergeWindows
+	if r.ReconvergeOK && cfg.Journal != nil {
+		cfg.Journal.Append(telemetry.RecoveryRecord{
+			Kind: telemetry.KindRecovery, Name: cfg.Bench.Name, Cause: "pd_reconverge",
+			Detail: fmt.Sprintf("PD rejoined clean trajectory at recompute %d (fault window closed at %d)",
+				r.ReconvergedAt, r.FaultEndSeq),
+		})
 	}
 	return r, nil
 }

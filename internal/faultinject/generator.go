@@ -50,7 +50,7 @@ func (f *faultGen) Reset() {
 // Next implements trace.Generator.
 func (f *faultGen) Next() trace.Access {
 	f.n++
-	if !f.spec.active(f.n) {
+	if !f.spec.Active(f.n) {
 		return f.g.Next()
 	}
 	if f.spec.TraceFail > 0 && f.n == f.spec.TraceFail {

@@ -39,7 +39,7 @@ func NewPDPInjector(p *core.PDP, spec Spec, rep *Reporter) *PDPInjector {
 	}
 	if spec.PDBias > 0 {
 		p.SetPDPerturb(func(pd int) int {
-			if !spec.active(inj.accs) {
+			if !spec.Active(inj.accs) {
 				return pd
 			}
 			d := inj.rng.Intn(2*spec.PDBias+1) - spec.PDBias
@@ -58,7 +58,7 @@ func (i *PDPInjector) Event(cache.Event) {
 		return
 	}
 	i.accs++
-	if !i.spec.active(i.accs) {
+	if !i.spec.Active(i.accs) {
 		return
 	}
 	i.spec.CorruptRDD(i.pdp.Sampler().Array(), i.rng, i.rep, i.accs, "")

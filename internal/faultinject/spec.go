@@ -85,8 +85,9 @@ type Spec struct {
 	Until uint64
 }
 
-// active reports whether the injectors still fire at clock tick t.
-func (s Spec) active(t uint64) bool {
+// Active reports whether the injectors still fire at clock tick t (the
+// until horizon).
+func (s Spec) Active(t uint64) bool {
 	return s.Until == 0 || t <= s.Until
 }
 
@@ -193,7 +194,7 @@ func Parse(text string) (Spec, error) {
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		prob := func(dst *float64) error {
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN fails both
 				return fmt.Errorf("faultinject: %s=%q is not a probability in [0,1]", key, val)
 			}
 			*dst = p

@@ -42,6 +42,8 @@ func TestParseErrors(t *testing.T) {
 		"trace.corrupt",      // not key=value
 		"pd.bias=-3",         // negative bias
 		"seed=abc",           // not a uint
+		"trace.corrupt=NaN",  // NaN compares false against both bounds
+		"counter.flip=nan",
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", in)
@@ -51,13 +53,13 @@ func TestParseErrors(t *testing.T) {
 
 func TestUntilGating(t *testing.T) {
 	s := Spec{TraceCorrupt: 1, Until: 10}
-	if !s.active(10) {
+	if !s.Active(10) {
 		t.Fatal("tick 10 should be active")
 	}
-	if s.active(11) {
+	if s.Active(11) {
 		t.Fatal("tick 11 should be inactive")
 	}
-	if !(Spec{TraceCorrupt: 1}).active(1 << 40) {
+	if !(Spec{TraceCorrupt: 1}).Active(1 << 40) {
 		t.Fatal("Until=0 should never deactivate")
 	}
 }
@@ -107,4 +109,33 @@ func TestParseServeErrors(t *testing.T) {
 			t.Errorf("Parse(%q): want error, got nil", in)
 		}
 	}
+}
+
+// FuzzParse checks the -inject grammar on arbitrary text: Parse never
+// panics, and every spec it accepts renders back through String into the
+// same spec.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"trace.corrupt=1e-3,counter.flip=1e-3,pd.bias=16,seed=7",                      // CI's fault campaign
+		"recompute.panic=0.5,counter.flip=0.01,latency.spike=0.001,spike.ms=1,seed=7", // chaos smoke
+		"trace.corrupt=NaN,counter.flip=nan",
+		"trace.dup=0.01,trace.drop=0.02,trace.fail=9,rdd.zero=1,until=50000",
+		"recompute.stall=0.5,stall.ms=50, ,seed=18446744073709551615",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := Parse(text)
+		if err != nil {
+			return
+		}
+		back, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %+v, but its String %q does not parse: %v", text, s, s.String(), err)
+		}
+		if back != s {
+			t.Fatalf("Parse(%q) = %+v, round trip through %q gives %+v", text, s, s.String(), back)
+		}
+	})
 }

@@ -289,9 +289,13 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// registerViews publishes the kv.* metric families as read-time views of
-// the shard ledgers: one ShardStats pass per scrape feeds every series,
-// so the registry holds no second copy of any count.
+// registerViews publishes the cache's metric families as read-time views
+// of the shard ledgers: one ShardStats pass per scrape feeds the kv.*
+// aggregates (every Stats field), the kv.shard.*{shard} attribution series
+// and the kv.skew.* summary, so the registry holds no second copy of any
+// count. A PDP cache also publishes the live merged RDD: kv.rdd{d} is N_i
+// for the distance bucket ending at d, beside kv.rdd_total and
+// kv.rdd_reuses.
 func (c *Cache) registerViews(reg *telemetry.Registry) {
 	reg.View(func(m telemetry.Samples) {
 		per := c.ShardStats()
@@ -304,6 +308,11 @@ func (c *Cache) registerViews(reg *telemetry.Registry) {
 		m.Counter("kv.inserts", st.Inserts)
 		m.Counter("kv.evictions", st.Evictions)
 		m.Counter("kv.denies", st.Denies)
+		m.Counter("kv.saves", st.Saves)
+		m.Counter("kv.recomputes", st.Recomputes)
+		m.Counter("kv.sampler_accesses", st.SamplerAccesses)
+		m.Counter("kv.sampler_hits", st.SamplerHits)
+		m.Counter("kv.degraded_ops", st.DegradedOps)
 		m.Counter("kv.breaker_trips", st.BreakerTrips)
 		m.Counter("kv.breaker_rearms", st.BreakerRearms)
 		m.Counter("kv.lock_hold_warns", st.LockHoldWarns)
@@ -313,12 +322,60 @@ func (c *Cache) registerViews(reg *telemetry.Registry) {
 		m.Gauge("kv.bytes", float64(st.Bytes))
 		m.Gauge("kv.hit_rate", st.HitRate())
 		for i, sh := range per {
+			shard := fmt.Sprintf(`{shard="%d"}`, i)
+			m.Counter("kv.shard.gets"+shard, sh.Gets)
+			m.Counter("kv.shard.hits"+shard, sh.Hits)
+			m.Gauge("kv.shard.entries"+shard, float64(sh.Entries))
+			m.Gauge("kv.shard.bytes"+shard, float64(sh.Bytes))
 			m.Counter(fmt.Sprintf(`kv.shard.evictions{shard="%d",class="unprotected"}`, i), sh.EvictionsUnprotected)
 			m.Counter(fmt.Sprintf(`kv.shard.evictions{shard="%d",class="forced"}`, i), sh.EvictionsForced)
-			m.Counter(fmt.Sprintf(`kv.shard.denies{shard="%d"}`, i), sh.Denies)
-			m.Counter(fmt.Sprintf(`kv.shard.saves{shard="%d"}`, i), sh.Saves)
+			m.Counter("kv.shard.denies"+shard, sh.Denies)
+			m.Counter("kv.shard.saves"+shard, sh.Saves)
+		}
+		sk := skewOf(per)
+		m.Gauge("kv.skew.occupancy", sk.occupancy)
+		m.Gauge("kv.skew.traffic", sk.traffic)
+		m.Gauge("kv.skew.hit_rate_min", sk.hitRateMin)
+		m.Gauge("kv.skew.hit_rate_max", sk.hitRateMax)
+		if rdd := c.RDDSnapshot(); rdd.Counts != nil {
+			for i, n := range rdd.Counts {
+				m.Gauge(fmt.Sprintf(`kv.rdd{d="%d"}`, (i+1)*rdd.SC), float64(n))
+			}
+			m.Gauge("kv.rdd_total", float64(rdd.Total))
+			m.Gauge("kv.rdd_reuses", float64(rdd.Reuses))
 		}
 	})
+}
+
+// skew summarizes imbalance across shards: occupancy and traffic as
+// max/mean ratios (1 = perfectly uniform, 0 while empty or idle), the hit
+// rate as its min/max spread.
+type skew struct {
+	occupancy, traffic     float64
+	hitRateMin, hitRateMax float64
+}
+
+func skewOf(per []ShardStats) skew {
+	var sk skew
+	var maxEntries, sumEntries, maxGets, sumGets float64
+	for i, sh := range per {
+		e, g, hr := float64(sh.Entries), float64(sh.Gets), sh.HitRate()
+		sumEntries += e
+		sumGets += g
+		maxEntries, maxGets = max(maxEntries, e), max(maxGets, g)
+		if i == 0 {
+			sk.hitRateMin, sk.hitRateMax = hr, hr
+		}
+		sk.hitRateMin, sk.hitRateMax = min(sk.hitRateMin, hr), max(sk.hitRateMax, hr)
+	}
+	n := float64(len(per))
+	if sumEntries > 0 {
+		sk.occupancy = maxEntries / (sumEntries / n)
+	}
+	if sumGets > 0 {
+		sk.traffic = maxGets / (sumGets / n)
+	}
+	return sk
 }
 
 // Config returns the configuration with defaults applied.
@@ -583,30 +640,28 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 }
 
 // ShardStats is one shard's ledger (see shard.st) and what ShardStats()
-// copies out of it. The JSON fields are the attribution view — traffic,
-// occupancy and the decision counters — of the per-shard skew section of
-// /stats; the rest only feed the Stats sum.
+// copies out of it; the registry views publish it per shard and summed.
 type ShardStats struct {
-	Shard                int    `json:"shard"`
-	Gets                 uint64 `json:"gets"`
-	Hits                 uint64 `json:"hits"`
-	Entries              int    `json:"entries"`
-	Bytes                int64  `json:"bytes"`
-	Evictions            uint64 `json:"evictions"`
-	EvictionsUnprotected uint64 `json:"evictions_unprotected"`
-	EvictionsForced      uint64 `json:"evictions_forced"`
-	Denies               uint64 `json:"denies"`
-	Saves                uint64 `json:"protection_saves"`
+	Shard                int
+	Gets                 uint64
+	Hits                 uint64
+	Entries              int
+	Bytes                int64
+	Evictions            uint64
+	EvictionsUnprotected uint64
+	EvictionsForced      uint64
+	Denies               uint64
+	Saves                uint64
 
-	Puts            uint64 `json:"-"`
-	Deletes         uint64 `json:"-"`
-	Inserts         uint64 `json:"-"`
-	SamplerAccesses uint64 `json:"-"` // since the last recompute
-	SamplerHits     uint64 `json:"-"`
-	DegradedOps     uint64 `json:"-"`
-	BreakerTrips    uint64 `json:"-"`
-	BreakerRearms   uint64 `json:"-"`
-	LockHoldWarns   uint64 `json:"-"`
+	Puts            uint64
+	Deletes         uint64
+	Inserts         uint64
+	SamplerAccesses uint64 // since the last recompute
+	SamplerHits     uint64
+	DegradedOps     uint64
+	BreakerTrips    uint64
+	BreakerRearms   uint64
+	LockHoldWarns   uint64
 }
 
 // HitRate returns Hits/Gets (0 when idle).

@@ -289,7 +289,8 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 // checkViews requires every kv.* series in the registry to equal the
-// Stats/ShardStats field it is a view of, and two idle scrapes to agree.
+// Stats/ShardStats field or RDDSnapshot bucket it is a view of, and two
+// idle scrapes to agree.
 func checkViews(t *testing.T, c *Cache, reg *telemetry.Registry) {
 	t.Helper()
 	snap := reg.Snapshot()
@@ -297,24 +298,59 @@ func checkViews(t *testing.T, c *Cache, reg *telemetry.Registry) {
 	want := map[string]any{
 		"kv.gets": st.Gets, "kv.hits": st.Hits, "kv.misses": st.Misses,
 		"kv.puts": st.Puts, "kv.deletes": st.Deletes, "kv.inserts": st.Inserts,
-		"kv.evictions": st.Evictions, "kv.denies": st.Denies,
+		"kv.evictions": st.Evictions, "kv.denies": st.Denies, "kv.saves": st.Saves,
+		"kv.recomputes": st.Recomputes, "kv.sampler_accesses": st.SamplerAccesses,
+		"kv.sampler_hits": st.SamplerHits, "kv.degraded_ops": st.DegradedOps,
 		"kv.breaker_trips": st.BreakerTrips, "kv.breaker_rearms": st.BreakerRearms,
 		"kv.lock_hold_warns": st.LockHoldWarns,
 		"kv.degraded_shards": float64(st.DegradedShards), "kv.pd": float64(st.PD),
 		"kv.entries": float64(st.Entries), "kv.bytes": float64(st.Bytes),
 		"kv.hit_rate": st.HitRate(),
 	}
-	for _, sh := range c.ShardStats() {
+	per := c.ShardStats()
+	for _, sh := range per {
+		want[fmt.Sprintf(`kv.shard.gets{shard="%d"}`, sh.Shard)] = sh.Gets
+		want[fmt.Sprintf(`kv.shard.hits{shard="%d"}`, sh.Shard)] = sh.Hits
+		want[fmt.Sprintf(`kv.shard.entries{shard="%d"}`, sh.Shard)] = float64(sh.Entries)
+		want[fmt.Sprintf(`kv.shard.bytes{shard="%d"}`, sh.Shard)] = float64(sh.Bytes)
 		want[fmt.Sprintf(`kv.shard.evictions{shard="%d",class="unprotected"}`, sh.Shard)] = sh.EvictionsUnprotected
 		want[fmt.Sprintf(`kv.shard.evictions{shard="%d",class="forced"}`, sh.Shard)] = sh.EvictionsForced
 		want[fmt.Sprintf(`kv.shard.denies{shard="%d"}`, sh.Shard)] = sh.Denies
 		want[fmt.Sprintf(`kv.shard.saves{shard="%d"}`, sh.Shard)] = sh.Saves
+	}
+	sk := skewOf(per)
+	want["kv.skew.occupancy"], want["kv.skew.traffic"] = sk.occupancy, sk.traffic
+	want["kv.skew.hit_rate_min"], want["kv.skew.hit_rate_max"] = sk.hitRateMin, sk.hitRateMax
+	if rdd := c.RDDSnapshot(); rdd.Counts != nil {
+		for i, n := range rdd.Counts {
+			want[fmt.Sprintf(`kv.rdd{d="%d"}`, (i+1)*rdd.SC)] = float64(n)
+		}
+		want["kv.rdd_total"], want["kv.rdd_reuses"] = float64(rdd.Total), float64(rdd.Reuses)
 	}
 	if !reflect.DeepEqual(snap, want) {
 		t.Errorf("registry views diverge from the ledger:\n snapshot: %v\n   ledger: %v", snap, want)
 	}
 	if again := reg.Snapshot(); !reflect.DeepEqual(snap, again) {
 		t.Errorf("two idle scrapes differ:\n%v\n%v", snap, again)
+	}
+}
+
+// TestShardSkew pins the skew summary on one shard and on two shards
+// with the hot shard first and last: occupancy and traffic are max/mean,
+// the hit-rate spread is the min and max over the shards in any order.
+func TestShardSkew(t *testing.T) {
+	for _, tc := range []struct {
+		per  []ShardStats
+		want skew
+	}{
+		{[]ShardStats{{Gets: 4, Hits: 1, Entries: 2}}, skew{1, 1, 0.25, 0.25}},
+		{[]ShardStats{{Gets: 6, Hits: 3, Entries: 3}, {Gets: 2, Entries: 1}}, skew{1.5, 1.5, 0, 0.5}},
+		{[]ShardStats{{Gets: 2, Entries: 1}, {Gets: 6, Hits: 3, Entries: 3}}, skew{1.5, 1.5, 0, 0.5}},
+		{[]ShardStats{{}, {}}, skew{}},
+	} {
+		if got := skewOf(tc.per); got != tc.want {
+			t.Errorf("skewOf(%+v) = %+v, want %+v", tc.per, got, tc.want)
+		}
 	}
 }
 

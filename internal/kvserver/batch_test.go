@@ -57,8 +57,8 @@ func postBatch(t *testing.T, base string, ops []wireOp) (int, []wireResult) {
 }
 
 // TestBatchRoundTrip drives one mixed batch through a single node and
-// checks the wire statuses, the returned values, the batch telemetry and
-// the /stats batch section.
+// checks the wire statuses, the returned values, and the batch telemetry
+// in the registry and on /stats.
 func TestBatchRoundTrip(t *testing.T) {
 	srv, base := startServer(t, kvcache.Config{Shards: 2, Sets: 16, Ways: 4},
 		Config{MaxValueBytes: 64, Registry: telemetry.NewRegistry()})
@@ -103,18 +103,10 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Errorf("batch_op_latency count = %d, want 8 (one amortized sample per op)", got)
 	}
 
-	// /stats exposes the batch section.
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Batch == nil || st.Batch.Batches != 1 || st.Batch.Ops != 8 {
-		t.Fatalf("stats batch section: %+v", st.Batch)
+	// /stats exposes the batch series.
+	if st := getStats(t, base); st.num("http.batches") != 1 || st.num("http.batch_ops") != 8 ||
+		st.num("http.batch_size", "count") != 1 {
+		t.Fatalf("stats batch series: %v", st.Metrics)
 	}
 }
 

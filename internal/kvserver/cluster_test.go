@@ -243,22 +243,6 @@ func TestClusterRingEndpoint(t *testing.T) {
 	if owners[0] != owners[1] || owners[1] != owners[2] {
 		t.Fatalf("nodes disagree on owner: %v", owners)
 	}
-
-	// The ring view also shows up in /stats.
-	resp, err := http.Get(nodes[0].base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Cluster *cluster.View `json:"cluster"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Cluster == nil || st.Cluster.Self != nodes[0].base {
-		t.Fatalf("/stats cluster section: %+v", st.Cluster)
-	}
 }
 
 // TestClusterHopTermination: a request already carrying the hop marker

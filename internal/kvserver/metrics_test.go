@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -177,9 +178,50 @@ func TestMetricsScrapeDuringLoad(t *testing.T) {
 	}
 }
 
-// TestStatsRicherFields asserts the expanded /stats payload: per-route
-// latency quantiles, per-shard stats with skew, the decision counts,
-// and the live RDD view for a PDP cache.
+// statsDoc is the /stats document. Metrics decode with json.Number, so a
+// counter keeps its exact text; a histogram decodes as an object.
+type statsDoc struct {
+	Policy  string           `json:"policy"`
+	Metrics map[string]any   `json:"metrics"`
+	RDD     *kvcache.RDDView `json:"rdd"`
+}
+
+func decodeStats(t *testing.T, r io.Reader) statsDoc {
+	t.Helper()
+	dec := json.NewDecoder(r)
+	dec.UseNumber()
+	var d statsDoc
+	if err := dec.Decode(&d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func getStats(t *testing.T, base string) statsDoc {
+	t.Helper()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	return decodeStats(t, resp.Body)
+}
+
+// num reads a counter or gauge series, or one field of a histogram entry
+// (0 when absent).
+func (d statsDoc) num(name string, field ...string) float64 {
+	v := d.Metrics[name]
+	if h, ok := v.(map[string]any); ok && len(field) == 1 {
+		v = h[field[0]]
+	}
+	n, _ := v.(json.Number)
+	f, _ := n.Float64()
+	return f
+}
+
+// TestStatsRicherFields asserts that /stats carries what an operator
+// reads first: per-route latency quantiles, per-shard traffic with its
+// skew summary, the decision counters, and the live RDD for a PDP cache.
 func TestStatsRicherFields(t *testing.T) {
 	_, base := startServer(t, kvcache.Config{
 		Policy: kvcache.PolicyPDP, Shards: 2, Sets: 16, Ways: 4,
@@ -197,66 +239,32 @@ func TestStatsRicherFields(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	st := getStats(t, base)
+	kv := `http.latency_ns{route="/kv/"}`
+	if st.num(kv, "count") == 0 || st.num(kv, "p50") <= 0 || st.num(kv, "p99") < st.num(kv, "p50") {
+		t.Fatalf("%s = %v", kv, st.Metrics[kv])
 	}
-	var st struct {
-		HitRate   float64 `json:"hit_rate"`
-		LatencyUS map[string]struct {
-			Count uint64  `json:"count"`
-			Mean  float64 `json:"mean"`
-			P50   float64 `json:"p50"`
-			P99   float64 `json:"p99"`
-		} `json:"latency_us"`
-		Shards []struct {
-			Shard   int     `json:"shard"`
-			Gets    uint64  `json:"gets"`
-			HitRate float64 `json:"hit_rate"`
-		} `json:"shards"`
-		ShardSkew *struct {
-			TrafficSkew float64 `json:"traffic_skew"`
-		} `json:"shard_skew"`
-		RDD *struct {
-			Total uint64 `json:"total"`
-			SC    int    `json:"sc"`
-		} `json:"rdd"`
-		Decisions map[string]uint64 `json:"decisions"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	kv, ok := st.LatencyUS["/kv/"]
-	if !ok || kv.Count == 0 || kv.P50 <= 0 || kv.P99 < kv.P50 {
-		t.Fatalf("latency_us[/kv/] = %+v (present=%v)", kv, ok)
-	}
-	if len(st.Shards) != 2 {
-		t.Fatalf("%d shard entries", len(st.Shards))
-	}
-	var gets uint64
-	for _, sh := range st.Shards {
-		gets += sh.Gets
-	}
-	if gets == 0 {
+	if gets := st.num(`kv.shard.gets{shard="0"}`) + st.num(`kv.shard.gets{shard="1"}`); gets == 0 {
 		t.Fatal("shard gets all zero after load")
 	}
-	if st.ShardSkew == nil || st.ShardSkew.TrafficSkew < 1 {
-		t.Fatalf("shard_skew = %+v", st.ShardSkew)
+	if st.num("kv.skew.traffic") < 1 {
+		t.Fatalf("kv.skew.traffic = %v", st.Metrics["kv.skew.traffic"])
 	}
-	if st.RDD == nil || st.RDD.Total == 0 || st.RDD.SC == 0 {
-		t.Fatalf("rdd = %+v", st.RDD)
+	if st.RDD == nil || st.RDD.Total == 0 || st.RDD.SC == 0 || st.num("kv.rdd_total") != float64(st.RDD.Total) {
+		t.Fatalf("rdd = %+v, kv.rdd_total = %v", st.RDD, st.Metrics["kv.rdd_total"])
 	}
-	if st.Decisions == nil {
-		t.Fatal("decisions map absent")
+	for _, name := range []string{"kv.evictions", "kv.denies", "kv.saves"} {
+		if _, ok := st.Metrics[name]; !ok {
+			t.Fatalf("decision counter %s absent", name)
+		}
 	}
 
-	// shard_skew's hit-rate spread is the min and max over the shards in
-	// whatever order they come: one shard alone, the better shard first,
-	// the better shard last.
+	// The hit-rate spread is the min and max over the shards in whatever
+	// order they come: one shard alone, the better shard first, the better
+	// shard last.
 	for _, tc := range []struct{ shards, hot int }{{1, 0}, {2, 0}, {2, 1}} {
-		srv, base := startServer(t, kvcache.Config{Shards: tc.shards, Sets: 16, Ways: 4}, Config{})
+		srv, base := startServer(t, kvcache.Config{Shards: tc.shards, Sets: 16, Ways: 4,
+			Registry: telemetry.NewRegistry()}, Config{})
 		// Miss on fresh keys until every shard has seen one, then hit the
 		// hot shard's key: its hit rate is the only non-zero one.
 		keys := make([]string, tc.shards)
@@ -272,40 +280,163 @@ func TestStatsRicherFields(t *testing.T) {
 		}
 		srv.cache.Put(keys[tc.hot], []byte("v"))
 		srv.cache.Get(keys[tc.hot])
-		resp, err := http.Get(base + "/stats")
-		if err != nil {
-			t.Fatal(err)
+		got := getStats(t, base)
+		lo, hi := 1.0, 0.0
+		for i := range tc.shards {
+			shard := `{shard="` + strconv.Itoa(i) + `"}`
+			hr := got.num("kv.shard.hits"+shard) / got.num("kv.shard.gets"+shard)
+			lo, hi = min(lo, hr), max(hi, hr)
 		}
-		var got struct {
-			Shards []struct {
-				HitRate float64 `json:"hit_rate"`
-			} `json:"shards"`
-			ShardSkew struct {
-				Min float64 `json:"hit_rate_min"`
-				Max float64 `json:"hit_rate_max"`
-			} `json:"shard_skew"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		lo, hi := got.Shards[0].HitRate, got.Shards[0].HitRate
-		for _, sh := range got.Shards {
-			lo, hi = min(lo, sh.HitRate), max(hi, sh.HitRate)
-		}
-		if hi == 0 || got.ShardSkew.Min != lo || got.ShardSkew.Max != hi {
+		if hi == 0 || got.num("kv.skew.hit_rate_min") != lo || got.num("kv.skew.hit_rate_max") != hi {
 			t.Errorf("shards=%d hot=%d: hit_rate_min/max = %v/%v, shards say %v/%v",
-				tc.shards, tc.hot, got.ShardSkew.Min, got.ShardSkew.Max, lo, hi)
+				tc.shards, tc.hot, got.Metrics["kv.skew.hit_rate_min"], got.Metrics["kv.skew.hit_rate_max"], lo, hi)
 		}
 	}
 }
 
+// promSample maps a registry name onto its /metrics sample name, with
+// extra labels appended to its label block.
+func promSample(name, suffix string, extra ...string) string {
+	base, labels, _ := strings.Cut(name, "{")
+	labels = strings.TrimSuffix(labels, "}")
+	for _, l := range extra {
+		if labels != "" {
+			labels += ","
+		}
+		labels += l
+	}
+	out := strings.ReplaceAll(base, ".", "_") + suffix
+	if labels != "" {
+		out += "{" + labels + "}"
+	}
+	return out
+}
+
+// TestStatsMirrorsMetrics pins /stats and /metrics as two encodings of one
+// Snapshot. On a quiesced PDP server with two shards, a gate and both
+// request paths served, every sample of the lint-clean /metrics page
+// equals the /stats value under the same registry name (a histogram's
+// _count, _sum and cumulative buckets its count, sum and log2 buckets),
+// every /stats series appears on /metrics, and every fact the hand-built
+// /stats schema used to carry is among them.
+func TestStatsMirrorsMetrics(t *testing.T) {
+	srv, base := startServer(t, kvcache.Config{
+		Policy: kvcache.PolicyPDP, Shards: 2, Sets: 16, Ways: 4,
+		RecomputeEvery: 1024, Registry: telemetry.NewRegistry(),
+	}, Config{MaxInflight: 4})
+	if _, err := loadgen.Run(context.Background(), loadgen.Config{
+		BaseURL: base,
+		Mix:     workload.ServiceConfig{Keys: 100, ZipfS: 0.8, ValueBytes: 32},
+		Workers: 2,
+		Ops:     3000,
+		Seed:    5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := postBatch(t, base, []wireOp{{Op: "put", Key: "b", Value: []byte("v")}, {Op: "get", Key: "b"}}); status != http.StatusOK {
+		t.Fatalf("batch status %d", status)
+	}
+
+	// Both encodings come straight from their handlers: through the
+	// middleware, each scrape would book itself into the next one's
+	// request counters.
+	read := func(h http.HandlerFunc) []byte {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		return rec.Body.Bytes()
+	}
+	page := read(srv.handleMetrics)
+	if err := telemetry.LintProm(bytes.NewReader(page)); err != nil {
+		t.Fatalf("/metrics fails lint: %v\n%s", err, page)
+	}
+	doc := decodeStats(t, bytes.NewReader(read(srv.handleStats)))
+
+	want := map[string]string{}
+	for name, v := range doc.Metrics {
+		switch v := v.(type) {
+		case json.Number:
+			want[promSample(name, "")] = v.String()
+		case map[string]any:
+			var cum uint64
+			buckets, _ := v["log2_buckets"].([]any) // null while empty
+			for k, c := range buckets {
+				n, _ := strconv.ParseUint(c.(json.Number).String(), 10, 64)
+				cum += n
+				le := strconv.FormatUint(uint64(1)<<k-1, 10)
+				want[promSample(name, "_bucket", `le="`+le+`"`)] = strconv.FormatUint(cum, 10)
+			}
+			want[promSample(name, "_bucket", `le="+Inf"`)] = strconv.FormatUint(cum, 10)
+			want[promSample(name, "_sum")] = v["sum"].(json.Number).String()
+			want[promSample(name, "_count")] = v["count"].(json.Number).String()
+		default:
+			t.Errorf("/stats %s: unexpected value %T", name, v)
+		}
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(string(page), "\n") {
+		if sample, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			got[sample] = value
+		}
+	}
+	for sample, g := range got {
+		w, ok := want[sample]
+		gf, _ := strconv.ParseFloat(g, 64)
+		wf, _ := strconv.ParseFloat(w, 64)
+		if !ok || gf != wf {
+			t.Errorf("/metrics %s = %s, /stats says %q (present=%v)", sample, g, w, ok)
+		}
+	}
+	for sample := range want {
+		if _, ok := got[sample]; !ok {
+			t.Errorf("/stats series %s missing from /metrics", sample)
+		}
+	}
+
+	// Every fact the old hand-built schema carried is a series.
+	required := []string{
+		`http.latency_ns{route="/kv/"}`, `http.latency_ns{route="/batch"}`,
+		"kv.gets", "kv.hits", "kv.misses", "kv.puts", "kv.deletes", "kv.inserts",
+		"kv.evictions", "kv.denies", "kv.saves", "kv.entries", "kv.bytes", "kv.pd",
+		"kv.recomputes", "kv.sampler_accesses", "kv.sampler_hits", "kv.hit_rate",
+		"kv.degraded_shards", "kv.degraded_ops", "kv.breaker_trips", "kv.breaker_rearms",
+		"kv.lock_hold_warns",
+		"kv.skew.occupancy", "kv.skew.traffic", "kv.skew.hit_rate_min", "kv.skew.hit_rate_max",
+		"http.gate_in_flight", "http.gate_max_inflight",
+		"http.batches", "http.batch_ops", "http.batch_size", "http.batch_op_latency_ns",
+		"kv.rdd_total", "kv.rdd_reuses", `kv.rdd{d="4"}`,
+	}
+	for _, shard := range []string{"0", "1"} {
+		for _, f := range []string{"gets", "hits", "entries", "bytes", "denies", "saves"} {
+			required = append(required, `kv.shard.`+f+`{shard="`+shard+`"}`)
+		}
+		for _, class := range []string{"unprotected", "forced"} {
+			required = append(required, `kv.shard.evictions{shard="`+shard+`",class="`+class+`"}`)
+		}
+	}
+	for _, name := range required {
+		if _, ok := doc.Metrics[name]; !ok {
+			t.Errorf("/stats lacks %s", name)
+		}
+	}
+	kv := `http.latency_ns{route="/kv/"}`
+	for _, q := range []string{"p50", "p90", "p99", "p999"} {
+		if doc.num(kv, q) <= 0 {
+			t.Errorf("%s %s = %v", kv, q, doc.num(kv, q))
+		}
+	}
+	if doc.num("kv.gets") == 0 || doc.num("http.batches") != 1 || doc.num("http.gate_max_inflight") != 4 ||
+		doc.num("kv.recomputes") == 0 || doc.num("kv.sampler_accesses") == 0 || doc.RDD == nil {
+		t.Errorf("implausible snapshot after load: %v", doc.Metrics)
+	}
+}
+
 // TestDecisionsEndpoint drives enough conflicting traffic through a tiny
-// PDP cache to populate the decision ring, then checks the export.
+// PDP cache to populate the decision ring, then checks the export against
+// the registry's decision counters.
 func TestDecisionsEndpoint(t *testing.T) {
 	_, base := startServer(t, kvcache.Config{
 		Policy: kvcache.PolicyPDP, Shards: 1, Sets: 4, Ways: 2,
-		DefaultPD: 64, RecomputeEvery: 1 << 30,
+		DefaultPD: 64, RecomputeEvery: 1 << 30, Registry: telemetry.NewRegistry(),
 	}, Config{})
 
 	_, err := loadgen.Run(context.Background(), loadgen.Config{
@@ -324,9 +455,8 @@ func TestDecisionsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dec struct {
-		Total  uint64             `json:"total"`
-		Counts map[string]uint64  `json:"counts"`
-		Tail   []kvcache.Decision `json:"tail"`
+		Total uint64             `json:"total"`
+		Tail  []kvcache.Decision `json:"tail"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&dec); err != nil {
 		t.Fatal(err)
@@ -338,15 +468,11 @@ func TestDecisionsEndpoint(t *testing.T) {
 	if len(dec.Tail) == 0 || len(dec.Tail) > 5 {
 		t.Fatalf("tail len %d with n=5", len(dec.Tail))
 	}
-	if _, ok := dec.Counts[kvcache.DecisionDeny]; !ok {
-		t.Fatalf("counts missing deny kind: %v", dec.Counts)
-	}
-	var sum uint64
-	for _, v := range dec.Counts {
-		sum += v
-	}
-	if sum != dec.Total {
-		t.Fatalf("kind counts sum %d != total %d", sum, dec.Total)
+	// Every decision is an eviction, a deny or a save, and the registry
+	// counts each kind once.
+	st := getStats(t, base)
+	if sum := st.num("kv.evictions") + st.num("kv.denies") + st.num("kv.saves"); sum != float64(dec.Total) {
+		t.Fatalf("kv.evictions+denies+saves = %v, decision total %d", sum, dec.Total)
 	}
 	for i := 1; i < len(dec.Tail); i++ {
 		if dec.Tail[i].Seq <= dec.Tail[i-1].Seq {

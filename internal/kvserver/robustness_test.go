@@ -2,7 +2,6 @@ package kvserver
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +11,7 @@ import (
 
 	"pdp/internal/kvcache"
 	"pdp/internal/servefault"
+	"pdp/internal/telemetry"
 )
 
 func TestBadDeadlineHeaderRejected(t *testing.T) {
@@ -46,25 +46,12 @@ func TestBadDeadlineHeaderRejected(t *testing.T) {
 }
 
 func TestGateReportedInStats(t *testing.T) {
-	_, base := startServer(t, kvcache.Config{Shards: 2, Sets: 16, Ways: 4},
-		Config{MaxInflight: 8})
+	_, base := startServer(t, kvcache.Config{Shards: 2, Sets: 16, Ways: 4,
+		Registry: telemetry.NewRegistry()}, Config{MaxInflight: 8})
 
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		Gate *struct {
-			MaxInflight int `json:"max_inflight"`
-			InFlight    int `json:"in_flight"`
-		} `json:"gate"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Gate == nil || stats.Gate.MaxInflight != 8 {
-		t.Fatalf("gate view missing or wrong: %+v", stats.Gate)
+	st := getStats(t, base)
+	if _, ok := st.Metrics["http.gate_in_flight"]; !ok || st.num("http.gate_max_inflight") != 8 {
+		t.Fatalf("gate series missing or wrong: %v", st.Metrics)
 	}
 }
 

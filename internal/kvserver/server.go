@@ -1,8 +1,8 @@
 // Package kvserver exposes a kvcache.Cache over HTTP/JSON: GET/PUT/DELETE
 // on /kv/{key} and their batched form POST /batch (one data path: a /kv/
-// request is a batch of one), a /stats JSON endpoint (latency quantiles,
-// per-shard attribution, the live RDD), Prometheus text on /metrics, the
-// policy decision ring on /debug/decisions, /healthz (liveness) and
+// request is a batch of one), the telemetry registry as JSON on /stats
+// (beside the live RDD) and as Prometheus text on /metrics, the policy
+// decision ring on /debug/decisions, /healthz (liveness) and
 // /readyz (readiness: 503 while any shard serves degraded). Every route
 // runs under the instrumentation middleware (per-route/method/status
 // counters, nanosecond latency histograms, X-Request-Id threading); the
@@ -87,7 +87,9 @@ type Config struct {
 	// before any server starts.
 	Listener net.Listener
 
-	// Registry and Journal receive server telemetry (both optional).
+	// Registry and Journal receive server telemetry (both optional; the
+	// cache's registry by default). /stats and /metrics are encodings of
+	// the registry, so without one they report no series.
 	Registry *telemetry.Registry
 	Journal  *telemetry.Journal
 }
@@ -107,8 +109,8 @@ type Server struct {
 	mSnaps    *telemetry.Counter
 	mSnapErrs *telemetry.Counter
 
-	// Middleware state: the instrumented routes (for /stats latency
-	// summaries) and the request-id generator.
+	// Middleware state: the instrumented routes and the request-id
+	// generator.
 	routes  []*routeMetrics
 	reqSeq  atomic.Uint64
 	mErrors *telemetry.Counter
@@ -420,165 +422,18 @@ func appendLimited(buf []byte, r io.Reader, limit int64) ([]byte, error) {
 	return buf, nil
 }
 
-// latencyView is one route's latency digest in microseconds (the
-// histograms record nanoseconds; microseconds read better in JSON).
-type latencyView struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-}
-
-// latencyOf digests a nanosecond latency histogram.
-func latencyOf(h *telemetry.Histogram) latencyView {
-	q := h.Summary()
-	return latencyView{
-		Count: h.Count(),
-		Mean:  h.Mean() / 1e3,
-		P50:   q.P50 / 1e3,
-		P90:   q.P90 / 1e3,
-		P99:   q.P99 / 1e3,
-		P999:  q.P999 / 1e3,
-	}
-}
-
-// decisionCounts is the per-kind decision tally of /stats and
-// /debug/decisions, read from the cache's ledger.
-func decisionCounts(st kvcache.Stats) map[string]uint64 {
-	return map[string]uint64{
-		kvcache.DecisionEvictUnprotected: st.EvictionsUnprotected,
-		kvcache.DecisionEvictForced:      st.EvictionsForced,
-		kvcache.DecisionDeny:             st.Denies,
-		kvcache.DecisionSave:             st.Saves,
-	}
-}
-
-// gateView is the admission gate's state in /stats.
-type gateView struct {
-	MaxInflight int `json:"max_inflight"`
-	InFlight    int `json:"in_flight"`
-}
-
-// shardView is kvcache.ShardStats plus its derived hit rate.
-type shardView struct {
-	kvcache.ShardStats
-	HitRate float64 `json:"hit_rate"`
-}
-
-// skewView summarizes imbalance across shards: occupancy and traffic as
-// max/mean ratios (1 = perfectly uniform), hit rate as its min/max
-// spread.
-type skewView struct {
-	OccupancySkew float64 `json:"occupancy_skew"`
-	TrafficSkew   float64 `json:"traffic_skew"`
-	HitRateMin    float64 `json:"hit_rate_min"`
-	HitRateMax    float64 `json:"hit_rate_max"`
-}
-
-// batchStatsView summarizes the /batch pipeline: batch and logical-op
-// counts, the mean batch size, and the amortized per-op latency
-// quantiles (one batch's wall time booked once per op — directly
-// comparable to the /kv/ per-request latency at equal offered load).
-type batchStatsView struct {
-	Batches      uint64      `json:"batches"`
-	Ops          uint64      `json:"ops"`
-	MeanSize     float64     `json:"mean_size"`
-	OpLatencyUS  latencyView `json:"op_latency_us"`
-	SizeBucketsL []uint64    `json:"size_log2_buckets"`
-}
-
-// statsResponse is the /stats JSON schema.
-type statsResponse struct {
-	kvcache.Stats
-	Policy  string  `json:"policy"`
-	HitRate float64 `json:"hit_rate"`
-	// LatencyUS maps each instrumented route to its server-side request
-	// latency quantiles.
-	LatencyUS map[string]latencyView `json:"latency_us,omitempty"`
-	Shards    []shardView            `json:"shards,omitempty"`
-	ShardSkew *skewView              `json:"shard_skew,omitempty"`
-	// Gate reports overload-protection state when the admission gate is
-	// enabled.
-	Gate *gateView `json:"gate,omitempty"`
-	// Batch reports the /batch pipeline once it has served traffic.
-	Batch *batchStatsView `json:"batch,omitempty"`
-	// RDD is the live merged reuse-distance distribution (PDP only) —
-	// what the next recompute will decide from.
-	RDD *kvcache.RDDView `json:"rdd,omitempty"`
-	// Decisions counts attributed policy decisions by kind.
-	Decisions map[string]uint64 `json:"decisions,omitempty"`
-	// Cluster is the node's ring/routing view when clustering is enabled.
-	Cluster *cluster.View `json:"cluster,omitempty"`
-}
-
+// handleStats serves the registry's Snapshot as JSON beside the policy
+// and the live merged RDD (PDP only) — what the next recompute will
+// decide from. /metrics renders the same Snapshot, so the two endpoints
+// report the same series under the same names.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.cache.Stats()
-	resp := statsResponse{
-		Stats:     st,
-		Policy:    string(s.cache.Config().Policy),
-		HitRate:   st.HitRate(),
-		LatencyUS: map[string]latencyView{},
-	}
-	for _, m := range s.routes {
-		if m.latency.Count() > 0 {
-			resp.LatencyUS[m.name] = latencyOf(m.latency)
-		}
-	}
-	per := s.cache.ShardStats()
-	var maxEntries, sumEntries float64
-	var maxGets, sumGets float64
-	skew := &skewView{HitRateMin: 1}
-	for _, sh := range per {
-		resp.Shards = append(resp.Shards, shardView{ShardStats: sh, HitRate: sh.HitRate()})
-		e, g := float64(sh.Entries), float64(sh.Gets)
-		sumEntries += e
-		sumGets += g
-		if e > maxEntries {
-			maxEntries = e
-		}
-		if g > maxGets {
-			maxGets = g
-		}
-		hr := sh.HitRate()
-		if hr < skew.HitRateMin {
-			skew.HitRateMin = hr
-		}
-		if hr > skew.HitRateMax {
-			skew.HitRateMax = hr
-		}
-	}
-	if n := float64(len(per)); n > 0 {
-		if sumEntries > 0 {
-			skew.OccupancySkew = maxEntries / (sumEntries / n)
-		}
-		if sumGets > 0 {
-			skew.TrafficSkew = maxGets / (sumGets / n)
-		}
-		resp.ShardSkew = skew
-	}
-	if s.gate != nil {
-		resp.Gate = &gateView{MaxInflight: s.cfg.MaxInflight, InFlight: s.gate.InFlight()}
-	}
-	if nb := s.mBatches.Value(); nb > 0 {
-		resp.Batch = &batchStatsView{
-			Batches:      nb,
-			Ops:          s.mBatchOps.Value(),
-			MeanSize:     s.hBatchSize.Mean(),
-			OpLatencyUS:  latencyOf(s.hBatchOpLat),
-			SizeBucketsL: s.hBatchSize.Buckets(),
-		}
-	}
+	resp := struct {
+		Policy  kvcache.Policy   `json:"policy"`
+		Metrics map[string]any   `json:"metrics"`
+		RDD     *kvcache.RDDView `json:"rdd,omitempty"`
+	}{Policy: s.cache.Config().Policy, Metrics: s.cfg.Registry.Snapshot()}
 	if rdd := s.cache.RDDSnapshot(); rdd.Counts != nil {
 		resp.RDD = &rdd
-	}
-	if s.cfg.Cluster != nil {
-		v := s.cfg.Cluster.StatsView("")
-		resp.Cluster = &v
-	}
-	if s.cache.Decisions() != nil {
-		resp.Decisions = decisionCounts(st)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
@@ -595,11 +450,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decisionsResponse is the /debug/decisions JSON schema.
+// decisionsResponse is the /debug/decisions JSON schema; the per-kind
+// counts are the kv.evictions, kv.denies and kv.saves series.
 type decisionsResponse struct {
-	Total  uint64             `json:"total"`
-	Counts map[string]uint64  `json:"counts"`
-	Tail   []kvcache.Decision `json:"tail"`
+	Total uint64             `json:"total"`
+	Tail  []kvcache.Decision `json:"tail"`
 }
 
 // handleDecisions exports the policy decision ring: the most recent n
@@ -620,11 +475,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	resp := decisionsResponse{
-		Total:  dl.Total(),
-		Counts: decisionCounts(s.cache.Stats()),
-		Tail:   dl.Tail(n),
-	}
+	resp := decisionsResponse{Total: dl.Total(), Tail: dl.Tail(n)}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
 		s.serveError("/debug/decisions", requestID(r), err)

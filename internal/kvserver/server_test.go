@@ -3,7 +3,6 @@ package kvserver
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
@@ -38,7 +37,8 @@ func startServer(t *testing.T, ccfg kvcache.Config, scfg Config) (*Server, strin
 }
 
 func TestHTTPRoundTrip(t *testing.T) {
-	_, base := startServer(t, kvcache.Config{Shards: 2, Sets: 16, Ways: 4}, Config{})
+	_, base := startServer(t, kvcache.Config{Shards: 2, Sets: 16, Ways: 4,
+		Registry: telemetry.NewRegistry()}, Config{})
 
 	// Missing key: 404 with a miss marker.
 	resp, err := http.Get(base + "/kv/absent")
@@ -89,20 +89,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 
 	// /stats and /healthz.
-	resp, err = http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Gets   uint64 `json:"gets"`
-		Policy string `json:"policy"`
-		PD     int    `json:"pd"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Gets < 3 || st.Policy != "pdp" || st.PD < 1 {
+	if st := getStats(t, base); st.num("kv.gets") < 3 || st.Policy != "pdp" || st.num("kv.pd") < 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	resp, err = http.Get(base + "/healthz")

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"pdp/internal/telemetry"
 )
 
 func TestGateShedsWhenFull(t *testing.T) {
-	g := NewGate(1, time.Second, nil, nil)
+	reg := telemetry.NewRegistry()
+	g := NewGate(1, time.Second, reg, nil)
 	ctx := context.Background()
 	if err := g.Enter(ctx, "/kv/", "r1"); err != nil {
 		t.Fatal(err)
@@ -19,6 +22,10 @@ func TestGateShedsWhenFull(t *testing.T) {
 	}
 	if g.InFlight() != 1 {
 		t.Fatalf("inflight = %d, want 1", g.InFlight())
+	}
+	snap := reg.Snapshot()
+	if snap["http.gate_in_flight"] != 1.0 || snap["http.gate_max_inflight"] != 1.0 || snap["http.shed"] != uint64(1) {
+		t.Fatalf("gate series: %v", snap)
 	}
 	g.Exit()
 	if err := g.Enter(ctx, "/kv/", "r3"); err != nil {

@@ -71,12 +71,6 @@ func NewInjector(spec faultinject.Spec, shards int, rep *faultinject.Reporter) *
 	return in
 }
 
-// active reports whether the injector still fires at tick t (the spec's
-// until horizon).
-func (in *Injector) active(t uint64) bool {
-	return in.spec.Until == 0 || t <= in.spec.Until
-}
-
 // Access implements kvcache.Chaos: called once per cache operation under
 // the shard lock. arr is the shard's live RDD array (nil in LRU mode).
 func (in *Injector) Access(shard int, arr kvcache.ChaosArray) {
@@ -84,7 +78,7 @@ func (in *Injector) Access(shard int, arr kvcache.ChaosArray) {
 		return
 	}
 	t := in.clock.Add(1)
-	if !in.active(t) {
+	if !in.spec.Active(t) {
 		return
 	}
 	rng := in.rngs[shard]
@@ -103,7 +97,7 @@ func (in *Injector) Access(shard int, arr kvcache.ChaosArray) {
 // critical section (seq is the 1-based recompute ordinal). A stall fires
 // before a panic so a spec enabling both exercises the watchdog first.
 func (in *Injector) Recompute(seq uint64) {
-	if in == nil || !in.active(in.clock.Load()) {
+	if in == nil || !in.spec.Active(in.clock.Load()) {
 		return
 	}
 	if in.spec.RecomputeStall > 0 && in.rrng.Bernoulli(in.spec.RecomputeStall) {

@@ -41,19 +41,26 @@ type Gate struct {
 // retryAfter is the backoff hint shed responses should carry. A limit
 // of 0 or less returns nil — the gate that admits everything — but the
 // shed counters are still registered so they surface on /metrics at 0.
+// A real gate also publishes its occupancy as a view: the
+// http.gate_in_flight and http.gate_max_inflight gauges.
 func NewGate(limit int, retryAfter time.Duration, reg *telemetry.Registry, journal *telemetry.Journal) *Gate {
 	mShed := reg.Counter("http.shed")
 	mDeadline := reg.Counter("http.deadline_timeout")
 	if limit <= 0 {
 		return nil
 	}
-	return &Gate{
+	g := &Gate{
 		sem:        make(chan struct{}, limit),
 		retryAfter: retryAfter,
 		journal:    journal,
 		mShed:      mShed,
 		mDeadline:  mDeadline,
 	}
+	reg.View(func(m telemetry.Samples) {
+		m.Gauge("http.gate_in_flight", float64(g.InFlight()))
+		m.Gauge("http.gate_max_inflight", float64(limit))
+	})
+	return g
 }
 
 // RetryAfter returns the configured shed backoff hint.

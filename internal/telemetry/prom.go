@@ -212,81 +212,62 @@ func bucketLE(k int) string {
 	return strconv.FormatUint(uint64(1)<<uint(k)-1, 10)
 }
 
-// promSeries is one flattened sample series during encoding: a counter
-// value, a gauge value or a histogram handle, by its family's kind.
-type promSeries struct {
-	labels string
-	u      uint64
-	f      float64
-	h      *Histogram
-}
-
-// WriteProm renders every metric in Prometheus text format: one
-// `# TYPE` line per family (counter, gauge or histogram), then the
-// family's series sorted by label block. Histograms expand into
-// cumulative `_bucket{le="..."}` lines at the log2 boundaries (2^k - 1),
-// a `le="+Inf"` bucket, `_sum` and `_count`. A nil registry writes
-// nothing.
+// WriteProm renders Snapshot in Prometheus text format: one `# TYPE`
+// line per family, then the family's series sorted by label block. The
+// family's kind is the snapshot value's type: a uint64 is a counter, a
+// float64 a gauge, and a histogram entry a histogram, which expands into
+// cumulative `_bucket{le="..."}` lines at the log2 boundaries (2^k - 1), a
+// `le="+Inf"` bucket, `_sum` and `_count` (equal to the +Inf bucket). A nil
+// registry writes nothing.
 func (r *Registry) WriteProm(w io.Writer) error {
-	if r == nil {
-		return nil
+	type series struct {
+		labels string
+		v      any
 	}
-	// Collect under the lock, render outside it: a scrape never blocks
-	// registrations for longer than a map copy.
 	type family struct {
 		kind   string // "counter" | "gauge" | "histogram"
-		series []promSeries
+		series []series
 	}
+	snap := r.Snapshot()
+	names := make([]string, 0, len(snap))
+	for name := range snap {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	fams := map[string]*family{}
-	add := func(name, kind string, s promSeries) {
+	var bases []string
+	for _, name := range names {
+		var kind string
+		switch snap[name].(type) {
+		case uint64:
+			kind = "counter"
+		case float64:
+			kind = "gauge"
+		case histSnapshot:
+			kind = "histogram"
+		default:
+			continue
+		}
 		base, labels := promName(name)
-		s.labels = normalizeLabels(labels)
 		f, ok := fams[base]
 		if !ok {
 			f = &family{kind: kind}
 			fams[base] = f
+			bases = append(bases, base)
 		}
 		// A name collision across metric kinds after sanitization would
-		// produce an invalid exposition; keep the first kind and skip the
-		// clashing series rather than emit a malformed page.
+		// produce an invalid exposition; keep the kind of the first name in
+		// sort order and skip the clashing series rather than emit a
+		// malformed page.
 		if f.kind != kind {
-			return
+			continue
 		}
-		f.series = append(f.series, s)
+		f.series = append(f.series, series{normalizeLabels(labels), snap[name]})
 	}
-	views := r.readViews()
-	r.mu.Lock()
-	for name, c := range r.counters {
-		if _, shadowed := views[name]; !shadowed {
-			add(name, "counter", promSeries{u: c.Value()})
-		}
-	}
-	for name, g := range r.gauges {
-		if _, shadowed := views[name]; !shadowed {
-			add(name, "gauge", promSeries{f: g.Value()})
-		}
-	}
-	for name, h := range r.hists {
-		add(name, "histogram", promSeries{h: h})
-	}
-	r.mu.Unlock()
-	for name, v := range views {
-		switch v := v.(type) {
-		case uint64:
-			add(name, "counter", promSeries{u: v})
-		case float64:
-			add(name, "gauge", promSeries{f: v})
-		}
-	}
-
-	names := make([]string, 0, len(fams))
-	for n := range fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	sort.Strings(bases)
 
 	bw := bufio.NewWriter(w)
-	for _, base := range names {
+	for _, base := range bases {
 		f := fams[base]
 		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 		fmt.Fprintf(bw, "# TYPE %s %s\n", base, f.kind)
@@ -295,21 +276,20 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			if s.labels != "" {
 				lb = "{" + s.labels + "}"
 			}
-			switch f.kind {
-			case "counter":
-				fmt.Fprintf(bw, "%s%s %d\n", base, lb, s.u)
-			case "gauge":
-				fmt.Fprintf(bw, "%s%s %s\n", base, lb, promFloat(s.f))
-			case "histogram":
-				buckets := s.h.Buckets()
+			switch v := s.v.(type) {
+			case uint64:
+				fmt.Fprintf(bw, "%s%s %d\n", base, lb, v)
+			case float64:
+				fmt.Fprintf(bw, "%s%s %s\n", base, lb, promFloat(v))
+			case histSnapshot:
 				var cum uint64
-				for k, c := range buckets {
+				for k, c := range v.Log2 {
 					cum += c
 					fmt.Fprintf(bw, "%s_bucket%s %d\n",
 						base, withLabel(s.labels, `le="`+bucketLE(k)+`"`), cum)
 				}
 				fmt.Fprintf(bw, "%s_bucket%s %d\n", base, withLabel(s.labels, `le="+Inf"`), cum)
-				fmt.Fprintf(bw, "%s_sum%s %d\n", base, lb, s.h.Sum())
+				fmt.Fprintf(bw, "%s_sum%s %d\n", base, lb, v.Sum)
 				fmt.Fprintf(bw, "%s_count%s %d\n", base, lb, cum)
 			}
 		}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +30,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	for _, c := range cases {
 		var h Histogram
 		h.Observe(c.v)
-		got := h.Buckets()
+		got := h.snapshot().Log2
 		if len(got) != c.bucket+1 || got[c.bucket] != 1 {
 			t.Fatalf("Observe(%d): buckets %v, want single count in bucket %d", c.v, got, c.bucket)
 		}
@@ -170,10 +171,10 @@ func TestWriteProm(t *testing.T) {
 }
 
 // TestRegistryViews covers read-time metrics: a view's series appear in
-// Snapshot, Names and WriteProm exactly like stored ones (one TYPE line
-// per family, labelled series grouped under it, lint-clean), are
-// evaluated afresh on every read, and shadow a stored metric of the same
-// name whichever was registered first.
+// Snapshot and WriteProm exactly like stored ones (one TYPE line per
+// family, labelled series grouped under it, lint-clean), are evaluated
+// afresh on every read, and shadow a stored metric of the same name
+// whichever was registered first.
 func TestRegistryViews(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dup.before").Add(5) // stored first, shadowed by the view
@@ -202,9 +203,13 @@ func TestRegistryViews(t *testing.T) {
 	if got := r.Snapshot()["view.reads"]; got != uint64(2) {
 		t.Errorf("second snapshot read view.reads = %v, want 2 (views evaluate per read)", got)
 	}
-	names := strings.Join(r.Names(), " ")
-	if want := `dup.after dup.before stored view.level view.reads view.shard{shard="0"} view.shard{shard="1"}`; names != want {
-		t.Errorf("names = %s\n want = %s", names, want)
+	var names []string
+	for name := range r.Snapshot() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if got, want := strings.Join(names, " "), `dup.after dup.before stored view.level view.reads view.shard{shard="0"} view.shard{shard="1"}`; got != want {
+		t.Errorf("names = %s\n want = %s", got, want)
 	}
 
 	var buf bytes.Buffer
@@ -236,10 +241,10 @@ func TestRegistryViews(t *testing.T) {
 
 func TestSanitizeProm(t *testing.T) {
 	cases := map[string]string{
-		"kv.gets":        "kv_gets",
-		"http-latency":   "http_latency",
-		"9lives":         "_9lives",
-		"ok_name:sub":    "ok_name:sub",
+		"kv.gets":      "kv_gets",
+		"http-latency": "http_latency",
+		"9lives":       "_9lives",
+		"ok_name:sub":  "ok_name:sub",
 		// Sanitization is byte-wise: each byte of a multi-byte rune maps
 		// to its own underscore (2+2+3 bytes for "éé—").
 		"spaces and/éé—": "spaces_and________",
@@ -319,8 +324,16 @@ func TestConcurrentSnapshotAndWriteProm(t *testing.T) {
 			t.Fatalf("counter went backwards: %d -> %d", lastCount, cur)
 		}
 		lastCount = cur
-		// Quantiles must stay readable mid-write (the /stats path).
-		_ = r.Histogram(`hot.hist{w="x"}`).Quantile(0.99)
+		// A histogram entry is one bucket read: its count is the bucket
+		// sum even while writers are hot.
+		h, _ := snap[`hot.hist{w="x"}`].(histSnapshot)
+		var sum uint64
+		for _, c := range h.Log2 {
+			sum += c
+		}
+		if h.Count != sum {
+			t.Fatalf("snapshot count %d != bucket sum %d under load", h.Count, sum)
+		}
 	}
 	close(stop)
 	wg.Wait()

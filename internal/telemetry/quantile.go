@@ -25,34 +25,22 @@ func bucketBounds(k int) (lo, hi float64) {
 //
 // The bucket counters are read without a global lock, so a quantile taken
 // while writers are hot is a consistent-enough snapshot: each bucket is
-// atomically read once and the total is summed from that same snapshot.
+// atomically read once and the total is summed from that same read.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var b [histBuckets]uint64
-	var total uint64
-	for i := range h.buckets {
-		b[i] = h.buckets[i].Load()
-		total += b[i]
-	}
+	b, n := h.read()
+	return quantile(&b, n, q)
+}
+
+// quantile is Quantile over one bucket read b whose sum is total.
+func quantile(b *[histBuckets]uint64, total uint64, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = min(max(q, 0), 1)
 	// target is the 1-based rank of the quantile observation.
-	target := q * float64(total)
-	if target < 1 {
-		target = 1
-	}
+	target := max(q*float64(total), 1)
 	var cum uint64
-	for k := 0; k < histBuckets; k++ {
-		c := b[k]
+	for k, c := range b {
 		if c == 0 {
 			continue
 		}
@@ -76,14 +64,18 @@ type QuantileSummary struct {
 	P999 float64 `json:"p999"`
 }
 
-// Summary returns p50/p90/p99/p999 in one call (four independent bucket
-// snapshots; cheap, the array is 65 atomics).
+// Summary returns p50/p90/p99/p999 from one read of the buckets.
 func (h *Histogram) Summary() QuantileSummary {
+	b, n := h.read()
+	return summarize(&b, n)
+}
+
+func summarize(b *[histBuckets]uint64, total uint64) QuantileSummary {
 	return QuantileSummary{
-		P50:  h.Quantile(0.50),
-		P90:  h.Quantile(0.90),
-		P99:  h.Quantile(0.99),
-		P999: h.Quantile(0.999),
+		P50:  quantile(b, total, 0.50),
+		P90:  quantile(b, total, 0.90),
+		P99:  quantile(b, total, 0.99),
+		P999: quantile(b, total, 0.999),
 	}
 }
 

@@ -15,12 +15,9 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"expvar"
-	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -75,9 +72,10 @@ const histBuckets = 65
 // Histogram accumulates a distribution in log2 buckets: bucket k counts
 // values v with bits.Len64(v) == k (bucket 0 is exactly v == 0). The
 // geometry matches the reuse-distance scale of the paper's analyses, where
-// only the order of magnitude of a lifetime or distance matters.
+// only the order of magnitude of a lifetime or distance matters. The count
+// is the sum of the buckets, so every read that sums one bucket read
+// agrees with itself under concurrent writers.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
@@ -87,29 +85,38 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
 }
 
-// ObserveN records v n times in three atomic adds — the amortized form
+// ObserveN records v n times in two atomic adds — the amortized form
 // batch paths use to book one per-op value for every operation of a
 // batch without paying n separate observations.
 func (h *Histogram) ObserveN(v uint64, n uint64) {
 	if h == nil || n == 0 {
 		return
 	}
-	h.count.Add(n)
 	h.sum.Add(v * n)
 	h.buckets[bits.Len64(v)].Add(n)
 }
 
+// read loads every bucket once and returns them with their total (zero on
+// a nil histogram).
+func (h *Histogram) read() (b [histBuckets]uint64, total uint64) {
+	if h == nil {
+		return b, 0
+	}
+	for i := range h.buckets {
+		b[i] = h.buckets[i].Load()
+		total += b[i]
+	}
+	return b, total
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
+	_, n := h.read()
+	return n
 }
 
 // Sum returns the sum of observed values.
@@ -121,29 +128,35 @@ func (h *Histogram) Sum() uint64 {
 }
 
 // Mean returns the average observed value (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
+func (h *Histogram) Mean() float64 { return h.snapshot().Mean }
+
+// histSnapshot is one histogram's entry in a Snapshot. Count, the
+// quantiles and the log2 buckets come from one read of the buckets, so
+// Count is always their sum; Sum is read just after them. Log2[k] counts
+// values in [2^(k-1), 2^k), index 0 counts zeros, and trailing zeros are
+// trimmed.
+type histSnapshot struct {
+	Count uint64  `json:"count"`
+	Sum   uint64  `json:"sum"`
+	Mean  float64 `json:"mean"`
+	QuantileSummary
+	Log2 []uint64 `json:"log2_buckets"`
 }
 
-// Buckets returns the log2 bucket counts, trimmed of trailing zeros.
-// Buckets()[k] counts values in [2^(k-1), 2^k); index 0 counts zeros.
-func (h *Histogram) Buckets() []uint64 {
-	if h == nil {
-		return nil
+func (h *Histogram) snapshot() histSnapshot {
+	b, n := h.read()
+	s := histSnapshot{Count: n, Sum: h.Sum(), QuantileSummary: summarize(&b, n)}
+	if n > 0 {
+		s.Mean = float64(s.Sum) / float64(n)
 	}
 	last := -1
-	var out [histBuckets]uint64
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-		if out[i] != 0 {
-			last = i
+	for k, c := range b {
+		if c != 0 {
+			last = k
 		}
 	}
-	return append([]uint64(nil), out[:last+1]...)
+	s.Log2 = append([]uint64(nil), b[:last+1]...)
+	return s
 }
 
 // Registry is a namespace of metrics. Lookups take a mutex; the returned
@@ -169,12 +182,12 @@ func (s Samples) Counter(name string, v uint64) { s[name] = v }
 func (s Samples) Gauge(name string, v float64) { s[name] = v }
 
 // View registers a read-time metric source: collect runs once per
-// Snapshot, WriteProm, Names or expvar read and reports every series it
-// owns, so a subsystem that already keeps its counts under its own locks
-// publishes them without a second, push-side copy. collect runs outside
-// the registry lock and may take the subsystem's locks. A view's series
-// shadows a stored metric of the same name on every read, whichever was
-// registered first.
+// Snapshot — so once per /stats, /metrics or expvar read — and reports
+// every series it owns, so a subsystem that already keeps its counts under
+// its own locks publishes them without a second, push-side copy. collect
+// runs outside the registry lock and may take the subsystem's locks. A
+// view's series shadows a stored metric of the same name on every read,
+// whichever was registered first.
 func (r *Registry) View(collect func(Samples)) {
 	if r == nil {
 		return
@@ -250,17 +263,11 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// histSnapshot is the JSON form of one histogram.
-type histSnapshot struct {
-	Count uint64   `json:"count"`
-	Sum   uint64   `json:"sum"`
-	Mean  float64  `json:"mean"`
-	Log2  []uint64 `json:"log2_buckets"`
-}
-
 // Snapshot returns a point-in-time copy of every metric, keyed by name:
-// counters and gauges (stored or view-reported) map to their value,
-// histograms to {count, sum, mean, log2_buckets}.
+// a counter (stored or view-reported) maps to its uint64 value, a gauge to
+// its float64 value, and a histogram to {count, sum, mean, p50, p90, p99,
+// p999, log2_buckets}. It is the only reader of the registry's metrics:
+// /stats, /metrics (WriteProm) and expvar are encodings of it.
 func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil
@@ -275,38 +282,13 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		out[name] = histSnapshot{Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(), Log2: h.Buckets()}
+		out[name] = h.snapshot()
 	}
 	r.mu.Unlock()
 	for name, v := range views {
 		out[name] = v
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as one JSON object with sorted keys.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	snap := r.Snapshot()
-	if snap == nil {
-		snap = map[string]any{}
-	}
-	// json.Marshal sorts map keys already; encode directly.
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
-}
-
-// Names returns every metric name a Snapshot would report, sorted.
-func (r *Registry) Names() []string {
-	snap := r.Snapshot()
-	if snap == nil {
-		return nil
-	}
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // PublishExpvar exposes the registry under the given expvar name (shown at

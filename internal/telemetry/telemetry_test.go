@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"pdp/internal/cache"
@@ -38,7 +39,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("count=%d sum=%d, want 4/16", h.Count(), h.Sum())
 	}
 	want := []uint64{1, 1, 0, 1, 1}
-	got := h.Buckets()
+	got := h.snapshot().Log2
 	if len(got) != len(want) {
 		t.Fatalf("buckets = %v, want %v", got, want)
 	}
@@ -68,14 +69,15 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	}
 	h := r.Histogram("x")
 	h.Observe(9)
-	if h.Count() != 0 || h.Buckets() != nil {
+	if h.Count() != 0 || h.snapshot().Log2 != nil {
 		t.Fatal("nil histogram must stay empty")
 	}
-	if r.Snapshot() != nil || r.Names() != nil {
+	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
-	if err := r.WriteJSON(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil registry wrote %q, err %v", buf.String(), err)
 	}
 }
 
@@ -84,19 +86,33 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	r.Counter("hits").Add(3)
 	r.Gauge("rate").Set(0.5)
 	r.Histogram("life").Observe(4)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	r.Histogram("life").Observe(4)
+	buf, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var got map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("invalid JSON %q: %v", buf.String(), err)
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatalf("invalid JSON %q: %v", buf, err)
 	}
 	if got["hits"] != float64(3) || got["rate"] != 0.5 {
 		t.Fatalf("snapshot = %v", got)
 	}
-	if _, ok := got["life"].(map[string]any); !ok {
+	life, ok := got["life"].(map[string]any)
+	if !ok {
 		t.Fatalf("histogram snapshot = %T", got["life"])
+	}
+	// One bucket read: count is the bucket sum, and the quantiles come
+	// from the same read (both observations sit in bucket [4, 8)).
+	for k, want := range map[string]any{"count": 2.0, "sum": 8.0, "mean": 4.0, "log2_buckets": []any{0.0, 0.0, 0.0, 2.0}} {
+		if !reflect.DeepEqual(life[k], want) {
+			t.Errorf("life.%s = %v, want %v", k, life[k], want)
+		}
+	}
+	for _, q := range []string{"p50", "p90", "p99", "p999"} {
+		if v, _ := life[q].(float64); v < 4 || v > 8 {
+			t.Errorf("life.%s = %v, want in [4, 8]", q, life[q])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"regexp"
 	"testing"
 	"testing/quick"
 
@@ -176,4 +177,83 @@ func TestRoundTripSyntheticModel(t *testing.T) {
 
 func mkAccess(addr, pc uint64) trace.Access {
 	return trace.Access{Addr: addr, PC: pc}
+}
+
+// encodeSeq encodes n accesses whose address (in lines) and PC both count
+// up from 1.
+func encodeSeq(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= uint64(n); i++ {
+		if err := w.Write(trace.Access{Addr: i * trace.LineSize, PC: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readBack decodes until error, returning the count and the final error.
+func readBack(data []byte) (int, error) {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for {
+		if _, err := r.Read(); err != nil {
+			return n, err
+		}
+		n++
+	}
+}
+
+// positioned matches the record/byte position every mid-stream decode
+// error carries.
+var positioned = regexp.MustCompile(`record \d+ \(starting at byte \d+`)
+
+// TestTruncatedTraceErrorsWithPosition cuts an encoding in half: decoding
+// must stop with ErrUnexpectedEOF naming the record index and byte offset
+// (a truncated transfer), not a bare EOF, after the intact prefix.
+func TestTruncatedTraceErrorsWithPosition(t *testing.T) {
+	data := encodeSeq(t, 1000)
+	n, err := readBack(data[:len(data)/2])
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated trace: %d records, err %v; want ErrUnexpectedEOF", n, err)
+	}
+	if !positioned.MatchString(err.Error()) {
+		t.Fatalf("error lacks record/byte position: %q", err)
+	}
+	if n == 0 {
+		t.Fatal("no records decoded before the truncation point")
+	}
+}
+
+// TestBitFlippedTraceNeverPanics decodes 50 encodings, each with 8 seeded
+// single-bit flips past the header (bit rot in an archived trace): every
+// outcome must be a clean stop or a positioned error, never a panic or an
+// endless stream.
+func TestBitFlippedTraceNeverPanics(t *testing.T) {
+	data := encodeSeq(t, 500)
+	const header = 5 // magic + one-byte version uvarint
+	for seed := uint64(1); seed <= 50; seed++ {
+		bad := append([]byte(nil), data...)
+		rng := trace.NewRNG(seed)
+		for i := 0; i < 8; i++ {
+			bad[header+rng.Intn(len(bad)-header)] ^= 1 << rng.Intn(8)
+		}
+		n, err := readBack(bad)
+		if err == nil {
+			t.Fatalf("seed %d: reader never terminated", seed)
+		}
+		if err != io.EOF && !positioned.MatchString(err.Error()) {
+			t.Fatalf("seed %d: unpositioned error after %d records: %v", seed, n, err)
+		}
+	}
 }
