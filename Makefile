@@ -33,6 +33,9 @@ race:
 # The one-walk rule (DESIGN.md §7): Registry.Snapshot is the only reader of
 # the registry's metric maps, and /stats is that snapshot, not a schema
 # kvserver maintains by hand.
+# The one-lock rule (DESIGN.md §7): non-test kvcache declares three
+# mutexes, shard.mu, Cache.rmu and Cache.bmu, and the decision log imports
+# no sync, so an operation takes its shard's lock and nothing else.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -rnE 'rpd +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
@@ -45,6 +48,8 @@ seam:
 	@! grep -inE 'accesses */ *8' $$(ls internal/experiments/*.go | grep -v _test.go)
 	@! grep -rnE 'range r\.(counters|gauges|hists)\b' --include='*.go' internal | grep -v '^internal/telemetry/registry.go:'
 	@! grep -nE 'View struct|statsResponse' $$(ls internal/kvserver/*.go | grep -v _test.go)
+	@test "$$(cat $$(ls internal/kvcache/*.go | grep -v _test.go) | grep -E 'sync\.(RW)?Mutex' | awk '{print $$1}' | sort | xargs)" = "bmu mu rmu"
+	@! grep -nE '"sync(/atomic)?"' internal/kvcache/decisions.go
 
 # Non-test line counts: the six serving packages (ROADMAP's size table),
 # then the paper's packages, the scaffolding and the commands (ROADMAP
@@ -62,12 +67,14 @@ loc:
 # guard (disabled vs attached tap on the PDP-8 hot path), the simulator
 # substrate (RDDGen's steady state, one LRU access, one whole sim_suite
 # task, set-up included, and one model through all five sim_suite policies
-# on one stream) and the batched cache path. The repo's benchmark
-# proper is bench/ (see bench/README.md).
+# on one stream), the batched cache path, and the shard sweep at one and
+# two cores, mostly hits and cache-aside churn (every fill evicts or is
+# denied). The repo's benchmark proper is bench/ (see bench/README.md).
 bench:
 	$(GO) test -bench 'AccessPDP8' -benchtime 2s -count 5 -run @ .
 	$(GO) test -bench 'TraceRDDGen|AccessLRU|RunSingleTask|RunManyTask' -benchtime 1s -count 5 -run @ .
 	$(GO) test -bench 'ExecBatch' -benchtime 1s -count 3 -run @ ./internal/kvcache/
+	$(GO) test -bench 'ShardsSweep' -benchtime 1s -count 3 -cpu 1,2 -run @ ./internal/kvcache/
 
 # The full suite (seed 42) into repro_output.txt, the untracked archive
 # EXPERIMENTS.md quotes from.
@@ -115,8 +122,9 @@ bench-alloc:
 
 # Fuzz smoke: the untrusted decoders (trace files, checkpoints, /batch
 # requests and answers, the last two against encoding/json as oracle),
-# RDDGen's address index against a Go map, and the -inject grammar's
-# Parse/String round trip.
+# RDDGen's address index against a Go map, the -inject grammar's
+# Parse/String round trip, and a cache snapshot file restored into a
+# fresh cache, which must pass CheckInvariants.
 fuzz:
 	$(GO) test ./internal/tracefile/ -run FuzzReader -fuzz FuzzReader -fuzztime 20s
 	$(GO) test ./internal/resilience/ -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 20s
@@ -124,6 +132,7 @@ fuzz:
 	$(GO) test ./internal/batchwire/ -run FuzzParseRows -fuzz FuzzParseRows -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzPosIndex -fuzz FuzzPosIndex -fuzztime 20s
 	$(GO) test ./internal/faultinject/ -run FuzzParse -fuzz FuzzParse -fuzztime 20s
+	$(GO) test ./internal/kvcache/ -run FuzzRestore -fuzz FuzzRestore -fuzztime 20s
 
 # Serving-path chaos smoke: the race-enabled chaos campaign tests, then a
 # live pdpcached under seeded fault injection (recompute panics, counter

@@ -12,8 +12,8 @@ package kvcache
 // per-op effect of the single-op paths is preserved exactly: decision
 // attribution flows through the same getLocked/putLocked/deleteLocked
 // bodies, the sampler observes every access in op order within a shard,
-// PUT values are copied into freelist-recycled buffers before any lock
-// is taken, and displaced buffers return to the freelist.
+// and a PUT value is copied by putLocked itself, under the group's lock,
+// into a freelist-recycled buffer.
 
 import "sync"
 
@@ -28,7 +28,9 @@ const (
 )
 
 // BatchOp is one operation of a batch. Value is read only for BatchPut
-// (it is copied before any lock is taken; the caller keeps ownership).
+// (it is copied under the shard lock; the caller keeps ownership). It must
+// not alias the dst buffer of the same ExecBatch call: earlier GET hits of
+// the batch append to dst before a PUT is copied.
 type BatchOp struct {
 	Kind  BatchOpKind
 	Key   string
@@ -82,18 +84,18 @@ type BatchResult struct {
 
 // batchScratch is the pooled working set of one ExecBatch call: the
 // per-op routing (in-shard hash, shard id), the shard-grouped op order,
-// the group boundaries, pre-copied PUT buffers, and the GET value
-// offsets into dst (materialized into BatchResult.Value only after every
-// append — a growing dst relocates, so slices taken early would dangle).
+// the group boundaries, the busy shards, and the GET value offsets into
+// dst (materialized into BatchResult.Value only after every append — a
+// growing dst relocates, so slices taken early would dangle).
 type batchScratch struct {
 	hashes []uint64
 	shid   []int32
 	order  []int32
-	bufs   [][]byte
 	voff   []int
 	vlen   []int
 	start  []int32 // len nshards+1: group i is order[start[i]:start[i+1]]
 	pos    []int32
+	busy   []int32
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -119,7 +121,7 @@ func grow[T any](s []T, n int) []T {
 // Steady-state allocation is bounded by the value copies themselves:
 // scratch state is pooled and PUT buffers come from the shard freelists,
 // so the amortized overhead is well under one allocation per op (enforced
-// by BenchmarkExecBatchAllocs).
+// by TestExecBatchAllocBudget).
 func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []byte {
 	n := len(ops)
 	if n == 0 {
@@ -137,7 +139,6 @@ func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []by
 	s.vlen = grow(s.vlen, n)
 	s.start = grow(s.start, nsh+1)
 	s.pos = grow(s.pos, nsh)
-	s.bufs = grow(s.bufs, n)
 
 	// Route every op and count the shard groups.
 	for i := range s.start {
@@ -160,27 +161,24 @@ func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []by
 		s.pos[sid]++
 	}
 
-	// Pre-copy PUT values outside any lock, into freelist buffers of the
-	// op's own shard (ownership transfers to putLocked, which parks the
-	// buffer back on deny).
-	for i := range ops {
-		if ops[i].Kind == BatchPut {
-			sh := c.shards[s.shid[i]]
-			buf := sh.allocBuf(len(ops[i].Value))
-			copy(buf, ops[i].Value)
-			s.bufs[i] = buf
-		}
-	}
-
 	// One critical section per non-empty shard group. A group that ends its
 	// shard's epoch recomputes on its way out (exitLocked), with no lock held.
+	// The first sweep takes only free locks and leaves busy shards' groups to
+	// a second, blocking one, so two batches walking the shards in one order
+	// pass each other rather than one parking on each lock the other holds.
 	pd := c.PD()
-	for sid := 0; sid < nsh; sid++ {
-		lo, hi := s.start[sid], s.start[sid+1]
-		if lo == hi {
-			continue
+	s.busy = s.busy[:0]
+	for sid, sh := range c.shards {
+		switch {
+		case s.start[sid] == s.start[sid+1]:
+		case sh.mu.TryLock():
+			dst = sh.execGroup(ops, results, s, pd, dst, true)
+		default:
+			s.busy = append(s.busy, int32(sid))
 		}
-		dst = c.shards[sid].execGroup(ops, results, s, lo, hi, pd, dst)
+	}
+	for _, sid := range s.busy {
+		dst = c.shards[sid].execGroup(ops, results, s, pd, dst, false)
 	}
 
 	// Materialize GET values only now: every append is done, dst will not
@@ -195,11 +193,16 @@ func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []by
 	return dst
 }
 
-// execGroup runs one shard's ops under a single lock acquisition. The
-// deferred exitLocked keeps the watchdog/unlock pairing panic-safe (the
-// chaos hook may unwind through here), matching the single-op paths.
-func (sh *shard) execGroup(ops []BatchOp, results []BatchResult, s *batchScratch, lo, hi int32, pd int, dst []byte) []byte {
-	defer sh.exitLocked(sh.enter(int(hi - lo)))
+// execGroup runs the shard's group of ops under a single lock acquisition,
+// taking the lock unless the caller already holds it. The deferred
+// exitLocked keeps the watchdog/unlock pairing panic-safe (the chaos hook
+// may unwind through here), matching the single-op paths.
+func (sh *shard) execGroup(ops []BatchOp, results []BatchResult, s *batchScratch, pd int, dst []byte, locked bool) []byte {
+	lo, hi := s.start[sh.id], s.start[sh.id+1]
+	if !locked {
+		sh.mu.Lock()
+	}
+	defer sh.exitLocked(sh.entered(int(hi - lo)))
 	for k := lo; k < hi; k++ {
 		i := s.order[k]
 		op := &ops[i]
@@ -218,12 +221,11 @@ func (sh *shard) execGroup(ops []BatchOp, results []BatchResult, s *batchScratch
 				results[i].Value = nil
 			}
 		case BatchPut:
-			if sh.putLocked(h, op.Key, s.bufs[i], pd) {
+			if sh.putLocked(h, op.Key, op.Value, pd) {
 				results[i].Status = BatchStored
 			} else {
 				results[i].Status = BatchDenied
 			}
-			s.bufs[i] = nil
 			results[i].Value = nil
 		case BatchDelete:
 			if sh.deleteLocked(h, op.Key) {

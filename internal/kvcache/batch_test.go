@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"pdp/internal/telemetry"
 )
@@ -192,6 +193,58 @@ func TestExecBatchConcurrent(t *testing.T) {
 	wg.Wait()
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExecBatchPassesBusyShard holds shard 0's lock while a batch with a
+// group on every shard runs: the batch must serve the other shards' groups
+// while it waits, then shard 0's once the lock is free, with the outcomes
+// an unobstructed batch would have.
+func TestExecBatchPassesBusyShard(t *testing.T) {
+	c, err := New(benchConfig(PolicyPDP, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []BatchOp
+	for sid := range c.shards {
+		for _, k := range shardKeys(c, sid, 2) {
+			c.Put(k, []byte(k))
+			ops = append(ops, BatchOp{Kind: BatchGet, Key: k})
+		}
+	}
+	held := c.shards[0]
+	held.mu.Lock()
+	results := make([]BatchResult, len(ops))
+	done := make(chan struct{})
+	go func() {
+		c.ExecBatch(ops, results, nil)
+		close(done)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		served := 0
+		for _, sh := range c.shards[1:] {
+			if sh.stats().Gets == 2 {
+				served++
+			}
+		}
+		if served == len(c.shards)-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			held.mu.Unlock()
+			<-done
+			t.Fatal("the batch did not serve the free shards while shard 0 was held")
+		}
+	}
+	if held.st.Gets != 0 {
+		t.Fatalf("shard 0 served %d gets under a lock the test holds", held.st.Gets)
+	}
+	held.mu.Unlock()
+	<-done
+	for i, op := range ops {
+		if results[i].Status != BatchHit || string(results[i].Value) != op.Key {
+			t.Errorf("op %d (%q): %v %q, want a hit on its own key", i, op.Key, results[i].Status, results[i].Value)
+		}
 	}
 }
 

@@ -128,31 +128,47 @@ func BenchmarkHotPathPutChurn(b *testing.B) {
 // a mixed 90/10 get/put workload under RunParallel across shard counts.
 // Run with -cpu 1,2,4 to sweep GOMAXPROCS — goroutine parallelism and the
 // sampled watchdog are per shard, so ns/op should fall as shards stop
-// being shared between running workers.
+// being shared between running workers. The plain inputs cycle 1024 keys,
+// which mostly hit. The churn/ inputs cycle twice the capacity
+// cache-aside, as the benchmark's cache_read clients do: a GET that misses
+// is followed by a PUT of the key, so about half the ops are fills, and
+// every fill evicts or is denied — the copy-in, the freelist and the
+// decision record on the path.
 func BenchmarkShardsSweep(b *testing.B) {
-	for _, shards := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c, err := New(benchConfig(PolicyPDP, shards))
-			if err != nil {
-				b.Fatal(err)
+	for _, churn := range []bool{false, true} {
+		for _, shards := range []int{1, 4, 16, 64} {
+			name, n := fmt.Sprintf("shards=%d", shards), 1024
+			if churn {
+				name, n = "churn/"+name, 2*shards*64*8
 			}
-			keys := benchKeys(b, c, 1024, 128)
-			val := make([]byte, 128)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					k := keys[i%len(keys)]
-					if i%10 == 9 {
-						c.Put(k, val)
-					} else {
-						c.Get(k)
-					}
-					i++
+			b.Run(name, func(b *testing.B) {
+				c, err := New(benchConfig(PolicyPDP, shards))
+				if err != nil {
+					b.Fatal(err)
 				}
+				keys := benchKeys(b, c, n, 128)
+				val := make([]byte, 128)
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					i := 0
+					for pb.Next() {
+						k := keys[i%len(keys)]
+						switch {
+						case churn:
+							if _, ok := c.Get(k); !ok {
+								c.Put(k, val)
+							}
+						case i%10 == 9:
+							c.Put(k, val)
+						default:
+							c.Get(k)
+						}
+						i++
+					}
+				})
 			})
-		})
+		}
 	}
 }
 
@@ -205,10 +221,11 @@ func TestGetAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPutAllocBudget pins the PUT hot path's allocation budget: at most
-// two allocations per op in both steady states (update-in-place and
-// fill+evict churn), with the expected count being zero — the value
-// buffer comes off the shard freelist and the displaced buffer goes back.
+// TestPutAllocBudget pins the PUT hot path's allocation budget at zero in
+// both steady states (update-in-place and fill+evict churn) — the copy
+// goes into a buffer off the shard freelist and the displaced one goes
+// back — and for a denied fill, which copies nothing and leaves the
+// freelist as it found it.
 func TestPutAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
@@ -223,8 +240,8 @@ func TestPutAllocBudget(t *testing.T) {
 	if got := bestOfAllocs(200, func() {
 		c.Put(keys[i%len(keys)], val)
 		i++
-	}); got > 2 {
-		t.Errorf("Put(update) allocates %.2f/op, budget 2", got)
+	}); got > 0 {
+		t.Errorf("Put(update) allocates %.2f/op, budget 0", got)
 	}
 
 	churn, err := New(benchConfig(PolicyLRU, 16))
@@ -236,7 +253,30 @@ func TestPutAllocBudget(t *testing.T) {
 	if got := bestOfAllocs(200, func() {
 		churn.Put(ckeys[i%len(ckeys)], val)
 		i++
-	}); got > 2 {
-		t.Errorf("Put(churn) allocates %.2f/op, budget 2", got)
+	}); got > 0 {
+		t.Errorf("Put(churn) allocates %.2f/op, budget 0", got)
+	}
+
+	// A PD far above the traffic keeps both lines of the one set protected,
+	// so every fill of a third key is denied.
+	full, err := New(Config{Policy: PolicyPDP, Shards: 1, Sets: 1, Ways: 2, DefaultPD: 64, RecomputeEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := fillKeys(3)
+	full.Put(k[0], val)
+	full.Put(k[1], val)
+	full.Put(k[0], val) // the update parks k[0]'s first buffer
+	sh := full.shards[0]
+	parked := len(sh.free)
+	if got := bestOfAllocs(200, func() {
+		if full.Put(k[2], val) {
+			t.Fatal("fully protected set admitted a fill")
+		}
+	}); got > 0 {
+		t.Errorf("Put(denied) allocates %.2f/op, budget 0", got)
+	}
+	if len(sh.free) != parked || parked != 1 {
+		t.Errorf("denied fills moved the freelist: %d parked, %d before", len(sh.free), parked)
 	}
 }

@@ -1,6 +1,6 @@
 package kvcache
 
-import "sync"
+import "slices"
 
 // Decision kinds — the attribution classes of the serving policy.
 const (
@@ -28,7 +28,8 @@ const (
 // what kind of decision it was, the key concerned, the victim's remaining
 // protecting distance (eviction kinds) and the PD in force at the time.
 type Decision struct {
-	// Seq is the log-lifetime ordinal (1-based, monotone across shards).
+	// Seq is the shard's own decision ordinal (1-based): (Shard, Seq)
+	// names a decision, and Seq orders decisions within a shard only.
 	Seq   uint64 `json:"seq"`
 	Shard int    `json:"shard"`
 	Set   int    `json:"set"`
@@ -47,85 +48,92 @@ type Decision struct {
 // configuration does not say otherwise.
 const DefaultDecisionLog = 512
 
-// DecisionLog is a bounded ring of the most recent policy decisions,
-// exported by the server at /debug/decisions. All methods are safe on a
-// nil receiver (the disabled mode) and under concurrent use; appends are
-// O(1) under one short mutex, so the per-decision cost on the serving
-// path is a few tens of nanoseconds.
-type DecisionLog struct {
-	mu     sync.Mutex
-	ring   []Decision
-	next   int
-	filled bool
-	seq    uint64
-}
+// DecisionLog is the read side of the shards' decision rings, exported by
+// the server at /debug/decisions. Each shard records its own decisions in
+// a ring it owns (Config.DecisionLog entries are split across the shards),
+// written under the shard lock the deciding operation already holds, so a
+// decision costs no lock and no write outside its shard; the log holds
+// nothing but the shards. All methods are safe on a nil receiver (the
+// disabled mode) and under concurrent use.
+type DecisionLog struct{ shards []*shard }
 
-// NewDecisionLog builds a log retaining the last n decisions
-// (DefaultDecisionLog when n <= 0).
-func NewDecisionLog(n int) *DecisionLog {
-	if n <= 0 {
-		n = DefaultDecisionLog
-	}
-	return &DecisionLog{ring: make([]Decision, n)}
-}
-
-// add records d, stamping its sequence number.
-func (l *DecisionLog) add(d Decision) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.seq++
-	d.Seq = l.seq
-	l.ring[l.next] = d
-	l.next++
-	if l.next == len(l.ring) {
-		l.next = 0
-		l.filled = true
-	}
-	l.mu.Unlock()
-}
-
-// Len returns the number of decisions currently held.
-func (l *DecisionLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.filled {
-		return len(l.ring)
-	}
-	return l.next
-}
-
-// Total returns the number of decisions ever recorded.
+// Total returns the number of decisions ever made, read off the shard
+// ledgers: every eviction, deny and save is exactly one decision.
 func (l *DecisionLog) Total() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
+	var n uint64
+	for _, sh := range l.shards {
+		sh.mu.Lock()
+		n += sh.st.decisions()
+		sh.mu.Unlock()
+	}
+	return n
 }
 
-// Tail returns the most recent n decisions, oldest first.
+// Tail returns at most n recent decisions. Shards share no clock, so the
+// choice is made per shard: each shard's newest retained decision in shard
+// order, then each one's next newest, and so on until n are taken or every
+// ring is exhausted. The result is grouped by shard in shard order, oldest
+// first within each shard; with one shard it is the last n decisions,
+// oldest first.
 func (l *DecisionLog) Tail(n int) []Decision {
 	if l == nil || n <= 0 {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	held := l.next
-	if l.filled {
-		held = len(l.ring)
+	held := make([][]Decision, len(l.shards))
+	for i, sh := range l.shards {
+		held[i] = sh.retained()
 	}
-	if n > held {
-		n = held
+	take := make([]int, len(held))
+	left := n
+	for more := true; more && left > 0; {
+		more = false
+		for i := range held {
+			if left > 0 && take[i] < len(held[i]) {
+				take[i]++
+				left--
+				more = true
+			}
+		}
 	}
-	out := make([]Decision, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, l.ring[(l.next-n+i+len(l.ring))%len(l.ring)])
+	out := make([]Decision, 0, n-left)
+	for i, h := range held {
+		out = append(out, h[len(h)-take[i]:]...)
 	}
 	return out
+}
+
+// decisions is the number of decisions the ledger has counted.
+func (s *ShardStats) decisions() uint64 {
+	return s.EvictionsUnprotected + s.EvictionsForced + s.Denies + s.Saves
+}
+
+// decided records one attributed policy decision in the shard's ring,
+// under mu. The caller has just counted it in the ledger, so the ledger's
+// decision count is its Seq and the ring needs no cursor of its own.
+func (sh *shard) decided(kind string, set, w int, key string, rpd, pd int) {
+	if len(sh.dec) == 0 {
+		return
+	}
+	seq := sh.st.decisions()
+	sh.dec[(seq-1)%uint64(len(sh.dec))] = Decision{
+		Seq: seq, Shard: sh.id, Set: set, Way: w, Kind: kind, Key: key, RPD: rpd, PD: pd,
+	}
+}
+
+// retained copies the shard's ring out under its lock, oldest first.
+func (sh *shard) retained() []Decision {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	seq, n := sh.st.decisions(), uint64(len(sh.dec))
+	if n == 0 {
+		return nil
+	}
+	if seq <= n {
+		return slices.Clone(sh.dec[:seq])
+	}
+	i := seq % n // the oldest entry, next to be overwritten
+	return append(slices.Clone(sh.dec[i:]), sh.dec[:i]...)
 }

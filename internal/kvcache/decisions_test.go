@@ -1,6 +1,8 @@
 package kvcache
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"pdp/internal/telemetry"
@@ -133,29 +135,73 @@ func TestLRUEvictionsAreUnprotected(t *testing.T) {
 }
 
 func TestDecisionLogRingAndDisable(t *testing.T) {
-	l := NewDecisionLog(3)
-	for i := 0; i < 5; i++ {
-		l.add(Decision{Kind: DecisionDeny, Set: i})
+	// One shard of one line, a ring of 3: each new key evicts the last, so
+	// six keys make five decisions and the ring keeps the newest three.
+	c, err := New(Config{Policy: PolicyLRU, Shards: 1, Sets: 1, Ways: 1, DecisionLog: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if l.Len() != 3 || l.Total() != 5 {
-		t.Fatalf("len=%d total=%d", l.Len(), l.Total())
+	k := fillKeys(6)
+	for _, key := range k {
+		c.Put(key, nil)
+	}
+	l := c.Decisions()
+	if l.Total() != 5 {
+		t.Fatalf("total=%d, want 5", l.Total())
 	}
 	tail := l.Tail(10)
-	if len(tail) != 3 || tail[0].Set != 2 || tail[2].Set != 4 {
+	if len(tail) != 3 || tail[0].Key != k[2] || tail[2].Key != k[4] {
 		t.Fatalf("tail = %+v", tail)
 	}
 	if tail[0].Seq != 3 || tail[2].Seq != 5 {
 		t.Fatalf("seqs = %d..%d, want 3..5", tail[0].Seq, tail[2].Seq)
 	}
+	if tail = l.Tail(2); len(tail) != 2 || tail[0].Seq != 4 || tail[1].Seq != 5 {
+		t.Fatalf("Tail(2) = %+v", tail)
+	}
+
+	// Four shards share a ring of 6 as 2+2+1+1. Seq counts per shard, and
+	// Tail takes every shard's newest, then the next newest, grouped by
+	// shard and oldest first within each.
+	c, err = New(Config{Policy: PolicyLRU, Shards: 4, Sets: 1, Ways: 1, DecisionLog: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		c.Put(fmt.Sprint("key-", i), nil)
+	}
+	per := c.ShardStats()
+	var total uint64
+	for _, s := range per {
+		if s.Evictions < 2 {
+			t.Fatalf("shard %d saw %d evictions, the test needs 2", s.Shard, s.Evictions)
+		}
+		total += s.Evictions
+	}
+	if got := c.Decisions().Total(); got != total {
+		t.Fatalf("total=%d, ledger evictions %d", got, total)
+	}
+	want := []struct{ shard, back int }{{0, 1}, {0, 0}, {1, 0}, {2, 0}, {3, 0}}
+	tail = c.Decisions().Tail(5)
+	if len(tail) != len(want) {
+		t.Fatalf("Tail(5) = %+v", tail)
+	}
+	for i, w := range want {
+		if d := tail[i]; d.Shard != w.shard || d.Seq != per[w.shard].Evictions-uint64(w.back) {
+			t.Fatalf("Tail(5)[%d] = %+v, want shard %d seq %d", i, d, w.shard, per[w.shard].Evictions-uint64(w.back))
+		}
+	}
+	if n := len(c.Decisions().Tail(100)); n != 6 {
+		t.Fatalf("Tail(100) returned %d, the rings hold 6", n)
+	}
 
 	// Nil log (disabled): every operation is a no-op.
 	var nilLog *DecisionLog
-	nilLog.add(Decision{})
-	if nilLog.Len() != 0 || nilLog.Tail(5) != nil || nilLog.Total() != 0 {
+	if nilLog.Tail(5) != nil || nilLog.Total() != 0 {
 		t.Fatal("nil decision log not inert")
 	}
 
-	c, err := New(Config{Shards: 1, Sets: 1, Ways: 2, DecisionLog: -1})
+	c, err = New(Config{Shards: 1, Sets: 1, Ways: 2, DecisionLog: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,5 +352,59 @@ func TestShardStatsAndRDDSnapshot(t *testing.T) {
 	lru, _ := New(Config{Policy: PolicyLRU, Shards: 1, Sets: 4, Ways: 2})
 	if v := lru.RDDSnapshot(); v.Counts != nil || v.Total != 0 {
 		t.Fatalf("LRU RDD view not empty: %+v", v)
+	}
+}
+
+// TestConcurrentDecisionLog reads the decision rings while writers churn
+// every shard: under -race it checks that Tail and Total read the rings
+// and ledgers only under the shard locks, and with or without it that a
+// tail is in per-shard Seq order and the total never goes backwards.
+func TestConcurrentDecisionLog(t *testing.T) {
+	c, err := New(Config{Shards: 4, Sets: 2, Ways: 2, DecisionLog: 16, RecomputeEvery: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				k := fmt.Sprint(g, ":", i%64)
+				if _, ok := c.Get(k); !ok {
+					c.Put(k, []byte(k))
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	var last uint64
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		total := c.Decisions().Total()
+		if total < last {
+			t.Fatalf("total went back from %d to %d", last, total)
+		}
+		last = total
+		tail := c.Decisions().Tail(10)
+		if len(tail) > 10 {
+			t.Fatalf("Tail(10) returned %d", len(tail))
+		}
+		for i := 1; i < len(tail); i++ {
+			if d, prev := tail[i], tail[i-1]; d.Shard < prev.Shard || d.Shard == prev.Shard && d.Seq <= prev.Seq {
+				t.Fatalf("tail out of order: %+v", tail)
+			}
+		}
+	}
+	if last == 0 {
+		t.Fatal("no decisions under churn")
 	}
 }

@@ -78,9 +78,10 @@ type Config struct {
 	// AdmitAll disables admission deny: when a set is fully protected the
 	// inclusive victim rules evict instead (the PDP-NB analogue).
 	AdmitAll bool
-	// DecisionLog bounds the in-memory ring of attributed policy
-	// decisions served at /debug/decisions (0 = DefaultDecisionLog;
-	// negative disables the log entirely).
+	// DecisionLog bounds the attributed policy decisions kept for
+	// /debug/decisions, split across the shards' own rings (0 =
+	// DefaultDecisionLog; negative disables the log entirely). Each
+	// decision is numbered within its shard.
 	DecisionLog int
 	// Solver computes the PD from the merged counter array; nil means
 	// core.Model.Best.
@@ -151,6 +152,9 @@ func (c *Config) setDefaults() error {
 	}
 	if c.DefaultPD == 0 {
 		c.DefaultPD = c.Ways
+	}
+	if c.DecisionLog == 0 {
+		c.DecisionLog = DefaultDecisionLog
 	}
 	if c.RecomputeEvery == 0 {
 		c.RecomputeEvery = 64 * 1024
@@ -273,9 +277,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{cfg: cfg}
 	c.pd.Store(int64(cfg.DefaultPD))
-	if cfg.DecisionLog >= 0 {
-		c.dlog = NewDecisionLog(cfg.DecisionLog)
-	}
 	c.streaks = make([]int, cfg.Shards)
 	var recompute func()
 	if cfg.Policy == PolicyPDP {
@@ -283,7 +284,10 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
-		c.shards[i] = newShard(&cfg, i, c.dlog, recompute)
+		c.shards[i] = newShard(&cfg, i, recompute)
+	}
+	if cfg.DecisionLog > 0 {
+		c.dlog = &DecisionLog{shards: c.shards}
 	}
 	c.registerViews(cfg.Registry)
 	return c, nil
@@ -443,16 +447,14 @@ func (c *Cache) GetAppend(key string, dst []byte) ([]byte, bool) {
 	return sh.get(h, key, c.PD(), dst)
 }
 
-// Put stores value under key, copying it. The copy happens before the
-// shard lock is taken, into a buffer recycled from the shard's freelist,
-// so the critical section never pays a copy-in or an allocation. It
+// Put stores a copy of value under key; the caller keeps value. The copy
+// happens under the shard lock, into a buffer recycled from the shard's
+// freelist, so a steady-state Put takes one lock and allocates nothing. It
 // reports whether the value was admitted (an update of a resident key
 // always is).
 func (c *Cache) Put(key string, value []byte) bool {
 	sh, h := c.route(key)
-	buf := sh.allocBuf(len(value))
-	copy(buf, value)
-	return sh.put(h, key, buf, c.PD())
+	return sh.put(h, key, value, c.PD())
 }
 
 // Delete removes key, reporting whether it was resident.
@@ -591,12 +593,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 			pd, out.moved = found, true
 		}
 	}
-	if pd < 1 {
-		pd = 1
-	}
-	if pd > c.cfg.DMax {
-		pd = c.cfg.DMax
-	}
+	pd = min(max(pd, 1), c.cfg.DMax)
 	out.pd = pd
 	c.pd.Store(int64(pd))
 	c.recomputes.Add(1)
@@ -683,8 +680,8 @@ func (c *Cache) ShardStats() []ShardStats {
 	return out
 }
 
-// Decisions returns the cache's decision log (nil when disabled via
-// Config.DecisionLog < 0).
+// Decisions returns the read side of the shards' decision rings (nil when
+// disabled via Config.DecisionLog < 0).
 func (c *Cache) Decisions() *DecisionLog { return c.dlog }
 
 // RDDView is a point-in-time copy of the merged online reuse-distance

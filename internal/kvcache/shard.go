@@ -14,21 +14,22 @@ import (
 // degraded to its shadow LRU — never shows in them. All state below mu is
 // guarded by it.
 //
-// Hot-path cost model: get/put/delete hold mu for the set walk, the policy
-// hooks and (get) the copy-out of the value — never for a value copy-in
-// (Cache.Put copies into a recycled buffer before locking) and never for
+// Hot-path cost model: an operation takes one lock, mu, and writes only
+// this shard's memory. get/put/delete hold mu for the set walk, the policy
+// hooks, the value copy — out for get, in for put, both bounded by the
+// serving layer's MaxValueBytes — and the decision record, and never for
 // an allocation in steady state (displaced value buffers are recycled
-// through the per-shard freelist). The lock-hold watchdog is sampled (1 in
-// holdEvery operations) so the common case pays no time.Now call at all.
+// through the freelist). The lock-hold watchdog is sampled (1 in holdEvery
+// operations) so the common case pays no time.Now call at all.
 //
-// Field layout: the mutex, the freelist lock and the per-shard stat
-// counters are each padded out to their own cache line. Shards are
-// allocated independently, but the allocator is free to pack two small
-// hot regions of neighbouring shards into one line; with GOMAXPROCS > 1
-// that false sharing made the shards sweep *lose* throughput as cores
-// were added (203 -> 409 ns/op at shards=4). A line-aligned mutex also
-// keeps the lock word off the line holding the read-mostly geometry
-// fields, so spinning waiters do not invalidate the owner's reads.
+// Field layout: the mutex and the per-shard stat counters are each padded
+// out to their own cache line. Shards are allocated independently, but the
+// allocator is free to pack two small hot regions of neighbouring shards
+// into one line; with GOMAXPROCS > 1 that false sharing made the shards
+// sweep *lose* throughput as cores were added (203 -> 409 ns/op at
+// shards=4). A line-aligned mutex also keeps the lock word off the line
+// holding the read-mostly geometry fields, so spinning waiters do not
+// invalidate the owner's reads.
 type shard struct {
 	mu sync.Mutex
 	_  [56]byte // pad the lock word to a full cache line
@@ -51,20 +52,18 @@ type shard struct {
 	// written under mu by the operation that caused it; everything else is
 	// a read-time view of it (occupancy lives in lines and is copied in by
 	// stats). Padded on both sides: every operation writes st, and these
-	// lines must not be shared with a neighbouring shard's lock or freelist.
+	// lines must not be shared with a neighbouring shard's lock.
 	_  [64]byte
 	st ShardStats
 	_  [64]byte
 
 	// Value-buffer freelist: displaced buffers (updates, evictions,
 	// deletes) parked for reuse by the next copy-in, so steady-state PUTs
-	// allocate nothing. fmu is an innermost leaf lock — it is taken with
-	// and without mu held, and never wraps another lock.
-	fmu  sync.Mutex
-	_    [56]byte // keep freelist contention off the stat counters' line
+	// allocate nothing.
 	free [][]byte
-
-	dlog *DecisionLog // decision attribution sink, see decided
+	// dec is this shard's share of the decision log, a ring indexed by the
+	// ledger's decision count (see decided); empty when the log is off.
+	dec []Decision
 
 	// Epoch trigger: recompute (nil in LRU mode) runs after unlocking
 	// whenever the shard's own op count reaches nextEpoch, which then
@@ -85,7 +84,7 @@ type shard struct {
 	holdCount int
 }
 
-func newShard(cfg *Config, id int, dlog *DecisionLog, recompute func()) *shard {
+func newShard(cfg *Config, id int, recompute func()) *shard {
 	// Shard i's first epoch ends at (i+1)/Shards of RecomputeEvery, later
 	// ones every RecomputeEvery (split so the product cannot overflow).
 	n, e := uint64(cfg.Shards), cfg.RecomputeEvery
@@ -99,7 +98,6 @@ func newShard(cfg *Config, id int, dlog *DecisionLog, recompute func()) *shard {
 		nshards:   cfg.Shards,
 		maxBytes:  cfg.MaxBytes,
 		lines:     newLines(cfg.Sets, cfg.Ways),
-		dlog:      dlog,
 		recompute: recompute,
 		every:     e,
 		nextEpoch: first,
@@ -115,41 +113,41 @@ func newShard(cfg *Config, id int, dlog *DecisionLog, recompute func()) *shard {
 		sh.lru = newLRU(cfg.Sets, cfg.Ways)
 		sh.pol = sh.lru
 	}
+	// The log's DecisionLog entries split evenly, the first shards one
+	// longer when they do not divide.
+	if n := cfg.DecisionLog; n > 0 {
+		sh.dec = make([]Decision, (n+cfg.Shards-1-id)/cfg.Shards)
+	}
 	return sh
 }
 
-// allocBuf returns a length-n buffer for a value copy-in, reusing a parked
-// buffer when one is large enough. Called WITHOUT mu held — the copy it
-// feeds happens outside the critical section.
-func (sh *shard) allocBuf(n int) []byte {
+// copyIn returns an owned copy of val for the store, in a parked buffer
+// when the freelist's top one is large enough. Called under mu: the copy
+// is the PUT's twin of get's copy-out.
+func (sh *shard) copyIn(val []byte) []byte {
 	var b []byte
-	sh.fmu.Lock()
 	if l := len(sh.free); l > 0 {
 		b, sh.free[l-1] = sh.free[l-1], nil
 		sh.free = sh.free[:l-1]
 	}
-	sh.fmu.Unlock()
-	if b != nil && cap(b) >= n {
-		return b[:n]
+	if cap(b) < len(val) {
+		// None parked, or too small for this value: let that one go rather
+		// than cycling it back under every future caller's feet.
+		b = make([]byte, len(val))
 	}
-	// None parked, or too small for this value: let that one go rather than
-	// cycling it back under every future caller's feet.
-	return make([]byte, n)
+	b = b[:len(val)]
+	copy(b, val)
+	return b
 }
 
-// freeBuf parks a displaced value buffer for reuse. Safe under mu (fmu is
-// a leaf lock); the append never allocates once the freelist has grown to
-// its bound — one parked buffer per line, so an emptied cache does not pin
-// its former working set forever.
+// freeBuf parks a displaced value buffer for reuse, under mu. The append
+// never allocates once the freelist has grown to its bound — one parked
+// buffer per line, so an emptied cache does not pin its former working
+// set forever.
 func (sh *shard) freeBuf(b []byte) {
-	if b == nil {
-		return
-	}
-	sh.fmu.Lock()
-	if len(sh.free) < len(sh.valid) {
+	if b != nil && len(sh.free) < len(sh.valid) {
 		sh.free = append(sh.free, b)
 	}
-	sh.fmu.Unlock()
 }
 
 // enter takes the shard lock and runs the per-critical-section hooks under
@@ -162,8 +160,13 @@ func (sh *shard) freeBuf(b []byte) {
 // degraded-ops attribution stays per operation). It returns the watchdog
 // start time (zero when this section is not sampled) for the one deferred
 // exitLocked every caller pairs it with: defer sh.exitLocked(sh.enter(n)).
-func (sh *shard) enter(n int) (t0 time.Time) {
+// entered is its body, for execGroup, which may already hold mu.
+func (sh *shard) enter(n int) time.Time {
 	sh.mu.Lock()
+	return sh.entered(n)
+}
+
+func (sh *shard) entered(n int) (t0 time.Time) {
 	if sh.chaos != nil {
 		var arr ChaosArray
 		if sh.pdp != nil {
@@ -251,25 +254,24 @@ func (sh *shard) getLocked(h uint64, key string, pd int, dst []byte) ([]byte, bo
 	return append(dst, sh.value(set, w)...), true
 }
 
-// put installs val — an owned buffer the caller already copied the value
-// into (Cache.Put routes it through allocBuf, so the copy happened outside
-// the lock) — and reports whether it was admitted. Displaced buffers
-// (update-in-place, evictions, a denied fill's own buffer) are parked on
-// the freelist.
+// put stores a copy of val, made under the lock into a recycled buffer
+// (the caller keeps val), and reports whether it was admitted. Displaced
+// buffers (update-in-place, evictions) are parked on the freelist; a
+// denied fill copies nothing.
 func (sh *shard) put(h uint64, key string, val []byte, pd int) bool {
 	defer sh.exitLocked(sh.enter(1))
 	return sh.putLocked(h, key, val, pd)
 }
 
 // putLocked is the body of put, for callers already inside the critical
-// section (see getLocked). val must be an owned buffer.
+// section (see getLocked).
 func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) bool {
 	set := sh.setOf(h)
 	sh.st.Puts++
 
 	if w := sh.find(set, h, key); w >= 0 {
 		// Update in place: resident keys are always writable.
-		sh.freeBuf(sh.replace(set, w, val))
+		sh.freeBuf(sh.replace(set, w, sh.copyIn(val)))
 		sh.pol.hit(set, w, h, pd)
 		return true
 	}
@@ -283,7 +285,7 @@ func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) bool {
 	w := sh.freeWay(set)
 	if w < 0 {
 		if w = sh.pol.victim(set); w < 0 {
-			return sh.deny(set, key, val, pd)
+			return sh.deny(set, key, pd)
 		}
 		sh.evict(set, w, pd)
 	}
@@ -292,17 +294,16 @@ func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) bool {
 	// while the fill would overflow; deny when the budget still cannot be
 	// met (the admission-control analogue of bypass for oversized working
 	// sets).
-	if sh.maxBytes > 0 {
-		for sh.bytes+int64(len(val)) > sh.maxBytes {
-			v := sh.pol.spare(set)
-			if v < 0 {
-				return sh.deny(set, key, val, pd)
-			}
-			sh.evict(set, v, pd)
+	for sh.maxBytes > 0 && sh.bytes+int64(len(val)) > sh.maxBytes {
+		v := sh.pol.spare(set)
+		if v < 0 {
+			return sh.deny(set, key, pd)
 		}
+		sh.evict(set, v, pd)
 	}
 
-	sh.install(set, w, h, key, val)
+	// The copy comes last, so it reuses the buffer an eviction just parked.
+	sh.install(set, w, h, key, sh.copyIn(val))
 	sh.pol.fill(set, w, pd)
 	sh.st.Inserts++
 	return true
@@ -310,17 +311,11 @@ func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) bool {
 
 // deny books one admission refusal — by the policy (which has already
 // marked the line the shadow LRU would have evicted instead) or by the
-// byte budget (which dooms nothing) — and parks the refused buffer.
-func (sh *shard) deny(set int, key string, val []byte, pd int) bool {
+// byte budget (which dooms nothing).
+func (sh *shard) deny(set int, key string, pd int) bool {
 	sh.st.Denies++
 	sh.decided(DecisionDeny, set, -1, key, 0, pd)
-	sh.freeBuf(val)
 	return false
-}
-
-// decided appends one attributed policy decision to the log (nil-tolerant).
-func (sh *shard) decided(kind string, set, w int, key string, rpd, pd int) {
-	sh.dlog.add(Decision{Shard: sh.id, Set: set, Way: w, Kind: kind, Key: key, RPD: rpd, PD: pd})
 }
 
 // evict drops the resident line in (set, w), classifying the eviction:

@@ -97,9 +97,9 @@ func (c *Cache) Snapshot() *Snapshot {
 // and cold-starts), then reinserts each entry through the normal routing
 // path, restoring per-line protection state, per-shard RDD evidence, the
 // protecting distance, and the access clock. Entries that no longer fit
-// — a foreign key, a full set, a blown byte budget, all symptoms of a
-// hand-edited or corrupt snapshot — are skipped, not fatal. It returns
-// the number of entries restored.
+// — an empty or foreign key, a full set, a blown byte budget, all
+// symptoms of a hand-edited or corrupt snapshot — are skipped, not fatal.
+// It returns the number of entries restored.
 func (c *Cache) Restore(s *Snapshot) (int, error) {
 	if s == nil {
 		return 0, fmt.Errorf("kvcache: nil snapshot")
@@ -174,22 +174,17 @@ func (sh *shard) restore(ss SnapshotShard, nshards int) int {
 	restored := 0
 	for _, e := range ss.Entries {
 		h := hash(e.Key)
-		if int(h%uint64(nshards)) != sh.id {
+		if e.Key == "" || int(h%uint64(nshards)) != sh.id {
 			continue
 		}
 		hh := h / uint64(nshards)
 		set := sh.setOf(hh)
-		if sh.find(set, hh, e.Key) >= 0 {
-			continue
-		}
-		if sh.maxBytes > 0 && sh.bytes+int64(len(e.Value)) > sh.maxBytes {
-			continue
-		}
 		w := sh.freeWay(set)
-		if w < 0 {
+		if w < 0 || sh.find(set, hh, e.Key) >= 0 ||
+			sh.maxBytes > 0 && sh.bytes+int64(len(e.Value)) > sh.maxBytes {
 			continue
 		}
-		sh.install(set, w, hh, e.Key, append([]byte(nil), e.Value...))
+		sh.install(set, w, hh, e.Key, sh.copyIn(e.Value))
 		sh.lru.fill(set, w, 0)
 		if sh.pdp != nil && e.RPD > 0 {
 			// Promote vs Insert re-derive the same RPD steps; the choice

@@ -128,3 +128,49 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal("geometry mismatch accepted")
 	}
 }
+
+// FuzzRestore decodes arbitrary bytes as a JSON snapshot, the way a
+// restarting server reads its snapshot file, and restores it into a fresh
+// PDP cache: whatever the file says, Restore must not panic and must leave
+// a cache that passes CheckInvariants. The seeds carry the fuzz cache's
+// own geometry, so mutations reach the per-entry checks.
+func FuzzRestore(f *testing.F) {
+	cfg := Config{Policy: PolicyPDP, Shards: 2, Sets: 4, Ways: 2, MaxBytes: 64}
+	warm, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprint("k", i%12)
+		if _, ok := warm.Get(key); !ok {
+			warm.Put(key, []byte(key))
+		}
+	}
+	valid, err := json.Marshal(warm.Snapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	geo := `{"policy":"pdp","shards":2,"sets":4,"ways":2,"d_max":256,"n_c":8,"s_c":4}`
+	// A snapshot entry with an empty key: the store must skip it, because
+	// a resident line with an empty key fails CheckInvariants.
+	f.Add([]byte(`{"version":1,"geometry":` + geo + `,"pd":8,"shards":[{"entries":[{"k":"","v":"eA==","rpd":8}]},{"entries":[{"k":"","v":"eA==","rpd":8}]}]}`))
+	f.Add([]byte(`{"version":1,"geometry":` + geo + `,"pd":-3,"shards":[{"entries":[{"k":"a","v":"","rpd":99999,"reused":true}],"counts":[4294967295],"total":1},{}]}`))
+	f.Add([]byte(`{"version":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Snapshot
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Restore(&s); err != nil {
+			return
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("after Restore: %v", err)
+		}
+	})
+}

@@ -457,9 +457,9 @@ type decisionsResponse struct {
 	Tail  []kvcache.Decision `json:"tail"`
 }
 
-// handleDecisions exports the policy decision ring: the most recent n
-// (default 100, capped at the ring size by the log itself) attributed
-// decisions, oldest first.
+// handleDecisions exports the shards' policy decision rings: up to n
+// (default 100) recent attributed decisions, chosen and ordered as
+// kvcache.DecisionLog.Tail documents.
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	dl := s.cache.Decisions()
 	if dl == nil {
