@@ -247,7 +247,7 @@ func BenchmarkRunManyTask(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				experiments.RunMany(bm, specs, n, 1, experiments.RunOptions{})
+				experiments.RunMany(bm, specs, n, 1, experiments.TelemetryOptions{})
 			}
 		})
 	}

@@ -37,7 +37,11 @@ import (
 	"pdp/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command body; it returns the exit status, so its deferred
+// profile, journal and file cleanup runs on every exit path.
+func run() int {
 	cores := flag.Int("cores", 4, "number of cores (LLC = 2MB per core)")
 	policy := flag.String("policy", "pdppart-3", "shared-LLC policy")
 	benchList := flag.String("benchmarks", "", "comma-separated benchmark names (one per core)")
@@ -58,11 +62,11 @@ func main() {
 
 	if *statsFmt != "text" && *statsFmt != "json" {
 		fmt.Fprintf(os.Stderr, "-stats must be text or json, got %q\n", *statsFmt)
-		os.Exit(2)
+		return 2
 	}
 	if *journalSample < 1 {
 		fmt.Fprintln(os.Stderr, "-journal-sample must be >= 1 (1 journals every event); 0 is not a valid sample rate")
-		os.Exit(2)
+		return 2
 	}
 
 	var mix workload.Mix
@@ -71,14 +75,14 @@ func main() {
 		names := strings.Split(*benchList, ",")
 		if len(names) != *cores {
 			fmt.Fprintf(os.Stderr, "need %d benchmarks, got %d\n", *cores, len(names))
-			os.Exit(2)
+			return 2
 		}
 		mix = workload.Mix{Names: names}
 		for _, n := range names {
 			b, ok := workload.ByName(strings.TrimSpace(n))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", n)
-				os.Exit(2)
+				return 2
 			}
 			mix.Benchs = append(mix.Benchs, b)
 		}
@@ -87,29 +91,36 @@ func main() {
 		mix = mixes[*mixID]
 	default:
 		fmt.Fprintln(os.Stderr, "provide -benchmarks or -mix")
-		os.Exit(2)
+		return 2
 	}
 
 	spec, err := experiments.MCSpecByName(*policy, *perThread)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	// Profiling hooks.
 	if *pprofAddr != "" {
 		if err := telemetry.ServeDebug(*pprofAddr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *cpuProfile != "" {
 		stop, err := telemetry.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer stop()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if err := telemetry.WriteHeapProfile(*memProfile); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+		}()
 	}
 
 	// Telemetry pipeline.
@@ -124,7 +135,7 @@ func main() {
 			f, err := os.Create(*telemetryOut)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			defer f.Close()
 			journal.SetSink(f)
@@ -134,7 +145,7 @@ func main() {
 	faults, err := faultinject.Parse(*inject)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	// Supervised run: SIGINT/SIGTERM and the optional watchdog cancel the
@@ -145,8 +156,8 @@ func main() {
 	sup := &resilience.Supervisor{Timeout: *timeout, Journal: journal}
 	var res experiments.MixResult
 	single := make([]float64, len(mix.Benchs))
-	out := sup.Run(ctx, "mix", func(runCtx context.Context, hb *resilience.Heartbeat) error {
-		rcfg := experiments.Config{Ctx: runCtx, Heartbeat: hb}
+	out := sup.Run(ctx, "mix", func(runCtx context.Context) error {
+		rcfg := experiments.Config{Ctx: runCtx}
 		m := rcfg.Mix(faultinject.WrapMix(mix, faults, rep))
 		res = experiments.RunMixTelemetry(m, spec, *perThread, *seed, experiments.TelemetryOptions{
 			Registry:      reg,
@@ -165,7 +176,7 @@ func main() {
 	if out.Err != nil {
 		journal.Flush()
 		fmt.Fprintln(os.Stderr, out.Err)
-		os.Exit(1)
+		return 1
 	}
 	if rep.Total() > 0 {
 		fmt.Fprintf(os.Stderr, "[injected %d faults: %v]\n", rep.Total(), rep.Counts())
@@ -173,24 +184,18 @@ func main() {
 
 	if err := journal.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "telemetry journal: %v\n", err)
-		os.Exit(1)
-	}
-	if *memProfile != "" {
-		if err := telemetry.WriteHeapProfile(*memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		return 1
 	}
 
 	w, err := metrics.WeightedIPC(res.IPC, single)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	h, err := metrics.HarmonicMeanNorm(res.IPC, single)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	throughput := metrics.Throughput(res.IPC)
 
@@ -213,9 +218,9 @@ func main() {
 		}
 		if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	fmt.Printf("policy %s, %d cores, LLC %d MB shared\n", spec.Name, *cores, 2**cores)
@@ -229,4 +234,5 @@ func main() {
 		fmt.Printf("telemetry   %d records -> %s (%d snapshot)\n",
 			journal.Total(), *telemetryOut, journal.CountKind(telemetry.KindSnapshot))
 	}
+	return 0
 }

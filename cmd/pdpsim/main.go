@@ -31,22 +31,20 @@
 // Robustness (see README "Robustness"):
 //
 //	-timeout D           watchdog: fail the run after D wall-clock time
-//	-checkpoint FILE     save the trace offset periodically; with -resume,
-//	                     restart an interrupted run from the saved offset
-//	-resume              resume from the checkpoint's saved offset
 //	-inject SPEC         seeded fault injection (trace + PDP sampler faults)
+//
+// A run is short (a default window takes about a second), so an interrupted
+// one is simply rerun; `repro -checkpoint` resumes long campaigns run by run.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"pdp/internal/cache"
 	"pdp/internal/core"
@@ -59,7 +57,11 @@ import (
 	"pdp/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command body; it returns the exit status, so its deferred
+// profile, journal and file cleanup runs on every exit path.
+func run() int {
 	bench := flag.String("bench", "436.cactusADM", "benchmark model name")
 	traceFile := flag.String("trace", "", "replay a recorded .pdpt trace instead of a model")
 	apki := flag.Float64("apki", 10, "accesses per kiloinstruction for -trace runs")
@@ -73,10 +75,7 @@ func main() {
 	snapshotEvery := flag.Uint64("snapshot-every", 0, "emit a telemetry snapshot every N measured accesses (0 disables)")
 	journalSample := flag.Uint64("journal-sample", 1024, "journal 1 in N bypass/eviction/sampler events (1 = all)")
 	timeout := flag.Duration("timeout", 0, "watchdog timeout for the run (0 disables)")
-	checkpoint := flag.String("checkpoint", "", "save the run's trace offset to this JSON file for -resume")
-	resume := flag.Bool("resume", false, "resume the measured window from the checkpoint's saved offset")
 	inject := flag.String("inject", "", "fault-injection spec (key=value,... ; see README)")
-	checkpointEvery := flag.Uint64("checkpoint-every", 100_000, "checkpoint offset cadence in measured accesses")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -91,16 +90,16 @@ func main() {
 		for _, b := range workload.Phased() {
 			fmt.Printf("  %-20s APKI=%.0f\n", b.Name, b.APKI)
 		}
-		return
+		return 0
 	}
 
 	if *statsFmt != "text" && *statsFmt != "json" {
 		fmt.Fprintf(os.Stderr, "-stats must be text or json, got %q\n", *statsFmt)
-		os.Exit(2)
+		return 2
 	}
 	if *journalSample < 1 {
 		fmt.Fprintln(os.Stderr, "-journal-sample must be >= 1 (1 journals every event); 0 is not a valid sample rate")
-		os.Exit(2)
+		return 2
 	}
 
 	var b workload.Benchmark
@@ -108,13 +107,13 @@ func main() {
 		f, err := os.Open(*traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		accs, err := tracefile.ReadAll(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reading %s: %v\n", *traceFile, err)
-			os.Exit(1)
+			return 1
 		}
 		b = workload.FromAccesses(*traceFile, *apki, accs)
 	} else {
@@ -122,7 +121,7 @@ func main() {
 		b, ok = workload.ByName(*bench)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown benchmark %q; run `pdpsim -list`\n", *bench)
-			os.Exit(2)
+			return 2
 		}
 	}
 	policyNames := strings.Split(*policy, ",")
@@ -132,33 +131,36 @@ func main() {
 		specs[i], err = experiments.SpecByName(strings.TrimSpace(nm), *n)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 	}
 	faults, err := faultinject.Parse(*inject)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -checkpoint FILE")
-		os.Exit(2)
+		return 2
 	}
 
 	// Profiling hooks.
 	if *pprofAddr != "" {
 		if err := telemetry.ServeDebug(*pprofAddr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *cpuProfile != "" {
 		stop, err := telemetry.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer stop()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if err := telemetry.WriteHeapProfile(*memProfile); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+		}()
 	}
 
 	// Telemetry pipeline.
@@ -173,120 +175,49 @@ func main() {
 			f, err := os.Create(*telemetryOut)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			defer f.Close()
 			journal.SetSink(f)
 		}
 	}
 
-	// Resilient run: graceful shutdown on SIGINT/SIGTERM, optional watchdog,
-	// seeded fault injection, and periodic offset checkpointing so -resume
-	// can restart a long window where it stopped (generators are
-	// deterministic, so the skipped prefix is replayed, not re-measured).
-	// One policy or several, this is the only run path: every policy runs
-	// over the same benchmark window, seeded identically, across -jobs
-	// workers, so the output does not depend on the jobs count.
+	// Supervised run: graceful shutdown on SIGINT/SIGTERM, optional
+	// watchdog and seeded fault injection. One policy or several, this is
+	// the only run path: every policy runs over the same benchmark window,
+	// seeded identically, across -jobs workers, so the output does not
+	// depend on the jobs count.
 	ctx, cancel := resilience.WithShutdown(context.Background())
 	defer cancel()
-
-	var ck *resilience.Checkpoint
-	// Saves from concurrent runs are serialized through a resilience.Saver;
-	// without -checkpoint both are no-ops.
-	saveCk, closeCk := func() {}, func() {}
-	if *checkpoint != "" {
-		if *resume {
-			ck, err = resilience.LoadCheckpoint(*checkpoint)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			ck = resilience.NewCheckpoint()
-		}
-		saver := resilience.NewSaver(func() error {
-			return resilience.Retry(ctx, resilience.RetryConfig{Name: "checkpoint.save", Journal: journal},
-				func() error { return ck.Save(*checkpoint, journal) })
-		}, func(err error) {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-		})
-		saveCk, closeCk = saver.Request, saver.Close
-	}
-	runKey := func(s experiments.PolicySpec) string {
-		return resilience.RunKey(b.Name+"/"+s.Name, *n, *seed)
-	}
 
 	rep := faultinject.NewReporter(journal)
 	sup := &resilience.Supervisor{Timeout: *timeout, Journal: journal}
 	results := make([]experiments.RunResult, len(specs))
-	out := sup.Run(ctx, b.Name, func(runCtx context.Context, hb *resilience.Heartbeat) error {
+	out := sup.Run(ctx, b.Name, func(runCtx context.Context) error {
 		return parallel.ForEach(*jobs, len(specs), func(i int) error {
-			began := time.Now()
-			key := runKey(specs[i])
-			var start uint64
-			if ck != nil {
-				if start = ck.Offset(key); start > 0 {
-					fmt.Fprintf(os.Stderr, "[resuming %s at measured access %d]\n", key, start)
-				}
-			}
-			rcfg := experiments.Config{Ctx: runCtx, Heartbeat: hb}
+			rcfg := experiments.Config{Ctx: runCtx}
 			if faults.TraceEnabled() {
 				rcfg.WrapBench = func(wb workload.Benchmark) workload.Benchmark {
 					return faultinject.WrapBenchmark(wb, faults, rep)
 				}
 			}
-			opt := experiments.RunOptions{
-				Telemetry: experiments.TelemetryOptions{
-					Registry:      reg,
-					Journal:       journal,
-					SnapshotEvery: *snapshotEvery,
-					EventSample:   *journalSample,
-					Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
-						p, _ := pol.(*core.PDP)
-						return faultinject.NewPDPInjector(p, faults, rep)
-					},
+			results[i] = experiments.RunMany(rcfg.Bench(b), specs[i:i+1], *n, *seed, experiments.TelemetryOptions{
+				Registry:      reg,
+				Journal:       journal,
+				SnapshotEvery: *snapshotEvery,
+				EventSample:   *journalSample,
+				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
+					p, _ := pol.(*core.PDP)
+					return faultinject.NewPDPInjector(p, faults, rep)
 				},
-				StartAccess: start,
-			}
-			if ck != nil && *checkpointEvery > 0 {
-				opt.ProgressEvery = *checkpointEvery
-				opt.OnProgress = func(done uint64) {
-					ck.SetOffset(key, done)
-					saveCk()
-				}
-			}
-			results[i] = experiments.RunMany(rcfg.Bench(b), specs[i:i+1], *n, *seed, opt)[0]
-			if ck != nil {
-				ck.ClearOffset(key)
-				ck.MarkDone(key, time.Since(began))
-				saveCk()
-			}
+			})[0]
 			return nil
 		})
 	})
-	var hint string
-	if out.Err != nil && ck != nil && len(specs) == 1 {
-		// A watchdog expiry carries the guarded generator's last beat
-		// (total generator accesses); anything past warm-up is measured
-		// progress the next run can skip. Periodic OnProgress saves cover
-		// the SIGINT path. The heartbeat is per Supervisor.Run, so with
-		// several concurrent runs the last beat names no one of them.
-		key := runKey(specs[0])
-		var wd *resilience.WatchdogError
-		warm := int64(experiments.Warmup(*n))
-		if errors.As(out.Err, &wd) && wd.LastBeat > warm {
-			ck.SetOffset(key, min(uint64(wd.LastBeat-warm), uint64(*n)))
-		}
-		if off := ck.Offset(key); off > 0 {
-			hint = fmt.Sprintf("[offset %d saved; rerun with -checkpoint %s -resume]\n", off, *checkpoint)
-		}
-	}
-	closeCk() // the final save: completion marks, a salvaged offset
 	if out.Err != nil {
 		journal.Flush()
-		fmt.Fprint(os.Stderr, hint)
 		fmt.Fprintln(os.Stderr, out.Err)
-		os.Exit(1)
+		return 1
 	}
 	if rep.Total() > 0 {
 		fmt.Fprintf(os.Stderr, "[injected %d faults: %v]\n", rep.Total(), rep.Counts())
@@ -294,18 +225,15 @@ func main() {
 
 	if err := journal.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "telemetry journal: %v\n", err)
-		os.Exit(1)
-	}
-	if *memProfile != "" {
-		if err := telemetry.WriteHeapProfile(*memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		return 1
 	}
 
 	if len(specs) > 1 {
-		printBatch(b.Name, *n, *statsFmt, results)
-		return
+		if err := printBatch(b.Name, *n, *statsFmt, results); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		return 0
 	}
 	r := results[0]
 	if *statsFmt == "json" {
@@ -322,12 +250,11 @@ func main() {
 			BypassFrac: r.BypassFrac(),
 			Metrics:    reg.Snapshot(),
 		}
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(out); err != nil {
+		if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	fmt.Printf("benchmark   %s\n", r.Bench)
@@ -345,11 +272,12 @@ func main() {
 			journal.Total(), *telemetryOut,
 			journal.CountKind(telemetry.KindPDRecompute), journal.CountKind(telemetry.KindSnapshot))
 	}
+	return 0
 }
 
 // printBatch prints one summary per policy of a several-policy run, in
 // list order.
-func printBatch(bench string, n int, statsFmt string, results []experiments.RunResult) {
+func printBatch(bench string, n int, statsFmt string, results []experiments.RunResult) error {
 	if statsFmt == "json" {
 		type row struct {
 			experiments.RunResult
@@ -360,11 +288,7 @@ func printBatch(bench string, n int, statsFmt string, results []experiments.RunR
 		for i, r := range results {
 			rows[i] = row{RunResult: r, HitRate: r.Stats.HitRate(), BypassFrac: r.BypassFrac()}
 		}
-		if err := json.NewEncoder(os.Stdout).Encode(rows); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return json.NewEncoder(os.Stdout).Encode(rows)
 	}
 	fmt.Printf("benchmark %s, %d measured accesses (after %d warm-up)\n",
 		bench, n, experiments.Warmup(n))
@@ -374,5 +298,5 @@ func printBatch(bench string, n int, statsFmt string, results []experiments.RunR
 		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\t%.4f\t%.2f\n",
 			r.Policy, 100*r.Stats.HitRate(), r.MPKI, r.IPC, 100*r.BypassFrac())
 	}
-	tw.Flush()
+	return tw.Flush()
 }

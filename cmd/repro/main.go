@@ -18,9 +18,11 @@
 //	-keep-going     report per-experiment errors and continue (forced on
 //	                for `all`); exit status is still non-zero at the end
 //	-checkpoint F   record completed experiments in F (JSON, atomic)
-//	-resume         skip experiments already completed in the checkpoint
+//	-resume         skip experiments already completed in the checkpoint;
+//	                a checkpoint taken under other windows, seed or mix
+//	                counts is ignored, and an interrupted experiment reruns
+//	                from its start
 //	-inject SPEC    seeded fault injection into the workload streams
-//	-slow ID=D      artificially delay experiment ID by D (watchdog tests)
 //	-telemetry F    JSONL journal of run/watchdog/fault/recovery events
 //
 // Performance:
@@ -41,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"pdp/internal/experiments"
@@ -53,7 +54,11 @@ import (
 
 const defaultCheckpoint = "repro.ckpt.json"
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command body; it returns the exit status, so its deferred
+// profile, journal and file cleanup runs on every exit path.
+func run() int {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	scale := flag.Float64("scale", 1.0, "trace-length multiplier (1.0 = default windows)")
 	mixes4 := flag.Int("mixes4", 0, "override the number of 4-core mixes (fig12)")
@@ -65,7 +70,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "record completed experiments in this JSON file")
 	resume := flag.Bool("resume", false, "skip experiments already completed in the checkpoint (default "+defaultCheckpoint+")")
 	inject := flag.String("inject", "", "fault-injection spec for workload streams (key=value,... ; see README)")
-	slow := flag.String("slow", "", "artificially delay one experiment: <id>=<duration> (watchdog testing)")
 	telemetryOut := flag.String("telemetry", "", "write a JSONL telemetry journal to this file")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (long runs)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -75,14 +79,14 @@ func main() {
 	if *pprofAddr != "" {
 		if err := telemetry.ServeDebug(*pprofAddr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *cpuProfile != "" {
 		stop, err := telemetry.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer stop()
 	}
@@ -99,18 +103,13 @@ func main() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
 		}
 		fmt.Printf("%-10s %s\n", "faultcamp", "Fault campaign: clean vs injected run + graceful-degradation checks")
-		return
+		return 0
 	}
 
 	spec, err := faultinject.Parse(*inject)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	slowID, slowDur, err := parseSlow(*slow)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	cfg := experiments.DefaultConfig(os.Stdout)
@@ -132,7 +131,7 @@ func main() {
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: repro [-list] [-scale f] [-timeout d] [-resume] all | <id>...")
 		fmt.Fprintln(os.Stderr, "run `repro -list` for experiment ids")
-		os.Exit(2)
+		return 2
 	}
 	isAll := len(args) == 1 && args[0] == "all"
 	kg := *keepGoing || isAll
@@ -148,7 +147,7 @@ func main() {
 		f, err := os.Create(*telemetryOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		journal.SetSink(f)
@@ -172,7 +171,7 @@ func main() {
 			ck, err = resilience.LoadCheckpoint(ckPath)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			// A checkpoint written under a different run configuration must
 			// not be trusted: its completion marks describe different
@@ -188,19 +187,6 @@ func main() {
 		}
 		ck.SetConfig(runCfg)
 	}
-	// All saves flow through one owner goroutine: concurrent completions
-	// coalesce instead of racing their atomic renames out of order.
-	var saver *resilience.Saver
-	if ck != nil {
-		saver = resilience.NewSaver(func() error {
-			return resilience.Retry(ctx, resilience.RetryConfig{
-				Name: "checkpoint.save", Journal: journal,
-			}, func() error { return ck.Save(ckPath, journal) })
-		}, func(err error) {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-		})
-	}
-
 	rep := faultinject.NewReporter(journal)
 	if spec.TraceEnabled() {
 		cfg.WrapBench = func(b workload.Benchmark) workload.Benchmark {
@@ -211,9 +197,8 @@ func main() {
 	sup := &resilience.Supervisor{Timeout: *timeout, Journal: journal}
 	failed := 0
 
-	run := func(e experiments.Experiment) bool {
-		key := resilience.RunKey(e.ID, cfg.Accesses, cfg.Seed)
-		if ck != nil && *resume && ck.Done(key) {
+	runOne := func(e experiments.Experiment) bool {
+		if ck != nil && *resume && ck.Done(e.ID) {
 			sup.Skip(e.ID)
 			fmt.Printf("[%s skipped: completed in checkpoint]\n", e.ID)
 			return true
@@ -221,18 +206,10 @@ func main() {
 		// Buffer each experiment's tables so an abandoned (timed-out)
 		// goroutine can't interleave stale output with later experiments.
 		var buf bytes.Buffer
-		out := sup.Run(ctx, e.ID, func(runCtx context.Context, hb *resilience.Heartbeat) error {
-			if e.ID == slowID {
-				select { // artificial stall, honoring cancellation
-				case <-time.After(slowDur):
-				case <-runCtx.Done():
-					return runCtx.Err()
-				}
-			}
+		out := sup.Run(ctx, e.ID, func(runCtx context.Context) error {
 			ecfg := cfg
 			ecfg.Out = &buf
 			ecfg.Ctx = runCtx
-			ecfg.Heartbeat = hb
 			return e.Run(ecfg)
 		})
 		if out.Err != nil {
@@ -242,8 +219,13 @@ func main() {
 		os.Stdout.Write(buf.Bytes())
 		fmt.Printf("[%s done in %v]\n", e.ID, out.Duration.Round(time.Millisecond))
 		if ck != nil {
-			ck.MarkDone(key, out.Duration)
-			saver.Request()
+			// Experiments run one after another, so this loop is the file's
+			// only writer and each save lands in completion order.
+			ck.MarkDone(e.ID, out.Duration)
+			if err := resilience.Retry(ctx, resilience.RetryConfig{Name: "checkpoint.save", Journal: journal},
+				func() error { return ck.Save(ckPath, journal) }); err != nil {
+				fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
+			}
 		}
 		return true
 	}
@@ -260,7 +242,7 @@ func main() {
 			e, ok := experiments.ByID(id)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q; run `repro -list`\n", id)
-				os.Exit(2)
+				return 2
 			}
 			todo = append(todo, e)
 		}
@@ -272,15 +254,12 @@ func main() {
 			failed++
 			break
 		}
-		if !run(e) {
+		if !runOne(e) {
 			failed++
 			if !kg {
 				break
 			}
 		}
-	}
-	if saver != nil {
-		saver.Close()
 	}
 	if journal != nil {
 		if err := journal.Flush(); err != nil {
@@ -289,24 +268,9 @@ func main() {
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiment(s) failed\n", failed)
-		os.Exit(1)
+		return 1
 	}
-}
-
-// parseSlow parses the -slow flag's <id>=<duration> grammar.
-func parseSlow(s string) (string, time.Duration, error) {
-	if s == "" {
-		return "", 0, nil
-	}
-	id, val, ok := strings.Cut(s, "=")
-	if !ok {
-		return "", 0, errors.New("-slow wants <experiment-id>=<duration>")
-	}
-	d, err := time.ParseDuration(val)
-	if err != nil {
-		return "", 0, fmt.Errorf("-slow %s: %v", s, err)
-	}
-	return id, d, nil
+	return 0
 }
 
 // faultCampExperiment adapts a fault campaign to the experiment interface

@@ -48,7 +48,7 @@ func TestRunSingleAllocBudget(t *testing.T) {
 			budget uint64
 		}{
 			{"one task", func() { RunSingle(b, five[0], n, 1) }, budget},
-			{"RunMany of five", func() { RunMany(b, five, n, 1, RunOptions{}) }, budget + 4*perCache},
+			{"RunMany of five", func() { RunMany(b, five, n, 1, TelemetryOptions{}) }, budget + 4*perCache},
 		} {
 			if got := allocs(c.run); got > c.budget {
 				t.Errorf("%s: %s allocated %.1f MB, budget %.1f MB", b.Name, c.what, float64(got)/(1<<20), float64(c.budget)/(1<<20))

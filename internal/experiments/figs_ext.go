@@ -44,7 +44,7 @@ func OptGap(cfg Config) error {
 		if err != nil {
 			return optRow{}, err
 		}
-		return optRow{ost: ost, runs: RunMany(cfg.Bench(b), cols, cfg.Accesses, cfg.Seed, RunOptions{})}, nil
+		return optRow{ost: ost, runs: RunMany(cfg.Bench(b), cols, cfg.Accesses, cfg.Seed, TelemetryOptions{})}, nil
 	})
 	if err != nil {
 		return err
@@ -112,7 +112,7 @@ func ClassPDPExp(cfg Config) error {
 	// Column 0 is the DIP base, columns 1.. follow specs.
 	cols := append([]PolicySpec{specDIP()}, specs...)
 	grid, err := parallel.Map(cfg.jobs(), len(suite), func(r int) ([]RunResult, error) {
-		return RunMany(cfg.Bench(suite[r]), cols, cfg.Accesses, cfg.Seed, RunOptions{}), nil
+		return RunMany(cfg.Bench(suite[r]), cols, cfg.Accesses, cfg.Seed, TelemetryOptions{}), nil
 	})
 	if err != nil {
 		return err
@@ -151,7 +151,7 @@ func Energy(cfg Config) error {
 	// Column 0 is the DIP base, columns 1.. follow specs.
 	cols := append([]PolicySpec{specDIP()}, specs...)
 	grid, err := parallel.Map(cfg.jobs(), len(suite), func(r int) ([]RunResult, error) {
-		return RunMany(cfg.Bench(suite[r]), cols, cfg.Accesses, cfg.Seed, RunOptions{}), nil
+		return RunMany(cfg.Bench(suite[r]), cols, cfg.Accesses, cfg.Seed, TelemetryOptions{}), nil
 	})
 	if err != nil {
 		return err
@@ -228,14 +228,14 @@ func Timing(cfg Config) error {
 	rows, err := parallel.Map(cfg.jobs(), len(suite), func(i int) ([2]float64, error) {
 		b := suite[i]
 		var timers []*coreTimer
-		rs := RunMany(b, cols, cfg.Accesses, cfg.Seed, RunOptions{Telemetry: TelemetryOptions{
+		rs := RunMany(b, cols, cfg.Accesses, cfg.Seed, TelemetryOptions{
 			Attach: func(*cache.Cache, cache.Policy) cache.Monitor {
 				core, _ := cpusim.New(simCfg) // validated above
 				t := &coreTimer{core: core, cfg: simCfg, gap: max(1000/b.APKI-1, 0)}
 				timers = append(timers, t)
 				return t
 			},
-		}})
+		})
 		return [2]float64{
 			metrics.Improvement(rs[1].IPC, rs[0].IPC),
 			metrics.Improvement(timers[1].core.IPC(), timers[0].core.IPC()),

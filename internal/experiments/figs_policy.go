@@ -42,7 +42,7 @@ func Fig2(cfg Config) error {
 	}
 	specs := sweep(epsilons, specDRRIP)
 	rows, err := parallel.Map(cfg.jobs(), len(bs), func(r int) ([]RunResult, error) {
-		return RunMany(cfg.Bench(bs[r]), specs, cfg.Accesses, cfg.Seed, RunOptions{}), nil
+		return RunMany(cfg.Bench(bs[r]), specs, cfg.Accesses, cfg.Seed, TelemetryOptions{}), nil
 	})
 	if err != nil {
 		return err
@@ -108,7 +108,7 @@ func Fig4(cfg Config) error {
 	baseCol := slices.Index(epsilons, 1.0/32)
 	all := workload.All()
 	rows, err := parallel.Map(cfg.jobs(), len(all), func(i int) (row, error) {
-		rs := RunMany(cfg.Bench(all[i]), specs, cfg.Accesses, cfg.Seed, RunOptions{})
+		rs := RunMany(cfg.Bench(all[i]), specs, cfg.Accesses, cfg.Seed, TelemetryOptions{})
 		base := rs[baseCol]
 		bd, _, rs := best(rs, epsilons)
 		bnb, pdNB, rs := best(rs, pds)
@@ -214,17 +214,17 @@ func Fig5a(cfg Config) error {
 		}
 		// Use each policy's best static PD from a quick sweep.
 		pds := staticPDs()
-		rs := RunMany(cfg.Bench(b), append(sweep(pds, spdpNB), sweep(pds, spdpB)...), cfg.Accesses/2, cfg.Seed, RunOptions{})
+		rs := RunMany(cfg.Bench(b), append(sweep(pds, spdpNB), sweep(pds, spdpB)...), cfg.Accesses/2, cfg.Seed, TelemetryOptions{})
 		_, pdNB, rs := best(rs, pds)
 		_, pdB, _ := best(rs, pds)
 		s := section{specs: []PolicySpec{specDRRIP(1.0 / 32), spdpNB(pdNB), spdpB(pdB)}}
-		s.runs = RunMany(cfg.Bench(b), s.specs, cfg.Accesses, cfg.Seed, RunOptions{Telemetry: TelemetryOptions{
+		s.runs = RunMany(cfg.Bench(b), s.specs, cfg.Accesses, cfg.Seed, TelemetryOptions{
 			Attach: func(*cache.Cache, cache.Policy) cache.Monitor {
 				mon := newOccMonitor(LLCSets, LLCWays)
 				s.mons = append(s.mons, mon)
 				return mon
 			},
-		}})
+		})
 		return s, nil
 	})
 	if err != nil {
@@ -277,7 +277,7 @@ func Fig9(cfg Config) error {
 	suite := workload.Suite()
 	// Column 0 (the Full configuration) doubles as the normalization base.
 	grid, err := parallel.Map(cfg.jobs(), len(suite), func(r int) ([]RunResult, error) {
-		return RunMany(cfg.Bench(suite[r]), configs, cfg.Accesses, cfg.Seed, RunOptions{}), nil
+		return RunMany(cfg.Bench(suite[r]), configs, cfg.Accesses, cfg.Seed, TelemetryOptions{}), nil
 	})
 	if err != nil {
 		return err
@@ -328,7 +328,7 @@ func Fig10(cfg Config) error {
 	}
 	all := workload.All()
 	rows, err := parallel.Map(cfg.jobs(), len(all), func(i int) (row, error) {
-		rs := RunMany(cfg.Bench(all[i]), cols, cfg.Accesses, cfg.Seed, RunOptions{})
+		rs := RunMany(cfg.Bench(all[i]), cols, cfg.Accesses, cfg.Seed, TelemetryOptions{})
 		out := row{base: rs[0], results: rs[1 : 1+len(specs)]}
 		spdpb, _, _ := best(rs[1+len(specs):], coarse)
 		spdpb.Policy = "SPDP-B"
@@ -415,7 +415,7 @@ func Fig11(cfg Config) error {
 	dip, drrip, pdp := len(intervals), len(intervals)+1, slices.Index(intervals, 65536)
 	phased := workload.Phased()
 	grid, err := parallel.Map(cfg.jobs(), len(phased), func(r int) ([]RunResult, error) {
-		return RunMany(cfg.Bench(phased[r]), cols, cfg.Accesses*2, cfg.Seed, RunOptions{}), nil
+		return RunMany(cfg.Bench(phased[r]), cols, cfg.Accesses*2, cfg.Seed, TelemetryOptions{}), nil
 	})
 	if err != nil {
 		return err
@@ -494,7 +494,7 @@ func Sec63(cfg Config) error {
 	// One stream: the DIP base, the policy columns, then the SPDP-B sweep.
 	pds := staticPDs()
 	cols := append(append([]PolicySpec{specDIP()}, specs...), sweep(pds, spdpB)...)
-	rs := RunMany(cfg.Bench(b), cols, cfg.Accesses, cfg.Seed, RunOptions{})
+	rs := RunMany(cfg.Bench(b), cols, cfg.Accesses, cfg.Seed, TelemetryOptions{})
 	red := func(r RunResult) string {
 		return fmtPct(metrics.Reduction(float64(r.Stats.Misses), float64(rs[0].Stats.Misses)))
 	}

@@ -117,7 +117,7 @@ func Fig6(cfg Config) error {
 		}
 		return fig6Row{
 			arr:  measureRDD(b, 4, cfg.Accesses, cfg.Seed),
-			runs: RunMany(cfg.Bench(b), sweep(staticPDs(), spdpB), cfg.Accesses, cfg.Seed, RunOptions{}),
+			runs: RunMany(cfg.Bench(b), sweep(staticPDs(), spdpB), cfg.Accesses, cfg.Seed, TelemetryOptions{}),
 		}, nil
 	})
 	if err != nil {

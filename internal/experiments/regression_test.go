@@ -62,7 +62,7 @@ func TestHeadlineClaims(t *testing.T) {
 	{
 		b, _ := workload.ByName("464.h264ref")
 		pds := []int{32, 48, 64, 80}
-		rs := RunMany(b, append(sweep(pds, spdpNB), sweep(pds, spdpB)...), n, 1, RunOptions{})
+		rs := RunMany(b, append(sweep(pds, spdpNB), sweep(pds, spdpB)...), n, 1, TelemetryOptions{})
 		nb, _, rs := best(rs, pds)
 		bp, _, _ := best(rs, pds)
 		if bp.Stats.Misses > nb.Stats.Misses {

@@ -24,19 +24,17 @@ func (e *eventHash) Event(ev cache.Event) {
 }
 
 // refRun is the one-generator-one-cache drive loop RunMany replaced, kept
-// as the reference: warm-up plus the replayed prefix unmeasured, then the
-// measured window under mon.
-func refRun(b workload.Benchmark, spec PolicySpec, n int, seed, start uint64, mon cache.Monitor) RunResult {
+// as the reference: warm-up unmeasured, then the measured window under mon.
+func refRun(b workload.Benchmark, spec PolicySpec, n int, seed uint64, mon cache.Monitor) RunResult {
 	c := cache.New(cache.Config{Name: "LLC", Sets: LLCSets, Ways: LLCWays, LineSize: trace.LineSize,
 		AllowBypass: spec.Bypass}, spec.New(LLCSets, LLCWays, seed))
 	g := b.Generator(LLCSets, 1, seed)
-	skip := min(int(start), n)
-	for i := Warmup(n) + skip; i > 0; i-- {
+	for i := Warmup(n); i > 0; i-- {
 		c.Access(g.Next())
 	}
 	c.Stats = cache.Stats{}
 	c.SetMonitor(mon)
-	for i := skip; i < n; i++ {
+	for i := 0; i < n; i++ {
 		c.Access(g.Next())
 	}
 	instr := cpu.Instructions(c.Stats.Accesses, b.APKI)
@@ -55,9 +53,9 @@ func hashEach(mons *[]*eventHash) TelemetryOptions {
 }
 
 // TestRunManyMatchesReference pins RunMany to k independent single-cache
-// runs: for an RDDGen model, a loop model and a phased model, with and
-// without a resume offset, and with the specs in either order, every
-// result and every cache's event sequence equals the reference loop's.
+// runs: for an RDDGen model, a loop model and a phased model, and with the
+// specs in either order, every result and every cache's event sequence
+// equals the reference loop's.
 // The specs cover seeded (DIP, DRRIP), bypassing (SDP, PDP, SPDP-B) and
 // dynamic (PDP-8) policies.
 func TestRunManyMatchesReference(t *testing.T) {
@@ -79,19 +77,17 @@ func TestRunManyMatchesReference(t *testing.T) {
 		t.Fatalf("%s is no longer an RDDGen model", models[0].Name)
 	}
 	for _, b := range models {
-		for _, start := range []uint64{0, n / 3} {
-			for _, order := range [][]PolicySpec{specs, reversed} {
-				var mons []*eventHash
-				got := RunMany(b, order, n, seed, RunOptions{StartAccess: start, Telemetry: hashEach(&mons)})
-				for i, spec := range order {
-					var ref eventHash
-					want := refRun(b, spec, n, seed, start, &ref)
-					if !reflect.DeepEqual(got[i], want) {
-						t.Errorf("%s start=%d %s: RunMany %+v, reference %+v", b.Name, start, spec.Name, got[i], want)
-					}
-					if *mons[i] != ref {
-						t.Errorf("%s start=%d %s: events %+v, reference %+v", b.Name, start, spec.Name, *mons[i], ref)
-					}
+		for _, order := range [][]PolicySpec{specs, reversed} {
+			var mons []*eventHash
+			got := RunMany(b, order, n, seed, hashEach(&mons))
+			for i, spec := range order {
+				var ref eventHash
+				want := refRun(b, spec, n, seed, &ref)
+				if !reflect.DeepEqual(got[i], want) {
+					t.Errorf("%s %s: RunMany %+v, reference %+v", b.Name, spec.Name, got[i], want)
+				}
+				if *mons[i] != ref {
+					t.Errorf("%s %s: events %+v, reference %+v", b.Name, spec.Name, *mons[i], ref)
 				}
 			}
 		}

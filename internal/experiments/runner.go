@@ -53,9 +53,6 @@ type Config struct {
 	// (resilience.GuardGenerator), so the run must execute under
 	// resilience.Supervisor.Run to absorb the cancellation.
 	Ctx context.Context
-	// Heartbeat, when non-nil, receives progress beats from guarded
-	// generators (the supervisor's watchdog reads it).
-	Heartbeat *resilience.Heartbeat
 	// WrapBench, when non-nil, wraps each benchmark routed through
 	// Bench/Mix before the cancellation guard — the fault-injection seam
 	// (cmd/repro installs faultinject.WrapBenchmark here).
@@ -70,10 +67,9 @@ func (cfg Config) Bench(b workload.Benchmark) workload.Benchmark {
 		b = cfg.WrapBench(b)
 	}
 	if cfg.Ctx != nil {
-		ctx, hb := cfg.Ctx, cfg.Heartbeat
-		build := b.Build
+		ctx, build := cfg.Ctx, b.Build
 		b.Build = func(sets int, base, seed uint64) trace.Generator {
-			return resilience.GuardGenerator(ctx, build(sets, base, seed), 0, hb)
+			return resilience.GuardGenerator(ctx, build(sets, base, seed))
 		}
 	}
 	return b
@@ -192,7 +188,7 @@ func (r RunResult) BypassFrac() float64 {
 // RunSingle drives n accesses of benchmark b through a fresh LLC managed by
 // spec's policy: RunMany of one spec, unobserved.
 func RunSingle(b workload.Benchmark, spec PolicySpec, n int, seed uint64) RunResult {
-	return RunMany(b, []PolicySpec{spec}, n, seed, RunOptions{})[0]
+	return RunMany(b, []PolicySpec{spec}, n, seed, TelemetryOptions{})[0]
 }
 
 // RecomputeEvery is the dynamic PDP's PD recompute period for a window of
@@ -224,13 +220,9 @@ func Warmup(n int) int {
 // built with seed, so result i is what a run of specs[i] alone would give;
 // the stream is generated once instead of once per policy column.
 //
-// Warm-up accesses run before counters start. opt's telemetry is attached
-// to each warmed-up cache, in spec order, just before the measured window.
-// A positive opt.StartAccess replays that many measured-window accesses
-// unmeasured first — generators are deterministic, so the replay rebuilds
-// the exact cache state of the interrupted run — and measures only the
-// remainder.
-func RunMany(b workload.Benchmark, specs []PolicySpec, n int, seed uint64, opt RunOptions) []RunResult {
+// Warm-up accesses run before counters start. tel is attached to each
+// warmed-up cache, in spec order, just before the measured window.
+func RunMany(b workload.Benchmark, specs []PolicySpec, n int, seed uint64, tel TelemetryOptions) []RunResult {
 	pols := make([]cache.Policy, len(specs))
 	caches := make([]*cache.Cache, len(specs))
 	for i, spec := range specs {
@@ -241,8 +233,7 @@ func RunMany(b workload.Benchmark, specs []PolicySpec, n int, seed uint64, opt R
 		}, pols[i])
 	}
 	g := b.Generator(LLCSets, 1, seed)
-	skip := min(int(opt.StartAccess), n)
-	for i := Warmup(n) + skip; i > 0; i-- {
+	for i := Warmup(n); i > 0; i-- {
 		a := g.Next()
 		for _, c := range caches {
 			c.Access(a)
@@ -250,19 +241,12 @@ func RunMany(b workload.Benchmark, specs []PolicySpec, n int, seed uint64, opt R
 	}
 	for i, c := range caches {
 		c.Stats = cache.Stats{}
-		opt.Telemetry.attach(c, pols[i], 1)
+		tel.attach(c, pols[i], 1)
 	}
-	every := opt.ProgressEvery
-	if opt.OnProgress == nil {
-		every = 0
-	}
-	for i := skip; i < n; i++ {
+	for i := 0; i < n; i++ {
 		a := g.Next()
 		for _, c := range caches {
 			c.Access(a)
-		}
-		if done := uint64(i + 1); every > 0 && done%every == 0 {
-			opt.OnProgress(done)
 		}
 	}
 	out := make([]RunResult, len(specs))
@@ -332,21 +316,6 @@ func (opt TelemetryOptions) attach(c *cache.Cache, pol cache.Policy, cores int) 
 		extra = opt.Attach(c, pol)
 	}
 	c.SetMonitor(telemetry.Multi(tap, extra))
-}
-
-// RunOptions configures an observed, resumable run.
-type RunOptions struct {
-	// Telemetry configures the run's observability pipeline.
-	Telemetry TelemetryOptions
-	// StartAccess resumes the measured window at this offset: the skipped
-	// prefix is replayed unmeasured to rebuild cache state (generators are
-	// deterministic), and only the remaining window is measured.
-	StartAccess uint64
-	// OnProgress, when non-nil, is called every ProgressEvery measured
-	// accesses with the absolute measured offset — the checkpoint-save
-	// hook. ProgressEvery == 0 disables it.
-	OnProgress    func(done uint64)
-	ProgressEvery uint64
 }
 
 // table starts an aligned text table on w.

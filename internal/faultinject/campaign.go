@@ -138,24 +138,20 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	specs := []experiments.PolicySpec{spec}
 	runs := []func(){
 		func() {
-			clean = experiments.RunMany(cfg.Bench, specs, cfg.Accesses, cfg.Seed, experiments.RunOptions{
-				Telemetry: experiments.TelemetryOptions{
-					Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
-						cleanChk = NewChecker(pdpOf(pol))
-						return nil
-					},
+			clean = experiments.RunMany(cfg.Bench, specs, cfg.Accesses, cfg.Seed, experiments.TelemetryOptions{
+				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
+					cleanChk = NewChecker(pdpOf(pol))
+					return nil
 				},
 			})[0]
 		},
 		func() {
-			faulty = experiments.RunMany(WrapBenchmark(cfg.Bench, traceSpec, rep), specs, cfg.Accesses, cfg.Seed, experiments.RunOptions{
-				Telemetry: experiments.TelemetryOptions{
-					Journal: cfg.Journal,
-					Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
-						p := pdpOf(pol)
-						faultyChk = NewChecker(p)
-						return NewPDPInjector(p, polSpec, rep)
-					},
+			faulty = experiments.RunMany(WrapBenchmark(cfg.Bench, traceSpec, rep), specs, cfg.Accesses, cfg.Seed, experiments.TelemetryOptions{
+				Journal: cfg.Journal,
+				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
+					p := pdpOf(pol)
+					faultyChk = NewChecker(p)
+					return NewPDPInjector(p, polSpec, rep)
 				},
 			})[0]
 		},

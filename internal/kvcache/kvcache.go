@@ -257,7 +257,6 @@ type Cache struct {
 	// recompute serialization + cross-epoch sampler stats accumulation.
 	rmu        sync.Mutex
 	recomputes atomic.Uint64
-	seq        uint64
 	smpAccs    uint64 // sampler accesses from closed epochs
 	smpHits    uint64
 
@@ -596,8 +595,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 	pd = min(max(pd, 1), c.cfg.DMax)
 	out.pd = pd
 	c.pd.Store(int64(pd))
-	c.recomputes.Add(1)
-	c.seq++
+	seq := c.recomputes.Add(1)
 	if c.cfg.Journal != nil {
 		// pd_move fires on every recompute — the attribution record an
 		// operator greps first: did the PD move, on how much evidence,
@@ -607,7 +605,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 		c.cfg.Journal.Append(telemetry.PDMoveRecord{
 			Kind:         telemetry.KindPDMove,
 			Access:       accesses,
-			Seq:          c.seq,
+			Seq:          seq,
 			OldPD:        old,
 			NewPD:        pd,
 			Moved:        out.moved,
@@ -623,7 +621,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 				Kind:     telemetry.KindPDRecompute,
 				Access:   accesses,
 				Policy:   "kvcache-pdp",
-				Seq:      c.seq,
+				Seq:      seq,
 				OldPD:    old,
 				NewPD:    pd,
 				RDD:      merged.Counts(),

@@ -260,13 +260,10 @@ func (s *Server) Start(ctx context.Context) error {
 		s.stops = append(s.stops, resilience.Every(ctx, s.cfg.SnapshotEvery, func(context.Context) { s.emitSnapshot() }))
 	}
 	if s.cfg.StatePath != "" {
-		saver := resilience.NewSaver(s.saveState, func(err error) {
-			s.serveError("", "", err)
-		})
-		// One request per period; the coalescing Saver serializes the writes
-		// and its Close persists the final snapshot.
+		// One save per period, then the final save once the job's stop has
+		// waited out an in-flight tick: the file has exactly one writer.
 		s.stops = append(s.stops,
-			resilience.Every(ctx, s.cfg.StateEvery, func(context.Context) { saver.Request() }), saver.Close)
+			resilience.Every(ctx, s.cfg.StateEvery, func(context.Context) { s.saveState() }), s.saveState)
 	}
 	s.stops = append(s.stops, adStop) // started first, stopped last
 	if s.cfg.Cluster != nil {
@@ -275,16 +272,15 @@ func (s *Server) Start(ctx context.Context) error {
 	return nil
 }
 
-// saveState persists one crash-safe cache snapshot (the Saver's save
-// closure; also run once more by its Close during Shutdown).
-func (s *Server) saveState() error {
-	err := servefault.SaveSnapshot(s.cache, s.cfg.StatePath, s.cfg.Journal)
-	if err != nil {
+// saveState persists one crash-safe cache snapshot (each state tick, and
+// once more during Shutdown), booking a failure as a serving error.
+func (s *Server) saveState() {
+	if err := servefault.SaveSnapshot(s.cache, s.cfg.StatePath, s.cfg.Journal); err != nil {
 		s.mSnapErrs.Inc()
-		return err
+		s.serveError("", "", err)
+		return
 	}
 	s.mSnaps.Inc()
-	return nil
 }
 
 // Addr returns the bound listen address (valid after Start).
@@ -309,7 +305,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, stop := range s.stops {
 		stop()
 	}
-	s.stops = nil // Saver.Close is not idempotent
+	s.stops = nil // a second Shutdown must not save the state again
 	err := s.httpSrv.Shutdown(ctx)
 	if ferr := s.cfg.Journal.Flush(); err == nil {
 		err = ferr

@@ -22,11 +22,9 @@ type RunMark struct {
 }
 
 // Checkpoint is the resumable state of a campaign: the set of completed
-// run ids (`repro -resume` skips them) and saved trace access offsets
-// (`pdpsim -resume` fast-forwards its deterministic generator past them).
-// Only trace positions are saved, never policy or cache state, so a resume
-// is policy-agnostic: any policy can pick up the remaining window. All
-// methods are safe for concurrent use.
+// run ids, which `repro -resume` skips. A finished run is the only resume
+// unit; an interrupted one reruns from its start. All methods are safe for
+// concurrent use.
 type Checkpoint struct {
 	mu sync.Mutex
 	d  checkpointData
@@ -52,9 +50,6 @@ type checkpointData struct {
 	Config RunConfig `json:"config,omitempty"`
 	// Completed maps run ids (experiment ids) to their completion marks.
 	Completed map[string]RunMark `json:"completed,omitempty"`
-	// Offsets maps resume keys (bench/window/seed) to the number of
-	// measured accesses already simulated.
-	Offsets map[string]uint64 `json:"offsets,omitempty"`
 }
 
 // NewCheckpoint returns an empty checkpoint.
@@ -62,7 +57,6 @@ func NewCheckpoint() *Checkpoint {
 	return &Checkpoint{d: checkpointData{
 		Version:   CheckpointVersion,
 		Completed: map[string]RunMark{},
-		Offsets:   map[string]uint64{},
 	}}
 }
 
@@ -77,9 +71,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	if d.Completed == nil {
 		d.Completed = map[string]RunMark{}
-	}
-	if d.Offsets == nil {
-		d.Offsets = map[string]uint64{}
 	}
 	return &Checkpoint{d: d}, nil
 }
@@ -157,27 +148,6 @@ func (c *Checkpoint) CompletedCount() int {
 	return len(c.d.Completed)
 }
 
-// Offset returns the saved access offset for key (0 when none).
-func (c *Checkpoint) Offset(key string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.d.Offsets[key]
-}
-
-// SetOffset records the access offset for key.
-func (c *Checkpoint) SetOffset(key string, off uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.d.Offsets[key] = off
-}
-
-// ClearOffset removes key's offset (the window completed).
-func (c *Checkpoint) ClearOffset(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.d.Offsets, key)
-}
-
 // Save writes the checkpoint atomically and durably (temp file + fsync +
 // rename + parent-directory fsync, via WriteFileAtomic), so a crash — or a
 // power cut — mid-save never corrupts or loses an existing checkpoint.
@@ -186,12 +156,6 @@ func (c *Checkpoint) Save(path string, journal *telemetry.Journal) error {
 	c.mu.Lock()
 	data, err := json.MarshalIndent(c.d, "", "  ")
 	completed := len(c.d.Completed)
-	var off uint64
-	for _, v := range c.d.Offsets {
-		if v > off {
-			off = v
-		}
-	}
 	c.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -202,14 +166,7 @@ func (c *Checkpoint) Save(path string, journal *telemetry.Journal) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	journal.Append(telemetry.CheckpointRecord{
-		Kind: telemetry.KindCheckpoint, Path: path, Completed: completed, Offset: off,
+		Kind: telemetry.KindCheckpoint, Path: path, Completed: completed,
 	})
 	return nil
-}
-
-// RunKey builds the policy-agnostic resume key of a simulation window:
-// the benchmark, window length and seed fully determine the deterministic
-// access stream, so any policy can resume from the saved offset.
-func RunKey(bench string, n int, seed uint64) string {
-	return fmt.Sprintf("%s/n=%d/seed=%d", bench, n, seed)
 }

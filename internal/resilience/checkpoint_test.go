@@ -14,7 +14,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	c := NewCheckpoint()
 	c.MarkDone("fig10", 2*time.Second)
 	c.MarkDone("tab2", 500*time.Millisecond)
-	c.SetOffset(RunKey("436.cactusADM", 1_000_000, 42), 300_000)
 
 	j := telemetry.NewJournal(8)
 	if err := c.Save(path, j); err != nil {
@@ -33,17 +32,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if got.CompletedCount() != 2 {
 		t.Fatalf("CompletedCount = %d, want 2", got.CompletedCount())
-	}
-	if off := got.Offset(RunKey("436.cactusADM", 1_000_000, 42)); off != 300_000 {
-		t.Fatalf("Offset = %d, want 300000", off)
-	}
-	if off := got.Offset("other"); off != 0 {
-		t.Fatalf("unknown key Offset = %d, want 0", off)
-	}
-
-	got.ClearOffset(RunKey("436.cactusADM", 1_000_000, 42))
-	if got.Offset(RunKey("436.cactusADM", 1_000_000, 42)) != 0 {
-		t.Fatal("ClearOffset did not clear")
 	}
 }
 
@@ -70,6 +58,37 @@ func TestCheckpointResumeSkipsCompletedIDs(t *testing.T) {
 	}
 	if len(ran) != 1 || ran[0] != "fig2" {
 		t.Fatalf("resume ran %v, want only fig2", ran)
+	}
+}
+
+// TestLegacyCheckpointIsSafeToResume decodes a file in the format that
+// keyed completions by "<id>/n=<n>/seed=<s>" and carried trace offsets: it
+// still loads, and under its own config none of its keys marks a bare
+// experiment id done, so a resume reruns every experiment rather than
+// skipping one wrongly.
+func TestLegacyCheckpointIsSafeToResume(t *testing.T) {
+	legacy := []byte(`{
+  "version": 1,
+  "config": {"accesses": 50000, "mc_accesses_per_thread": 20000, "mixes4": 20, "mixes16": 8, "seed": 42},
+  "completed": {
+    "tab2/n=50000/seed=42": {"seconds": 0.4, "unix_sec": 1760000000},
+    "fig5b/n=50000/seed=42": {"seconds": 1.2, "unix_sec": 1760000001}
+  },
+  "offsets": {"436.cactusADM/PDP-8/n=1000000/seed=42": 300000}
+}
+`)
+	c, err := DecodeCheckpoint(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := RunConfig{Accesses: 50000, MCAccessesPerThread: 20000, Mixes4: 20, Mixes16: 8, Seed: 42}
+	if ok, why := c.ConfigMatches(rc); !ok {
+		t.Fatalf("legacy config rejected: %s", why)
+	}
+	for _, id := range []string{"tab2", "fig5b"} {
+		if c.Done(id) {
+			t.Fatalf("legacy key marks %s done", id)
+		}
 	}
 }
 
@@ -124,6 +143,55 @@ func TestCheckpointSaveIsAtomic(t *testing.T) {
 	}
 }
 
+func TestCheckpointConfigMatch(t *testing.T) {
+	rc := RunConfig{Accesses: 1000, MCAccessesPerThread: 400, Mixes4: 2, Mixes16: 1, Seed: 42}
+	ck := NewCheckpoint()
+
+	// Unrecorded config (pre-config checkpoints, fresh checkpoints)
+	// matches anything.
+	if ok, _ := ck.ConfigMatches(rc); !ok {
+		t.Fatal("zero recorded config must match")
+	}
+
+	ck.SetConfig(rc)
+	if ok, why := ck.ConfigMatches(rc); !ok {
+		t.Fatalf("identical config rejected: %s", why)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(RunConfig) RunConfig
+	}{
+		{"accesses", func(c RunConfig) RunConfig { c.Accesses++; return c }},
+		{"mc-accesses", func(c RunConfig) RunConfig { c.MCAccessesPerThread++; return c }},
+		{"mixes4", func(c RunConfig) RunConfig { c.Mixes4++; return c }},
+		{"mixes16", func(c RunConfig) RunConfig { c.Mixes16++; return c }},
+		{"seed", func(c RunConfig) RunConfig { c.Seed++; return c }},
+	} {
+		if ok, why := ck.ConfigMatches(tc.mut(rc)); ok {
+			t.Fatalf("%s mismatch accepted", tc.name)
+		} else if why == "" {
+			t.Fatalf("%s mismatch has no reason", tc.name)
+		}
+	}
+
+	// The config survives the save/load round trip.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.json")
+	if err := ck.Save(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := loaded.ConfigMatches(rc); !ok {
+		t.Fatalf("round-tripped config rejected: %s", why)
+	}
+	if ok, _ := loaded.ConfigMatches(RunConfig{Accesses: 9}); ok {
+		t.Fatal("round-tripped config matched a different run")
+	}
+}
+
 // FuzzDecodeCheckpoint ensures arbitrary bytes never crash the decoder:
 // every input either parses to a valid checkpoint or returns an error.
 func FuzzDecodeCheckpoint(f *testing.F) {
@@ -139,8 +207,6 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		// A decoded checkpoint must be fully usable.
 		c.Done("x")
 		c.MarkDone("x", time.Second)
-		c.Offset("y")
-		c.SetOffset("y", 1)
 		if !c.Done("x") {
 			t.Fatal("MarkDone lost on decoded checkpoint")
 		}

@@ -6,37 +6,31 @@ import (
 	"pdp/internal/trace"
 )
 
-// DefaultGuardEvery is the cancellation-check stride of GuardGenerator in
+// guardEvery is the cancellation-check stride of GuardGenerator in
 // accesses: frequent enough that a cancelled multi-million-access window
 // stops within milliseconds, rare enough to stay off the hot path.
-const DefaultGuardEvery = 4096
+const guardEvery = 4096
 
-// guardedGen wraps a trace.Generator with periodic context checks and
-// heartbeat reporting.
+// guardedGen wraps a trace.Generator with periodic context checks.
 type guardedGen struct {
-	g     trace.Generator
-	ctx   context.Context
-	hb    *Heartbeat
-	every int
-	n     int64
+	g   trace.Generator
+	ctx context.Context
+	n   int64
 }
 
-// GuardGenerator wraps g so that every `every` generated accesses (<= 0
-// selects DefaultGuardEvery) the run's context is checked and a heartbeat
-// is reported. When the context is cancelled the generator aborts the run
-// by panicking with an internal sentinel that Supervisor.Run converts back
-// into the context's error — the cooperative-cancellation seam that lets
-// watchdog timeouts and SIGINT interrupt access loops deep inside the
-// experiments runner without threading a context through every layer.
-// Guarded generators must therefore run under Supervisor.Run.
-func GuardGenerator(ctx context.Context, g trace.Generator, every int, hb *Heartbeat) trace.Generator {
+// GuardGenerator wraps g so that every guardEvery generated accesses the
+// run's context is checked. When the context is cancelled the generator
+// aborts the run by panicking with an internal sentinel that
+// Supervisor.Run converts back into the context's error — the
+// cooperative-cancellation seam that lets watchdog timeouts and SIGINT
+// interrupt access loops deep inside the experiments runner without
+// threading a context through every layer. Guarded generators must
+// therefore run under Supervisor.Run.
+func GuardGenerator(ctx context.Context, g trace.Generator) trace.Generator {
 	if ctx == nil {
 		return g
 	}
-	if every <= 0 {
-		every = DefaultGuardEvery
-	}
-	return &guardedGen{g: g, ctx: ctx, hb: hb, every: every}
+	return &guardedGen{g: g, ctx: ctx}
 }
 
 // Name implements trace.Generator.
@@ -48,11 +42,10 @@ func (g *guardedGen) Reset() { g.g.Reset() }
 // Next implements trace.Generator.
 func (g *guardedGen) Next() trace.Access {
 	g.n++
-	if g.n%int64(g.every) == 0 {
+	if g.n%guardEvery == 0 {
 		if err := g.ctx.Err(); err != nil {
 			panic(cancelAbort{err: err})
 		}
-		g.hb.Beat(g.n)
 	}
 	return g.g.Next()
 }

@@ -1,9 +1,9 @@
 // Package resilience is the supervised run harness of the simulator: it
 // runs each experiment or simulation under panic recovery (converted to
-// errors with the captured stack), a per-run watchdog timeout fed by
-// progress heartbeats, SIGINT/SIGTERM graceful shutdown, retry with
-// exponential backoff for transient failures, and a JSON checkpoint so
-// long campaigns can resume where they stopped.
+// errors with the captured stack), a per-run watchdog timeout,
+// SIGINT/SIGTERM graceful shutdown, retry with exponential backoff for
+// transient failures, and a JSON checkpoint of finished runs so long
+// campaigns can resume where they stopped.
 //
 // The PDP paper's mechanisms degrade gracefully by construction — the
 // sampler sees 1-in-M accesses, counters saturate, RPDs live in n_c bits —
@@ -37,15 +37,9 @@ type WatchdogError struct {
 	Name string
 	// Timeout is the configured bound.
 	Timeout time.Duration
-	// LastBeat is the run's last heartbeat progress value, -1 when the run
-	// never reported progress.
-	LastBeat int64
 }
 
 // Error implements error.
 func (e *WatchdogError) Error() string {
-	if e.LastBeat < 0 {
-		return fmt.Sprintf("%s: watchdog timeout after %v (no progress reported)", e.Name, e.Timeout)
-	}
-	return fmt.Sprintf("%s: watchdog timeout after %v (last progress %d)", e.Name, e.Timeout, e.LastBeat)
+	return fmt.Sprintf("%s: watchdog timeout after %v", e.Name, e.Timeout)
 }

@@ -31,8 +31,8 @@ func TestSIGINTFlushesPartialState(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		syscall.Kill(syscall.Getpid(), syscall.SIGINT)
 	}()
-	out := s.Run(ctx, "interrupted", func(ctx context.Context, hb *Heartbeat) error {
-		g := GuardGenerator(ctx, &loopGen{}, 512, hb)
+	out := s.Run(ctx, "interrupted", func(ctx context.Context) error {
+		g := GuardGenerator(ctx, &loopGen{})
 		for {
 			g.Next()
 		}

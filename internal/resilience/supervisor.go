@@ -4,41 +4,10 @@ import (
 	"context"
 	"errors"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"pdp/internal/telemetry"
 )
-
-// Heartbeat carries progress reports from a supervised task to its
-// watchdog. Tasks call Beat with a monotonically growing progress value
-// (measured accesses for simulator runs); the supervisor includes the last
-// beat in watchdog reports. All methods are safe for concurrent use and on
-// a nil receiver.
-type Heartbeat struct {
-	v atomic.Int64
-}
-
-func newHeartbeat() *Heartbeat {
-	h := &Heartbeat{}
-	h.v.Store(-1)
-	return h
-}
-
-// Beat records progress.
-func (h *Heartbeat) Beat(progress int64) {
-	if h != nil {
-		h.v.Store(progress)
-	}
-}
-
-// Last returns the most recent progress value, -1 when none was reported.
-func (h *Heartbeat) Last() int64 {
-	if h == nil {
-		return -1
-	}
-	return h.v.Load()
-}
 
 // Supervisor runs tasks under panic recovery and an optional watchdog
 // timeout, journaling lifecycle, watchdog and recovery events.
@@ -80,10 +49,10 @@ func (o Outcome) Failed() bool { return o.Err != nil }
 type cancelAbort struct{ err error }
 
 // Run executes fn under supervision: a per-run context carrying the
-// watchdog timeout, panic recovery, and heartbeat plumbing. fn must either
-// honor ctx cancellation or drive its access loop through a generator
-// wrapped by GuardGenerator, which aborts cooperatively.
-func (s *Supervisor) Run(ctx context.Context, name string, fn func(ctx context.Context, hb *Heartbeat) error) Outcome {
+// watchdog timeout, and panic recovery. fn must either honor ctx
+// cancellation or drive its access loop through a generator wrapped by
+// GuardGenerator, which aborts cooperatively.
+func (s *Supervisor) Run(ctx context.Context, name string, fn func(ctx context.Context) error) Outcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -93,7 +62,6 @@ func (s *Supervisor) Run(ctx context.Context, name string, fn func(ctx context.C
 	}
 	defer cancel()
 
-	hb := newHeartbeat()
 	start := time.Now()
 	s.journal(telemetry.RunStatusRecord{Kind: telemetry.KindRunStatus, Name: name, Status: "start"})
 
@@ -108,7 +76,7 @@ func (s *Supervisor) Run(ctx context.Context, name string, fn func(ctx context.C
 				done <- &PanicError{Value: r, Stack: debug.Stack()}
 			}
 		}()
-		done <- fn(runCtx, hb)
+		done <- fn(runCtx)
 	}()
 
 	var err error
@@ -135,10 +103,9 @@ func (s *Supervisor) Run(ctx context.Context, name string, fn func(ctx context.C
 	// cancellation error.
 	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		out.TimedOut = true
-		out.Err = &WatchdogError{Name: name, Timeout: s.Timeout, LastBeat: hb.Last()}
+		out.Err = &WatchdogError{Name: name, Timeout: s.Timeout}
 		s.journal(telemetry.WatchdogRecord{
-			Kind: telemetry.KindWatchdog, Name: name,
-			TimeoutSec: s.Timeout.Seconds(), LastBeat: hb.Last(),
+			Kind: telemetry.KindWatchdog, Name: name, TimeoutSec: s.Timeout.Seconds(),
 		})
 	}
 	var pe *PanicError

@@ -14,8 +14,7 @@ import (
 func TestRunSuccess(t *testing.T) {
 	j := telemetry.NewJournal(16)
 	s := &Supervisor{Journal: j}
-	out := s.Run(context.Background(), "ok", func(ctx context.Context, hb *Heartbeat) error {
-		hb.Beat(42)
+	out := s.Run(context.Background(), "ok", func(ctx context.Context) error {
 		return nil
 	})
 	if out.Failed() {
@@ -29,7 +28,7 @@ func TestRunSuccess(t *testing.T) {
 func TestRunRecoversPanic(t *testing.T) {
 	j := telemetry.NewJournal(16)
 	s := &Supervisor{Journal: j}
-	out := s.Run(context.Background(), "boom", func(ctx context.Context, hb *Heartbeat) error {
+	out := s.Run(context.Background(), "boom", func(ctx context.Context) error {
 		panic("victim selection exploded")
 	})
 	var pe *PanicError
@@ -50,8 +49,7 @@ func TestRunRecoversPanic(t *testing.T) {
 func TestRunWatchdogTimeout(t *testing.T) {
 	j := telemetry.NewJournal(16)
 	s := &Supervisor{Timeout: 30 * time.Millisecond, Journal: j}
-	out := s.Run(context.Background(), "slow", func(ctx context.Context, hb *Heartbeat) error {
-		hb.Beat(7)
+	out := s.Run(context.Background(), "slow", func(ctx context.Context) error {
 		<-ctx.Done() // cooperative: unwind when the watchdog fires
 		return ctx.Err()
 	})
@@ -62,9 +60,6 @@ func TestRunWatchdogTimeout(t *testing.T) {
 	if !out.TimedOut || out.Abandoned {
 		t.Fatalf("outcome = %+v, want TimedOut and not Abandoned", out)
 	}
-	if we.LastBeat != 7 {
-		t.Fatalf("LastBeat = %d, want 7", we.LastBeat)
-	}
 	if j.CountKind(telemetry.KindWatchdog) != 1 {
 		t.Fatal("watchdog event not journaled")
 	}
@@ -74,7 +69,7 @@ func TestRunWatchdogAbandonsStuckTask(t *testing.T) {
 	s := &Supervisor{Timeout: 20 * time.Millisecond, Grace: 20 * time.Millisecond}
 	block := make(chan struct{})
 	defer close(block)
-	out := s.Run(context.Background(), "stuck", func(ctx context.Context, hb *Heartbeat) error {
+	out := s.Run(context.Background(), "stuck", func(ctx context.Context) error {
 		<-block // ignores ctx entirely
 		return nil
 	})
@@ -94,7 +89,7 @@ func TestRunParentCancelIsNotWatchdog(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	out := s.Run(ctx, "shutdown", func(ctx context.Context, hb *Heartbeat) error {
+	out := s.Run(ctx, "shutdown", func(ctx context.Context) error {
 		<-ctx.Done()
 		return ctx.Err()
 	})
@@ -115,8 +110,8 @@ func (g *loopGen) Next() trace.Access { g.n++; return trace.Access{Addr: g.n * 6
 
 func TestGuardGeneratorAbortsCancelledRun(t *testing.T) {
 	s := &Supervisor{Timeout: 25 * time.Millisecond}
-	out := s.Run(context.Background(), "guarded", func(ctx context.Context, hb *Heartbeat) error {
-		g := GuardGenerator(ctx, &loopGen{}, 1024, hb)
+	out := s.Run(context.Background(), "guarded", func(ctx context.Context) error {
+		g := GuardGenerator(ctx, &loopGen{})
 		for { // hot access loop with no explicit ctx checks
 			g.Next()
 		}
@@ -128,13 +123,10 @@ func TestGuardGeneratorAbortsCancelledRun(t *testing.T) {
 	if out.Abandoned {
 		t.Fatal("guarded run should unwind cooperatively, not be abandoned")
 	}
-	if we.LastBeat < 0 {
-		t.Fatal("guarded generator reported no heartbeat")
-	}
 }
 
 func TestGuardGeneratorPassThrough(t *testing.T) {
-	g := GuardGenerator(context.Background(), &loopGen{}, 2, nil)
+	g := GuardGenerator(context.Background(), &loopGen{})
 	if g.Name() != "loop" {
 		t.Fatalf("Name = %q", g.Name())
 	}

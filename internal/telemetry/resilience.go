@@ -17,8 +17,7 @@ const (
 	// KindRunStatus records supervised-run lifecycle transitions
 	// (start/done/failed/skipped).
 	KindRunStatus = "run_status"
-	// KindCheckpoint records a checkpoint save (completed-run set and/or
-	// trace offset).
+	// KindCheckpoint records a checkpoint save (the completed-run set).
 	KindCheckpoint = "checkpoint"
 )
 
@@ -47,9 +46,6 @@ type WatchdogRecord struct {
 	Name string `json:"name"`
 	// TimeoutSec is the configured watchdog timeout in seconds.
 	TimeoutSec float64 `json:"timeout_sec"`
-	// LastBeat reports the run's last progress heartbeat (its unit is the
-	// run's own: measured accesses for simulator runs), -1 when none.
-	LastBeat int64 `json:"last_beat"`
 }
 
 // RecordKind implements Record.
@@ -93,8 +89,6 @@ type CheckpointRecord struct {
 	Path string `json:"path,omitempty"`
 	// Completed is the number of completed run ids recorded.
 	Completed int `json:"completed"`
-	// Offset is the saved trace access offset (0 when none).
-	Offset uint64 `json:"offset,omitempty"`
 }
 
 // RecordKind implements Record.
