@@ -114,9 +114,12 @@ serve-smoke:
 bench-overhead:
 	$(GO) test -count=1 -run TestMiddlewareOverheadBudget -v ./internal/kvserver/
 
-# Allocation budget guard: GET <= 1 alloc/op (0 for GetAppend/miss),
-# PUT <= 2 (0 expected), ExecBatch <= 1/op, the /batch handler <= 1.5/op
-# (the keys), best-of-three against background noise.
+# Allocation budget guard, best-of-three against background noise:
+# TestGetAllocBudget, Get hit <= 1 alloc/op, GetAppend hit and miss 0;
+# TestPutAllocBudget, Put 0 for update, same-size churn, five-size churn
+# and a denied fill; TestExecBatchAllocBudget <= 1/op;
+# TestBatchHandlerAllocBudget, /batch <= 1.5/op (the keys);
+# TestKVHandlerAllocBudget, /kv/ GET hit 2, GET miss 4, 256 B PUT 0.
 bench-alloc:
 	$(GO) test -count=1 -run 'AllocBudget' -v ./internal/kvcache/ ./internal/kvserver/
 

@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -128,12 +129,15 @@ func BenchmarkHotPathPutChurn(b *testing.B) {
 // a mixed 90/10 get/put workload under RunParallel across shard counts.
 // Run with -cpu 1,2,4 to sweep GOMAXPROCS — goroutine parallelism and the
 // sampled watchdog are per shard, so ns/op should fall as shards stop
-// being shared between running workers. The plain inputs cycle 1024 keys,
-// which mostly hit. The churn/ inputs cycle twice the capacity
+// being shared between running workers. The plain inputs cycle 1024 keys
+// of 128 B, which mostly hit. The churn/ inputs cycle twice the capacity
 // cache-aside, as the benchmark's cache_read clients do: a GET that misses
 // is followed by a PUT of the key, so about half the ops are fills, and
-// every fill evicts or is denied — the copy-in, the freelist and the
-// decision record on the path.
+// every fill evicts or is denied — the copy-in, the size-class freelists
+// and the decision record on the path. Their values are 64 to 1024 B by
+// key, the benchmark's mix, so a fill's class rarely matches its
+// victim's; they report the live heap per stored value byte
+// (heap_B/value_B), cache and keys included.
 func BenchmarkShardsSweep(b *testing.B) {
 	for _, churn := range []bool{false, true} {
 		for _, shards := range []int{1, 4, 16, 64} {
@@ -142,18 +146,25 @@ func BenchmarkShardsSweep(b *testing.B) {
 				name, n = "churn/"+name, 2*shards*64*8
 			}
 			b.Run(name, func(b *testing.B) {
+				base := liveHeap()
 				c, err := New(benchConfig(PolicyPDP, shards))
 				if err != nil {
 					b.Fatal(err)
 				}
-				keys := benchKeys(b, c, n, 128)
-				val := make([]byte, 128)
+				keys, vals := benchKeys(b, c, n, 128), make([][]byte, n)
+				for i := range vals {
+					vals[i] = make([]byte, 128)
+					if churn {
+						vals[i] = make([]byte, 64<<(hash(keys[i])%5))
+						c.Put(keys[i], vals[i])
+					}
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
 					i := 0
 					for pb.Next() {
-						k := keys[i%len(keys)]
+						k, val := keys[i%len(keys)], vals[i%len(keys)]
 						switch {
 						case churn:
 							if _, ok := c.Get(k); !ok {
@@ -167,9 +178,20 @@ func BenchmarkShardsSweep(b *testing.B) {
 						i++
 					}
 				})
+				if b.StopTimer(); churn {
+					b.ReportMetric(float64(liveHeap()-base)/float64(c.Stats().Bytes), "heap_B/value_B")
+				}
 			})
 		}
 	}
+}
+
+// liveHeap returns the bytes of heap live after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // bestOfAllocs runs testing.AllocsPerRun three times and returns the
@@ -222,10 +244,16 @@ func TestGetAllocBudget(t *testing.T) {
 }
 
 // TestPutAllocBudget pins the PUT hot path's allocation budget at zero in
-// both steady states (update-in-place and fill+evict churn) — the copy
-// goes into a buffer off the shard freelist and the displaced one goes
-// back — and for a denied fill, which copies nothing and leaves the
-// freelist as it found it.
+// its steady states — update-in-place, same-size fill+evict churn, and
+// churn over five sizes cycling by key (64 B to 1 KiB): an update of the
+// same size class copies over the old value, and a fill copies into a
+// buffer off its class's stack after its victim's went back to its own.
+// The mixed case measures 0 allocations over a whole 16384-put cycle after
+// two warm-up cycles: the cycle repeats, each class's stack swings between
+// 0 and 26 buffers over it, below the 64 a stack may park, so once the
+// first cycle has allocated what the swing needs, no buffer is dropped and
+// no fill allocates. A denied fill copies nothing and leaves the class
+// stack as it found it.
 func TestPutAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
@@ -257,6 +285,23 @@ func TestPutAllocBudget(t *testing.T) {
 		t.Errorf("Put(churn) allocates %.2f/op, budget 0", got)
 	}
 
+	mixed, err := New(benchConfig(PolicyLRU, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, 1024)
+	mkeys := benchKeys(t, mixed, 2*16*64*8, 0)
+	mixedPut := func(i int) { mixed.Put(mkeys[i%len(mkeys)], big[:64<<(i%len(mkeys)%5)]) }
+	for i = 0; i < 2*len(mkeys); i++ {
+		mixedPut(i) // two churn cycles at the mixed sizes
+	}
+	if got := bestOfAllocs(len(mkeys), func() {
+		mixedPut(i)
+		i++
+	}); got > 0 {
+		t.Errorf("Put(mixed churn) allocates %.4f/op, budget 0", got)
+	}
+
 	// A PD far above the traffic keeps both lines of the one set protected,
 	// so every fill of a third key is denied.
 	full, err := New(Config{Policy: PolicyPDP, Shards: 1, Sets: 1, Ways: 2, DefaultPD: 64, RecomputeEvery: 1 << 30})
@@ -266,9 +311,10 @@ func TestPutAllocBudget(t *testing.T) {
 	k := fillKeys(3)
 	full.Put(k[0], val)
 	full.Put(k[1], val)
-	full.Put(k[0], val) // the update parks k[0]'s first buffer
-	sh := full.shards[0]
-	parked := len(sh.free)
+	full.Put(k[0], val[:64]) // the update to another class parks k[0]'s first buffer
+	class, _ := sizeClass(len(val))
+	stack := &full.shards[0].free[class]
+	parked := len(*stack)
 	if got := bestOfAllocs(200, func() {
 		if full.Put(k[2], val) {
 			t.Fatal("fully protected set admitted a fill")
@@ -276,7 +322,7 @@ func TestPutAllocBudget(t *testing.T) {
 	}); got > 0 {
 		t.Errorf("Put(denied) allocates %.2f/op, budget 0", got)
 	}
-	if len(sh.free) != parked || parked != 1 {
-		t.Errorf("denied fills moved the freelist: %d parked, %d before", len(sh.free), parked)
+	if len(*stack) != parked || parked != 1 {
+		t.Errorf("denied fills moved the value's class stack: %d parked, %d before", len(*stack), parked)
 	}
 }

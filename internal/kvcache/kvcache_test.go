@@ -115,6 +115,72 @@ func TestByteBudgetDeniesAndEvicts(t *testing.T) {
 	}
 }
 
+// TestValueBufferSlack holds every value buffer to its size class through
+// mixed-size churn: values of 1 B to 4 KiB by key, resized by updates,
+// deleted, and squeezed by a byte budget that binds. CheckInvariants (and
+// so every test and fuzz target that calls it) fails a resident value
+// whose buffer is not exactly its class size, or a class stack deeper than
+// freeDepth.
+func TestValueBufferSlack(t *testing.T) {
+	c, err := New(Config{Shards: 2, Sets: 32, Ways: 4, MaxBytes: 48 << 10, DefaultPD: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 4<<10)
+	for i := 0; i < 30000; i++ {
+		k := i * 7919 % 1500
+		key := fmt.Sprintf("k%d", k)
+		size := 1 + (k+i/6000)*2654435761%len(val) // a key's size changes every 6000 ops
+		switch {
+		case i%10 == 9:
+			c.Delete(key)
+		case i%3 == 0:
+			c.Put(key, val[:size])
+		default:
+			if _, ok := c.Get(key); !ok {
+				c.Put(key, val[:size])
+			}
+		}
+		if i%1000 == 999 {
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
+	if st := c.Stats(); st.Denies == 0 || st.Bytes < 64<<10 {
+		t.Fatalf("the byte budget never bound: %+v", st)
+	}
+
+	// A value above the largest class lives in a buffer of exactly its
+	// length and is never parked; an emptied cache parks at most freeDepth
+	// buffers of a class.
+	flat, _ := New(Config{Shards: 1, Sets: 64, Ways: 4})
+	keys := []string{"big"}
+	flat.Put("big", make([]byte, maxClassBytes+1))
+	flat.Put("big", make([]byte, maxClassBytes+2)) // a new exact buffer; the old one goes
+	for i := 0; i < 2*freeDepth; i++ {
+		keys = append(keys, fmt.Sprintf("f%d", i))
+		flat.Put(keys[i+1], val[:100])
+	}
+	if err := flat.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		flat.Delete(k)
+	}
+	if err := flat.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c100, _ := sizeClass(100)
+	parked := 0
+	for _, st := range flat.shards[0].free {
+		parked += len(st)
+	}
+	if n := len(flat.shards[0].free[c100]); n != freeDepth || parked != freeDepth {
+		t.Fatalf("emptied cache parks %d buffers, %d of the 100-byte class; want %d of it and none else", parked, n, freeDepth)
+	}
+}
+
 func TestNonPowerOfTwoGeometry(t *testing.T) {
 	c, err := New(Config{Shards: 3, Sets: 48, Ways: 5})
 	if err != nil {

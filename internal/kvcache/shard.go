@@ -1,6 +1,8 @@
 package kvcache
 
 import (
+	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -57,10 +59,6 @@ type shard struct {
 	st ShardStats
 	_  [64]byte
 
-	// Value-buffer freelist: displaced buffers (updates, evictions,
-	// deletes) parked for reuse by the next copy-in, so steady-state PUTs
-	// allocate nothing.
-	free [][]byte
 	// dec is this shard's share of the decision log, a ring indexed by the
 	// ledger's decision count (see decided); empty when the log is off.
 	dec []Decision
@@ -82,6 +80,33 @@ type shard struct {
 	holdWarn  time.Duration
 	holdEvery int
 	holdCount int
+
+	// Value-buffer freelists, one stack per size class, of displaced
+	// buffers parked for the next copy-in of their class, so steady-state
+	// PUTs allocate nothing. Last, behind the fields every operation reads.
+	free [numClasses][][]byte
+}
+
+// Value buffers come in size classes, four per power of two: n bytes live
+// in a buffer of n rounded up to a quarter-octave, under 1.25 n (16 B for
+// n <= 16). A value over the largest class, the serving layer's default
+// MaxValueBytes, gets exactly n bytes and is never parked.
+const (
+	maxClassBytes = 1 << 20
+	numClasses    = 65 // 16 B, then four per octave up to maxClassBytes
+	freeDepth     = 64
+)
+
+// sizeClass returns n's class and that class's buffer size, or -1 and n
+// for a value too large to class.
+func sizeClass(n int) (class, size int) {
+	if n > maxClassBytes {
+		return -1, n
+	}
+	m := max(n, 16) - 1
+	k := bits.Len(uint(m)) - 1 // 2^k <= m < 2^(k+1), k >= 3
+	q := m >> (k - 2)          // 4..7: the quarter-octave m falls in
+	return 4*k + q - 19, (q + 1) << (k - 2)
 }
 
 func newShard(cfg *Config, id int, recompute func()) *shard {
@@ -121,32 +146,32 @@ func newShard(cfg *Config, id int, recompute func()) *shard {
 	return sh
 }
 
-// copyIn returns an owned copy of val for the store, in a parked buffer
-// when the freelist's top one is large enough. Called under mu: the copy
-// is the PUT's twin of get's copy-out.
-func (sh *shard) copyIn(val []byte) []byte {
-	var b []byte
-	if l := len(sh.free); l > 0 {
-		b, sh.free[l-1] = sh.free[l-1], nil
-		sh.free = sh.free[:l-1]
+// copyIn returns an owned copy of val for the store, in a buffer of val's
+// size class: old, the value it replaces (nil for a fill), when that is of
+// the class, so a same-class update touches no freelist; else a parked one
+// after old is parked; else a new one. Called under mu: the copy is the
+// PUT's twin of get's copy-out.
+func (sh *shard) copyIn(val, old []byte) []byte {
+	c, size := sizeClass(len(val))
+	if cap(old) == size {
+		return append(old[:0], val...)
 	}
-	if cap(b) < len(val) {
-		// None parked, or too small for this value: let that one go rather
-		// than cycling it back under every future caller's feet.
-		b = make([]byte, len(val))
+	sh.freeBuf(old)
+	if c < 0 || len(sh.free[c]) == 0 {
+		return append(make([]byte, 0, size), val...)
 	}
-	b = b[:len(val)]
-	copy(b, val)
-	return b
+	st := sh.free[c]
+	b := st[len(st)-1]
+	st[len(st)-1], sh.free[c] = nil, st[:len(st)-1]
+	return append(b[:0], val...)
 }
 
-// freeBuf parks a displaced value buffer for reuse, under mu. The append
-// never allocates once the freelist has grown to its bound — one parked
-// buffer per line, so an emptied cache does not pin its former working
-// set forever.
+// freeBuf parks a displaced value buffer (capacity: its class size) on its
+// class's stack, under mu. A full stack, like an unclassed buffer, lets it
+// go: an emptied cache pins at most freeDepth buffers per class.
 func (sh *shard) freeBuf(b []byte) {
-	if b != nil && len(sh.free) < len(sh.valid) {
-		sh.free = append(sh.free, b)
+	if c, size := sizeClass(cap(b)); c >= 0 && size == cap(b) && len(sh.free[c]) < freeDepth {
+		sh.free[c] = append(sh.free[c], b)
 	}
 }
 
@@ -256,8 +281,8 @@ func (sh *shard) getLocked(h uint64, key string, pd int, dst []byte) ([]byte, bo
 
 // put stores a copy of val, made under the lock into a recycled buffer
 // (the caller keeps val), and reports whether it was admitted. Displaced
-// buffers (update-in-place, evictions) are parked on the freelist; a
-// denied fill copies nothing.
+// buffers (evictions, updates that change size class) are parked on their
+// class's freelist; a denied fill copies nothing.
 func (sh *shard) put(h uint64, key string, val []byte, pd int) bool {
 	defer sh.exitLocked(sh.enter(1))
 	return sh.putLocked(h, key, val, pd)
@@ -271,7 +296,7 @@ func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) bool {
 
 	if w := sh.find(set, h, key); w >= 0 {
 		// Update in place: resident keys are always writable.
-		sh.freeBuf(sh.replace(set, w, sh.copyIn(val)))
+		sh.replace(set, w, sh.copyIn(val, sh.value(set, w)))
 		sh.pol.hit(set, w, h, pd)
 		return true
 	}
@@ -303,7 +328,7 @@ func (sh *shard) putLocked(h uint64, key string, val []byte, pd int) bool {
 	}
 
 	// The copy comes last, so it reuses the buffer an eviction just parked.
-	sh.install(set, w, h, key, sh.copyIn(val))
+	sh.install(set, w, h, key, sh.copyIn(val, nil))
 	sh.pol.fill(set, w, pd)
 	sh.st.Inserts++
 	return true
@@ -377,6 +402,20 @@ func (sh *shard) checkInvariants() error {
 	defer sh.mu.Unlock()
 	if err := sh.check(sh.nshards, sh.maxBytes); err != nil {
 		return err
+	}
+	// Buffer slack: resident values sit in buffers of exactly their class
+	// size, parked buffers on their own class's stack, at most freeDepth.
+	for i, v := range sh.vals {
+		if _, size := sizeClass(len(v)); sh.valid[i] && cap(v) != size {
+			return fmt.Errorf("line (%d,%d) holds %d bytes in a %d-byte buffer, class size %d", i/sh.ways, i%sh.ways, len(v), cap(v), size)
+		}
+	}
+	for c, st := range sh.free {
+		for _, b := range st {
+			if bc, size := sizeClass(cap(b)); bc != c || size != cap(b) || len(st) > freeDepth {
+				return fmt.Errorf("class %d parks %d buffers, one of capacity %d", c, len(st), cap(b))
+			}
+		}
 	}
 	if sh.pdp != nil {
 		return sh.pdp.check(&sh.lines)

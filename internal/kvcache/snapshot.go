@@ -184,7 +184,7 @@ func (sh *shard) restore(ss SnapshotShard, nshards int) int {
 			sh.maxBytes > 0 && sh.bytes+int64(len(e.Value)) > sh.maxBytes {
 			continue
 		}
-		sh.install(set, w, hh, e.Key, sh.copyIn(e.Value))
+		sh.install(set, w, hh, e.Key, sh.copyIn(e.Value, nil))
 		sh.lru.fill(set, w, 0)
 		if sh.pdp != nil && e.RPD > 0 {
 			// Promote vs Insert re-derive the same RPD steps; the choice

@@ -261,7 +261,7 @@ func TestBatchScratchNotPinned(t *testing.T) {
 		return m.HeapAlloc
 	}
 	srv.cache.Put("big", val)
-	srv.cache.Put("big", val) // the update leaves one spare buffer on the shard's freelist, as big's will
+	srv.cache.Put("big", val) // a same-size update copies over the stored value, as big's will
 	small()
 	before := heap()
 	big()
