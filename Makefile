@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, Protection, Model and one-path seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, Protection, Model, one-path and one-detector seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -36,6 +36,9 @@ race:
 # The one-lock rule (DESIGN.md §7): non-test kvcache declares three
 # mutexes, shard.mu, Cache.rmu and Cache.bmu, and the decision log imports
 # no sync, so an operation takes its shard's lock and nothing else.
+# The one-detector rule (DESIGN.md §8): ring membership is the only "peer
+# down", and Cluster.observe, fed by probes and exchanges alike, is the
+# only code that ejects or rejoins a member.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -rnE 'rpd +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
@@ -50,6 +53,8 @@ seam:
 	@! grep -nE 'View struct|statsResponse' $$(ls internal/kvserver/*.go | grep -v _test.go)
 	@test "$$(cat $$(ls internal/kvcache/*.go | grep -v _test.go) | grep -E 'sync\.(RW)?Mutex' | awk '{print $$1}' | sort | xargs)" = "bmu mu rmu"
 	@! grep -nE '"sync(/atomic)?"' internal/kvcache/decisions.go
+	@test "$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | grep -c 'c\.ring\.Eject(')" = 1
+	@test "$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | grep -c 'c\.ring\.Rejoin(')" = 1
 
 # Non-test line counts: the six serving packages (ROADMAP's size table),
 # then the paper's packages, the scaffolding and the commands (ROADMAP

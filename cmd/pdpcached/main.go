@@ -42,10 +42,10 @@
 // consistent-hash tier. Keys are owned by exactly one node; an op on a
 // non-owned key is forwarded to its owner's POST /batch (a /kv/ request as
 // a batch of one, GETs through a singleflight fill table: N concurrent
-// misses cost one fetch), and a health-probe loop ejects dead peers from
-// the ring (-eject-after failed rounds) and rejoins them on recovery
-// (-rejoin-after successes). GET /cluster/ring shows membership,
-// aliveness and — with ?key=K — the owner K resolves to.
+// misses cost one fetch). A peer leaves the ring after -eject-after
+// consecutive failures, health probes and forwarded exchanges alike, and
+// rejoins after -rejoin-after consecutive answers. GET /cluster/ring shows
+// membership, aliveness and — with ?key=K — the owner K resolves to.
 //
 // SIGINT/SIGTERM shuts down gracefully: in-flight requests drain, the
 // journal flushes, and the final stats line prints to stderr.
@@ -94,7 +94,7 @@ func main() {
 	decayShift := flag.Uint("decay-shift", 1, "epoch decay: right-shift RDD counters by this many bits at each recompute")
 	minSamples := flag.Uint64("min-samples", 64, "measured reuses required before a recompute moves the PD")
 	admitAll := flag.Bool("admit-all", false, "disable admission deny (evict an inclusive victim instead)")
-	adaptEvery := flag.Duration("adapt-every", 500*time.Millisecond, "wall-clock PD recompute period")
+	adaptEvery := flag.Duration("adapt-every", 500*time.Millisecond, "wall-clock breaker-healing period: recompute while a shard is degraded")
 	snapshotEvery := flag.Duration("snapshot-every", 2*time.Second, "telemetry snapshot period (needs -telemetry)")
 	maxValue := flag.Int64("max-value-bytes", 1<<20, "largest accepted PUT body")
 	maxBatchOps := flag.Int("max-batch-ops", 1024, "largest accepted POST /batch operation count")
@@ -117,8 +117,8 @@ func main() {
 	clusterSeed := flag.Uint64("cluster-seed", 1, "ring placement seed; must match on every member")
 	probeEvery := flag.Duration("probe-every", time.Second, "peer health-probe period")
 	probeTimeout := flag.Duration("probe-timeout", 500*time.Millisecond, "per-probe budget")
-	ejectAfter := flag.Int("eject-after", 3, "consecutive failed probe rounds before a peer is ejected from the ring")
-	rejoinAfter := flag.Int("rejoin-after", 2, "consecutive successful probes before an ejected peer rejoins")
+	ejectAfter := flag.Int("eject-after", 3, "consecutive failed probes or exchanges before a peer is ejected from the ring")
+	rejoinAfter := flag.Int("rejoin-after", 2, "consecutive answered probes before an ejected peer rejoins")
 	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "per-exchange budget for proxied peer requests")
 	flag.Parse()
 

@@ -33,8 +33,8 @@ type Config struct {
 	// ProbeTimeout bounds one /healthz probe (default 500ms).
 	ProbeTimeout time.Duration
 	// EjectAfter ejects a peer from the ring after that many consecutive
-	// failed probe rounds (default 3); RejoinAfter rejoins it after that
-	// many consecutive successes (default 2).
+	// failures, probe rounds and forwarded exchanges alike (default 3);
+	// RejoinAfter rejoins it after that many consecutive answers (default 2).
 	EjectAfter, RejoinAfter int
 
 	// FetchTimeout bounds one forwarded exchange to a peer (default 2s).
@@ -44,7 +44,7 @@ type Config struct {
 	MaxValueBytes int64
 
 	// Registry and Journal receive cluster telemetry (both optional):
-	// per-peer labeled request/error/latency/breaker series, routing
+	// per-peer labeled request/error/latency/up series, routing
 	// counters, and one MembershipRecord per ring transition.
 	Registry *telemetry.Registry
 	Journal  *telemetry.Journal
@@ -94,8 +94,8 @@ func (c *Config) setDefaults() error {
 }
 
 // Cluster is one node's view of the tier: the shared ring, a client per
-// remote peer, the singleflight fill table, and the probe loop that
-// drives ejection/rejoin.
+// remote peer, the singleflight fill table, and the probe loop that,
+// with the forwarded exchanges, drives ejection/rejoin.
 type Cluster struct {
 	cfg    Config
 	ring   *Ring
@@ -105,11 +105,6 @@ type Cluster struct {
 	probeStop func()
 	probeHC   *http.Client
 
-	// per-peer consecutive probe outcomes (guarded by pmu).
-	pmu      sync.Mutex
-	failRun  map[string]int
-	okRun    map[string]int
-	peerUp   map[string]*telemetry.Gauge
 	mProxied *telemetry.Counter
 	mFanout  *telemetry.Counter
 	mCoal    *telemetry.Counter
@@ -153,9 +148,6 @@ func New(cfg Config) (*Cluster, error) {
 		ring:    ring,
 		peers:   make(map[string]*Peer),
 		probeHC: &http.Client{Transport: tr, Timeout: cfg.ProbeTimeout},
-		failRun: make(map[string]int),
-		okRun:   make(map[string]int),
-		peerUp:  make(map[string]*telemetry.Gauge),
 
 		mProxied: reg.Counter("cluster.proxied"),
 		mFanout:  reg.Counter("cluster.batch_fanout"),
@@ -172,9 +164,6 @@ func New(cfg Config) (*Cluster, error) {
 			continue
 		}
 		c.peers[m] = newPeer(m, tr, cfg.FetchTimeout, reg)
-		up := reg.Gauge("cluster.peer_up{" + telemetry.Label("peer", m) + "}")
-		up.Set(1)
-		c.peerUp[m] = up
 	}
 	c.gAlive.Set(float64(ring.AliveCount()))
 	return c, nil
@@ -215,7 +204,7 @@ func (c *Cluster) FetchGet(ctx context.Context, owner, key string) (*PeerRespons
 		c.mFills.Inc()
 		body := batchwire.AppendOps(nil, []kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: key}})
 		// Base64 inflates the value by 4/3; the rest of the row is small.
-		return p.exchange(fctx, body, c.cfg.MaxValueBytes*4/3+512)
+		return c.exchange(fctx, p, body, c.cfg.MaxValueBytes*4/3+512)
 	})
 	if shared {
 		c.mCoal.Inc()
@@ -234,7 +223,7 @@ func (c *Cluster) ForwardBatch(ctx context.Context, owner string, body []byte, m
 		return nil, fmt.Errorf("cluster: no client for %q", owner)
 	}
 	c.mFanout.Inc()
-	return p.exchange(ctx, body, maxResp)
+	return c.exchange(ctx, p, body, maxResp)
 }
 
 // FallbackLocal books one proxy failure answered from the local cache.
@@ -247,9 +236,8 @@ func (c *Cluster) HopTerminated() { c.mLoops.Inc() }
 // --- membership --------------------------------------------------------
 
 // Start launches the health-probe loop; Stop (or ctx cancellation) ends
-// it. Probing is what turns the static member list into a failure-aware
-// ring: EjectAfter consecutive failed rounds eject a peer, RejoinAfter
-// consecutive successes rejoin it.
+// it. Probing is what brings an ejected peer back: the ring routes no
+// exchange to it, so only probe rounds can make up its RejoinAfter answers.
 func (c *Cluster) Start(ctx context.Context) {
 	c.probeStop = resilience.Every(ctx, c.cfg.ProbeEvery, c.probeRound)
 }
@@ -266,12 +254,12 @@ func (c *Cluster) Stop() {
 // detection of a third).
 func (c *Cluster) probeRound(ctx context.Context) {
 	var wg sync.WaitGroup
-	for id := range c.peers {
+	for _, p := range c.peers {
 		wg.Add(1)
-		go func(id string) {
+		go func(p *Peer) {
 			defer wg.Done()
-			c.probeOne(ctx, id)
-		}(id)
+			c.probeOne(ctx, p)
+		}(p)
 	}
 	wg.Wait()
 }
@@ -281,14 +269,14 @@ func (c *Cluster) probeRound(ctx context.Context) {
 // still answers. One round retries once with the resilience backoff
 // before counting a failure, so a single dropped packet doesn't start an
 // ejection streak.
-func (c *Cluster) probeOne(ctx context.Context, id string) {
+func (c *Cluster) probeOne(ctx context.Context, p *Peer) {
 	err := resilience.Retry(ctx, resilience.RetryConfig{
 		Name:     "cluster.probe",
 		Attempts: 2,
 		Base:     c.cfg.ProbeTimeout / 4,
 		Max:      c.cfg.ProbeTimeout,
 	}, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, id+"/healthz", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.id+"/healthz", nil)
 		if err != nil {
 			return err
 		}
@@ -306,35 +294,44 @@ func (c *Cluster) probeOne(ctx context.Context, id string) {
 	if ctx.Err() != nil {
 		return
 	}
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if err != nil {
-		c.failRun[id]++
-		c.okRun[id] = 0
-		if c.failRun[id] >= c.cfg.EjectAfter && c.ring.Eject(id) {
-			c.mEjects.Inc()
-			c.peerUp[id].Set(0)
-			c.gAlive.Set(float64(c.ring.AliveCount()))
-			c.cfg.Journal.Append(telemetry.MembershipRecord{
-				Kind: telemetry.KindMembership, Event: "eject", Peer: id,
-				Alive: c.ring.AliveCount(), Members: len(c.ring.Members()),
-				Streak: c.failRun[id],
-			})
-		}
+	c.observe(p, err == nil)
+}
+
+// observe is the one liveness detector: every probe round and every
+// forwarded exchange reports whether p answered, and only here does the
+// ring change. EjectAfter consecutive failures eject p — its keys move to
+// the next alive members — and RejoinAfter consecutive answers bring it
+// back. A healthy exchange costs one uncontended per-peer lock.
+func (c *Cluster) observe(p *Peer, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ok {
+		p.okRun, p.failRun = p.okRun+1, 0
+	} else {
+		p.failRun, p.okRun = p.failRun+1, 0
+	}
+	var event string
+	switch {
+	case ok && p.down && p.okRun >= c.cfg.RejoinAfter:
+		c.ring.Rejoin(p.id)
+		c.mRejoins.Inc()
+		p.gUp.Set(1)
+		event = "rejoin"
+	case !ok && !p.down && p.failRun >= c.cfg.EjectAfter:
+		c.ring.Eject(p.id)
+		c.mEjects.Inc()
+		p.gUp.Set(0)
+		event = "eject"
+	default:
 		return
 	}
-	c.okRun[id]++
-	c.failRun[id] = 0
-	if c.okRun[id] >= c.cfg.RejoinAfter && c.ring.Rejoin(id) {
-		c.mRejoins.Inc()
-		c.peerUp[id].Set(1)
-		c.gAlive.Set(float64(c.ring.AliveCount()))
-		c.cfg.Journal.Append(telemetry.MembershipRecord{
-			Kind: telemetry.KindMembership, Event: "rejoin", Peer: id,
-			Alive: c.ring.AliveCount(), Members: len(c.ring.Members()),
-			Streak: c.okRun[id],
-		})
-	}
+	p.down = !ok
+	c.gAlive.Set(float64(c.ring.AliveCount()))
+	c.cfg.Journal.Append(telemetry.MembershipRecord{
+		Kind: telemetry.KindMembership, Event: event, Peer: p.id,
+		Alive: c.ring.AliveCount(), Members: len(c.ring.Members()),
+		Streak: p.okRun + p.failRun, // the run that decided; the other is 0
+	})
 }
 
 // --- introspection -----------------------------------------------------
@@ -344,9 +341,6 @@ type MemberView struct {
 	ID    string `json:"id"`
 	Self  bool   `json:"self,omitempty"`
 	Alive bool   `json:"alive"`
-	// BreakerOpen reports the peer client's circuit state (always false
-	// for Self).
-	BreakerOpen bool `json:"breaker_open,omitempty"`
 }
 
 // View is the /cluster/ring JSON schema.
@@ -390,11 +384,7 @@ func (c *Cluster) StatsView(key string) View {
 		Rejoins:       c.mRejoins.Value(),
 	}
 	for _, m := range c.ring.Members() {
-		mv := MemberView{ID: m, Self: m == c.cfg.Self, Alive: c.ring.IsAlive(m)}
-		if p := c.peers[m]; p != nil {
-			mv.BreakerOpen = p.BreakerOpen()
-		}
-		v.Members = append(v.Members, mv)
+		v.Members = append(v.Members, MemberView{ID: m, Self: m == c.cfg.Self, Alive: c.ring.IsAlive(m)})
 	}
 	if key != "" {
 		if owner, ok := c.ring.Owner(key); ok {

@@ -89,52 +89,64 @@ func TestFlightDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestPeerBreaker: consecutive transport failures open the breaker
-// (requests fail fast with ErrPeerDown), the cooldown admits one probe,
-// and a success closes it again.
-func TestPeerBreaker(t *testing.T) {
-	var failing atomic.Bool
-	failing.Store(true)
+// TestExchangeFailuresEject: with the probe loop never started, EjectAfter
+// consecutive failed ForwardBatch calls eject the owner — a dropped
+// connection and a 500 both count — while an answer in between, even a 503
+// shed, restarts the count.
+func TestExchangeFailuresEject(t *testing.T) {
+	const (
+		drop = iota
+		boom
+		shed
+	)
+	var mode atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if failing.Load() {
-			// Hijack-and-drop produces a transport-level failure.
-			hj := w.(http.Hijacker)
-			conn, _, _ := hj.Hijack()
+		switch mode.Load() {
+		case drop:
+			conn, _, _ := w.(http.Hijacker).Hijack()
 			conn.Close()
-			return
+		case boom:
+			http.Error(w, "boom", http.StatusInternalServerError)
+		case shed:
+			http.Error(w, "busy", http.StatusServiceUnavailable)
 		}
-		w.Write([]byte("ok"))
 	}))
 	defer srv.Close()
-
-	tr := &http.Transport{}
-	defer tr.CloseIdleConnections()
-	p := newPeer(srv.URL, tr, time.Second, telemetry.NewRegistry())
-	p.br.cooldown = 50 * time.Millisecond
-
-	ctx := context.Background()
-	body := []byte(`[{"op":"get","key":"k"}]`)
-	for i := 0; i < 3; i++ {
-		if _, err := p.exchange(ctx, body, 1<<20); err == nil {
-			t.Fatal("dropped connection reported success")
-		}
+	self := "http://127.0.0.1:1"
+	journal := telemetry.NewJournal(8)
+	c, err := New(Config{
+		Self: self, Peers: []string{self, srv.URL}, EjectAfter: 3,
+		Registry: telemetry.NewRegistry(), Journal: journal,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !p.BreakerOpen() {
-		t.Fatal("breaker still closed after 3 consecutive failures")
-	}
-	if _, err := p.exchange(ctx, body, 1<<20); err != ErrPeerDown {
-		t.Fatalf("open breaker let a request through: %v", err)
+	key := ownedBy(t, c.Ring(), srv.URL)
+	body := []byte(`[{"op":"get","key":"` + key + `"}]`)
+	forward := func(m int32) {
+		t.Helper()
+		mode.Store(m)
+		c.ForwardBatch(context.Background(), srv.URL, body, 1<<20)
 	}
 
-	// After the cooldown, one probe goes through; with the peer healthy
-	// again it closes the breaker.
-	failing.Store(false)
-	time.Sleep(60 * time.Millisecond)
-	if _, err := p.exchange(ctx, body, 1<<20); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
+	for _, m := range []int32{drop, boom, shed, drop, boom} {
+		forward(m)
 	}
-	if p.BreakerOpen() {
-		t.Fatal("breaker still open after successful probe")
+	if !c.Ring().IsAlive(srv.URL) {
+		t.Fatal("peer ejected although an answer broke the run of failures")
+	}
+	forward(drop)
+	if c.Ring().IsAlive(srv.URL) {
+		t.Fatal("peer still in the ring after EjectAfter consecutive failed exchanges")
+	}
+	if o, local, _ := c.Owner(key); !local {
+		t.Fatalf("after ejection key owner = %q, want self", o)
+	}
+	if v := c.StatsView(""); v.Ejections != 1 || v.Alive != 1 {
+		t.Fatalf("ejections=%d alive=%d, want 1 and 1", v.Ejections, v.Alive)
+	}
+	if n := journal.CountKind(telemetry.KindMembership); n != 1 {
+		t.Fatalf("membership journal records: %d, want 1", n)
 	}
 }
 

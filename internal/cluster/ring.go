@@ -1,18 +1,19 @@
 // Package cluster turns a set of pdpcached nodes into one PDP cache
 // tier: a deterministic consistent-hash ring (virtual nodes, seeded
 // placement) maps every key to exactly one owner node, a
-// connection-pooled peer client with per-peer breakers forwards
-// non-owned ops — always as a POST /batch sub-batch, of one op for a
-// per-op request — a singleflight table coalesces concurrent per-op GETs
-// of one key into a single peer fetch, and a health-probe loop ejects
-// dead members from the ring (and rejoins recovered ones) so keys
-// rebalance onto survivors automatically.
+// connection-pooled peer client forwards non-owned ops — always as a POST
+// /batch sub-batch, of one op for a per-op request — a singleflight table
+// coalesces concurrent per-op GETs of one key into a single peer fetch,
+// and one liveness detector per peer, fed by health probes and forwarded
+// exchanges alike, ejects dead members from the ring (and rejoins
+// recovered ones) so keys rebalance onto survivors automatically. Ring
+// membership is the only "peer down".
 //
 // The ring's placement depends only on (seed, member set, vnodes) —
 // never on join order or local state — so every node that shares the
 // static member list computes the identical ring and the tier needs no
 // coordination service. Liveness is the one piece of local knowledge:
-// each node probes its peers and skips dead owners when routing, which
+// each node watches its peers and skips dead owners when routing, which
 // converges cluster-wide within a probe period or two.
 package cluster
 

@@ -8,10 +8,12 @@ import (
 	"pdp/internal/resilience"
 )
 
-// Adapter drives the wall-clock side of online PD adaptation: a goroutine
-// that recomputes the protecting distance every Interval regardless of
-// traffic volume, so a mostly idle service still converges (the inline
-// count trigger in shard.exitLocked covers heavy traffic without timer skew).
+// Adapter is the breaker's wall-clock healing probe: a goroutine that, every
+// interval, runs one supervised recompute while any shard serves degraded,
+// so an idle cache still re-arms after RearmAfter clean rounds. A healthy
+// cache is left to the inline count trigger in shard.exitLocked: every
+// recompute halves the RDD, so a timer firing at low traffic would erase
+// the evidence before MinSamples ever accumulates.
 type Adapter struct {
 	cache    *Cache
 	interval time.Duration
@@ -28,10 +30,14 @@ func NewAdapter(c *Cache, interval time.Duration) (*Adapter, error) {
 	return &Adapter{cache: c, interval: interval, stop: func() {}}, nil
 }
 
-// Start launches the recompute loop; it returns immediately. The loop
+// Start launches the healing loop; it returns immediately. The loop
 // stops when ctx is cancelled or Stop is called.
 func (a *Adapter) Start(ctx context.Context) {
-	a.stop = resilience.Every(ctx, a.interval, func(context.Context) { a.cache.Recompute() })
+	a.stop = resilience.Every(ctx, a.interval, func(context.Context) {
+		if a.cache.Degraded() {
+			a.cache.Recompute()
+		}
+	})
 }
 
 // Stop terminates the loop and waits for it to exit. Safe to call more

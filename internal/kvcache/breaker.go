@@ -40,14 +40,25 @@ type ChaosArray interface {
 // supervised recompute (panic, stall past RecomputeTimeout, PD outside
 // [1, d_max], inconsistent RDD evidence, per-shard sampler corruption);
 // re-arming happens after Config.RearmAfter consecutive clean
-// recomputes, which keep running while degraded as the healing probe.
+// recomputes, which keep running while degraded as the healing probe (on
+// an idle cache the Adapter's tick is the only one).
 
 // DegradedShards returns the number of shards currently serving in
-// degraded (shadow-LRU) mode.
-func (c *Cache) DegradedShards() int { return int(c.degCount.Load()) }
+// degraded (shadow-LRU) mode, read from each shard's flag under its lock.
+func (c *Cache) DegradedShards() int {
+	n := 0
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		if sh.pdp.degraded() {
+			n++
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 // Degraded reports whether any shard is serving degraded.
-func (c *Cache) Degraded() bool { return c.degCount.Load() > 0 }
+func (c *Cache) Degraded() bool { return c.DegradedShards() > 0 }
 
 // Trip forces every shard into degraded LRU mode (the operator's manual
 // breaker, also the path every global recompute failure takes).
@@ -74,11 +85,7 @@ func (c *Cache) tripShardLocked(i int, reason string) {
 		sh.st.BreakerTrips++
 	}
 	sh.mu.Unlock()
-	if !tripped {
-		return
-	}
-	c.degCount.Add(1)
-	if c.cfg.Journal != nil {
+	if tripped && c.cfg.Journal != nil {
 		c.cfg.Journal.Append(telemetry.BreakerRecord{
 			Kind: telemetry.KindBreaker, Shard: i, State: "tripped", Reason: reason,
 		})
@@ -94,11 +101,7 @@ func (c *Cache) rearmShardLocked(i int, streak int) {
 		sh.st.BreakerRearms++
 	}
 	sh.mu.Unlock()
-	if !was {
-		return
-	}
-	c.degCount.Add(-1)
-	if c.cfg.Journal != nil {
+	if was && c.cfg.Journal != nil {
 		c.cfg.Journal.Append(telemetry.BreakerRecord{
 			Kind: telemetry.KindBreaker, Shard: i, State: "rearmed",
 			Reason: "clean_recomputes", Streak: streak,

@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -212,4 +213,46 @@ func (sh *shard) degraded() bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.pdp.degraded()
+}
+
+// startAdapter runs a 1 ms Adapter on c until the test ends.
+func startAdapter(t *testing.T, c *Cache) {
+	t.Helper()
+	ad, err := NewAdapter(c, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad.Start(context.Background())
+	t.Cleanup(ad.Stop)
+}
+
+// TestAdapterLeavesHealthyCacheAlone: with no shard degraded and no
+// traffic, the adapter's ticks recompute nothing — each recompute halves
+// the RDD, so ticks on a quiet cache would only erase its evidence.
+func TestAdapterLeavesHealthyCacheAlone(t *testing.T) {
+	c := breakerCache(t, Config{})
+	seedEvidence(c)
+	startAdapter(t, c)
+	time.Sleep(50 * time.Millisecond)
+	if n := c.Recomputes(); n != 0 {
+		t.Fatalf("an idle healthy cache recomputed %d times", n)
+	}
+}
+
+// TestAdapterHealsIdleCache: a tripped cache with no traffic re-arms
+// through the adapter's ticks alone, the only healing probe it has.
+func TestAdapterHealsIdleCache(t *testing.T) {
+	c := breakerCache(t, Config{})
+	c.Trip("test")
+	startAdapter(t, c)
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Degraded() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d shards still degraded after %d recomputes", c.DegradedShards(), c.Recomputes())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := c.Stats(); st.BreakerRearms != uint64(c.Config().Shards) {
+		t.Fatalf("rearms = %d, want one per shard (%d)", st.BreakerRearms, c.Config().Shards)
+	}
 }

@@ -261,11 +261,9 @@ type Cache struct {
 	smpHits    uint64
 
 	// breaker state: bmu serializes trip/re-arm transitions and guards the
-	// per-shard clean-recompute streaks; degCount mirrors the number of
-	// degraded shards for lock-free reads on /healthz and /stats.
-	bmu      sync.Mutex
-	streaks  []int
-	degCount atomic.Int64
+	// per-shard clean-recompute streaks.
+	bmu     sync.Mutex
+	streaks []int
 }
 
 // New builds a Cache; it returns an error on invalid configuration (the

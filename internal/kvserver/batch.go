@@ -5,7 +5,7 @@ package kvserver
 // (a shed answers 503 + Retry-After for the whole batch), locally owned ops
 // run through kvcache.ExecBatch, and — with a cluster attached — peer-owned
 // ops are split by ring ownership and fanned out as concurrent per-peer
-// sub-batches through the pooled breaker clients, capped at one hop.
+// sub-batches through the pooled peer clients, capped at one hop.
 // Partial failure is per op, the rest of the batch proceeds. /kv/ (kv.go)
 // runs its one op through the same execBatchLocal/execBatchRemote.
 
@@ -189,9 +189,9 @@ func (s *Server) execBatchRemote(r *http.Request, g *opGroup, rows []batchwire.R
 // original rows — the one rule for a peer hop, whichever route it serves.
 // 200 with one well-formed row per op is those rows. A shedding peer (503)
 // books "shed" per op — the client's retry budget decides what to do.
-// Anything else (breaker open, transport error, timeout, another status, an
-// unparsable or short answer) falls back to local execution, the
-// availability bridge while the probe loop catches up with a dead peer.
+// Anything else (transport error, timeout, another status, an unparsable or
+// short answer) falls back to local execution, the availability bridge
+// until EjectAfter failed exchanges or probes eject a dead peer.
 func (s *Server) peerAnswer(g *opGroup, rows []batchwire.Row, resp *cluster.PeerResponse, err error) {
 	if err == nil {
 		switch resp.Status {

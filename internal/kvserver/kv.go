@@ -16,7 +16,7 @@ import (
 // live peer owns the peer hop, under peerAnswer's one failure rule — and its
 // single row is written back in this route's HTTP vocabulary (DESIGN.md §8).
 // A peer failure therefore falls back to the local cache: during the window
-// between a peer dying and the probe loop ejecting it, requests for its keys
+// between a peer dying and the ring ejecting it, requests for its keys
 // still answer — possibly a miss, never an error.
 func (s *Server) routeKV(w http.ResponseWriter, r *http.Request) {
 	op := kvcache.BatchOp{Key: strings.TrimPrefix(r.URL.Path, "/kv/")}
@@ -141,7 +141,7 @@ func routeKey(cl *cluster.Cluster, key string, hopped bool) string {
 }
 
 // handleClusterRing serves the node's cluster view: membership with
-// aliveness and breaker state, routing counters, and — with ?key=K —
+// aliveness, routing counters, and — with ?key=K —
 // the owner the local ring resolves K to (what the smoke script uses to
 // assert survivor agreement after a kill).
 func (s *Server) handleClusterRing(w http.ResponseWriter, r *http.Request) {

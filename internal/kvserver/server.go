@@ -37,9 +37,10 @@ type Config struct {
 	Addr string
 	// MaxValueBytes caps one PUT body (default 1 MiB).
 	MaxValueBytes int64
-	// AdaptEvery runs a wall-clock PD recomputation at that period; 0
-	// disables the timer (the cache's count trigger still fires). Negative
-	// values are rejected.
+	// AdaptEvery runs the cache breaker's wall-clock healing tick at that
+	// period: a recompute while any shard is degraded, so an idle node
+	// re-arms (kvcache.Adapter); 0 disables it, and the count trigger then
+	// drives every recompute. Negative values are rejected.
 	AdaptEvery time.Duration
 	// SnapshotEvery emits a telemetry snapshot record at that period; 0
 	// disables. Negative values are rejected. Requires Journal.

@@ -32,7 +32,7 @@ rm -f "$snap"
 
 start_server() { # start_server <extra flags...>
     /tmp/pdp-chaos-cached -addr "$addr" -policy pdp \
-        -shards 4 -sets 16 -ways 8 -recompute-every 4096 -adapt-every 100ms \
+        -shards 4 -sets 16 -ways 8 -recompute-every 1024 -adapt-every 100ms \
         -max-inflight 256 -rearm-after 2 \
         -snapshot "$snap" -snapshot-state-every 2s "$@" 2> "$serverlog" &
     server_pid=$!

@@ -2,7 +2,8 @@
 # Cluster smoke: the clustered-serving gate.
 #
 #  1. The cluster unit/e2e tests under -race (ring properties,
-#     singleflight, breaker, probe-driven eject/rejoin, 3-node routing).
+#     singleflight, exchange- and probe-driven eject/rejoin, 3-node
+#     routing).
 #  2. A real 3-node local cluster under multi-target load: every node
 #     must agree on key ownership, proxied traffic must flow, and the
 #     run must stay >= 99% available.
