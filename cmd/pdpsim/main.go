@@ -1,5 +1,7 @@
-// Command pdpsim runs one benchmark model through one LLC policy and
-// prints the resulting statistics.
+// Command pdpsim runs benchmark models through LLC policies and prints the
+// resulting statistics: one benchmark on a private LLC, or, with -cores N,
+// a multi-programmed mix on a shared LLC of 2MB per core, reported as the
+// paper's W/T/H metrics against each program's stand-alone LRU baseline.
 //
 // Usage:
 //
@@ -8,30 +10,30 @@
 //	       -telemetry run.jsonl -snapshot-every 100000
 //	pdpsim -trace cactus.pdpt -policy drrip
 //	pdpsim -bench 403.gcc -policy dip,drrip,pdp-8 -jobs 4
+//	pdpsim -cores 4 -policy pdppart-3 -bench 436.cactusADM,403.gcc,470.lbm,482.sphinx3
+//	pdpsim -cores 16 -policy ta-drrip -mix 7
 //	pdpsim -list
 //
-// Policies: lru, dip, drrip, drrip:1/64, eelru, sdp, pdp-2, pdp-3, pdp-8,
-// spdp-b:<pd>, spdp-nb:<pd>.
+// Single-core policies: lru, dip, drrip, drrip:1/64, eelru, sdp, pdp-2,
+// pdp-3, pdp-8, spdp-b:<pd>, spdp-nb:<pd>. Shared-LLC policies (-cores > 1):
+// ta-drrip, ucp, pipp, pdppart-2, pdppart-3, pdppart-8.
+//
+// With -cores N > 1 the mix is the i-th seeded random mix (-mix i) or the N
+// comma-separated names of -bench, one per core. -n is the measured window
+// per core; 0 takes experiments.DefaultConfig's window for the core count.
 //
 // A comma-separated -policy list selects batch mode: every policy runs
-// over the same benchmark window, fanned across -jobs workers, and one
-// summary row prints per policy in list order (the output is identical at
-// any -jobs value).
+// over the same stream and one summary prints per policy, in list order.
+// -jobs fans out the independent tasks, the policies of a single-core run
+// or the per-core stand-alone baselines of a mix; the output is identical
+// at any -jobs value.
 //
-// Observability (see README "Observability" for the JSONL schema):
-//
-//	-stats json          machine-readable run summary on stdout
-//	-telemetry FILE      JSONL event journal + time-series snapshots
-//	-snapshot-every N    snapshot cadence in measured accesses
-//	-journal-sample N    sample rate for high-frequency events
-//	-pprof ADDR          live pprof/expvar HTTP server for long runs
-//	-cpuprofile FILE     CPU profile of the run
-//	-memprofile FILE     heap profile at exit
-//
-// Robustness (see README "Robustness"):
-//
-//	-timeout D           watchdog: fail the run after D wall-clock time
-//	-inject SPEC         seeded fault injection (trace + PDP sampler faults)
+// The observability flags (-stats json, -telemetry, -snapshot-every,
+// -journal-sample, -pprof, -cpuprofile, -memprofile) and the robustness
+// flags (-timeout, -inject) work the same in both modes; README
+// "Observability" and "Robustness" document them and the JSONL schema. With
+// -telemetry, a mix's snapshots carry per-core occupancy and, for the
+// PD-partitioning policies, the per-thread protecting distances.
 //
 // A run is short (a default window takes about a second), so an interrupted
 // one is simply rerun; `repro -checkpoint` resumes long campaigns run by run.
@@ -50,6 +52,7 @@ import (
 	"pdp/internal/core"
 	"pdp/internal/experiments"
 	"pdp/internal/faultinject"
+	"pdp/internal/metrics"
 	"pdp/internal/parallel"
 	"pdp/internal/resilience"
 	"pdp/internal/telemetry"
@@ -62,12 +65,14 @@ func main() { os.Exit(run()) }
 // run is the command body; it returns the exit status, so its deferred
 // profile, journal and file cleanup runs on every exit path.
 func run() int {
-	bench := flag.String("bench", "436.cactusADM", "benchmark model name")
-	traceFile := flag.String("trace", "", "replay a recorded .pdpt trace instead of a model")
+	bench := flag.String("bench", "436.cactusADM", "benchmark model name, or one per core with -cores > 1")
+	traceFile := flag.String("trace", "", "replay a recorded .pdpt trace instead of a model (single-core)")
 	apki := flag.Float64("apki", 10, "accesses per kiloinstruction for -trace runs")
-	policy := flag.String("policy", "pdp-8", "LLC policy, or a comma-separated list (batch mode)")
-	jobs := flag.Int("jobs", 1, "concurrent runs in batch mode (0 = all cores)")
-	n := flag.Int("n", 1_000_000, "measured LLC accesses")
+	cores := flag.Int("cores", 1, "cores sharing the LLC (2MB per core); > 1 runs a mix")
+	mixID := flag.Int("mix", -1, "with -cores > 1, run the i-th seeded random mix instead of -bench")
+	policy := flag.String("policy", "", "LLC policy, or a comma-separated list (default pdp-8, or pdppart-3 with -cores > 1)")
+	jobs := flag.Int("jobs", 1, "concurrent policy runs, or mix baselines (0 = all cores)")
+	n := flag.Int("n", 0, "measured LLC accesses per core (0 = the experiments' default window)")
 	seed := flag.Uint64("seed", 42, "random seed")
 	list := flag.Bool("list", false, "list benchmark models and exit")
 	statsFmt := flag.String("stats", "text", "stats output format: text or json")
@@ -93,17 +98,45 @@ func run() int {
 		return 0
 	}
 
-	if *statsFmt != "text" && *statsFmt != "json" {
-		fmt.Fprintf(os.Stderr, "-stats must be text or json, got %q\n", *statsFmt)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(os.Stderr, format+"\n", a...)
 		return 2
+	}
+	if *statsFmt != "text" && *statsFmt != "json" {
+		return usage("-stats must be text or json, got %q", *statsFmt)
 	}
 	if *journalSample < 1 {
-		fmt.Fprintln(os.Stderr, "-journal-sample must be >= 1 (1 journals every event); 0 is not a valid sample rate")
-		return 2
+		return usage("-journal-sample must be >= 1 (1 journals every event); 0 is not a valid sample rate")
+	}
+	if *cores < 1 || *n < 0 {
+		return usage("-cores must be >= 1 and -n >= 0")
+	}
+	multi := *cores > 1
+	if multi && *traceFile != "" {
+		return usage("-trace replays one core's stream; it does not combine with -cores > 1")
+	}
+	if !multi && *mixID >= 0 {
+		return usage("-mix needs -cores > 1")
+	}
+	if *n == 0 {
+		def := experiments.DefaultConfig(nil)
+		*n = def.Accesses
+		if multi {
+			*n = def.MCAccessesPerThread
+		}
+	}
+	if *policy == "" {
+		*policy = "pdp-8"
+		if multi {
+			*policy = "pdppart-3"
+		}
 	}
 
+	// The workload: one benchmark, or one mix of -cores programs.
 	var b workload.Benchmark
-	if *traceFile != "" {
+	var mix workload.Mix
+	switch {
+	case *traceFile != "":
 		f, err := os.Open(*traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -116,28 +149,45 @@ func run() int {
 			return 1
 		}
 		b = workload.FromAccesses(*traceFile, *apki, accs)
-	} else {
-		var ok bool
-		b, ok = workload.ByName(*bench)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q; run `pdpsim -list`\n", *bench)
-			return 2
+	case *mixID >= 0:
+		mix = workload.Mixes(*cores, *mixID+1, *seed+uint64(*cores))[*mixID]
+	default:
+		names := strings.Split(*bench, ",")
+		if len(names) != *cores {
+			return usage("-bench names %d benchmarks; -cores %d needs one per core (or -mix with -cores > 1)", len(names), *cores)
+		}
+		for _, nm := range names {
+			nm = strings.TrimSpace(nm)
+			var ok bool
+			if b, ok = workload.ByName(nm); !ok {
+				return usage("unknown benchmark %q; run `pdpsim -list`", nm)
+			}
+			mix.Names = append(mix.Names, nm)
+			mix.Benchs = append(mix.Benchs, b)
 		}
 	}
-	policyNames := strings.Split(*policy, ",")
-	specs := make([]experiments.PolicySpec, len(policyNames))
-	for i, nm := range policyNames {
+
+	var specs []experiments.PolicySpec
+	var mcSpecs []experiments.MCPolicySpec
+	for _, nm := range strings.Split(*policy, ",") {
+		nm = strings.TrimSpace(nm)
 		var err error
-		specs[i], err = experiments.SpecByName(strings.TrimSpace(nm), *n)
+		if multi {
+			var s experiments.MCPolicySpec
+			s, err = experiments.MCSpecByName(nm, *n)
+			mcSpecs = append(mcSpecs, s)
+		} else {
+			var s experiments.PolicySpec
+			s, err = experiments.SpecByName(nm, *n)
+			specs = append(specs, s)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+			return usage("%v", err)
 		}
 	}
 	faults, err := faultinject.Parse(*inject)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return usage("%v", err)
 	}
 
 	// Profiling hooks.
@@ -183,34 +233,47 @@ func run() int {
 	}
 
 	// Supervised run: graceful shutdown on SIGINT/SIGTERM, optional
-	// watchdog and seeded fault injection. One policy or several, this is
-	// the only run path: every policy runs over the same benchmark window,
-	// seeded identically, across -jobs workers, so the output does not
-	// depend on the jobs count.
+	// watchdog and seeded fault injection, on the trace streams and on a
+	// dynamic PDP's sampler (the injector is nil for every other policy).
+	// Every task is seeded by its identity alone and writes its own slot,
+	// so the output does not depend on the jobs count.
 	ctx, cancel := resilience.WithShutdown(context.Background())
 	defer cancel()
 
 	rep := faultinject.NewReporter(journal)
 	sup := &resilience.Supervisor{Timeout: *timeout, Journal: journal}
+	tel := experiments.TelemetryOptions{
+		Registry:      reg,
+		Journal:       journal,
+		SnapshotEvery: *snapshotEvery,
+		EventSample:   *journalSample,
+		Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
+			p, _ := pol.(*core.PDP)
+			return faultinject.NewPDPInjector(p, faults, rep)
+		},
+	}
 	results := make([]experiments.RunResult, len(specs))
-	out := sup.Run(ctx, b.Name, func(runCtx context.Context) error {
-		return parallel.ForEach(*jobs, len(specs), func(i int) error {
-			rcfg := experiments.Config{Ctx: runCtx}
-			if faults.TraceEnabled() {
-				rcfg.WrapBench = func(wb workload.Benchmark) workload.Benchmark {
-					return faultinject.WrapBenchmark(wb, faults, rep)
-				}
-			}
-			results[i] = experiments.RunMany(rcfg.Bench(b), specs[i:i+1], *n, *seed, experiments.TelemetryOptions{
-				Registry:      reg,
-				Journal:       journal,
-				SnapshotEvery: *snapshotEvery,
-				EventSample:   *journalSample,
-				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
-					p, _ := pol.(*core.PDP)
-					return faultinject.NewPDPInjector(p, faults, rep)
-				},
-			})[0]
+	var mixResults []experiments.MixResult
+	single := make([]float64, len(mix.Benchs))
+	name := b.Name
+	if multi {
+		name = "mix"
+	}
+	out := sup.Run(ctx, name, func(runCtx context.Context) error {
+		rcfg := experiments.Config{Ctx: runCtx, WrapBench: func(wb workload.Benchmark) workload.Benchmark {
+			return faultinject.WrapBenchmark(wb, faults, rep)
+		}}
+		if !multi {
+			b := rcfg.Bench(b)
+			return parallel.ForEach(*jobs, len(specs), func(i int) error {
+				results[i] = experiments.RunMany(b, specs[i:i+1], *n, *seed, tel)[0]
+				return nil
+			})
+		}
+		m := rcfg.Mix(mix)
+		mixResults = experiments.RunMix(m, mcSpecs, *n, *seed, tel)
+		return parallel.ForEach(*jobs, *cores, func(t int) error {
+			single[t] = experiments.SingleIPC(m.Benchs[t], *cores, *n, *seed)
 			return nil
 		})
 	})
@@ -228,16 +291,36 @@ func run() int {
 		return 1
 	}
 
-	if len(specs) > 1 {
-		if err := printBatch(b.Name, *n, *statsFmt, results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
+	switch {
+	case multi:
+		err = printMix(mix, mixResults, single, *statsFmt, reg)
+	case len(specs) > 1:
+		err = printBatch(b.Name, *n, *statsFmt, results)
+	default:
+		err = printRun(results[0], *n, *statsFmt, reg)
 	}
-	r := results[0]
-	if *statsFmt == "json" {
-		out := struct {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	if journal != nil && *telemetryOut != "" && *statsFmt == "text" {
+		switch {
+		case multi:
+			fmt.Printf("telemetry   %d records -> %s (%d snapshot)\n",
+				journal.Total(), *telemetryOut, journal.CountKind(telemetry.KindSnapshot))
+		case len(specs) == 1:
+			fmt.Printf("telemetry   %d records -> %s (%d pd_recompute, %d snapshot)\n",
+				journal.Total(), *telemetryOut,
+				journal.CountKind(telemetry.KindPDRecompute), journal.CountKind(telemetry.KindSnapshot))
+		}
+	}
+	return 0
+}
+
+// printRun prints the summary of a one-policy single-core run.
+func printRun(r experiments.RunResult, n int, statsFmt string, reg *telemetry.Registry) error {
+	if statsFmt == "json" {
+		return json.NewEncoder(os.Stdout).Encode(struct {
 			experiments.RunResult
 			Warmup     int            `json:"warmup_accesses"`
 			HitRate    float64        `json:"hit_rate"`
@@ -245,21 +328,15 @@ func run() int {
 			Metrics    map[string]any `json:"metrics,omitempty"`
 		}{
 			RunResult:  r,
-			Warmup:     experiments.Warmup(*n),
+			Warmup:     experiments.Warmup(n),
 			HitRate:    r.Stats.HitRate(),
 			BypassFrac: r.BypassFrac(),
 			Metrics:    reg.Snapshot(),
-		}
-		if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
+		})
 	}
-
 	fmt.Printf("benchmark   %s\n", r.Bench)
 	fmt.Printf("policy      %s\n", r.Policy)
-	fmt.Printf("accesses    %d (after %d warm-up)\n", r.Stats.Accesses, experiments.Warmup(*n))
+	fmt.Printf("accesses    %d (after %d warm-up)\n", r.Stats.Accesses, experiments.Warmup(n))
 	fmt.Printf("hits        %d (%.2f%%)\n", r.Stats.Hits, 100*r.Stats.HitRate())
 	fmt.Printf("misses      %d\n", r.Stats.Misses)
 	fmt.Printf("bypasses    %d (%.2f%% of accesses)\n", r.Stats.Bypasses, 100*r.BypassFrac())
@@ -267,16 +344,11 @@ func run() int {
 	fmt.Printf("instructions %d\n", r.Instr)
 	fmt.Printf("IPC         %.4f\n", r.IPC)
 	fmt.Printf("MPKI        %.3f\n", r.MPKI)
-	if journal != nil && *telemetryOut != "" {
-		fmt.Printf("telemetry   %d records -> %s (%d pd_recompute, %d snapshot)\n",
-			journal.Total(), *telemetryOut,
-			journal.CountKind(telemetry.KindPDRecompute), journal.CountKind(telemetry.KindSnapshot))
-	}
-	return 0
+	return nil
 }
 
-// printBatch prints one summary per policy of a several-policy run, in
-// list order.
+// printBatch prints one summary per policy of a several-policy
+// single-core run, in list order.
 func printBatch(bench string, n int, statsFmt string, results []experiments.RunResult) error {
 	if statsFmt == "json" {
 		type row struct {
@@ -299,4 +371,57 @@ func printBatch(bench string, n int, statsFmt string, results []experiments.RunR
 			r.Policy, 100*r.Stats.HitRate(), r.MPKI, r.IPC, 100*r.BypassFrac())
 	}
 	return tw.Flush()
+}
+
+// mixRow is one policy's report on a mix: per-core IPCs against the
+// stand-alone baselines, and the paper's W/T/H metrics.
+type mixRow struct {
+	Policy      string         `json:"policy"`
+	Cores       int            `json:"cores"`
+	Benchmarks  []string       `json:"benchmarks"`
+	IPC         []float64      `json:"ipc"`
+	SingleIPC   []float64      `json:"single_ipc"`
+	WeightedIPC float64        `json:"weighted_ipc"`
+	Throughput  float64        `json:"throughput"`
+	Fairness    float64        `json:"fairness"`
+	Metrics     map[string]any `json:"metrics,omitempty"`
+}
+
+// printMix prints one report per policy of a mix run, in list order: a
+// JSON object for one policy (with the registry's metrics), an array for
+// several.
+func printMix(mix workload.Mix, results []experiments.MixResult, single []float64, statsFmt string, reg *telemetry.Registry) error {
+	rows := make([]mixRow, len(results))
+	for i, res := range results {
+		w, err := metrics.WeightedIPC(res.IPC, single)
+		if err != nil {
+			return err
+		}
+		h, err := metrics.HarmonicMeanNorm(res.IPC, single)
+		if err != nil {
+			return err
+		}
+		rows[i] = mixRow{
+			Policy: res.Policy, Cores: len(mix.Benchs), Benchmarks: mix.Names,
+			IPC: res.IPC, SingleIPC: single,
+			WeightedIPC: w, Throughput: metrics.Throughput(res.IPC), Fairness: h,
+		}
+	}
+	if statsFmt == "json" {
+		if len(rows) == 1 {
+			rows[0].Metrics = reg.Snapshot()
+			return json.NewEncoder(os.Stdout).Encode(rows[0])
+		}
+		return json.NewEncoder(os.Stdout).Encode(rows)
+	}
+	for _, r := range rows {
+		fmt.Printf("policy %s, %d cores, LLC %d MB shared\n", r.Policy, r.Cores, 2*r.Cores)
+		for t, b := range mix.Benchs {
+			fmt.Printf("  core %2d  %-20s IPC %.4f  (alone: %.4f)\n", t, b.Name, r.IPC[t], single[t])
+		}
+		fmt.Printf("weighted IPC (W) %.4f\n", r.WeightedIPC)
+		fmt.Printf("throughput   (T) %.4f\n", r.Throughput)
+		fmt.Printf("fairness     (H) %.4f\n", r.Fairness)
+	}
+	return nil
 }

@@ -77,9 +77,14 @@ func newPeer(id string, tr *http.Transport, timeout time.Duration, reg *telemetr
 // thing one node ever sends another — and reports the outcome to observe:
 // a transport failure, an oversized answer or a 5xx counts against the
 // peer; any other answer, a 503 shed included (the peer is alive, just
-// busy), counts for it.
+// busy), counts for it. A failure after the caller's ctx is done (the
+// client hung up or its deadline passed) says nothing about the peer and
+// is not reported; the peer's own budget, the http.Client Timeout, is.
 func (c *Cluster) exchange(ctx context.Context, p *Peer, body []byte, maxResp int64) (*PeerResponse, error) {
 	resp, err := p.post(ctx, body, maxResp)
+	if err != nil && ctx.Err() != nil {
+		return resp, err
+	}
 	ok := err == nil && (resp.Status < 500 || resp.Status == http.StatusServiceUnavailable)
 	if !ok {
 		p.mErrs.Inc()

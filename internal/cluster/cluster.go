@@ -197,14 +197,13 @@ func (c *Cluster) FetchGet(ctx context.Context, owner, key string) (*PeerRespons
 	c.mProxied.Inc()
 	resp, err, shared := c.flight.Do(owner+"\x00"+key, func() (*PeerResponse, error) {
 		// The fetch is shared by every coalesced caller, so it must not
-		// die with the first caller's context; it runs under its own
-		// FetchTimeout budget instead.
-		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.FetchTimeout)
-		defer cancel()
+		// die with the first caller's context; only the peer client's
+		// FetchTimeout budget bounds it, and a timeout counts against
+		// the peer.
 		c.mFills.Inc()
 		body := batchwire.AppendOps(nil, []kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: key}})
 		// Base64 inflates the value by 4/3; the rest of the row is small.
-		return c.exchange(fctx, p, body, c.cfg.MaxValueBytes*4/3+512)
+		return c.exchange(context.WithoutCancel(ctx), p, body, c.cfg.MaxValueBytes*4/3+512)
 	})
 	if shared {
 		c.mCoal.Inc()

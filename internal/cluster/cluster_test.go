@@ -150,6 +150,45 @@ func TestExchangeFailuresEject(t *testing.T) {
 	}
 }
 
+// TestCallerCancelledExchangeIsNoEvidence: an exchange that fails because
+// the caller's context ended (the client hung up mid-batch) is evidence
+// about the caller, not the peer. EjectAfter+1 of them against a slow but
+// healthy peer leave it in the ring, uncounted as a peer error.
+func TestCallerCancelledExchangeIsNoEvidence(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+	self := "http://127.0.0.1:1"
+	reg := telemetry.NewRegistry()
+	c, err := New(Config{Self: self, Peers: []string{self, srv.URL}, EjectAfter: 3, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`[{"op":"get","key":"` + ownedBy(t, c.Ring(), srv.URL) + `"}]`)
+	for i := 0; i < 3+1; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		if _, err := c.ForwardBatch(ctx, srv.URL, body, 1<<20); err == nil {
+			t.Fatal("exchange succeeded although the caller's context ended")
+		}
+		cancel()
+	}
+	if !c.Ring().IsAlive(srv.URL) {
+		t.Fatal("caller-cancelled exchanges ejected a healthy peer")
+	}
+	if v := c.StatsView(""); v.Ejections != 0 {
+		t.Fatalf("ejections = %d, want 0", v.Ejections)
+	}
+	if n := reg.Counter("cluster.peer_errors{" + telemetry.Label("peer", srv.URL) + "}").Value(); n != 0 {
+		t.Fatalf("peer_errors = %d, want 0", n)
+	}
+}
+
 // fakePeer is a controllable cluster member: a real HTTP server whose
 // /healthz can be flipped and whose /batch exchanges are counted; each
 // answers one hit row carrying value.

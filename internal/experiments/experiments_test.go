@@ -90,7 +90,7 @@ func TestAstarIndifferent(t *testing.T) {
 
 func TestRunMixShapes(t *testing.T) {
 	mixes := workload.Mixes(4, 1, 7)
-	r := RunMix(mixes[0], mcTADRRIP(), 20_000, 1)
+	r := RunMix(mixes[0], []MCPolicySpec{mcTADRRIP()}, 20_000, 1, TelemetryOptions{})[0]
 	if len(r.IPC) != 4 {
 		t.Fatalf("got %d IPCs, want 4", len(r.IPC))
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"pdp/internal/cache"
 	"pdp/internal/cpu"
@@ -53,26 +54,17 @@ type MixResult struct {
 	IPC    []float64
 }
 
-// RunMix drives a multi-programmed mix through a shared LLC of 2MB per
-// core. Threads interleave with probabilities proportional to their APKI
-// (memory-intensity-proportional arrival, standing in for co-run timing).
-func RunMix(mix workload.Mix, spec MCPolicySpec, perThread int, seed uint64) MixResult {
-	return runMixMany(mix, []MCPolicySpec{spec}, perThread, seed, TelemetryOptions{})[0]
-}
-
-// RunMixTelemetry is RunMix with the telemetry pipeline attached after
-// warm-up: a per-core-occupancy-aware cache Tap plus opt.Attach's
+// RunMix drives one multi-programmed stream through one shared LLC of 2MB
+// per core per spec, each interleaved access handed to every cache in spec
+// order, as RunMany does for one core. Threads interleave with
+// probabilities proportional to their APKI (memory-intensity-proportional
+// arrival, standing in for co-run timing).
+//
+// tel is attached to each warmed-up cache, in spec order, just before the
+// measured window: a per-core-occupancy-aware cache Tap plus tel.Attach's
 // monitor. Shared-LLC partitioning policies exposing PDs() get their
 // per-thread protecting distances stamped into every snapshot.
-func RunMixTelemetry(mix workload.Mix, spec MCPolicySpec, perThread int, seed uint64, opt TelemetryOptions) MixResult {
-	return runMixMany(mix, []MCPolicySpec{spec}, perThread, seed, opt)[0]
-}
-
-// runMixMany drives one multi-programmed stream through one shared LLC per
-// spec, each interleaved access handed to every cache in spec order, as
-// RunMany does for one core; opt is attached to each warmed-up cache just
-// before the measured window.
-func runMixMany(mix workload.Mix, specs []MCPolicySpec, perThread int, seed uint64, opt TelemetryOptions) []MixResult {
+func RunMix(mix workload.Mix, specs []MCPolicySpec, perThread int, seed uint64, tel TelemetryOptions) []MixResult {
 	cores := len(mix.Benchs)
 	sets := LLCSets * cores
 	pols := make([]cache.Policy, len(specs))
@@ -118,7 +110,7 @@ func runMixMany(mix workload.Mix, specs []MCPolicySpec, perThread int, seed uint
 	}
 	for i, c := range caches {
 		c.Stats = cache.Stats{}
-		opt.attach(c, pols[i], cores)
+		tel.attach(c, pols[i], cores)
 	}
 	accs := make([]uint64, cores)
 	hits := make([][]uint64, len(specs)) // per cache, per thread
@@ -147,13 +139,13 @@ func runMixMany(mix workload.Mix, specs []MCPolicySpec, perThread int, seed uint
 	return out
 }
 
-// singleIPC computes a benchmark's stand-alone IPC on the multi-core LLC
-// under LRU (the paper's IPCSingle baseline).
-func singleIPC(b workload.Benchmark, cores, accesses int, seed uint64) float64 {
+// SingleIPC computes a benchmark's stand-alone IPC on the multi-core LLC
+// under LRU: the paper's IPCSingle baseline of the W/H metrics.
+func SingleIPC(b workload.Benchmark, cores, accesses int, seed uint64) float64 {
 	sets := LLCSets * cores
 	c := cache.New(cache.Config{Name: "LLC", Sets: sets, Ways: LLCWays,
 		LineSize: trace.LineSize}, cache.NewLRU(sets, LLCWays))
-	// Same single-core-granularity generator as runMixMany: alone on the large
+	// Same single-core-granularity generator as RunMix: alone on the large
 	// LLC, the thread's lines spread thinner and distances shrink.
 	g := b.Generator(LLCSets, 1, seed)
 	for i := Warmup(accesses); i > 0; i-- {
@@ -179,13 +171,7 @@ func Fig12(cfg Config) error {
 		// Repartition/recompute interval: a few times per measured window,
 		// but long enough that every thread accumulates a usable sampled
 		// RDD (the paper recomputes every 512K accesses).
-		interval := uint64(cfg.MCAccessesPerThread * cores / 4)
-		if interval < 65536 {
-			interval = 65536
-		}
-		if interval > 512*1024 {
-			interval = 512 * 1024
-		}
+		interval := uint64(min(max(cfg.MCAccessesPerThread*cores/4, 65536), 512*1024))
 		policies := []MCPolicySpec{
 			mcTADRRIP(),
 			mcUCP(interval),
@@ -214,7 +200,7 @@ func Fig12(cfg Config) error {
 			}
 		}
 		ipcs, err := parallel.Map(cfg.jobs(), len(uniq), func(i int) (float64, error) {
-			return singleIPC(uniq[i], cores, cfg.MCAccessesPerThread, cfg.Seed), nil
+			return SingleIPC(uniq[i], cores, cfg.MCAccessesPerThread, cfg.Seed), nil
 		})
 		if err != nil {
 			return err
@@ -228,7 +214,7 @@ func Fig12(cfg Config) error {
 		// identical at every jobs count.
 		runs, err := parallel.Map(cfg.jobs(), len(mixes), func(r int) ([]MixResult, error) {
 			m := mixes[r]
-			return runMixMany(cfg.Mix(m), policies, cfg.MCAccessesPerThread, cfg.Seed+uint64(m.ID), TelemetryOptions{}), nil
+			return RunMix(cfg.Mix(m), policies, cfg.MCAccessesPerThread, cfg.Seed+uint64(m.ID), TelemetryOptions{}), nil
 		})
 		if err != nil {
 			return err
@@ -294,24 +280,12 @@ func Fig12(cfg Config) error {
 
 // shortNames compresses a mix's benchmark list for table display.
 func shortNames(names []string) string {
-	if len(names) <= 4 {
-		out := ""
-		for i, n := range names {
-			if i > 0 {
-				out += ","
-			}
-			if len(n) > 3 {
-				n = n[:3]
-			}
-			out += n
-		}
-		return out
+	if len(names) > 4 {
+		return fmt.Sprintf("(%d threads)", len(names))
 	}
-	return fmt.Sprintf("(%d threads)", len(names))
-}
-
-// SingleIPC exposes the stand-alone LRU baseline IPC used by the W/H
-// metrics (command-line support).
-func SingleIPC(b workload.Benchmark, cores, accesses int, seed uint64) float64 {
-	return singleIPC(b, cores, accesses, seed)
+	short := make([]string, len(names))
+	for i, n := range names {
+		short[i] = n[:min(len(n), 3)]
+	}
+	return strings.Join(short, ",")
 }

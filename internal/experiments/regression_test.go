@@ -86,18 +86,17 @@ func TestMulticoreHeadline(t *testing.T) {
 	for _, m := range mixes {
 		single := make([]float64, len(m.Benchs))
 		for tt, b := range m.Benchs {
-			single[tt] = singleIPC(b, 4, perThread, 42)
+			single[tt] = SingleIPC(b, 4, perThread, 42)
 		}
-		eval := func(spec MCPolicySpec) float64 {
-			r := RunMix(m, spec, perThread, 42+uint64(m.ID))
+		runs := RunMix(m, []MCPolicySpec{mcTADRRIP(), mcPDPPart(8, interval)}, perThread, 42+uint64(m.ID), TelemetryOptions{})
+		eval := func(r MixResult) float64 {
 			w, err := metrics.WeightedIPC(r.IPC, single)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return w
 		}
-		base := eval(mcTADRRIP())
-		pdp := eval(mcPDPPart(8, interval))
+		base, pdp := eval(runs[0]), eval(runs[1])
 		deltas = append(deltas, metrics.Improvement(pdp, base))
 	}
 	if avg := metrics.Mean(deltas); avg < 0 {

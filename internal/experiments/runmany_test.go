@@ -108,12 +108,12 @@ func TestRunMixManyMatchesPerSpec(t *testing.T) {
 		specs = append(specs, s)
 	}
 	var mons []*eventHash
-	got := runMixMany(mix, specs, perThread, 42, hashEach(&mons))
+	got := RunMix(mix, specs, perThread, 42, hashEach(&mons))
 	for i, spec := range specs {
 		var one []*eventHash
-		want := runMixMany(mix, specs[i:i+1], perThread, 42, hashEach(&one))[0]
+		want := RunMix(mix, specs[i:i+1], perThread, 42, hashEach(&one))[0]
 		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("%s: runMixMany %+v, alone %+v", spec.Name, got[i], want)
+			t.Errorf("%s: RunMix %+v, alone %+v", spec.Name, got[i], want)
 		}
 		if *mons[i] != *one[0] {
 			t.Errorf("%s: events %+v, alone %+v", spec.Name, *mons[i], *one[0])

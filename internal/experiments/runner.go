@@ -370,10 +370,7 @@ func SpecByName(name string, accesses int) (PolicySpec, error) {
 // MCSpecByName resolves a multi-core policy spec: ta-drrip, ucp, pipp,
 // pdppart-2, pdppart-3, pdppart-8.
 func MCSpecByName(name string, perThread int) (MCPolicySpec, error) {
-	interval := uint64(perThread / 4)
-	if interval < 4096 {
-		interval = 4096
-	}
+	interval := uint64(max(perThread/4, 4096))
 	switch name {
 	case "ta-drrip":
 		return mcTADRRIP(), nil

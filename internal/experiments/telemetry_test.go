@@ -96,11 +96,11 @@ func TestRunMixTelemetry(t *testing.T) {
 	}
 
 	j := telemetry.NewJournal(256)
-	res := RunMixTelemetry(mix, spec, perThread, 42, TelemetryOptions{
+	res := RunMix(mix, []MCPolicySpec{spec}, perThread, 42, TelemetryOptions{
 		Journal:       j,
 		SnapshotEvery: 20_000,
 		EventSample:   64,
-	})
+	})[0]
 	if len(res.IPC) != 2 {
 		t.Fatalf("IPC = %v", res.IPC)
 	}

@@ -87,16 +87,3 @@ func WrapBenchmark(b workload.Benchmark, spec Spec, rep *Reporter) workload.Benc
 	}
 	return b
 }
-
-// WrapMix wraps every benchmark of a multi-programmed mix.
-func WrapMix(m workload.Mix, spec Spec, rep *Reporter) workload.Mix {
-	if !spec.TraceEnabled() {
-		return m
-	}
-	benchs := make([]workload.Benchmark, len(m.Benchs))
-	for i, b := range m.Benchs {
-		benchs[i] = WrapBenchmark(b, spec, rep)
-	}
-	m.Benchs = benchs
-	return m
-}

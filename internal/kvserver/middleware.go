@@ -150,7 +150,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		latency: s.cfg.Registry.Histogram(`http.latency_ns{route="` + route + `"}`),
 		reg:     s.cfg.Registry,
 	}
-	s.routes = append(s.routes, m)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
 		if id == "" {

@@ -110,9 +110,7 @@ type Server struct {
 	mSnaps    *telemetry.Counter
 	mSnapErrs *telemetry.Counter
 
-	// Middleware state: the instrumented routes and the request-id
-	// generator.
-	routes  []*routeMetrics
+	// Middleware state: the request-id generator.
 	reqSeq  atomic.Uint64
 	mErrors *telemetry.Counter
 
