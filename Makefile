@@ -61,7 +61,7 @@ seam:
 # item 7).
 loc:
 	@for t in 'internal/kvcache internal/kvserver internal/cluster internal/loadgen internal/batchwire internal/servefault' \
-		"internal/core internal/sampler internal/partition internal/pdproc internal/experiments internal/telemetry internal/resilience internal/faultinject $$(ls -d cmd/*)"; do \
+		"internal/trace internal/core internal/sampler internal/partition internal/pdproc internal/experiments internal/telemetry internal/resilience internal/faultinject $$(ls -d cmd/*)"; do \
 		total=0; for p in $$t; do \
 			n=$$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l); \
 			printf '%-13s %5d\n' $${p#internal/} $$n; total=$$((total + n)); \
@@ -130,7 +130,7 @@ bench-alloc:
 
 # Fuzz smoke: the untrusted decoders (trace files, checkpoints, /batch
 # requests and answers, the last two against encoding/json as oracle),
-# RDDGen's address index against a Go map, the -inject grammar's
+# RDDGen against its address-keyed original (a Go map), the -inject grammar's
 # Parse/String round trip, and a cache snapshot file restored into a
 # fresh cache, which must pass CheckInvariants.
 fuzz:
@@ -138,7 +138,7 @@ fuzz:
 	$(GO) test ./internal/resilience/ -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseOps -fuzz FuzzParseOps -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseRows -fuzz FuzzParseRows -fuzztime 20s
-	$(GO) test ./internal/trace/ -run FuzzPosIndex -fuzz FuzzPosIndex -fuzztime 20s
+	$(GO) test ./internal/trace/ -run FuzzRDDGen -fuzz FuzzRDDGen -fuzztime 20s
 	$(GO) test ./internal/faultinject/ -run FuzzParse -fuzz FuzzParse -fuzztime 20s
 	$(GO) test ./internal/kvcache/ -run FuzzRestore -fuzz FuzzRestore -fuzztime 20s
 

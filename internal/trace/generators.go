@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // LineSize is the cache line size in bytes used throughout the repository
 // (paper Table 1: 64B lines).
@@ -76,11 +79,12 @@ func (s RDDSpec) Validate() error {
 	return nil
 }
 
-// rddSet holds per-set generation state for RDDGen.
+// rddSet holds per-set generation state for RDDGen. Lines are held by tag;
+// tag 0 marks an empty hist slot.
 type rddSet struct {
-	hist    []uint64 // ring buffer of the last len(hist) line addresses
+	hist    []uint32 // ring buffer of the last len(hist) line tags
 	count   int64    // accesses to this set so far
-	retired []uint64 // ring of old addresses usable for "far" reuse
+	retired []uint32 // ring of old tags usable for "far" reuse
 	retPos  int
 }
 
@@ -89,25 +93,33 @@ type rddSet struct {
 // the distances it produces are exactly the quantity the PDP paper's RD
 // sampler measures.
 type RDDGen struct {
-	name    string
-	spec    RDDSpec
-	sets    int
-	base    uint64
-	seed    uint64
-	rng     *RNG
-	state   []rddSet
-	hist    []uint64 // the slab every set's hist ring is cut from
-	lastPos posIndex // most recent access index (within its set) per live address
-	nextTag uint64
-	histLen int
-	retCap  int
-	farMinD int
+	name  string
+	spec  RDDSpec
+	sets  int
+	base  uint64
+	seed  uint64
+	rng   *RNG
+	state []rddSet
+	hist  []uint32 // the slab every set's hist ring is cut from
+	// lastPos[tag] is the most recent access index (within its set) of the
+	// line minted as tag, or -1 once the line is dropped; lastPos[0] stays
+	// -1. A fresh line's tag is len(lastPos), so the slice grows by one
+	// entry per fresh line.
+	lastPos  []int32
+	tagLimit uint64 // first tag past the region (or past uint32): minting it panics
+	histLen  int
+	retCap   int
+	farMinD  int
 	// cumulative weights for sampling: peaks..., far, fresh(remainder)
 	cumW   []float64
 	pcPeak []uint64 // one PC group per peak
 	pcNew  uint64   // PC used by fresh (streaming) accesses
 	pcFar  uint64
 }
+
+// regionBits is the width of the address region each generator owns: its
+// base is shifted above it.
+const regionBits = 40
 
 // NewRDDGen builds a generator for the given number of target cache sets.
 // base disambiguates the address space when several generators are mixed;
@@ -120,14 +132,15 @@ func NewRDDGen(name string, spec RDDSpec, sets int, base, seed uint64) *RDDGen {
 		panic("trace: sets must be positive")
 	}
 	g := &RDDGen{
-		name:    name,
-		spec:    spec,
-		sets:    sets,
-		base:    base << 40,
-		seed:    seed,
-		histLen: spec.maxDist() + 16,
-		retCap:  512,
-		farMinD: spec.farMin(),
+		name:     name,
+		spec:     spec,
+		sets:     sets,
+		base:     base << regionBits,
+		seed:     seed,
+		tagLimit: min(1<<32, 1<<regionBits/(uint64(sets)*LineSize)),
+		histLen:  spec.maxDist() + 16,
+		retCap:   512,
+		farMinD:  spec.farMin(),
 	}
 	cum := 0.0
 	for i, p := range spec.Peaks {
@@ -150,11 +163,10 @@ func (g *RDDGen) Name() string { return g.name }
 // emptied in place after that, at whatever size they have grown to.
 func (g *RDDGen) Reset() {
 	g.rng = NewRNG(g.seed)
-	g.nextTag = 1
-	g.lastPos.reset()
+	g.lastPos = append(g.lastPos[:0], -1)
 	if g.state == nil {
 		g.state = make([]rddSet, g.sets)
-		g.hist = make([]uint64, g.sets*g.histLen)
+		g.hist = make([]uint32, g.sets*g.histLen)
 		for i := range g.state {
 			g.state[i].hist = g.hist[i*g.histLen : (i+1)*g.histLen]
 		}
@@ -167,11 +179,32 @@ func (g *RDDGen) Reset() {
 	}
 }
 
-// freshAddr returns a line address never used before that maps to set s.
-func (g *RDDGen) freshAddr(s int) uint64 {
-	a := g.base | (g.nextTag*uint64(g.sets)+uint64(s))*LineSize
-	g.nextTag++
-	return a
+// freshTag mints the tag of a line never used before. It panics rather
+// than let the line's address leave the generator's region, where it would
+// alias another generator's lines or an earlier line of its own.
+func (g *RDDGen) freshTag() uint32 {
+	tag := len(g.lastPos)
+	if uint64(tag) >= g.tagLimit {
+		g.overflow(fmt.Sprintf("fresh line %d would leave its 2^%d-byte region", tag, regionBits))
+	}
+	g.lastPos = append(g.lastPos, -1)
+	return uint32(tag)
+}
+
+// overflow panics with what went wrong, naming the generator, its sets and
+// the access (counted from Reset) that did it.
+func (g *RDDGen) overflow(what string) {
+	var n int64
+	for i := range g.state {
+		n += g.state[i].count
+	}
+	panic(fmt.Sprintf("trace: RDDGen %q at %d sets, access %d: %s", g.name, g.sets, n+1, what))
+}
+
+// addr is the line address of tag, which lives in set s. Tags are numbered
+// across all sets, so no two lines share an address.
+func (g *RDDGen) addr(tag uint32, s int) uint64 {
+	return g.base | (uint64(tag)*uint64(g.sets)+uint64(s))*LineSize
 }
 
 // Next implements Generator.
@@ -180,7 +213,7 @@ func (g *RDDGen) Next() Access {
 	st := &g.state[s]
 
 	u := g.rng.Float64()
-	var addr uint64
+	var tag uint32
 	pc := g.pcNew
 	nPeaks := len(g.spec.Peaks)
 	chosen := -1 // -1 fresh, [0..nPeaks) peak i, nPeaks far
@@ -199,37 +232,38 @@ func (g *RDDGen) Next() Access {
 				d = 1
 			}
 		}
-		addr = g.reuseAt(st, int64(d))
+		tag = g.reuseAt(st, int64(d))
 		pc = g.pcPeak[chosen]
 	case chosen == nPeaks: // far reuse
 		for try := 0; try < 4 && len(st.retired) > 0; try++ {
 			cand := st.retired[g.rng.Intn(len(st.retired))]
-			if p, ok := g.lastPos.get(cand); ok && st.count-p >= int64(g.farMinD) {
-				addr = cand
+			if p := g.lastPos[cand]; p >= 0 && st.count-int64(p) >= int64(g.farMinD) {
+				tag = cand
 				pc = g.pcFar
 				break
 			}
 		}
 	}
-	if addr == 0 {
-		addr = g.freshAddr(s)
+	if tag == 0 {
+		tag = g.freshTag()
 		pc = g.pcNew
 	}
-	g.record(st, addr)
+	g.record(st, tag)
 	return Access{
-		Addr:  addr,
+		Addr:  g.addr(tag, s),
 		PC:    pc,
 		Write: g.rng.Bernoulli(g.spec.WriteFrac),
 	}
 }
 
-// reuseAt returns the address whose most recent use in st was exactly d
-// accesses ago, or 0 if no such address exists (then the caller falls back
-// to a fresh line, which only adds mass to the "fresh" bucket).
-func (g *RDDGen) reuseAt(st *rddSet, d int64) uint64 {
-	// Try the exact distance, then wiggle outwards a little: an address seen
-	// at distance d may have been re-touched since (its RD would be wrong),
-	// in which case a neighbor usually works.
+// reuseAt returns the tag whose most recent use in st was exactly d
+// accesses ago, or 0 if no such line exists (then the caller falls back to
+// a fresh line, which only adds mass to the "fresh" bucket).
+func (g *RDDGen) reuseAt(st *rddSet, d int64) uint32 {
+	// Try the exact distance, then wiggle outwards a little: a line seen at
+	// distance d may have been re-touched since (its RD would be wrong), in
+	// which case a neighbor usually works. An empty slot holds tag 0, whose
+	// lastPos of -1 matches no index.
 	for _, delta := range []int64{0, 1, -1, 2, -2, 3, -3} {
 		dd := d + delta
 		idx := st.count - dd
@@ -237,38 +271,36 @@ func (g *RDDGen) reuseAt(st *rddSet, d int64) uint64 {
 			continue
 		}
 		cand := st.hist[idx%int64(g.histLen)]
-		if cand == 0 {
-			continue
-		}
-		if p, ok := g.lastPos.get(cand); ok && p == idx {
+		if int64(g.lastPos[cand]) == idx {
 			return cand
 		}
 	}
 	return 0
 }
 
-// record appends addr to the set's history, retiring whatever falls out of
-// the window so that "far" reuse candidates exist and the map stays bounded.
-func (g *RDDGen) record(st *rddSet, addr uint64) {
+// record appends tag to the set's history, retiring whatever falls out of
+// the window so that "far" reuse candidates exist; a line pushed out of the
+// retired ring as well is dropped.
+func (g *RDDGen) record(st *rddSet, tag uint32) {
+	if st.count > math.MaxInt32 {
+		g.overflow(fmt.Sprintf("a set passes %d accesses", math.MaxInt32))
+	}
 	slot := st.count % int64(g.histLen)
-	out := st.hist[slot]
-	if out != 0 {
-		if p, ok := g.lastPos.get(out); ok && p == st.count-int64(g.histLen) {
-			// Most recent use of `out` is leaving the window.
-			if len(st.retired) < g.retCap {
-				st.retired = append(st.retired, out)
-			} else {
-				old := st.retired[st.retPos]
-				if q, ok2 := g.lastPos.get(old); ok2 && q <= st.count-int64(g.histLen) {
-					g.lastPos.delete(old)
-				}
-				st.retired[st.retPos] = out
-				st.retPos = (st.retPos + 1) % g.retCap
+	if out := st.hist[slot]; out != 0 && int64(g.lastPos[out]) == st.count-int64(g.histLen) {
+		// Most recent use of `out` is leaving the window.
+		if len(st.retired) < g.retCap {
+			st.retired = append(st.retired, out)
+		} else {
+			old := st.retired[st.retPos]
+			if int64(g.lastPos[old]) <= st.count-int64(g.histLen) {
+				g.lastPos[old] = -1
 			}
+			st.retired[st.retPos] = out
+			st.retPos = (st.retPos + 1) % g.retCap
 		}
 	}
-	st.hist[slot] = addr
-	g.lastPos.set(addr, st.count)
+	st.hist[slot] = tag
+	g.lastPos[tag] = int32(st.count)
 	st.count++
 }
 

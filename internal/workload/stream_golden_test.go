@@ -39,9 +39,9 @@ func streamHash(g trace.Generator, n int) string {
 // TestStreamGoldens pins every model's access stream. The simulator's
 // pinned statistics (bench/testdata/sim_digests.json, repro -scale 0.2)
 // run 2048 sets, where a task gives each set ~80 accesses: no RDDGen set
-// fills its 512-entry retired ring, so the ring's wrap, the index delete
-// it triggers and a duplicate address in the ring are never executed
-// there. At 4 sets the ring wraps ~100 times.
+// fills its 512-entry retired ring, so the ring's wrap, the line drop it
+// triggers and a duplicate tag in the ring are never executed there. At 4
+// sets the ring wraps ~100 times.
 func TestStreamGoldens(t *testing.T) {
 	const path = "testdata/stream_goldens.json"
 	got := map[string]string{}
