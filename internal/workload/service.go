@@ -42,8 +42,8 @@ type ServiceConfig struct {
 	Keys int
 	// ZipfS is the Zipf skew exponent (0 = uniform over Keys).
 	ZipfS float64
-	// ValueBytes is the base value size; a key's actual size is
-	// ValueBytes ± ValueBytes/4, deterministic per key (0 means 64).
+	// ValueBytes is the base value size; a key's size lies in [ValueBytes −
+	// ValueBytes/8, ValueBytes + ValueBytes/8), fixed per key (0 means 64).
 	ValueBytes int
 	// PutFrac is the fraction of hot-key operations issued as explicit
 	// overwrites (OpPut) rather than reads.
@@ -74,10 +74,11 @@ func (c ServiceConfig) Validate() error {
 	if c.Keys <= 0 {
 		return fmt.Errorf("workload: service mix needs Keys > 0, got %d", c.Keys)
 	}
-	if c.ZipfS < 0 {
+	// Written as !(v >= 0) so that NaN, which fails every comparison, fails.
+	if !(c.ZipfS >= 0) {
 		return fmt.Errorf("workload: ZipfS must be >= 0, got %g", c.ZipfS)
 	}
-	if c.PutFrac < 0 || c.DeleteFrac < 0 || c.PutFrac+c.DeleteFrac > 1 {
+	if !(c.PutFrac >= 0) || !(c.DeleteFrac >= 0) || !(c.PutFrac+c.DeleteFrac <= 1) {
 		return fmt.Errorf("workload: PutFrac=%g DeleteFrac=%g out of range", c.PutFrac, c.DeleteFrac)
 	}
 	if c.ScanEvery < 0 || c.ScanLen < 0 || c.ScanLoop < 0 || c.ChurnEvery < 0 || c.ChurnStep < 0 {
@@ -100,6 +101,9 @@ type ServiceStream struct {
 	seed uint64
 	rng  *trace.RNG
 	cdf  []float64 // cumulative Zipf weights over ranks 1..Keys
+	// guide[b] is the first rank whose cdf reaches b/(len(guide)-1) of the
+	// total: a draw in bucket b lies in ranks guide[b]..guide[b+1].
+	guide []int
 
 	ops      uint64 // hot-key operations issued (scan ops excluded)
 	scanLeft int    // remaining keys of the burst in progress
@@ -121,6 +125,7 @@ func NewServiceStream(cfg ServiceConfig, seed uint64) *ServiceStream {
 	}
 	s := &ServiceStream{cfg: cfg, seed: seed}
 	s.cdf = zipfCDF(cfg.Keys, cfg.ZipfS)
+	s.guide = cdfGuide(s.cdf)
 	s.Reset()
 	return s
 }
@@ -136,6 +141,26 @@ func zipfCDF(n int, sExp float64) []float64 {
 	return cdf
 }
 
+// cdfGuide indexes cdf by equal buckets of its total, in one pass. The
+// bucket count is a power of two, about one per 16 ranks, within 2^12 to
+// 2^17.
+func cdfGuide(cdf []float64) []int {
+	g := 1 << 12
+	for g < 1<<17 && g < len(cdf)>>4 {
+		g <<= 1
+	}
+	total := cdf[len(cdf)-1]
+	guide := make([]int, g+1)
+	r := 0
+	for b := range guide {
+		// Rounding keeps b·total ≤ g·total, and /g is exact: r stays in range.
+		for edge := float64(b) * total / float64(g); cdf[r] < edge; r++ {
+		}
+		guide[b] = r
+	}
+	return guide
+}
+
 // Config returns the stream's configuration (with defaults applied).
 func (s *ServiceStream) Config() ServiceConfig { return s.cfg }
 
@@ -148,11 +173,18 @@ func (s *ServiceStream) Reset() {
 	s.churn = 0
 }
 
-// sampleRank draws a Zipf rank in [0, Keys).
-func (s *ServiceStream) sampleRank() int {
-	total := s.cdf[len(s.cdf)-1]
-	x := s.rng.Float64() * total
-	return sort.SearchFloat64s(s.cdf, x)
+// sampleRank is the Zipf rank in [0, Keys) a uniform draw u in [0, 1)
+// selects: sort.SearchFloat64s(cdf, u·total), searched within u's guide
+// bucket cdf[lo:hi]. Should that window not bracket x, the search covers
+// the whole cdf, so the rank never depends on the guide being exact.
+func (s *ServiceStream) sampleRank(u float64) int {
+	x := u * s.cdf[len(s.cdf)-1]
+	b := int(u * float64(len(s.guide)-1))
+	lo, hi := s.guide[b], s.guide[b+1]+1
+	if (lo > 0 && s.cdf[lo-1] >= x) || s.cdf[hi-1] < x {
+		return sort.SearchFloat64s(s.cdf, x)
+	}
+	return lo + sort.SearchFloat64s(s.cdf[lo:hi], x)
 }
 
 // sizeOf derives a key's deterministic value size.
@@ -191,7 +223,7 @@ func (s *ServiceStream) Next() Op {
 		s.churn += uint64(s.cfg.ChurnStep)
 	}
 
-	rank := s.sampleRank()
+	rank := s.sampleRank(s.rng.Float64())
 	key := s.churn + uint64(rank)
 	op := Op{Kind: OpGet, Key: key, Size: s.sizeOf(key)}
 	switch x := s.rng.Float64(); {

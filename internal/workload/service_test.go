@@ -1,6 +1,10 @@
 package workload
 
-import "testing"
+import (
+	"math"
+	"sort"
+	"testing"
+)
 
 func TestServiceStreamDeterministic(t *testing.T) {
 	cfg := ServiceMixes()["mixed"]
@@ -87,6 +91,10 @@ func TestServiceConfigValidate(t *testing.T) {
 		{Keys: 10, PutFrac: 0.8, DeleteFrac: 0.3},
 		{Keys: 10, ScanEvery: 100},
 		{Keys: 10, ChurnEvery: -1},
+		{Keys: 10, ZipfS: math.NaN()},
+		{Keys: 10, PutFrac: math.NaN()},
+		{Keys: 10, DeleteFrac: math.NaN()},
+		{Keys: 10, PutFrac: 0.5, DeleteFrac: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -98,4 +106,64 @@ func TestServiceConfigValidate(t *testing.T) {
 			t.Fatalf("preset %q invalid: %v", name, err)
 		}
 	}
+}
+
+// checkRank fails t unless s.sampleRank(u) is sort.SearchFloat64s over the
+// whole cdf, the search the guide table stands in front of.
+func checkRank(t *testing.T, s *ServiceStream, u float64, what string) {
+	t.Helper()
+	want := sort.SearchFloat64s(s.cdf, u*s.cdf[len(s.cdf)-1])
+	if got := s.sampleRank(u); got != want {
+		t.Fatalf("%s: Keys=%d ZipfS=%g u=%v: rank %d, the full search gives %d",
+			what, s.cfg.Keys, s.cfg.ZipfS, u, got, want)
+	}
+}
+
+// FuzzSampleRank holds the guided Zipf draw to sort.SearchFloat64s over
+// the same cdf: 20 000 draws from the stream's RNG, u = 0, u = 1−2^−53,
+// and every bucket edge with its neighbours on either side. Then it
+// shifts the guide a bucket each way, which leaves it monotone but wrong,
+// and checks that the ranks still agree: the fallback, not float luck,
+// keeps every rank exact.
+func FuzzSampleRank(f *testing.F) {
+	f.Add(uint32(1<<12), 0.0, uint64(1))      // ZipfS 0: bucket edges land on cdf values
+	f.Add(uint32(20000), 0.0, uint64(2))      // ZipfS 0, edges between cdf values
+	f.Add(uint32(1), 0.99, uint64(3))         // one key: every bucket is rank 0
+	f.Add(uint32(1_000_000), 0.99, uint64(4)) // the bench's shape
+	f.Add(uint32(1<<20), 3.0, uint64(5))      // steep: the tail's weights vanish below an ulp
+	f.Add(uint32(777), 1.5, uint64(6))
+	f.Fuzz(func(t *testing.T, keys uint32, zipfS float64, seed uint64) {
+		n := int(keys % (1 << 20))
+		if n == 0 {
+			n = 1 << 20
+		}
+		if zipfS = math.Abs(zipfS); !(zipfS <= 3) {
+			zipfS = math.Mod(zipfS, 3) // NaN for NaN and +Inf, which become 0
+			if math.IsNaN(zipfS) {
+				zipfS = 0
+			}
+		}
+		s := NewServiceStream(ServiceConfig{Keys: n, ZipfS: zipfS}, seed)
+		edges := func(what string) {
+			g := float64(len(s.guide) - 1)
+			for b := 0.0; b <= g; b++ {
+				for _, u := range []float64{math.Nextafter(b/g, 0), b / g, math.Nextafter(b/g, 1)} {
+					if u < 1 {
+						checkRank(t, s, u, what)
+					}
+				}
+			}
+			checkRank(t, s, 1-0x1p-53, what)
+		}
+		for i := 0; i < 20_000; i++ {
+			checkRank(t, s, s.rng.Float64(), "draw")
+		}
+		edges("edge")
+		guide := s.guide
+		g := len(guide) - 1
+		s.guide = append(append([]int(nil), guide[1:]...), guide[g])
+		edges("guide a bucket ahead")
+		s.guide = append([]int{0}, guide[:g]...)
+		edges("guide a bucket behind")
+	})
 }

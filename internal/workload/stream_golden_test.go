@@ -12,7 +12,7 @@ import (
 	"pdp/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/stream_goldens.json from the generators")
+var update = flag.Bool("update", false, "rewrite testdata/stream_goldens.json and testdata/service_goldens.json from the generators")
 
 const (
 	goldenSeed = 7
@@ -43,7 +43,6 @@ func streamHash(g trace.Generator, n int) string {
 // triggers and a duplicate tag in the ring are never executed there. At 4
 // sets the ring wraps ~100 times.
 func TestStreamGoldens(t *testing.T) {
-	const path = "testdata/stream_goldens.json"
 	got := map[string]string{}
 	for _, b := range append(All(), Phased()...) {
 		for _, sets := range []int{4, 2048} {
@@ -56,6 +55,13 @@ func TestStreamGoldens(t *testing.T) {
 			}
 		}
 	}
+	checkGoldens(t, "testdata/stream_goldens.json", got)
+}
+
+// checkGoldens compares got with the hashes pinned in path, after
+// rewriting path from got under -update.
+func checkGoldens(t *testing.T, path string, got map[string]string) {
+	t.Helper()
 	if *update {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -74,7 +80,7 @@ func TestStreamGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("%s pins %d streams, the models give %d", path, len(want), len(got))
+		t.Errorf("%s pins %d streams, the generators give %d", path, len(want), len(got))
 	}
 	for k, g := range got {
 		if want[k] != g {
