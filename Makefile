@@ -130,7 +130,8 @@ bench-alloc:
 
 # Fuzz smoke: the untrusted decoders (trace files, checkpoints, /batch
 # requests and answers, the last two against encoding/json as oracle),
-# RDDGen against its address-keyed original (a Go map), the -inject grammar's
+# RDDGen against its address-keyed original (a Go map), the cache's tag
+# probe against the linear scan it replaced, the -inject grammar's
 # Parse/String round trip, and a cache snapshot file restored into a
 # fresh cache, which must pass CheckInvariants.
 fuzz:
@@ -139,6 +140,7 @@ fuzz:
 	$(GO) test ./internal/batchwire/ -run FuzzParseOps -fuzz FuzzParseOps -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseRows -fuzz FuzzParseRows -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzRDDGen -fuzz FuzzRDDGen -fuzztime 20s
+	$(GO) test ./internal/cache/ -run FuzzProbe -fuzz FuzzProbe -fuzztime 20s
 	$(GO) test ./internal/workload/ -run FuzzSampleRank -fuzz FuzzSampleRank -fuzztime 20s
 	$(GO) test ./internal/faultinject/ -run FuzzParse -fuzz FuzzParse -fuzztime 20s
 	$(GO) test ./internal/kvcache/ -run FuzzRestore -fuzz FuzzRestore -fuzztime 20s

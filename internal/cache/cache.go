@@ -137,11 +137,15 @@ type Cache struct {
 	lineShift uint
 	setShift  uint // log2(Sets)
 	setMask   uint64
-	// tags holds tag+1 per (set, way); 0 marks an empty way. A tag has
-	// 64-lineShift-setShift bits, so the +1 cannot wrap unless
-	// LineSize = Sets = 1.
-	tags    []uint64
-	dirty   []bool
+	// tags holds the tag of each (set, way); it is meaningful only where
+	// meta marks the way valid.
+	tags []uint64
+	// meta holds one byte per (set, way), eight to a word, each set
+	// starting a fresh word: 0 for an empty way, else the tag's
+	// fingerprint (1..127) with the dirty bit above it. A set's bytes past
+	// its last way hold padByte.
+	meta    []uint64
+	words   int // meta words per set
 	setAccs []uint64
 	pol     Policy
 	mon     Monitor
@@ -165,14 +169,22 @@ func New(cfg Config, pol Policy) *Cache {
 	if pol == nil {
 		panic(fmt.Sprintf("cache %s: nil policy", cfg.Name))
 	}
-	n := cfg.Sets * cfg.Ways
+	words := (cfg.Ways + 7) / 8
+	meta := make([]uint64, cfg.Sets*words)
+	if used := cfg.Ways % 8; used != 0 {
+		pad := uint64(padByte*bytes1) << (8 * used)
+		for i := words - 1; i < len(meta); i += words {
+			meta[i] = pad
+		}
+	}
 	return &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setShift:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:   uint64(cfg.Sets - 1),
-		tags:      make([]uint64, n),
-		dirty:     make([]bool, n),
+		tags:      make([]uint64, cfg.Sets*cfg.Ways),
+		meta:      meta,
+		words:     words,
 		setAccs:   make([]uint64, cfg.Sets),
 		pol:       pol,
 	}
@@ -207,29 +219,70 @@ func (c *Cache) TagOf(addr uint64) uint64 {
 func (c *Cache) SetAccesses(set int) uint64 { return c.setAccs[set] }
 
 // Valid reports whether (set, way) holds a line.
-func (c *Cache) Valid(set, way int) bool { return c.tags[set*c.cfg.Ways+way] != 0 }
+func (c *Cache) Valid(set, way int) bool { return c.metaByte(set, way) != 0 }
 
 // LineAddr reconstructs the line-aligned address stored in the valid way
 // (set, way).
 func (c *Cache) LineAddr(set, way int) uint64 {
-	tag := c.tags[set*c.cfg.Ways+way] - 1
-	return (tag<<c.setShift | uint64(set)) << c.lineShift
+	return (c.tags[set*c.cfg.Ways+way]<<c.setShift | uint64(set)) << c.lineShift
+}
+
+// Per-way metadata bytes, and the byte-lane constants of the probe.
+const (
+	dirtyBit = 0x80
+	// padByte fills a set's bytes past its last way: never empty (it is
+	// not 0) and never a fingerprint (those are below dirtyBit).
+	padByte = dirtyBit
+	bytes1  = 0x0101010101010101 // 0x01 in every byte
+	bytesLo = 0x7f7f7f7f7f7f7f7f // the fingerprint bits of every byte
+	bytesHi = 0x8080808080808080 // the top bit of every byte
+)
+
+// fingerprint maps a tag to 1..127: the top seven bits of a Fibonacci hash,
+// with 0 folded onto 1. It takes no division.
+func fingerprint(tag uint64) uint64 {
+	fp := tag * 0x9E3779B97F4A7C15 >> 57
+	return fp | (fp-1)>>63
+}
+
+// metaByte returns the metadata byte of (set, way).
+func (c *Cache) metaByte(set, way int) uint64 {
+	return c.meta[set*c.words+way>>3] >> (8 * (way & 7)) & 0xff
+}
+
+// setMeta overwrites the metadata byte of (set, way) with b.
+func (c *Cache) setMeta(set, way int, b uint64) {
+	i, s := set*c.words+way>>3, 8*uint(way&7)
+	c.meta[i] = c.meta[i]&^(0xff<<s) | b<<s
 }
 
 // find is the one tag lookup: the way of addr's set holding addr's line
 // (-1 when not resident) and the set's lowest empty way (-1 when full, and
-// not looked for past a hit). It takes the set index so that it stays
-// within the inlining budget.
+// not looked for past a hit). It probes eight ways per meta word. Adding
+// 0x7f to a byte's fingerprint bits sets the byte's top bit unless they are
+// 0, and never carries into the next byte, so both tests are exact: a way
+// is a candidate when its fingerprint bits equal the tag's, and empty when
+// its whole byte is 0 (a padding byte has no fingerprint bits, but is not
+// 0). Only candidates' tags are read.
 func (c *Cache) find(set int, addr uint64) (way, free int) {
-	key := c.TagOf(addr) + 1
-	base := set * c.cfg.Ways
+	tag := c.TagOf(addr)
+	want := fingerprint(tag) * bytes1
+	tags := c.tags[set*c.cfg.Ways:]
 	free = -1
-	for w, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == key {
-			return w, free
+	for i, w := range c.meta[set*c.words : (set+1)*c.words] {
+		fps := w & bytesLo
+		empty := ^(fps + bytesLo | w) & bytesHi
+		for cand := ^(fps ^ want + bytesLo) & bytesHi; cand != 0; cand &= cand - 1 {
+			way = i*8 + bits.TrailingZeros64(cand)>>3
+			if tags[way] == tag {
+				if below := empty & (cand&-cand - 1); free < 0 && below != 0 {
+					free = i*8 + bits.TrailingZeros64(below)>>3
+				}
+				return way, free
+			}
 		}
-		if t == 0 && free < 0 {
-			free = w
+		if free < 0 && empty != 0 {
+			free = i*8 + bits.TrailingZeros64(empty)>>3
 		}
 	}
 	return -1, free
@@ -249,8 +302,7 @@ func (c *Cache) invalidate(addr uint64) bool {
 		return false
 	}
 	c.pol.Evict(set, way)
-	c.tags[set*c.cfg.Ways+way] = 0
-	c.dirty[set*c.cfg.Ways+way] = false
+	c.setMeta(set, way, 0)
 	return true
 }
 
@@ -258,7 +310,6 @@ func (c *Cache) invalidate(addr uint64) bool {
 func (c *Cache) Access(acc trace.Access) Result {
 	set := c.SetOf(acc.Addr)
 	way, free := c.find(set, acc.Addr)
-	base := set * c.cfg.Ways
 	line := acc.Addr &^ uint64(c.cfg.LineSize-1)
 	c.Stats.Accesses++
 	if acc.Write {
@@ -269,7 +320,7 @@ func (c *Cache) Access(acc trace.Access) Result {
 	if way >= 0 {
 		c.Stats.Hits++
 		if acc.Write {
-			c.dirty[base+way] = true
+			c.meta[set*c.words+way>>3] |= dirtyBit << (8 * (way & 7))
 		}
 		c.pol.Hit(set, way, acc)
 		if c.mon != nil {
@@ -303,7 +354,7 @@ func (c *Cache) Access(acc trace.Access) Result {
 		way = v
 		res.Evicted = true
 		res.VictimAddr = c.LineAddr(set, way)
-		res.Writeback = c.dirty[base+way]
+		res.Writeback = c.metaByte(set, way)&dirtyBit != 0
 		if res.Writeback {
 			c.Stats.Writebacks++
 		}
@@ -316,8 +367,13 @@ func (c *Cache) Access(acc trace.Access) Result {
 		c.pol.Evict(set, way)
 	}
 
-	c.tags[base+way] = c.TagOf(acc.Addr) + 1
-	c.dirty[base+way] = acc.Write
+	tag := c.TagOf(acc.Addr)
+	c.tags[set*c.cfg.Ways+way] = tag
+	fp := fingerprint(tag)
+	if acc.Write {
+		fp |= dirtyBit
+	}
+	c.setMeta(set, way, fp)
 	c.Stats.Inserts++
 	res.Way = way
 	c.pol.Insert(set, way, acc)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -141,6 +142,13 @@ func (p bypassThirds) Victim(set int, acc trace.Access) (int, bool) {
 	return p.LRU.Victim(set, acc)
 }
 
+// levelCfg is one level of a hierarchy under test.
+type levelCfg struct {
+	sets, ways int
+	bypass     bool
+	pol        func(sets, ways int) Policy
+}
+
 // TestAccessMatchesReference drives random traces through Cache (alone and
 // under a Hierarchy) and through refCache, each side with its own copy of
 // the policy, and compares everything observable after every access. The
@@ -149,11 +157,7 @@ func (p bypassThirds) Victim(set int, acc trace.Access) (int, bool) {
 // never filled.
 func TestAccessMatchesReference(t *testing.T) {
 	lru := func(sets, ways int) Policy { return NewLRU(sets, ways) }
-	type levelCfg struct {
-		sets, ways int
-		bypass     bool
-		pol        func(sets, ways int) Policy
-	}
+	identity := func(k int) uint64 { return uint64(k) }
 	for _, tc := range []struct {
 		name      string
 		inclusive bool
@@ -165,64 +169,99 @@ func TestAccessMatchesReference(t *testing.T) {
 		{"inclusive", true, []levelCfg{{2, 4, false, lru}, {4, 2, false, lru}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var real []*Cache
-			var recs []*recorder
-			ref := &refHierarchy{inclusive: tc.inclusive}
-			for i, lc := range tc.levels {
-				cfg := Config{Name: "t", Sets: lc.sets, Ways: lc.ways, LineSize: 64, AllowBypass: lc.bypass}
-				real = append(real, New(cfg, lc.pol(lc.sets, lc.ways)))
-				recs = append(recs, &recorder{})
-				real[i].SetMonitor(recs[i])
-				ref.levels = append(ref.levels, newRefCache(cfg, lc.pol(lc.sets, lc.ways)))
-			}
-			h := NewHierarchy(real...)
-			h.SetInclusive(tc.inclusive)
-
-			rng := trace.NewRNG(11)
-			holes := 0
-			for i := 0; i < 20000; i++ {
-				acc := trace.Access{Addr: uint64(rng.Intn(40*64 + 1)), PC: uint64(rng.Intn(4)), Write: rng.Bernoulli(0.3)}
-				if len(real) == 1 {
-					if got, want := real[0].Access(acc), ref.levels[0].access(acc); got != want {
-						t.Fatalf("access %d %+v: Result %+v, reference %+v", i, acc, got, want)
-					}
-				} else if got, want := h.Access(acc), ref.access(acc, 0); got != want {
-					t.Fatalf("access %d %+v: satisfied at level %d, reference %d", i, acc, got, want)
-				}
-				for l, c := range real {
-					r := ref.levels[l]
-					if c.Stats != r.stats {
-						t.Fatalf("access %d level %d: Stats %+v, reference %+v", i, l, c.Stats, r.stats)
-					}
-					if !slices.Equal(recs[l].evs, r.evs) {
-						t.Fatalf("access %d level %d: events\n%+v\nreference\n%+v", i, l, recs[l].evs, r.evs)
-					}
-					recs[l].evs, r.evs = recs[l].evs[:0], r.evs[:0]
-					for set := 0; set < c.Sets(); set++ {
-						for w := 0; w < c.Ways(); w++ {
-							valid := r.valid[set*c.Ways()+w]
-							if c.Valid(set, w) != valid {
-								t.Fatalf("access %d level %d: Valid(%d, %d) = %v", i, l, set, w, !valid)
-							}
-							if valid && c.LineAddr(set, w) != r.lineAddr(set, w) {
-								t.Fatalf("access %d level %d: LineAddr(%d, %d) = %#x, reference %#x",
-									i, l, set, w, c.LineAddr(set, w), r.lineAddr(set, w))
-							}
-							if !valid && w+1 < c.Ways() && r.valid[set*c.Ways()+w+1] {
-								holes++
-							}
-						}
-					}
-					probe := uint64(rng.Intn(40 * 64))
-					if _, way := r.lookup(probe); c.Contains(probe) != (way >= 0) {
-						t.Fatalf("access %d level %d: Contains(%#x) = %v", i, l, probe, way < 0)
-					}
-				}
-			}
-			if tc.inclusive && (h.BackInvalidations == 0 || holes == 0) {
-				t.Fatalf("%d back-invalidations left %d holes below a valid way: the trace does not test the empty-way scan",
-					h.BackInvalidations, holes)
-			}
+			matchReference(t, tc.inclusive, tc.levels, 40, identity)
 		})
+	}
+
+	// The probe at the widths it meets: one meta word, a padded second
+	// word, two full words and a padded third. Three lines per way keep
+	// every set filling, hitting, evicting and, once full, bypassing.
+	for _, ways := range []int{8, 12, 16, 20} {
+		t.Run(fmt.Sprintf("ways%d", ways), func(t *testing.T) {
+			matchReference(t, false, []levelCfg{{4, ways, true, func(s, w int) Policy { return bypassThirds{NewLRU(s, w)} }}},
+				3*4*ways, identity)
+		})
+	}
+
+	// Distinct tags of one set that share a fingerprint: 24 such tags in
+	// each of two 16-way sets, next to a few others, so most probes find
+	// several candidates and only the tags can tell them apart.
+	t.Run("fingerprint-collisions", func(t *testing.T) {
+		const sets = 2
+		var lines []uint64
+		for tag := uint64(0); len(lines) < 2*24; tag++ {
+			if fingerprint(tag) == fingerprint(0) {
+				lines = append(lines, tag*sets, tag*sets+1)
+			}
+		}
+		for tag := uint64(1); tag <= 8; tag++ {
+			lines = append(lines, tag*sets+tag%sets)
+		}
+		matchReference(t, false, []levelCfg{{sets, 16, false, lru}}, len(lines),
+			func(k int) uint64 { return lines[k/64%len(lines)]*64 + uint64(k%64) })
+	})
+}
+
+// matchReference runs 20000 random accesses through a hierarchy of levels
+// and its reference, comparing after each. An access's address is addr(k)
+// for k uniform in [0, 64·lines].
+func matchReference(t *testing.T, inclusive bool, levels []levelCfg, lines int, addr func(k int) uint64) {
+	var real []*Cache
+	var recs []*recorder
+	ref := &refHierarchy{inclusive: inclusive}
+	for i, lc := range levels {
+		cfg := Config{Name: "t", Sets: lc.sets, Ways: lc.ways, LineSize: 64, AllowBypass: lc.bypass}
+		real = append(real, New(cfg, lc.pol(lc.sets, lc.ways)))
+		recs = append(recs, &recorder{})
+		real[i].SetMonitor(recs[i])
+		ref.levels = append(ref.levels, newRefCache(cfg, lc.pol(lc.sets, lc.ways)))
+	}
+	h := NewHierarchy(real...)
+	h.SetInclusive(inclusive)
+
+	rng := trace.NewRNG(11)
+	holes := 0
+	for i := 0; i < 20000; i++ {
+		acc := trace.Access{Addr: addr(rng.Intn(lines*64 + 1)), PC: uint64(rng.Intn(4)), Write: rng.Bernoulli(0.3)}
+		if len(real) == 1 {
+			if got, want := real[0].Access(acc), ref.levels[0].access(acc); got != want {
+				t.Fatalf("access %d %+v: Result %+v, reference %+v", i, acc, got, want)
+			}
+		} else if got, want := h.Access(acc), ref.access(acc, 0); got != want {
+			t.Fatalf("access %d %+v: satisfied at level %d, reference %d", i, acc, got, want)
+		}
+		for l, c := range real {
+			r := ref.levels[l]
+			if c.Stats != r.stats {
+				t.Fatalf("access %d level %d: Stats %+v, reference %+v", i, l, c.Stats, r.stats)
+			}
+			if !slices.Equal(recs[l].evs, r.evs) {
+				t.Fatalf("access %d level %d: events\n%+v\nreference\n%+v", i, l, recs[l].evs, r.evs)
+			}
+			recs[l].evs, r.evs = recs[l].evs[:0], r.evs[:0]
+			for set := 0; set < c.Sets(); set++ {
+				for w := 0; w < c.Ways(); w++ {
+					valid := r.valid[set*c.Ways()+w]
+					if c.Valid(set, w) != valid {
+						t.Fatalf("access %d level %d: Valid(%d, %d) = %v", i, l, set, w, !valid)
+					}
+					if valid && c.LineAddr(set, w) != r.lineAddr(set, w) {
+						t.Fatalf("access %d level %d: LineAddr(%d, %d) = %#x, reference %#x",
+							i, l, set, w, c.LineAddr(set, w), r.lineAddr(set, w))
+					}
+					if !valid && w+1 < c.Ways() && r.valid[set*c.Ways()+w+1] {
+						holes++
+					}
+				}
+			}
+			probe := addr(rng.Intn(lines * 64))
+			if _, way := r.lookup(probe); c.Contains(probe) != (way >= 0) {
+				t.Fatalf("access %d level %d: Contains(%#x) = %v", i, l, probe, way < 0)
+			}
+		}
+	}
+	if inclusive && (h.BackInvalidations == 0 || holes == 0) {
+		t.Fatalf("%d back-invalidations left %d holes below a valid way: the trace does not test the empty-way scan",
+			h.BackInvalidations, holes)
 	}
 }

@@ -52,10 +52,22 @@ func hashEach(mons *[]*eventHash) TelemetryOptions {
 	}}
 }
 
+// countingGen counts the accesses drawn from the generator it wraps, by
+// Next or by Fill.
+type countingGen struct {
+	trace.Filler
+	n *int
+}
+
+func (g *countingGen) Next() trace.Access { *g.n++; return g.Filler.Next() }
+
+func (g *countingGen) Fill(buf []trace.Access) { *g.n += len(buf); g.Filler.Fill(buf) }
+
 // TestRunManyMatchesReference pins RunMany to k independent single-cache
 // runs: for an RDDGen model, a loop model and a phased model, and with the
 // specs in either order, every result and every cache's event sequence
-// equals the reference loop's.
+// equals the reference loop's, and RunMany draws as many accesses as it
+// does.
 // The specs cover seeded (DIP, DRRIP), bypassing (SDP, PDP, SPDP-B) and
 // dynamic (PDP-8) policies.
 func TestRunManyMatchesReference(t *testing.T) {
@@ -77,9 +89,18 @@ func TestRunManyMatchesReference(t *testing.T) {
 		t.Fatalf("%s is no longer an RDDGen model", models[0].Name)
 	}
 	for _, b := range models {
+		drawn := 0
+		counted := b
+		counted.Build = func(sets int, base, seed uint64) trace.Generator {
+			return &countingGen{Filler: b.Build(sets, base, seed).(trace.Filler), n: &drawn}
+		}
 		for _, order := range [][]PolicySpec{specs, reversed} {
 			var mons []*eventHash
-			got := RunMany(b, order, n, seed, hashEach(&mons))
+			drawn = 0
+			got := RunMany(counted, order, n, seed, hashEach(&mons))
+			if drawn != Warmup(n)+n {
+				t.Errorf("%s: RunMany drew %d accesses, want warm-up %d + %d", b.Name, drawn, Warmup(n), n)
+			}
 			for i, spec := range order {
 				var ref eventHash
 				want := refRun(b, spec, n, seed, &ref)

@@ -233,22 +233,13 @@ func RunMany(b workload.Benchmark, specs []PolicySpec, n int, seed uint64, tel T
 		}, pols[i])
 	}
 	g := b.Generator(LLCSets, 1, seed)
-	for i := Warmup(n); i > 0; i-- {
-		a := g.Next()
-		for _, c := range caches {
-			c.Access(a)
-		}
-	}
+	buf := make([]trace.Access, runBlock)
+	feed(g, caches, buf, Warmup(n))
 	for i, c := range caches {
 		c.Stats = cache.Stats{}
 		tel.attach(c, pols[i], 1)
 	}
-	for i := 0; i < n; i++ {
-		a := g.Next()
-		for _, c := range caches {
-			c.Access(a)
-		}
-	}
+	feed(g, caches, buf, n)
 	out := make([]RunResult, len(specs))
 	model := cpu.Default()
 	for i, c := range caches {
@@ -264,6 +255,25 @@ func RunMany(b workload.Benchmark, specs []PolicySpec, n int, seed uint64, tel T
 		}
 	}
 	return out
+}
+
+// runBlock is the number of accesses RunMany draws from its generator at a
+// time.
+const runBlock = 256
+
+// feed draws the next count accesses of g, a block of len(buf) at a time,
+// and hands each to every cache in order.
+func feed(g trace.Generator, caches []*cache.Cache, buf []trace.Access, count int) {
+	for count > 0 {
+		blk := buf[:min(count, len(buf))]
+		count -= len(blk)
+		trace.Fill(g, blk)
+		for _, a := range blk {
+			for _, c := range caches {
+				c.Access(a)
+			}
+		}
+	}
 }
 
 // TelemetryOptions configures the observability pipeline of an

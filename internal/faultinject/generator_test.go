@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"slices"
 	"testing"
 
 	"pdp/internal/trace"
@@ -125,6 +126,67 @@ func TestFaultGenUntilStopsFaults(t *testing.T) {
 	}
 	if rep.Total() == 0 {
 		t.Fatal("no faults before the window closed")
+	}
+}
+
+// drawUntilFail draws up to n records of g, through Next or through Fill in
+// blocks of 1, 7, 256, 1000, 1000, ..., until the trace.fail fault fires.
+// It returns the records of the calls that completed and the failing
+// record's number (0 if none fired).
+func drawUntilFail(g trace.Generator, n int, fill bool) (recs []trace.Access, failedAt uint64) {
+	defer func() {
+		if v := recover(); v != nil {
+			failedAt = v.(*InjectedError).Record
+		}
+	}()
+	for i := 0; len(recs) < n; i++ {
+		if !fill {
+			recs = append(recs, g.Next())
+			continue
+		}
+		blk := make([]trace.Access, min(n-len(recs), []int{1, 7, 256, 1000}[min(i, 3)]))
+		g.(trace.Filler).Fill(blk)
+		recs = append(recs, blk...)
+	}
+	return recs, 0
+}
+
+// TestFaultGenFillEqualsNext draws the same faulty trace through Next and
+// through Fill in uneven blocks: the records, the faults reported and how
+// far the base stream was drawn must agree, also when the fault window
+// closes inside a block and when the mid-stream failure fires inside one.
+func TestFaultGenFillEqualsNext(t *testing.T) {
+	for _, spec := range []Spec{
+		{TraceDup: 0.1, TraceDrop: 0.1, TraceCorrupt: 0.1, Seed: 4},
+		{TraceDup: 0.1, TraceDrop: 0.1, TraceCorrupt: 0.1, Until: 777, Seed: 5},
+		{TraceDup: 0.1, TraceDrop: 0.1, TraceCorrupt: 0.1, TraceFail: 3000, Seed: 6},
+	} {
+		var recs [2][]trace.Access
+		var failedAt [2]uint64
+		var bases [2]*seqGen
+		var reps [2]*Reporter
+		for i, fill := range []bool{false, true} {
+			bases[i], reps[i] = &seqGen{}, NewReporter(nil)
+			recs[i], failedAt[i] = drawUntilFail(WrapGenerator(bases[i], spec, 1, reps[i]), 5000, fill)
+		}
+		if failedAt[0] != failedAt[1] || failedAt[0] != spec.TraceFail {
+			t.Fatalf("%+v: trace.fail fired at record %d by Next, %d by Fill", spec, failedAt[0], failedAt[1])
+		}
+		if bases[0].n != bases[1].n {
+			t.Fatalf("%+v: base drawn to %d by Next, %d by Fill", spec, bases[0].n, bases[1].n)
+		}
+		for _, site := range []string{"trace.dup", "trace.drop", "trace.corrupt", "trace.fail"} {
+			if a, b := reps[0].Count(site), reps[1].Count(site); a != b {
+				t.Fatalf("%+v: %s reported %d times by Next, %d by Fill", spec, site, a, b)
+			}
+		}
+		// Fill loses the block the failure fired in, Next only the record.
+		if n := len(recs[1]); n > len(recs[0]) || !slices.Equal(recs[0][:n], recs[1]) {
+			t.Fatalf("%+v: %d records by Fill are not a prefix of the %d by Next", spec, n, len(recs[0]))
+		}
+		if spec.TraceFail == 0 && len(recs[1]) != 5000 {
+			t.Fatalf("%+v: Fill drew %d records, want 5000", spec, len(recs[1]))
+		}
 	}
 }
 

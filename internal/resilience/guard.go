@@ -49,3 +49,19 @@ func (g *guardedGen) Next() trace.Access {
 	}
 	return g.g.Next()
 }
+
+// Fill implements trace.Filler: the accesses between two checks are one
+// Fill of the wrapped generator, and every check falls on the access
+// where Next makes it.
+func (g *guardedGen) Fill(buf []trace.Access) {
+	for len(buf) > 0 {
+		k := min(int64(len(buf)), guardEvery-1-g.n%guardEvery)
+		trace.Fill(g.g, buf[:k])
+		g.n += k
+		buf = buf[k:]
+		if len(buf) > 0 {
+			buf[0] = g.Next()
+			buf = buf[1:]
+		}
+	}
+}

@@ -108,20 +108,39 @@ func (g *loopGen) Name() string       { return "loop" }
 func (g *loopGen) Reset()             { g.n = 0 }
 func (g *loopGen) Next() trace.Access { g.n++; return trace.Access{Addr: g.n * 64} }
 
+// TestGuardGeneratorAbortsCancelledRun drives a guarded generator by Next
+// and by Fill in blocks of 1000, which the checks fall inside of: either
+// way the run unwinds at a check, with the accesses before it drawn and
+// the one at it not.
 func TestGuardGeneratorAbortsCancelledRun(t *testing.T) {
-	s := &Supervisor{Timeout: 25 * time.Millisecond}
-	out := s.Run(context.Background(), "guarded", func(ctx context.Context) error {
-		g := GuardGenerator(ctx, &loopGen{})
-		for { // hot access loop with no explicit ctx checks
-			g.Next()
-		}
-	})
-	var we *WatchdogError
-	if !errors.As(out.Err, &we) {
-		t.Fatalf("want WatchdogError via guarded generator, got %v", out.Err)
-	}
-	if out.Abandoned {
-		t.Fatal("guarded run should unwind cooperatively, not be abandoned")
+	buf := make([]trace.Access, 1000)
+	for _, drive := range []struct {
+		name string
+		draw func(g trace.Generator)
+	}{
+		{"Next", func(g trace.Generator) { g.Next() }},
+		{"Fill", func(g trace.Generator) { trace.Fill(g, buf) }},
+	} {
+		t.Run(drive.name, func(t *testing.T) {
+			s := &Supervisor{Timeout: 25 * time.Millisecond}
+			inner := &loopGen{}
+			out := s.Run(context.Background(), "guarded", func(ctx context.Context) error {
+				g := GuardGenerator(ctx, inner)
+				for { // hot access loop with no explicit ctx checks
+					drive.draw(g)
+				}
+			})
+			var we *WatchdogError
+			if !errors.As(out.Err, &we) {
+				t.Fatalf("want WatchdogError via guarded generator, got %v", out.Err)
+			}
+			if out.Abandoned {
+				t.Fatal("guarded run should unwind cooperatively, not be abandoned")
+			}
+			if inner.n%guardEvery != guardEvery-1 {
+				t.Fatalf("aborted with %d accesses drawn, not just before a check", inner.n)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LineSize is the cache line size in bytes used throughout the repository
@@ -256,6 +257,13 @@ func (g *RDDGen) Next() Access {
 	}
 }
 
+// Fill implements Filler.
+func (g *RDDGen) Fill(buf []Access) {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+}
+
 // reuseAt returns the tag whose most recent use in st was exactly d
 // accesses ago, or 0 if no such line exists (then the caller falls back to
 // a fresh line, which only adds mass to the "fresh" bucket).
@@ -346,6 +354,13 @@ func (g *LoopGen) Next() Access {
 	return a
 }
 
+// Fill implements Filler.
+func (g *LoopGen) Fill(buf []Access) {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+}
+
 // StreamGen emits a pure streaming reference pattern: monotonically
 // increasing line addresses that are never reused.
 type StreamGen struct {
@@ -371,6 +386,13 @@ func (g *StreamGen) Next() Access {
 	a := Access{Addr: g.base | (g.pos * LineSize), PC: g.pc}
 	g.pos++
 	return a
+}
+
+// Fill implements Filler.
+func (g *StreamGen) Fill(buf []Access) {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
 }
 
 // PointerChaseGen performs a pseudo-random walk over a working set of Lines
@@ -416,8 +438,17 @@ func (g *PointerChaseGen) Next() Access {
 	return a
 }
 
+// Fill implements Filler.
+func (g *PointerChaseGen) Fill(buf []Access) {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+}
+
 // MixGen probabilistically interleaves child generators with fixed weights.
-// Children must use distinct address bases.
+// Children must use distinct address bases and share no state: Fill draws
+// each child's share of a block in one go, which only equals Next's
+// one-at-a-time interleave when no child sees another's draws.
 type MixGen struct {
 	name    string
 	gens    []Generator
@@ -425,6 +456,12 @@ type MixGen struct {
 	cum     []float64
 	seed    uint64
 	rng     *RNG
+	// Fill's buffers: the child picked for each access of a block, and
+	// each child's share of the block and count of accesses in it not yet
+	// dealt.
+	picks  []int
+	shares [][]Access
+	left   []int
 }
 
 // NewMixGen interleaves gens with the given weights (need not be normalized).
@@ -465,15 +502,54 @@ func (g *MixGen) Reset() {
 	}
 }
 
-// Next implements Generator.
-func (g *MixGen) Next() Access {
+// pick draws the child that serves the next access.
+func (g *MixGen) pick() int {
 	u := g.rng.Float64()
 	for i, c := range g.cum {
 		if u < c {
-			return g.gens[i].Next()
+			return i
 		}
 	}
-	return g.gens[len(g.gens)-1].Next()
+	return len(g.gens) - 1
+}
+
+// Next implements Generator.
+func (g *MixGen) Next() Access {
+	return g.gens[g.pick()].Next()
+}
+
+// mixBlock bounds the block MixGen.Fill works on, and so its buffers.
+const mixBlock = 256
+
+// Fill implements Filler: per block of at most mixBlock accesses, it draws
+// the picks, has each child fill its share in one call, then deals the
+// shares out in pick order. Dealing runs back to front, taking each
+// share's last undealt access, so every count is 0 again for the next
+// block.
+func (g *MixGen) Fill(buf []Access) {
+	if g.shares == nil {
+		g.shares = make([][]Access, len(g.gens))
+		g.left = make([]int, len(g.gens))
+	}
+	for len(buf) > 0 {
+		blk := buf[:min(len(buf), mixBlock)]
+		buf = buf[len(blk):]
+		g.picks = g.picks[:0]
+		for range blk {
+			i := g.pick()
+			g.picks = append(g.picks, i)
+			g.left[i]++
+		}
+		for i, c := range g.gens {
+			g.shares[i] = slices.Grow(g.shares[i][:0], g.left[i])[:g.left[i]]
+			Fill(c, g.shares[i])
+		}
+		for j := len(blk) - 1; j >= 0; j-- {
+			i := g.picks[j]
+			g.left[i]--
+			blk[j] = g.shares[i][g.left[i]]
+		}
+	}
 }
 
 // Segment is one phase of a PhasedGen: Count accesses drawn from Gen.
@@ -517,8 +593,8 @@ func (g *PhasedGen) Reset() {
 	}
 }
 
-// Next implements Generator.
-func (g *PhasedGen) Next() Access {
+// advance moves to the next segment once the current one is used up.
+func (g *PhasedGen) advance() {
 	if g.used >= g.segs[g.idx].Count {
 		g.used = 0
 		g.idx = (g.idx + 1) % len(g.segs)
@@ -529,8 +605,24 @@ func (g *PhasedGen) Next() Access {
 			}
 		}
 	}
+}
+
+// Next implements Generator.
+func (g *PhasedGen) Next() Access {
+	g.advance()
 	g.used++
 	return g.segs[g.idx].Gen.Next()
+}
+
+// Fill implements Filler: one child Fill per segment the block touches.
+func (g *PhasedGen) Fill(buf []Access) {
+	for len(buf) > 0 {
+		g.advance()
+		k := min(uint64(len(buf)), g.segs[g.idx].Count-g.used)
+		Fill(g.segs[g.idx].Gen, buf[:k])
+		g.used += k
+		buf = buf[k:]
+	}
 }
 
 // Collect draws n accesses from g into a slice (testing helper).
@@ -572,6 +664,13 @@ func (g *NoiseGen) Reset() { g.rng = NewRNG(g.seed) }
 func (g *NoiseGen) Next() Access {
 	line := g.rng.Uint64() & (1<<32 - 1)
 	return Access{Addr: g.base | line*LineSize, PC: g.pc}
+}
+
+// Fill implements Filler.
+func (g *NoiseGen) Fill(buf []Access) {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
 }
 
 // DriftLoopGen cyclically sweeps a working set of Lines cache lines, but
@@ -636,4 +735,11 @@ func (g *DriftLoopGen) Next() Access {
 		}
 	}
 	return Access{Addr: addr, PC: g.pc}
+}
+
+// Fill implements Filler.
+func (g *DriftLoopGen) Fill(buf []Access) {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
 }

@@ -36,6 +36,26 @@ type Generator interface {
 	Name() string
 }
 
+// Filler is a Generator that also draws accesses in blocks. Fill(buf)
+// must leave buf and the generator exactly as len(buf) calls of Next
+// would, so a caller may mix the two freely.
+type Filler interface {
+	Generator
+	Fill(buf []Access)
+}
+
+// Fill draws the next len(buf) accesses of g into buf: in one call when g
+// is a Filler, else one Next per access.
+func Fill(g Generator, buf []Access) {
+	if f, ok := g.(Filler); ok {
+		f.Fill(buf)
+		return
+	}
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+}
+
 // RNG is a small, fast, deterministic xorshift64* PRNG. It avoids any
 // dependence on math/rand's global state so that traces are stable across
 // Go releases.

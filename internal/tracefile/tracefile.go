@@ -285,3 +285,14 @@ func (g *Generator) Next() trace.Access {
 	}
 	return a
 }
+
+// Fill implements trace.Filler.
+func (g *Generator) Fill(buf []trace.Access) {
+	for len(buf) > 0 {
+		n := copy(buf, g.accs[g.pos:])
+		buf = buf[n:]
+		if g.pos += n; g.pos == len(g.accs) {
+			g.pos = 0
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pdp/internal/trace"
+	"pdp/internal/tracefile"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/stream_goldens.json and testdata/service_goldens.json from the generators")
@@ -36,12 +37,26 @@ func streamHash(g trace.Generator, n int) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestStreamGoldens pins every model's access stream. The simulator's
-// pinned statistics (bench/testdata/sim_digests.json, repro -scale 0.2)
-// run 2048 sets, where a task gives each set ~80 accesses: no RDDGen set
-// fills its 512-entry retired ring, so the ring's wrap, the line drop it
-// triggers and a duplicate tag in the ring are never executed there. At 4
-// sets the ring wraps ~100 times.
+// fillHash is streamHash of the next n accesses of g drawn through Fill, in
+// blocks of 1, 7 and 256 accesses and then the rest.
+func fillHash(g trace.Filler, n int) string {
+	accs := make([]trace.Access, n)
+	rest := accs
+	for _, k := range []int{1, 7, 256, n} {
+		k = min(k, len(rest))
+		g.Fill(rest[:k])
+		rest = rest[k:]
+	}
+	return streamHash(tracefile.NewGenerator("fill", accs), n)
+}
+
+// TestStreamGoldens pins every model's access stream, drawn through Next
+// and through Fill. The simulator's pinned statistics
+// (bench/testdata/sim_digests.json, repro -scale 0.2) run 2048 sets, where
+// a task gives each set ~80 accesses: no RDDGen set fills its 512-entry
+// retired ring, so the ring's wrap, the line drop it triggers and a
+// duplicate tag in the ring are never executed there. At 4 sets the ring
+// wraps ~100 times.
 func TestStreamGoldens(t *testing.T) {
 	got := map[string]string{}
 	for _, b := range append(All(), Phased()...) {
@@ -52,6 +67,12 @@ func TestStreamGoldens(t *testing.T) {
 			g.Reset()
 			if again := streamHash(g, goldenN); again != got[k] {
 				t.Errorf("%s: stream hash %s after Reset, %s before", k, again, got[k])
+			}
+			f, ok := b.Generator(sets, 0, goldenSeed).(trace.Filler)
+			if !ok {
+				t.Errorf("%s: %T has no Fill", k, g)
+			} else if filled := fillHash(f, goldenN); filled != got[k] {
+				t.Errorf("%s: stream hash %s through Fill, %s through Next", k, filled, got[k])
 			}
 		}
 	}

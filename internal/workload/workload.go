@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"pdp/internal/trace"
+	"pdp/internal/tracefile"
 )
 
 // Benchmark is one synthetic workload model.
@@ -299,30 +300,7 @@ func FromAccesses(name string, apki float64, accs []trace.Access) Benchmark {
 		Name: name,
 		APKI: apki,
 		Build: func(sets int, base, seed uint64) trace.Generator {
-			return &replayGen{name: name, accs: accs}
+			return tracefile.NewGenerator(name, accs)
 		},
 	}
-}
-
-// replayGen loops over a recorded access slice.
-type replayGen struct {
-	name string
-	accs []trace.Access
-	pos  int
-}
-
-// Name implements trace.Generator.
-func (g *replayGen) Name() string { return g.name }
-
-// Reset implements trace.Generator.
-func (g *replayGen) Reset() { g.pos = 0 }
-
-// Next implements trace.Generator.
-func (g *replayGen) Next() trace.Access {
-	a := g.accs[g.pos]
-	g.pos++
-	if g.pos == len(g.accs) {
-		g.pos = 0
-	}
-	return a
 }
