@@ -61,22 +61,6 @@ type Config struct {
 	// RecordHistory retains (access count, PD) samples for phase studies
 	// (paper Fig. 11c).
 	RecordHistory bool
-	// EpochDecayShift, when > 0, right-shifts the RDD counters by that many
-	// bits at each recomputation instead of clearing them — an exponential
-	// forgetting window. The trace-driven default (0, full reset) matches
-	// the paper's hardware; long-running services (internal/kvcache) use a
-	// shift of 1 so the RDD tracks the recent window while retaining enough
-	// cross-epoch mass to ride out sparse epochs.
-	EpochDecayShift uint
-	// Observer, when non-nil, receives every dynamic PD recomputation
-	// (observability seam; internal/telemetry journals these). It can also
-	// be attached after construction with SetObserver.
-	Observer func(RecomputeEvent)
-	// PDPerturb, when non-nil, maps each recomputed PD to the value actually
-	// installed (fault-injection seam; internal/faultinject drives it). The
-	// result is clamped to [1, DMax] regardless, so no perturbation — or
-	// solver bug — can ever install an out-of-range protecting distance.
-	PDPerturb func(pd int) int
 }
 
 func (c *Config) setDefaults() {
@@ -153,6 +137,12 @@ type PDP struct {
 	accs    uint64
 	history []PDPoint
 
+	// The recompute hooks: observe is set by AddObserver (internal/telemetry
+	// journals, internal/faultinject checks invariants), perturb by
+	// SetPDPerturb (internal/faultinject).
+	observe func(RecomputeEvent)
+	perturb func(pd int) int
+
 	// Recomputes counts dynamic PD recomputations performed.
 	Recomputes uint64
 }
@@ -220,9 +210,6 @@ func (p *PDP) Sampler() *sampler.RDSampler { return p.smp }
 // RecomputeEvent.Access).
 func (p *PDP) Accesses() uint64 { return p.accs }
 
-// SetObserver attaches (or, with nil, detaches) the recompute observer.
-func (p *PDP) SetObserver(f func(RecomputeEvent)) { p.cfg.Observer = f }
-
 // AddObserver chains f after any existing recompute observer, so several
 // subsystems (telemetry journaling, invariant checkers) can watch the same
 // policy. A nil f is a no-op.
@@ -230,20 +217,22 @@ func (p *PDP) AddObserver(f func(RecomputeEvent)) {
 	if f == nil {
 		return
 	}
-	prev := p.cfg.Observer
+	prev := p.observe
 	if prev == nil {
-		p.cfg.Observer = f
+		p.observe = f
 		return
 	}
-	p.cfg.Observer = func(ev RecomputeEvent) {
+	p.observe = func(ev RecomputeEvent) {
 		prev(ev)
 		f(ev)
 	}
 }
 
 // SetPDPerturb attaches (or, with nil, detaches) the fault-injection PD
-// perturbation hook; see Config.PDPerturb.
-func (p *PDP) SetPDPerturb(f func(pd int) int) { p.cfg.PDPerturb = f }
+// perturbation hook: f maps each recomputed PD to the one installed. The
+// result is clamped to [1, DMax] regardless, so no perturbation — or
+// solver bug — can ever install an out-of-range protecting distance.
+func (p *PDP) SetPDPerturb(f func(pd int) int) { p.perturb = f }
 
 // DMax returns the maximum protecting distance (the PD clamp ceiling).
 func (p *PDP) DMax() int { return p.cfg.DMax }
@@ -327,8 +316,8 @@ func (p *PDP) recompute() {
 	if pd > 0 {
 		p.pd = pd
 	}
-	if p.cfg.PDPerturb != nil {
-		p.pd = p.cfg.PDPerturb(p.pd)
+	if p.perturb != nil {
+		p.pd = p.perturb(p.pd)
 	}
 	// Graceful-degradation invariant: the installed PD stays in [1, DMax]
 	// whatever the solver — or an injected fault — produced.
@@ -339,8 +328,8 @@ func (p *PDP) recompute() {
 		p.pd = p.cfg.DMax
 	}
 	p.Recomputes++
-	if p.cfg.Observer != nil {
-		p.cfg.Observer(RecomputeEvent{
+	if p.observe != nil {
+		p.observe(RecomputeEvent{
 			Access: p.accs,
 			Seq:    p.Recomputes,
 			OldPD:  old,
@@ -351,11 +340,7 @@ func (p *PDP) recompute() {
 			E:      m.E,
 		})
 	}
-	if p.cfg.EpochDecayShift > 0 {
-		arr.Decay(p.cfg.EpochDecayShift)
-	} else {
-		arr.Reset()
-	}
+	arr.Reset()
 	if p.cfg.RecordHistory {
 		p.history = append(p.history, PDPoint{p.accs, p.pd})
 	}

@@ -14,26 +14,19 @@ type Model struct {
 	LLCHitCycles int
 	// MemCycles is the memory latency (paper: 200).
 	MemCycles int
-	// MLP divides the memory stall component, modelling overlap of
-	// outstanding misses; 1 = fully blocking.
-	MLP float64
 }
 
 // Default returns the paper-configured model.
 func Default() Model {
-	return Model{Width: 4, LLCHitCycles: 30, MemCycles: 200, MLP: 1}
+	return Model{Width: 4, LLCHitCycles: 30, MemCycles: 200}
 }
 
 // Cycles estimates execution time for instr instructions whose LLC-visible
 // accesses split into llcHits and memAccesses (misses + bypasses).
 func (m Model) Cycles(instr, llcHits, memAccesses uint64) float64 {
-	mlp := m.MLP
-	if mlp <= 0 {
-		mlp = 1
-	}
 	return float64(instr)/float64(m.Width) +
 		float64(llcHits)*float64(m.LLCHitCycles) +
-		float64(memAccesses)*float64(m.MemCycles)/mlp
+		float64(memAccesses)*float64(m.MemCycles)
 }
 
 // IPC returns instructions per cycle under the model.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCyclesHandComputed(t *testing.T) {
-	m := Model{Width: 4, LLCHitCycles: 30, MemCycles: 200, MLP: 1}
+	m := Model{Width: 4, LLCHitCycles: 30, MemCycles: 200}
 	// 1000 instructions, 10 LLC hits, 5 memory accesses:
 	// 250 + 300 + 1000 = 1550 cycles.
 	if got := m.Cycles(1000, 10, 5); got != 1550 {
@@ -15,20 +15,6 @@ func TestCyclesHandComputed(t *testing.T) {
 	}
 	if got := m.IPC(1000, 10, 5); math.Abs(got-1000.0/1550) > 1e-12 {
 		t.Fatalf("IPC = %v", got)
-	}
-}
-
-func TestMLPDividesMemoryStall(t *testing.T) {
-	m := Default()
-	m.MLP = 2
-	base := Default()
-	if m.Cycles(1000, 0, 10) >= base.Cycles(1000, 0, 10) {
-		t.Fatal("MLP must reduce memory stall cycles")
-	}
-	// Non-positive MLP falls back to blocking.
-	m.MLP = 0
-	if m.Cycles(1000, 0, 10) != base.Cycles(1000, 0, 10) {
-		t.Fatal("MLP<=0 must behave as 1")
 	}
 }
 

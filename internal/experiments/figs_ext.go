@@ -13,7 +13,6 @@ import (
 	"pdp/internal/core"
 	"pdp/internal/counter"
 	"pdp/internal/cpu"
-	"pdp/internal/cpusim"
 	"pdp/internal/metrics"
 	"pdp/internal/opt"
 	"pdp/internal/parallel"
@@ -183,76 +182,5 @@ func Energy(cfg Config) error {
 		fmtPct(metrics.Mean(avg["SDP"])),
 		fmtPct(metrics.Mean(avg["PDP-8"])),
 		fmtPct(metrics.Mean(wAvg)))
-	return tw.Flush()
-}
-
-// coreTimer feeds the MLP-aware interval core simulator from one LLC's
-// measured window. Every access emits exactly one EvHit, EvInsert or
-// EvBypass; each is preceded by the benchmark's non-memory instructions.
-type coreTimer struct {
-	core       *cpusim.Core
-	cfg        cpusim.Config
-	gap, carry float64
-}
-
-// Event implements cache.Monitor.
-func (t *coreTimer) Event(ev cache.Event) {
-	lat := t.cfg.MemCycles
-	switch ev.Kind {
-	case cache.EvEvict:
-		return
-	case cache.EvHit:
-		lat = t.cfg.LLCHitCycles
-	}
-	t.carry += t.gap
-	whole := uint64(t.carry)
-	t.carry -= float64(whole)
-	t.core.Advance(whole)
-	t.core.Memory(lat)
-}
-
-// Timing compares the blocking analytic core model against the MLP-aware
-// interval simulator (extension): the paper's relative claims must be
-// robust to the core model, i.e. the PDP-over-DIP improvement should keep
-// its sign and rough magnitude under memory-level parallelism.
-func Timing(cfg Config) error {
-	header(cfg.Out, "timing", "Core-model robustness: PDP-8 IPC improvement over DIP under blocking vs MLP-aware timing (extension)")
-	simCfg := cpusim.Default()
-	if _, err := cpusim.New(simCfg); err != nil {
-		return err
-	}
-	cols := []PolicySpec{specDIP(), specPDP(8, RecomputeEvery(cfg.Accesses))}
-	suite := workload.Suite()
-	// Each row is PDP-8's improvement over DIP under the blocking model
-	// (RunResult.IPC) and under the interval simulator.
-	rows, err := parallel.Map(cfg.jobs(), len(suite), func(i int) ([2]float64, error) {
-		b := suite[i]
-		var timers []*coreTimer
-		rs := RunMany(b, cols, cfg.Accesses, cfg.Seed, TelemetryOptions{
-			Attach: func(*cache.Cache, cache.Policy) cache.Monitor {
-				core, _ := cpusim.New(simCfg) // validated above
-				t := &coreTimer{core: core, cfg: simCfg, gap: max(1000/b.APKI-1, 0)}
-				timers = append(timers, t)
-				return t
-			},
-		})
-		return [2]float64{
-			metrics.Improvement(rs[1].IPC, rs[0].IPC),
-			metrics.Improvement(timers[1].core.IPC(), timers[0].core.IPC()),
-		}, nil
-	})
-	if err != nil {
-		return err
-	}
-	tw := table(cfg.Out)
-	fmt.Fprintln(tw, "benchmark\tblocking model\tinterval (MLP) model")
-	var aAvg, sAvg []float64
-	for i, b := range suite {
-		ia, is := rows[i][0], rows[i][1]
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", b.Name, fmtPct(ia), fmtPct(is))
-		aAvg = append(aAvg, ia)
-		sAvg = append(sAvg, is)
-	}
-	fmt.Fprintf(tw, "AVERAGE\t%s\t%s\n", fmtPct(metrics.Mean(aAvg)), fmtPct(metrics.Mean(sAvg)))
 	return tw.Flush()
 }

@@ -33,7 +33,6 @@ func Registry() []Experiment {
 		{"optgap", "Belady-OPT headroom recovery (extension)", OptGap},
 		{"classpdp", "Per-PC-class PDP (paper Sec. 6.3 proposal, extension)", ClassPDPExp},
 		{"energy", "LLC+memory dynamic energy (extension)", Energy},
-		{"timing", "Core-model robustness under MLP (extension)", Timing},
 	}
 }
 

@@ -41,7 +41,7 @@ type ChaosArray interface {
 // [1, d_max], inconsistent RDD evidence, per-shard sampler corruption);
 // re-arming happens after Config.RearmAfter consecutive clean
 // recomputes, which keep running while degraded as the healing probe (on
-// an idle cache the Adapter's tick is the only one).
+// an idle cache a periodic Heal is the only one).
 
 // DegradedShards returns the number of shards currently serving in
 // degraded (shadow-LRU) mode, read from each shard's flag under its lock.
@@ -59,6 +59,18 @@ func (c *Cache) DegradedShards() int {
 
 // Degraded reports whether any shard is serving degraded.
 func (c *Cache) Degraded() bool { return c.DegradedShards() > 0 }
+
+// Heal is the breaker's wall-clock healing probe: one supervised recompute
+// while any shard serves degraded, so an idle cache still re-arms after
+// RearmAfter clean rounds when Heal runs on a timer. A healthy cache is
+// left to the inline count trigger in shard.exitLocked: every recompute
+// halves the RDD, so a timer firing at low traffic would erase the
+// evidence before MinSamples ever accumulates.
+func (c *Cache) Heal() {
+	if c.Degraded() {
+		c.Recompute()
+	}
+}
 
 // Trip forces every shard into degraded LRU mode (the operator's manual
 // breaker, also the path every global recompute failure takes).

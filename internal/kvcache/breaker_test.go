@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pdp/internal/resilience"
 	"pdp/internal/sampler"
 )
 
@@ -215,24 +216,19 @@ func (sh *shard) degraded() bool {
 	return sh.pdp.degraded()
 }
 
-// startAdapter runs a 1 ms Adapter on c until the test ends.
-func startAdapter(t *testing.T, c *Cache) {
-	t.Helper()
-	ad, err := NewAdapter(c, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ad.Start(context.Background())
-	t.Cleanup(ad.Stop)
+// healEvery runs c.Heal every interval, as kvserver's AdaptEvery does,
+// until the returned stop is called.
+func healEvery(c *Cache, interval time.Duration) (stop func()) {
+	return resilience.Every(context.Background(), interval, func(context.Context) { c.Heal() })
 }
 
 // TestAdapterLeavesHealthyCacheAlone: with no shard degraded and no
-// traffic, the adapter's ticks recompute nothing — each recompute halves
-// the RDD, so ticks on a quiet cache would only erase its evidence.
+// traffic, Heal's ticks recompute nothing — each recompute halves the
+// RDD, so ticks on a quiet cache would only erase its evidence.
 func TestAdapterLeavesHealthyCacheAlone(t *testing.T) {
 	c := breakerCache(t, Config{})
 	seedEvidence(c)
-	startAdapter(t, c)
+	t.Cleanup(healEvery(c, time.Millisecond))
 	time.Sleep(50 * time.Millisecond)
 	if n := c.Recomputes(); n != 0 {
 		t.Fatalf("an idle healthy cache recomputed %d times", n)
@@ -240,11 +236,11 @@ func TestAdapterLeavesHealthyCacheAlone(t *testing.T) {
 }
 
 // TestAdapterHealsIdleCache: a tripped cache with no traffic re-arms
-// through the adapter's ticks alone, the only healing probe it has.
+// through Heal's ticks alone, the only healing probe it has.
 func TestAdapterHealsIdleCache(t *testing.T) {
 	c := breakerCache(t, Config{})
 	c.Trip("test")
-	startAdapter(t, c)
+	t.Cleanup(healEvery(c, time.Millisecond))
 	deadline := time.Now().Add(5 * time.Second)
 	for c.Degraded() {
 		if time.Now().After(deadline) {

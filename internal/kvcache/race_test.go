@@ -122,19 +122,11 @@ func TestConcurrentShardSet(t *testing.T) {
 		st.Entries, st.Bytes, st.PD, st.Recomputes, st.Denies)
 }
 
-// TestConcurrentStatsAndAdapter exercises the wall-clock Adapter and the
+// TestConcurrentStatsAndAdapter exercises a wall-clock Heal tick and the
 // Stats path concurrently with traffic (all shard locks + rmu interleave).
 func TestConcurrentStatsAndAdapter(t *testing.T) {
 	c, _ := New(Config{Shards: 4, Sets: 16, Ways: 4, RecomputeEvery: 0})
-	ad, err := NewAdapter(c, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewAdapter(c, 0); err == nil {
-		t.Fatal("zero adapt interval accepted")
-	}
-	ctx := context.Background()
-	ad.Start(ctx)
+	stop := healEvery(c, time.Millisecond)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -153,8 +145,8 @@ func TestConcurrentStatsAndAdapter(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	ad.Stop()
-	ad.Stop() // idempotent
+	stop()
+	stop() // idempotent
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ type Config struct {
 	MaxValueBytes int64
 	// AdaptEvery runs the cache breaker's wall-clock healing tick at that
 	// period: a recompute while any shard is degraded, so an idle node
-	// re-arms (kvcache.Adapter); 0 disables it, and the count trigger then
+	// re-arms (kvcache.Cache.Heal); 0 disables it, and the count trigger then
 	// drives every recompute. Negative values are rejected.
 	AdaptEvery time.Duration
 	// SnapshotEvery emits a telemetry snapshot record at that period; 0
@@ -242,17 +242,6 @@ func (s *Server) Start(ctx context.Context) error {
 			}
 		}
 	}()
-	adStop := func() {}
-	if s.cfg.AdaptEvery > 0 {
-		// Validated before any job starts: the error return leaves none running.
-		ad, err := kvcache.NewAdapter(s.cache, s.cfg.AdaptEvery)
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		ad.Start(ctx)
-		adStop = ad.Stop
-	}
 	if s.cfg.SnapshotEvery > 0 {
 		// One SnapshotRecord per period: the serving-layer time series (hit
 		// rate, PD, occupancy) that mirrors the simulator's interval snapshots.
@@ -264,7 +253,10 @@ func (s *Server) Start(ctx context.Context) error {
 		s.stops = append(s.stops,
 			resilience.Every(ctx, s.cfg.StateEvery, func(context.Context) { s.saveState() }), s.saveState)
 	}
-	s.stops = append(s.stops, adStop) // started first, stopped last
+	if s.cfg.AdaptEvery > 0 {
+		// The breaker's healing tick (kvcache.Cache.Heal), stopped last.
+		s.stops = append(s.stops, resilience.Every(ctx, s.cfg.AdaptEvery, func(context.Context) { s.cache.Heal() }))
+	}
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Start(ctx)
 	}
@@ -293,10 +285,10 @@ func (s *Server) Addr() string {
 // Err returns a channel receiving a fatal serve error, if one occurs.
 func (s *Server) Err() <-chan error { return s.errCh }
 
-// Shutdown stops the snapshot loops, the adapter and the HTTP server
-// gracefully — persisting one final cache-state snapshot when StatePath
-// is configured, so a clean restart resumes from the freshest state —
-// then flushes the journal.
+// Shutdown stops the periodic jobs (snapshots, state saves, the healing
+// tick) and the HTTP server gracefully — persisting one final cache-state
+// snapshot when StatePath is configured, so a clean restart resumes from
+// the freshest state — then flushes the journal.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Stop()

@@ -117,6 +117,21 @@ func TestValueTooLarge(t *testing.T) {
 	}
 }
 
+// TestAdaptEveryHealsTrippedCache: Start runs Cache.Heal every
+// AdaptEvery, so a tripped cache with no traffic re-arms.
+func TestAdaptEveryHealsTrippedCache(t *testing.T) {
+	srv, _ := startServer(t, kvcache.Config{Shards: 2, Sets: 8, Ways: 2, RecomputeEvery: 1 << 30},
+		Config{AdaptEvery: time.Millisecond})
+	srv.cache.Trip("test")
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.cache.Degraded() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d shards still degraded after %d recomputes", srv.cache.DegradedShards(), srv.cache.Recomputes())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	cache, _ := kvcache.New(kvcache.Config{Shards: 1, Sets: 4, Ways: 2})
 	if _, err := New(nil, Config{}); err == nil {

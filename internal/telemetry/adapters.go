@@ -8,21 +8,14 @@ import (
 // recomputation is appended as a RecomputeRecord (old PD, new PD, RDD
 // snapshot, E(d_p) curve), and the RD sampler's FIFO evictions as
 // KindSamplerEvict events, one in eventSample (<= 1 journals all).
-// Static-PD policies have no sampler and no recomputations; wiring them is
-// a no-op. A nil journal detaches both hooks.
+// Static-PD policies have no sampler and no recomputations, and a nil
+// journal has nowhere to write; wiring either is a no-op.
 func ObservePDP(p *core.PDP, j *Journal, eventSample uint64) {
-	if p == nil {
-		return
-	}
-	if j == nil {
-		p.SetObserver(nil)
-		if s := p.Sampler(); s != nil {
-			s.OnFIFOEvict = nil
-		}
+	if p == nil || j == nil {
 		return
 	}
 	name := p.Name()
-	p.SetObserver(func(ev core.RecomputeEvent) {
+	p.AddObserver(func(ev core.RecomputeEvent) {
 		j.Append(RecomputeRecord{
 			Kind:     KindPDRecompute,
 			Access:   ev.Access,
