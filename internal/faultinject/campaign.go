@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"pdp/internal/cache"
 	"pdp/internal/core"
@@ -24,17 +25,19 @@ const (
 	// difference (absolute).
 	hitRateEnvelope = 0.15
 	// reconvergeWindows is how many recompute windows after the fault
-	// window the faulty PD trajectory may take to rejoin the clean one.
+	// window the faulty PD trajectory may take to rejoin the reference one.
 	reconvergeWindows = 3
-	// pdTolerance is the |clean - faulty| PD slack that still counts as
-	// converged.
+	// pdTolerance is the |reference - faulty| PD slack that still counts
+	// as converged.
 	pdTolerance = 4
 )
 
-// CampaignConfig configures one fault campaign: a clean run and a faulty
-// run of the same benchmark under a dynamic PDP policy, followed by the
-// graceful-degradation checks (PD bounds, hit-rate envelope, PD
-// re-convergence after the fault window closes).
+// CampaignConfig configures one fault campaign: a clean run of a
+// benchmark under a dynamic PDP policy, and a run of the trace-faulted
+// stream through two caches, a reference with no policy faults and the
+// faulty one, followed by the graceful-degradation checks (PD bounds,
+// hit-rate envelope against the clean run, PD re-convergence to the
+// reference after the fault window closes).
 type CampaignConfig struct {
 	// Bench is the workload under test.
 	Bench workload.Benchmark
@@ -50,29 +53,31 @@ type CampaignConfig struct {
 	// serializes appends internally).
 	Journal *telemetry.Journal
 	// Jobs bounds the campaign's run concurrency: with Jobs >= 2 the clean
-	// and faulty runs execute on separate workers (they share no mutable
-	// state beyond the journal). 0 or 1 keeps them serial; < 0 selects
-	// GOMAXPROCS. The report is identical either way.
+	// and the faulted runs execute on separate workers (they share no
+	// mutable state beyond the journal). 0 or 1 keeps them serial; < 0
+	// selects GOMAXPROCS. The report is identical either way.
 	Jobs int
 }
 
 // CampaignReport is the outcome of a fault campaign.
 type CampaignReport struct {
-	Clean, Faulty experiments.RunResult
-	// CleanPDs and FaultyPDs are the PD trajectories (one entry per
-	// recompute in the measured window).
-	CleanPDs, FaultyPDs []int
+	// Clean ran the clean stream; Reference and Faulty ran the
+	// trace-faulted stream, Faulty alone with policy faults.
+	Clean, Reference, Faulty experiments.RunResult
+	// CleanPDs, ReferencePDs and FaultyPDs are the PD trajectories (one
+	// entry per recompute in the measured window).
+	CleanPDs, ReferencePDs, FaultyPDs []int
 	// FaultCounts counts injected faults by site; TotalFaults is their sum.
 	FaultCounts map[string]uint64
 	TotalFaults uint64
-	// Violations are PD-bounds invariant violations observed in either run.
+	// Violations are PD-bounds invariant violations observed in any run.
 	Violations []string
 	// HitRateDelta is |clean - faulty| hit rate; Envelope the allowed max.
 	HitRateDelta, Envelope float64
 	EnvelopeOK             bool
 	// FaultEndSeq is the 1-based recompute ordinal at which the fault
 	// window had closed; ReconvergedAt the ordinal where the faulty PD
-	// trajectory rejoined the clean one (-1: never).
+	// trajectory rejoined the reference one (-1: never).
 	FaultEndSeq, ReconvergedAt int
 	// ReconvergeOK reports re-convergence within reconvergeWindows
 	// recompute windows.
@@ -87,8 +92,9 @@ func (r CampaignReport) Passed() bool {
 // Render writes a human-readable campaign summary.
 func (r CampaignReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "fault campaign: %s under %s\n", r.Clean.Bench, r.Clean.Policy)
-	fmt.Fprintf(w, "  clean : hit rate %.4f  MPKI %.3f  PDs %v\n", r.Clean.Stats.HitRate(), r.Clean.MPKI, r.CleanPDs)
-	fmt.Fprintf(w, "  faulty: hit rate %.4f  MPKI %.3f  PDs %v\n", r.Faulty.Stats.HitRate(), r.Faulty.MPKI, r.FaultyPDs)
+	fmt.Fprintf(w, "  clean    : hit rate %.4f  MPKI %.3f  PDs %v\n", r.Clean.Stats.HitRate(), r.Clean.MPKI, r.CleanPDs)
+	fmt.Fprintf(w, "  reference: hit rate %.4f  MPKI %.3f  PDs %v\n", r.Reference.Stats.HitRate(), r.Reference.MPKI, r.ReferencePDs)
+	fmt.Fprintf(w, "  faulty   : hit rate %.4f  MPKI %.3f  PDs %v\n", r.Faulty.Stats.HitRate(), r.Faulty.MPKI, r.FaultyPDs)
 	fmt.Fprintf(w, "  faults injected: %d %v\n", r.TotalFaults, r.FaultCounts)
 	fmt.Fprintf(w, "  hit-rate delta %.4f (envelope %.4f): ok=%v\n", r.HitRateDelta, r.Envelope, r.EnvelopeOK)
 	fmt.Fprintf(w, "  PD re-convergence: fault window closed at recompute %d, reconverged at %d: ok=%v\n",
@@ -99,8 +105,12 @@ func (r CampaignReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "  verdict: passed=%v\n", r.Passed())
 }
 
-// RunCampaign executes the campaign. Both runs share the workload seed, so
-// any divergence is attributable to the injected faults alone.
+// RunCampaign executes the campaign. Every run shares the workload seed, so
+// any divergence is attributable to the injected faults alone. A flipped
+// trace address leaves state in the sampler that outlives the fault
+// window, so the PD re-convergence check compares the faulty cache with
+// the reference cache, which sees the same faulted stream without the
+// policy faults; the hit-rate envelope still compares with the clean run.
 func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	if cfg.Bench.Build == nil {
 		return CampaignReport{}, fmt.Errorf("faultinject: campaign needs a benchmark")
@@ -131,14 +141,15 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	polSpec.Until = faultAccesses
 	rep := NewReporter(cfg.Journal)
 
-	// The clean reference and the faulty run share only the (internally
+	// The clean run and the faulted run share only the (internally
 	// synchronized) journal, so with Jobs >= 2 they execute concurrently.
-	var clean, faulty experiments.RunResult
-	var cleanChk, faultyChk *Checker
-	specs := []experiments.PolicySpec{spec}
+	// The faulted run's Attach sees the reference cache first, then the
+	// faulty one (spec order).
+	var clean, ref, faulty experiments.RunResult
+	var cleanChk, refChk, faultyChk *Checker
 	runs := []func(){
 		func() {
-			clean = experiments.RunMany(cfg.Bench, specs, cfg.Accesses, cfg.Seed, experiments.TelemetryOptions{
+			clean = experiments.RunMany(cfg.Bench, []experiments.PolicySpec{spec}, cfg.Accesses, cfg.Seed, experiments.TelemetryOptions{
 				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
 					cleanChk = NewChecker(pdpOf(pol))
 					return nil
@@ -146,14 +157,19 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 			})[0]
 		},
 		func() {
-			faulty = experiments.RunMany(WrapBenchmark(cfg.Bench, traceSpec, rep), specs, cfg.Accesses, cfg.Seed, experiments.TelemetryOptions{
+			out := experiments.RunMany(WrapBenchmark(cfg.Bench, traceSpec, rep), []experiments.PolicySpec{spec, spec}, cfg.Accesses, cfg.Seed, experiments.TelemetryOptions{
 				Journal: cfg.Journal,
 				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
 					p := pdpOf(pol)
+					if refChk == nil {
+						refChk = NewChecker(p)
+						return nil
+					}
 					faultyChk = NewChecker(p)
 					return NewPDPInjector(p, polSpec, rep)
 				},
-			})[0]
+			})
+			ref, faulty = out[0], out[1]
 		},
 	}
 	jobs := cfg.Jobs
@@ -168,10 +184,10 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	}
 
 	r := CampaignReport{
-		Clean: clean, Faulty: faulty,
-		CleanPDs: cleanChk.PDs(), FaultyPDs: faultyChk.PDs(),
+		Clean: clean, Reference: ref, Faulty: faulty,
+		CleanPDs: cleanChk.PDs(), ReferencePDs: refChk.PDs(), FaultyPDs: faultyChk.PDs(),
 		FaultCounts: rep.Counts(), TotalFaults: rep.Total(),
-		Violations: append(cleanChk.Violations(), faultyChk.Violations()...),
+		Violations: slices.Concat(cleanChk.Violations(), refChk.Violations(), faultyChk.Violations()),
 		Envelope:   hitRateEnvelope,
 	}
 	r.HitRateDelta = math.Abs(clean.Stats.HitRate() - faulty.Stats.HitRate())
@@ -183,12 +199,12 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 	// warm+faultAccesses.
 	globalEnd := int((warm+faultAccesses)/recompute) + 1
 	r.FaultEndSeq = globalEnd - int(warm/recompute)
-	r.ReconvergedAt = Reconvergence(r.CleanPDs, r.FaultyPDs, r.FaultEndSeq, pdTolerance)
+	r.ReconvergedAt = Reconvergence(r.ReferencePDs, r.FaultyPDs, r.FaultEndSeq, pdTolerance)
 	r.ReconvergeOK = r.ReconvergedAt >= 0 && r.ReconvergedAt <= r.FaultEndSeq+reconvergeWindows
 	if r.ReconvergeOK && cfg.Journal != nil {
 		cfg.Journal.Append(telemetry.RecoveryRecord{
 			Kind: telemetry.KindRecovery, Name: cfg.Bench.Name, Cause: "pd_reconverge",
-			Detail: fmt.Sprintf("PD rejoined clean trajectory at recompute %d (fault window closed at %d)",
+			Detail: fmt.Sprintf("PD rejoined reference trajectory at recompute %d (fault window closed at %d)",
 				r.ReconvergedAt, r.FaultEndSeq),
 		})
 	}
