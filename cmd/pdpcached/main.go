@@ -35,7 +35,8 @@
 // stalls or corrupted evidence (re-arming after -rearm-after clean
 // recomputes), -snapshot persists the warm cache state periodically and
 // at shutdown, -resume warm-starts from it, and -inject drives seeded
-// serving-path chaos (see internal/faultinject's grammar).
+// serving-path chaos (the serve keys of internal/faultinject's grammar;
+// any other key is a usage error).
 //
 // Clustering: -cluster with -peers (every member's base URL) and
 // -node-id (this node's URL as listed) turns N processes into one
@@ -141,8 +142,11 @@ func main() {
 		fail(2, "-resume needs -snapshot")
 	}
 	spec, err := faultinject.Parse(*inject)
+	if err == nil {
+		err = spec.Check(faultinject.Serve)
+	}
 	if err != nil {
-		fail(2, "%v", err)
+		fail(2, "-inject: %v", err)
 	}
 	if *shards == 0 {
 		// Auto-scale the lock-striping to the machine: more cores, more
@@ -193,7 +197,7 @@ func main() {
 		Registry:         reg,
 		Journal:          journal,
 	}
-	if inj := servefault.NewInjector(spec, *shards, faultinject.NewReporter(journal)); inj != nil {
+	if inj := faultinject.NewInjector(spec, *shards, faultinject.NewReporter(journal)); inj != nil {
 		ccfg.Chaos = inj
 		fmt.Fprintf(os.Stderr, "pdpcached: chaos injection active: %s\n", spec)
 	}

@@ -185,9 +185,16 @@ func run() int {
 			return usage("%v", err)
 		}
 	}
+	// Every run reads the trace keys; a single-core run also reads the
+	// policy keys, but the shared-LLC policies have no fault injector.
 	faults, err := faultinject.Parse(*inject)
+	if err == nil && multi {
+		err = faults.Check(faultinject.Trace)
+	} else if err == nil {
+		err = faults.Check(faultinject.Trace | faultinject.Policy)
+	}
 	if err != nil {
-		return usage("%v", err)
+		return usage("-inject: %v", err)
 	}
 
 	// Profiling hooks.
@@ -249,7 +256,7 @@ func run() int {
 		EventSample:   *journalSample,
 		Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
 			p, _ := pol.(*core.PDP)
-			return faultinject.NewPDPInjector(p, faults, rep)
+			return faultinject.NewInjector(faults, 1, rep).Monitor(p)
 		},
 	}
 	results := make([]experiments.RunResult, len(specs))

@@ -23,6 +23,7 @@
 //	                counts is ignored, and an interrupted experiment reruns
 //	                from its start
 //	-inject SPEC    seeded fault injection into the workload streams
+//	                (trace keys; faultcamp also reads the policy keys)
 //	-telemetry F    JSONL journal of run/watchdog/fault/recovery events
 //
 // Performance:
@@ -33,7 +34,8 @@
 //
 // The pseudo-experiment id `faultcamp` runs a seeded fault campaign (clean
 // vs injected run plus graceful-degradation checks) using -inject, or a
-// default spec when -inject is empty.
+// default spec when -inject is empty. A key no requested id reads (a serve
+// key, or a policy key without faultcamp) is a usage error, exit 2.
 package main
 
 import (
@@ -43,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"pdp/internal/experiments"
@@ -106,12 +109,6 @@ func run() int {
 		return 0
 	}
 
-	spec, err := faultinject.Parse(*inject)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
 	cfg := experiments.DefaultConfig(os.Stdout)
 	cfg.Seed = *seed
 	cfg.Accesses = int(float64(cfg.Accesses) * *scale)
@@ -135,6 +132,25 @@ func run() int {
 	}
 	isAll := len(args) == 1 && args[0] == "all"
 	kg := *keepGoing || isAll
+
+	// The experiments read trace keys only; faultcamp also reads the
+	// policy keys, and a spec it is given must inject something.
+	camp := slices.Contains(args, "faultcamp")
+	paths := faultinject.Trace
+	if camp {
+		paths |= faultinject.Policy
+	}
+	spec, err := faultinject.Parse(*inject)
+	if err == nil {
+		err = spec.Check(paths)
+	}
+	if err == nil && camp && spec != (faultinject.Spec{}) && !spec.Enabled() {
+		err = fmt.Errorf("faultcamp: -inject %q injects no trace or policy fault", *inject)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 
 	// Graceful shutdown: SIGINT/SIGTERM cancels in-flight runs; partial
 	// results (checkpoint, telemetry journal) are flushed on the way out.
@@ -213,6 +229,11 @@ func run() int {
 			return e.Run(ecfg)
 		})
 		if out.Err != nil {
+			// A run that returned has stopped writing buf: print the
+			// tables it got to, e.g. a failed campaign's report.
+			if !out.Abandoned {
+				os.Stdout.Write(buf.Bytes())
+			}
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, out.Err)
 			return false
 		}
@@ -280,10 +301,10 @@ func faultCampExperiment(spec faultinject.Spec, journal *telemetry.Journal) expe
 		ID:    "faultcamp",
 		Title: "Fault campaign: clean vs injected run + graceful-degradation checks",
 		Run: func(cfg experiments.Config) error {
-			if !spec.Enabled() {
-				// A default campaign: corrupt trace records and flip RDD
-				// counter bits, stopping mid-window so PD re-convergence is
-				// observable.
+			if spec == (faultinject.Spec{}) {
+				// A default campaign: corrupt trace records, flip RDD
+				// counter bits and bias the PD, stopping mid-window so PD
+				// re-convergence is observable.
 				spec = faultinject.Spec{TraceCorrupt: 1e-3, CounterFlip: 1e-3, PDBias: 16, Seed: 7}
 			}
 			b, ok := workload.ByName("403.gcc")

@@ -151,7 +151,7 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 		func() {
 			clean = experiments.RunMany(cfg.Bench, []experiments.PolicySpec{spec}, cfg.Accesses, cfg.Seed, experiments.TelemetryOptions{
 				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
-					cleanChk = NewChecker(pdpOf(pol))
+					cleanChk = NewChecker(pol.(*core.PDP))
 					return nil
 				},
 			})[0]
@@ -160,13 +160,13 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 			out := experiments.RunMany(WrapBenchmark(cfg.Bench, traceSpec, rep), []experiments.PolicySpec{spec, spec}, cfg.Accesses, cfg.Seed, experiments.TelemetryOptions{
 				Journal: cfg.Journal,
 				Attach: func(_ *cache.Cache, pol cache.Policy) cache.Monitor {
-					p := pdpOf(pol)
+					p := pol.(*core.PDP)
 					if refChk == nil {
 						refChk = NewChecker(p)
 						return nil
 					}
 					faultyChk = NewChecker(p)
-					return NewPDPInjector(p, polSpec, rep)
+					return NewInjector(polSpec, 1, rep).Monitor(p)
 				},
 			})
 			ref, faulty = out[0], out[1]
@@ -209,10 +209,4 @@ func RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 		})
 	}
 	return r, nil
-}
-
-// pdpOf unwraps a dynamic PDP from a policy (nil otherwise).
-func pdpOf(pol cache.Policy) *core.PDP {
-	p, _ := pol.(*core.PDP)
-	return p
 }

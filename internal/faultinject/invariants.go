@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pdp/internal/core"
@@ -48,9 +49,7 @@ func (c *Checker) PDs() []int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]int, len(c.pds))
-	copy(out, c.pds)
-	return out
+	return slices.Clone(c.pds)
 }
 
 // Violations returns the recorded invariant violations.
@@ -60,9 +59,7 @@ func (c *Checker) Violations() []string {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, len(c.violations))
-	copy(out, c.violations)
-	return out
+	return slices.Clone(c.violations)
 }
 
 // Reconvergence locates the first recompute ordinal at or after

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"pdp/internal/telemetry"
@@ -81,9 +82,5 @@ func (r *Reporter) Counts() map[string]uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]uint64, len(r.counts))
-	for k, v := range r.counts {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(r.counts)
 }

@@ -1,10 +1,10 @@
 // Package faultinject provides deterministic, seeded fault injectors for
-// the PDP pipeline's seams — the trace stream, the tracefile encoding, the
-// RDD counter array, and the recomputed PD — plus the invariant checkers
-// that turn a fault campaign into a graceful-degradation proof: the PD
-// stays in [1, d_max], victim selection never panics, the hit rate under
-// faults stays within a stated envelope of the clean run, and the PD
-// re-converges after faults stop.
+// the PDP pipeline's seams — the trace stream, the RDD counter array, the
+// recomputed PD and, on the serving path, the shard and recompute critical
+// sections — plus the invariant checkers that turn a fault campaign into a
+// graceful-degradation proof: the PD stays in [1, d_max], victim selection
+// never panics, the hit rate under faults stays within a stated envelope
+// of the clean run, and the PD re-converges after faults stop.
 //
 // The paper's hardware tolerates exactly these conditions by construction
 // (a sampled RDD, saturating compressed counters, n_c-bit RPDs); this
@@ -14,75 +14,99 @@ package faultinject
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-
-	"pdp/internal/trace"
 )
 
 // Spec is a parsed fault-injection specification. The zero Spec injects
-// nothing. The textual grammar (the CLIs' -inject flag) is a
-// comma-separated list of key=value items:
-//
-//	seed=<uint>          injector RNG seed (default 1)
-//	trace.corrupt=<p>    per record: flip one random address bit
-//	trace.dup=<p>        per record: replay the previous record
-//	trace.drop=<p>       per record: drop the record
-//	trace.fail=<n>       panic with an injected error at record n (0 = never)
-//	counter.flip=<p>     per access: flip one random bit of a random N_i
-//	rdd.zero=<p>         per access: zero the RDD counter array mid-window
-//	pd.bias=<k>          perturb each recomputed PD by a uniform +/-k
-//	recompute.panic=<p>  per PD recomputation: panic inside the recompute
-//	                     critical section (serving path; the breaker must
-//	                     absorb it and degrade to LRU)
-//	recompute.stall=<p>  per PD recomputation: stall the critical section
-//	                     for stall.ms, tripping the recompute watchdog
-//	stall.ms=<n>         recompute stall duration in milliseconds (default
-//	                     100)
-//	latency.spike=<p>    per cache access: sleep spike.ms while holding the
-//	                     shard lock (the lock-hold watchdog's prey)
-//	spike.ms=<n>         shard-latency spike duration in milliseconds
-//	                     (default 5)
-//	until=<n>            stop injecting after n injector-clock ticks
-//	                     (records for trace faults, accesses for policy
-//	                     faults; 0 = whole run) — makes PD re-convergence
-//	                     after a fault burst observable
-//
-// Probabilities are in [0, 1]. Example:
+// nothing. Its textual grammar, the tools' -inject flag, is a
+// comma-separated list of key=value items, one per entry of keys below;
+// probabilities are in [0, 1]. Example:
 //
 //	-inject trace.corrupt=1e-4,counter.flip=1e-4,pd.bias=16,seed=7
 type Spec struct {
-	// Seed fixes the injector's random stream (0 is remapped by trace.RNG).
-	Seed uint64
-	// TraceCorrupt, TraceDup, TraceDrop are per-record probabilities of
-	// address-bit corruption, duplication, and loss.
+	// Each field holds the value of one key; keys names it and says what
+	// it injects. StallMS and SpikeMS default to 100 and 5 when zero.
+	Seed                              uint64
 	TraceCorrupt, TraceDup, TraceDrop float64
-	// TraceFail, when positive, injects a panic at the TraceFail-th record
-	// (a mid-stream generator error the supervisor must absorb).
-	TraceFail uint64
-	// CounterFlip is the per-access probability of flipping a random bit of
-	// a random N_i RDD counter; RDDZero the per-access probability of
-	// zeroing the whole array mid-window.
-	CounterFlip, RDDZero float64
-	// PDBias, when positive, perturbs every recomputed PD by a uniform
-	// value in [-PDBias, +PDBias] (clamped by core to [1, d_max]).
-	PDBias int
-	// RecomputePanic and RecomputeStall are per-recomputation probabilities
-	// of panicking inside, or stalling, the PD recompute critical section
-	// (serving path); StallMS is the stall duration in milliseconds
-	// (default 100 when a stall is configured).
-	RecomputePanic, RecomputeStall float64
-	StallMS                        int
-	// LatencySpike is the per-access probability of sleeping SpikeMS
-	// milliseconds while holding a cache shard lock (default 5ms).
-	LatencySpike float64
-	SpikeMS      int
-	// Until, when positive, deactivates every injector after Until ticks
-	// of its own clock (records for the trace wrapper, monitored accesses
-	// for the PDP injector); faults then stop and the system can be
-	// observed re-converging.
-	Until uint64
+	TraceFail                         uint64
+	CounterFlip, RDDZero              float64
+	PDBias                            int
+	RecomputePanic, RecomputeStall    float64
+	StallMS                           int
+	LatencySpike                      float64
+	SpikeMS                           int
+	Until                             uint64
+}
+
+// Path is a set of the injection paths that read a key.
+type Path uint8
+
+const (
+	// Trace faults act on the records of a simulated trace stream
+	// (pdpsim, repro).
+	Trace Path = 1 << iota
+	// Policy faults act on a simulated dynamic PDP, once per access
+	// (single-core pdpsim, repro faultcamp).
+	Policy
+	// Serve faults act on a live kvcache, once per shard critical section
+	// (pdpcached).
+	Serve
+)
+
+// unit is a key's value type. A key of the units up to pdStep injects a
+// fault; the others tune the faults the rest inject.
+type unit uint8
+
+const (
+	prob   unit = iota // a probability in [0, 1], drawn per clock tick
+	record             // a record ordinal (uint)
+	pdStep             // a PD offset in accesses (non-negative int)
+	millis             // a duration in milliseconds (non-negative int)
+	seed               // an RNG seed (uint)
+	ticks              // an injector clock tick (uint)
+)
+
+// key is one -inject key: its name, value type and the paths that read it.
+type key struct {
+	name  string
+	unit  unit
+	paths Path
+	field func(*Spec) any // *float64, *uint64 or *int
+}
+
+// keys is the -inject key list: Parse, String, the unknown-key message,
+// the *Enabled predicates and Check all read it.
+var keys = []key{
+	{"seed", seed, Trace | Policy | Serve, func(s *Spec) any { return &s.Seed }},        // injector RNG seed (default 1)
+	{"trace.corrupt", prob, Trace, func(s *Spec) any { return &s.TraceCorrupt }},        // per record: flip one address bit
+	{"trace.dup", prob, Trace, func(s *Spec) any { return &s.TraceDup }},                // per record: replay the previous one
+	{"trace.drop", prob, Trace, func(s *Spec) any { return &s.TraceDrop }},              // per record: drop it
+	{"trace.fail", record, Trace, func(s *Spec) any { return &s.TraceFail }},            // panic at record n
+	{"counter.flip", prob, Policy | Serve, func(s *Spec) any { return &s.CounterFlip }}, // per access: flip a bit of a random N_i
+	{"rdd.zero", prob, Policy | Serve, func(s *Spec) any { return &s.RDDZero }},         // per access: zero the RDD
+	{"pd.bias", pdStep, Policy, func(s *Spec) any { return &s.PDBias }},                 // per recompute: PD +/- uniform k
+	{"recompute.panic", prob, Serve, func(s *Spec) any { return &s.RecomputePanic }},    // per recompute: panic inside it
+	{"recompute.stall", prob, Serve, func(s *Spec) any { return &s.RecomputeStall }},    // per recompute: sleep stall.ms
+	{"stall.ms", millis, Serve, func(s *Spec) any { return &s.StallMS }},                // recompute stall (default 100)
+	{"latency.spike", prob, Serve, func(s *Spec) any { return &s.LatencySpike }},        // per access: sleep spike.ms locked
+	{"spike.ms", millis, Serve, func(s *Spec) any { return &s.SpikeMS }},                // latency spike (default 5)
+	{"until", ticks, Trace | Policy | Serve, func(s *Spec) any { return &s.Until }},     // stop after n clock ticks (0 = never)
+}
+
+// set reports whether field, one of keys' fields, holds a non-zero value.
+func set(field any) bool {
+	switch v := field.(type) {
+	case *float64:
+		return *v > 0
+	case *uint64:
+		return *v > 0
+	default:
+		return *v.(*int) > 0
+	}
 }
 
 // Active reports whether the injectors still fire at clock tick t (the
@@ -91,85 +115,60 @@ func (s Spec) Active(t uint64) bool {
 	return s.Until == 0 || t <= s.Until
 }
 
-// CorruptRDD runs the spec's two RDD faults for one access at an injector's
-// clock tick t, drawing from rng in this order: with probability CounterFlip
-// flip one of the low 16 bits of a random N_i of arr (an SRAM soft error),
-// then with probability RDDZero zero the array mid-window. PDPInjector and
-// servefault.Injector both call it, so a seed replays on either path; where
-// prefixes the journaled detail (the serving injector names the shard).
-func (s Spec) CorruptRDD(arr interface {
-	K() int
-	Corrupt(k int, mask uint32)
-	Reset()
-}, rng *trace.RNG, rep *Reporter, t uint64, where string) {
-	if s.CounterFlip > 0 && rng.Bernoulli(s.CounterFlip) {
-		k := rng.Intn(arr.K())
-		bit := uint(rng.Intn(16))
-		arr.Corrupt(k, 1<<bit)
-		rep.Record("counter.flip", t, fmt.Sprintf("%sN_%d ^= 1<<%d", where, k, bit))
-	}
-	if s.RDDZero > 0 && rng.Bernoulli(s.RDDZero) {
-		arr.Reset()
-		rep.Record("rdd.zero", t, where+"RDD zeroed mid-window")
-	}
-}
-
-// Enabled reports whether the spec injects anything.
-func (s Spec) Enabled() bool {
-	return s.TraceEnabled() || s.PolicyEnabled()
-}
-
-// TraceEnabled reports whether any trace-stream fault is configured.
-func (s Spec) TraceEnabled() bool {
-	return s.TraceCorrupt > 0 || s.TraceDup > 0 || s.TraceDrop > 0 || s.TraceFail > 0
-}
-
-// PolicyEnabled reports whether any sampler/PD fault is configured.
-func (s Spec) PolicyEnabled() bool {
-	return s.CounterFlip > 0 || s.RDDZero > 0 || s.PDBias > 0
-}
-
-// ServeEnabled reports whether any serving-path fault is configured: the
-// kvcache chaos injector fires on these plus the sampler faults (which
-// apply to the online RDD exactly as to the simulated one).
-func (s Spec) ServeEnabled() bool {
-	return s.RecomputePanic > 0 || s.RecomputeStall > 0 || s.LatencySpike > 0 ||
-		s.CounterFlip > 0 || s.RDDZero > 0
-}
-
-// String renders the spec in the -inject grammar (stable item order).
-func (s Spec) String() string {
-	var items []string
-	add := func(k string, v float64) {
-		if v > 0 {
-			items = append(items, fmt.Sprintf("%s=%g", k, v))
+// injects reports whether s sets a fault key that one of paths reads.
+func (s Spec) injects(paths Path) bool {
+	for _, k := range keys {
+		if k.paths&paths != 0 && k.unit <= pdStep && set(k.field(&s)) {
+			return true
 		}
 	}
-	add("trace.corrupt", s.TraceCorrupt)
-	add("trace.dup", s.TraceDup)
-	add("trace.drop", s.TraceDrop)
-	if s.TraceFail > 0 {
-		items = append(items, fmt.Sprintf("trace.fail=%d", s.TraceFail))
+	return false
+}
+
+// Enabled reports whether the spec injects any simulator fault.
+func (s Spec) Enabled() bool { return s.injects(Trace | Policy) }
+
+// TraceEnabled reports whether any trace-stream fault is configured.
+func (s Spec) TraceEnabled() bool { return s.injects(Trace) }
+
+// PolicyEnabled reports whether any sampler/PD fault is configured.
+func (s Spec) PolicyEnabled() bool { return s.injects(Policy) }
+
+// ServeEnabled reports whether any serving-path fault is configured,
+// counter.flip and rdd.zero included: they act on the online RDD exactly
+// as on the simulated one.
+func (s Spec) ServeEnabled() bool { return s.injects(Serve) }
+
+// Check returns an error naming the first key s sets that none of paths
+// reads: a tool that injects only on paths would silently drop it.
+func (s Spec) Check(paths Path) error {
+	for _, k := range keys {
+		if k.paths&paths == 0 && set(k.field(&s)) {
+			return fmt.Errorf("faultinject: key %s is not read here (it acts on the %s path; this run injects on %s)",
+				k.name, k.paths, paths)
+		}
 	}
-	add("counter.flip", s.CounterFlip)
-	add("rdd.zero", s.RDDZero)
-	if s.PDBias > 0 {
-		items = append(items, fmt.Sprintf("pd.bias=%d", s.PDBias))
+	return nil
+}
+
+// String names the paths in p, joined by "+".
+func (p Path) String() string {
+	var names []string
+	for i, n := range []string{"trace", "policy", "serve"} {
+		if p&(1<<i) != 0 {
+			names = append(names, n)
+		}
 	}
-	add("recompute.panic", s.RecomputePanic)
-	add("recompute.stall", s.RecomputeStall)
-	if s.StallMS > 0 {
-		items = append(items, fmt.Sprintf("stall.ms=%d", s.StallMS))
-	}
-	add("latency.spike", s.LatencySpike)
-	if s.SpikeMS > 0 {
-		items = append(items, fmt.Sprintf("spike.ms=%d", s.SpikeMS))
-	}
-	if s.Until > 0 {
-		items = append(items, fmt.Sprintf("until=%d", s.Until))
-	}
-	if s.Seed != 0 {
-		items = append(items, fmt.Sprintf("seed=%d", s.Seed))
+	return strings.Join(names, "+")
+}
+
+// String renders the spec in the -inject grammar (sorted items).
+func (s Spec) String() string {
+	var items []string
+	for _, k := range keys {
+		if f := k.field(&s); set(f) {
+			items = append(items, fmt.Sprintf("%s=%v", k.name, reflect.ValueOf(f).Elem()))
+		}
 	}
 	sort.Strings(items)
 	return strings.Join(items, ",")
@@ -178,90 +177,39 @@ func (s Spec) String() string {
 // Parse parses the -inject grammar. An empty string yields the zero Spec.
 func Parse(text string) (Spec, error) {
 	var s Spec
-	text = strings.TrimSpace(text)
-	if text == "" {
-		return s, nil
-	}
 	for _, item := range strings.Split(text, ",") {
 		item = strings.TrimSpace(item)
 		if item == "" {
 			continue
 		}
-		key, val, ok := strings.Cut(item, "=")
+		name, val, ok := strings.Cut(item, "=")
 		if !ok {
 			return Spec{}, fmt.Errorf("faultinject: %q is not key=value", item)
 		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		prob := func(dst *float64) error {
-			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || !(p >= 0 && p <= 1) { // NaN fails both
-				return fmt.Errorf("faultinject: %s=%q is not a probability in [0,1]", key, val)
+		name, val = strings.TrimSpace(name), strings.TrimSpace(val)
+		i := slices.IndexFunc(keys, func(k key) bool { return k.name == name })
+		if i < 0 {
+			names := make([]string, len(keys))
+			for j, k := range keys {
+				names[j] = k.name
 			}
-			*dst = p
-			return nil
+			return Spec{}, fmt.Errorf("faultinject: unknown key %q (keys: %s)", name, strings.Join(names, ", "))
 		}
 		var err error
-		switch key {
-		case "seed":
-			s.Seed, err = strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("faultinject: seed=%q is not a uint", val)
+		switch v := keys[i].field(&s).(type) {
+		case *float64:
+			*v, err = strconv.ParseFloat(val, 64)
+			if err != nil || !(*v >= 0 && *v <= 1) { // NaN fails both
+				return Spec{}, fmt.Errorf("faultinject: %s=%q is not a probability in [0,1]", name, val)
 			}
-		case "trace.corrupt":
-			err = prob(&s.TraceCorrupt)
-		case "trace.dup":
-			err = prob(&s.TraceDup)
-		case "trace.drop":
-			err = prob(&s.TraceDrop)
-		case "trace.fail":
-			s.TraceFail, err = strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("faultinject: trace.fail=%q is not a uint", val)
+		case *uint64:
+			if *v, err = strconv.ParseUint(val, 10, 64); err != nil {
+				return Spec{}, fmt.Errorf("faultinject: %s=%q is not a uint", name, val)
 			}
-		case "counter.flip":
-			err = prob(&s.CounterFlip)
-		case "rdd.zero":
-			err = prob(&s.RDDZero)
-		case "pd.bias":
-			var k int
-			k, err = strconv.Atoi(val)
-			if err != nil || k < 0 {
-				err = fmt.Errorf("faultinject: pd.bias=%q is not a non-negative int", val)
-			} else {
-				s.PDBias = k
+		case *int:
+			if *v, err = strconv.Atoi(val); err != nil || *v < 0 {
+				return Spec{}, fmt.Errorf("faultinject: %s=%q is not a non-negative int", name, val)
 			}
-		case "recompute.panic":
-			err = prob(&s.RecomputePanic)
-		case "recompute.stall":
-			err = prob(&s.RecomputeStall)
-		case "stall.ms":
-			var n int
-			n, err = strconv.Atoi(val)
-			if err != nil || n < 0 {
-				err = fmt.Errorf("faultinject: stall.ms=%q is not a non-negative int", val)
-			} else {
-				s.StallMS = n
-			}
-		case "latency.spike":
-			err = prob(&s.LatencySpike)
-		case "spike.ms":
-			var n int
-			n, err = strconv.Atoi(val)
-			if err != nil || n < 0 {
-				err = fmt.Errorf("faultinject: spike.ms=%q is not a non-negative int", val)
-			} else {
-				s.SpikeMS = n
-			}
-		case "until":
-			s.Until, err = strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("faultinject: until=%q is not a uint", val)
-			}
-		default:
-			return Spec{}, fmt.Errorf("faultinject: unknown key %q (keys: seed, trace.corrupt, trace.dup, trace.drop, trace.fail, counter.flip, rdd.zero, pd.bias, recompute.panic, recompute.stall, stall.ms, latency.spike, spike.ms, until)", key)
-		}
-		if err != nil {
-			return Spec{}, err
 		}
 	}
 	return s, nil

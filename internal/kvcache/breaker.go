@@ -9,25 +9,28 @@ import (
 
 // Chaos is the serving-path fault-injection seam. A non-nil Config.Chaos
 // is invoked at the two places the PDP machinery is exposed to the live
-// request stream, so seeded injectors (internal/servefault) can corrupt
+// request stream, so a seeded injector (faultinject.Injector) can corrupt
 // RDD counters, stall or panic recomputations, and spike shard latency —
 // reproducibly, for chaos campaigns.
 //
-// Access is called once per cache operation while the shard lock is held
-// (calls for one shard are therefore serialized; calls for different
-// shards are concurrent). arr is the shard's live RDD counter array, nil
-// in LRU mode. Recompute is called inside the recompute critical section
-// (recomputes are serialized) and may panic or sleep; the supervised
-// recompute path must absorb both.
+// Access is called once per shard critical section while the shard lock
+// is held: once per operation, or once per ExecBatch shard group. Calls
+// for one shard are therefore serialized; calls for different shards are
+// concurrent. arr is the shard's live RDD counter array, nil in LRU mode.
+// Recompute is called inside the recompute critical section (recomputes
+// are serialized) and may panic or sleep; the supervised recompute path
+// must absorb both.
 type Chaos interface {
 	Access(shard int, arr ChaosArray)
 	Recompute(seq uint64)
 }
 
 // ChaosArray is the slice of the sampler counter-array API a chaos
-// injector may touch (defined here so injectors need no sampler import
-// and the cache controls the blast radius).
-type ChaosArray interface {
+// injector may touch (so injectors need no sampler import and the cache
+// controls the blast radius). It is an alias of an unnamed interface, the
+// type faultinject.RDDArray also names, so an injector implements Chaos
+// without importing this package.
+type ChaosArray = interface {
 	K() int
 	Corrupt(k int, mask uint32)
 	Reset()

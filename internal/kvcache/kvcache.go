@@ -109,7 +109,7 @@ type Config struct {
 	HoldSampleEvery int
 	// Chaos, when non-nil, receives the serving-path fault-injection
 	// callbacks (see the Chaos interface). Production configs leave it
-	// nil; chaos campaigns install a seeded servefault.Injector.
+	// nil; chaos campaigns install a seeded faultinject.Injector.
 	Chaos Chaos
 
 	// Registry and Journal attach telemetry (both optional): operation

@@ -20,7 +20,6 @@ import (
 	"pdp/internal/faultinject"
 	"pdp/internal/kvcache"
 	"pdp/internal/kvserver"
-	"pdp/internal/servefault"
 	"pdp/internal/telemetry"
 )
 
@@ -32,7 +31,7 @@ func startChaosServer(t *testing.T, spec string, shards int) (*kvcache.Cache, st
 	}
 	journal := telemetry.NewJournal(64)
 	rep := faultinject.NewReporter(journal)
-	inj := servefault.NewInjector(parsed, shards, rep)
+	inj := faultinject.NewInjector(parsed, shards, rep)
 	if inj == nil {
 		t.Fatalf("spec %q did not enable serving-path injection", spec)
 	}

@@ -1,10 +1,9 @@
 // Package servefault is the serving path's robustness kit: the
 // concurrency-limited admission gate that sheds load instead of queueing
-// unboundedly (overload protection), the seeded chaos injector that
-// drives kvcache's fault seams for reproducible chaos campaigns, and the
-// crash-safe cache snapshot I/O behind warm restarts. kvserver wires the
-// pieces together; this package keeps them testable without an HTTP
-// stack.
+// unboundedly (overload protection) and the crash-safe cache snapshot I/O
+// behind warm restarts. kvserver wires the pieces together; this package
+// keeps them testable without an HTTP stack. Seeded chaos comes from
+// faultinject.Injector, installed as kvcache.Config.Chaos.
 package servefault
 
 import (
