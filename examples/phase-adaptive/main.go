@@ -51,8 +51,9 @@ func main() {
 		Sets: sets, Ways: ways, Bypass: true,
 		FullSampler:    true,
 		RecomputeEvery: 60_000,
-		RecordHistory:  true,
 	})
+	pds := []int{dyn.PD()}
+	dyn.AddObserver(func(ev pdp.PDPRecomputeEvent) { pds = append(pds, ev.NewPD) })
 	cDyn := run("dynamic", dyn)
 
 	staticA := run("static30", pdp.NewPDP(pdp.PDPConfig{
@@ -65,8 +66,8 @@ func main() {
 	fmt.Println("PD trajectory (one sample per recompute; phases alternate every",
 		segment, "accesses):")
 	fmt.Print("  ")
-	for _, pt := range dyn.History() {
-		fmt.Printf("%d ", pt.PD)
+	for _, pd := range pds {
+		fmt.Printf("%d ", pd)
 	}
 	fmt.Println()
 

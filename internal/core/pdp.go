@@ -58,9 +58,6 @@ type Config struct {
 	// Solver computes the PD from the counter array; nil means Model.Best.
 	// internal/pdproc supplies the hardware model.
 	Solver PDSolver
-	// RecordHistory retains (access count, PD) samples for phase studies
-	// (paper Fig. 11c).
-	RecordHistory bool
 }
 
 func (c *Config) setDefaults() {
@@ -118,14 +115,6 @@ type RecomputeEvent struct {
 	E []float64
 }
 
-// PDPoint is one sample of the PD trajectory.
-type PDPoint struct {
-	// Access is the cache access count at which PD took effect.
-	Access uint64
-	// PD is the protecting distance chosen.
-	PD int
-}
-
 // PDP is the Protecting Distance based Policy (paper Sec. 2.2 + Sec. 3).
 // It implements cache.Policy.
 type PDP struct {
@@ -133,9 +122,8 @@ type PDP struct {
 	pd   int         // current protecting distance, in accesses
 	prot *Protection // per-line RPD + reuse-bit bookkeeping
 
-	smp     *sampler.RDSampler // nil for static PDP
-	accs    uint64
-	history []PDPoint
+	smp  *sampler.RDSampler // nil for static PDP
+	accs uint64
 
 	// The recompute hooks: observe is set by AddObserver (internal/telemetry
 	// journals, internal/faultinject checks invariants), perturb by
@@ -170,9 +158,6 @@ func New(cfg Config) *PDP {
 		scfg.DMax = cfg.DMax
 		p.smp = sampler.New(scfg)
 	}
-	if cfg.RecordHistory {
-		p.history = append(p.history, PDPoint{0, p.pd})
-	}
 	return p
 }
 
@@ -199,9 +184,6 @@ func (p *PDP) SD() int { return p.prot.SD() }
 // Protection returns the per-line bookkeeping (exported for monitors and
 // invariant checkers).
 func (p *PDP) Protection() *Protection { return p.prot }
-
-// History returns the recorded PD trajectory (empty unless RecordHistory).
-func (p *PDP) History() []PDPoint { return p.history }
 
 // Sampler returns the RD sampler (nil for static PDP).
 func (p *PDP) Sampler() *sampler.RDSampler { return p.smp }
@@ -341,9 +323,6 @@ func (p *PDP) recompute() {
 		})
 	}
 	arr.Reset()
-	if p.cfg.RecordHistory {
-		p.history = append(p.history, PDPoint{p.accs, p.pd})
-	}
 }
 
 // HardwareBits estimates the policy's SRAM overhead in bits for the managed

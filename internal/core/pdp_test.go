@@ -289,19 +289,29 @@ func TestPDPPrefetchModes(t *testing.T) {
 	}
 }
 
+// TestPDPHistoryRecording collects the PD trajectory the way Fig. 11c
+// does: the initial PD, then each recompute's NewPD through AddObserver.
 func TestPDPHistoryRecording(t *testing.T) {
-	cfg := Config{Sets: 32, Ways: 4, RecomputeEvery: 5000, FullSampler: true, RecordHistory: true}
+	cfg := Config{Sets: 32, Ways: 4, RecomputeEvery: 5000, FullSampler: true}
 	c, p := newCacheWithPDP(cfg, true)
+	pds, at := []int{p.PD()}, []uint64{0}
+	p.AddObserver(func(ev RecomputeEvent) {
+		pds, at = append(pds, ev.NewPD), append(at, ev.Access)
+	})
 	g := trace.NewLoopGen("loop", 8*32, 1, 1)
 	for i := 0; i < 20000; i++ {
 		c.Access(g.Next())
 	}
-	h := p.History()
-	if len(h) < 2 {
-		t.Fatalf("history has %d points, want initial + recomputations", len(h))
+	if len(pds) != 1+20000/5000 {
+		t.Fatalf("trajectory has %d points, want the initial PD + %d recomputations", len(pds), 20000/5000)
 	}
-	if h[0].Access != 0 {
-		t.Fatalf("first history point at access %d, want 0", h[0].Access)
+	for i, a := range at[1:] {
+		if a != uint64(i+1)*5000 {
+			t.Fatalf("recompute %d at access %d, want %d", i+1, a, (i+1)*5000)
+		}
+	}
+	if pds[len(pds)-1] != p.PD() {
+		t.Fatalf("last trajectory point %d, but the policy runs PD %d", pds[len(pds)-1], p.PD())
 	}
 }
 

@@ -451,16 +451,14 @@ func Fig11(cfg Config) error {
 	trajectories, err := parallel.Map(cfg.jobs(), len(phased), func(i int) ([]int, error) {
 		b := phased[i]
 		pol := core.New(core.Config{Sets: LLCSets, Ways: LLCWays, Bypass: true,
-			RecomputeEvery: 65536, RecordHistory: true})
+			RecomputeEvery: 65536})
+		pds := []int{pol.PD()}
+		pol.AddObserver(func(ev core.RecomputeEvent) { pds = append(pds, ev.NewPD) })
 		c := cache.New(cache.Config{Name: "LLC", Sets: LLCSets, Ways: LLCWays,
 			LineSize: trace.LineSize, AllowBypass: true}, pol)
 		g := b.Generator(LLCSets, 1, cfg.Seed)
 		for j := 0; j < cfg.Accesses*2; j++ {
 			c.Access(g.Next())
-		}
-		var pds []int
-		for _, pt := range pol.History() {
-			pds = append(pds, pt.PD)
 		}
 		return pds, nil
 	})

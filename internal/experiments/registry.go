@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
@@ -54,14 +51,4 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RunAll executes every experiment in registry order.
-func RunAll(cfg Config) error {
-	for _, e := range Registry() {
-		if err := e.Run(cfg); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return nil
 }

@@ -162,12 +162,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return tr, nil
 }
 
-// Records returns the number of complete records decoded so far.
-func (tr *Reader) Records() uint64 { return tr.rec }
-
-// Offset returns the byte offset of the next unread byte.
-func (tr *Reader) Offset() int64 { return tr.r.off }
-
 // Read returns the next access, or io.EOF at the end of the stream. A
 // mid-record failure (truncation or varint overflow) is wrapped with the
 // failing record's index and starting byte offset, so corrupt-trace

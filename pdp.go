@@ -121,8 +121,6 @@ type (
 	PDP = core.PDP
 	// PDPConfig parameterizes PDP.
 	PDPConfig = core.Config
-	// PDPoint is one sample of the PD trajectory.
-	PDPoint = core.PDPoint
 	// PDSolver computes the PD from a counter array.
 	PDSolver = core.PDSolver
 	// ModelPeak is a local maximum of E (partitioning candidates).
