@@ -294,18 +294,6 @@ func (c *Cache) Contains(addr uint64) bool {
 	return way >= 0
 }
 
-// invalidate empties addr's way, if resident, and reports whether it was.
-func (c *Cache) invalidate(addr uint64) bool {
-	set := c.SetOf(addr)
-	way, _ := c.find(set, addr)
-	if way < 0 {
-		return false
-	}
-	c.pol.Evict(set, way)
-	c.setMeta(set, way, 0)
-	return true
-}
-
 // Access runs one reference through the cache.
 func (c *Cache) Access(acc trace.Access) Result {
 	set := c.SetOf(acc.Addr)

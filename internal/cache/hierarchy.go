@@ -6,20 +6,14 @@ import "pdp/internal/trace"
 // with demand fills allocated at every level above the hit level and dirty
 // evictions written back to the next level (forwarded, not allocated, on a
 // writeback miss — a common non-inclusive organization, matching the
-// paper's non-inclusive LLC focus). SetInclusive enables strict inclusion
-// instead: an eviction from the last level back-invalidates the line from
-// every upper level.
+// paper's non-inclusive LLC focus).
 type Hierarchy struct {
-	levels    []*Cache
-	inclusive bool
+	levels []*Cache
 
 	// DemandHits[i] counts demand accesses satisfied at level i;
 	// MemAccesses counts demand accesses that went to memory.
 	DemandHits  []uint64
 	MemAccesses uint64
-	// BackInvalidations counts lines invalidated from upper levels to
-	// preserve inclusion.
-	BackInvalidations uint64
 }
 
 // NewHierarchy builds a hierarchy from outermost-first levels (L1 first).
@@ -29,16 +23,6 @@ func NewHierarchy(levels ...*Cache) *Hierarchy {
 	}
 	return &Hierarchy{levels: levels, DemandHits: make([]uint64, len(levels))}
 }
-
-// SetInclusive selects the strictly inclusive organization (LLC evictions
-// back-invalidate the upper levels). The LLC policy must not bypass.
-func (h *Hierarchy) SetInclusive(v bool) { h.inclusive = v }
-
-// Level returns the i-th cache (0 = L1).
-func (h *Hierarchy) Level(i int) *Cache { return h.levels[i] }
-
-// Depth returns the number of cache levels.
-func (h *Hierarchy) Depth() int { return len(h.levels) }
 
 // Access runs a demand access through the hierarchy and returns the level
 // index that satisfied it (len(levels) means memory).
@@ -66,21 +50,7 @@ func (h *Hierarchy) access(acc trace.Access, lvl int) int {
 	if res.Writeback {
 		h.writeback(res.VictimAddr, lvl+1)
 	}
-	if h.inclusive && res.Evicted && lvl == len(h.levels)-1 {
-		h.backInvalidate(res.VictimAddr, lvl-1)
-	}
 	return hitLvl
-}
-
-// backInvalidate removes addr's line from level lvl and everything above
-// it (inclusion enforcement). Dirty copies above the LLC are dropped with
-// their data considered merged (the LLC victim was already written back).
-func (h *Hierarchy) backInvalidate(addr uint64, lvl int) {
-	for l := lvl; l >= 0; l-- {
-		if h.levels[l].invalidate(addr) {
-			h.BackInvalidations++
-		}
-	}
 }
 
 // writeback delivers a dirty eviction to level lvl: update-in-place on hit,

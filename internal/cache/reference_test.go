@@ -99,8 +99,7 @@ func (r *refCache) access(acc trace.Access) Result {
 
 // refHierarchy is Hierarchy's walk over refCaches.
 type refHierarchy struct {
-	levels    []*refCache
-	inclusive bool
+	levels []*refCache
 }
 
 func (h *refHierarchy) access(acc trace.Access, lvl int) int {
@@ -117,15 +116,6 @@ func (h *refHierarchy) access(acc trace.Access, lvl int) int {
 			if _, way := h.levels[l].lookup(res.VictimAddr); way >= 0 {
 				h.levels[l].access(trace.Access{Addr: res.VictimAddr, Write: true, WB: true})
 				break
-			}
-		}
-	}
-	if h.inclusive && res.Evicted && lvl == len(h.levels)-1 {
-		for l := lvl - 1; l >= 0; l-- {
-			r := h.levels[l]
-			if set, way := r.lookup(res.VictimAddr); way >= 0 {
-				r.pol.Evict(set, way)
-				r.valid[set*r.cfg.Ways+way], r.dirty[set*r.cfg.Ways+way] = false, false
 			}
 		}
 	}
@@ -151,25 +141,20 @@ type levelCfg struct {
 
 // TestAccessMatchesReference drives random traces through Cache (alone and
 // under a Hierarchy) and through refCache, each side with its own copy of
-// the policy, and compares everything observable after every access. The
-// inclusive hierarchy is there for its back-invalidations: they empty ways
-// in the middle of a set, so the first empty way is not the lowest one
-// never filled.
+// the policy, and compares everything observable after every access.
 func TestAccessMatchesReference(t *testing.T) {
 	lru := func(sets, ways int) Policy { return NewLRU(sets, ways) }
 	identity := func(k int) uint64 { return uint64(k) }
 	for _, tc := range []struct {
-		name      string
-		inclusive bool
-		levels    []levelCfg
+		name   string
+		levels []levelCfg
 	}{
-		{"lru", false, []levelCfg{{4, 4, false, lru}}},
-		{"bypass", false, []levelCfg{{4, 4, true, func(s, w int) Policy { return bypassThirds{NewLRU(s, w)} }}}},
-		{"non-inclusive", false, []levelCfg{{2, 2, false, lru}, {4, 4, false, lru}}},
-		{"inclusive", true, []levelCfg{{2, 4, false, lru}, {4, 2, false, lru}}},
+		{"lru", []levelCfg{{4, 4, false, lru}}},
+		{"bypass", []levelCfg{{4, 4, true, func(s, w int) Policy { return bypassThirds{NewLRU(s, w)} }}}},
+		{"non-inclusive", []levelCfg{{2, 2, false, lru}, {4, 4, false, lru}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			matchReference(t, tc.inclusive, tc.levels, 40, identity)
+			matchReference(t, tc.levels, 40, identity)
 		})
 	}
 
@@ -178,7 +163,7 @@ func TestAccessMatchesReference(t *testing.T) {
 	// every set filling, hitting, evicting and, once full, bypassing.
 	for _, ways := range []int{8, 12, 16, 20} {
 		t.Run(fmt.Sprintf("ways%d", ways), func(t *testing.T) {
-			matchReference(t, false, []levelCfg{{4, ways, true, func(s, w int) Policy { return bypassThirds{NewLRU(s, w)} }}},
+			matchReference(t, []levelCfg{{4, ways, true, func(s, w int) Policy { return bypassThirds{NewLRU(s, w)} }}},
 				3*4*ways, identity)
 		})
 	}
@@ -197,7 +182,7 @@ func TestAccessMatchesReference(t *testing.T) {
 		for tag := uint64(1); tag <= 8; tag++ {
 			lines = append(lines, tag*sets+tag%sets)
 		}
-		matchReference(t, false, []levelCfg{{sets, 16, false, lru}}, len(lines),
+		matchReference(t, []levelCfg{{sets, 16, false, lru}}, len(lines),
 			func(k int) uint64 { return lines[k/64%len(lines)]*64 + uint64(k%64) })
 	})
 }
@@ -205,10 +190,10 @@ func TestAccessMatchesReference(t *testing.T) {
 // matchReference runs 20000 random accesses through a hierarchy of levels
 // and its reference, comparing after each. An access's address is addr(k)
 // for k uniform in [0, 64·lines].
-func matchReference(t *testing.T, inclusive bool, levels []levelCfg, lines int, addr func(k int) uint64) {
+func matchReference(t *testing.T, levels []levelCfg, lines int, addr func(k int) uint64) {
 	var real []*Cache
 	var recs []*recorder
-	ref := &refHierarchy{inclusive: inclusive}
+	ref := &refHierarchy{}
 	for i, lc := range levels {
 		cfg := Config{Name: "t", Sets: lc.sets, Ways: lc.ways, LineSize: 64, AllowBypass: lc.bypass}
 		real = append(real, New(cfg, lc.pol(lc.sets, lc.ways)))
@@ -217,10 +202,8 @@ func matchReference(t *testing.T, inclusive bool, levels []levelCfg, lines int, 
 		ref.levels = append(ref.levels, newRefCache(cfg, lc.pol(lc.sets, lc.ways)))
 	}
 	h := NewHierarchy(real...)
-	h.SetInclusive(inclusive)
 
 	rng := trace.NewRNG(11)
-	holes := 0
 	for i := 0; i < 20000; i++ {
 		acc := trace.Access{Addr: addr(rng.Intn(lines*64 + 1)), PC: uint64(rng.Intn(4)), Write: rng.Bernoulli(0.3)}
 		if len(real) == 1 {
@@ -249,9 +232,6 @@ func matchReference(t *testing.T, inclusive bool, levels []levelCfg, lines int, 
 						t.Fatalf("access %d level %d: LineAddr(%d, %d) = %#x, reference %#x",
 							i, l, set, w, c.LineAddr(set, w), r.lineAddr(set, w))
 					}
-					if !valid && w+1 < c.Ways() && r.valid[set*c.Ways()+w+1] {
-						holes++
-					}
 				}
 			}
 			probe := addr(rng.Intn(lines * 64))
@@ -259,9 +239,5 @@ func matchReference(t *testing.T, inclusive bool, levels []levelCfg, lines int, 
 				t.Fatalf("access %d level %d: Contains(%#x) = %v", i, l, probe, way < 0)
 			}
 		}
-	}
-	if inclusive && (h.BackInvalidations == 0 || holes == 0) {
-		t.Fatalf("%d back-invalidations left %d holes below a valid way: the trace does not test the empty-way scan",
-			h.BackInvalidations, holes)
 	}
 }

@@ -56,28 +56,3 @@ func TestIPCZeroInstr(t *testing.T) {
 		t.Fatalf("IPC(0) = %v, want 0", got)
 	}
 }
-
-func TestEnergyEstimate(t *testing.T) {
-	m := EnergyModel{ReadNJ: 1, WriteNJ: 2, TagNJ: 0.5, MemNJ: 10}
-	// 10 hits, 4 inserts, 6 bypasses, 10 misses.
-	b := m.Estimate(10, 4, 6, 10)
-	if b.ReadNJ != 10 || b.WriteNJ != 8 || b.TagNJ != 10 || b.MemNJ != 100 {
-		t.Fatalf("breakdown = %+v", b)
-	}
-	if b.Total() != 128 {
-		t.Fatalf("total = %v, want 128", b.Total())
-	}
-}
-
-func TestEnergyBypassSavesWrites(t *testing.T) {
-	m := DefaultEnergy()
-	// Same misses; one policy bypasses half its fills.
-	fill := m.Estimate(100, 100, 0, 100)
-	byp := m.Estimate(100, 50, 50, 100)
-	if byp.Total() >= fill.Total() {
-		t.Fatal("bypassing fills must reduce energy")
-	}
-	if byp.WriteNJ >= fill.WriteNJ {
-		t.Fatal("bypass must cut write energy")
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"pdp/internal/cache"
 	"pdp/internal/core"
 	"pdp/internal/counter"
-	"pdp/internal/cpu"
 	"pdp/internal/metrics"
 	"pdp/internal/opt"
 	"pdp/internal/parallel"
@@ -135,52 +134,5 @@ func ClassPDPExp(cfg Config) error {
 		fmtPct(metrics.Mean(avg["AIP"])),
 		fmtPct(metrics.Mean(avg["PDP-8"])),
 		fmtPct(metrics.Mean(avg["PDP-C8"])))
-	return tw.Flush()
-}
-
-// Energy estimates the LLC + memory dynamic energy of each policy relative
-// to DIP (extension; the paper's Sec. 6.2 argues bypass saves LLC write
-// power). Misses dominate via memory energy, so the policies that win on
-// hit rate win here too — bypass adds a further LLC-write saving.
-func Energy(cfg Config) error {
-	header(cfg.Out, "energy", "LLC+memory dynamic energy vs DIP (extension)")
-	model := cpu.DefaultEnergy()
-	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, RecomputeEvery(cfg.Accesses))}
-	suite := workload.Suite()
-	// Column 0 is the DIP base, columns 1.. follow specs.
-	cols := append([]PolicySpec{specDIP()}, specs...)
-	grid, err := parallel.Map(cfg.jobs(), len(suite), func(r int) ([]RunResult, error) {
-		return RunMany(cfg.Bench(suite[r]), cols, cfg.Accesses, cfg.Seed, TelemetryOptions{}), nil
-	})
-	if err != nil {
-		return err
-	}
-	tw := table(cfg.Out)
-	fmt.Fprintln(tw, "benchmark\tDRRIP\tSDP\tPDP-8\t| PDP-8 LLC-write energy vs DIP")
-	var avg = map[string][]float64{}
-	var wAvg []float64
-	for i, b := range suite {
-		base := grid[i][0]
-		be := model.Estimate(base.Stats.Hits, base.Stats.Inserts, base.Stats.Bypasses, base.Stats.Misses)
-		fmt.Fprintf(tw, "%s", b.Name)
-		var pdpWrite float64
-		for j, s := range specs {
-			r := grid[i][1+j]
-			e := model.Estimate(r.Stats.Hits, r.Stats.Inserts, r.Stats.Bypasses, r.Stats.Misses)
-			rel := metrics.Reduction(e.Total(), be.Total())
-			fmt.Fprintf(tw, "\t%s", fmtPct(rel))
-			avg[s.Name] = append(avg[s.Name], rel)
-			if s.Name == "PDP-8" {
-				pdpWrite = metrics.Reduction(e.WriteNJ, be.WriteNJ)
-			}
-		}
-		fmt.Fprintf(tw, "\t%s\n", fmtPct(pdpWrite))
-		wAvg = append(wAvg, pdpWrite)
-	}
-	fmt.Fprintf(tw, "AVERAGE\t%s\t%s\t%s\t%s\n",
-		fmtPct(metrics.Mean(avg["DRRIP"])),
-		fmtPct(metrics.Mean(avg["SDP"])),
-		fmtPct(metrics.Mean(avg["PDP-8"])),
-		fmtPct(metrics.Mean(wAvg)))
 	return tw.Flush()
 }

@@ -29,7 +29,6 @@ func Registry() []Experiment {
 		{"pdproc", "PD-compute processor (paper Sec. 3)", PDProc},
 		{"optgap", "Belady-OPT headroom recovery (extension)", OptGap},
 		{"classpdp", "Per-PC-class PDP (paper Sec. 6.3 proposal, extension)", ClassPDPExp},
-		{"energy", "LLC+memory dynamic energy (extension)", Energy},
 	}
 }
 

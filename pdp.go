@@ -16,7 +16,7 @@
 //	}, pol)
 //	res := llc.Access(pdp.Access{Addr: 0x4040})
 //
-// See the examples/ directory for runnable programs and cmd/repro for the
+// ExampleNewPDP is the tested version of this flow; cmd/repro is the
 // harness regenerating every table and figure of the paper.
 package pdp
 
@@ -97,8 +97,6 @@ type (
 	Monitor = cache.Monitor
 	// Event is a monitor callback record.
 	Event = cache.Event
-	// Hierarchy chains cache levels in front of memory.
-	Hierarchy = cache.Hierarchy
 	// LRU is the least-recently-used policy.
 	LRU = cache.LRU
 )
@@ -107,8 +105,6 @@ type (
 var (
 	// NewCache builds a cache.
 	NewCache = cache.New
-	// NewHierarchy chains levels (L1 first).
-	NewHierarchy = cache.NewHierarchy
 	// NewLRU builds an LRU policy.
 	NewLRU = cache.NewLRU
 	// NewRandom builds a random-replacement policy.

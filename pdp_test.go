@@ -1,15 +1,16 @@
 package pdp_test
 
 import (
+	"fmt"
 	"testing"
 
 	"pdp"
 )
 
-// TestFacadeQuickstart exercises the documented public-API flow end to end:
-// build a PDP-managed LLC, run a protectable workload, verify the PD
-// converges and protection pays off.
-func TestFacadeQuickstart(t *testing.T) {
+// ExampleNewPDP is the README quickstart: a PDP-managed LLC under a loop
+// of 48 lines per set, three times the 16 ways. LRU would miss every
+// access; PDP settles on PD 48 and keeps a third of the loop resident.
+func ExampleNewPDP() {
 	const sets, ways, loop = 256, 16, 48
 	pol := pdp.NewPDP(pdp.PDPConfig{
 		Sets: sets, Ways: ways, Bypass: true,
@@ -22,12 +23,8 @@ func TestFacadeQuickstart(t *testing.T) {
 	for i := 0; i < 1_500_000; i++ {
 		llc.Access(g.Next())
 	}
-	if hr := llc.Stats.HitRate(); hr < 0.25 {
-		t.Fatalf("hit rate %.3f; protection should convert ~1/3 of accesses", hr)
-	}
-	if pd := pol.PD(); pd < loop || pd > loop+8 {
-		t.Fatalf("PD = %d, want ~%d", pd, loop)
-	}
+	fmt.Printf("hit rate %.4f, PD %d\n", llc.Stats.HitRate(), pol.PD())
+	// Output: hit rate 0.3195, PD 48
 }
 
 // TestFacadeModel checks the model functions through the façade.
