@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, Protection, Model, one-path and one-detector seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, Protection, Model, one-RDD, one-path and one-detector seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -27,6 +27,9 @@ race:
 # The one-path rule (DESIGN.md §8): a per-op request is a batch of one, so
 # kvserver reaches the cache's data ops through one ExecBatch call, cluster
 # never names the /kv/ route, and loadgen books a hit in one place.
+# The one-RDD rule (DESIGN.md §6): experiments/figs_rdd.go's measureRDD is
+# the only non-test Go that widens a counter array (NiMax =) for an offline
+# RDD measurement.
 # The one-stream rule (DESIGN.md §3): the figures drive every policy column
 # of a row through one RunMany call, never RunSingle, and the PD recompute
 # period has one definition, experiments.RecomputeEvery.
@@ -43,6 +46,7 @@ seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -rnE 'rpd +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
 	@! grep -rn 'sumNd' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -vE '^./internal/(core/model.go|pdproc/)'
+	@! grep -rnE 'NiMax *=[^=]' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/experiments/figs_rdd.go:'
 	@! grep -nE 's\.cache\.(Get|GetAppend|Put|Delete)\(' $$(ls internal/kvserver/*.go | grep -v _test.go)
 	@test "$$(cat $$(ls internal/kvserver/*.go | grep -v _test.go) | grep -c 's\.cache\.ExecBatch(')" = 1
 	@! grep -n '"/kv/' $$(ls internal/cluster/*.go | grep -v _test.go)

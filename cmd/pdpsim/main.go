@@ -31,9 +31,10 @@
 // The observability flags (-stats json, -telemetry, -snapshot-every,
 // -journal-sample, -pprof, -cpuprofile, -memprofile) and the robustness
 // flags (-timeout, -inject) work the same in both modes; README
-// "Observability" and "Robustness" document them and the JSONL schema. With
-// -telemetry, a mix's snapshots carry per-core occupancy and, for the
-// PD-partitioning policies, the per-thread protecting distances.
+// "Observability" and "Robustness" document them and the JSONL schema,
+// DESIGN.md §10 the -inject keys. With -telemetry, a mix's snapshots
+// carry per-core occupancy and, for the PD-partitioning policies, the
+// per-thread protecting distances.
 //
 // A run is short (a default window takes about a second), so an interrupted
 // one is simply rerun; `repro -checkpoint` resumes long campaigns run by run.
@@ -80,7 +81,7 @@ func run() int {
 	snapshotEvery := flag.Uint64("snapshot-every", 0, "emit a telemetry snapshot every N measured accesses (0 disables)")
 	journalSample := flag.Uint64("journal-sample", 1024, "journal 1 in N bypass/eviction/sampler events (1 = all)")
 	timeout := flag.Duration("timeout", 0, "watchdog timeout for the run (0 disables)")
-	inject := flag.String("inject", "", "fault-injection spec (key=value,... ; see README)")
+	inject := flag.String("inject", "", "fault-injection spec (key=value,... ; keys in DESIGN.md §10)")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")

@@ -72,7 +72,7 @@ func run() int {
 	keepGoing := flag.Bool("keep-going", false, "continue past failing experiments (forced on for `all`)")
 	checkpoint := flag.String("checkpoint", "", "record completed experiments in this JSON file")
 	resume := flag.Bool("resume", false, "skip experiments already completed in the checkpoint (default "+defaultCheckpoint+")")
-	inject := flag.String("inject", "", "fault-injection spec for workload streams (key=value,... ; see README)")
+	inject := flag.String("inject", "", "fault-injection spec for workload streams (key=value,... ; keys in DESIGN.md §10)")
 	telemetryOut := flag.String("telemetry", "", "write a JSONL telemetry journal to this file")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (long runs)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
