@@ -22,7 +22,7 @@ func TestHeadlineClaims(t *testing.T) {
 	// DRRIP and EELRU, plus SDP where the paper says it wins.
 	const dip, pdp8, drrip, eelru, sdp = 0, 1, 2, 3, 4
 	sdpWins := map[string]bool{"437.leslie3d": true, "459.GemsFDTD": true}
-	imps := make([][]float64, sdp)
+	imps := make([][]float64, eelru+1)
 	for _, b := range workload.Suite() {
 		specs := []PolicySpec{specDIP(), specPDP(8, recompute), specDRRIP(1.0 / 32), specEELRU()}
 		if sdpWins[b.Name] {
