@@ -20,7 +20,8 @@ race:
 # The kvcache seam (DESIGN.md §9): the line store and the shard's op bodies
 # must not reach the PDP machinery except through the policy interface.
 # The Protection rule (DESIGN.md §6): core/protection.go is the only
-# non-test Go that declares an RPD array or an S_d counter.
+# non-test Go that declares per-line protection state (an end-stamp or a
+# remaining-distance array), a per-set step count or an S_d counter.
 # The Model rule (DESIGN.md §6): core/model.go is the only non-test Go that
 # declares Eq. 1's running sums; internal/pdproc, the modelled hardware
 # that computes the same search in its own ISA, is the one exemption.
@@ -44,7 +45,7 @@ race:
 # only code that ejects or rejoins a member.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
-	@! grep -rnE 'rpd +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
+	@! grep -rnE '(until|now|rpd) +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
 	@! grep -rn 'sumNd' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -vE '^./internal/(core/model.go|pdproc/)'
 	@! grep -rnE 'NiMax *=[^=]' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/experiments/figs_rdd.go:'
 	@! grep -nE 's\.cache\.(Get|GetAppend|Put|Delete)\(' $$(ls internal/kvserver/*.go | grep -v _test.go)
@@ -135,7 +136,9 @@ bench-alloc:
 # Fuzz smoke: the untrusted decoders (trace files, checkpoints, /batch
 # requests and answers, the last two against encoding/json as oracle),
 # RDDGen against its address-keyed original (a Go map), the cache's tag
-# probe against the linear scan it replaced, the -inject grammar's
+# probe against the linear scan it replaced, the LRU recency stack against
+# the timestamp LRU it replaced, Protection's end stamps against the
+# decrementing RPD arrays they replaced, the -inject grammar's
 # Parse/String round trip, and a cache snapshot file restored into a
 # fresh cache, which must pass CheckInvariants.
 fuzz:
@@ -145,6 +148,8 @@ fuzz:
 	$(GO) test ./internal/batchwire/ -run FuzzParseRows -fuzz FuzzParseRows -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzRDDGen -fuzz FuzzRDDGen -fuzztime 20s
 	$(GO) test ./internal/cache/ -run FuzzProbe -fuzz FuzzProbe -fuzztime 20s
+	$(GO) test ./internal/cache/ -run FuzzLRU -fuzz FuzzLRU -fuzztime 20s
+	$(GO) test ./internal/core/ -run FuzzProtection -fuzz FuzzProtection -fuzztime 20s
 	$(GO) test ./internal/workload/ -run FuzzSampleRank -fuzz FuzzSampleRank -fuzztime 20s
 	$(GO) test ./internal/faultinject/ -run FuzzParse -fuzz FuzzParse -fuzztime 20s
 	$(GO) test ./internal/kvcache/ -run FuzzRestore -fuzz FuzzRestore -fuzztime 20s

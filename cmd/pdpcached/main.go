@@ -87,7 +87,7 @@ func main() {
 	ways := flag.Int("ways", 8, "ways per set")
 	maxBytes := flag.Int64("max-bytes", 0, "value-byte budget per shard (0 = unbounded)")
 	dmax := flag.Int("dmax", 256, "maximum protecting distance d_max")
-	nc := flag.Int("nc", 8, "RPD counter bits n_c")
+	nc := flag.Int("nc", 8, "RPD counter bits n_c (1 to 15)")
 	sc := flag.Int("sc", 4, "RDD counter step S_c")
 	de := flag.Int("de", 0, "E(d_p) extra-distance term d_e (0 = ways)")
 	defaultPD := flag.Int("pd", 0, "initial protecting distance before the first recompute (0 = ways)")

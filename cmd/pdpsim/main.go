@@ -21,6 +21,9 @@
 // With -cores N > 1 the mix is the i-th seeded random mix (-mix i) or the N
 // comma-separated names of -bench, one per core. -n is the measured window
 // per core; 0 takes experiments.DefaultConfig's window for the core count.
+// A -trace replay never rewinds: with -n 0 it measures the largest window
+// whose warm-up and accesses the trace holds, and a larger -n, or a trace
+// shorter than the minimum warm-up plus one access, exits 2.
 //
 // A comma-separated -policy list selects batch mode: every policy runs
 // over the same stream and one summary prints per policy, in list order.
@@ -46,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -73,7 +77,7 @@ func run() int {
 	mixID := flag.Int("mix", -1, "with -cores > 1, run the i-th seeded random mix instead of -bench")
 	policy := flag.String("policy", "", "LLC policy, or a comma-separated list (default pdp-8, or pdppart-3 with -cores > 1)")
 	jobs := flag.Int("jobs", 1, "concurrent policy runs, or mix baselines (0 = all cores)")
-	n := flag.Int("n", 0, "measured LLC accesses per core (0 = the experiments' default window)")
+	n := flag.Int("n", 0, "measured LLC accesses per core (0 = the experiments' default window, or with -trace the largest the trace holds)")
 	seed := flag.Uint64("seed", 42, "random seed")
 	list := flag.Bool("list", false, "list benchmark models and exit")
 	statsFmt := flag.String("stats", "text", "stats output format: text or json")
@@ -119,7 +123,7 @@ func run() int {
 	if !multi && *mixID >= 0 {
 		return usage("-mix needs -cores > 1")
 	}
-	if *n == 0 {
+	if *n == 0 && *traceFile == "" {
 		def := experiments.DefaultConfig(nil)
 		*n = def.Accesses
 		if multi {
@@ -148,6 +152,18 @@ func run() int {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reading %s: %v\n", *traceFile, err)
 			return 1
+		}
+		// A replay never rewinds: the warm-up and the window must fit.
+		fit := traceWindow(len(accs))
+		switch {
+		case fit < 1:
+			return usage("%s holds %d accesses; a run needs at least %d (the minimum warm-up plus one)",
+				*traceFile, len(accs), experiments.Warmup(1)+1)
+		case *n == 0:
+			*n = fit
+		case *n > fit:
+			return usage("-n %d needs %d accesses with its warm-up; %s holds %d, enough for -n %d at most",
+				*n, experiments.Warmup(*n)+*n, *traceFile, len(accs), fit)
 		}
 		b = workload.FromAccesses(*traceFile, *apki, accs)
 	case *mixID >= 0:
@@ -323,6 +339,12 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// traceWindow returns the largest measured window n whose warm-up plus n
+// accesses fit in a trace of l accesses, or 0 when not even one does.
+func traceWindow(l int) int {
+	return max(sort.Search(l+1, func(n int) bool { return n+experiments.Warmup(n) > l })-1, 0)
 }
 
 // printRun prints the summary of a one-policy single-core run.

@@ -27,8 +27,8 @@ type Config struct {
 	Sets, Ways int
 	// DMax is the maximum protecting distance (paper: 256).
 	DMax int
-	// NC is the number of RPD bits per line (paper explores 2, 3, 8); the
-	// distance step is S_d = DMax / 2^NC.
+	// NC is the number of RPD bits per line (paper explores 2, 3, 8; at
+	// most 15); the distance step is S_d = DMax / 2^NC.
 	NC int
 	// SC is the counter-array step S_c (paper: 4 single-core, 16 multicore).
 	SC int
@@ -85,7 +85,7 @@ func (c *Config) validate() {
 	if c.Sets <= 0 || c.Ways <= 0 {
 		panic(fmt.Sprintf("core: invalid geometry %dx%d", c.Sets, c.Ways))
 	}
-	if c.NC < 1 || c.NC > 16 {
+	if c.NC < 1 || c.NC > 15 {
 		panic(fmt.Sprintf("core: NC=%d out of range", c.NC))
 	}
 	if c.DMax < 1 || c.DMax%c.SC != 0 {
@@ -328,7 +328,9 @@ func (p *PDP) recompute() {
 // HardwareBits estimates the policy's SRAM overhead in bits for the managed
 // cache: per-line n_c RPD bits (plus the reuse bit in the non-bypass
 // configuration), per-set S_d counters, and the sampler + counter array
-// (paper Sec. 6.2 accounting).
+// (paper Sec. 6.2 accounting). It counts the paper's n_c-bit counters, not
+// the Go storage that models them (Protection's 2-byte end stamps and
+// per-set step counts).
 func (p *PDP) HardwareBits() int {
 	bits := p.cfg.Sets * p.cfg.Ways * p.cfg.NC
 	if !p.cfg.Bypass {

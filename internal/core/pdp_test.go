@@ -351,6 +351,7 @@ func TestPDPConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Sets: 0, Ways: 4},
 		{Sets: 4, Ways: 0},
+		{Sets: 4, Ways: 4, NC: 16, DMax: 1 << 16},
 		{Sets: 4, Ways: 4, NC: 20},
 		{Sets: 4, Ways: 4, DMax: 250, SC: 4},
 	}

@@ -56,7 +56,7 @@ type Config struct {
 	MaxBytes int64
 
 	// DMax, NC, SC, DE are the PDP hardware parameters (paper Sec. 3);
-	// defaults 256, 8, 4, Ways.
+	// defaults 256, 8, 4, Ways. NC is at most 15.
 	DMax, NC, SC, DE int
 	// DefaultPD seeds the policy before the first recomputation (default
 	// Ways, LRU-like warm-up).
@@ -186,7 +186,7 @@ func (c *Config) setDefaults() error {
 	if c.DMax < 1 || c.DMax%c.SC != 0 {
 		return fmt.Errorf("kvcache: DMax=%d not a positive multiple of SC=%d", c.DMax, c.SC)
 	}
-	if c.NC < 1 || c.NC > 16 {
+	if c.NC < 1 || c.NC > 15 {
 		return fmt.Errorf("kvcache: NC=%d out of range", c.NC)
 	}
 	return nil

@@ -206,6 +206,7 @@ func TestConfigErrors(t *testing.T) {
 		{Shards: -1},
 		{MaxBytes: -5},
 		{DMax: 100, SC: 3},
+		{NC: 16},
 		{NC: 20},
 	}
 	for i, cfg := range bad {

@@ -290,8 +290,9 @@ func Mixes(cores, count int, seed uint64) []Mix {
 }
 
 // FromAccesses wraps a recorded access sequence as a Benchmark (looping at
-// the end, matching the paper's thread-rewind semantics). Used to replay
-// externally captured traces.
+// the end, matching the paper's thread-rewind semantics). Its one caller,
+// `pdpsim -trace`, sizes its warm-up and window to the trace, so a replay
+// there never reaches the loop.
 func FromAccesses(name string, apki float64, accs []trace.Access) Benchmark {
 	if apki <= 0 {
 		apki = 10
