@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, Protection, Model, one-RDD, one-path and one-detector seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-RDD, one-path and one-detector seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -19,6 +19,10 @@ race:
 
 # The kvcache seam (DESIGN.md §9): the line store and the shard's op bodies
 # must not reach the PDP machinery except through the policy interface.
+# The one-probe rule (DESIGN.md §9): non-test kvcache keeps no per-line hash
+# or recency-stamp array (a way is a fingerprint byte, recency a per-set
+# stack), and no Go outside internal/cache spells the probe's byte-lane
+# constants: the serving line store probes through cache.Probe.
 # The Protection rule (DESIGN.md §6): core/protection.go is the only
 # non-test Go that declares per-line protection state (an end-stamp or a
 # remaining-distance array), a per-set step count or an S_d counter.
@@ -45,6 +49,8 @@ race:
 # only code that ejects or rejoins a member.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
+	@! grep -nE '(hashes|last) +\[\]uint64' $$(ls internal/kvcache/*.go | grep -v _test.go)
+	@! grep -rniE '0x(01){8}|0x(7f){8}|0x(80){8}' --include='*.go' --exclude-dir=.bench_build . | grep -v '^./internal/cache/'
 	@! grep -rnE '(until|now|rpd) +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
 	@! grep -rn 'sumNd' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -vE '^./internal/(core/model.go|pdproc/)'
 	@! grep -rnE 'NiMax *=[^=]' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/experiments/figs_rdd.go:'
@@ -137,7 +143,9 @@ bench-alloc:
 # requests and answers, the last two against encoding/json as oracle),
 # RDDGen against its address-keyed original (a Go map), the cache's tag
 # probe against the linear scan it replaced, the LRU recency stack against
-# the timestamp LRU it replaced, Protection's end stamps against the
+# the timestamp LRU it replaced, the serving line store and its recency
+# stacks against the valid flags, hashes and stamps they replaced,
+# Protection's end stamps against the
 # decrementing RPD arrays they replaced, the -inject grammar's
 # Parse/String round trip, and a cache snapshot file restored into a
 # fresh cache, which must pass CheckInvariants.
@@ -149,6 +157,7 @@ fuzz:
 	$(GO) test ./internal/trace/ -run FuzzRDDGen -fuzz FuzzRDDGen -fuzztime 20s
 	$(GO) test ./internal/cache/ -run FuzzProbe -fuzz FuzzProbe -fuzztime 20s
 	$(GO) test ./internal/cache/ -run FuzzLRU -fuzz FuzzLRU -fuzztime 20s
+	$(GO) test ./internal/kvcache/ -run FuzzLines -fuzz FuzzLines -fuzztime 20s
 	$(GO) test ./internal/core/ -run FuzzProtection -fuzz FuzzProtection -fuzztime 20s
 	$(GO) test ./internal/workload/ -run FuzzSampleRank -fuzz FuzzSampleRank -fuzztime 20s
 	$(GO) test ./internal/faultinject/ -run FuzzParse -fuzz FuzzParse -fuzztime 20s

@@ -84,7 +84,7 @@ func main() {
 	shards := flag.Int("shards", 16, "independently locked cache shards (0 = auto-scale to GOMAXPROCS)")
 	lockHoldSample := flag.Int("lock-hold-sample", 64, "sample 1 in N operations for the lock-hold watchdog (1 = every operation)")
 	sets := flag.Int("sets", 64, "sets per shard (need not be a power of two)")
-	ways := flag.Int("ways", 8, "ways per set")
+	ways := flag.Int("ways", 8, "ways per set, 1 to 255")
 	maxBytes := flag.Int64("max-bytes", 0, "value-byte budget per shard (0 = unbounded)")
 	dmax := flag.Int("dmax", 256, "maximum protecting distance d_max")
 	nc := flag.Int("nc", 8, "RPD counter bits n_c (1 to 15)")

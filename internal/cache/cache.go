@@ -169,14 +169,7 @@ func New(cfg Config, pol Policy) *Cache {
 	if pol == nil {
 		panic(fmt.Sprintf("cache %s: nil policy", cfg.Name))
 	}
-	words := (cfg.Ways + 7) / 8
-	meta := make([]uint64, cfg.Sets*words)
-	if used := cfg.Ways % 8; used != 0 {
-		pad := uint64(padByte*bytes1) << (8 * used)
-		for i := words - 1; i < len(meta); i += words {
-			meta[i] = pad
-		}
-	}
+	meta, words := NewMeta(cfg.Sets, cfg.Ways)
 	return &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
@@ -238,11 +231,39 @@ const (
 	bytesHi = 0x8080808080808080 // the top bit of every byte
 )
 
-// fingerprint maps a tag to 1..127: the top seven bits of a Fibonacci hash,
-// with 0 folded onto 1. It takes no division.
-func fingerprint(tag uint64) uint64 {
-	fp := tag * 0x9E3779B97F4A7C15 >> 57
+// NewMeta returns the metadata words of an empty sets x ways store, one
+// byte per way and words of them per set, each set starting a fresh word;
+// a set's bytes past its last way hold padByte. The serving line store
+// keeps its ways in the same layout and probes them with Probe.
+func NewMeta(sets, ways int) (meta []uint64, words int) {
+	words = (ways + 7) / 8
+	meta = make([]uint64, sets*words)
+	if used := ways % 8; used != 0 {
+		pad := uint64(padByte*bytes1) << (8 * used)
+		for i := words - 1; i < len(meta); i += words {
+			meta[i] = pad
+		}
+	}
+	return meta, words
+}
+
+// Fingerprint maps a tag or key hash to 1..127: the top seven bits of a
+// Fibonacci hash, with 0 folded onto 1. It takes no division.
+func Fingerprint(x uint64) uint64 {
+	fp := x * 0x9E3779B97F4A7C15 >> 57
 	return fp | (fp-1)>>63
+}
+
+// Probe tests the eight metadata bytes of one word at once: cand has the
+// top bit of every byte whose fingerprint bits equal fp (1..127), empty the
+// top bit of every byte that is 0; byte i is way i of the word, found by
+// bits.TrailingZeros64(mask)>>3. Adding 0x7f to a byte's fingerprint bits
+// sets the byte's top bit unless they are 0, and never carries into the
+// next byte, so both tests are exact: a padding byte has no fingerprint
+// bits, but is not 0.
+func Probe(word, fp uint64) (cand, empty uint64) {
+	fps := word & bytesLo
+	return ^(fps ^ fp*bytes1 + bytesLo) & bytesHi, ^(fps + bytesLo | word) & bytesHi
 }
 
 // metaByte returns the metadata byte of (set, way).
@@ -258,21 +279,16 @@ func (c *Cache) setMeta(set, way int, b uint64) {
 
 // find is the one tag lookup: the way of addr's set holding addr's line
 // (-1 when not resident) and the set's lowest empty way (-1 when full, and
-// not looked for past a hit). It probes eight ways per meta word. Adding
-// 0x7f to a byte's fingerprint bits sets the byte's top bit unless they are
-// 0, and never carries into the next byte, so both tests are exact: a way
-// is a candidate when its fingerprint bits equal the tag's, and empty when
-// its whole byte is 0 (a padding byte has no fingerprint bits, but is not
-// 0). Only candidates' tags are read.
+// not looked for past a hit). It probes eight ways per meta word; only
+// candidates' tags are read.
 func (c *Cache) find(set int, addr uint64) (way, free int) {
 	tag := c.TagOf(addr)
-	want := fingerprint(tag) * bytes1
+	fp := Fingerprint(tag)
 	tags := c.tags[set*c.cfg.Ways:]
 	free = -1
 	for i, w := range c.meta[set*c.words : (set+1)*c.words] {
-		fps := w & bytesLo
-		empty := ^(fps + bytesLo | w) & bytesHi
-		for cand := ^(fps ^ want + bytesLo) & bytesHi; cand != 0; cand &= cand - 1 {
+		cand, empty := Probe(w, fp)
+		for ; cand != 0; cand &= cand - 1 {
 			way = i*8 + bits.TrailingZeros64(cand)>>3
 			if tags[way] == tag {
 				if below := empty & (cand&-cand - 1); free < 0 && below != 0 {
@@ -357,7 +373,7 @@ func (c *Cache) Access(acc trace.Access) Result {
 
 	tag := c.TagOf(acc.Addr)
 	c.tags[set*c.cfg.Ways+way] = tag
-	fp := fingerprint(tag)
+	fp := Fingerprint(tag)
 	if acc.Write {
 		fp |= dirtyBit
 	}

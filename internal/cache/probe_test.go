@@ -23,7 +23,7 @@ func linearFind(keys []uint64, tag uint64) (way, free int) {
 func probePool() []uint64 {
 	var pool []uint64
 	for tag := uint64(1 << 20); len(pool) < 32; tag++ {
-		if fingerprint(tag) == fingerprint(1<<20) {
+		if Fingerprint(tag) == Fingerprint(1<<20) {
 			pool = append(pool, tag)
 		}
 	}
@@ -70,7 +70,7 @@ func FuzzProbe(f *testing.F) {
 			if way, _ := linearFind(keys[set*w:(set+1)*w], tag); way >= 0 {
 				continue
 			}
-			fp := fingerprint(tag)
+			fp := Fingerprint(tag)
 			if layout[i]&2 != 0 {
 				fp |= dirtyBit
 			}

@@ -175,7 +175,7 @@ func TestAccessMatchesReference(t *testing.T) {
 		const sets = 2
 		var lines []uint64
 		for tag := uint64(0); len(lines) < 2*24; tag++ {
-			if fingerprint(tag) == fingerprint(0) {
+			if Fingerprint(tag) == Fingerprint(0) {
 				lines = append(lines, tag*sets, tag*sets+1)
 			}
 		}

@@ -22,8 +22,8 @@ func TestClassPDPLearnsPerClassPDs(t *testing.T) {
 	cfg := ClassConfig{Sets: sets, Ways: ways, Classes: 4, RecomputeEvery: 40000}
 	c, p := newCacheWithClassPDP(cfg)
 
-	gA := trace.NewLoopGen("a", 10*sets, 1, 1)
-	gB := trace.NewLoopGen("b", 40*sets, 2, 2)
+	gA := trace.NewLoopGen("a", 10*sets, 1)
+	gB := trace.NewLoopGen("b", 40*sets, 2)
 	pcA, pcB := uint64(0x3333), uint64(0x1234)
 	if p.ClassOf(pcA) == p.ClassOf(pcB) {
 		t.Fatal("test PCs landed in the same class; pick different PCs")
@@ -59,7 +59,7 @@ func TestClassPDPMarksDeadClass(t *testing.T) {
 	cfg := ClassConfig{Sets: sets, Ways: ways, Classes: 4, RecomputeEvery: 30000}
 	c, p := newCacheWithClassPDP(cfg)
 
-	loop := trace.NewLoopGen("loop", 6*sets, 1, 1)
+	loop := trace.NewLoopGen("loop", 6*sets, 1)
 	stream := trace.NewStreamGen("stream", 2)
 	pcLoop, pcStream := uint64(0x3333), uint64(0x1234)
 	if p.ClassOf(pcLoop) == p.ClassOf(pcStream) {

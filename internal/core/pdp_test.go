@@ -182,7 +182,7 @@ func TestPDPProtectsThrashingWorkingSet(t *testing.T) {
 	cLRU := cache.New(cache.Config{Name: "L", Sets: sets, Ways: ways, LineSize: 64}, lru)
 	cPDP, _ := newCacheWithPDP(Config{Sets: sets, Ways: ways, StaticPD: per}, true)
 
-	g := trace.NewLoopGen("loop", per*sets, 1, 1)
+	g := trace.NewLoopGen("loop", per*sets, 1)
 	for i := 0; i < per*sets*200; i++ {
 		a := g.Next()
 		cLRU.Access(a)
@@ -201,7 +201,7 @@ func TestPDPEquivalentToProtectingWForFriendlyLoop(t *testing.T) {
 	// like LRU: every reuse hits (paper Sec. 1 remark).
 	const sets, ways = 16, 8
 	c, _ := newCacheWithPDP(Config{Sets: sets, Ways: ways, StaticPD: ways}, true)
-	g := trace.NewLoopGen("loop", ways*sets, 1, 1)
+	g := trace.NewLoopGen("loop", ways*sets, 1)
 	n := ways * sets * 100
 	for i := 0; i < n; i++ {
 		c.Access(g.Next())
@@ -221,7 +221,7 @@ func TestPDPDynamicConvergesToLoopDistance(t *testing.T) {
 		FullSampler:    true,
 	}
 	c, p := newCacheWithPDP(cfg, true)
-	g := trace.NewLoopGen("loop", per*sets, 1, 1)
+	g := trace.NewLoopGen("loop", per*sets, 1)
 	for i := 0; i < 100000; i++ {
 		c.Access(g.Next())
 	}
@@ -240,7 +240,7 @@ func TestPDPDynamicBeatsLRUOnThrash(t *testing.T) {
 	lru := cache.NewLRU(sets, ways)
 	cLRU := cache.New(cache.Config{Name: "L", Sets: sets, Ways: ways, LineSize: 64}, lru)
 
-	g := trace.NewLoopGen("loop", per*sets, 1, 1)
+	g := trace.NewLoopGen("loop", per*sets, 1)
 	for i := 0; i < 400000; i++ {
 		a := g.Next()
 		c.Access(a)
@@ -298,7 +298,7 @@ func TestPDPHistoryRecording(t *testing.T) {
 	p.AddObserver(func(ev RecomputeEvent) {
 		pds, at = append(pds, ev.NewPD), append(at, ev.Access)
 	})
-	g := trace.NewLoopGen("loop", 8*32, 1, 1)
+	g := trace.NewLoopGen("loop", 8*32, 1)
 	for i := 0; i < 20000; i++ {
 		c.Access(g.Next())
 	}

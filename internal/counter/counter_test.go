@@ -105,7 +105,7 @@ func TestBeatsLRUOnExpiringWorkload(t *testing.T) {
 	cA, _ := mk(sets, ways, true)
 	cL := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64},
 		cache.NewLRU(sets, ways))
-	hot := trace.NewLoopGen("hot", 3*sets, 1, 1)
+	hot := trace.NewLoopGen("hot", 3*sets, 1)
 	stream := trace.NewStreamGen("stream", 2)
 	mix := trace.NewMixGen("mix", 7, []trace.Generator{hot, stream}, []float64{0.4, 0.6})
 	for i := 0; i < 400000; i++ {

@@ -115,7 +115,7 @@ func TestDIPLRUFriendly(t *testing.T) {
 	const sets, ways = 64, 4
 	p := NewDIP(sets, ways, DefaultEpsilon, 1)
 	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
-	g := trace.NewLoopGen("loop", ways*sets, 1, 1)
+	g := trace.NewLoopGen("loop", ways*sets, 1)
 	n := ways * sets * 50
 	for i := 0; i < n; i++ {
 		c.Access(g.Next())
@@ -131,7 +131,7 @@ func TestDIPBeatsLRUOnThrash(t *testing.T) {
 	p := NewDIP(sets, ways, DefaultEpsilon, 1)
 	cDIP := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
 	cLRU := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, cache.NewLRU(sets, ways))
-	g := trace.NewLoopGen("loop", per*sets, 1, 1)
+	g := trace.NewLoopGen("loop", per*sets, 1)
 	for i := 0; i < per*sets*200; i++ {
 		a := g.Next()
 		cDIP.Access(a)

@@ -58,7 +58,7 @@ func TestLRUModeByDefault(t *testing.T) {
 func TestSwitchesToEarlyEvictionUnderThrash(t *testing.T) {
 	const sets, ways, per = 16, 8, 24
 	c, p := mk(sets, ways, 2000)
-	g := trace.NewLoopGen("loop", per*sets, 1, 1)
+	g := trace.NewLoopGen("loop", per*sets, 1)
 	for i := 0; i < 100000; i++ {
 		c.Access(g.Next())
 	}
@@ -74,7 +74,7 @@ func TestBeatsLRUOnThrash(t *testing.T) {
 	const sets, ways, per = 16, 8, 24
 	c, _ := mk(sets, ways, 2000)
 	cLRU := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, cache.NewLRU(sets, ways))
-	g := trace.NewLoopGen("loop", per*sets, 1, 1)
+	g := trace.NewLoopGen("loop", per*sets, 1)
 	for i := 0; i < 100000; i++ {
 		a := g.Next()
 		c.Access(a)
@@ -88,7 +88,7 @@ func TestBeatsLRUOnThrash(t *testing.T) {
 func TestStaysLRUWhenFriendly(t *testing.T) {
 	const sets, ways = 16, 8
 	c, p := mk(sets, ways, 2000)
-	g := trace.NewLoopGen("loop", (ways-2)*sets, 1, 1)
+	g := trace.NewLoopGen("loop", (ways-2)*sets, 1)
 	for i := 0; i < 50000; i++ {
 		c.Access(g.Next())
 	}

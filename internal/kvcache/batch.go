@@ -88,14 +88,14 @@ type BatchResult struct {
 // dst (materialized into BatchResult.Value only after every append — a
 // growing dst relocates, so slices taken early would dangle).
 type batchScratch struct {
-	hashes []uint64
-	shid   []int32
-	order  []int32
-	voff   []int
-	vlen   []int
-	start  []int32 // len nshards+1: group i is order[start[i]:start[i+1]]
-	pos    []int32
-	busy   []int32
+	inShard []uint64
+	shid    []int32
+	order   []int32
+	voff    []int
+	vlen    []int
+	start   []int32 // len nshards+1: group i is order[start[i]:start[i+1]]
+	pos     []int32
+	busy    []int32
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -132,7 +132,7 @@ func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []by
 	}
 	nsh := len(c.shards)
 	s := batchPool.Get().(*batchScratch)
-	s.hashes = grow(s.hashes, n)
+	s.inShard = grow(s.inShard, n)
 	s.shid = grow(s.shid, n)
 	s.order = grow(s.order, n)
 	s.voff = grow(s.voff, n)
@@ -148,7 +148,7 @@ func (c *Cache) ExecBatch(ops []BatchOp, results []BatchResult, dst []byte) []by
 		h := hash(ops[i].Key)
 		sid := int32(h % uint64(nsh))
 		s.shid[i] = sid
-		s.hashes[i] = h / uint64(nsh)
+		s.inShard[i] = h / uint64(nsh)
 		s.start[sid+1]++
 	}
 	for i := 0; i < nsh; i++ {
@@ -206,7 +206,7 @@ func (sh *shard) execGroup(ops []BatchOp, results []BatchResult, s *batchScratch
 	for k := lo; k < hi; k++ {
 		i := s.order[k]
 		op := &ops[i]
-		h := s.hashes[i]
+		h := s.inShard[i]
 		switch op.Kind {
 		case BatchGet:
 			off := len(dst)

@@ -38,7 +38,7 @@ type ChaosArray = interface {
 
 // The breaker: every shard carries a degraded flag; while degraded it
 // serves with shadow-LRU eviction and unconditional admission — the
-// baseline policy whose recency stamps PDP mode maintains anyway — and
+// baseline policy whose recency stack PDP mode maintains anyway — and
 // ignores the protecting distance entirely. Trips are driven by the
 // supervised recompute (panic, stall past RecomputeTimeout, PD outside
 // [1, d_max], inconsistent RDD evidence, per-shard sampler corruption);

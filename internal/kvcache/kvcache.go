@@ -47,7 +47,7 @@ type Config struct {
 	// Shards is the number of independently locked shards (default 16).
 	Shards int
 	// Sets and Ways give each shard's bucket geometry (defaults 64x8).
-	// Sets need not be a power of two.
+	// Sets need not be a power of two; Ways is at most 255.
 	Sets, Ways int
 	// MaxBytes bounds the value bytes per shard (0 = unbounded). When a
 	// fill would exceed it, unprotected victims are evicted from the
@@ -71,9 +71,8 @@ type Config struct {
 	EpochDecayShift uint
 	// MinSamples is the least measured-reuse mass (sum of the merged RDD's
 	// N_i counters) a recomputation needs before it moves the PD (default
-	// 64). The
-	// sampler's 16-bit partial tags occasionally collide, so a handful of
-	// "reuses" in an otherwise reuse-free stream is noise, not evidence.
+	// 64). The sampler's 16-bit partial tags occasionally collide, so a
+	// handful of "reuses" in an otherwise reuse-free stream is noise.
 	MinSamples uint64
 	// AdmitAll disables admission deny: when a set is fully protected the
 	// inclusive victim rules evict instead (the PDP-NB analogue).
@@ -135,8 +134,8 @@ func (c *Config) setDefaults() error {
 	if c.Ways == 0 {
 		c.Ways = 8
 	}
-	if c.Shards < 0 || c.Sets < 0 || c.Ways < 0 || c.MaxBytes < 0 {
-		return fmt.Errorf("kvcache: negative geometry %d/%d/%d/%d", c.Shards, c.Sets, c.Ways, c.MaxBytes)
+	if c.Shards < 0 || c.Sets < 0 || c.Ways < 0 || c.Ways > 255 || c.MaxBytes < 0 {
+		return fmt.Errorf("kvcache: geometry %d/%d/%d/%d negative, or over 255 ways", c.Shards, c.Sets, c.Ways, c.MaxBytes)
 	}
 	if c.DMax == 0 {
 		c.DMax = 256

@@ -205,6 +205,7 @@ func TestConfigErrors(t *testing.T) {
 		{Policy: "fifo"},
 		{Shards: -1},
 		{MaxBytes: -5},
+		{Ways: 256},
 		{DMax: 100, SC: 3},
 		{NC: 16},
 		{NC: 20},

@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"bytes"
 	"fmt"
 
 	"pdp/internal/core"
@@ -37,24 +38,41 @@ type policy interface {
 	drop(set, w int) (rpd int)
 }
 
-// lru is least-recently-used replacement over per-line recency stamps: the
-// whole policy of an LRU cache, and the shadow baseline inside pdp.
+// lru is least-recently-used replacement over a per-set recency stack: the
+// whole policy of an LRU cache, and the shadow baseline inside pdp. Fills
+// and hits move a way to the front and drops move it behind the resident
+// ways, so a set's resident ways are the first n[set] of its stack.
 type lru struct {
-	// stamp is written on every access and each shard's policy is its own
-	// small allocation: keep two shards' clocks off one cache line.
-	_     [64]byte
 	ways  int
-	stamp uint64
-	last  []uint64 // 0 = empty way; stamps start at 1
+	stack []uint8 // per set, its ways from MRU to LRU
+	n     []uint8 // per set, its resident count
 }
 
 func newLRU(sets, ways int) *lru {
-	return &lru{ways: ways, last: make([]uint64, sets*ways)}
+	l := &lru{ways: ways, stack: make([]uint8, sets*ways), n: make([]uint8, sets)}
+	for i := range l.stack {
+		l.stack[i] = uint8(i % ways)
+	}
+	return l
 }
 
-func (l *lru) touch(set, w int) {
-	l.stamp++
-	l.last[set*l.ways+w] = l.stamp
+// order returns the set's resident ways, most recently used first; it
+// aliases the stack.
+func (l *lru) order(set int) []uint8 {
+	return l.stack[set*l.ways : set*l.ways+int(l.n[set])]
+}
+
+// touch moves way w to the front of the set's stack.
+func (l *lru) touch(set, w int) { shift(l.stack[set*l.ways:], 0, 1, uint8(w)) }
+
+// shift stores way at s[i] and moves each entry from there on, stepping
+// by d, one place on into the gap way leaves: an in-place rotation.
+func shift(s []uint8, i, d int, way uint8) {
+	for next := way; ; i += d {
+		if next, s[i] = s[i], next; next == way {
+			return
+		}
+	}
 }
 
 func (l *lru) observe(int, uint64) {}
@@ -68,30 +86,33 @@ func (l *lru) victim(set int) int { return l.spare(set) }
 
 // spare returns the least recently used resident way, -1 in an empty set.
 func (l *lru) spare(set int) int {
-	// Compared as stamp-1, an empty way's 0 wraps to the maximum and never
-	// wins: one test per way.
-	best, oldest := -1, ^uint64(0)
-	for w, s := range l.last[set*l.ways : (set+1)*l.ways] {
-		if s-1 < oldest {
-			best, oldest = w, s-1
-		}
+	if l.n[set] == 0 {
+		return -1
 	}
-	return best
+	return int(l.stack[set*l.ways+int(l.n[set])-1])
 }
 
-func (l *lru) fill(set, w, _ int) { l.touch(set, w) }
+func (l *lru) fill(set, w, _ int) {
+	l.touch(set, w)
+	l.n[set]++
+}
 
+// drop moves way w behind the resident ways and counts it out.
 func (l *lru) drop(set, w int) int {
-	l.last[set*l.ways+w] = 0
+	l.n[set]--
+	shift(l.stack[set*l.ways:], int(l.n[set]), -1, uint8(w))
 	return 0
 }
 
-// check verifies that exactly the resident ways carry a stamp (spare and
-// the snapshot order rely on it).
+// check verifies that each set's stack holds every way once and that its
+// first n[set] entries are exactly the resident ways.
 func (l *lru) check(ln *lines) error {
-	for i, ok := range ln.valid {
-		if ok != (l.last[i] != 0) {
-			return fmt.Errorf("line (%d,%d) valid=%v but recency stamp %d", i/l.ways, i%l.ways, ok, l.last[i])
+	for set := range l.n {
+		s := l.stack[set*l.ways : (set+1)*l.ways]
+		for i, w := range s {
+			if int(w) >= l.ways || bytes.IndexByte(s, w) != i || (i < int(l.n[set])) != (ln.metaByte(set, int(w)) != 0) {
+				return fmt.Errorf("set %d: recency stack %v with %d resident does not match the occupied ways", set, s, l.n[set])
+			}
 		}
 	}
 	return nil
@@ -101,8 +122,8 @@ func (l *lru) check(ln *lines) error {
 // fed by an RD sampler: promote on hit, evict an unprotected line or deny,
 // insert with RPD = PD, tick once per set access.
 //
-// The embedded lru is its shadow: recency is stamped exactly as an LRU
-// cache would, and whenever victim decides differently from the shadow —
+// The embedded lru is its shadow: recency is kept exactly as an LRU cache
+// would keep it, and whenever victim decides differently from the shadow —
 // it evicts another line, or denies — the line LRU would have evicted is
 // marked doomed. A later hit on a doomed line is a protection save: a hit
 // the recency baseline would have lost. Only victim plants marks, so only
@@ -133,13 +154,11 @@ func newPDP(cfg *Config) *pdp {
 	}
 }
 
-// samplerAddr renders the in-shard hash as the line-address the RD sampler
-// hashes its 16-bit partial tags from (it discards the low 6 offset bits).
-func samplerAddr(h uint64) uint64 { return h << 6 }
-
+// observe feeds the RD sampler the in-shard hash as a line address: the
+// sampler drops its low 6 offset bits before taking a 16-bit partial tag.
 func (p *pdp) observe(set int, h uint64) {
 	p.prot.Tick(set)
-	p.smp.Access(set, samplerAddr(h))
+	p.smp.Access(set, h<<6)
 }
 
 func (p *pdp) hit(set, w int, h uint64, pd int) (rpd int, saved bool) {
@@ -177,13 +196,13 @@ func (p *pdp) spare(set int) int {
 	if p.deg {
 		return p.lru.spare(set)
 	}
-	base := set * p.ways
-	for w := 0; w < p.ways; w++ {
-		if p.last[base+w] != 0 && !p.prot.Protected(set, w) {
-			return w
+	best := -1 // the lowest unprotected resident way
+	for _, w := range p.order(set) {
+		if w := int(w); (best < 0 || w < best) && !p.prot.Protected(set, w) {
+			best = w
 		}
 	}
-	return -1
+	return best
 }
 
 func (p *pdp) fill(set, w, pd int) {
@@ -228,20 +247,17 @@ func (p *pdp) rearm() bool {
 	return was
 }
 
-// check verifies the policy state against the line store: the shadow's
-// stamps, no empty way protected or doomed, every RPD within the n_c-bit
+// check verifies the policy state against the line store past the
+// shadow's own check: no empty way protected or doomed, every RPD within the n_c-bit
 // range.
 func (p *pdp) check(ln *lines) error {
-	if err := p.lru.check(ln); err != nil {
-		return err
-	}
-	for i, ok := range ln.valid {
+	for i := range p.doomed {
 		set, w := i/p.ways, i%p.ways
-		switch rpd := p.prot.RPD(set, w); {
+		switch rpd, ok := p.prot.RPD(set, w), ln.metaByte(set, w) != 0; {
 		case !ok && rpd > 0:
-			return fmt.Errorf("invalid line (%d,%d) still protected", set, w)
+			return fmt.Errorf("empty line (%d,%d) still protected", set, w)
 		case !ok && p.doomed[i]:
-			return fmt.Errorf("invalid line (%d,%d) still doomed", set, w)
+			return fmt.Errorf("empty line (%d,%d) still doomed", set, w)
 		case rpd < 0 || rpd > p.prot.MaxRPD():
 			return fmt.Errorf("line (%d,%d) RPD %d outside [0, %d]", set, w, rpd, p.prot.MaxRPD())
 		}

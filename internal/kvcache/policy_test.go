@@ -118,7 +118,7 @@ func TestPolicyMatchesSimulator(t *testing.T) {
 	if !deny.trip() || marks == 0 {
 		t.Fatalf("trip() on a live pdp with %d doomed marks reported no change", marks)
 	}
-	ref := &polModel{tags: m.tags, pol: &lru{ways: polWays, stamp: deny.stamp, last: append([]uint64(nil), deny.last...)}}
+	ref := &polModel{tags: m.tags, pol: &lru{ways: polWays, stack: append([]uint8(nil), deny.stack...), n: append([]uint8(nil), deny.n...)}}
 	next := polStream(2)
 	for i := 0; i < 50000; i++ {
 		line := next()

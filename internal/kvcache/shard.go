@@ -16,13 +16,8 @@ import (
 // degraded to its shadow LRU — never shows in them. All state below mu is
 // guarded by it.
 //
-// Hot-path cost model: an operation takes one lock, mu, and writes only
-// this shard's memory. get/put/delete hold mu for the set walk, the policy
-// hooks, the value copy — out for get, in for put, both bounded by the
-// serving layer's MaxValueBytes — and the decision record, and never for
-// an allocation in steady state (displaced value buffers are recycled
-// through the freelist). The lock-hold watchdog is sampled (1 in holdEvery
-// operations) so the common case pays no time.Now call at all.
+// Hot-path cost model (DESIGN.md §9): an operation takes one lock, mu,
+// writes only this shard's memory and allocates nothing in steady state.
 //
 // Field layout: the mutex and the per-shard stat counters are each padded
 // out to their own cache line. Shards are allocated independently, but the
@@ -43,7 +38,7 @@ type shard struct {
 	lines
 	pol policy
 	// The concrete policy state behind pol, for the off-path readers only:
-	// lru is the recency stamps of either mode (the snapshot's replay
+	// lru is the recency stacks of either mode (the snapshot's replay
 	// order); pdp is nil in LRU mode and otherwise gives recompute's RDD
 	// merge, stats, snapshot RPDs, checkInvariants, the chaos hook and the
 	// breaker what the six hooks do not.
@@ -406,7 +401,7 @@ func (sh *shard) checkInvariants() error {
 	// Buffer slack: resident values sit in buffers of exactly their class
 	// size, parked buffers on their own class's stack, at most freeDepth.
 	for i, v := range sh.vals {
-		if _, size := sizeClass(len(v)); sh.valid[i] && cap(v) != size {
+		if _, size := sizeClass(len(v)); sh.metaByte(i/sh.ways, i%sh.ways) != 0 && cap(v) != size {
 			return fmt.Errorf("line (%d,%d) holds %d bytes in a %d-byte buffer, class size %d", i/sh.ways, i%sh.ways, len(v), cap(v), size)
 		}
 	}
@@ -417,8 +412,8 @@ func (sh *shard) checkInvariants() error {
 			}
 		}
 	}
-	if sh.pdp != nil {
-		return sh.pdp.check(&sh.lines)
+	if err := sh.lru.check(&sh.lines); err != nil || sh.pdp == nil {
+		return err
 	}
-	return sh.lru.check(&sh.lines)
+	return sh.pdp.check(&sh.lines)
 }

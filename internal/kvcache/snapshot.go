@@ -1,9 +1,6 @@
 package kvcache
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SnapshotVersion is the current cache-snapshot format version.
 const SnapshotVersion = 1
@@ -35,9 +32,9 @@ type SnapshotEntry struct {
 
 // SnapshotShard is one shard's captured state.
 type SnapshotShard struct {
-	// Entries are the shard's resident lines in shadow-LRU recency order,
-	// least recently used first, so replaying them in order reproduces
-	// the recency ordering exactly.
+	// Entries are the shard's resident lines set by set, each set's least
+	// recently used first, so replaying them in order reproduces every
+	// set's shadow-LRU order (as one shard-wide LRU-first order does).
 	Entries []SnapshotEntry `json:"entries"`
 	// Counts and Total are the shard's RDD counter array (N_i, N_t) —
 	// the reuse evidence the first post-restart recompute works from
@@ -124,42 +121,26 @@ func (c *Cache) Restore(s *Snapshot) (int, error) {
 	return restored, nil
 }
 
-// snapshot captures one shard's resident lines in shadow-LRU recency
-// order plus its RDD evidence, under the shard lock.
+// snapshot captures one shard's resident lines in Entries' order plus its
+// RDD evidence, under the shard lock.
 func (sh *shard) snapshot() SnapshotShard {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	type line struct {
-		stamp uint64
-		e     SnapshotEntry
-	}
-	resident := make([]line, 0, sh.entries)
+	ss := SnapshotShard{Entries: make([]SnapshotEntry, 0, sh.entries)}
 	for set := 0; set < sh.sets; set++ {
-		for w := 0; w < sh.ways; w++ {
+		for order, j := sh.lru.order(set), sh.lru.n[set]; j > 0; j-- {
+			w := int(order[j-1])
 			i := set*sh.ways + w
-			if !sh.valid[i] {
-				continue
-			}
-			e := SnapshotEntry{
-				Key:   sh.keys[i],
-				Value: append([]byte(nil), sh.vals[i]...),
-			}
+			e := SnapshotEntry{Key: sh.keys[i], Value: append([]byte(nil), sh.vals[i]...)}
 			if sh.pdp != nil {
-				e.RPD = sh.pdp.prot.RPD(set, w)
-				e.Reused = sh.pdp.prot.Reused(set, w)
+				e.RPD, e.Reused = sh.pdp.prot.RPD(set, w), sh.pdp.prot.Reused(set, w)
 			}
-			resident = append(resident, line{sh.lru.last[i], e})
+			ss.Entries = append(ss.Entries, e)
 		}
-	}
-	sort.Slice(resident, func(a, b int) bool { return resident[a].stamp < resident[b].stamp })
-	ss := SnapshotShard{Entries: make([]SnapshotEntry, len(resident))}
-	for i, l := range resident {
-		ss.Entries[i] = l.e
 	}
 	if sh.pdp != nil {
 		arr := sh.pdp.smp.Array()
-		ss.Counts = arr.Counts()
-		ss.Total = arr.Total()
+		ss.Counts, ss.Total = arr.Counts(), arr.Total()
 	}
 	return ss
 }
@@ -167,7 +148,7 @@ func (sh *shard) snapshot() SnapshotShard {
 // restore replays one shard's snapshot under the shard lock, returning
 // the number of entries reinserted. Entries are re-routed from their key
 // (the snapshot's shard assignment is not trusted) and replayed in saved
-// order so the recency stamps rebuild the captured LRU ordering.
+// order, so each set's recency stack rebuilds the captured LRU ordering.
 func (sh *shard) restore(ss SnapshotShard, nshards int) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -89,7 +89,7 @@ func TestOPTThrashingLoop(t *testing.T) {
 	// Loop of N distinct lines in one set with capacity C: OPT's
 	// steady-state hit rate on a cyclic pattern is (C-1)/(N-1).
 	const ways, per, rounds = 4, 8, 200
-	g := trace.NewLoopGen("loop", per, 1, 1)
+	g := trace.NewLoopGen("loop", per, 1)
 	accs := Collect(g, per*rounds)
 	st, err := Simulate(accs, 1, ways, false)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestOPTBeatsPDPButNotByMagic(t *testing.T) {
 	// On a protectable loop, PDP approaches OPT: OPT >= PDP and PDP should
 	// recover most of OPT's hits (the optgap experiment's premise).
 	const sets, ways, per = 16, 8, 24
-	g := trace.NewLoopGen("loop", per*sets, 1, 1)
+	g := trace.NewLoopGen("loop", per*sets, 1)
 	accs := Collect(g, per*sets*100)
 
 	st, err := Simulate(accs, sets, ways, true)

@@ -120,7 +120,7 @@ func TestUCPConvergesAllocation(t *testing.T) {
 	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
 	// Thread 0: working set of 2 lines/set (useful). Thread 1: stream
 	// (useless).
-	g0 := trace.NewLoopGen("t0", 2*sets, 1, 1)
+	g0 := trace.NewLoopGen("t0", 2*sets, 1)
 	g1 := trace.NewStreamGen("t1", 2)
 	for i := 0; i < 200000; i++ {
 		a0 := g0.Next()
@@ -172,8 +172,8 @@ func TestPIPPStreamDetection(t *testing.T) {
 	const sets, ways = 64, 4
 	p := NewPIPP(sets, ways, 2, 10000, 1)
 	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
-	g0 := trace.NewLoopGen("t0", 2*sets, 1, 1) // reuser
-	g1 := trace.NewStreamGen("t1", 2)          // streamer
+	g0 := trace.NewLoopGen("t0", 2*sets, 1) // reuser
+	g1 := trace.NewStreamGen("t1", 2)       // streamer
 	for i := 0; i < 60000; i++ {
 		a0 := g0.Next()
 		a0.Thread = 0
@@ -202,8 +202,8 @@ func TestPDPPartPerThreadPDs(t *testing.T) {
 	// alternating interleave would alias against the sampler's
 	// deterministic 1-in-M insertion; real traffic, like the benchmark
 	// models, has no such lockstep.)
-	g0 := trace.NewLoopGen("t0", 8*sets, 1, 1)
-	g1 := trace.NewLoopGen("t1", 20*sets, 2, 2)
+	g0 := trace.NewLoopGen("t0", 8*sets, 1)
+	g1 := trace.NewLoopGen("t1", 20*sets, 2)
 	rng := trace.NewRNG(3)
 	for i := 0; i < 800000; i++ {
 		if rng.Bernoulli(0.5) {
@@ -237,8 +237,8 @@ func TestPDPPartYieldsInfeasibleThread(t *testing.T) {
 	cfg := PDPPartConfig{Sets: sets, Ways: ways, Threads: 2, SC: 4, RecomputeEvery: 40000}
 	p := NewPDPPart(cfg)
 	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64, AllowBypass: true}, p)
-	g0 := trace.NewLoopGen("t0", 10*sets, 1, 1)
-	g1 := trace.NewLoopGen("t1", 40*sets, 2, 2)
+	g0 := trace.NewLoopGen("t0", 10*sets, 1)
+	g1 := trace.NewLoopGen("t1", 40*sets, 2)
 	rng := trace.NewRNG(3)
 	for i := 0; i < 800000; i++ {
 		if rng.Bernoulli(0.5) {
@@ -297,7 +297,7 @@ func TestPDPPartShrinksStreamingThread(t *testing.T) {
 	cfg := PDPPartConfig{Sets: sets, Ways: ways, Threads: 2, SC: 4, RecomputeEvery: 40000}
 	p := NewPDPPart(cfg)
 	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64, AllowBypass: true}, p)
-	g0 := trace.NewLoopGen("t0", 12*sets, 1, 1)
+	g0 := trace.NewLoopGen("t0", 12*sets, 1)
 	g1 := trace.NewStreamGen("t1", 2)
 	rng := trace.NewRNG(5)
 	for i := 0; i < 600000; i++ {
@@ -325,8 +325,8 @@ func TestPDPPartShrinksStreamingThread(t *testing.T) {
 // noise, each with its own PC, split over two threads.
 func goldenStream() []trace.Access {
 	const sets = 16
-	loopA := trace.NewLoopGen("a", 3*sets, 1, 1)
-	loopB := trace.NewLoopGen("b", 10*sets, 2, 2)
+	loopA := trace.NewLoopGen("a", 3*sets, 1)
+	loopB := trace.NewLoopGen("b", 10*sets, 2)
 	stream := trace.NewStreamGen("s", 3)
 	rng := trace.NewRNG(20)
 	out := make([]trace.Access, 200000)

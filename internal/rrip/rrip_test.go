@@ -50,8 +50,8 @@ func TestSRRIPScanResistance(t *testing.T) {
 	cS := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
 	cL := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, cache.NewLRU(sets, ways))
 
-	ws := trace.NewLoopGen("ws", 2*sets, 1, 1) // 2 hot lines per set
-	scan := trace.NewStreamGen("scan", 2)      // cold scan
+	ws := trace.NewLoopGen("ws", 2*sets, 1) // 2 hot lines per set
+	scan := trace.NewStreamGen("scan", 2)   // cold scan
 	mix := trace.NewMixGen("mix", 3, []trace.Generator{ws, scan}, []float64{0.35, 0.65})
 	for i := 0; i < 100000; i++ {
 		a := mix.Next()
@@ -84,7 +84,7 @@ func TestDRRIPWinsDuelUnderThrash(t *testing.T) {
 	p := NewDRRIP(sets, ways, DefaultEpsilon, 1)
 	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
 	cLRU := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, cache.NewLRU(sets, ways))
-	g := trace.NewLoopGen("loop", per*sets, 1, 1)
+	g := trace.NewLoopGen("loop", per*sets, 1)
 	for i := 0; i < per*sets*200; i++ {
 		a := g.Next()
 		c.Access(a)
@@ -102,7 +102,7 @@ func TestDRRIPStaysSRRIPWhenFriendly(t *testing.T) {
 	const sets, ways = 64, 4
 	p := NewDRRIP(sets, ways, DefaultEpsilon, 1)
 	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
-	g := trace.NewLoopGen("loop", (ways-1)*sets, 1, 1)
+	g := trace.NewLoopGen("loop", (ways-1)*sets, 1)
 	for i := 0; i < 50000; i++ {
 		c.Access(g.Next())
 	}
@@ -136,8 +136,8 @@ func TestTADRRIPPerThreadWinners(t *testing.T) {
 	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
 
 	// Thread 0: LRU-friendly small loop; thread 1: thrashing loop.
-	g0 := trace.NewLoopGen("t0", 2*sets, 1, 1)
-	g1 := trace.NewLoopGen("t1", 12*sets, 2, 2)
+	g0 := trace.NewLoopGen("t0", 2*sets, 1)
+	g1 := trace.NewLoopGen("t1", 12*sets, 2)
 	for i := 0; i < 600000; i++ {
 		a0 := g0.Next()
 		a0.Thread = 0
@@ -178,7 +178,7 @@ func TestSHiPLearnsDeadSignature(t *testing.T) {
 		t.Fatal("streaming signature must be predicted dead")
 	}
 	// A reusing PC stays predicted.
-	l := trace.NewLoopGen("l", 2*sets, 2, 1)
+	l := trace.NewLoopGen("l", 2*sets, 2)
 	for i := 0; i < 50000; i++ {
 		a := l.Next()
 		a.PC = 0x11EE
@@ -198,7 +198,7 @@ func TestSHiPProtectsAgainstStream(t *testing.T) {
 	pR := NewSRRIP(sets, ways)
 	cR := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, pR)
 
-	hot := trace.NewLoopGen("hot", 3*sets, 1, 1)
+	hot := trace.NewLoopGen("hot", 3*sets, 1)
 	stream := trace.NewStreamGen("stream", 2)
 	mix := trace.NewMixGen("mix", 7, []trace.Generator{hot, stream}, []float64{0.4, 0.6})
 	for i := 0; i < 300000; i++ {

@@ -82,7 +82,7 @@ func TestSDPProtectsHotSetAgainstStream(t *testing.T) {
 	cS := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64, AllowBypass: true}, p)
 	cL := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, cache.NewLRU(sets, ways))
 
-	hot := trace.NewLoopGen("hot", 2*sets, 1, 1)
+	hot := trace.NewLoopGen("hot", 2*sets, 1)
 	stream := trace.NewStreamGen("stream", 2)
 	mix := trace.NewMixGen("mix", 7, []trace.Generator{hot, stream}, []float64{0.4, 0.6})
 	for i := 0; i < 300000; i++ {

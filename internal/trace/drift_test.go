@@ -50,7 +50,7 @@ func TestDriftLoopGenReplacesLines(t *testing.T) {
 
 func TestDriftLoopGenZeroDriftIsLoop(t *testing.T) {
 	g := NewDriftLoopGen("d", 32, 0, 1, 1)
-	l := NewLoopGen("l", 32, 1, 1)
+	l := NewLoopGen("l", 32, 1)
 	for i := 0; i < 200; i++ {
 		if g.Next().Addr != l.Next().Addr {
 			t.Fatal("drift=0 must reduce to a plain loop")

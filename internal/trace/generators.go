@@ -322,34 +322,26 @@ type LoopGen struct {
 	base  uint64
 	pos   uint64
 	pc    uint64
-	wfrac float64
-	seed  uint64
-	rng   *RNG
 }
 
-// NewLoopGen builds a cyclic sweep over `lines` cache lines.
-func NewLoopGen(name string, lines int, base, seed uint64) *LoopGen {
+// NewLoopGen builds a cyclic sweep over `lines` cache lines. It draws no
+// random numbers and emits reads only.
+func NewLoopGen(name string, lines int, base uint64) *LoopGen {
 	if lines <= 0 {
 		panic("trace: LoopGen needs a positive working set")
 	}
-	g := &LoopGen{name: name, lines: uint64(lines), base: base << 40, pc: 0x2000, seed: seed}
-	g.Reset()
-	return g
+	return &LoopGen{name: name, lines: uint64(lines), base: base << 40, pc: 0x2000}
 }
 
 // Name implements Generator.
 func (g *LoopGen) Name() string { return g.name }
 
 // Reset implements Generator.
-func (g *LoopGen) Reset() { g.pos = 0; g.rng = NewRNG(g.seed) }
+func (g *LoopGen) Reset() { g.pos = 0 }
 
 // Next implements Generator.
 func (g *LoopGen) Next() Access {
-	a := Access{
-		Addr:  g.base | (g.pos * LineSize),
-		PC:    g.pc,
-		Write: g.rng.Bernoulli(g.wfrac),
-	}
+	a := Access{Addr: g.base | (g.pos * LineSize), PC: g.pc}
 	g.pos = (g.pos + 1) % g.lines
 	return a
 }

@@ -178,7 +178,7 @@ func TestRDDGenWriteFraction(t *testing.T) {
 func TestLoopGenExactDistance(t *testing.T) {
 	const sets = 16
 	const k = 8 // lines per set
-	g := NewLoopGen("loop", k*sets, 2, 1)
+	g := NewLoopGen("loop", k*sets, 2)
 	accs := Collect(g, 40000)
 	hist, fresh, _ := measureRD(accs, sets, 64)
 	if fresh != k*sets {
@@ -263,10 +263,10 @@ func TestPhasedGenSchedule(t *testing.T) {
 func TestGeneratorsResetReproducible(t *testing.T) {
 	gens := []Generator{
 		NewRDDGen("r", RDDSpec{Peaks: []Peak{{Dist: 12, Weight: 0.5}}, Fresh: 0.3, Far: 0.2}, 32, 1, 77),
-		NewLoopGen("l", 100, 2, 1),
+		NewLoopGen("l", 100, 2),
 		NewStreamGen("s", 3),
 		NewPointerChaseGen("p", 64, 4, 9),
-		NewMixGen("m", 5, []Generator{NewStreamGen("x", 6), NewLoopGen("y", 31, 7, 2)}, []float64{1, 1}),
+		NewMixGen("m", 5, []Generator{NewStreamGen("x", 6), NewLoopGen("y", 31, 7)}, []float64{1, 1}),
 	}
 	for _, g := range gens {
 		first := Collect(g, 5000)
@@ -291,7 +291,7 @@ func TestConstructorPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("LoopGen", func() { NewLoopGen("x", 0, 0, 0) })
+	mustPanic("LoopGen", func() { NewLoopGen("x", 0, 0) })
 	mustPanic("PointerChaseGen", func() { NewPointerChaseGen("x", 1, 0, 0) })
 	mustPanic("MixGen empty", func() { NewMixGen("x", 0, nil, nil) })
 	mustPanic("MixGen zero weights", func() {

@@ -76,7 +76,7 @@ func loopStream(name string, apki, streamW float64, peaks ...loopPeak) Benchmark
 						gname, lines*sets, p.Drift, base*8+uint64(i), seed+uint64(i)))
 				} else {
 					gens = append(gens, trace.NewLoopGen(
-						gname, lines*sets, base*8+uint64(i), seed+uint64(i)))
+						gname, lines*sets, base*8+uint64(i)))
 				}
 				weights = append(weights, p.Weight)
 			}
@@ -134,8 +134,8 @@ func Suite() []Benchmark {
 		loopStream("459.GemsFDTD", 18, 0.85, loopPeak{RD: 22, Weight: 0.15}),
 		// Cyclic sweep with set-level distance 250, at the edge of d_max:
 		// coarse n_c evicts lines just before reuse (Sec. 6.2 discussion).
-		{Name: "462.libquantum", APKI: 25, Build: func(sets int, base, seed uint64) trace.Generator {
-			return trace.NewLoopGen("462.libquantum", 250*sets, base, seed)
+		{Name: "462.libquantum", APKI: 25, Build: func(sets int, base, _ uint64) trace.Generator {
+			return trace.NewLoopGen("462.libquantum", 250*sets, base)
 		}},
 		// Working sets just above the associativity plus heavy thrash: the
 		// benchmark where bypass matters most (89% bypass in the paper).

@@ -19,7 +19,7 @@ func ExampleNewPDP() {
 	llc := pdp.NewCache(pdp.CacheConfig{
 		Name: "LLC", Sets: sets, Ways: ways, LineSize: pdp.LineSize, AllowBypass: true,
 	}, pol)
-	g := pdp.NewLoopGen("loop", loop*sets, 1, 1)
+	g := pdp.NewLoopGen("loop", loop*sets, 1)
 	for i := 0; i < 1_500_000; i++ {
 		llc.Access(g.Next())
 	}
