@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-RDD, one-path and one-detector seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path and one-detector seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -29,6 +29,8 @@ race:
 # The Model rule (DESIGN.md §6): core/model.go is the only non-test Go that
 # declares Eq. 1's running sums; internal/pdproc, the modelled hardware
 # that computes the same search in its own ISA, is the one exemption.
+# The one-chooser rule (DESIGN.md §6): Model.Best is the only PD chooser,
+# so no non-test Go declares or sets a PDSolver or a Solver config field.
 # The one-path rule (DESIGN.md §8): a per-op request is a batch of one, so
 # kvserver reaches the cache's data ops through one ExecBatch call, cluster
 # never names the /kv/ route, and loadgen books a hit in one place.
@@ -53,6 +55,7 @@ seam:
 	@! grep -rniE '0x(01){8}|0x(7f){8}|0x(80){8}' --include='*.go' --exclude-dir=.bench_build . | grep -v '^./internal/cache/'
 	@! grep -rnE '(until|now|rpd) +\[\]uint16|sdCnt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/core/protection.go:'
 	@! grep -rn 'sumNd' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -vE '^./internal/(core/model.go|pdproc/)'
+	@! grep -rnE '\b(PD)?Solver\b' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .
 	@! grep -rnE 'NiMax *=[^=]' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v '^./internal/experiments/figs_rdd.go:'
 	@! grep -nE 's\.cache\.(Get|GetAppend|Put|Delete)\(' $$(ls internal/kvserver/*.go | grep -v _test.go)
 	@test "$$(cat $$(ls internal/kvserver/*.go | grep -v _test.go) | grep -c 's\.cache\.ExecBatch(')" = 1

@@ -82,18 +82,13 @@ func main() {
 	addr := flag.String("addr", ":7070", "listen address (use :0 for a random port)")
 	policy := flag.String("policy", "pdp", "eviction policy: pdp or lru")
 	shards := flag.Int("shards", 16, "independently locked cache shards (0 = auto-scale to GOMAXPROCS)")
-	lockHoldSample := flag.Int("lock-hold-sample", 64, "sample 1 in N operations for the lock-hold watchdog (1 = every operation)")
 	sets := flag.Int("sets", 64, "sets per shard (need not be a power of two)")
 	ways := flag.Int("ways", 8, "ways per set, 1 to 255")
 	maxBytes := flag.Int64("max-bytes", 0, "value-byte budget per shard (0 = unbounded)")
 	dmax := flag.Int("dmax", 256, "maximum protecting distance d_max")
 	nc := flag.Int("nc", 8, "RPD counter bits n_c (1 to 15)")
 	sc := flag.Int("sc", 4, "RDD counter step S_c")
-	de := flag.Int("de", 0, "E(d_p) extra-distance term d_e (0 = ways)")
-	defaultPD := flag.Int("pd", 0, "initial protecting distance before the first recompute (0 = ways)")
 	recomputeEvery := flag.Uint64("recompute-every", 64*1024, "recompute the PD inline every N cache accesses")
-	decayShift := flag.Uint("decay-shift", 1, "epoch decay: right-shift RDD counters by this many bits at each recompute")
-	minSamples := flag.Uint64("min-samples", 64, "measured reuses required before a recompute moves the PD")
 	admitAll := flag.Bool("admit-all", false, "disable admission deny (evict an inclusive victim instead)")
 	adaptEvery := flag.Duration("adapt-every", 500*time.Millisecond, "wall-clock breaker-healing period: recompute while a shard is degraded")
 	snapshotEvery := flag.Duration("snapshot-every", 2*time.Second, "telemetry snapshot period (needs -telemetry)")
@@ -102,7 +97,6 @@ func main() {
 	telemetryOut := flag.String("telemetry", "", "write a JSONL telemetry journal to this file")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address")
 	maxInflight := flag.Int("max-inflight", 0, "bound concurrent /kv/ and /batch requests; excess is shed with 503 (0 = ungated)")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	defaultDeadline := flag.Duration("default-deadline", 0, "deadline applied to /kv/ and /batch requests without an X-Deadline header (0 = none)")
 	rearmAfter := flag.Int("rearm-after", 3, "clean recomputes before a degraded shard re-arms to PDP")
 	recomputeTimeout := flag.Duration("recompute-timeout", 2*time.Second, "PD-recompute stall watchdog; a slower recompute trips every shard to LRU (0 = off)")
@@ -114,8 +108,6 @@ func main() {
 	clusterOn := flag.Bool("cluster", false, "enable consistent-hash peer routing (needs -peers and -node-id)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster member, including this node")
 	nodeID := flag.String("node-id", "", "this node's base URL exactly as listed in -peers")
-	vnodes := flag.Int("vnodes", 64, "virtual points per member on the hash ring")
-	clusterSeed := flag.Uint64("cluster-seed", 1, "ring placement seed; must match on every member")
 	probeEvery := flag.Duration("probe-every", time.Second, "peer health-probe period")
 	probeTimeout := flag.Duration("probe-timeout", 500*time.Millisecond, "per-probe budget")
 	ejectAfter := flag.Int("eject-after", 3, "consecutive failed probes or exchanges before a peer is ejected from the ring")
@@ -184,16 +176,11 @@ func main() {
 		DMax:             *dmax,
 		NC:               *nc,
 		SC:               *sc,
-		DE:               *de,
-		DefaultPD:        *defaultPD,
 		RecomputeEvery:   *recomputeEvery,
-		EpochDecayShift:  *decayShift,
-		MinSamples:       *minSamples,
 		AdmitAll:         *admitAll,
 		RearmAfter:       *rearmAfter,
 		RecomputeTimeout: *recomputeTimeout,
 		LockHoldWarn:     *lockHoldWarn,
-		HoldSampleEvery:  *lockHoldSample,
 		Registry:         reg,
 		Journal:          journal,
 	}
@@ -233,8 +220,6 @@ func main() {
 		clust, err = cluster.New(cluster.Config{
 			Self:          strings.TrimSuffix(*nodeID, "/"),
 			Peers:         members,
-			VNodes:        *vnodes,
-			Seed:          *clusterSeed,
 			ProbeEvery:    *probeEvery,
 			ProbeTimeout:  *probeTimeout,
 			EjectAfter:    *ejectAfter,
@@ -247,8 +232,8 @@ func main() {
 		if err != nil {
 			fail(2, "%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "pdpcached: cluster node %s in a %d-member ring (vnodes=%d seed=%d)\n",
-			clust.Self(), len(members), *vnodes, *clusterSeed)
+		fmt.Fprintf(os.Stderr, "pdpcached: cluster node %s in a %d-member ring\n",
+			clust.Self(), len(members))
 	} else if *peers != "" || *nodeID != "" {
 		fail(2, "-peers/-node-id need -cluster")
 	}
@@ -261,7 +246,6 @@ func main() {
 		AdaptEvery:      *adaptEvery,
 		SnapshotEvery:   *snapshotEvery,
 		MaxInflight:     *maxInflight,
-		RetryAfter:      *retryAfter,
 		DefaultDeadline: *defaultDeadline,
 		StatePath:       *snapshotPath,
 		StateEvery:      *snapshotStateEvery,

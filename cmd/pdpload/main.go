@@ -50,8 +50,6 @@ func main() {
 	scanEvery := flag.Int("scan-every", -1, "override: ops between scan bursts")
 	scanLen := flag.Int("scan-len", -1, "override: keys per scan burst")
 	scanLoop := flag.Int("scan-loop", -1, "override: cyclic scan pool size (0 = never-reused scans)")
-	retries := flag.Int("retries", 2, "retry shed (503) and transport-failed requests this many times (capped backoff + jitter)")
-	rampRetries := flag.Int("ramp-retries", 8, "separate retry budget for connection-refused attempts (a booting or just-killed node)")
 	deadline := flag.Duration("deadline", 0, "per-request budget, sent as X-Deadline and enforced client-side (0 = none)")
 	jsonOut := flag.Bool("json", false, "print the result as JSON")
 	flag.Parse()
@@ -109,17 +107,15 @@ func main() {
 		}
 	}
 	res, err := loadgen.Run(ctx, loadgen.Config{
-		BaseURL:     *url,
-		Targets:     targets,
-		Mix:         mix,
-		Workers:     *workers,
-		Ops:         *ops,
-		Batch:       *batch,
-		Seed:        *seed,
-		Retries:     *retries,
-		RampRetries: *rampRetries,
-		Deadline:    *deadline,
-		Registry:    telemetry.NewRegistry(),
+		BaseURL:  *url,
+		Targets:  targets,
+		Mix:      mix,
+		Workers:  *workers,
+		Ops:      *ops,
+		Batch:    *batch,
+		Seed:     *seed,
+		Deadline: *deadline,
+		Registry: telemetry.NewRegistry(),
 	})
 	if err != nil && res.Ops == 0 {
 		fail(1, "%v", err)

@@ -22,11 +22,6 @@ type Config struct {
 	// Peers is the static member list: every node's base URL, including
 	// Self. Order does not matter; every node must be given the same set.
 	Peers []string
-	// VNodes is the number of virtual points per member (default 64).
-	VNodes int
-	// Seed fixes the ring placement; every member must share it
-	// (default 1).
-	Seed uint64
 
 	// ProbeEvery is the health-probe period per peer (default 1s).
 	ProbeEvery time.Duration
@@ -56,15 +51,6 @@ func (c *Config) setDefaults() error {
 	}
 	if len(c.Peers) == 0 {
 		return fmt.Errorf("cluster: Peers required")
-	}
-	if c.VNodes == 0 {
-		c.VNodes = 64
-	}
-	if c.VNodes < 0 {
-		return fmt.Errorf("cluster: VNodes must be positive, got %d", c.VNodes)
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = time.Second
@@ -122,7 +108,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	ring, err := NewRing(cfg.Seed, cfg.VNodes, cfg.Peers)
+	ring, err := NewRing(ringVNodes, cfg.Peers)
 	if err != nil {
 		return nil, err
 	}
@@ -371,8 +357,8 @@ type View struct {
 func (c *Cluster) StatsView(key string) View {
 	v := View{
 		Self:          c.cfg.Self,
-		Seed:          c.cfg.Seed,
-		VNodes:        c.cfg.VNodes,
+		Seed:          ringSeed,
+		VNodes:        ringVNodes,
 		Alive:         c.ring.AliveCount(),
 		Proxied:       c.mProxied.Value(),
 		BatchFanout:   c.mFanout.Value(),

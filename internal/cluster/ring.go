@@ -9,7 +9,7 @@
 // recovered ones) so keys rebalance onto survivors automatically. Ring
 // membership is the only "peer down".
 //
-// The ring's placement depends only on (seed, member set, vnodes) —
+// The ring's placement depends only on (member set, vnodes) —
 // never on join order or local state — so every node that shares the
 // static member list computes the identical ring and the tier needs no
 // coordination service. Liveness is the one piece of local knowledge:
@@ -34,8 +34,6 @@ type point struct {
 // is immutable after construction; Eject and Rejoin only flip liveness,
 // so a recovered member gets exactly its original keys back.
 type Ring struct {
-	seed    uint64
-	vnodes  int
 	members []string // sorted, deduped
 	points  []point  // sorted by hash
 
@@ -73,20 +71,26 @@ func keyHash(key string) uint64 {
 	return mix64(fnv1a(fnvOffset, key))
 }
 
-// pointHash positions virtual node r of member m on a ring with the
-// given seed.
-func pointHash(seed uint64, member string, r int) uint64 {
+// The placement constants every member shares: /cluster/ring reports
+// both.
+const (
+	ringSeed   = 1
+	ringVNodes = 64
+)
+
+// pointHash positions virtual node r of member m on the ring.
+func pointHash(member string, r int) uint64 {
 	h := fnv1a(fnvOffset, member)
-	h = h ^ mix64(seed+uint64(r)*0x9E3779B97F4A7C15)
+	h = h ^ mix64(ringSeed+uint64(r)*0x9E3779B97F4A7C15)
 	return mix64(h)
 }
 
 // NewRing builds the ring for the given member set. Members are deduped
 // and sorted first, so the placement is identical on every node no
 // matter the order its flag listed them in. All members start alive.
-func NewRing(seed uint64, vnodes int, members []string) (*Ring, error) {
+func NewRing(vnodes int, members []string) (*Ring, error) {
 	if vnodes <= 0 {
-		vnodes = 64
+		vnodes = ringVNodes
 	}
 	seen := map[string]bool{}
 	var ms []string
@@ -104,8 +108,6 @@ func NewRing(seed uint64, vnodes int, members []string) (*Ring, error) {
 	}
 	sort.Strings(ms)
 	r := &Ring{
-		seed:    seed,
-		vnodes:  vnodes,
 		members: ms,
 		alive:   make([]bool, len(ms)),
 		nup:     len(ms),
@@ -116,7 +118,7 @@ func NewRing(seed uint64, vnodes int, members []string) (*Ring, error) {
 	r.points = make([]point, 0, len(ms)*vnodes)
 	for i, m := range ms {
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, point{hash: pointHash(seed, m, v), node: i})
+			r.points = append(r.points, point{hash: pointHash(m, v), node: i})
 		}
 	}
 	// Ties broken by member index (itself deterministic: members are
@@ -137,10 +139,6 @@ func (r *Ring) Members() []string {
 	copy(out, r.members)
 	return out
 }
-
-// Seed and VNodes return the placement parameters.
-func (r *Ring) Seed() uint64 { return r.seed }
-func (r *Ring) VNodes() int  { return r.vnodes }
 
 // index returns the member's slot, -1 if unknown.
 func (r *Ring) index(member string) int {

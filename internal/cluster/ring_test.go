@@ -35,14 +35,14 @@ func owners(t *testing.T, r *Ring, ks []string) map[string]string {
 	return out
 }
 
-// TestRingDeterminism: the ring is a pure function of (seed, member set,
+// TestRingDeterminism: the ring is a pure function of (member set,
 // vnodes) — member order must not matter, and a second construction must
 // agree key for key. This is what lets every node compute its own ring
 // from the static -peers list with no coordination.
 func TestRingDeterminism(t *testing.T) {
 	ms := members(5)
 	ks := keys(10000)
-	a, err := NewRing(42, 64, ms)
+	a, err := NewRing(64, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRingDeterminism(t *testing.T) {
 	for i, m := range ms {
 		rev[len(ms)-1-i] = m
 	}
-	b, err := NewRing(42, 64, rev)
+	b, err := NewRing(64, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,23 +61,6 @@ func TestRingDeterminism(t *testing.T) {
 			t.Fatalf("rings disagree on %q: %q vs %q", k, oa[k], ob[k])
 		}
 	}
-
-	// A different seed must give a different placement (sanity that the
-	// seed actually participates).
-	c, err := NewRing(43, 64, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oc := owners(t, c, ks)
-	same := 0
-	for _, k := range ks {
-		if oa[k] == oc[k] {
-			same++
-		}
-	}
-	if same == len(ks) {
-		t.Fatal("seed 42 and 43 produced identical placements")
-	}
 }
 
 // TestRingBalance: with enough virtual nodes, each of N members owns
@@ -85,7 +68,7 @@ func TestRingDeterminism(t *testing.T) {
 // vnodes — consistent hashing's usual spread).
 func TestRingBalance(t *testing.T) {
 	const n, K = 5, 20000
-	r, err := NewRing(1, 128, members(n))
+	r, err := NewRing(128, members(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +93,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	const n, K = 5, 20000
 	ms := members(n)
 	ks := keys(K)
-	r, err := NewRing(7, 128, ms)
+	r, err := NewRing(128, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +138,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	// Join: a ring over N+1 members vs the same ring over N members must
 	// move at most ~K/(N+1) keys (the new member's fair share), with 50%
 	// slack for hash-spread variance.
-	grown, err := NewRing(7, 128, append(append([]string{}, ms...), "http://10.0.0.99:7070"))
+	grown, err := NewRing(128, append(append([]string{}, ms...), "http://10.0.0.99:7070"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +164,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // TestRingAllDead: with every member ejected, Owner reports no owner
 // instead of looping forever.
 func TestRingAllDead(t *testing.T) {
-	r, err := NewRing(1, 16, members(2))
+	r, err := NewRing(16, members(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +180,14 @@ func TestRingAllDead(t *testing.T) {
 
 // TestRingValidation pins the constructor's error paths.
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(1, 8, nil); err == nil {
+	if _, err := NewRing(8, nil); err == nil {
 		t.Fatal("empty member set accepted")
 	}
-	if _, err := NewRing(1, 8, []string{""}); err == nil {
+	if _, err := NewRing(8, []string{""}); err == nil {
 		t.Fatal("empty member name accepted")
 	}
 	// Duplicates collapse rather than double a member's share.
-	r, err := NewRing(1, 8, []string{"a", "a", "b"})
+	r, err := NewRing(8, []string{"a", "a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}

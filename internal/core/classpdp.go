@@ -23,12 +23,6 @@ type ClassConfig struct {
 	DMax, NC, SC int
 	// RecomputeEvery is the per-class PD recomputation interval.
 	RecomputeEvery uint64
-	// DE overrides d_e (0 = Ways).
-	DE int
-	// DeadThreshold: a class with at least this many sampled accesses and
-	// no measurable reuse is treated as dead-on-arrival (PD = 1), the
-	// class-level analogue of SDP's bypass.
-	DeadThreshold uint64
 }
 
 func (c *ClassConfig) setDefaults() {
@@ -47,13 +41,12 @@ func (c *ClassConfig) setDefaults() {
 	if c.RecomputeEvery == 0 {
 		c.RecomputeEvery = 512 * 1024
 	}
-	if c.DE == 0 {
-		c.DE = c.Ways
-	}
-	if c.DeadThreshold == 0 {
-		c.DeadThreshold = 64
-	}
 }
+
+// classDeadThreshold is the sampled-access count at which a class with no
+// measurable reuse is treated as dead-on-arrival (PD = 1), the class-level
+// analogue of SDP's bypass.
+const classDeadThreshold = 64
 
 // ClassPDP is the classified protecting-distance policy (bypass variant).
 // It implements cache.Policy.
@@ -137,11 +130,11 @@ func (p *ClassPDP) recompute() {
 	p.Recomputes++
 	for cl := 0; cl < p.cfg.Classes; cl++ {
 		arr := p.smp.Array(cl)
-		pd, _ := FindPD(arr, p.cfg.DE)
+		pd, _ := FindPD(arr, p.cfg.Ways)
 		switch {
 		case pd > 0:
 			p.pds[cl] = pd
-		case arr.Total() >= p.cfg.DeadThreshold:
+		case arr.Total() >= classDeadThreshold:
 			// Plenty of traffic, no reuse below d_max: dead-on-arrival
 			// class; do not protect its lines at all.
 			p.pds[cl] = 1

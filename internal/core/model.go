@@ -132,10 +132,3 @@ func FindPD(arr *sampler.CounterArray, de int) (pd int, e float64) {
 func Peaks(arr *sampler.CounterArray, de, topN int) []Peak {
 	return NewModel(arr, de).Peaks(topN)
 }
-
-// PDSolver finds the protecting distance for a counter array in place of
-// Model.Best, which a nil Config.Solver means. internal/pdproc provides a
-// cycle-accurate model of the paper's special-purpose processor.
-type PDSolver interface {
-	FindPD(arr *sampler.CounterArray, de int) int
-}

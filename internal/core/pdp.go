@@ -44,20 +44,12 @@ type Config struct {
 	// FullSampler selects the exact "Full" sampler configuration instead of
 	// the 32-set "Real" one.
 	FullSampler bool
-	// DE overrides the model's d_e term; 0 means Ways (the paper's choice).
-	DE int
 	// InsertPD, when positive, overrides the PD assigned to inserted
 	// (missed) lines; promotions still use the computed PD. The paper's
 	// Sec. 6.3 429.mcf study uses InsertPD = 1.
 	InsertPD int
-	// DefaultPD seeds the policy before the first recomputation; 0 means
-	// Ways (LRU-like warm-up).
-	DefaultPD int
 	// Prefetch selects the Sec. 6.5 prefetch-aware variant.
 	Prefetch PrefetchMode
-	// Solver computes the PD from the counter array; nil means Model.Best.
-	// internal/pdproc supplies the hardware model.
-	Solver PDSolver
 }
 
 func (c *Config) setDefaults() {
@@ -72,12 +64,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RecomputeEvery == 0 {
 		c.RecomputeEvery = 512 * 1024
-	}
-	if c.DE == 0 {
-		c.DE = c.Ways
-	}
-	if c.DefaultPD == 0 {
-		c.DefaultPD = c.Ways
 	}
 }
 
@@ -148,7 +134,7 @@ func New(cfg Config) *PDP {
 	if cfg.StaticPD > 0 {
 		p.pd = cfg.StaticPD
 	} else {
-		p.pd = cfg.DefaultPD
+		p.pd = cfg.Ways // LRU-like warm-up before the first recompute
 		var scfg sampler.Config
 		if cfg.FullSampler {
 			scfg = sampler.FullConfig(cfg.Sets, cfg.SC)
@@ -212,8 +198,8 @@ func (p *PDP) AddObserver(f func(RecomputeEvent)) {
 
 // SetPDPerturb attaches (or, with nil, detaches) the fault-injection PD
 // perturbation hook: f maps each recomputed PD to the one installed. The
-// result is clamped to [1, DMax] regardless, so no perturbation — or
-// solver bug — can ever install an out-of-range protecting distance.
+// result is clamped to [1, DMax] regardless, so no perturbation can ever
+// install an out-of-range protecting distance.
 func (p *PDP) SetPDPerturb(f func(pd int) int) { p.perturb = f }
 
 // DMax returns the maximum protecting distance (the PD clamp ceiling).
@@ -288,13 +274,10 @@ func (p *PDP) PostAccess(set int, acc trace.Access) {
 func (p *PDP) recompute() {
 	arr := p.smp.Array()
 	old := p.pd
-	// One evaluation of Eq. 1 per recompute: the decision and the
-	// observer's curve both read it. A configured Solver decides instead.
-	m := NewModel(arr, p.cfg.DE)
+	// One evaluation of Eq. 1 per recompute, with d_e = W (the paper's
+	// choice): the decision and the observer's curve both read it.
+	m := NewModel(arr, p.cfg.Ways)
 	pd, _ := m.Best()
-	if p.cfg.Solver != nil {
-		pd = p.cfg.Solver.FindPD(arr, p.cfg.DE)
-	}
 	if pd > 0 {
 		p.pd = pd
 	}
@@ -302,7 +285,7 @@ func (p *PDP) recompute() {
 		p.pd = p.perturb(p.pd)
 	}
 	// Graceful-degradation invariant: the installed PD stays in [1, DMax]
-	// whatever the solver — or an injected fault — produced.
+	// whatever an injected fault produced.
 	if p.pd < 1 {
 		p.pd = 1
 	}

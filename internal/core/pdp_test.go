@@ -414,7 +414,7 @@ func TestPDPRecomputeObserver(t *testing.T) {
 	p.AddObserver(func(ev RecomputeEvent) { evs = append(evs, ev) })
 
 	// A tight loop with reuse distance 8 lines: the sampler measures it
-	// and the solver picks a protecting PD.
+	// and the model picks a protecting PD.
 	for i := 0; i < 1024; i++ {
 		c.Access(trace.Access{Addr: addr(16, i%16, (i/16)%4)})
 	}

@@ -40,8 +40,8 @@ type ChaosArray = interface {
 // serves with shadow-LRU eviction and unconditional admission — the
 // baseline policy whose recency stack PDP mode maintains anyway — and
 // ignores the protecting distance entirely. Trips are driven by the
-// supervised recompute (panic, stall past RecomputeTimeout, PD outside
-// [1, d_max], inconsistent RDD evidence, per-shard sampler corruption);
+// supervised recompute (panic, stall past RecomputeTimeout, inconsistent
+// RDD evidence, per-shard sampler corruption);
 // re-arming happens after Config.RearmAfter consecutive clean
 // recomputes, which keep running while degraded as the healing probe (on
 // an idle cache a periodic Heal is the only one).

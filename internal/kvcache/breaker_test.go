@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pdp/internal/resilience"
-	"pdp/internal/sampler"
 )
 
 // chaosFunc adapts plain functions to the Chaos interface.
@@ -27,14 +26,8 @@ func (c chaosFunc) Recompute(seq uint64) {
 	}
 }
 
-// fixedSolver always answers the same PD — the hostile solver of the
-// invariant-violation tests.
-type fixedSolver struct{ pd int }
-
-func (s fixedSolver) FindPD(arr *sampler.CounterArray, de int) int { return s.pd }
-
 // seedEvidence plants consistent reuse evidence in shard 0 so a
-// recompute reaches the solver (Reuses >= MinSamples, Reuses <= Total).
+// recompute reaches the model (Reuses >= MinSamples, Reuses <= Total).
 func seedEvidence(c *Cache) {
 	arr := c.shards[0].pdp.smp.Array()
 	counts := make([]uint32, arr.K())
@@ -140,23 +133,6 @@ func TestBreakerTripsOnStall(t *testing.T) {
 	// watchdog (queue wait counts as stall), so let it drain first.
 	time.Sleep(200 * time.Millisecond)
 	rearm(t, c)
-}
-
-func TestBreakerTripsOnPDOutOfRange(t *testing.T) {
-	c := breakerCache(t, Config{
-		DMax:       64,
-		MinSamples: 1,
-		RearmAfter: 1,
-		Solver:     fixedSolver{pd: 1000}, // far above DMax
-	})
-	seedEvidence(c)
-	before := c.PD()
-	if _, pd, moved := c.Recompute(); moved || pd != before {
-		t.Fatalf("out-of-range PD was installed: pd=%d moved=%v", pd, moved)
-	}
-	if !c.Degraded() {
-		t.Fatal("out-of-range PD did not trip the breaker")
-	}
 }
 
 func TestBreakerTripsCorruptShardOnly(t *testing.T) {

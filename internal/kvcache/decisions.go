@@ -53,16 +53,12 @@ const DefaultDecisionLog = 512
 // a ring it owns (Config.DecisionLog entries are split across the shards),
 // written under the shard lock the deciding operation already holds, so a
 // decision costs no lock and no write outside its shard; the log holds
-// nothing but the shards. All methods are safe on a nil receiver (the
-// disabled mode) and under concurrent use.
+// nothing but the shards. All methods are safe under concurrent use.
 type DecisionLog struct{ shards []*shard }
 
 // Total returns the number of decisions ever made, read off the shard
 // ledgers: every eviction, deny and save is exactly one decision.
 func (l *DecisionLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
 	var n uint64
 	for _, sh := range l.shards {
 		sh.mu.Lock()
@@ -79,7 +75,7 @@ func (l *DecisionLog) Total() uint64 {
 // first within each shard; with one shard it is the last n decisions,
 // oldest first.
 func (l *DecisionLog) Tail(n int) []Decision {
-	if l == nil || n <= 0 {
+	if n <= 0 {
 		return nil
 	}
 	held := make([][]Decision, len(l.shards))

@@ -134,7 +134,7 @@ func TestLRUEvictionsAreUnprotected(t *testing.T) {
 	}
 }
 
-func TestDecisionLogRingAndDisable(t *testing.T) {
+func TestDecisionLogRing(t *testing.T) {
 	// One shard of one line, a ring of 3: each new key evicts the last, so
 	// six keys make five decisions and the ring keeps the newest three.
 	c, err := New(Config{Policy: PolicyLRU, Shards: 1, Sets: 1, Ways: 1, DecisionLog: 3})
@@ -195,26 +195,20 @@ func TestDecisionLogRingAndDisable(t *testing.T) {
 		t.Fatalf("Tail(100) returned %d, the rings hold 6", n)
 	}
 
-	// Nil log (disabled): every operation is a no-op.
-	var nilLog *DecisionLog
-	if nilLog.Tail(5) != nil || nilLog.Total() != 0 {
-		t.Fatal("nil decision log not inert")
-	}
-
-	c, err = New(Config{Shards: 1, Sets: 1, Ways: 2, DecisionLog: -1})
+	// A log shorter than the shard count leaves the last shards without a
+	// ring: their decisions still count in Total, and Tail skips them.
+	c, err = New(Config{Policy: PolicyLRU, Shards: 2, Sets: 1, Ways: 1, DecisionLog: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Decisions() != nil {
-		t.Fatal("DecisionLog: -1 must disable the log")
+	for i := 0; i < 50; i++ {
+		c.Put(fmt.Sprint("key-", i), nil)
 	}
-	c.Put("a", nil)
-	c.Put("b", nil)
-	c.Put("c", nil) // deny path with nil log must not panic
-	// Per-kind counts live in the shard ledger, not the log: they survive
-	// disabling it.
-	if st := c.Stats(); st.Denies != 1 {
-		t.Fatalf("denies with the log disabled = %d, want 1", st.Denies)
+	if st := c.Stats(); c.Decisions().Total() != st.Evictions || st.Evictions < 40 {
+		t.Fatalf("total=%d, ledger evictions %d", c.Decisions().Total(), st.Evictions)
+	}
+	if tail := c.Decisions().Tail(10); len(tail) != 1 || tail[0].Shard != 0 {
+		t.Fatalf("Tail(10) = %+v, want shard 0's one entry", tail)
 	}
 }
 
@@ -272,24 +266,27 @@ func TestPDMoveJournal(t *testing.T) {
 		t.Fatalf("shard samples %v (sum %d) disagree with merged %d", mv.ShardSamples, sum, mv.Samples)
 	}
 	if mv.BestD != mv.NewPD {
-		t.Fatalf("summary best_d=%d vs installed PD %d under the software solver", mv.BestD, mv.NewPD)
+		t.Fatalf("summary best_d=%d vs installed PD %d", mv.BestD, mv.NewPD)
 	}
 	if mv.CurvePoints == 0 || mv.BestE <= 0 {
 		t.Fatalf("curve summary empty: %+v", mv)
 	}
 
-	// A configured solver decides, and the record still carries the
-	// model's argmax beside its answer: seedEvidence puts all reuse in the
-	// first bucket, so the model says d_p = 4 whatever the solver says.
+	// Evidence whose only reuse sits at d = 40 (bucket 9 at S_c = 4): the
+	// model's argmax is 40, the PD installed is 40, and the pd_recompute
+	// curve peaks at pd_move's best_e.
 	j = telemetry.NewJournal(16)
 	c, err = New(Config{
 		Policy: PolicyPDP, Shards: 1, Sets: 16, Ways: 8,
-		RecomputeEvery: 1 << 30, MinSamples: 1, Journal: j, Solver: fixedSolver{pd: 40},
+		RecomputeEvery: 1 << 30, MinSamples: 1, Journal: j,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedEvidence(c)
+	arr := c.shards[0].pdp.smp.Array()
+	counts := make([]uint32, arr.K())
+	counts[9] = 50
+	arr.SetCounts(counts, 200)
 	c.Recompute()
 	var curve []float64
 	for _, r := range j.Tail(4) {
@@ -300,10 +297,10 @@ func TestPDMoveJournal(t *testing.T) {
 			curve = r.E
 		}
 	}
-	if !mv.Moved || mv.NewPD != 40 || mv.BestD != 4 || mv.BestE <= 0 {
-		t.Fatalf("pd_move under a fixed solver = %+v, want new_pd 40 beside the model's best_d 4", mv)
+	if !mv.Moved || mv.NewPD != 40 || mv.BestD != 40 || mv.BestE <= 0 {
+		t.Fatalf("pd_move = %+v, want new_pd 40 and the model's best_d 40", mv)
 	}
-	if len(curve) != mv.CurvePoints || curve[0] != mv.BestE {
+	if len(curve) != mv.CurvePoints || curve[9] != mv.BestE {
 		t.Fatalf("pd_recompute e_curve %v does not peak at pd_move's best_e %v", curve, mv.BestE)
 	}
 }

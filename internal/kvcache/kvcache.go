@@ -79,12 +79,8 @@ type Config struct {
 	AdmitAll bool
 	// DecisionLog bounds the attributed policy decisions kept for
 	// /debug/decisions, split across the shards' own rings (0 =
-	// DefaultDecisionLog; negative disables the log entirely). Each
-	// decision is numbered within its shard.
+	// DefaultDecisionLog). Each decision is numbered within its shard.
 	DecisionLog int
-	// Solver computes the PD from the merged counter array; nil means
-	// core.Model.Best.
-	Solver core.PDSolver
 
 	// RearmAfter is the number of consecutive clean recomputations a
 	// degraded shard needs before its breaker re-arms from shadow-LRU
@@ -154,6 +150,9 @@ func (c *Config) setDefaults() error {
 	}
 	if c.DecisionLog == 0 {
 		c.DecisionLog = DefaultDecisionLog
+	}
+	if c.DecisionLog < 0 {
+		return fmt.Errorf("kvcache: DecisionLog must be positive, got %d", c.DecisionLog)
 	}
 	if c.RecomputeEvery == 0 {
 		c.RecomputeEvery = 64 * 1024
@@ -282,9 +281,7 @@ func New(cfg Config) (*Cache, error) {
 	for i := range c.shards {
 		c.shards[i] = newShard(&cfg, i, recompute)
 	}
-	if cfg.DecisionLog > 0 {
-		c.dlog = &DecisionLog{shards: c.shards}
-	}
+	c.dlog = &DecisionLog{shards: c.shards}
 	c.registerViews(cfg.Registry)
 	return c, nil
 }
@@ -574,18 +571,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 		m = core.NewModel(merged, c.cfg.DE)
 	}
 	if enough {
-		found, _ := m.Best()
-		if c.cfg.Solver != nil {
-			found = c.cfg.Solver.FindPD(merged, c.cfg.DE)
-		}
-		if found != 0 {
-			if found < 1 || found > c.cfg.DMax {
-				// The solver's answer violates the paper's own invariant
-				// (PD in [1, d_max]); installing it would corrupt every
-				// shard's protection bookkeeping.
-				out.violation = "pd_out_of_range"
-				return out
-			}
+		if found, _ := m.Best(); found != 0 {
 			pd, out.moved = found, true
 		}
 	}
@@ -597,7 +583,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 		// pd_move fires on every recompute — the attribution record an
 		// operator greps first: did the PD move, on how much evidence,
 		// and from which shards. best_e/best_d are the model's argmax,
-		// journaled beside new_pd whichever solver decided.
+		// journaled also when too few samples held the PD still.
 		bestD, bestE := m.Best()
 		c.cfg.Journal.Append(telemetry.PDMoveRecord{
 			Kind:         telemetry.KindPDMove,
@@ -675,8 +661,7 @@ func (c *Cache) ShardStats() []ShardStats {
 	return out
 }
 
-// Decisions returns the read side of the shards' decision rings (nil when
-// disabled via Config.DecisionLog < 0).
+// Decisions returns the read side of the shards' decision rings.
 func (c *Cache) Decisions() *DecisionLog { return c.dlog }
 
 // RDDView is a point-in-time copy of the merged online reuse-distance

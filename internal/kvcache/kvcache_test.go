@@ -209,6 +209,7 @@ func TestConfigErrors(t *testing.T) {
 		{DMax: 100, SC: 3},
 		{NC: 16},
 		{NC: 20},
+		{DecisionLog: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -135,9 +135,7 @@ func newShard(cfg *Config, id int, recompute func()) *shard {
 	}
 	// The log's DecisionLog entries split evenly, the first shards one
 	// longer when they do not divide.
-	if n := cfg.DecisionLog; n > 0 {
-		sh.dec = make([]Decision, (n+cfg.Shards-1-id)/cfg.Shards)
-	}
+	sh.dec = make([]Decision, (cfg.DecisionLog+cfg.Shards-1-id)/cfg.Shards)
 	return sh
 }
 

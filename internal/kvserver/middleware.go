@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pdp/internal/cluster"
 	"pdp/internal/telemetry"
@@ -157,9 +158,9 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		}
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t := telemetry.StartTimer()
+		t0 := time.Now()
 		h(sw, r.WithContext(context.WithValue(r.Context(), cluster.RequestIDKey, id)))
-		t.ObserveInto(m.latency)
+		m.latency.Observe(uint64(time.Since(t0)))
 		m.counter(r.Method, sw.status).Inc()
 	})
 }

@@ -59,9 +59,6 @@ type Config struct {
 	// until a slot frees or the deadline expires (504). 0 disables the
 	// gate.
 	MaxInflight int
-	// RetryAfter is the backoff hint carried on shed responses (default
-	// 1s).
-	RetryAfter time.Duration
 	// DefaultDeadline bounds every /kv/ and /batch request that arrives
 	// without an X-Deadline header; 0 applies no default. Clients override
 	// it per request with X-Deadline (a Go duration, e.g. "250ms").
@@ -161,12 +158,6 @@ func New(cache *kvcache.Cache, cfg Config) (*Server, error) {
 	if cfg.MaxInflight < 0 {
 		return nil, fmt.Errorf("kvserver: MaxInflight must be >= 0, got %d", cfg.MaxInflight)
 	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.RetryAfter < 0 {
-		return nil, fmt.Errorf("kvserver: RetryAfter must be positive, got %v", cfg.RetryAfter)
-	}
 	if cfg.DefaultDeadline < 0 {
 		return nil, fmt.Errorf("kvserver: DefaultDeadline must be >= 0, got %v", cfg.DefaultDeadline)
 	}
@@ -189,7 +180,8 @@ func New(cache *kvcache.Cache, cfg Config) (*Server, error) {
 	s.mBatchOps = cfg.Registry.Counter("http.batch_ops")
 	s.hBatchSize = cfg.Registry.Histogram("http.batch_size")
 	s.hBatchOpLat = cfg.Registry.Histogram("http.batch_op_latency_ns")
-	s.gate = servefault.NewGate(cfg.MaxInflight, cfg.RetryAfter, cfg.Registry, cfg.Journal)
+	// A shed answer carries Retry-After: 1 (second).
+	s.gate = servefault.NewGate(cfg.MaxInflight, time.Second, cfg.Registry, cfg.Journal)
 	mux := http.NewServeMux()
 	mux.Handle("/kv/", s.instrument("/kv/", s.protect("/kv/", s.routeKV)))
 	mux.Handle("/batch", s.instrument("/batch", s.protect("/batch", s.handleBatch)))
@@ -449,10 +441,6 @@ type decisionsResponse struct {
 // kvcache.DecisionLog.Tail documents.
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	dl := s.cache.Decisions()
-	if dl == nil {
-		http.Error(w, "decision log disabled", http.StatusNotFound)
-		return
-	}
 	n := 100
 	if v := r.URL.Query().Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)

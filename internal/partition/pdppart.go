@@ -18,11 +18,10 @@ type PDPPartConfig struct {
 	DMax, NC, SC int
 	// RecomputeEvery is the PD-vector recomputation interval in accesses.
 	RecomputeEvery uint64
-	// DE overrides d_e (0 = Ways).
-	DE int
-	// PeaksPerThread bounds the per-thread peak candidates (paper: 3).
-	PeaksPerThread int
 }
+
+// peaksPerThread bounds the per-thread peak candidates (paper: 3).
+const peaksPerThread = 3
 
 func (c *PDPPartConfig) setDefaults() {
 	if c.DMax == 0 {
@@ -36,12 +35,6 @@ func (c *PDPPartConfig) setDefaults() {
 	}
 	if c.RecomputeEvery == 0 {
 		c.RecomputeEvery = 512 * 1024
-	}
-	if c.DE == 0 {
-		c.DE = c.Ways
-	}
-	if c.PeaksPerThread == 0 {
-		c.PeaksPerThread = 3
 	}
 }
 
@@ -155,8 +148,8 @@ type threadModel struct {
 
 func (p *PDPPart) buildModel(t int) *threadModel {
 	arr := p.smp.Array(t)
-	m := &threadModel{Model: core.NewModel(arr, p.cfg.DE), nt: float64(arr.Total())}
-	m.peaks = m.Peaks(p.cfg.PeaksPerThread)
+	m := &threadModel{Model: core.NewModel(arr, p.cfg.Ways), nt: float64(arr.Total())}
+	m.peaks = m.Peaks(peaksPerThread)
 	// Confidence filter: the shared FIFO's 16-bit partial tags produce a
 	// trickle of false matches across threads (~0.05% of accesses). A
 	// thread whose measured reuse is in that noise floor has no real peaks

@@ -282,15 +282,3 @@ func TestComputeRejectsUnrepresentableConfigs(t *testing.T) {
 		t.Fatal("expected error for de > 255")
 	}
 }
-
-func TestSolverAccumulates(t *testing.T) {
-	s := &Solver{}
-	arr := mkArray(t, 4, map[int]int{32: 100}, 50)
-	pd := s.FindPD(arr, 16)
-	if pd != 32 {
-		t.Fatalf("solver PD = %d, want 32", pd)
-	}
-	if s.Runs != 1 || s.TotalCycles == 0 {
-		t.Fatalf("solver accounting: runs=%d cycles=%d", s.Runs, s.TotalCycles)
-	}
-}

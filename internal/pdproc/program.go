@@ -119,24 +119,3 @@ func Compute(arr *sampler.CounterArray, de int) (Result, error) {
 	}
 	return Result{PD: int(m.Reg(14)), Cycles: m.Cycles()}, nil
 }
-
-// Solver adapts the hardware model to core.PDSolver.
-type Solver struct {
-	// TotalCycles accumulates machine time across recomputations.
-	TotalCycles uint64
-	// Runs counts invocations.
-	Runs uint64
-}
-
-// FindPD implements core.PDSolver. Errors (which indicate configurations
-// the hardware cannot represent) surface as panics: they are programming
-// errors, not data conditions.
-func (s *Solver) FindPD(arr *sampler.CounterArray, de int) int {
-	res, err := Compute(arr, de)
-	if err != nil {
-		panic(err)
-	}
-	s.TotalCycles += res.Cycles
-	s.Runs++
-	return res.PD
-}

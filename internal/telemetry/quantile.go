@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // bucketBounds returns the value range covered by log2 bucket k as floats:
 // bucket 0 holds exactly zero, bucket k >= 1 holds [2^(k-1), 2^k). The
@@ -77,24 +74,4 @@ func summarize(b *[histBuckets]uint64, total uint64) QuantileSummary {
 		P99:  quantile(b, total, 0.99),
 		P999: quantile(b, total, 0.999),
 	}
-}
-
-// Timer measures one interval at nanosecond scale for recording into a
-// Histogram: start with StartTimer, stop with ObserveInto. The zero Timer
-// is invalid; always construct through StartTimer.
-type Timer struct{ t0 time.Time }
-
-// StartTimer begins timing now.
-func StartTimer() Timer { return Timer{t0: time.Now()} }
-
-// ObserveInto records the nanoseconds elapsed since StartTimer into h
-// (nil-safe, like all histogram operations) and returns the duration so
-// callers can reuse the measurement.
-func (t Timer) ObserveInto(h *Histogram) time.Duration {
-	d := time.Since(t.t0)
-	if d < 0 {
-		d = 0
-	}
-	h.Observe(uint64(d))
-	return d
 }

@@ -117,8 +117,6 @@ type (
 	PDP = core.PDP
 	// PDPConfig parameterizes PDP.
 	PDPConfig = core.Config
-	// PDSolver computes the PD from a counter array.
-	PDSolver = core.PDSolver
 	// ModelPeak is a local maximum of E (partitioning candidates).
 	ModelPeak = core.Peak
 	// PrefetchMode selects Sec. 6.5 prefetch handling.
@@ -180,8 +178,6 @@ var (
 type (
 	// PDProcMachine executes the 16-instruction ISA.
 	PDProcMachine = pdproc.Machine
-	// PDProcSolver adapts the hardware model to PDSolver.
-	PDProcSolver = pdproc.Solver
 	// PDProcResult reports one hardware PD computation.
 	PDProcResult = pdproc.Result
 )

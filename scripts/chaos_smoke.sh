@@ -58,7 +58,7 @@ grep -q 'chaos injection active' "$serverlog"
 
 out="/tmp/pdp-chaos-load.json"
 /tmp/pdp-chaos-load -url "http://$addr" -mix zipf-loop -keys 300 -zipf 0.8 \
-    -workers 4 -ops "$ops" -seed 42 -retries 2 -json > "$out"
+    -workers 4 -ops "$ops" -seed 42 -json > "$out"
 
 field() { sed -n "s/^.*\"$1\": *\([0-9.]*\).*$/\1/p" "$out" | head -1; }
 avail=$(awk -v o="$(field ops)" -v s="$(field sheds)" -v e="$(field errors)" \
