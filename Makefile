@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path and one-detector seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner and one-detector seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -43,12 +43,20 @@ race:
 # The one-walk rule (DESIGN.md §7): Registry.Snapshot is the only reader of
 # the registry's metric maps, and /stats is that snapshot, not a schema
 # kvserver maintains by hand.
-# The one-lock rule (DESIGN.md §7): non-test kvcache declares three
-# mutexes, shard.mu, Cache.rmu and Cache.bmu, and the decision log imports
-# no sync, so an operation takes its shard's lock and nothing else.
+# The one-lock rule (DESIGN.md §7): non-test kvcache declares two
+# mutexes, shard.mu and Cache.rmu, and the decision log imports no sync,
+# so an operation takes its shard's lock and nothing else.
+# The one-owner rule (DESIGN.md §7, §11): a serving count is kept once.
+# The sampler's cumulative Stats are the sampler totals, so non-test
+# kvcache and sampler never name ResetStats, and kvcache keeps no
+# cross-epoch sampler total (smpAccs, smpHits); the breaker's streak
+# lives with the shard's flag, so kvcache keeps no streaks array and has
+# no manual Trip or Degraded wrapper.
 # The one-detector rule (DESIGN.md §8): ring membership is the only "peer
-# down", and Cluster.observe, fed by probes and exchanges alike, is the
-# only code that ejects or rejoins a member.
+# down", so cluster's Peer keeps no down flag and cluster registers no
+# stored gauge (members_alive and peer_up are a view of the ring), and
+# Cluster.observe, fed by probes and exchanges alike, is the only code
+# that ejects or rejoins a member.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -nE '(hashes|last) +\[\]uint64' $$(ls internal/kvcache/*.go | grep -v _test.go)
@@ -65,8 +73,11 @@ seam:
 	@! grep -inE 'accesses */ *8' $$(ls internal/experiments/*.go | grep -v _test.go)
 	@! grep -rnE 'range r\.(counters|gauges|hists)\b' --include='*.go' internal | grep -v '^internal/telemetry/registry.go:'
 	@! grep -nE 'View struct|statsResponse' $$(ls internal/kvserver/*.go | grep -v _test.go)
-	@test "$$(cat $$(ls internal/kvcache/*.go | grep -v _test.go) | grep -E 'sync\.(RW)?Mutex' | awk '{print $$1}' | sort | xargs)" = "bmu mu rmu"
+	@test "$$(cat $$(ls internal/kvcache/*.go | grep -v _test.go) | grep -E 'sync\.(RW)?Mutex' | awk '{print $$1}' | sort | xargs)" = "mu rmu"
 	@! grep -nE '"sync(/atomic)?"' internal/kvcache/decisions.go
+	@! grep -n 'ResetStats' $$(ls internal/kvcache/*.go internal/sampler/*.go | grep -v _test.go)
+	@! grep -nE '\b(smpAccs|smpHits|streaks)\b|func \(c \*Cache\) (Trip|Degraded)\(' $$(ls internal/kvcache/*.go | grep -v _test.go)
+	@! grep -nE '\bdown +bool\b|\.down\b|reg\.Gauge\(' $$(ls internal/cluster/*.go | grep -v _test.go)
 	@test "$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | grep -c 'c\.ring\.Eject(')" = 1
 	@test "$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | grep -c 'c\.ring\.Rejoin(')" = 1
 

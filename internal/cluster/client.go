@@ -41,18 +41,16 @@ type Peer struct {
 	id string // node id == base URL, e.g. "http://127.0.0.1:8081"
 	hc *http.Client
 
-	// The consecutive failed and answered probes and exchanges, and
-	// whether that evidence has ejected the member from the ring; only
-	// Cluster.observe writes them, under mu.
+	// The consecutive failed and answered probes and exchanges; only
+	// Cluster.observe writes them and moves this member in the ring, both
+	// under mu.
 	mu      sync.Mutex
 	failRun int
 	okRun   int
-	down    bool
 
 	mReqs *telemetry.Counter
 	mErrs *telemetry.Counter
 	hLat  *telemetry.Histogram
-	gUp   *telemetry.Gauge
 }
 
 // newPeer builds the client for one member. The http.Client shares the
@@ -60,17 +58,14 @@ type Peer struct {
 // request ctx may shorten it further).
 func newPeer(id string, tr *http.Transport, timeout time.Duration, reg *telemetry.Registry) *Peer {
 	lbl := telemetry.Label("peer", id)
-	p := &Peer{
+	return &Peer{
 		id: id,
 		hc: &http.Client{Transport: tr, Timeout: timeout},
 
 		mReqs: reg.Counter("cluster.peer_requests{" + lbl + "}"),
 		mErrs: reg.Counter("cluster.peer_errors{" + lbl + "}"),
 		hLat:  reg.Histogram("cluster.peer_latency_ns{" + lbl + "}"),
-		gUp:   reg.Gauge("cluster.peer_up{" + lbl + "}"),
 	}
-	p.gUp.Set(1)
-	return p
 }
 
 // exchange posts one batchwire sub-batch to p's /batch route — the only

@@ -99,7 +99,6 @@ type Cluster struct {
 	mLoops   *telemetry.Counter
 	mEjects  *telemetry.Counter
 	mRejoins *telemetry.Counter
-	gAlive   *telemetry.Gauge
 }
 
 // New validates cfg, builds the ring and the peer clients. Start begins
@@ -143,7 +142,6 @@ func New(cfg Config) (*Cluster, error) {
 		mLoops:   reg.Counter("cluster.hop_terminated"),
 		mEjects:  reg.Counter("cluster.ring_ejections"),
 		mRejoins: reg.Counter("cluster.ring_rejoins"),
-		gAlive:   reg.Gauge("cluster.members_alive"),
 	}
 	for _, m := range ring.Members() {
 		if m == cfg.Self {
@@ -151,7 +149,17 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.peers[m] = newPeer(m, tr, cfg.FetchTimeout, reg)
 	}
-	c.gAlive.Set(float64(ring.AliveCount()))
+	// members_alive and peer_up are views of the ring, liveness's one owner.
+	reg.View(func(m telemetry.Samples) {
+		m.Gauge("cluster.members_alive", float64(ring.AliveCount()))
+		for id := range c.peers {
+			up := 0.0
+			if ring.IsAlive(id) {
+				up = 1
+			}
+			m.Gauge("cluster.peer_up{"+telemetry.Label("peer", id)+"}", up)
+		}
+	})
 	return c, nil
 }
 
@@ -296,22 +304,18 @@ func (c *Cluster) observe(p *Peer, ok bool) {
 		p.failRun, p.okRun = p.failRun+1, 0
 	}
 	var event string
-	switch {
-	case ok && p.down && p.okRun >= c.cfg.RejoinAfter:
+	switch down := !c.ring.IsAlive(p.id); {
+	case ok && down && p.okRun >= c.cfg.RejoinAfter:
 		c.ring.Rejoin(p.id)
 		c.mRejoins.Inc()
-		p.gUp.Set(1)
 		event = "rejoin"
-	case !ok && !p.down && p.failRun >= c.cfg.EjectAfter:
+	case !ok && !down && p.failRun >= c.cfg.EjectAfter:
 		c.ring.Eject(p.id)
 		c.mEjects.Inc()
-		p.gUp.Set(0)
 		event = "eject"
 	default:
 		return
 	}
-	p.down = !ok
-	c.gAlive.Set(float64(c.ring.AliveCount()))
 	c.cfg.Journal.Append(telemetry.MembershipRecord{
 		Kind: telemetry.KindMembership, Event: event, Peer: p.id,
 		Alive: c.ring.AliveCount(), Members: len(c.ring.Members()),

@@ -352,6 +352,54 @@ func TestProbeEjectRejoin(t *testing.T) {
 	}
 }
 
+// TestLivenessViewsFollowRing: two peers ejected in one parallel probe
+// round, then rejoined in one, leave cluster.members_alive and every
+// cluster.peer_up{peer} equal to the ring's liveness.
+func TestLivenessViewsFollowRing(t *testing.T) {
+	a, b, other := newFakePeer(t, 0), newFakePeer(t, 0), newFakePeer(t, 0)
+	self := "http://127.0.0.1:1"
+	reg := telemetry.NewRegistry()
+	c, err := New(Config{
+		Self:         self,
+		Peers:        []string{self, a.srv.URL, b.srv.URL, other.srv.URL},
+		ProbeTimeout: 100 * time.Millisecond,
+		EjectAfter:   1,
+		RejoinAfter:  1,
+		Registry:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, alive int) {
+		t.Helper()
+		snap, r := reg.Snapshot(), c.Ring()
+		if got := snap["cluster.members_alive"]; r.AliveCount() != alive || got != float64(alive) {
+			t.Fatalf("%s: ring has %d alive, members_alive = %v, want %d", when, r.AliveCount(), got, alive)
+		}
+		for _, m := range r.Members() {
+			if m == self {
+				continue
+			}
+			want := 0.0
+			if r.IsAlive(m) {
+				want = 1
+			}
+			if got := snap["cluster.peer_up{"+telemetry.Label("peer", m)+"}"]; got != want {
+				t.Fatalf("%s: peer_up{%s} = %v, ring says %v", when, m, got, want)
+			}
+		}
+	}
+	check("before probing", 4)
+	a.healthy.Store(false)
+	b.healthy.Store(false)
+	c.probeRound(context.Background())
+	check("after two ejections in one round", 2)
+	a.healthy.Store(true)
+	b.healthy.Store(true)
+	c.probeRound(context.Background())
+	check("after both rejoined", 4)
+}
+
 // TestClusterValidation pins the config error paths.
 func TestClusterValidation(t *testing.T) {
 	if _, err := New(Config{Peers: []string{"a"}}); err == nil {

@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pdp/internal/telemetry"
@@ -44,24 +45,13 @@ type ChaosArray = interface {
 // RDD evidence, per-shard sampler corruption);
 // re-arming happens after Config.RearmAfter consecutive clean
 // recomputes, which keep running while degraded as the healing probe (on
-// an idle cache a periodic Heal is the only one).
+// an idle cache a periodic Heal is the only one). The flag and the streak
+// of clean rounds live in the shard's pdp, under its lock, and change
+// only in shard.breaker.
 
 // DegradedShards returns the number of shards currently serving in
-// degraded (shadow-LRU) mode, read from each shard's flag under its lock.
-func (c *Cache) DegradedShards() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if sh.pdp.degraded() {
-			n++
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Degraded reports whether any shard is serving degraded.
-func (c *Cache) Degraded() bool { return c.DegradedShards() > 0 }
+// degraded (shadow-LRU) mode: Stats' count, from the one ShardStats pass.
+func (c *Cache) DegradedShards() int { return c.Stats().DegradedShards }
 
 // Heal is the breaker's wall-clock healing probe: one supervised recompute
 // while any shard serves degraded, so an idle cache still re-arms after
@@ -70,58 +60,40 @@ func (c *Cache) Degraded() bool { return c.DegradedShards() > 0 }
 // halves the RDD, so a timer firing at low traffic would erase the
 // evidence before MinSamples ever accumulates.
 func (c *Cache) Heal() {
-	if c.Degraded() {
+	if c.DegradedShards() > 0 {
 		c.Recompute()
 	}
 }
 
-// Trip forces every shard into degraded LRU mode (the operator's manual
-// breaker, also the path every global recompute failure takes).
-func (c *Cache) Trip(reason string) {
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
-	c.tripAllLocked(reason)
-}
-
-// tripAllLocked trips every shard; the caller holds bmu.
-func (c *Cache) tripAllLocked(reason string) {
-	for i := range c.shards {
-		c.tripShardLocked(i, reason)
-	}
-}
-
-// tripShardLocked trips one shard (idempotent); the caller holds bmu.
-func (c *Cache) tripShardLocked(i int, reason string) {
-	c.streaks[i] = 0
-	sh := c.shards[i]
+// breaker applies one recompute round's verdict to the shard, atomically
+// under its lock. A non-empty reason trips it: it restarts the streak even
+// when the shard is already degraded. An empty reason is a clean round: a
+// degraded shard's streak advances and re-arms it at rearmAfter. A
+// transition is booked in the ledger and returned as the journal record
+// the caller appends once the lock is released.
+func (sh *shard) breaker(reason string, rearmAfter int) telemetry.Record {
 	sh.mu.Lock()
-	tripped := sh.pdp.trip()
-	if tripped {
+	defer sh.mu.Unlock()
+	p := sh.pdp
+	switch {
+	case reason != "":
+		if p.streak = 0; !p.trip() {
+			return nil
+		}
 		sh.st.BreakerTrips++
-	}
-	sh.mu.Unlock()
-	if tripped && c.cfg.Journal != nil {
-		c.cfg.Journal.Append(telemetry.BreakerRecord{
-			Kind: telemetry.KindBreaker, Shard: i, State: "tripped", Reason: reason,
-		})
-	}
-}
-
-// rearmShardLocked re-arms one degraded shard; the caller holds bmu.
-func (c *Cache) rearmShardLocked(i int, streak int) {
-	sh := c.shards[i]
-	sh.mu.Lock()
-	was := sh.pdp.rearm()
-	if was {
+		return telemetry.BreakerRecord{Kind: telemetry.KindBreaker, Shard: sh.id, State: "tripped", Reason: reason}
+	case p.deg:
+		if p.streak++; p.streak < rearmAfter {
+			return nil
+		}
+		rec := telemetry.BreakerRecord{
+			Kind: telemetry.KindBreaker, Shard: sh.id, State: "rearmed", Reason: "clean_recomputes", Streak: p.streak,
+		}
+		p.deg, p.streak = false, 0
 		sh.st.BreakerRearms++
+		return rec
 	}
-	sh.mu.Unlock()
-	if was && c.cfg.Journal != nil {
-		c.cfg.Journal.Append(telemetry.BreakerRecord{
-			Kind: telemetry.KindBreaker, Shard: i, State: "rearmed",
-			Reason: "clean_recomputes", Streak: streak,
-		})
-	}
+	return nil
 }
 
 // recomputeOutcome is what one supervised recomputation reports upward.
@@ -176,47 +148,28 @@ func (c *Cache) superviseRecompute() recomputeOutcome {
 	}
 
 	old := c.PD()
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
+	var all string // the reason every shard trips for, if any
 	switch {
 	case timedOut || res.err != nil:
 		cause, detail := "stall", fmt.Sprintf("recompute exceeded %v", c.cfg.RecomputeTimeout)
 		if !timedOut {
 			cause, detail = "panic", res.err.Error()
 		}
-		if c.cfg.Journal != nil {
-			c.cfg.Journal.Append(telemetry.RecoveryRecord{
-				Kind: telemetry.KindRecovery, Name: "kvcache.recompute", Cause: cause, Detail: detail,
-			})
-		}
-		c.tripAllLocked("recompute_" + cause)
-		return recomputeOutcome{old: old, pd: old}
+		c.cfg.Journal.Append(telemetry.RecoveryRecord{
+			Kind: telemetry.KindRecovery, Name: "kvcache.recompute", Cause: cause, Detail: detail,
+		})
+		res.out, all = recomputeOutcome{old: old, pd: old}, "recompute_"+cause
 	case res.out.violation != "":
-		c.tripAllLocked(res.out.violation)
-		return res.out
+		all = res.out.violation
 	}
-	// A clean round: degraded shards whose evidence was clean advance
-	// their streak and re-arm at the threshold.
-	corrupt := map[int]bool{}
-	for _, i := range res.out.corrupt {
-		c.tripShardLocked(i, "sampler_corrupt")
-		corrupt[i] = true
-	}
+	// A shard whose own evidence was corrupt trips alone; every other one
+	// of a clean round advances.
 	for i, sh := range c.shards {
-		if corrupt[i] {
-			continue
+		reason := all
+		if reason == "" && slices.Contains(res.out.corrupt, i) {
+			reason = "sampler_corrupt"
 		}
-		sh.mu.Lock()
-		deg := sh.pdp.degraded()
-		sh.mu.Unlock()
-		if !deg {
-			continue
-		}
-		c.streaks[i]++
-		if c.streaks[i] >= c.cfg.RearmAfter {
-			c.rearmShardLocked(i, c.streaks[i])
-			c.streaks[i] = 0
-		}
+		c.cfg.Journal.Append(sh.breaker(reason, c.cfg.RearmAfter))
 	}
 	return res.out
 }

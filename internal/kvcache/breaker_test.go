@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -54,12 +55,23 @@ func breakerCache(t *testing.T, cfg Config) *Cache {
 	return c
 }
 
+// panicOn returns a Chaos whose recomputes panic on the calls numbered in
+// calls (1-based): a breaker trip forced through the chaos seam.
+func panicOn(calls ...int) chaosFunc {
+	n := 0 // called under the recompute lock
+	return chaosFunc{recompute: func(uint64) {
+		if n++; slices.Contains(calls, n) {
+			panic("injected recompute panic")
+		}
+	}}
+}
+
 func rearm(t *testing.T, c *Cache) {
 	t.Helper()
-	for i := 0; i < c.Config().RearmAfter && c.Degraded(); i++ {
+	for i := 0; i < c.Config().RearmAfter && c.DegradedShards() > 0; i++ {
 		c.Recompute()
 	}
-	if c.Degraded() {
+	if c.DegradedShards() > 0 {
 		t.Fatalf("still degraded after %d clean recomputes", c.Config().RearmAfter)
 	}
 }
@@ -82,7 +94,7 @@ func TestBreakerTripsOnRecomputePanic(t *testing.T) {
 	if moved || old != before || pd != before {
 		t.Fatalf("panicked recompute moved the PD: old=%d pd=%d moved=%v", old, pd, moved)
 	}
-	if !c.Degraded() || c.DegradedShards() != c.Config().Shards {
+	if c.DegradedShards() != c.Config().Shards {
 		t.Fatalf("breaker did not trip all shards: degraded=%d", c.DegradedShards())
 	}
 	if got := c.Stats().BreakerTrips; got != uint64(c.Config().Shards) {
@@ -125,7 +137,7 @@ func TestBreakerTripsOnStall(t *testing.T) {
 	})
 	c.Put("a", []byte("x"))
 	c.Recompute()
-	if !c.Degraded() {
+	if c.DegradedShards() == 0 {
 		t.Fatal("stalled recompute did not trip the breaker")
 	}
 	// The stalled goroutine finishes on its own and releases the
@@ -158,17 +170,37 @@ func TestBreakerTripsCorruptShardOnly(t *testing.T) {
 	rearm(t, c)
 }
 
-func TestManualTrip(t *testing.T) {
-	c := breakerCache(t, Config{RearmAfter: 1})
-	c.Trip("manual")
-	if !c.Degraded() {
-		t.Fatal("manual trip ignored")
+// TestRetrip: a trip on an already-degraded shard is booked once.
+func TestRetrip(t *testing.T) {
+	c := breakerCache(t, Config{RearmAfter: 1, Chaos: panicOn(1, 2)})
+	c.Recompute()
+	if c.DegradedShards() == 0 {
+		t.Fatal("panicked recompute ignored")
 	}
-	c.Trip("manual") // idempotent
+	c.Recompute() // idempotent
 	if got := c.Stats().BreakerTrips; got != uint64(c.Config().Shards) {
 		t.Fatalf("double trip double-counted: %d", got)
 	}
 	rearm(t, c)
+}
+
+// TestRetripRestartsStreak: a trip on a degraded shard halfway to
+// re-arming starts its clean-round streak over.
+func TestRetripRestartsStreak(t *testing.T) {
+	c := breakerCache(t, Config{RearmAfter: 2, Chaos: panicOn(1, 3)})
+	for i := 0; i < 4; i++ { // trip, clean, re-trip, clean
+		c.Recompute()
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.DegradedShards(); got != c.Config().Shards {
+		t.Fatalf("%d shards degraded after one clean round since the re-trip, want all %d", got, c.Config().Shards)
+	}
+	c.Recompute()
+	if st := c.Stats(); st.DegradedShards != 0 || st.BreakerTrips != 2 || st.BreakerRearms != 2 {
+		t.Fatalf("after two clean rounds: %d degraded, %d trips, %d re-arms; want 0, 2, 2", st.DegradedShards, st.BreakerTrips, st.BreakerRearms)
+	}
 }
 
 func TestLockHoldWatchdog(t *testing.T) {
@@ -214,11 +246,11 @@ func TestAdapterLeavesHealthyCacheAlone(t *testing.T) {
 // TestAdapterHealsIdleCache: a tripped cache with no traffic re-arms
 // through Heal's ticks alone, the only healing probe it has.
 func TestAdapterHealsIdleCache(t *testing.T) {
-	c := breakerCache(t, Config{})
-	c.Trip("test")
+	c := breakerCache(t, Config{Chaos: panicOn(1)})
+	c.Recompute()
 	t.Cleanup(healEvery(c, time.Millisecond))
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Degraded() {
+	for c.DegradedShards() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d shards still degraded after %d recomputes", c.DegradedShards(), c.Recomputes())
 		}

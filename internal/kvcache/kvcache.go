@@ -218,7 +218,8 @@ type Stats struct {
 	Bytes      int64  `json:"bytes"`
 	PD         int    `json:"pd"`
 	Recomputes uint64 `json:"recomputes"`
-	// SamplerAccesses/Hits are cumulative RD-sampler activity (PDP only).
+	// SamplerAccesses/Hits are the RD samplers' own cumulative Stats
+	// (PDP only).
 	SamplerAccesses uint64 `json:"sampler_accesses,omitempty"`
 	SamplerHits     uint64 `json:"sampler_hits,omitempty"`
 	// DegradedShards is the number of shards currently serving in
@@ -252,16 +253,9 @@ type Cache struct {
 	// journal's access clock continues across a warm restart.
 	accBase atomic.Uint64
 
-	// recompute serialization + cross-epoch sampler stats accumulation.
+	// rmu serializes recomputations.
 	rmu        sync.Mutex
 	recomputes atomic.Uint64
-	smpAccs    uint64 // sampler accesses from closed epochs
-	smpHits    uint64
-
-	// breaker state: bmu serializes trip/re-arm transitions and guards the
-	// per-shard clean-recompute streaks.
-	bmu     sync.Mutex
-	streaks []int
 }
 
 // New builds a Cache; it returns an error on invalid configuration (the
@@ -272,7 +266,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{cfg: cfg}
 	c.pd.Store(int64(cfg.DefaultPD))
-	c.streaks = make([]int, cfg.Shards)
 	var recompute func()
 	if cfg.Policy == PolicyPDP {
 		recompute = func() { c.Recompute() }
@@ -481,15 +474,13 @@ func (c *Cache) sumStats(per []ShardStats) Stats {
 		st.BreakerTrips += s.BreakerTrips
 		st.BreakerRearms += s.BreakerRearms
 		st.LockHoldWarns += s.LockHoldWarns
+		if s.Degraded {
+			st.DegradedShards++
+		}
 	}
 	st.Misses = st.Gets - st.Hits
 	st.PD = c.PD()
 	st.Recomputes = c.recomputes.Load()
-	st.DegradedShards = c.DegradedShards()
-	c.rmu.Lock()
-	st.SamplerAccesses += c.smpAccs
-	st.SamplerHits += c.smpHits
-	c.rmu.Unlock()
 	return st
 }
 
@@ -533,8 +524,7 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 	for i, sh := range c.shards {
 		sh.mu.Lock()
 		accesses += sh.st.Gets + sh.st.Puts + sh.st.Deletes
-		smp := sh.pdp.smp
-		arr := smp.Array()
+		arr := sh.pdp.smp.Array()
 		if arr.Reuses() > arr.Total() {
 			// More measured reuses than accesses: the counter array was
 			// corrupted (an N_i flipped high). Its evidence is poison —
@@ -546,13 +536,6 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 			merged.Merge(arr)
 			arr.Decay(c.cfg.EpochDecayShift)
 		}
-		// Close the epoch's sampler stats into the cumulative totals so
-		// Stats always reports lifetime activity while the sampler's own
-		// window stays recent (long-running services must not accumulate
-		// unbounded cumulative-only counters).
-		c.smpAccs += smp.Stats.Accesses
-		c.smpHits += smp.Stats.Hits
-		smp.ResetStats()
 		sh.mu.Unlock()
 	}
 
@@ -618,7 +601,9 @@ func (c *Cache) recomputeLocked() recomputeOutcome {
 }
 
 // ShardStats is one shard's ledger (see shard.st) and what ShardStats()
-// copies out of it; the registry views publish it per shard and summed.
+// copies out of it with the shard's occupancy, its sampler's cumulative
+// Stats and its breaker flag, all in one locked pass; the registry views
+// publish it per shard and summed.
 type ShardStats struct {
 	Shard                int
 	Gets                 uint64
@@ -634,8 +619,9 @@ type ShardStats struct {
 	Puts            uint64
 	Deletes         uint64
 	Inserts         uint64
-	SamplerAccesses uint64 // since the last recompute
+	SamplerAccesses uint64
 	SamplerHits     uint64
+	Degraded        bool
 	DegradedOps     uint64
 	BreakerTrips    uint64
 	BreakerRearms   uint64
@@ -700,11 +686,12 @@ func (c *Cache) RDDSnapshot() RDDView {
 
 // CheckInvariants verifies, under the shard locks, that every resident
 // line's remaining protecting distance lies in [0, d_max], that reuse bits
-// and byte accounting are consistent, and that no line outlived its key.
+// and byte accounting are consistent, that no line outlived its key, and
+// that each shard's breaker flag, streak and trip/re-arm ledger agree.
 // The race tests call it concurrently with traffic.
 func (c *Cache) CheckInvariants() error {
 	for i, sh := range c.shards {
-		if err := sh.checkInvariants(); err != nil {
+		if err := sh.checkInvariants(c.cfg.RearmAfter); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

@@ -132,7 +132,8 @@ func (l *lru) check(ln *lines) error {
 // deg is the breaker's degraded mode: victim, spare, fill and hit delegate
 // to the shadow and the protecting distance is ignored, while observe
 // keeps the clock and the sampler running so clean recomputes can re-arm.
-// Written only by trip and rearm, under the shard lock.
+// streak counts those clean rounds while degraded (0 otherwise). Both are
+// written only by shard.breaker (deg through trip), under the shard lock.
 type pdp struct {
 	lru
 	prot     *core.Protection
@@ -140,6 +141,7 @@ type pdp struct {
 	doomed   []bool
 	admitAll bool
 	deg      bool
+	streak   int
 }
 
 func newPDP(cfg *Config) *pdp {
@@ -220,31 +222,20 @@ func (p *pdp) drop(set, w int) int {
 	return rpd
 }
 
-// degraded, trip and rearm are the breaker's whole view of the policy; all
-// three tolerate the nil *pdp of an LRU cache, which has no mode to leave.
+// degraded tolerates the nil *pdp of an LRU cache, which has no mode to
+// leave.
 func (p *pdp) degraded() bool { return p != nil && p.deg }
 
 // trip enters degraded mode, reporting whether that changed anything. The
 // policy served from here on is the shadow itself, so every doomed mark is
 // stale: left in place they would book phantom saves after re-arm.
 func (p *pdp) trip() bool {
-	if p == nil || p.deg {
+	if p.deg {
 		return false
 	}
 	p.deg = true
-	for i := range p.doomed {
-		p.doomed[i] = false
-	}
+	clear(p.doomed)
 	return true
-}
-
-// rearm leaves degraded mode, reporting whether that changed anything.
-func (p *pdp) rearm() bool {
-	was := p.degraded()
-	if was {
-		p.deg = false
-	}
-	return was
 }
 
 // check verifies the policy state against the line store past the

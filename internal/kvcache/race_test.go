@@ -3,10 +3,13 @@ package kvcache
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pdp/internal/faultinject"
 )
 
 // TestConcurrentShardSet drives one shard's set array from 16 goroutines
@@ -152,5 +155,147 @@ func TestConcurrentStatsAndAdapter(t *testing.T) {
 	}
 	if pd := c.PD(); pd < 1 || pd > c.Config().DMax {
 		t.Fatalf("PD %d escaped [1, %d]", pd, c.Config().DMax)
+	}
+}
+
+// TestStatsCountersNeverDecrease: while traffic on several goroutines
+// carries the shards across their recompute epochs, so recomputes
+// overlap the reads, no cumulative Stats field (every uint64 one)
+// decreases between two successive reads. Once traffic stops, the
+// sampler totals are exactly the sum of the shards' own sampler Stats.
+func TestStatsCountersNeverDecrease(t *testing.T) {
+	c, err := New(Config{Shards: 4, Sets: 16, Ways: 4, RecomputeEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traffic sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		traffic.Add(1)
+		go func(g int) {
+			defer traffic.Done()
+			for i := 0; i < 20000; i++ {
+				k := fmt.Sprintf("g%d:%d", g, i%300)
+				if _, ok := c.Get(k); !ok {
+					c.Put(k, []byte(k))
+				}
+			}
+		}(g)
+	}
+	stop, reads := make(chan struct{}), 0
+	reader := make(chan struct{})
+	go func() {
+		defer close(reader)
+		for prev := c.Stats(); ; reads++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur := c.Stats()
+			if f, was, now := decreased(prev, cur); f != "" {
+				t.Errorf("Stats.%s went backwards after %d reads: %d -> %d", f, reads, was, now)
+				return
+			}
+			prev = cur
+		}
+	}()
+	traffic.Wait()
+	close(stop)
+	<-reader
+
+	st := c.Stats()
+	var accs, hits uint64
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		accs, hits = accs+sh.pdp.smp.Stats.Accesses, hits+sh.pdp.smp.Stats.Hits
+		sh.mu.Unlock()
+	}
+	if accs == 0 || st.SamplerAccesses != accs || st.SamplerHits != hits {
+		t.Fatalf("sampler accesses/hits %d/%d, the shards' samplers count %d/%d", st.SamplerAccesses, st.SamplerHits, accs, hits)
+	}
+	if st.Recomputes == 0 {
+		t.Fatal("no recompute overlapped the reads")
+	}
+	t.Logf("%d reads over %d recomputes", reads, st.Recomputes)
+}
+
+// decreased names the first uint64 field of Stats that is lower in cur
+// than in prev ("" when none is), with both values.
+func decreased(prev, cur Stats) (field string, was, now uint64) {
+	p, c := reflect.ValueOf(prev), reflect.ValueOf(cur)
+	for i := 0; i < p.NumField(); i++ {
+		if p.Field(i).Kind() == reflect.Uint64 && c.Field(i).Uint() < p.Field(i).Uint() {
+			return p.Type().Field(i).Name, p.Field(i).Uint(), c.Field(i).Uint()
+		}
+	}
+	return "", 0, 0
+}
+
+// TestBreakerInvariantsUnderChaos: explicit recomputes, Heal ticks, inline
+// recomputes and traffic race while a seeded injector panics recomputes
+// and flips RDD counters (tripping whole rounds and single shards). Each
+// shard's breaker transition is atomic under its own lock, so every
+// CheckInvariants call — flag, streak and trip/re-arm ledger agree — holds
+// throughout, and once the chaos window closes every shard re-arms.
+func TestBreakerInvariantsUnderChaos(t *testing.T) {
+	spec, err := faultinject.Parse("recompute.panic=0.3,counter.flip=1e-3,until=40000,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{
+		Shards: 4, Sets: 16, Ways: 4,
+		RecomputeEvery: 512,
+		MinSamples:     8,
+		RearmAfter:     2,
+		Chaos:          faultinject.NewInjector(spec, 4, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopHeal := healEvery(c, time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	var bg, traffic sync.WaitGroup
+	loop := func(f func()) {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for ctx.Err() == nil {
+				f()
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
+	}
+	loop(func() { c.Recompute() })
+	loop(func() {
+		if err := c.CheckInvariants(); err != nil {
+			t.Error(err)
+			cancel()
+		}
+	})
+	for g := 0; g < 4; g++ {
+		traffic.Add(1)
+		go func(g int) {
+			defer traffic.Done()
+			for i := 0; i < 20000 && ctx.Err() == nil; i++ {
+				k := fmt.Sprintf("g%d:%d", g, i%300)
+				if _, ok := c.Get(k); !ok {
+					c.Put(k, []byte(k))
+				}
+			}
+		}(g)
+	}
+	traffic.Wait()
+	cancel()
+	bg.Wait()
+	stopHeal()
+
+	st := c.Stats()
+	if st.BreakerTrips == 0 {
+		t.Fatalf("no breaker trips in the chaos window: %+v", st)
+	}
+	t.Logf("%d trips, %d re-arms over %d recomputes", st.BreakerTrips, st.BreakerRearms, st.Recomputes)
+	rearm(t, c)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

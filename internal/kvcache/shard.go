@@ -383,6 +383,7 @@ func (sh *shard) stats() ShardStats {
 	s := sh.st
 	s.Entries, s.Bytes = sh.entries, sh.bytes
 	s.Evictions = s.EvictionsUnprotected + s.EvictionsForced
+	s.Degraded = sh.pdp.degraded()
 	if sh.pdp != nil {
 		s.SamplerAccesses = sh.pdp.smp.Stats.Accesses
 		s.SamplerHits = sh.pdp.smp.Stats.Hits
@@ -390,7 +391,7 @@ func (sh *shard) stats() ShardStats {
 	return s
 }
 
-func (sh *shard) checkInvariants() error {
+func (sh *shard) checkInvariants(rearmAfter int) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := sh.check(sh.nshards, sh.maxBytes); err != nil {
@@ -413,5 +414,14 @@ func (sh *shard) checkInvariants() error {
 	if err := sh.lru.check(&sh.lines); err != nil || sh.pdp == nil {
 		return err
 	}
-	return sh.pdp.check(&sh.lines)
+	// The breaker: a trip not yet re-armed exactly while degraded, and a
+	// streak only while degraded, short of re-arming.
+	p, open := sh.pdp, uint64(0)
+	if p.deg {
+		open = 1
+	}
+	if sh.st.BreakerTrips-sh.st.BreakerRearms != open || (p.streak != 0 && !p.deg) || p.streak >= rearmAfter {
+		return fmt.Errorf("breaker degraded=%v with streak %d after %d trips and %d re-arms", p.deg, p.streak, sh.st.BreakerTrips, sh.st.BreakerRearms)
+	}
+	return p.check(&sh.lines)
 }

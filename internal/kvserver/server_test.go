@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,14 +118,26 @@ func TestValueTooLarge(t *testing.T) {
 	}
 }
 
+// panicOnce is a kvcache.Chaos whose first recompute panics, tripping
+// every shard.
+type panicOnce struct{ done atomic.Bool }
+
+func (*panicOnce) Access(int, kvcache.ChaosArray) {}
+
+func (p *panicOnce) Recompute(uint64) {
+	if !p.done.Swap(true) {
+		panic("injected recompute panic")
+	}
+}
+
 // TestAdaptEveryHealsTrippedCache: Start runs Cache.Heal every
 // AdaptEvery, so a tripped cache with no traffic re-arms.
 func TestAdaptEveryHealsTrippedCache(t *testing.T) {
-	srv, _ := startServer(t, kvcache.Config{Shards: 2, Sets: 8, Ways: 2, RecomputeEvery: 1 << 30},
+	srv, _ := startServer(t, kvcache.Config{Shards: 2, Sets: 8, Ways: 2, RecomputeEvery: 1 << 30, Chaos: &panicOnce{}},
 		Config{AdaptEvery: time.Millisecond})
-	srv.cache.Trip("test")
+	srv.cache.Recompute()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.cache.Degraded() {
+	for srv.cache.DegradedShards() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d shards still degraded after %d recomputes", srv.cache.DegradedShards(), srv.cache.Recomputes())
 		}

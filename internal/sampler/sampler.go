@@ -263,8 +263,9 @@ func FullConfig(cacheSets, sc int) Config {
 type fifoEntry = uint16
 
 // Stats counts sampler activity; read it directly, like cache.Stats. The
-// counters are cumulative over the sampler's lifetime (Reset does not
-// clear them).
+// counters are cumulative over the sampler's lifetime: nothing clears
+// them, Reset included, so a reader can publish them as monotonic
+// counters (kvcache's ShardStats does).
 type Stats struct {
 	// Accesses counts accesses to monitored sets.
 	Accesses uint64 `json:"accesses"`
@@ -447,13 +448,6 @@ func (s *RDSampler) AccessInto(set int, addr uint64, arr *CounterArray) {
 	}
 	s.counts[slot] = t
 }
-
-// ResetStats zeroes the cumulative activity counters, starting a fresh
-// observation window. Long-running services call it at epoch boundaries so
-// Stats describes the recent window rather than the process lifetime; the
-// FIFOs and counter array are untouched (use Reset or the array's
-// Reset/Decay for those).
-func (s *RDSampler) ResetStats() { s.Stats = Stats{} }
 
 // Reset clears FIFOs, sampling counters and the counter array.
 func (s *RDSampler) Reset() {

@@ -402,22 +402,3 @@ func TestCounterArrayMerge(t *testing.T) {
 	}()
 	a.Merge(NewCounterArray(32, 4))
 }
-
-func TestSamplerResetStats(t *testing.T) {
-	s := New(Config{CacheSets: 1, SampledSets: 1, FIFODepth: 4, InsertRate: 1, DMax: 16, Sc: 4})
-	s.Access(0, 64)
-	s.Access(0, 64)
-	if s.Stats.Accesses != 2 || s.Stats.Hits != 1 {
-		t.Fatalf("unexpected stats before reset: %+v", s.Stats)
-	}
-	s.ResetStats()
-	if s.Stats != (Stats{}) {
-		t.Fatalf("ResetStats left %+v", s.Stats)
-	}
-	// Measurement continues seamlessly: the FIFO kept its history, so the
-	// next reuse is still a hit.
-	s.Access(0, 64)
-	if s.Stats.Accesses != 1 || s.Stats.Hits != 1 {
-		t.Fatalf("unexpected stats after reset: %+v", s.Stats)
-	}
-}

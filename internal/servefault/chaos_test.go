@@ -138,10 +138,10 @@ func TestChaosCampaign(t *testing.T) {
 
 	// The chaos window (until=4000 accesses) is long past; clean
 	// recomputes must re-arm every shard.
-	for i := 0; i < 10 && cache.Degraded(); i++ {
+	for i := 0; i < 10 && cache.DegradedShards() > 0; i++ {
 		cache.Recompute()
 	}
-	if cache.Degraded() {
+	if cache.DegradedShards() > 0 {
 		t.Fatalf("breaker never re-armed after the chaos window: %d shards degraded",
 			cache.DegradedShards())
 	}
@@ -154,8 +154,10 @@ func TestChaosCampaign(t *testing.T) {
 }
 
 func TestReadyzTracksBreaker(t *testing.T) {
-	// Deterministic readiness check: trip manually, watch /readyz flip.
-	cache, base, _ := startChaosServer(t, "recompute.panic=1e-12,seed=1", 2)
+	// Deterministic readiness check: every recompute panics until the
+	// second cache access, so one Recompute trips the breaker; watch
+	// /readyz flip.
+	cache, base, _ := startChaosServer(t, "recompute.panic=1,until=1,seed=1", 2)
 
 	get := func(path string) int {
 		t.Helper()
@@ -171,14 +173,16 @@ func TestReadyzTracksBreaker(t *testing.T) {
 	if code := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("fresh server /readyz = %d", code)
 	}
-	cache.Trip("manual")
+	cache.Recompute()
 	if code := get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded /readyz = %d, want 503", code)
 	}
 	if code := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("degraded /healthz = %d; liveness must survive degradation", code)
 	}
-	for i := 0; i < cache.Config().RearmAfter && cache.Degraded(); i++ {
+	cache.Get("a")
+	cache.Get("b") // the chaos window closes
+	for i := 0; i < cache.Config().RearmAfter && cache.DegradedShards() > 0; i++ {
 		cache.Recompute()
 	}
 	if code := get("/readyz"); code != http.StatusOK {

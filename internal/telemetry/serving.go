@@ -45,7 +45,7 @@ type BreakerRecord struct {
 	// State is "tripped" or "rearmed".
 	State string `json:"state"`
 	// Reason names the trigger: "recompute_panic", "recompute_stall",
-	// "rdd_inconsistent", "sampler_corrupt", "manual",
+	// "rdd_inconsistent", "sampler_corrupt",
 	// or, for re-arms, "clean_recomputes".
 	Reason string `json:"reason"`
 	// Streak is the clean-recompute streak at the transition (re-arms).
