@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner and one-detector seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner, narrow-LLC and one-detector seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -52,6 +52,10 @@ race:
 # cross-epoch sampler total (smpAccs, smpHits); the breaker's streak
 # lives with the shard's flag, so kvcache keeps no streaks array and has
 # no manual Trip or Degraded wrapper.
+# The narrow-LLC rule (DESIGN.md §3): a simulated cache way stores a
+# 32-bit tag, and only SetMonitor allocates the per-set access clock, so
+# non-test internal/cache declares no []uint64 tag array and New's literal
+# allocates no setAccs.
 # The one-detector rule (DESIGN.md §8): ring membership is the only "peer
 # down", so cluster's Peer keeps no down flag and cluster registers no
 # stored gauge (members_alive and peer_up are a view of the ring), and
@@ -77,6 +81,7 @@ seam:
 	@! grep -nE '"sync(/atomic)?"' internal/kvcache/decisions.go
 	@! grep -n 'ResetStats' $$(ls internal/kvcache/*.go internal/sampler/*.go | grep -v _test.go)
 	@! grep -nE '\b(smpAccs|smpHits|streaks)\b|func \(c \*Cache\) (Trip|Degraded)\(' $$(ls internal/kvcache/*.go | grep -v _test.go)
+	@! grep -nE 'tags +\[\]uint64|setAccs: +make' $$(ls internal/cache/*.go | grep -v _test.go)
 	@! grep -nE '\bdown +bool\b|\.down\b|reg\.Gauge\(' $$(ls internal/cluster/*.go | grep -v _test.go)
 	@test "$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | grep -c 'c\.ring\.Eject(')" = 1
 	@test "$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | grep -c 'c\.ring\.Rejoin(')" = 1

@@ -23,7 +23,9 @@
 // per core; 0 takes experiments.DefaultConfig's window for the core count.
 // A -trace replay never rewinds: with -n 0 it measures the largest window
 // whose warm-up and accesses the trace holds, and a larger -n, or a trace
-// shorter than the minimum warm-up plus one access, exits 2.
+// shorter than the minimum warm-up plus one access, exits 2. So does a
+// trace with an address at or past 2^49, whose tag at the LLC's 2048 sets
+// of 64 B lines is wider than the 32 bits a cache way stores.
 //
 // A comma-separated -policy list selects batch mode: every policy runs
 // over the same stream and one summary prints per policy, in list order.
@@ -61,6 +63,7 @@ import (
 	"pdp/internal/parallel"
 	"pdp/internal/resilience"
 	"pdp/internal/telemetry"
+	"pdp/internal/trace"
 	"pdp/internal/tracefile"
 	"pdp/internal/workload"
 )
@@ -152,6 +155,12 @@ func run() int {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reading %s: %v\n", *traceFile, err)
 			return 1
+		}
+		// The LLC stores 32-bit tags: an address whose tag is wider would
+		// panic mid-run, so refuse the trace here.
+		if a := maxAddr(accs); a/(experiments.LLCSets*trace.LineSize)>>32 != 0 {
+			return usage("%s: address %#x has a tag wider than the LLC's 32 bits (%d sets of %d B lines hold addresses below %#x)",
+				*traceFile, a, experiments.LLCSets, trace.LineSize, uint64(experiments.LLCSets*trace.LineSize)<<32)
 		}
 		// A replay never rewinds: the warm-up and the window must fit.
 		fit := traceWindow(len(accs))
@@ -345,6 +354,15 @@ func run() int {
 // accesses fit in a trace of l accesses, or 0 when not even one does.
 func traceWindow(l int) int {
 	return max(sort.Search(l+1, func(n int) bool { return n+experiments.Warmup(n) > l })-1, 0)
+}
+
+// maxAddr returns the largest address in accs (0 when empty).
+func maxAddr(accs []trace.Access) uint64 {
+	var m uint64
+	for _, a := range accs {
+		m = max(m, a.Addr)
+	}
+	return m
 }
 
 // printRun prints the summary of a one-policy single-core run.

@@ -89,8 +89,10 @@ type Event struct {
 	Way  int
 	// Addr is the line-aligned address concerned (victim address for EvEvict).
 	Addr uint64
-	// SetAccesses is the number of accesses to Set so far, including this
-	// one — the time unit of the paper's reuse distances and occupancies.
+	// SetAccesses is the number of accesses to Set since a monitor was
+	// first attached, including this one: the time unit of the paper's
+	// reuse distances and occupancies. Monitors read only differences of
+	// it.
 	SetAccesses uint64
 	Acc         trace.Access
 }
@@ -123,12 +125,15 @@ func (s Stats) HitRate() float64 {
 
 // Result reports what one access did.
 type Result struct {
-	Hit        bool
-	Bypass     bool
-	Evicted    bool
-	Writeback  bool
-	Set, Way   int
-	VictimAddr uint64
+	Hit       bool
+	Bypass    bool
+	Evicted   bool
+	Writeback bool
+	Set, Way  int
+	// WritebackAddr is the dirty victim's line address, set only when
+	// Writeback; a clean victim's address is not computed (a monitor sees
+	// it as EvEvict's Addr).
+	WritebackAddr uint64
 }
 
 // Cache is a set-associative cache with an attached policy.
@@ -138,14 +143,18 @@ type Cache struct {
 	setShift  uint // log2(Sets)
 	setMask   uint64
 	// tags holds the tag of each (set, way); it is meaningful only where
-	// meta marks the way valid.
-	tags []uint64
+	// meta marks the way valid. A tag is 32 bits: find panics on an address
+	// whose tag is wider.
+	tags []uint32
 	// meta holds one byte per (set, way), eight to a word, each set
 	// starting a fresh word: 0 for an empty way, else the tag's
 	// fingerprint (1..127) with the dirty bit above it. A set's bytes past
 	// its last way hold padByte.
-	meta    []uint64
-	words   int // meta words per set
+	meta  []uint64
+	words int // meta words per set
+	// setAccs is the per-set access clock of monitor events: allocated by
+	// the first SetMonitor with a monitor and advanced only while one is
+	// attached, so an unmonitored cache neither holds nor writes it.
 	setAccs []uint64
 	pol     Policy
 	mon     Monitor
@@ -175,10 +184,9 @@ func New(cfg Config, pol Policy) *Cache {
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setShift:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:   uint64(cfg.Sets - 1),
-		tags:      make([]uint64, cfg.Sets*cfg.Ways),
+		tags:      make([]uint32, cfg.Sets*cfg.Ways),
 		meta:      meta,
 		words:     words,
-		setAccs:   make([]uint64, cfg.Sets),
 		pol:       pol,
 	}
 }
@@ -195,8 +203,15 @@ func (c *Cache) Ways() int { return c.cfg.Ways }
 // Policy returns the attached policy.
 func (c *Cache) Policy() Policy { return c.pol }
 
-// SetMonitor attaches m (nil detaches).
-func (c *Cache) SetMonitor(m Monitor) { c.mon = m }
+// SetMonitor attaches m (nil detaches). The first monitor allocates the
+// per-set access clock; detaching keeps it, stopped, so a monitor attached
+// again later reads the same clock.
+func (c *Cache) SetMonitor(m Monitor) {
+	if m != nil && c.setAccs == nil {
+		c.setAccs = make([]uint64, c.cfg.Sets)
+	}
+	c.mon = m
+}
 
 // SetOf returns the set index of addr.
 func (c *Cache) SetOf(addr uint64) int {
@@ -208,8 +223,14 @@ func (c *Cache) TagOf(addr uint64) uint64 {
 	return addr >> c.lineShift >> c.setShift
 }
 
-// SetAccesses returns the number of accesses seen by set so far.
-func (c *Cache) SetAccesses(set int) uint64 { return c.setAccs[set] }
+// SetAccesses returns the number of accesses to set made while a monitor
+// was attached: 0 before the first one.
+func (c *Cache) SetAccesses(set int) uint64 {
+	if c.setAccs == nil {
+		return 0
+	}
+	return c.setAccs[set]
+}
 
 // Valid reports whether (set, way) holds a line.
 func (c *Cache) Valid(set, way int) bool { return c.metaByte(set, way) != 0 }
@@ -217,7 +238,7 @@ func (c *Cache) Valid(set, way int) bool { return c.metaByte(set, way) != 0 }
 // LineAddr reconstructs the line-aligned address stored in the valid way
 // (set, way).
 func (c *Cache) LineAddr(set, way int) uint64 {
-	return (c.tags[set*c.cfg.Ways+way]<<c.setShift | uint64(set)) << c.lineShift
+	return (uint64(c.tags[set*c.cfg.Ways+way])<<c.setShift | uint64(set)) << c.lineShift
 }
 
 // Per-way metadata bytes, and the byte-lane constants of the probe.
@@ -280,9 +301,13 @@ func (c *Cache) setMeta(set, way int, b uint64) {
 // find is the one tag lookup: the way of addr's set holding addr's line
 // (-1 when not resident) and the set's lowest empty way (-1 when full, and
 // not looked for past a hit). It probes eight ways per meta word; only
-// candidates' tags are read.
+// candidates' tags are read. It panics, before any compare, on an address
+// whose tag does not fit the 32 bits a way stores.
 func (c *Cache) find(set int, addr uint64) (way, free int) {
 	tag := c.TagOf(addr)
+	if tag>>32 != 0 {
+		c.tagOverflow(addr)
+	}
 	fp := Fingerprint(tag)
 	tags := c.tags[set*c.cfg.Ways:]
 	free = -1
@@ -290,7 +315,7 @@ func (c *Cache) find(set int, addr uint64) (way, free int) {
 		cand, empty := Probe(w, fp)
 		for ; cand != 0; cand &= cand - 1 {
 			way = i*8 + bits.TrailingZeros64(cand)>>3
-			if tags[way] == tag {
+			if tags[way] == uint32(tag) {
 				if below := empty & (cand&-cand - 1); free < 0 && below != 0 {
 					free = i*8 + bits.TrailingZeros64(below)>>3
 				}
@@ -302,6 +327,12 @@ func (c *Cache) find(set int, addr uint64) (way, free int) {
 		}
 	}
 	return -1, free
+}
+
+// tagOverflow panics for an address whose tag needs more than 32 bits.
+// It is its own function so that find stays small.
+func (c *Cache) tagOverflow(addr uint64) {
+	panic(fmt.Sprintf("cache %s: address %#x has tag %#x, wider than the 32 bits a way stores", c.cfg.Name, addr, c.TagOf(addr)))
 }
 
 // Contains reports whether addr's line is resident (no state change).
@@ -319,7 +350,9 @@ func (c *Cache) Access(acc trace.Access) Result {
 	if acc.Write {
 		c.Stats.WriteAccs++
 	}
-	c.setAccs[set]++
+	if c.mon != nil {
+		c.setAccs[set]++
+	}
 
 	if way >= 0 {
 		c.Stats.Hits++
@@ -357,22 +390,22 @@ func (c *Cache) Access(acc trace.Access) Result {
 		}
 		way = v
 		res.Evicted = true
-		res.VictimAddr = c.LineAddr(set, way)
 		res.Writeback = c.metaByte(set, way)&dirtyBit != 0
 		if res.Writeback {
+			res.WritebackAddr = c.LineAddr(set, way)
 			c.Stats.Writebacks++
 		}
 		c.Stats.Evictions++
 		// Emit before notifying the policy so monitors can observe the
 		// victim's pre-eviction policy state (e.g. PDP's RPD).
 		if c.mon != nil {
-			c.emit(EvEvict, set, way, res.VictimAddr, acc)
+			c.emit(EvEvict, set, way, c.LineAddr(set, way), acc)
 		}
 		c.pol.Evict(set, way)
 	}
 
 	tag := c.TagOf(acc.Addr)
-	c.tags[set*c.cfg.Ways+way] = tag
+	c.tags[set*c.cfg.Ways+way] = uint32(tag)
 	fp := Fingerprint(tag)
 	if acc.Write {
 		fp |= dirtyBit

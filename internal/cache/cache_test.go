@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -69,12 +71,9 @@ func TestLRUEvictionOrder(t *testing.T) {
 	// Promote tag 0; LRU is now tag 1.
 	c.Access(trace.Access{Addr: addr(1, 0, 0)})
 	r := c.Access(trace.Access{Addr: addr(1, 0, 9)})
-	if !r.Evicted || r.VictimAddr != addr(1, 0, 1) {
-		t.Fatalf("victim = %#x, want tag 1 (%#x)", r.VictimAddr, addr(1, 0, 1))
-	}
-	// tag 1 must be gone, tag 0 resident.
-	if c.Contains(addr(1, 0, 1)) || !c.Contains(addr(1, 0, 0)) {
-		t.Fatal("wrong line evicted")
+	// tag 1 must be the victim, tag 0 resident.
+	if !r.Evicted || c.Contains(addr(1, 0, 1)) || !c.Contains(addr(1, 0, 0)) {
+		t.Fatalf("wrong line evicted: %+v", r)
 	}
 }
 
@@ -87,8 +86,8 @@ func TestLRUDemote(t *testing.T) {
 	// Demote tag 3 (the MRU) to LRU; next victim must be tag 3.
 	lru.Demote(0, 3)
 	r := c.Access(trace.Access{Addr: addr(1, 0, 9)})
-	if r.VictimAddr != addr(1, 0, 3) {
-		t.Fatalf("victim = %#x, want demoted tag 3", r.VictimAddr)
+	if !r.Evicted || c.Contains(addr(1, 0, 3)) {
+		t.Fatalf("demoted tag 3 not evicted: %+v", r)
 	}
 }
 
@@ -113,15 +112,15 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 	c.Access(trace.Access{Addr: addr(1, 0, 0), Write: true})
 	c.Access(trace.Access{Addr: addr(1, 0, 1)})
 	r := c.Access(trace.Access{Addr: addr(1, 0, 2)}) // evicts dirty tag 0
-	if !r.Evicted || !r.Writeback {
-		t.Fatalf("expected dirty eviction, got %+v", r)
+	if !r.Evicted || !r.Writeback || r.WritebackAddr != addr(1, 0, 0) {
+		t.Fatalf("expected dirty eviction of %#x, got %+v", addr(1, 0, 0), r)
 	}
 	if c.Stats.Writebacks != 1 {
 		t.Fatalf("Writebacks = %d, want 1", c.Stats.Writebacks)
 	}
 	// Clean eviction must not count.
 	r = c.Access(trace.Access{Addr: addr(1, 0, 3)}) // evicts clean tag 1
-	if r.Writeback || c.Stats.Writebacks != 1 {
+	if r.Writeback || r.WritebackAddr != 0 || c.Stats.Writebacks != 1 {
 		t.Fatalf("clean eviction miscounted: %+v, wb=%d", r, c.Stats.Writebacks)
 	}
 }
@@ -191,7 +190,7 @@ func TestInvalidVictimPanics(t *testing.T) {
 func TestAddressMappingRoundTrip(t *testing.T) {
 	c := mkCache(64, 8, false)
 	f := func(raw uint64) bool {
-		a := raw &^ 63 // line aligned
+		a := raw & (1<<44 - 1) &^ 63 // line aligned; 64 sets leave a 32-bit tag
 		set := c.SetOf(a)
 		if set < 0 || set >= 64 {
 			return false
@@ -239,6 +238,65 @@ func TestMonitorEvents(t *testing.T) {
 		if rec.evs[i].SetAccesses != w {
 			t.Errorf("event %d SetAccesses = %d, want %d", i, rec.evs[i].SetAccesses, w)
 		}
+	}
+}
+
+// TestSetAccessesOnlyWhileMonitored pins the per-set clock: 0 before the
+// first monitor, counting from there while one is attached, stopped (not
+// reset) while detached.
+func TestSetAccessesOnlyWhileMonitored(t *testing.T) {
+	c := mkCache(2, 2, false)
+	c.Access(trace.Access{Addr: addr(2, 0, 0)})
+	c.Access(trace.Access{Addr: addr(2, 0, 1)})
+	if got := c.SetAccesses(0); got != 0 {
+		t.Fatalf("SetAccesses before any monitor = %d, want 0", got)
+	}
+	rec := &recorder{}
+	c.SetMonitor(rec)
+	c.Access(trace.Access{Addr: addr(2, 0, 0)})
+	c.Access(trace.Access{Addr: addr(2, 1, 0)})
+	c.SetMonitor(nil)
+	c.Access(trace.Access{Addr: addr(2, 0, 0)})
+	if got := [2]uint64{c.SetAccesses(0), c.SetAccesses(1)}; got != [2]uint64{1, 1} {
+		t.Fatalf("SetAccesses after one monitored access per set and a detached one = %v, want [1 1]", got)
+	}
+	c.SetMonitor(rec)
+	c.Access(trace.Access{Addr: addr(2, 0, 0)})
+	var got []uint64
+	for _, ev := range rec.evs {
+		got = append(got, ev.SetAccesses)
+	}
+	if fmt.Sprint(got) != "[1 1 2]" {
+		t.Fatalf("event SetAccesses = %v, want [1 1 2]", got)
+	}
+}
+
+// TestTagOverflowPanics: an address whose tag needs more than the 32 bits a
+// way stores panics, naming the cache and the address, from Access and from
+// Contains alike; the widest tag that fits round-trips.
+func TestTagOverflowPanics(t *testing.T) {
+	c := New(Config{Name: "LLC", Sets: 4, Ways: 2, LineSize: 64}, NewLRU(4, 2))
+	top := addr(4, 3, 1<<32-1)
+	if r := c.Access(trace.Access{Addr: top}); r.Hit || !c.Contains(top) || c.LineAddr(3, r.Way) != top {
+		t.Fatalf("tag 2^32-1: %+v, LineAddr %#x, want %#x resident", r, c.LineAddr(3, r.Way), top)
+	}
+	over := addr(4, 3, 1<<32)
+	for name, op := range map[string]func(){
+		"Access":   func() { c.Access(trace.Access{Addr: over}) },
+		"Contains": func() { c.Contains(over) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "cache LLC") || !strings.Contains(msg, fmt.Sprintf("%#x", over)) {
+					t.Errorf("%s(%#x) panic = %q, want one naming cache LLC and the address", name, over, msg)
+				}
+			}()
+			op()
+		}()
+	}
+	if c.Stats.Accesses != 1 {
+		t.Fatalf("Accesses = %d after the panicking access, want 1 (it panics before counting)", c.Stats.Accesses)
 	}
 }
 

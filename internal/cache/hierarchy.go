@@ -48,7 +48,7 @@ func (h *Hierarchy) access(acc trace.Access, lvl int) int {
 	// whether this level allocated (bypass) or filled.
 	hitLvl := h.access(acc, lvl+1)
 	if res.Writeback {
-		h.writeback(res.VictimAddr, lvl+1)
+		h.writeback(res.WritebackAddr, lvl+1)
 	}
 	return hitLvl
 }

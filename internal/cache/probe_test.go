@@ -19,7 +19,7 @@ func linearFind(keys []uint64, tag uint64) (way, free int) {
 }
 
 // probePool is the tags FuzzProbe places and looks up: 32 that share one
-// fingerprint, 32 small ones and 8 just below 2^46.
+// fingerprint, 32 small ones and the 8 widest a way stores, just below 2^32.
 func probePool() []uint64 {
 	var pool []uint64
 	for tag := uint64(1 << 20); len(pool) < 32; tag++ {
@@ -30,7 +30,7 @@ func probePool() []uint64 {
 	for tag := uint64(0); tag < 32; tag++ {
 		pool = append(pool, tag)
 	}
-	for tag := uint64(1<<46 - 8); tag < 1<<46; tag++ {
+	for tag := uint64(1<<32 - 8); tag < 1<<32; tag++ {
 		pool = append(pool, tag)
 	}
 	return pool
@@ -74,7 +74,7 @@ func FuzzProbe(f *testing.F) {
 			if layout[i]&2 != 0 {
 				fp |= dirtyBit
 			}
-			c.tags[i] = tag
+			c.tags[i] = uint32(tag)
 			c.setMeta(set, i%w, fp)
 			keys[i] = tag + 1
 		}

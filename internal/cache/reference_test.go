@@ -80,12 +80,13 @@ func (r *refCache) access(acc trace.Access) Result {
 			res.Bypass = true
 			return res
 		}
-		res.Evicted, res.VictimAddr, res.Writeback = true, r.lineAddr(set, way), r.dirty[base+way]
+		res.Evicted, res.Writeback = true, r.dirty[base+way]
 		r.stats.Evictions++
 		if res.Writeback {
+			res.WritebackAddr = r.lineAddr(set, way)
 			r.stats.Writebacks++
 		}
-		r.event(EvEvict, set, way, res.VictimAddr, acc)
+		r.event(EvEvict, set, way, r.lineAddr(set, way), acc)
 		r.pol.Evict(set, way)
 	}
 	_, r.tags[base+way] = r.split(acc.Addr)
@@ -113,8 +114,8 @@ func (h *refHierarchy) access(acc trace.Access, lvl int) int {
 	hit := h.access(acc, lvl+1)
 	if res.Writeback {
 		for l := lvl + 1; l < len(h.levels); l++ {
-			if _, way := h.levels[l].lookup(res.VictimAddr); way >= 0 {
-				h.levels[l].access(trace.Access{Addr: res.VictimAddr, Write: true, WB: true})
+			if _, way := h.levels[l].lookup(res.WritebackAddr); way >= 0 {
+				h.levels[l].access(trace.Access{Addr: res.WritebackAddr, Write: true, WB: true})
 				break
 			}
 		}

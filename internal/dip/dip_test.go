@@ -18,13 +18,13 @@ func TestBIPInsertsAtLRU(t *testing.T) {
 		c.Access(trace.Access{Addr: addr(1, 0, tag)})
 	}
 	r := c.Access(trace.Access{Addr: addr(1, 0, 10)})
-	if !r.Evicted || r.VictimAddr != addr(1, 0, 3) {
-		t.Fatalf("victim = %#x, want most recent insert (tag 3)", r.VictimAddr)
+	if !r.Evicted || c.Contains(addr(1, 0, 3)) {
+		t.Fatalf("%+v: want the most recent insert (tag 3) evicted", r)
 	}
 	// The new line itself is at LRU: next insert evicts it.
 	r = c.Access(trace.Access{Addr: addr(1, 0, 11)})
-	if r.VictimAddr != addr(1, 0, 10) {
-		t.Fatalf("victim = %#x, want tag 10", r.VictimAddr)
+	if !r.Evicted || c.Contains(addr(1, 0, 10)) {
+		t.Fatalf("%+v: want tag 10 evicted", r)
 	}
 }
 
@@ -35,8 +35,8 @@ func TestBIPHitPromotes(t *testing.T) {
 	c.Access(trace.Access{Addr: addr(1, 0, 1)})
 	c.Access(trace.Access{Addr: addr(1, 0, 1)}) // promote tag 1 to MRU
 	r := c.Access(trace.Access{Addr: addr(1, 0, 2)})
-	if r.VictimAddr != addr(1, 0, 0) {
-		t.Fatalf("victim = %#x, want non-promoted tag 0", r.VictimAddr)
+	if !r.Evicted || c.Contains(addr(1, 0, 0)) {
+		t.Fatalf("%+v: want the non-promoted tag 0 evicted", r)
 	}
 }
 

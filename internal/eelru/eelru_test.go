@@ -50,8 +50,8 @@ func TestLRUModeByDefault(t *testing.T) {
 	}
 	c.Access(trace.Access{Addr: addr(1, 0, 0)}) // promote A
 	r := c.Access(trace.Access{Addr: addr(1, 0, 9)})
-	if r.VictimAddr != addr(1, 0, 1) {
-		t.Fatalf("victim = %#x, want LRU line (tag 1)", r.VictimAddr)
+	if !r.Evicted || c.Contains(addr(1, 0, 1)) {
+		t.Fatalf("%+v: want the LRU line (tag 1) evicted", r)
 	}
 }
 

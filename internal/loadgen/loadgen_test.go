@@ -81,12 +81,15 @@ func TestLatencyQuantilesReported(t *testing.T) {
 }
 
 func TestRunAgainstDeadServer(t *testing.T) {
-	// No server on the port: transport errors are counted, not fatal.
+	// No server on the port: transport errors are counted, not fatal. The
+	// 1 ms backoff keeps the retries from spending seconds of wall time.
 	res, err := Run(context.Background(), Config{
-		BaseURL: "http://127.0.0.1:1",
-		Mix:     workload.ServiceConfig{Keys: 10},
-		Workers: 2,
-		Ops:     5,
+		BaseURL:   "http://127.0.0.1:1",
+		Mix:       workload.ServiceConfig{Keys: 10},
+		Workers:   2,
+		Ops:       5,
+		RetryBase: time.Millisecond,
+		RetryMax:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("transport failure escalated: %v", err)

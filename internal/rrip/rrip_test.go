@@ -31,8 +31,8 @@ func TestSRRIPVictimAging(t *testing.T) {
 	// All lines at RRPV 2: victim selection must age everyone to 3 and
 	// pick way 0.
 	r := c.Access(trace.Access{Addr: addr(1, 0, 9)})
-	if !r.Evicted || r.VictimAddr != addr(1, 0, 0) {
-		t.Fatalf("victim = %#x, want leftmost aged line (tag 0)", r.VictimAddr)
+	if !r.Evicted || c.Contains(addr(1, 0, 0)) {
+		t.Fatalf("%+v: want the leftmost aged line (tag 0) evicted", r)
 	}
 	// Remaining old lines must now be at RRPV 3.
 	for w := 1; w < 4; w++ {

@@ -69,8 +69,8 @@ func TestVictimPrefersPredictedDead(t *testing.T) {
 	c.Access(trace.Access{Addr: addr(4, 1, 0), PC: 1})      // live, becomes LRU
 	c.Access(trace.Access{Addr: addr(4, 1, 1), PC: deadPC}) // dead-predicted, MRU
 	r := c.Access(trace.Access{Addr: addr(4, 1, 2), PC: 1}) // miss
-	if r.VictimAddr != addr(4, 1, 1) {
-		t.Fatalf("victim = %#x, want predicted-dead line despite being MRU", r.VictimAddr)
+	if !r.Evicted || c.Contains(addr(4, 1, 1)) || !c.Contains(addr(4, 1, 0)) {
+		t.Fatalf("%+v: want the predicted-dead line evicted despite being MRU", r)
 	}
 }
 
