@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner, narrow-LLC and one-detector seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner, narrow-LLC, one-detector and no-resume seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -61,6 +61,10 @@ race:
 # stored gauge (members_alive and peer_up are a view of the ring), and
 # Cluster.observe, fed by probes and exchanges alike, is the only code
 # that ejects or rejoins a member.
+# The no-resume rule (DESIGN.md §10): a run of `repro all` takes minutes
+# and is simply rerun, so non-test Go declares no Checkpoint type and no
+# RetryConfig, and cmd/repro defines no checkpoint, resume or keep-going
+# flag.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -nE '(hashes|last) +\[\]uint64' $$(ls internal/kvcache/*.go | grep -v _test.go)
@@ -85,6 +89,8 @@ seam:
 	@! grep -nE '\bdown +bool\b|\.down\b|reg\.Gauge\(' $$(ls internal/cluster/*.go | grep -v _test.go)
 	@test "$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | grep -c 'c\.ring\.Eject(')" = 1
 	@test "$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | grep -c 'c\.ring\.Rejoin(')" = 1
+	@! grep -rnE 'type +Checkpoint|\bRetryConfig\b' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .
+	@! grep -nE 'flag\.[A-Za-z]+\("(checkpoint|resume|keep-going)"' $$(ls cmd/repro/*.go | grep -v _test.go)
 
 # Non-test line counts: the six serving packages (ROADMAP's size table),
 # then the paper's packages, the scaffolding and the commands (ROADMAP
@@ -158,7 +164,7 @@ bench-overhead:
 bench-alloc:
 	$(GO) test -count=1 -run 'AllocBudget' -v ./internal/kvcache/ ./internal/kvserver/
 
-# Fuzz smoke: the untrusted decoders (trace files, checkpoints, /batch
+# Fuzz smoke: the untrusted decoders (trace files, /batch
 # requests and answers, the last two against encoding/json as oracle),
 # RDDGen against its address-keyed original (a Go map), the cache's tag
 # probe against the linear scan it replaced, the LRU recency stack against
@@ -170,7 +176,6 @@ bench-alloc:
 # fresh cache, which must pass CheckInvariants.
 fuzz:
 	$(GO) test ./internal/tracefile/ -run FuzzReader -fuzz FuzzReader -fuzztime 20s
-	$(GO) test ./internal/resilience/ -run FuzzDecodeCheckpoint -fuzz FuzzDecodeCheckpoint -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseOps -fuzz FuzzParseOps -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseRows -fuzz FuzzParseRows -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzRDDGen -fuzz FuzzRDDGen -fuzztime 20s

@@ -42,7 +42,7 @@
 // per-thread protecting distances.
 //
 // A run is short (a default window takes about a second), so an interrupted
-// one is simply rerun; `repro -checkpoint` resumes long campaigns run by run.
+// one is simply rerun.
 package main
 
 import (

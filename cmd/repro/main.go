@@ -15,16 +15,13 @@
 //
 //	-timeout D      per-experiment watchdog; an expired experiment fails,
 //	                the rest still run
-//	-keep-going     report per-experiment errors and continue (forced on
-//	                for `all`); exit status is still non-zero at the end
-//	-checkpoint F   record completed experiments in F (JSON, atomic)
-//	-resume         skip experiments already completed in the checkpoint;
-//	                a checkpoint taken under other windows, seed or mix
-//	                counts is ignored, and an interrupted experiment reruns
-//	                from its start
 //	-inject SPEC    seeded fault injection into the workload streams
 //	                (trace keys; faultcamp also reads the policy keys)
 //	-telemetry F    JSONL journal of run/watchdog/fault/recovery events
+//
+// Every requested experiment runs, a failed one included; the exit status
+// is 1 if any failed, and SIGINT/SIGTERM stops the loop. A run of `all`
+// takes minutes, so an interrupted one is simply rerun.
 //
 // Performance:
 //
@@ -55,8 +52,6 @@ import (
 	"pdp/internal/workload"
 )
 
-const defaultCheckpoint = "repro.ckpt.json"
-
 func main() { os.Exit(run()) }
 
 // run is the command body; it returns the exit status, so its deferred
@@ -69,9 +64,6 @@ func run() int {
 	seed := flag.Uint64("seed", 42, "random seed")
 	jobs := flag.Int("jobs", 1, "concurrent simulation tasks per experiment (0 = all cores; tables are identical at any value)")
 	timeout := flag.Duration("timeout", 0, "per-experiment watchdog timeout (0 disables)")
-	keepGoing := flag.Bool("keep-going", false, "continue past failing experiments (forced on for `all`)")
-	checkpoint := flag.String("checkpoint", "", "record completed experiments in this JSON file")
-	resume := flag.Bool("resume", false, "skip experiments already completed in the checkpoint (default "+defaultCheckpoint+")")
 	inject := flag.String("inject", "", "fault-injection spec for workload streams (key=value,... ; keys in DESIGN.md §10)")
 	telemetryOut := flag.String("telemetry", "", "write a JSONL telemetry journal to this file")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (long runs)")
@@ -126,12 +118,10 @@ func run() int {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: repro [-list] [-scale f] [-timeout d] [-resume] all | <id>...")
+		fmt.Fprintln(os.Stderr, "usage: repro [-list] [-scale f] [-timeout d] all | <id>...")
 		fmt.Fprintln(os.Stderr, "run `repro -list` for experiment ids")
 		return 2
 	}
-	isAll := len(args) == 1 && args[0] == "all"
-	kg := *keepGoing || isAll
 
 	// The experiments read trace keys only; faultcamp also reads the
 	// policy keys, and a spec it is given must inject something.
@@ -152,8 +142,8 @@ func run() int {
 		return 2
 	}
 
-	// Graceful shutdown: SIGINT/SIGTERM cancels in-flight runs; partial
-	// results (checkpoint, telemetry journal) are flushed on the way out.
+	// Graceful shutdown: SIGINT/SIGTERM cancels the in-flight run; the
+	// telemetry journal is flushed on the way out.
 	ctx, cancel := resilience.WithShutdown(context.Background())
 	defer cancel()
 
@@ -170,39 +160,6 @@ func run() int {
 		defer journal.Flush()
 	}
 
-	ckPath := *checkpoint
-	if ckPath == "" && *resume {
-		ckPath = defaultCheckpoint
-	}
-	runCfg := resilience.RunConfig{
-		Accesses:            cfg.Accesses,
-		MCAccessesPerThread: cfg.MCAccessesPerThread,
-		Mixes4:              cfg.Mixes4,
-		Mixes16:             cfg.Mixes16,
-		Seed:                cfg.Seed,
-	}
-	var ck *resilience.Checkpoint
-	if ckPath != "" {
-		if *resume {
-			ck, err = resilience.LoadCheckpoint(ckPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			// A checkpoint written under a different run configuration must
-			// not be trusted: its completion marks describe different
-			// windows. Start fresh instead of silently resuming.
-			if ok, why := ck.ConfigMatches(runCfg); !ok {
-				fmt.Fprintf(os.Stderr, "[checkpoint %s ignored: %s; starting fresh]\n", ckPath, why)
-				ck = resilience.NewCheckpoint()
-			} else if n := ck.CompletedCount(); n > 0 {
-				fmt.Printf("[resuming: %d experiments already completed in %s]\n", n, ckPath)
-			}
-		} else {
-			ck = resilience.NewCheckpoint()
-		}
-		ck.SetConfig(runCfg)
-	}
 	rep := faultinject.NewReporter(journal)
 	if spec.TraceEnabled() {
 		cfg.WrapBench = func(b workload.Benchmark) workload.Benchmark {
@@ -213,46 +170,8 @@ func run() int {
 	sup := &resilience.Supervisor{Timeout: *timeout, Journal: journal}
 	failed := 0
 
-	runOne := func(e experiments.Experiment) bool {
-		if ck != nil && *resume && ck.Done(e.ID) {
-			sup.Skip(e.ID)
-			fmt.Printf("[%s skipped: completed in checkpoint]\n", e.ID)
-			return true
-		}
-		// Buffer each experiment's tables so an abandoned (timed-out)
-		// goroutine can't interleave stale output with later experiments.
-		var buf bytes.Buffer
-		out := sup.Run(ctx, e.ID, func(runCtx context.Context) error {
-			ecfg := cfg
-			ecfg.Out = &buf
-			ecfg.Ctx = runCtx
-			return e.Run(ecfg)
-		})
-		if out.Err != nil {
-			// A run that returned has stopped writing buf: print the
-			// tables it got to, e.g. a failed campaign's report.
-			if !out.Abandoned {
-				os.Stdout.Write(buf.Bytes())
-			}
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, out.Err)
-			return false
-		}
-		os.Stdout.Write(buf.Bytes())
-		fmt.Printf("[%s done in %v]\n", e.ID, out.Duration.Round(time.Millisecond))
-		if ck != nil {
-			// Experiments run one after another, so this loop is the file's
-			// only writer and each save lands in completion order.
-			ck.MarkDone(e.ID, out.Duration)
-			if err := resilience.Retry(ctx, resilience.RetryConfig{Name: "checkpoint.save", Journal: journal},
-				func() error { return ck.Save(ckPath, journal) }); err != nil {
-				fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-			}
-		}
-		return true
-	}
-
 	var todo []experiments.Experiment
-	if isAll {
+	if len(args) == 1 && args[0] == "all" {
 		todo = experiments.Registry()
 	} else {
 		for _, id := range args {
@@ -275,12 +194,26 @@ func run() int {
 			failed++
 			break
 		}
-		if !runOne(e) {
-			failed++
-			if !kg {
-				break
-			}
+		// Buffer each experiment's tables so an abandoned (timed-out)
+		// goroutine can't interleave stale output with later experiments.
+		var buf bytes.Buffer
+		out := sup.Run(ctx, e.ID, func(runCtx context.Context) error {
+			ecfg := cfg
+			ecfg.Out = &buf
+			ecfg.Ctx = runCtx
+			return e.Run(ecfg)
+		})
+		// A run that returned has stopped writing buf: print the tables
+		// it got to, e.g. a failed campaign's report.
+		if !out.Abandoned {
+			os.Stdout.Write(buf.Bytes())
 		}
+		if out.Err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, out.Err)
+			failed++
+			continue
+		}
+		fmt.Printf("[%s done in %v]\n", e.ID, out.Duration.Round(time.Millisecond))
 	}
 	if journal != nil {
 		if err := journal.Flush(); err != nil {
@@ -295,7 +228,7 @@ func run() int {
 }
 
 // faultCampExperiment adapts a fault campaign to the experiment interface
-// so it runs under the same supervisor/checkpoint machinery.
+// so it runs under the same supervisor.
 func faultCampExperiment(spec faultinject.Spec, journal *telemetry.Journal) experiments.Experiment {
 	return experiments.Experiment{
 		ID:    "faultcamp",

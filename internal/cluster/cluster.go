@@ -259,35 +259,38 @@ func (c *Cluster) probeRound(ctx context.Context) {
 
 // probeOne GETs the peer's /healthz — the liveness route that kvserver
 // keeps exempt from the admission gate, so an overloaded-but-alive peer
-// still answers. One round retries once with the resilience backoff
-// before counting a failure, so a single dropped packet doesn't start an
-// ejection streak.
+// still answers. A failed try is retried once after ProbeTimeout/4, so a
+// single dropped packet doesn't start an ejection streak. A round cut
+// short by Stop counts nothing.
 func (c *Cluster) probeOne(ctx context.Context, p *Peer) {
-	err := resilience.Retry(ctx, resilience.RetryConfig{
-		Name:     "cluster.probe",
-		Attempts: 2,
-		Base:     c.cfg.ProbeTimeout / 4,
-		Max:      c.cfg.ProbeTimeout,
-	}, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.id+"/healthz", nil)
-		if err != nil {
-			return err
+	ok := c.healthz(ctx, p)
+	if !ok {
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(c.cfg.ProbeTimeout / 4):
 		}
-		resp, err := c.probeHC.Do(req)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("healthz %d", resp.StatusCode)
-		}
-		return nil
-	})
+		ok = c.healthz(ctx, p)
+	}
 	if ctx.Err() != nil {
 		return
 	}
-	c.observe(p, err == nil)
+	c.observe(p, ok)
+}
+
+// healthz is one probe try; only a 200 answer counts.
+func (c *Cluster) healthz(ctx context.Context, p *Peer) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.id+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := c.probeHC.Do(req)
+	if err != nil {
+		return false
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }
 
 // observe is the one liveness detector: every probe round and every

@@ -352,6 +352,74 @@ func TestProbeEjectRejoin(t *testing.T) {
 	}
 }
 
+// TestProbeRetriesOnce: a probe round tries /healthz twice before it
+// counts a failure. A peer that fails only each round's first try stays
+// in the ring at EjectAfter 1; one that fails both tries is ejected; and
+// Stop during the wait between the tries returns promptly and counts
+// nothing.
+func TestProbeRetriesOnce(t *testing.T) {
+	// flaky serves /healthz, failing request n (1-based) when fail(n).
+	flaky := func(fail func(n int64) bool) (string, *atomic.Int64) {
+		var n atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if fail(n.Add(1)) {
+				http.Error(w, "down", http.StatusServiceUnavailable)
+			}
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL, &n
+	}
+	self := "http://127.0.0.1:1"
+	node := func(peer string, probeTimeout time.Duration) *Cluster {
+		c, err := New(Config{
+			Self: self, Peers: []string{self, peer}, ProbeEvery: 10 * time.Millisecond,
+			ProbeTimeout: probeTimeout, EjectAfter: 1, Registry: telemetry.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	t.Run("first-try-fails", func(t *testing.T) {
+		peer, tries := flaky(func(n int64) bool { return n%2 == 1 })
+		c := node(peer, 40*time.Millisecond)
+		for round := 1; round <= 3; round++ {
+			c.probeRound(context.Background())
+			if !c.Ring().IsAlive(peer) || tries.Load() != int64(2*round) {
+				t.Fatalf("round %d: alive=%v after %d tries; want the retry to keep the peer in the ring",
+					round, c.Ring().IsAlive(peer), tries.Load())
+			}
+		}
+	})
+	t.Run("both-tries-fail", func(t *testing.T) {
+		peer, tries := flaky(func(int64) bool { return true })
+		c := node(peer, 40*time.Millisecond)
+		c.probeRound(context.Background())
+		if c.Ring().IsAlive(peer) || tries.Load() != 2 {
+			t.Fatalf("alive=%v after %d tries; want ejection after both tries failed", c.Ring().IsAlive(peer), tries.Load())
+		}
+	})
+	t.Run("stop-during-wait", func(t *testing.T) {
+		// A 2 s ProbeTimeout makes the wait before the second try 500 ms.
+		peer, tries := flaky(func(int64) bool { return true })
+		c := node(peer, 2*time.Second)
+		c.Start(context.Background())
+		for tries.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond) // into the wait
+		t0 := time.Now()
+		c.Stop()
+		if d := time.Since(t0); d > 250*time.Millisecond {
+			t.Fatalf("Stop during the retry wait took %v", d)
+		}
+		if !c.Ring().IsAlive(peer) || tries.Load() != 1 {
+			t.Fatalf("alive=%v after %d tries; want a stopped round to count nothing", c.Ring().IsAlive(peer), tries.Load())
+		}
+	})
+}
+
 // TestLivenessViewsFollowRing: two peers ejected in one parallel probe
 // round, then rejoined in one, leave cluster.members_alive and every
 // cluster.peer_up{peer} equal to the ring's liveness.

@@ -3,7 +3,6 @@ package resilience
 import (
 	"bytes"
 	"context"
-	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -12,9 +11,10 @@ import (
 )
 
 // TestSIGINTFlushesPartialState models the harness shutdown path: a SIGINT
-// arrives mid-campaign, the shutdown context cancels the supervised run,
-// and the deferred flushes still write the telemetry journal and the
-// checkpoint before exit.
+// arrives mid-campaign, the shutdown context cancels the guarded
+// supervised run, which fails without being mistaken for a watchdog
+// timeout, and the deferred flush still writes the telemetry journal
+// before exit.
 func TestSIGINTFlushesPartialState(t *testing.T) {
 	ctx, stop := WithShutdown(context.Background())
 	defer stop()
@@ -22,9 +22,6 @@ func TestSIGINTFlushesPartialState(t *testing.T) {
 	var sink bytes.Buffer
 	j := telemetry.NewJournal(32)
 	j.SetSink(&sink)
-	cp := NewCheckpoint()
-	cp.MarkDone("fig1", time.Second)
-	path := filepath.Join(t.TempDir(), "ckpt.json")
 
 	s := &Supervisor{Journal: j}
 	go func() {
@@ -44,21 +41,11 @@ func TestSIGINTFlushesPartialState(t *testing.T) {
 		t.Fatal("shutdown misreported as watchdog timeout")
 	}
 
-	// The shutdown path: flush journal + save checkpoint.
-	if err := cp.Save(path, j); err != nil {
-		t.Fatal(err)
-	}
+	// The shutdown path: flush the journal.
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.Len() == 0 {
-		t.Fatal("journal sink empty after shutdown flush")
-	}
-	got, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Done("fig1") {
-		t.Fatal("checkpoint lost completed runs across shutdown")
+	if !bytes.Contains(sink.Bytes(), []byte(`"status":"failed"`)) {
+		t.Fatalf("journal after shutdown flush lacks the interrupted run's failure: %q", sink.String())
 	}
 }

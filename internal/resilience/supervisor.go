@@ -132,11 +132,6 @@ func (s *Supervisor) Run(ctx context.Context, name string, fn func(ctx context.C
 	return out
 }
 
-// Skip journals a run skipped via checkpoint resume.
-func (s *Supervisor) Skip(name string) {
-	s.journal(telemetry.RunStatusRecord{Kind: telemetry.KindRunStatus, Name: name, Status: "skipped"})
-}
-
 func (s *Supervisor) journal(r telemetry.Record) {
 	if s != nil && s.Journal != nil {
 		s.Journal.Append(r)

@@ -11,14 +11,12 @@ const (
 	// KindWatchdog records a supervised run exceeding its watchdog timeout.
 	KindWatchdog = "watchdog"
 	// KindRecovery records the harness absorbing a failure it can survive:
-	// a recovered panic, a successful retry, or a PD re-convergence after a
-	// fault burst.
+	// a recovered panic, a stalled serving recompute, or a PD
+	// re-convergence after a fault burst.
 	KindRecovery = "recovery"
 	// KindRunStatus records supervised-run lifecycle transitions
-	// (start/done/failed/skipped).
+	// (start/done/failed).
 	KindRunStatus = "run_status"
-	// KindCheckpoint records a checkpoint save (the completed-run set).
-	KindCheckpoint = "checkpoint"
 )
 
 // FaultRecord is the KindFault schema.
@@ -56,10 +54,10 @@ type RecoveryRecord struct {
 	Kind string `json:"kind"`
 	// Name identifies the supervised run or subsystem that recovered.
 	Name string `json:"name"`
-	// Cause names what was survived: "panic", "retry", "pd_reconverge".
+	// Cause names what was survived: "panic", "stall" (a serving recompute
+	// past its timeout) or "pd_reconverge".
 	Cause string `json:"cause"`
-	// Detail carries the recovered error text, attempt count, or the
-	// re-converged PD.
+	// Detail carries the recovered error text or the re-converged PD.
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -71,7 +69,7 @@ type RunStatusRecord struct {
 	Kind string `json:"kind"`
 	// Name identifies the supervised run.
 	Name string `json:"name"`
-	// Status is "start", "done", "failed", or "skipped".
+	// Status is "start", "done" or "failed".
 	Status string `json:"status"`
 	// Err is the failure text for "failed".
 	Err string `json:"err,omitempty"`
@@ -81,15 +79,3 @@ type RunStatusRecord struct {
 
 // RecordKind implements Record.
 func (RunStatusRecord) RecordKind() string { return KindRunStatus }
-
-// CheckpointRecord is the KindCheckpoint schema.
-type CheckpointRecord struct {
-	Kind string `json:"kind"`
-	// Path is the checkpoint file written.
-	Path string `json:"path,omitempty"`
-	// Completed is the number of completed run ids recorded.
-	Completed int `json:"completed"`
-}
-
-// RecordKind implements Record.
-func (CheckpointRecord) RecordKind() string { return KindCheckpoint }
