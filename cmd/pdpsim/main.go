@@ -41,8 +41,11 @@
 // carry per-core occupancy and, for the PD-partitioning policies, the
 // per-thread protecting distances.
 //
-// A run is short (a default window takes about a second), so an interrupted
-// one is simply rerun.
+// Every stream of the run, the stand-alone baselines of a mix included, is
+// guarded: -timeout fails a run that outlives it, even one that then
+// returns, and SIGINT stops the run at its next guarded draw; a second
+// SIGINT kills the process. A run is short (a default window takes about
+// a second), so an interrupted one is simply rerun.
 package main
 
 import (

@@ -13,15 +13,19 @@
 //
 // Robustness (see README "Robustness"):
 //
-//	-timeout D      per-experiment watchdog; an expired experiment fails,
-//	                the rest still run
-//	-inject SPEC    seeded fault injection into the workload streams
+//	-timeout D      per-experiment watchdog; an experiment still running
+//	                after D fails, even if it then returns, and the rest
+//	                still run
+//	-inject SPEC    seeded fault injection into every workload stream
 //	                (trace keys; faultcamp also reads the policy keys)
 //	-telemetry F    JSONL journal of run/watchdog/fault/recovery events
 //
 // Every requested experiment runs, a failed one included; the exit status
-// is 1 if any failed, and SIGINT/SIGTERM stops the loop. A run of `all`
-// takes minutes, so an interrupted one is simply rerun.
+// is 1 if any failed. An experiment runs on the main goroutine and writes
+// its tables to stdout as it goes; every stream it reads is guarded, so
+// the watchdog or SIGINT/SIGTERM stops it at its next guarded draw, and
+// a second signal kills the process. A run of `all` takes minutes, so an
+// interrupted one is simply rerun.
 //
 // Performance:
 //
@@ -36,7 +40,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -194,20 +197,11 @@ func run() int {
 			failed++
 			break
 		}
-		// Buffer each experiment's tables so an abandoned (timed-out)
-		// goroutine can't interleave stale output with later experiments.
-		var buf bytes.Buffer
 		out := sup.Run(ctx, e.ID, func(runCtx context.Context) error {
 			ecfg := cfg
-			ecfg.Out = &buf
 			ecfg.Ctx = runCtx
 			return e.Run(ecfg)
 		})
-		// A run that returned has stopped writing buf: print the tables
-		// it got to, e.g. a failed campaign's report.
-		if !out.Abandoned {
-			os.Stdout.Write(buf.Bytes())
-		}
 		if out.Err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, out.Err)
 			failed++
@@ -244,8 +238,11 @@ func faultCampExperiment(spec faultinject.Spec, journal *telemetry.Journal) expe
 			if !ok {
 				return errors.New("benchmark 403.gcc missing")
 			}
+			// The campaign injects its own trace faults into one of its
+			// two runs, so it takes cfg's cancellation guard alone.
+			cfg.WrapBench = nil
 			r, err := faultinject.RunCampaign(faultinject.CampaignConfig{
-				Bench:    b,
+				Bench:    cfg.Bench(b),
 				Spec:     spec,
 				Accesses: cfg.Accesses,
 				Seed:     cfg.Seed,

@@ -2,10 +2,13 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"pdp/internal/experiments"
 )
 
 // TestMain runs the command itself when REPRO_MAIN is set, so a test can
@@ -17,43 +20,51 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// repro runs the command with args and returns its stderr and exit status.
-func repro(t *testing.T, args ...string) (string, int) {
+// repro runs the command with args and returns its stdout, stderr and
+// exit status.
+func repro(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "REPRO_MAIN=1")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case err == nil:
-		return stderr.String(), 0
+		return stdout.String(), stderr.String(), 0
 	case errors.As(err, &exit):
-		return stderr.String(), exit.ExitCode()
+		return stdout.String(), stderr.String(), exit.ExitCode()
 	}
 	t.Fatal(err)
-	return "", 0
+	return "", "", 0
 }
 
 // TestNoResume: repro keeps no resume state, so -resume is an unknown
 // flag, a usage error.
 func TestNoResume(t *testing.T) {
-	if stderr, code := repro(t, "-resume", "tab2"); code != 2 {
+	if _, stderr, code := repro(t, "-resume", "tab2"); code != 2 {
 		t.Fatalf("exit %d, stderr %q: want exit 2", code, stderr)
 	}
 }
 
-// TestEveryIDRuns: a failed experiment does not stop the ones after it.
-// Two ids that both exceed the watchdog are both attempted and both named
-// on stderr, and the exit status is 1. Both run guarded generators, so
-// each stops at its first cancellation check.
+// TestEveryIDRuns: a failed experiment does not stop the ones after it,
+// and -timeout fails every experiment it cuts short. Under a 1ns
+// watchdog every id of `all` is attempted and named on stderr, none is
+// done, even overhead, which reads no stream and returns after the
+// deadline, and the exit status is 1.
 func TestEveryIDRuns(t *testing.T) {
-	stderr, code := repro(t, "-scale", "0.01", "-timeout", "1ns", "fig2", "sec63")
-	for _, want := range []string{"fig2: ", "sec63: ", "2 experiment(s) failed"} {
-		if !strings.Contains(stderr, want) {
-			t.Errorf("stderr %q lacks %q", stderr, want)
+	stdout, stderr, code := repro(t, "-scale", "0.01", "-timeout", "1ns", "all")
+	for _, e := range experiments.Registry() {
+		if !strings.Contains(stderr, e.ID+": ") {
+			t.Errorf("stderr %q does not name %s", stderr, e.ID)
 		}
+	}
+	if want := fmt.Sprintf("%d experiment(s) failed", len(experiments.Registry())); !strings.Contains(stderr, want) {
+		t.Errorf("stderr %q lacks %q", stderr, want)
+	}
+	if strings.Contains(stdout, "done in") {
+		t.Errorf("stdout reports a finished experiment:\n%s", stdout)
 	}
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)

@@ -31,7 +31,7 @@ func OptGap(cfg Config) error {
 		runs []RunResult // the DIP base, then specs
 	}
 	rowsP, err := parallel.Map(cfg.jobs(), len(suite), func(i int) (optRow, error) {
-		b := suite[i]
+		b := cfg.Bench(suite[i])
 		// Record the same access window OPT will consume.
 		g := b.Generator(LLCSets, 1, cfg.Seed)
 		for j := Warmup(cfg.Accesses); j > 0; j-- {
@@ -42,7 +42,7 @@ func OptGap(cfg Config) error {
 		if err != nil {
 			return optRow{}, err
 		}
-		return optRow{ost: ost, runs: RunMany(cfg.Bench(b), cols, cfg.Accesses, cfg.Seed, TelemetryOptions{})}, nil
+		return optRow{ost: ost, runs: RunMany(b, cols, cfg.Accesses, cfg.Seed, TelemetryOptions{})}, nil
 	})
 	if err != nil {
 		return err

@@ -200,7 +200,7 @@ func Fig12(cfg Config) error {
 			}
 		}
 		ipcs, err := parallel.Map(cfg.jobs(), len(uniq), func(i int) (float64, error) {
-			return SingleIPC(uniq[i], cores, cfg.MCAccessesPerThread, cfg.Seed), nil
+			return SingleIPC(cfg.Bench(uniq[i]), cores, cfg.MCAccessesPerThread, cfg.Seed), nil
 		})
 		if err != nil {
 			return err

@@ -449,7 +449,7 @@ func Fig11(cfg Config) error {
 
 	header(cfg.Out, "fig11c", "PD over time (one sample per recompute)")
 	trajectories, err := parallel.Map(cfg.jobs(), len(phased), func(i int) ([]int, error) {
-		b := phased[i]
+		b := cfg.Bench(phased[i])
 		pol := core.New(core.Config{Sets: LLCSets, Ways: LLCWays, Bypass: true,
 			RecomputeEvery: 65536})
 		pds := []int{pol.PD()}
@@ -607,7 +607,7 @@ func Sec65(cfg Config) error {
 		if !ok {
 			return fmt.Errorf("unknown benchmark %s", name)
 		}
-		bs[i] = b
+		bs[i] = cfg.Bench(b)
 	}
 	cols := []PolicySpec{specDRRIP(1.0 / 32), mk("PDP", core.PFNormal),
 		mk("PDP-pd1", core.PFInsertPD1), mk("PDP-byp", core.PFBypass)}

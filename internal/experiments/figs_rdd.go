@@ -12,15 +12,17 @@ import (
 	"pdp/internal/workload"
 )
 
-// measureRDD collects the exact RDD of a benchmark with the Full sampler.
-func measureRDD(b workload.Benchmark, sc, n int, seed uint64) *sampler.CounterArray {
+// measureRDD collects the exact RDD of a benchmark over cfg's window with
+// the Full sampler, drawing the stream through cfg.Bench.
+func measureRDD(cfg Config, b workload.Benchmark, sc int) *sampler.CounterArray {
 	s := sampler.New(sampler.FullConfig(LLCSets, sc))
 	// Offline analysis: widen the counters so long windows do not saturate
 	// the 16-bit hardware widths (the periodic-reset Real sampler never
 	// accumulates this much).
 	s.Array().NiMax = 1 << 31
 	s.Array().NtMax = 1 << 62
-	g := b.Generator(LLCSets, 1, seed)
+	n := cfg.Accesses
+	g := cfg.Bench(b).Generator(LLCSets, 1, cfg.Seed)
 	feed := func(count int) {
 		for i := 0; i < count; i++ {
 			a := g.Next()
@@ -59,7 +61,7 @@ func printRDD(cfg Config, name string, arr *sampler.CounterArray) {
 // workers (each measurement is an independent full-sampler pass).
 func measureRDDs(cfg Config, bs []workload.Benchmark, sc int) ([]*sampler.CounterArray, error) {
 	return parallel.Map(cfg.jobs(), len(bs), func(i int) (*sampler.CounterArray, error) {
-		return measureRDD(bs[i], sc, cfg.Accesses, cfg.Seed), nil
+		return measureRDD(cfg, bs[i], sc), nil
 	})
 }
 
@@ -116,7 +118,7 @@ func Fig6(cfg Config) error {
 			return fig6Row{}, fmt.Errorf("unknown benchmark %s", benches[i])
 		}
 		return fig6Row{
-			arr:  measureRDD(b, 4, cfg.Accesses, cfg.Seed),
+			arr:  measureRDD(cfg, b, 4),
 			runs: RunMany(cfg.Bench(b), sweep(staticPDs(), spdpB), cfg.Accesses, cfg.Seed, TelemetryOptions{}),
 		}, nil
 	})
@@ -183,7 +185,7 @@ func Tab2(cfg Config) error {
 		e  float64
 	}
 	cells, err := parallel.Map(cfg.jobs(), len(suite), func(i int) (tab2Cell, error) {
-		arr := measureRDD(suite[i], 4, cfg.Accesses, cfg.Seed)
+		arr := measureRDD(cfg, suite[i], 4)
 		pd, e := core.FindPD(arr, LLCWays)
 		return tab2Cell{pd: pd, e: e}, nil
 	})
@@ -227,7 +229,7 @@ func PDProc(cfg Config) error {
 		res pdproc.Result
 	}
 	cells, err := parallel.Map(cfg.jobs(), len(suite), func(i int) (pdprocCell, error) {
-		arr := measureRDD(suite[i], 4, cfg.Accesses, cfg.Seed)
+		arr := measureRDD(cfg, suite[i], 4)
 		sw, _ := core.FindPD(arr, LLCWays)
 		res, err := pdproc.Compute(arr, LLCWays)
 		return pdprocCell{sw: sw, res: res}, err

@@ -49,13 +49,14 @@ type Config struct {
 	// Out receives the rendered tables.
 	Out io.Writer
 	// Ctx, when non-nil, cancels in-flight runs cooperatively: every
-	// benchmark routed through Bench/Mix gets a guarded generator
-	// (resilience.GuardGenerator), so the run must execute under
-	// resilience.Supervisor.Run to absorb the cancellation.
+	// stream an experiment reads is built through Bench/Mix and gets a
+	// guarded generator (resilience.GuardGenerator), so the run must
+	// execute under resilience.Supervisor.Run to absorb the cancellation.
 	Ctx context.Context
 	// WrapBench, when non-nil, wraps each benchmark routed through
-	// Bench/Mix before the cancellation guard — the fault-injection seam
-	// (cmd/repro installs faultinject.WrapBenchmark here).
+	// Bench/Mix, every stream an experiment reads, before the
+	// cancellation guard: the fault-injection seam (cmd/repro installs
+	// faultinject.WrapBenchmark here).
 	WrapBench func(workload.Benchmark) workload.Benchmark
 }
 

@@ -14,9 +14,11 @@
 //     stream, so no task's randomness depends on scheduling.
 //
 // The pool itself is deliberately dumb: no queues shared across calls, no
-// global state, just bounded fan-out with ordered collection. Cancellation
-// rides on the tasks' own context plumbing (resilience.GuardGenerator);
-// the pool only stops launching new tasks once a task has failed.
+// global state, just bounded fan-out with ordered collection. The pool
+// takes no context: a cancelled run stops at a guarded draw inside a task
+// (resilience.GuardGenerator), whose abort Map re-raises on the calling
+// goroutine, and the pool only stops launching new tasks once a task has
+// failed.
 package parallel
 
 import (

@@ -7,8 +7,9 @@
 // The PDP paper's mechanisms degrade gracefully by construction — the
 // sampler sees 1-in-M accesses, counters saturate, RPDs live in n_c bits —
 // and this package gives the *harness* the same property: one bad run, a
-// hung window, or a corrupted input never takes down a campaign, and
-// everything the harness survives is journaled through internal/telemetry.
+// window past its watchdog, or a corrupted input never takes down a
+// campaign, and everything the harness survives is journaled through
+// internal/telemetry.
 package resilience
 
 import (
