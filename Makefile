@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner, narrow-LLC, one-detector, no-resume and one-stop seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner, narrow-LLC, one-detector, no-resume, one-stop and one-round seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -69,6 +69,9 @@ race:
 # guarded, so a run stops only at a guarded draw; the supervisor runs its
 # task on the caller's goroutine, so non-test resilience/supervisor.go
 # starts no goroutine and has no grace period or abandoned run.
+# The one-round rule (DESIGN.md §11): a PD recompute round runs on its
+# caller's goroutine under that supervisor and is never abandoned, so
+# non-test kvcache has no go statement.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -nE '(hashes|last) +\[\]uint64' $$(ls internal/kvcache/*.go | grep -v _test.go)
@@ -96,6 +99,7 @@ seam:
 	@! grep -rnE 'type +Checkpoint|\bRetryConfig\b' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .
 	@! grep -nE 'flag\.[A-Za-z]+\("(checkpoint|resume|keep-going)"' $$(ls cmd/repro/*.go | grep -v _test.go)
 	@! grep -nE '^\s*go\s|\b(Grace|Abandoned)\b' internal/resilience/supervisor.go
+	@! grep -nE '^\s*go\s' $$(ls internal/kvcache/*.go | grep -v _test.go)
 
 # Non-test line counts: the six serving packages (ROADMAP's size table),
 # then the paper's packages, the scaffolding and the commands (ROADMAP

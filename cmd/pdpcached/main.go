@@ -99,7 +99,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "bound concurrent /kv/ and /batch requests; excess is shed with 503 (0 = ungated)")
 	defaultDeadline := flag.Duration("default-deadline", 0, "deadline applied to /kv/ and /batch requests without an X-Deadline header (0 = none)")
 	rearmAfter := flag.Int("rearm-after", 3, "clean recomputes before a degraded shard re-arms to PDP")
-	recomputeTimeout := flag.Duration("recompute-timeout", 2*time.Second, "PD-recompute stall watchdog; a slower recompute trips every shard to LRU (0 = off)")
+	recomputeTimeout := flag.Duration("recompute-timeout", 2*time.Second, "PD-recompute stall bound, timed once the round holds the recompute lock; a longer round still finishes but trips every shard to LRU (0 = off)")
 	lockHoldWarn := flag.Duration("lock-hold-warn", 250*time.Millisecond, "journal shard locks held longer than this (0 = off)")
 	snapshotPath := flag.String("snapshot", "", "persist the warm cache state to this file periodically and at shutdown")
 	snapshotStateEvery := flag.Duration("snapshot-state-every", 30*time.Second, "cache-state snapshot period (needs -snapshot)")

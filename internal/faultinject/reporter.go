@@ -23,9 +23,14 @@ func (e *InjectedError) Error() string {
 	return fmt.Sprintf("faultinject: injected %s at record %d", e.Site, e.Record)
 }
 
-// Reporter counts injected faults per site and journals each one as a
-// telemetry fault record. All methods are safe for concurrent use and on a
-// nil receiver (a nil Reporter counts nothing).
+// journalEvery samples each site's fault records with the telemetry tap's
+// rule: a site's 1st fault, its (journalEvery+1)-th, and so on.
+const journalEvery = 1024
+
+// Reporter counts injected faults per site, exactly, and journals 1 in
+// journalEvery of each site's faults as telemetry fault records. All
+// methods are safe for concurrent use and on a nil receiver (a nil
+// Reporter counts nothing).
 type Reporter struct {
 	mu      sync.Mutex
 	journal *telemetry.Journal
@@ -38,8 +43,8 @@ func NewReporter(j *telemetry.Journal) *Reporter {
 	return &Reporter{journal: j, counts: map[string]uint64{}}
 }
 
-// Record counts one fault at site and journals it. access is the
-// injector's access/record clock (0 when it has none).
+// Record counts one fault at site and journals it if it is sampled.
+// access is the injector's access/record clock (0 when it has none).
 func (r *Reporter) Record(site string, access uint64, detail string) {
 	if r == nil {
 		return
@@ -48,8 +53,12 @@ func (r *Reporter) Record(site string, access uint64, detail string) {
 	r.seq++
 	seq := r.seq
 	r.counts[site]++
+	n := r.counts[site]
 	j := r.journal
 	r.mu.Unlock()
+	if n%journalEvery != 1 {
+		return
+	}
 	j.Append(telemetry.FaultRecord{
 		Kind: telemetry.KindFault, Site: site, Seq: seq, Access: access, Detail: detail,
 	})

@@ -1,10 +1,12 @@
 package kvcache
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"slices"
-	"time"
 
+	"pdp/internal/resilience"
 	"pdp/internal/telemetry"
 )
 
@@ -108,68 +110,45 @@ type recomputeOutcome struct {
 	corrupt []int
 }
 
-// superviseRecompute runs one recomputation under panic recovery and the
-// optional RecomputeTimeout watchdog, then applies the breaker
-// bookkeeping: trips on failure, clean-streak advancement and re-arms on
-// success.
+// superviseRecompute runs one round: it takes rmu, runs recomputeLocked
+// on the calling goroutine under resilience.Supervisor (panic recovery,
+// and RecomputeTimeout's clock, which starts once the round holds rmu),
+// and applies every shard's breaker verdict before it releases rmu, so
+// rounds never overlap and a queued round's wait is not a stall. A round
+// that panics or outlives RecomputeTimeout trips every shard; a stalled
+// round still finishes, and its PD stands.
 func (c *Cache) superviseRecompute() recomputeOutcome {
-	type result struct {
-		out recomputeOutcome
-		err error
-	}
-	run := func() (res result) {
-		defer func() {
-			if r := recover(); r != nil {
-				res.err = fmt.Errorf("recompute panic: %v", r)
-			}
-		}()
-		res.out = c.recomputeLocked()
-		return
-	}
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
 
-	var res result
-	timedOut := false
-	if c.cfg.RecomputeTimeout <= 0 {
-		res = run()
-	} else {
-		ch := make(chan result, 1)
-		go func() { ch <- run() }()
-		t := time.NewTimer(c.cfg.RecomputeTimeout)
-		select {
-		case res = <-ch:
-			t.Stop()
-		case <-t.C:
-			// The stalled goroutine still owns rmu and will finish (and
-			// release it) on its own; its eventual PD install is harmless
-			// because every shard is about to serve LRU until the breaker
-			// re-arms on later clean rounds.
-			timedOut = true
-		}
-	}
+	out := recomputeOutcome{old: c.PD()}
+	out.pd = out.old // what a panicked round reports
+	err := (&resilience.Supervisor{Timeout: c.cfg.RecomputeTimeout}).Run(context.Background(), "kvcache.recompute",
+		func(context.Context) error {
+			out = c.recomputeLocked()
+			return nil
+		}).Err
 
-	old := c.PD()
-	var all string // the reason every shard trips for, if any
-	switch {
-	case timedOut || res.err != nil:
+	all := out.violation // the reason every shard trips for, if any
+	if err != nil {
 		cause, detail := "stall", fmt.Sprintf("recompute exceeded %v", c.cfg.RecomputeTimeout)
-		if !timedOut {
-			cause, detail = "panic", res.err.Error()
+		var pe *resilience.PanicError
+		if errors.As(err, &pe) {
+			cause, detail = "panic", fmt.Sprintf("recompute panic: %v", pe.Value)
 		}
 		c.cfg.Journal.Append(telemetry.RecoveryRecord{
 			Kind: telemetry.KindRecovery, Name: "kvcache.recompute", Cause: cause, Detail: detail,
 		})
-		res.out, all = recomputeOutcome{old: old, pd: old}, "recompute_"+cause
-	case res.out.violation != "":
-		all = res.out.violation
+		all = "recompute_" + cause
 	}
 	// A shard whose own evidence was corrupt trips alone; every other one
 	// of a clean round advances.
 	for i, sh := range c.shards {
 		reason := all
-		if reason == "" && slices.Contains(res.out.corrupt, i) {
+		if reason == "" && slices.Contains(out.corrupt, i) {
 			reason = "sampler_corrupt"
 		}
 		c.cfg.Journal.Append(sh.breaker(reason, c.cfg.RearmAfter))
 	}
-	return res.out
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pdp/internal/resilience"
+	"pdp/internal/telemetry"
 )
 
 // chaosFunc adapts plain functions to the Chaos interface.
@@ -140,11 +141,47 @@ func TestBreakerTripsOnStall(t *testing.T) {
 	if c.DegradedShards() == 0 {
 		t.Fatal("stalled recompute did not trip the breaker")
 	}
-	// The stalled goroutine finishes on its own and releases the
-	// recompute lock; a recompute queued behind it would itself trip the
-	// watchdog (queue wait counts as stall), so let it drain first.
-	time.Sleep(200 * time.Millisecond)
 	rearm(t, c)
+}
+
+// TestQueuedRoundIsNotAStall: RecomputeTimeout times a round from when it
+// holds the recompute lock, so a clean round queued behind a stalled one
+// is not journaled as a second stall.
+func TestQueuedRoundIsNotAStall(t *testing.T) {
+	j := telemetry.NewJournal(64)
+	entered := make(chan struct{})
+	c := breakerCache(t, Config{
+		RearmAfter:       1,
+		RecomputeTimeout: 50 * time.Millisecond,
+		Journal:          j,
+		Chaos: chaosFunc{recompute: func(seq uint64) {
+			if seq == 1 {
+				close(entered)
+				time.Sleep(150 * time.Millisecond)
+			}
+		}},
+	})
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		c.Recompute()
+	}()
+	<-entered
+	c.Recompute()
+	<-first
+
+	stalls := 0
+	for _, r := range j.Tail(j.Len()) {
+		if rec, ok := r.(telemetry.RecoveryRecord); ok && rec.Cause == "stall" {
+			stalls++
+		}
+	}
+	if stalls != 1 {
+		t.Fatalf("%d stall records, want 1: the queued round's wait counted as a stall", stalls)
+	}
+	if n := c.DegradedShards(); n != 0 {
+		t.Fatalf("%d shards degraded after the queued clean round, want 0", n)
+	}
 }
 
 func TestBreakerTripsCorruptShardOnly(t *testing.T) {

@@ -86,9 +86,10 @@ type Config struct {
 	// degraded shard needs before its breaker re-arms from shadow-LRU
 	// fallback back to PDP (default 3).
 	RearmAfter int
-	// RecomputeTimeout bounds one PD recomputation's wall-clock time; a
-	// recompute that stalls past it trips every shard into degraded mode
-	// (0 disables the watchdog and runs recomputes inline).
+	// RecomputeTimeout bounds one PD recomputation's wall-clock time,
+	// counted from when the round holds the recompute lock: a longer
+	// round trips every shard into degraded mode (0 disables the check).
+	// Every round runs on its caller's goroutine and always finishes.
 	RecomputeTimeout time.Duration
 	// LockHoldWarn is the shard-lock hold-time watchdog threshold: a
 	// sampled cache operation holding a shard lock longer than this is
@@ -253,7 +254,8 @@ type Cache struct {
 	// journal's access clock continues across a warm restart.
 	accBase atomic.Uint64
 
-	// rmu serializes recomputations.
+	// rmu serializes recompute rounds, from the merge to the last
+	// shard's breaker verdict.
 	rmu        sync.Mutex
 	recomputes atomic.Uint64
 }
@@ -485,7 +487,7 @@ func (c *Cache) sumStats(per []ShardStats) Stats {
 }
 
 // Recompute runs one supervised PD recomputation: the merge + E(d_p)
-// search under panic recovery, the optional stall watchdog
+// search under panic recovery, the optional stall check
 // (Config.RecomputeTimeout), and invariant validation (PD in [1, d_max],
 // internally consistent RDD evidence). A failed recomputation never
 // propagates — it trips the degraded-mode breaker and keeps the previous
@@ -501,19 +503,17 @@ func (c *Cache) Recompute() (oldPD, newPD int, ok bool) {
 	return out.old, out.pd, out.moved
 }
 
-// recomputeLocked is the recompute body: merge every shard's RDD, run the
-// E(d_p) search, install the resulting PD, and epoch-decay the per-shard
-// counter arrays so the next recomputation sees an exponentially weighted
-// recent window. It reports invariant violations and corrupt shards
-// upward instead of acting on them; superviseRecompute owns the breaker.
+// recomputeLocked is the recompute body, run with rmu held: merge every
+// shard's RDD, run the E(d_p) search, install the resulting PD, and
+// epoch-decay the per-shard counter arrays so the next recomputation sees
+// an exponentially weighted recent window. It reports invariant violations
+// and corrupt shards upward instead of acting on them; superviseRecompute
+// owns the breaker.
 func (c *Cache) recomputeLocked() recomputeOutcome {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-
 	if c.cfg.Chaos != nil {
-		// The chaos hook may stall (tripping the watchdog in
-		// superviseRecompute) or panic (unwinding through the deferred
-		// unlock into the recovery there).
+		// The chaos hook may stall (outliving RecomputeTimeout) or panic
+		// (unwinding into the supervisor's recovery); either trips every
+		// shard in superviseRecompute.
 		c.cfg.Chaos.Recompute(c.recomputes.Load() + 1)
 	}
 

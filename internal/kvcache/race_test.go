@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pdp/internal/faultinject"
+	"pdp/internal/telemetry"
 )
 
 // TestConcurrentShardSet drives one shard's set array from 16 goroutines
@@ -297,5 +298,51 @@ func TestBreakerInvariantsUnderChaos(t *testing.T) {
 	rearm(t, c)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBreakerRecordsInOrder: a round holds the recompute lock from the
+// merge to its last breaker verdict, so however many goroutines call
+// Recompute, each shard's journaled breaker records alternate between
+// tripped and rearmed, and the last one matches the shard's flag.
+func TestBreakerRecordsInOrder(t *testing.T) {
+	j := telemetry.NewJournal(1 << 12)
+	n := 0 // counted under the recompute lock
+	c := breakerCache(t, Config{Shards: 4, RearmAfter: 1, Journal: j, Chaos: chaosFunc{recompute: func(uint64) {
+		if n++; n%2 == 1 {
+			panic("injected recompute panic")
+		}
+	}}})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				c.Recompute()
+			}
+		}()
+	}
+	wg.Wait()
+
+	last := map[int]string{}
+	for _, r := range j.Tail(j.Len()) {
+		b, ok := r.(telemetry.BreakerRecord)
+		if !ok {
+			continue
+		}
+		want := "tripped"
+		if last[b.Shard] == "tripped" {
+			want = "rearmed"
+		}
+		if b.State != want {
+			t.Fatalf("shard %d journaled %s after %q", b.Shard, b.State, last[b.Shard])
+		}
+		last[b.Shard] = b.State
+	}
+	for i, sh := range c.shards {
+		if got, want := sh.degraded(), last[i] == "tripped"; got != want {
+			t.Fatalf("shard %d degraded=%v, but its last breaker record is %q", i, got, last[i])
+		}
 	}
 }

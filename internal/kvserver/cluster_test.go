@@ -23,7 +23,7 @@ import (
 // probe loop (and any load balancer) uses to tell "overloaded" from
 // "dead", so shedding them would turn every overload into an ejection.
 func TestHealthExemptFromGate(t *testing.T) {
-	_, base := startServer(t, kvcache.Config{Shards: 2, Sets: 16, Ways: 4}, Config{
+	srv, base := startServer(t, kvcache.Config{Shards: 2, Sets: 16, Ways: 4}, Config{
 		MaxInflight: 1,
 	})
 
@@ -43,22 +43,22 @@ func TestHealthExemptFromGate(t *testing.T) {
 		}
 	}()
 
-	// Wait until the gate really is full: a deadline-free GET sheds 503.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/kv/probe")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			break
-		}
+	// Wait for the PUT to hold the slot without sending a data-path
+	// request of our own (one could take the slot first and shed the PUT).
+	for deadline := time.Now().Add(5 * time.Second); srv.gate.InFlight() != 1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("gate never saturated: last /kv/ status %d", resp.StatusCode)
+			t.Fatalf("gate never saturated: inflight %d", srv.gate.InFlight())
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
+	}
+	resp, err := http.Get(base + "/kv/probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("deadline-free /kv/ GET under a saturated gate: %s, want 503", resp.Status)
 	}
 
 	// The data path sheds; the probe routes must not.

@@ -34,6 +34,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -105,6 +106,7 @@ func (c *Config) setDefaults() error {
 		}
 		c.Targets = []string{c.BaseURL}
 	}
+	c.Targets = slices.Clone(c.Targets) // trimmed below; the caller's slice stays as given
 	for i, t := range c.Targets {
 		if t == "" {
 			return fmt.Errorf("loadgen: empty target at index %d", i)

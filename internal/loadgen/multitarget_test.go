@@ -112,3 +112,35 @@ func TestMultiTargetFailover(t *testing.T) {
 		t.Fatal("live target's answers not attributed")
 	}
 }
+
+// TestRunLeavesCallerTargets: Run trims a target's trailing slash in its
+// own copy of Targets, never in the caller's slice.
+func TestRunLeavesCallerTargets(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			w.Header().Set("X-Cache", "hit")
+			w.Write([]byte("v"))
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	})
+	a, b := httptest.NewServer(h), httptest.NewServer(h)
+	defer a.Close()
+	defer b.Close()
+	targets := []string{a.URL + "/", b.URL + "/"}
+	res, err := Run(context.Background(), Config{
+		Targets: targets,
+		Mix:     workload.ServiceConfig{Keys: 8, ValueBytes: 8},
+		Ops:     4,
+		Seed:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if targets[0] != a.URL+"/" || targets[1] != b.URL+"/" {
+		t.Fatalf("Run rewrote the caller's Targets: %q", targets)
+	}
+	if res.Ops != 4 || res.Errors != 0 {
+		t.Fatalf("ops=%d errors=%d", res.Ops, res.Errors)
+	}
+}

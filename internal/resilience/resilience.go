@@ -1,8 +1,10 @@
 // Package resilience is the supervised run harness of the simulator: it
 // runs each experiment or simulation under panic recovery (converted to
 // errors with the captured stack), a per-run watchdog timeout and
-// SIGINT/SIGTERM graceful shutdown. It also holds the crash-safe file
-// write and the periodic job the serving layer builds on.
+// SIGINT/SIGTERM graceful shutdown. The same Supervisor runs the serving
+// cache's PD recompute rounds (kvcache), on the caller's goroutine like
+// every other run. It also holds the crash-safe file write and the
+// periodic job the serving layer builds on.
 //
 // The PDP paper's mechanisms degrade gracefully by construction — the
 // sampler sees 1-in-M accesses, counters saturate, RPDs live in n_c bits —

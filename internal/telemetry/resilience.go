@@ -6,7 +6,7 @@ package telemetry
 // the simulator's own events.
 const (
 	// KindFault records one injected fault (trace record corruption, RDD
-	// counter bit flip, PD perturbation, ...).
+	// counter bit flip, PD perturbation, ...), sampled 1 in 1024 per site.
 	KindFault = "fault"
 	// KindWatchdog records a supervised run exceeding its watchdog timeout.
 	KindWatchdog = "watchdog"
@@ -25,7 +25,8 @@ type FaultRecord struct {
 	// Site names the injection point: "trace.corrupt", "trace.dup",
 	// "trace.drop", "trace.err", "counter.flip", "rdd.zero", "pd.perturb".
 	Site string `json:"site"`
-	// Seq is the 1-based fault ordinal within the injector's lifetime.
+	// Seq is the 1-based fault ordinal within the injector's lifetime,
+	// across all sites (the journal samples each site, so Seq has gaps).
 	Seq uint64 `json:"seq"`
 	// Access is the access index at which the fault fired (0 when the
 	// injector has no access clock, e.g. byte-level corruption).
