@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner, narrow-LLC, one-detector, no-resume, one-stop and one-round seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner, narrow-LLC, one-detector, no-resume, one-stop, one-round and no-façade seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -72,6 +72,8 @@ race:
 # The one-round rule (DESIGN.md §11): a PD recompute round runs on its
 # caller's goroutine under that supervisor and is never abandoned, so
 # non-test kvcache has no go statement.
+# The no-façade rule (DESIGN.md §3): the module root holds no .go file;
+# the commands and the experiments import the internal packages directly.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -nE '(hashes|last) +\[\]uint64' $$(ls internal/kvcache/*.go | grep -v _test.go)
@@ -100,6 +102,7 @@ seam:
 	@! grep -nE 'flag\.[A-Za-z]+\("(checkpoint|resume|keep-going)"' $$(ls cmd/repro/*.go | grep -v _test.go)
 	@! grep -nE '^\s*go\s|\b(Grace|Abandoned)\b' internal/resilience/supervisor.go
 	@! grep -nE '^\s*go\s' $$(ls internal/kvcache/*.go | grep -v _test.go)
+	@! ls *.go 2>/dev/null
 
 # Non-test line counts: the six serving packages (ROADMAP's size table),
 # then the paper's packages, the scaffolding and the commands (ROADMAP
@@ -121,8 +124,8 @@ loc:
 # two cores, mostly hits and cache-aside churn (every fill evicts or is
 # denied). The repo's benchmark proper is bench/ (see bench/README.md).
 bench:
-	$(GO) test -bench 'AccessPDP8' -benchtime 2s -count 5 -run @ .
-	$(GO) test -bench 'TraceRDDGen|AccessLRU|RunSingleTask|RunManyTask' -benchtime 1s -count 5 -run @ .
+	$(GO) test -bench 'AccessPDP8' -benchtime 2s -count 5 -run @ ./internal/experiments/
+	$(GO) test -bench 'TraceRDDGen|AccessLRU|RunSingleTask|RunManyTask' -benchtime 1s -count 5 -run @ ./internal/experiments/
 	$(GO) test -bench 'ExecBatch' -benchtime 1s -count 3 -run @ ./internal/kvcache/
 	$(GO) test -bench 'ShardsSweep' -benchtime 1s -count 3 -cpu 1,2 -run @ ./internal/kvcache/
 

@@ -300,18 +300,6 @@ func TestTagOverflowPanics(t *testing.T) {
 	}
 }
 
-func TestRandomPolicyFills(t *testing.T) {
-	c := New(Config{Name: "t", Sets: 4, Ways: 2, LineSize: 64}, NewRandom(2, 1))
-	for tag := 0; tag < 32; tag++ {
-		for set := 0; set < 4; set++ {
-			c.Access(trace.Access{Addr: addr(4, set, tag)})
-		}
-	}
-	if c.Stats.Evictions == 0 {
-		t.Fatal("random policy never evicted")
-	}
-}
-
 func TestHierarchyBasics(t *testing.T) {
 	l1 := New(Config{Name: "L1", Sets: 4, Ways: 2, LineSize: 64}, NewLRU(4, 2))
 	l2 := New(Config{Name: "L2", Sets: 16, Ways: 4, LineSize: 64}, NewLRU(16, 4))

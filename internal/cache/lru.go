@@ -8,8 +8,7 @@ import (
 )
 
 // LRU is the least-recently-used replacement policy. It also provides the
-// primitives (Touch, Demote) on which insertion-policy variants such as BIP
-// and LIP are built.
+// primitives (Touch, Demote) on which DIP's insertion rules are built.
 //
 // Each set keeps its recency stack: one byte per line holding the set's
 // way ids from MRU to LRU, so Victim reads the last byte and Touch/Demote
@@ -76,23 +75,3 @@ func (p *LRU) Victim(set int, _ trace.Access) (int, bool) {
 
 // Insert implements Policy.
 func (p *LRU) Insert(set, way int, _ trace.Access) { p.Touch(set, way) }
-
-// Random picks victims uniformly at random; a sanity baseline.
-type Random struct {
-	NopPolicy
-	ways int
-	rng  *trace.RNG
-}
-
-// NewRandom builds a random-replacement policy.
-func NewRandom(ways int, seed uint64) *Random {
-	return &Random{ways: ways, rng: trace.NewRNG(seed)}
-}
-
-// Name implements Policy.
-func (p *Random) Name() string { return "Random" }
-
-// Victim implements Policy.
-func (p *Random) Victim(int, trace.Access) (int, bool) {
-	return p.rng.Intn(p.ways), false
-}

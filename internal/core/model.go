@@ -116,19 +116,8 @@ func (m Model) HA(dp int) (h, a float64) {
 	return m.h[k], m.a[k]
 }
 
-// EValues evaluates the hit-rate approximation E(d_p) of paper Eq. (1) at
-// every counter-array boundary d_p = Dist(k); see Model.
-func EValues(arr *sampler.CounterArray, de int) []float64 {
-	return NewModel(arr, de).E
-}
-
 // FindPD returns the protecting distance maximizing E, together with the
 // maximal E value; see Model.Best.
 func FindPD(arr *sampler.CounterArray, de int) (pd int, e float64) {
 	return NewModel(arr, de).Best()
-}
-
-// Peaks returns up to topN local maxima of E; see Model.Peaks.
-func Peaks(arr *sampler.CounterArray, de, topN int) []Peak {
-	return NewModel(arr, de).Peaks(topN)
 }

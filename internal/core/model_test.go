@@ -19,7 +19,7 @@ func TestEValuesHandComputed(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		arr.RecordAccess()
 	}
-	ev := EValues(arr, 4)
+	ev := NewModel(arr, 4).E
 	// E(2): no hits yet -> 0.
 	if ev[1] != 0 {
 		t.Errorf("E(2) = %v, want 0", ev[1])
@@ -39,7 +39,7 @@ func TestEValuesHandComputed(t *testing.T) {
 }
 
 func TestEValuesMatchClosedForm(t *testing.T) {
-	// Property: EValues agrees with an independent per-point recomputation
+	// Property: Model.E agrees with an independent per-point recomputation
 	// for random counter arrays (incremental-search correctness).
 	f := func(seed int64) bool {
 		arr := sampler.NewCounterArray(64, 4)
@@ -56,7 +56,7 @@ func TestEValuesMatchClosedForm(t *testing.T) {
 		for i := uint64(0); i < totalHits+next()%500; i++ {
 			arr.RecordAccess()
 		}
-		ev := EValues(arr, 16)
+		ev := NewModel(arr, 16).E
 		for k := 0; k < arr.K(); k++ {
 			var sumN, sumNd float64
 			for j := 0; j <= k; j++ {
@@ -140,7 +140,7 @@ func TestPeaksBimodal(t *testing.T) {
 	for i := 0; i < 9000; i++ {
 		arr.RecordAccess()
 	}
-	peaks := Peaks(arr, 16, 3)
+	peaks := NewModel(arr, 16).Peaks(3)
 	if len(peaks) < 2 {
 		t.Fatalf("got %d peaks, want >= 2: %+v", len(peaks), peaks)
 	}
@@ -173,7 +173,7 @@ func TestPeaksTopNLimit(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		arr.RecordAccess()
 	}
-	if got := len(Peaks(arr, 16, 3)); got > 3 {
+	if got := len(NewModel(arr, 16).Peaks(3)); got > 3 {
 		t.Fatalf("Peaks returned %d entries, want <= 3", got)
 	}
 }

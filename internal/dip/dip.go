@@ -1,6 +1,7 @@
-// Package dip implements BIP and the Dynamic Insertion Policy of Qureshi et
-// al. (ISCA 2007), the baseline that the PDP paper normalizes its
-// single-core results against. DIP duels LRU against BIP on dedicated
+// Package dip implements the Dynamic Insertion Policy of Qureshi et al.
+// (ISCA 2007), the baseline that the PDP paper normalizes its single-core
+// results against. DIP duels LRU insertion against BIP, bimodal insertion
+// (at the LRU position, at MRU with probability Epsilon), on dedicated
 // leader sets with a PSEL counter; follower sets adopt the winner.
 // Writeback accesses are excluded from PSEL updates, as in the paper's
 // methodology (Sec. 5).
@@ -13,31 +14,6 @@ import (
 
 // DefaultEpsilon is the BIP bimodal throttle (paper: 1/32).
 const DefaultEpsilon = 1.0 / 32
-
-// BIP is the Bimodal Insertion Policy: lines are inserted at the LRU
-// position except with probability Epsilon at MRU. Hits promote to MRU.
-type BIP struct {
-	*cache.LRU
-	eps float64
-	rng *trace.RNG
-}
-
-// NewBIP builds a BIP policy.
-func NewBIP(sets, ways int, eps float64, seed uint64) *BIP {
-	return &BIP{LRU: cache.NewLRU(sets, ways), eps: eps, rng: trace.NewRNG(seed)}
-}
-
-// Name implements cache.Policy.
-func (p *BIP) Name() string { return "BIP" }
-
-// Insert implements cache.Policy.
-func (p *BIP) Insert(set, way int, _ trace.Access) {
-	if p.rng.Bernoulli(p.eps) {
-		p.Touch(set, way)
-	} else {
-		p.Demote(set, way)
-	}
-}
 
 // DuelingConfig parameterizes a set-dueling monitor.
 type DuelingConfig struct {

@@ -9,33 +9,50 @@ import (
 
 func addr(sets, set, tag int) uint64 { return uint64(tag*sets+set) * 64 }
 
-func TestBIPInsertsAtLRU(t *testing.T) {
-	// eps = 0: every insertion goes to the LRU position and is victimized
-	// next.
-	p := NewBIP(1, 4, 0, 1)
-	c := cache.New(cache.Config{Name: "t", Sets: 1, Ways: 4, LineSize: 64}, p)
-	for tag := 0; tag < 4; tag++ {
-		c.Access(trace.Access{Addr: addr(1, 0, tag)})
+// bipLeader builds a DIP of the given geometry with eps = 0 and returns it
+// with the first of its BIP-role leader sets, where BIP insertion always
+// runs whatever the duel's winner.
+func bipLeader(t *testing.T, sets, ways int) (*DIP, int) {
+	t.Helper()
+	p := NewDIP(sets, ways, 0, 1)
+	for s := 0; s < sets; s++ {
+		if p.Dueler().Role(s) == 1 {
+			return p, s
+		}
 	}
-	r := c.Access(trace.Access{Addr: addr(1, 0, 10)})
-	if !r.Evicted || c.Contains(addr(1, 0, 3)) {
+	t.Fatalf("no BIP leader set among %d sets", sets)
+	return nil, 0
+}
+
+func TestBIPInsertsAtLRU(t *testing.T) {
+	// eps = 0: every insertion into a BIP leader set goes to the LRU
+	// position and is victimized next.
+	const sets, ways = 2, 4
+	p, set := bipLeader(t, sets, ways)
+	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
+	for tag := 0; tag < ways; tag++ {
+		c.Access(trace.Access{Addr: addr(sets, set, tag)})
+	}
+	r := c.Access(trace.Access{Addr: addr(sets, set, 10)})
+	if !r.Evicted || c.Contains(addr(sets, set, 3)) {
 		t.Fatalf("%+v: want the most recent insert (tag 3) evicted", r)
 	}
 	// The new line itself is at LRU: next insert evicts it.
-	r = c.Access(trace.Access{Addr: addr(1, 0, 11)})
-	if !r.Evicted || c.Contains(addr(1, 0, 10)) {
+	r = c.Access(trace.Access{Addr: addr(sets, set, 11)})
+	if !r.Evicted || c.Contains(addr(sets, set, 10)) {
 		t.Fatalf("%+v: want tag 10 evicted", r)
 	}
 }
 
 func TestBIPHitPromotes(t *testing.T) {
-	p := NewBIP(1, 2, 0, 1)
-	c := cache.New(cache.Config{Name: "t", Sets: 1, Ways: 2, LineSize: 64}, p)
-	c.Access(trace.Access{Addr: addr(1, 0, 0)})
-	c.Access(trace.Access{Addr: addr(1, 0, 1)})
-	c.Access(trace.Access{Addr: addr(1, 0, 1)}) // promote tag 1 to MRU
-	r := c.Access(trace.Access{Addr: addr(1, 0, 2)})
-	if !r.Evicted || c.Contains(addr(1, 0, 0)) {
+	const sets, ways = 2, 2
+	p, set := bipLeader(t, sets, ways)
+	c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
+	c.Access(trace.Access{Addr: addr(sets, set, 0)})
+	c.Access(trace.Access{Addr: addr(sets, set, 1)})
+	c.Access(trace.Access{Addr: addr(sets, set, 1)}) // promote tag 1 to MRU
+	r := c.Access(trace.Access{Addr: addr(sets, set, 2)})
+	if !r.Evicted || c.Contains(addr(sets, set, 0)) {
 		t.Fatalf("%+v: want the non-promoted tag 0 evicted", r)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"pdp/internal/cache"
+	"pdp/internal/trace"
 	"pdp/internal/workload"
 )
 
@@ -121,6 +123,49 @@ func TestRunMixShapes(t *testing.T) {
 	for i, v := range r.IPC {
 		if v <= 0 {
 			t.Fatalf("thread %d IPC %v", i, v)
+		}
+	}
+}
+
+// TestEveryNamedPolicyRuns builds every policy that SpecByName and
+// MCSpecByName accept (pdpsim's -policy vocabulary) against one small
+// geometry and runs 5 000 accesses of two threads through an LLC.
+func TestEveryNamedPolicyRuns(t *testing.T) {
+	const sets, ways, n = 64, 8, 5000
+	type named struct {
+		name   string
+		bypass bool
+		pol    cache.Policy
+	}
+	var pols []named
+	for _, nm := range []string{"lru", "dip", "drrip", "drrip:1/64", "eelru", "sdp",
+		"pdp-2", "pdp-3", "pdp-8", "spdp-b:76", "spdp-nb:76"} {
+		s, err := SpecByName(nm, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pols = append(pols, named{nm, s.Bypass, s.New(sets, ways, 1)})
+	}
+	for _, nm := range []string{"ta-drrip", "ucp", "pipp", "pdppart-2", "pdppart-3", "pdppart-8"} {
+		s, err := MCSpecByName(nm, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pols = append(pols, named{nm, s.Bypass, s.New(sets, ways, 2, 1)})
+	}
+	g := trace.NewNoiseGen("n", 1, 7)
+	for _, p := range pols {
+		c := cache.New(cache.Config{
+			Name: p.name, Sets: sets, Ways: ways, LineSize: trace.LineSize,
+			AllowBypass: p.bypass,
+		}, p.pol)
+		for i := 0; i < n; i++ {
+			a := g.Next()
+			a.Thread = i % 2
+			c.Access(a)
+		}
+		if c.Stats.Accesses != n {
+			t.Fatalf("%s: accesses %d, want %d", p.name, c.Stats.Accesses, n)
 		}
 	}
 }

@@ -14,11 +14,13 @@ import (
 )
 
 // TestEveryStreamIsGuarded: every experiment that reads a stream draws it
-// through Config.Bench. Under an already-cancelled Ctx each one unwinds at
-// its first guarded draw instead of returning, and every generator it
-// built on the way was built through WrapBench: an allocation profile of
-// the run holds no model build without viaWrapBench on its stack.
-// overhead reads no stream.
+// through Config.Bench, so every generator it builds is built through
+// WrapBench: an allocation profile of the run holds no model build without
+// viaWrapBench on its stack. Each experiment runs twice. Under an
+// already-cancelled Ctx it unwinds at its first guarded draw instead of
+// returning. A live run at a one-access window then reaches the streams
+// an experiment builds only after its first draw (fig11c's trajectories
+// come after fig11a's rows). overhead reads no stream.
 func TestEveryStreamIsGuarded(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -46,13 +48,31 @@ func TestEveryStreamIsGuarded(t *testing.T) {
 			if !errors.Is(out.Err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", out.Err)
 			}
-			for stack, n := range modelBuilds() {
-				if n > before[stack] && !strings.Contains(stack, ".viaWrapBench.") {
-					t.Errorf("built a generator outside Config.Bench:\n%s", stack)
-				}
+			before = checkBuilds(t, "cancelled", before)
+
+			cfg = tinyConfig(&buf)
+			cfg.WrapBench = viaWrapBench
+			cfg.Accesses, cfg.MCAccessesPerThread, cfg.Mixes4, cfg.Mixes16 = 1, 1, 1, 1
+			if err := e.Run(cfg); err != nil {
+				t.Fatalf("live run: %v", err)
 			}
+			checkBuilds(t, "live", before)
 		})
 	}
+}
+
+// checkBuilds fails t for every model build the allocation profile gained
+// since before without viaWrapBench on its stack, and returns the profile's
+// model builds now.
+func checkBuilds(t *testing.T, run string, before map[string]int64) map[string]int64 {
+	t.Helper()
+	now := modelBuilds()
+	for stack, n := range now {
+		if n > before[stack] && !strings.Contains(stack, ".viaWrapBench.") {
+			t.Errorf("%s run built a generator outside Config.Bench:\n%s", run, stack)
+		}
+	}
+	return now
 }
 
 // viaWrapBench is a WrapBench that changes no stream; a generator built
@@ -79,20 +99,40 @@ func modelBuilds() map[string]int64 {
 	n, _ = runtime.MemProfile(recs, true)
 	out := map[string]int64{}
 	for _, r := range recs[:n] {
-		var stack strings.Builder
-		build := false
-		frames := runtime.CallersFrames(r.Stack())
-		for {
-			f, more := frames.Next()
-			stack.WriteString(f.Function + "\n")
-			build = build || strings.HasPrefix(f.Function, "pdp/internal/workload.") && strings.Contains(f.Function, ".func")
-			if !more {
-				break
-			}
-		}
-		if build {
-			out[stack.String()] += r.AllocObjects
+		if stack := buildStack(r.Stack0); stack != "" {
+			out[stack] += r.AllocObjects
 		}
 	}
 	return out
+}
+
+// buildStacks memoizes buildStack: the profile only grows, and
+// symbolizing each of its stacks anew on every call would dominate
+// TestEveryStreamIsGuarded.
+var buildStacks = map[[32]uintptr]string{}
+
+// buildStack returns the allocation stack pcs as one function name a line
+// if it builds a workload model's generator, else "".
+func buildStack(pcs [32]uintptr) string {
+	if s, ok := buildStacks[pcs]; ok {
+		return s
+	}
+	var stack strings.Builder
+	build := false
+	r := runtime.MemProfileRecord{Stack0: pcs}
+	frames := runtime.CallersFrames(r.Stack())
+	for {
+		f, more := frames.Next()
+		stack.WriteString(f.Function + "\n")
+		build = build || strings.HasPrefix(f.Function, "pdp/internal/workload.") && strings.Contains(f.Function, ".func")
+		if !more {
+			break
+		}
+	}
+	s := ""
+	if build {
+		s = stack.String()
+	}
+	buildStacks[pcs] = s
+	return s
 }

@@ -2,7 +2,6 @@ package kvserver
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -23,12 +22,8 @@ func requestID(r *http.Request) string {
 }
 
 // statusWriter captures the status code a handler writes; an untouched
-// writer reports 200, matching net/http's implicit WriteHeader. It
-// passes the optional upgrade interfaces net/http's writer implements —
-// http.Flusher and io.ReaderFrom — through to the wrapped writer, so
-// streaming handlers and sendfile-style copies keep working under the
-// instrumented path instead of silently losing the capability to the
-// wrapper's narrower static type.
+// writer reports 200, matching net/http's implicit WriteHeader. Every
+// route answers through Write, so it forwards no optional interface.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -38,29 +33,6 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
 }
-
-// Flush forwards to the underlying writer's http.Flusher, if any, so
-// `w.(http.Flusher)` keeps succeeding inside instrumented handlers.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// ReadFrom forwards to the underlying writer's io.ReaderFrom (net/http's
-// response writer implements it to enable sendfile), falling back to a
-// plain copy when the wrapped writer doesn't.
-func (w *statusWriter) ReadFrom(r io.Reader) (int64, error) {
-	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
-		return rf.ReadFrom(r)
-	}
-	return io.Copy(struct{ io.Writer }{w.ResponseWriter}, r)
-}
-
-// Unwrap exposes the wrapped writer, following the convention of
-// http.ResponseController (which uses it to reach interfaces the wrapper
-// doesn't forward itself).
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // methodOther is the clamp label for request methods outside the known
 // set. Prometheus series are minted per (route, method, status); keying

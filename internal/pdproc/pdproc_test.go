@@ -217,7 +217,7 @@ func TestComputeNearOptimalOnRandomArrays(t *testing.T) {
 		if swPD == 0 {
 			return res.PD == 0
 		}
-		ev := core.EValues(arr, 16)
+		ev := core.NewModel(arr, 16).E
 		hwE := ev[res.PD/4-1]
 		return hwE >= 0.9*swE
 	}

@@ -1,5 +1,5 @@
 // Package rrip implements the Re-Reference Interval Prediction replacement
-// family of Jaleel et al. (ISCA 2010): SRRIP, BRRIP, set-dueling DRRIP and
+// family of Jaleel et al. (ISCA 2010): SRRIP, set-dueling DRRIP and
 // thread-aware TA-DRRIP — the main single-core and multi-core comparison
 // points of the PDP paper.
 package rrip
@@ -82,41 +82,9 @@ func (p *SRRIP) Victim(set int, _ trace.Access) (int, bool) { return p.victim(se
 // Insert implements cache.Policy.
 func (p *SRRIP) Insert(set, way int, _ trace.Access) { p.insertLong(set, way) }
 
-// BRRIP is bimodal RRIP: distant insertion, long with probability Epsilon.
-type BRRIP struct {
-	cache.NopPolicy
-	base
-	eps float64
-	rng *trace.RNG
-}
-
-var _ cache.Policy = (*BRRIP)(nil)
-
-// NewBRRIP builds a BRRIP policy with the given epsilon.
-func NewBRRIP(sets, ways int, eps float64, seed uint64) *BRRIP {
-	return &BRRIP{base: newBase(sets, ways), eps: eps, rng: trace.NewRNG(seed)}
-}
-
-// Name implements cache.Policy.
-func (p *BRRIP) Name() string { return "BRRIP" }
-
-// Hit implements cache.Policy.
-func (p *BRRIP) Hit(set, way int, _ trace.Access) { p.hit(set, way) }
-
-// Victim implements cache.Policy.
-func (p *BRRIP) Victim(set int, _ trace.Access) (int, bool) { return p.victim(set), false }
-
-// Insert implements cache.Policy.
-func (p *BRRIP) Insert(set, way int, _ trace.Access) {
-	if p.rng.Bernoulli(p.eps) {
-		p.insertLong(set, way)
-	} else {
-		p.insertDistant(set, way)
-	}
-}
-
 // DRRIP duels SRRIP (policy 0) against BRRIP (policy 1) with a PSEL
-// counter, using the same monitor as DIP.
+// counter, using the same monitor as DIP. BRRIP, bimodal RRIP, inserts
+// with a distant re-reference prediction, long with probability Epsilon.
 type DRRIP struct {
 	cache.NopPolicy
 	base

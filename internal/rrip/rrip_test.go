@@ -65,17 +65,29 @@ func TestSRRIPScanResistance(t *testing.T) {
 }
 
 func TestBRRIPEpsilonExtremes(t *testing.T) {
-	p0 := NewBRRIP(1, 2, 0, 1)
-	c0 := cache.New(cache.Config{Name: "t", Sets: 1, Ways: 2, LineSize: 64}, p0)
-	c0.Access(trace.Access{Addr: addr(1, 0, 0)})
-	if got := p0.RRPV(0, 0); got != MaxRRPV {
-		t.Fatalf("eps=0 insert RRPV = %d, want distant (%d)", got, MaxRRPV)
-	}
-	p1 := NewBRRIP(1, 2, 1.0, 1)
-	c1 := cache.New(cache.Config{Name: "t", Sets: 1, Ways: 2, LineSize: 64}, p1)
-	c1.Access(trace.Access{Addr: addr(1, 0, 0)})
-	if got := p1.RRPV(0, 0); got != MaxRRPV-1 {
-		t.Fatalf("eps=1 insert RRPV = %d, want long (%d)", got, MaxRRPV-1)
+	// BRRIP insertion runs in DRRIP's BRRIP-role leader sets whatever the
+	// duel's winner: distant at eps = 0, long at eps = 1.
+	const sets, ways = 2, 2
+	for _, tc := range []struct {
+		eps  float64
+		want uint8
+	}{{0, MaxRRPV}, {1.0, MaxRRPV - 1}} {
+		p := NewDRRIP(sets, ways, tc.eps, 1)
+		set := -1
+		for s := 0; s < sets; s++ {
+			if p.Dueler().Role(s) == 1 {
+				set = s
+				break
+			}
+		}
+		if set < 0 {
+			t.Fatalf("no BRRIP leader set among %d sets", sets)
+		}
+		c := cache.New(cache.Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64}, p)
+		c.Access(trace.Access{Addr: addr(sets, set, 0)})
+		if got := p.RRPV(set, 0); got != tc.want {
+			t.Fatalf("eps=%g insert RRPV = %d, want %d", tc.eps, got, tc.want)
+		}
 	}
 }
 

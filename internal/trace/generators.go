@@ -387,56 +387,6 @@ func (g *StreamGen) Fill(buf []Access) {
 	}
 }
 
-// PointerChaseGen performs a pseudo-random walk over a working set of Lines
-// lines, approximating dependent pointer chasing (429.mcf-like): reuse
-// distances are spread widely, mostly far beyond any protecting distance.
-type PointerChaseGen struct {
-	name string
-	base uint64
-	perm []uint32
-	pos  uint32
-	pc   uint64
-}
-
-// NewPointerChaseGen builds a random-permutation walk over `lines` lines.
-func NewPointerChaseGen(name string, lines int, base, seed uint64) *PointerChaseGen {
-	if lines <= 1 {
-		panic("trace: PointerChaseGen needs at least 2 lines")
-	}
-	g := &PointerChaseGen{name: name, base: base << 40, perm: make([]uint32, lines), pc: 0x4000}
-	for i := range g.perm {
-		g.perm[i] = uint32(i)
-	}
-	// Sattolo's algorithm: a single cycle through all lines.
-	rng := NewRNG(seed)
-	for i := lines - 1; i > 0; i-- {
-		j := rng.Intn(i)
-		g.perm[i], g.perm[j] = g.perm[j], g.perm[i]
-	}
-	return g
-}
-
-// Name implements Generator.
-func (g *PointerChaseGen) Name() string { return g.name }
-
-// Reset implements Generator. The walk is a function of the seed alone and
-// Next never changes it, so only the position rewinds.
-func (g *PointerChaseGen) Reset() { g.pos = 0 }
-
-// Next implements Generator.
-func (g *PointerChaseGen) Next() Access {
-	a := Access{Addr: g.base | uint64(g.pos)*LineSize, PC: g.pc}
-	g.pos = g.perm[g.pos]
-	return a
-}
-
-// Fill implements Filler.
-func (g *PointerChaseGen) Fill(buf []Access) {
-	for i := range buf {
-		buf[i] = g.Next()
-	}
-}
-
 // MixGen probabilistically interleaves child generators with fixed weights.
 // Children must use distinct address bases and share no state: Fill draws
 // each child's share of a block in one go, which only equals Next's

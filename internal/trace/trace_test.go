@@ -206,20 +206,6 @@ func TestStreamGenNeverReuses(t *testing.T) {
 	}
 }
 
-func TestPointerChaseCoversAllLines(t *testing.T) {
-	const lines = 512
-	g := NewPointerChaseGen("pc", lines, 4, 11)
-	seen := make(map[uint64]bool)
-	for i := 0; i < lines; i++ {
-		seen[g.Next().Addr] = true
-	}
-	// Sattolo's algorithm gives a single cycle: the first `lines` accesses
-	// visit every line exactly once.
-	if len(seen) != lines {
-		t.Errorf("walk visited %d distinct lines, want %d", len(seen), lines)
-	}
-}
-
 func TestMixGenWeights(t *testing.T) {
 	a := NewStreamGen("a", 10)
 	b := NewStreamGen("b", 11)
@@ -265,7 +251,6 @@ func TestGeneratorsResetReproducible(t *testing.T) {
 		NewRDDGen("r", RDDSpec{Peaks: []Peak{{Dist: 12, Weight: 0.5}}, Fresh: 0.3, Far: 0.2}, 32, 1, 77),
 		NewLoopGen("l", 100, 2),
 		NewStreamGen("s", 3),
-		NewPointerChaseGen("p", 64, 4, 9),
 		NewMixGen("m", 5, []Generator{NewStreamGen("x", 6), NewLoopGen("y", 31, 7)}, []float64{1, 1}),
 	}
 	for _, g := range gens {
@@ -292,7 +277,6 @@ func TestConstructorPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("LoopGen", func() { NewLoopGen("x", 0, 0) })
-	mustPanic("PointerChaseGen", func() { NewPointerChaseGen("x", 1, 0, 0) })
 	mustPanic("MixGen empty", func() { NewMixGen("x", 0, nil, nil) })
 	mustPanic("MixGen zero weights", func() {
 		NewMixGen("x", 0, []Generator{NewStreamGen("s", 0)}, []float64{0})
