@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet test race seam loc bench bench-overhead bench-alloc repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
-# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner, narrow-LLC, one-detector, no-resume, one-stop, one-round and no-façade seams, race-enabled tests.
+# check is the CI gate: build, vet, the kvcache, one-probe, Protection, Model, one-chooser, one-RDD, one-path, one-lock, one-owner, narrow-LLC, one-detector, no-resume, one-stop, one-round, no-façade and one-fill seams, race-enabled tests.
 check: build vet seam race
 
 build:
@@ -74,6 +74,10 @@ race:
 # non-test kvcache has no go statement.
 # The no-façade rule (DESIGN.md §3): the module root holds no .go file;
 # the commands and the experiments import the internal packages directly.
+# The one-fill rule (DESIGN.md §3): a trace generator's Fill draws a real
+# block, so no non-test Fill method in internal/trace calls its own
+# receiver's Next; trace.Fill's fallback for a generator that is no
+# Filler, a function and not a method, is the one loop of Next.
 seam:
 	@! grep -nE '"pdp/internal/(core|sampler)"' internal/kvcache/lines.go internal/kvcache/shard.go
 	@! grep -nE '(hashes|last) +\[\]uint64' $$(ls internal/kvcache/*.go | grep -v _test.go)
@@ -103,6 +107,9 @@ seam:
 	@! grep -nE '^\s*go\s|\b(Grace|Abandoned)\b' internal/resilience/supervisor.go
 	@! grep -nE '^\s*go\s' $$(ls internal/kvcache/*.go | grep -v _test.go)
 	@! ls *.go 2>/dev/null
+	@awk '/^func \([a-z]+ \*[A-Za-z]+\) Fill\(/ { r = substr($$2, 2); f = 1 } \
+		f && $$0 ~ "(^|[^A-Za-z0-9_.])" r "\\.Next\\(\\)" { print FILENAME ":" FNR ": " $$0; bad = 1 } \
+		/^}/ { f = 0 } END { exit bad }' $$(ls internal/trace/*.go | grep -v _test.go)
 
 # Non-test line counts: the six serving packages (ROADMAP's size table),
 # then the paper's packages, the scaffolding and the commands (ROADMAP
@@ -120,12 +127,15 @@ loc:
 # guard (disabled vs attached tap on the PDP-8 hot path), the simulator
 # substrate (RDDGen's steady state, one LRU access, one whole sim_suite
 # task, set-up included, and one model through all five sim_suite policies
-# on one stream), the batched cache path, and the shard sweep at one and
+# on one stream), a task's two stages apart (each model's stream through
+# Fill, and each sim_suite policy's cache on a collected stream, in ns per
+# access), the batched cache path, and the shard sweep at one and
 # two cores, mostly hits and cache-aside churn (every fill evicts or is
 # denied). The repo's benchmark proper is bench/ (see bench/README.md).
 bench:
 	$(GO) test -bench 'AccessPDP8' -benchtime 2s -count 5 -run @ ./internal/experiments/
 	$(GO) test -bench 'TraceRDDGen|AccessLRU|RunSingleTask|RunManyTask' -benchtime 1s -count 5 -run @ ./internal/experiments/
+	$(GO) test -bench 'BenchmarkFill|CacheAccess' -benchtime 20x -count 5 -run @ ./internal/experiments/
 	$(GO) test -bench 'ExecBatch' -benchtime 1s -count 3 -run @ ./internal/kvcache/
 	$(GO) test -bench 'ShardsSweep' -benchtime 1s -count 3 -cpu 1,2 -run @ ./internal/kvcache/
 
@@ -178,7 +188,8 @@ bench-alloc:
 
 # Fuzz smoke: the untrusted decoders (trace files, /batch
 # requests and answers, the last two against encoding/json as oracle),
-# RDDGen against its address-keyed original (a Go map), the cache's tag
+# RDDGen against its address-keyed original (a Go map), every other
+# generator's Fill against its Next, the cache's tag
 # probe against the linear scan it replaced, the LRU recency stack against
 # the timestamp LRU it replaced, the serving line store and its recency
 # stacks against the valid flags, hashes and stamps they replaced,
@@ -191,6 +202,7 @@ fuzz:
 	$(GO) test ./internal/batchwire/ -run FuzzParseOps -fuzz FuzzParseOps -fuzztime 20s
 	$(GO) test ./internal/batchwire/ -run FuzzParseRows -fuzz FuzzParseRows -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzRDDGen -fuzz FuzzRDDGen -fuzztime 20s
+	$(GO) test ./internal/trace/ -run FuzzFillEqualsNext -fuzz FuzzFillEqualsNext -fuzztime 20s
 	$(GO) test ./internal/cache/ -run FuzzProbe -fuzz FuzzProbe -fuzztime 20s
 	$(GO) test ./internal/cache/ -run FuzzLRU -fuzz FuzzLRU -fuzztime 20s
 	$(GO) test ./internal/kvcache/ -run FuzzLines -fuzz FuzzLines -fuzztime 20s

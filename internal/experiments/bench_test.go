@@ -261,3 +261,53 @@ func BenchmarkRunManyTask(b *testing.B) {
 		})
 	}
 }
+
+// taskAccesses is what a 100 000-access task draws from its model:
+// Warmup(n)+n accesses.
+const taskAccesses = 64_000 + 100_000
+
+// BenchmarkFill times one task's stream per model: Reset, then
+// taskAccesses drawn a runBlock at a time, as RunMany draws them. It
+// reports ns per access; set beside BenchmarkCacheAccess it splits a
+// sim_suite task into generator and cache.
+func BenchmarkFill(b *testing.B) {
+	buf := make([]trace.Access, runBlock)
+	for _, bm := range workload.All() {
+		g := bm.Generator(LLCSets, 1, 1)
+		b.Run(bm.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.Reset()
+				for n := taskAccesses; n > 0; n -= runBlock {
+					trace.Fill(g, buf[:min(n, runBlock)])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/taskAccesses, "ns/access")
+		})
+	}
+}
+
+// BenchmarkCacheAccess times the cache side of the same task, per
+// sim_suite policy: a fresh LLC fed one collected 436.cactusADM stream of
+// taskAccesses. It reports ns per access.
+func BenchmarkCacheAccess(b *testing.B) {
+	bm, _ := workload.ByName("436.cactusADM")
+	accs := trace.Collect(bm.Generator(LLCSets, 1, 1), taskAccesses)
+	for _, p := range []string{"lru", "dip", "drrip", "sdp", "pdp-8"} {
+		spec, err := SpecByName(p, taskAccesses-64_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(p, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := cache.New(cache.Config{Name: "LLC", Sets: LLCSets, Ways: LLCWays,
+					LineSize: trace.LineSize, AllowBypass: spec.Bypass}, spec.New(LLCSets, LLCWays, 1))
+				for _, a := range accs {
+					c.Access(a)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/taskAccesses, "ns/access")
+		})
+	}
+}

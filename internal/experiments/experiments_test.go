@@ -127,9 +127,10 @@ func TestRunMixShapes(t *testing.T) {
 	}
 }
 
-// TestEveryNamedPolicyRuns builds every policy that SpecByName and
-// MCSpecByName accept (pdpsim's -policy vocabulary) against one small
-// geometry and runs 5 000 accesses of two threads through an LLC.
+// TestEveryNamedPolicyRuns builds every policy of policyNames (pdpsim's
+// -policy vocabulary, a final N given as 64) through SpecByName or
+// MCSpecByName against one small geometry and runs 5 000 accesses of two
+// threads through an LLC.
 func TestEveryNamedPolicyRuns(t *testing.T) {
 	const sets, ways, n = 64, 8, 5000
 	type named struct {
@@ -138,20 +139,24 @@ func TestEveryNamedPolicyRuns(t *testing.T) {
 		pol    cache.Policy
 	}
 	var pols []named
-	for _, nm := range []string{"lru", "dip", "drrip", "drrip:1/64", "eelru", "sdp",
-		"pdp-2", "pdp-3", "pdp-8", "spdp-b:76", "spdp-nb:76"} {
-		s, err := SpecByName(nm, n)
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range policyNames {
+		nm := p.name
+		if prefix, ok := strings.CutSuffix(nm, "N"); ok {
+			nm = prefix + "64"
 		}
-		pols = append(pols, named{nm, s.Bypass, s.New(sets, ways, 1)})
-	}
-	for _, nm := range []string{"ta-drrip", "ucp", "pipp", "pdppart-2", "pdppart-3", "pdppart-8"} {
-		s, err := MCSpecByName(nm, n)
-		if err != nil {
-			t.Fatal(err)
+		if p.single != nil {
+			s, err := SpecByName(nm, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pols = append(pols, named{nm, s.Bypass, s.New(sets, ways, 1)})
+		} else {
+			s, err := MCSpecByName(nm, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pols = append(pols, named{nm, s.Bypass, s.New(sets, ways, 2, 1)})
 		}
-		pols = append(pols, named{nm, s.Bypass, s.New(sets, ways, 2, 1)})
 	}
 	g := trace.NewNoiseGen("n", 1, 7)
 	for _, p := range pols {
@@ -166,6 +171,31 @@ func TestEveryNamedPolicyRuns(t *testing.T) {
 		}
 		if c.Stats.Accesses != n {
 			t.Fatalf("%s: accesses %d, want %d", p.name, c.Stats.Accesses, n)
+		}
+	}
+}
+
+// TestUnknownPolicyListsEveryName: a name no resolver takes (a typo, a
+// multi-core name asked of SpecByName, a parameter below 1 or not a
+// number) is an error that lists every policyNames name.
+func TestUnknownPolicyListsEveryName(t *testing.T) {
+	errs := []error{}
+	for _, nm := range []string{"bogus", "ucp", "spdp-b:0", "spdp-b:0.5", "spdp-b:", "spdp-b:7x", "drrip:1/-4", "drrip:1/inf"} {
+		_, err := SpecByName(nm, 1000)
+		errs = append(errs, err)
+	}
+	for _, nm := range []string{"bogus", "pdp-8", "pdppart-N"} {
+		_, err := MCSpecByName(nm, 1000)
+		errs = append(errs, err)
+	}
+	for _, err := range errs {
+		if err == nil {
+			t.Fatal("a name outside the vocabulary resolved")
+		}
+		for _, p := range policyNames {
+			if !strings.Contains(err.Error(), p.name) {
+				t.Errorf("%q does not list %s", err, p.name)
+			}
 		}
 	}
 }

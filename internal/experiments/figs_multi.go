@@ -58,7 +58,9 @@ type MixResult struct {
 // per core per spec, each interleaved access handed to every cache in spec
 // order, as RunMany does for one core. Threads interleave with
 // probabilities proportional to their APKI (memory-intensity-proportional
-// arrival, standing in for co-run timing).
+// arrival, standing in for co-run timing). The stream is drawn a runBlock
+// at a time: the block's threads are picked first, then each thread's
+// share is one trace.Fill of its generator, dealt out in pick order.
 //
 // tel is attached to each warmed-up cache, in spec order, just before the
 // measured window: a per-core-occupancy-aware cache Tap plus tel.Attach's
@@ -88,24 +90,37 @@ func RunMix(mix workload.Mix, specs []MCPolicySpec, perThread int, seed uint64, 
 		total += b.APKI
 		cum[t] = total
 	}
+	thr := threadThresholds(cum)
 	rng := trace.NewRNG(seed ^ 0xC0FFEE)
-	next := func() trace.Access {
-		u := rng.Float64() * total
-		t := 0
-		for t < cores-1 && u >= cum[t] {
-			t++
+	buf, picks := make([]trace.Access, runBlock), make([]int, runBlock)
+	var dealer trace.Dealer
+	// next draws the next block of at most count accesses: a thread per
+	// access, then each thread's share in one Fill.
+	next := func(count int) []trace.Access {
+		blk := buf[:min(count, len(buf))]
+		for j := range blk {
+			k, t := rng.Uint64()>>11, 0
+			for t < cores-1 && k >= thr[t] {
+				t++
+			}
+			picks[j] = t
 		}
-		a := gens[t].Next()
-		a.Thread = t
-		return a
+		dealer.Deal(blk, gens, picks)
+		for j := range blk {
+			blk[j].Thread = picks[j]
+		}
+		return blk
 	}
 	n := perThread * cores
 	// Multi-core warm-up: every thread needs its own single-core-scale
 	// warm-up, and threads only advance at ~1/cores of the global rate.
-	for i := min(n/3, 2_000_000); i > 0; i-- {
-		a := next()
-		for _, c := range caches {
-			c.Access(a)
+	for i := min(n/3, 2_000_000); i > 0; {
+		blk := next(i)
+		i -= len(blk)
+		for _, a := range blk {
+			for _, c := range caches {
+				c.Access(a)
+			}
 		}
 	}
 	for i, c := range caches {
@@ -117,12 +132,15 @@ func RunMix(mix workload.Mix, specs []MCPolicySpec, perThread int, seed uint64, 
 	for i := range hits {
 		hits[i] = make([]uint64, cores)
 	}
-	for i := 0; i < n; i++ {
-		a := next()
-		accs[a.Thread]++
-		for j, c := range caches {
-			if c.Access(a).Hit {
-				hits[j][a.Thread]++
+	for i := n; i > 0; {
+		blk := next(i)
+		i -= len(blk)
+		for _, a := range blk {
+			accs[a.Thread]++
+			for j, c := range caches {
+				if c.Access(a).Hit {
+					hits[j][a.Thread]++
+				}
 			}
 		}
 	}
@@ -139,6 +157,19 @@ func RunMix(mix workload.Mix, specs []MCPolicySpec, perThread int, seed uint64, 
 	return out
 }
 
+// threadThresholds turns the running APKI sums cum of a mix into RunMix's
+// thread picks: a draw x goes to the first thread t with x>>11 < thr[t],
+// else to the last thread. thr[t] is the trace.Threshold of
+// Float64()*total < cum[t], so the pick is the one that float test makes.
+func threadThresholds(cum []float64) []uint64 {
+	total := cum[len(cum)-1]
+	thr := make([]uint64, len(cum)-1)
+	for t := range thr {
+		thr[t] = trace.Threshold(func(u float64) bool { return u*total < cum[t] })
+	}
+	return thr
+}
+
 // SingleIPC computes a benchmark's stand-alone IPC on the multi-core LLC
 // under LRU: the paper's IPCSingle baseline of the W/H metrics.
 func SingleIPC(b workload.Benchmark, cores, accesses int, seed uint64) float64 {
@@ -148,13 +179,10 @@ func SingleIPC(b workload.Benchmark, cores, accesses int, seed uint64) float64 {
 	// Same single-core-granularity generator as RunMix: alone on the large
 	// LLC, the thread's lines spread thinner and distances shrink.
 	g := b.Generator(LLCSets, 1, seed)
-	for i := Warmup(accesses); i > 0; i-- {
-		c.Access(g.Next())
-	}
+	caches, buf := []*cache.Cache{c}, make([]trace.Access, runBlock)
+	feed(g, caches, buf, Warmup(accesses))
 	c.Stats = cache.Stats{}
-	for i := 0; i < accesses; i++ {
-		c.Access(g.Next())
-	}
+	feed(g, caches, buf, accesses)
 	instr := cpu.Instructions(c.Stats.Accesses, b.APKI)
 	return cpu.Default().IPC(instr, c.Stats.Hits, c.Stats.Misses)
 }

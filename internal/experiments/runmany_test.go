@@ -141,3 +141,38 @@ func TestRunMixManyMatchesPerSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestThreadThresholdsMatchFloat: RunMix's integer thread picks agree with
+// the float test they replace, Float64()*total >= cum[t], at each
+// threshold's last passing draw and its first failing one, for the mixes
+// fig12 runs and for equal and zero APKIs.
+func TestThreadThresholdsMatchFloat(t *testing.T) {
+	var apkis [][]float64
+	for _, m := range append(workload.Mixes(4, 20, 42), workload.Mixes(16, 5, 43)...) {
+		var a []float64
+		for _, b := range m.Benchs {
+			a = append(a, b.APKI)
+		}
+		apkis = append(apkis, a)
+	}
+	apkis = append(apkis, []float64{0.1, 0.2, 0.7}, []float64{3, 0, 0, 3}, []float64{1e-300, 1})
+	for _, a := range apkis {
+		cum, total := make([]float64, len(a)), 0.0
+		for i, x := range a {
+			total += x
+			cum[i] = total
+		}
+		u := func(k uint64) float64 { return float64(k) / (1 << 53) }
+		for i, thr := range threadThresholds(cum) {
+			if thr > 1<<53 {
+				t.Fatalf("%v thread %d: threshold %d past 2^53", a, i, thr)
+			}
+			if thr > 0 && u(thr-1)*total >= cum[i] {
+				t.Errorf("%v thread %d: draw %d is below the threshold but passes thread %d", a, i, thr-1, i)
+			}
+			if thr < 1<<53 && !(u(thr)*total >= cum[i]) {
+				t.Errorf("%v thread %d: draw %d is the threshold but stays at thread %d", a, i, thr, i)
+			}
+		}
+	}
+}

@@ -7,7 +7,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-
+	"math"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 
 	"pdp/internal/cache"
@@ -341,60 +343,90 @@ func header(out io.Writer, id, title string) {
 // fmtPct renders a fraction as a signed percentage.
 func fmtPct(f float64) string { return fmt.Sprintf("%+.1f%%", 100*f) }
 
-// SpecByName resolves a single-core policy spec from a command-line name:
-// lru, dip, drrip, drrip:1/64, eelru, sdp, pdp-2, pdp-3, pdp-8,
-// spdp-b:76, spdp-nb:76.
-func SpecByName(name string, accesses int) (PolicySpec, error) {
-	recompute := RecomputeEvery(accesses)
-	var pd int
-	switch {
-	case name == "lru":
-		return specLRU(), nil
-	case name == "dip":
-		return specDIP(), nil
-	case name == "drrip":
-		return specDRRIP(1.0 / 32), nil
-	case name == "eelru":
-		return specEELRU(), nil
-	case name == "sdp":
-		return specSDP(), nil
-	case name == "pdp-2":
-		return specPDP(2, recompute), nil
-	case name == "pdp-3":
-		return specPDP(3, recompute), nil
-	case name == "pdp-8":
-		return specPDP(8, recompute), nil
-	}
-	if n, err := fmt.Sscanf(name, "spdp-b:%d", &pd); err == nil && n == 1 {
-		return specSPDP(pd, true), nil
-	}
-	if n, err := fmt.Sscanf(name, "spdp-nb:%d", &pd); err == nil && n == 1 {
-		return specSPDP(pd, false), nil
-	}
-	var denom float64
-	if n, err := fmt.Sscanf(name, "drrip:1/%f", &denom); err == nil && n == 1 && denom > 0 {
-		return specDRRIP(1 / denom), nil
-	}
-	return PolicySpec{}, fmt.Errorf("unknown policy %q", name)
+// A policyName is one name of pdpsim's -policy vocabulary and the spec it
+// builds: a single-core one from the run's window, or a multi-core one
+// from the per-thread window. A name ending in N takes a number of at
+// least 1 there (spdp-b:76, drrip:1/64), which the builder gets as n.
+type policyName struct {
+	name   string
+	single func(n float64, accesses int) PolicySpec
+	multi  func(perThread int) MCPolicySpec
 }
 
-// MCSpecByName resolves a multi-core policy spec: ta-drrip, ucp, pipp,
-// pdppart-2, pdppart-3, pdppart-8.
-func MCSpecByName(name string, perThread int) (MCPolicySpec, error) {
-	interval := uint64(max(perThread/4, 4096))
-	switch name {
-	case "ta-drrip":
-		return mcTADRRIP(), nil
-	case "ucp":
-		return mcUCP(interval), nil
-	case "pipp":
-		return mcPIPP(interval), nil
-	case "pdppart-2":
-		return mcPDPPart(2, interval), nil
-	case "pdppart-3":
-		return mcPDPPart(3, interval), nil
-	case "pdppart-8":
-		return mcPDPPart(8, interval), nil
+// policyNames is the vocabulary SpecByName and MCSpecByName resolve from,
+// in the order their errors list it.
+var policyNames = []policyName{
+	{name: "lru", single: func(float64, int) PolicySpec { return specLRU() }},
+	{name: "dip", single: func(float64, int) PolicySpec { return specDIP() }},
+	{name: "drrip", single: func(float64, int) PolicySpec { return specDRRIP(1.0 / 32) }},
+	{name: "drrip:1/N", single: func(n float64, _ int) PolicySpec { return specDRRIP(1 / n) }},
+	{name: "eelru", single: func(float64, int) PolicySpec { return specEELRU() }},
+	{name: "sdp", single: func(float64, int) PolicySpec { return specSDP() }},
+	{name: "pdp-2", single: func(_ float64, a int) PolicySpec { return specPDP(2, RecomputeEvery(a)) }},
+	{name: "pdp-3", single: func(_ float64, a int) PolicySpec { return specPDP(3, RecomputeEvery(a)) }},
+	{name: "pdp-8", single: func(_ float64, a int) PolicySpec { return specPDP(8, RecomputeEvery(a)) }},
+	{name: "spdp-b:N", single: func(n float64, _ int) PolicySpec { return specSPDP(int(n), true) }},
+	{name: "spdp-nb:N", single: func(n float64, _ int) PolicySpec { return specSPDP(int(n), false) }},
+	{name: "ta-drrip", multi: func(int) MCPolicySpec { return mcTADRRIP() }},
+	{name: "ucp", multi: func(p int) MCPolicySpec { return mcUCP(mcInterval(p)) }},
+	{name: "pipp", multi: func(p int) MCPolicySpec { return mcPIPP(mcInterval(p)) }},
+	{name: "pdppart-2", multi: func(p int) MCPolicySpec { return mcPDPPart(2, mcInterval(p)) }},
+	{name: "pdppart-3", multi: func(p int) MCPolicySpec { return mcPDPPart(3, mcInterval(p)) }},
+	{name: "pdppart-8", multi: func(p int) MCPolicySpec { return mcPDPPart(8, mcInterval(p)) }},
+}
+
+// mcInterval is a shared-LLC policy's repartition (or PD recompute)
+// period for a per-thread window.
+func mcInterval(perThread int) uint64 { return uint64(max(perThread/4, 4096)) }
+
+// lookupPolicy finds name in policyNames, with the number it gives a name
+// ending in N.
+func lookupPolicy(name string) (policyName, float64, bool) {
+	for _, p := range policyNames {
+		prefix, param := strings.CutSuffix(p.name, "N")
+		if !param {
+			if name == p.name {
+				return p, 0, true
+			}
+			continue
+		}
+		if rest, ok := strings.CutPrefix(name, prefix); ok {
+			n, err := strconv.ParseFloat(rest, 64)
+			if err == nil && n >= 1 && !math.IsInf(n, 1) {
+				return p, n, true
+			}
+		}
 	}
-	return MCPolicySpec{}, fmt.Errorf("unknown multi-core policy %q", name)
+	return policyName{}, 0, false
+}
+
+// unknownPolicy is the error for a name that is not a kind policy; it
+// lists the whole vocabulary.
+func unknownPolicy(kind, name string) error {
+	var single, multi []string
+	for _, p := range policyNames {
+		if p.single != nil {
+			single = append(single, p.name)
+		} else {
+			multi = append(multi, p.name)
+		}
+	}
+	return fmt.Errorf("unknown %s policy %q: single-core policies are %s; multi-core ones %s (N is a number of at least 1)",
+		kind, name, strings.Join(single, ", "), strings.Join(multi, ", "))
+}
+
+// SpecByName resolves a single-core policy spec from a policyNames name.
+func SpecByName(name string, accesses int) (PolicySpec, error) {
+	if p, n, ok := lookupPolicy(name); ok && p.single != nil {
+		return p.single(n, accesses), nil
+	}
+	return PolicySpec{}, unknownPolicy("single-core", name)
+}
+
+// MCSpecByName resolves a multi-core policy spec from a policyNames name.
+func MCSpecByName(name string, perThread int) (MCPolicySpec, error) {
+	if p, _, ok := lookupPolicy(name); ok && p.multi != nil {
+		return p.multi(perThread), nil
+	}
+	return MCPolicySpec{}, unknownPolicy("multi-core", name)
 }

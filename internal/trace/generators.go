@@ -83,7 +83,11 @@ func (s RDDSpec) Validate() error {
 // rddSet holds per-set generation state for RDDGen. Lines are held by tag;
 // tag 0 marks an empty hist slot.
 type rddSet struct {
-	hist    []uint32 // ring buffer of the last len(hist) line tags
+	// hist is a ring of the set's last len(hist) accesses, the next one
+	// going to slot head. A slot keeps its tag only while that access is
+	// the line's most recent use: a reuse zeroes the slot it leaves.
+	hist    []uint32
+	head    int
 	count   int64    // accesses to this set so far
 	retired []uint32 // ring of old tags usable for "far" reuse
 	retPos  int
@@ -105,14 +109,20 @@ type RDDGen struct {
 	// lastPos[tag] is the most recent access index (within its set) of the
 	// line minted as tag, or -1 once the line is dropped; lastPos[0] stays
 	// -1. A fresh line's tag is len(lastPos), so the slice grows by one
-	// entry per fresh line.
+	// entry per fresh line. Only a far reuse and the retired ring's drop
+	// read it: the hist ring marks a most recent use by itself.
 	lastPos  []int32
 	tagLimit uint64 // first tag past the region (or past uint32): minting it panics
 	histLen  int
 	retCap   int
 	farMinD  int
+	setMask  uint64 // sets-1 when sets is a power of two, else 0
 	// cumulative weights for sampling: peaks..., far, fresh(remainder)
-	cumW   []float64
+	cumW []float64
+	// cumT[i] and writeT are cumW[i] and WriteFrac as Thresholds: a draw
+	// x picks bucket i when x>>11 < cumT[i], a store when x>>11 < writeT.
+	cumT   []uint64
+	writeT uint64
 	pcPeak []uint64 // one PC group per peak
 	pcNew  uint64   // PC used by fresh (streaming) accesses
 	pcFar  uint64
@@ -142,6 +152,10 @@ func NewRDDGen(name string, spec RDDSpec, sets int, base, seed uint64) *RDDGen {
 		histLen:  spec.maxDist() + 16,
 		retCap:   512,
 		farMinD:  spec.farMin(),
+		writeT:   below(spec.WriteFrac),
+	}
+	if sets&(sets-1) == 0 {
+		g.setMask = uint64(sets - 1)
 	}
 	cum := 0.0
 	for i, p := range spec.Peaks {
@@ -151,10 +165,18 @@ func NewRDDGen(name string, spec RDDSpec, sets int, base, seed uint64) *RDDGen {
 	}
 	cum += spec.Far
 	g.cumW = append(g.cumW, cum) // far bucket
+	for _, c := range g.cumW {
+		g.cumT = append(g.cumT, below(c))
+	}
 	g.pcNew = 0x9000
 	g.pcFar = 0xA000
 	g.Reset()
 	return g
+}
+
+// below is the Threshold of the test Float64() < c.
+func below(c float64) uint64 {
+	return Threshold(func(u float64) bool { return u < c })
 }
 
 // Name implements Generator.
@@ -176,7 +198,7 @@ func (g *RDDGen) Reset() {
 	clear(g.hist)
 	for i := range g.state {
 		st := &g.state[i]
-		st.count, st.retired, st.retPos = 0, st.retired[:0], 0
+		st.head, st.count, st.retired, st.retPos = 0, 0, st.retired[:0], 0
 	}
 }
 
@@ -210,76 +232,97 @@ func (g *RDDGen) addr(tag uint32, s int) uint64 {
 
 // Next implements Generator.
 func (g *RDDGen) Next() Access {
-	s := g.rng.Intn(g.sets)
-	st := &g.state[s]
-
-	u := g.rng.Float64()
-	var tag uint32
-	pc := g.pcNew
-	nPeaks := len(g.spec.Peaks)
-	chosen := -1 // -1 fresh, [0..nPeaks) peak i, nPeaks far
-	for i, c := range g.cumW {
-		if u < c {
-			chosen = i
-			break
-		}
-	}
-	switch {
-	case chosen >= 0 && chosen < nPeaks:
-		d := g.spec.Peaks[chosen].Dist
-		if g.spec.Spread > 0 {
-			d += g.rng.Intn(2*g.spec.Spread+1) - g.spec.Spread
-			if d < 1 {
-				d = 1
-			}
-		}
-		tag = g.reuseAt(st, int64(d))
-		pc = g.pcPeak[chosen]
-	case chosen == nPeaks: // far reuse
-		for try := 0; try < 4 && len(st.retired) > 0; try++ {
-			cand := st.retired[g.rng.Intn(len(st.retired))]
-			if p := g.lastPos[cand]; p >= 0 && st.count-int64(p) >= int64(g.farMinD) {
-				tag = cand
-				pc = g.pcFar
-				break
-			}
-		}
-	}
-	if tag == 0 {
-		tag = g.freshTag()
-		pc = g.pcNew
-	}
-	g.record(st, tag)
-	return Access{
-		Addr:  g.addr(tag, s),
-		PC:    pc,
-		Write: g.rng.Bernoulli(g.spec.WriteFrac),
-	}
+	var a [1]Access
+	g.Fill(a[:])
+	return a[0]
 }
 
-// Fill implements Filler.
+// Fill implements Filler. Per access it draws the set, the bucket (a
+// peak, far reuse or a fresh line), a peak's jitter or a far reuse's
+// candidates, and whether it is a store, in that order, from an RNG state
+// held in a local for the whole block.
 func (g *RDDGen) Fill(buf []Access) {
+	x := g.rng.state
+	var v uint64
+	nPeaks := len(g.spec.Peaks)
+	spread := g.spec.Spread
 	for i := range buf {
-		buf[i] = g.Next()
+		x, v = xorshift(x)
+		s := v & g.setMask
+		if g.setMask == 0 {
+			s = v % uint64(g.sets)
+		}
+		st := &g.state[s]
+
+		x, v = xorshift(x)
+		k := v >> 11
+		chosen := 0 // [0..nPeaks) peak i, nPeaks far, nPeaks+1 fresh
+		for chosen < len(g.cumT) && k >= g.cumT[chosen] {
+			chosen++
+		}
+		var tag uint32
+		pc := g.pcNew
+		switch {
+		case chosen < nPeaks:
+			d := g.spec.Peaks[chosen].Dist
+			if spread > 0 {
+				x, v = xorshift(x)
+				d += int(v%uint64(2*spread+1)) - spread
+				d = max(d, 1)
+			}
+			tag = g.reuseAt(st, d)
+			pc = g.pcPeak[chosen]
+		case chosen == nPeaks: // far reuse
+			for try := 0; try < 4 && len(st.retired) > 0; try++ {
+				x, v = xorshift(x)
+				cand := st.retired[v%uint64(len(st.retired))]
+				if p := g.lastPos[cand]; p >= 0 && st.count-int64(p) >= int64(g.farMinD) {
+					if age := int(st.count - int64(p)); age < g.histLen {
+						// The far reuse supersedes a use still in the window.
+						st.hist[(st.head-age+g.histLen)%g.histLen] = 0
+					}
+					tag = cand
+					pc = g.pcFar
+					break
+				}
+			}
+		}
+		if tag == 0 {
+			tag = g.freshTag()
+			pc = g.pcNew
+		}
+		g.record(st, tag)
+		x, v = xorshift(x)
+		buf[i] = Access{
+			Addr:  g.addr(tag, int(s)),
+			PC:    pc,
+			Write: v>>11 < g.writeT,
+		}
 	}
+	g.rng.state = x
 }
 
 // reuseAt returns the tag whose most recent use in st was exactly d
 // accesses ago, or 0 if no such line exists (then the caller falls back to
-// a fresh line, which only adds mass to the "fresh" bucket).
-func (g *RDDGen) reuseAt(st *rddSet, d int64) uint32 {
+// a fresh line, which only adds mass to the "fresh" bucket). It zeroes the
+// slot of the tag it returns, which is no longer that line's most recent
+// use.
+func (g *RDDGen) reuseAt(st *rddSet, d int) uint32 {
 	// Try the exact distance, then wiggle outwards a little: a line seen at
-	// distance d may have been re-touched since (its RD would be wrong), in
-	// which case a neighbor usually works. An empty slot holds tag 0, whose
-	// lastPos of -1 matches no index.
-	for _, delta := range []int64{0, 1, -1, 2, -2, 3, -3} {
+	// distance d may have been re-touched since (its slot is zero then), in
+	// which case a neighbor usually works. A slot not yet written since
+	// Reset, which is every slot behind the set's first access, holds 0.
+	for _, delta := range [...]int{0, 1, -1, 2, -2, 3, -3} {
 		dd := d + delta
-		idx := st.count - dd
-		if dd < 1 || idx < 0 || dd >= int64(g.histLen) {
+		if dd < 1 || dd >= g.histLen {
 			continue
 		}
-		cand := st.hist[idx%int64(g.histLen)]
-		if int64(g.lastPos[cand]) == idx {
+		slot := st.head - dd
+		if slot < 0 {
+			slot += g.histLen
+		}
+		if cand := st.hist[slot]; cand != 0 {
+			st.hist[slot] = 0
 			return cand
 		}
 	}
@@ -293,8 +336,7 @@ func (g *RDDGen) record(st *rddSet, tag uint32) {
 	if st.count > math.MaxInt32 {
 		g.overflow(fmt.Sprintf("a set passes %d accesses", math.MaxInt32))
 	}
-	slot := st.count % int64(g.histLen)
-	if out := st.hist[slot]; out != 0 && int64(g.lastPos[out]) == st.count-int64(g.histLen) {
+	if out := st.hist[st.head]; out != 0 {
 		// Most recent use of `out` is leaving the window.
 		if len(st.retired) < g.retCap {
 			st.retired = append(st.retired, out)
@@ -304,10 +346,15 @@ func (g *RDDGen) record(st *rddSet, tag uint32) {
 				g.lastPos[old] = -1
 			}
 			st.retired[st.retPos] = out
-			st.retPos = (st.retPos + 1) % g.retCap
+			if st.retPos++; st.retPos == g.retCap {
+				st.retPos = 0
+			}
 		}
 	}
-	st.hist[slot] = tag
+	st.hist[st.head] = tag
+	if st.head++; st.head == g.histLen {
+		st.head = 0
+	}
 	g.lastPos[tag] = int32(st.count)
 	st.count++
 }
@@ -341,16 +388,30 @@ func (g *LoopGen) Reset() { g.pos = 0 }
 
 // Next implements Generator.
 func (g *LoopGen) Next() Access {
-	a := Access{Addr: g.base | (g.pos * LineSize), PC: g.pc}
-	g.pos = (g.pos + 1) % g.lines
-	return a
+	addr := g.addr(g.pos)
+	g.pos = g.after(g.pos)
+	return Access{Addr: addr, PC: g.pc}
 }
 
 // Fill implements Filler.
 func (g *LoopGen) Fill(buf []Access) {
+	pos := g.pos
 	for i := range buf {
-		buf[i] = g.Next()
+		buf[i] = Access{Addr: g.addr(pos), PC: g.pc}
+		pos = g.after(pos)
 	}
+	g.pos = pos
+}
+
+// addr is the address of line pos of the sweep.
+func (g *LoopGen) addr(pos uint64) uint64 { return g.base | pos*LineSize }
+
+// after is the line the sweep visits after pos.
+func (g *LoopGen) after(pos uint64) uint64 {
+	if pos++; pos < g.lines {
+		return pos
+	}
+	return 0
 }
 
 // StreamGen emits a pure streaming reference pattern: monotonically
@@ -375,35 +436,38 @@ func (g *StreamGen) Reset() { g.pos = 0 }
 
 // Next implements Generator.
 func (g *StreamGen) Next() Access {
-	a := Access{Addr: g.base | (g.pos * LineSize), PC: g.pc}
 	g.pos++
-	return a
+	return Access{Addr: g.addr(g.pos - 1), PC: g.pc}
 }
 
 // Fill implements Filler.
 func (g *StreamGen) Fill(buf []Access) {
 	for i := range buf {
-		buf[i] = g.Next()
+		buf[i] = Access{Addr: g.addr(g.pos + uint64(i)), PC: g.pc}
 	}
+	g.pos += uint64(len(buf))
 }
+
+// addr is the address of line pos of the stream.
+func (g *StreamGen) addr(pos uint64) uint64 { return g.base | pos*LineSize }
 
 // MixGen probabilistically interleaves child generators with fixed weights.
 // Children must use distinct address bases and share no state: Fill draws
 // each child's share of a block in one go, which only equals Next's
 // one-at-a-time interleave when no child sees another's draws.
 type MixGen struct {
-	name    string
-	gens    []Generator
-	weights []float64
-	cum     []float64
-	seed    uint64
-	rng     *RNG
+	name string
+	gens []Generator
+	// thr[i] is child i's cumulative weight as a Threshold: a draw x
+	// picks the first child i with x>>11 < thr[i], else the last child.
+	// Cumulative weights only grow, so thr is sorted.
+	thr  []uint64
+	seed uint64
+	rng  *RNG
 	// Fill's buffers: the child picked for each access of a block, and
-	// each child's share of the block and count of accesses in it not yet
-	// dealt.
+	// the shares of the block being dealt.
 	picks  []int
-	shares [][]Access
-	left   []int
+	dealer Dealer
 }
 
 // NewMixGen interleaves gens with the given weights (need not be normalized).
@@ -423,11 +487,11 @@ func NewMixGen(name string, seed uint64, gens []Generator, weights []float64) *M
 	if total <= 0 {
 		panic("trace: MixGen weights sum to zero")
 	}
-	g := &MixGen{name: name, gens: gens, weights: weights, seed: seed}
+	g := &MixGen{name: name, gens: gens, seed: seed}
 	cum := 0.0
-	for _, w := range weights {
+	for _, w := range weights[:len(weights)-1] {
 		cum += w / total
-		g.cum = append(g.cum, cum)
+		g.thr = append(g.thr, below(cum))
 	}
 	g.rng = NewRNG(seed)
 	return g
@@ -444,53 +508,73 @@ func (g *MixGen) Reset() {
 	}
 }
 
-// pick draws the child that serves the next access.
-func (g *MixGen) pick() int {
-	u := g.rng.Float64()
-	for i, c := range g.cum {
-		if u < c {
-			return i
-		}
+// pick is the child that serves an access of draw x: the number of
+// thresholds at or below x>>11, as thr is sorted. It counts without a
+// branch, which a random pick would mispredict: both sides are below
+// 2^54, so t-k-1 wraps to set bit 63 exactly when k >= t.
+func (g *MixGen) pick(x uint64) int {
+	k, i := x>>11, 0
+	for _, t := range g.thr {
+		i += int((t - k - 1) >> 63)
 	}
-	return len(g.gens) - 1
+	return i
 }
 
 // Next implements Generator.
 func (g *MixGen) Next() Access {
-	return g.gens[g.pick()].Next()
+	return g.gens[g.pick(g.rng.Uint64())].Next()
 }
 
 // mixBlock bounds the block MixGen.Fill works on, and so its buffers.
 const mixBlock = 256
 
 // Fill implements Filler: per block of at most mixBlock accesses, it draws
-// the picks, has each child fill its share in one call, then deals the
-// shares out in pick order. Dealing runs back to front, taking each
-// share's last undealt access, so every count is 0 again for the next
-// block.
+// the picks, then deals the children's shares out in pick order.
 func (g *MixGen) Fill(buf []Access) {
-	if g.shares == nil {
-		g.shares = make([][]Access, len(g.gens))
-		g.left = make([]int, len(g.gens))
-	}
 	for len(buf) > 0 {
 		blk := buf[:min(len(buf), mixBlock)]
 		buf = buf[len(blk):]
 		g.picks = g.picks[:0]
+		x := g.rng.state
+		var v uint64
 		for range blk {
-			i := g.pick()
-			g.picks = append(g.picks, i)
-			g.left[i]++
+			x, v = xorshift(x)
+			g.picks = append(g.picks, g.pick(v))
 		}
-		for i, c := range g.gens {
-			g.shares[i] = slices.Grow(g.shares[i][:0], g.left[i])[:g.left[i]]
-			Fill(c, g.shares[i])
-		}
-		for j := len(blk) - 1; j >= 0; j-- {
-			i := g.picks[j]
-			g.left[i]--
-			blk[j] = g.shares[i][g.left[i]]
-		}
+		g.rng.state = x
+		g.dealer.Deal(blk, g.gens, g.picks)
+	}
+}
+
+// A Dealer interleaves generators a block at a time; it keeps Deal's
+// buffers from one block to the next.
+type Dealer struct {
+	shares [][]Access // each generator's share of the block
+	left   []int      // each share's accesses not yet dealt
+}
+
+// Deal fills buf so that buf[j] is the next access of gens[picks[j]], as
+// calling Next in that order would, with one Fill per generator: each
+// draws its share of the block, and the shares are dealt out in pick
+// order. That is only the same stream when the generators share no state,
+// as each draws its whole share before the next starts. Dealing runs back
+// to front, taking each share's last undealt access, so every count is 0
+// again for the next block.
+func (d *Dealer) Deal(buf []Access, gens []Generator, picks []int) {
+	if len(d.left) != len(gens) {
+		d.shares, d.left = make([][]Access, len(gens)), make([]int, len(gens))
+	}
+	for _, i := range picks[:len(buf)] {
+		d.left[i]++
+	}
+	for i, g := range gens {
+		d.shares[i] = slices.Grow(d.shares[i][:0], d.left[i])[:d.left[i]]
+		Fill(g, d.shares[i])
+	}
+	for j := len(buf) - 1; j >= 0; j-- {
+		i := picks[j]
+		d.left[i]--
+		buf[j] = d.shares[i][d.left[i]]
 	}
 }
 
@@ -570,9 +654,7 @@ func (g *PhasedGen) Fill(buf []Access) {
 // Collect draws n accesses from g into a slice (testing helper).
 func Collect(g Generator, n int) []Access {
 	out := make([]Access, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
+	Fill(g, out)
 	return out
 }
 
@@ -601,19 +683,25 @@ func (g *NoiseGen) Name() string { return g.name }
 // Reset implements Generator.
 func (g *NoiseGen) Reset() { g.rng = NewRNG(g.seed) }
 
-// Next implements Generator. Addresses are drawn from a 2^32-line region,
-// so accidental reuse is negligible.
+// Next implements Generator.
 func (g *NoiseGen) Next() Access {
-	line := g.rng.Uint64() & (1<<32 - 1)
-	return Access{Addr: g.base | line*LineSize, PC: g.pc}
+	return Access{Addr: g.addr(g.rng.Uint64()), PC: g.pc}
 }
 
 // Fill implements Filler.
 func (g *NoiseGen) Fill(buf []Access) {
+	x := g.rng.state
+	var v uint64
 	for i := range buf {
-		buf[i] = g.Next()
+		x, v = xorshift(x)
+		buf[i] = Access{Addr: g.addr(v), PC: g.pc}
 	}
+	g.rng.state = x
 }
+
+// addr is the address of draw x. Addresses are drawn from a 2^32-line
+// region, so accidental reuse is negligible.
+func (g *NoiseGen) addr(x uint64) uint64 { return g.base | (x&(1<<32-1))*LineSize }
 
 // DriftLoopGen cyclically sweeps a working set of Lines cache lines, but
 // after every full cycle a fraction of the slots is replaced with fresh
@@ -666,22 +754,41 @@ func (g *DriftLoopGen) Reset() {
 
 // Next implements Generator.
 func (g *DriftLoopGen) Next() Access {
-	slot := g.pos
-	addr := g.base | (uint64(g.gen[slot])*g.lines+slot)*LineSize
-	g.pos++
-	if g.pos == g.lines {
-		g.pos = 0
-		n := int(g.drift * float64(g.lines))
-		for i := 0; i < n; i++ {
-			g.gen[g.rng.Intn(int(g.lines))]++
-		}
-	}
+	addr := g.addr(g.pos)
+	g.pos = g.after(g.pos)
 	return Access{Addr: addr, PC: g.pc}
 }
 
 // Fill implements Filler.
 func (g *DriftLoopGen) Fill(buf []Access) {
+	pos := g.pos
 	for i := range buf {
-		buf[i] = g.Next()
+		buf[i] = Access{Addr: g.addr(pos), PC: g.pc}
+		pos = g.after(pos)
+	}
+	g.pos = pos
+}
+
+// addr is the address of slot pos's current line.
+func (g *DriftLoopGen) addr(pos uint64) uint64 {
+	return g.base | (uint64(g.gen[pos])*g.lines+pos)*LineSize
+}
+
+// after is the slot the sweep visits after pos; past the last slot it
+// replaces lines and starts over.
+func (g *DriftLoopGen) after(pos uint64) uint64 {
+	if pos++; pos < g.lines {
+		return pos
+	}
+	g.replace()
+	return 0
+}
+
+// replace ends a cycle: it moves drift*lines drawn slots (a slot may be
+// drawn twice) on to their next generation of line.
+func (g *DriftLoopGen) replace() {
+	n := int(g.drift * float64(g.lines))
+	for i := 0; i < n; i++ {
+		g.gen[g.rng.Intn(int(g.lines))]++
 	}
 }

@@ -73,12 +73,19 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next 64-bit pseudo-random value.
 func (r *RNG) Uint64() uint64 {
-	x := r.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.state = x
-	return x * 0x2545F4914F6CDD1D
+	var x uint64
+	r.state, x = xorshift(r.state)
+	return x
+}
+
+// xorshift is one step of RNG from state s: the next state, and the value
+// Uint64 returns with it. A Fill loop keeps the state in a local, steps it
+// with this, and stores it back once per block.
+func xorshift(s uint64) (next, x uint64) {
+	s ^= s >> 12
+	s ^= s << 25
+	s ^= s >> 27
+	return s, s * 0x2545F4914F6CDD1D
 }
 
 // Intn returns a pseudo-random int in [0, n). n must be > 0.
@@ -97,4 +104,23 @@ func (r *RNG) Float64() float64 {
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
+}
+
+// Threshold turns a test on a Float64 draw into an integer one. Float64
+// is k/2^53 for k = Uint64()>>11, and pass must hold for every k below
+// some point and for none from it on; Threshold finds that point by
+// bisection over k, so a draw x passes exactly when x>>11 < Threshold(pass).
+// The test is the float expression itself, so the two agree however it
+// rounds: u < c gives ceil(c*2^53), clamped to [0, 2^53].
+func Threshold(pass func(u float64) bool) uint64 {
+	lo, hi := uint64(0), uint64(1)<<53
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if pass(float64(mid) / (1 << 53)) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
